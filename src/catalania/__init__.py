@@ -33,6 +33,7 @@ from .riordan import (
     modified_riordan_check,
     riordan_entry,
     riordan_theorem_check,
+    row_sums,
 )
 from .identities import (
     GouldPair,
@@ -56,7 +57,7 @@ __all__ = [
     "ColoredForest", "Classification", "check_signed_matching", "classify",
     "enumerate_colored", "involute", "signed_sum", "signed_sum_vector",
     "RiordanArray", "Series", "catalan_gf", "convolution_check",
-    "modified_riordan_check", "riordan_entry", "riordan_theorem_check",
+    "modified_riordan_check", "riordan_entry", "riordan_theorem_check", "row_sums",
     "GouldPair", "IdentityReport", "closed_form_reduction_check",
     "gould_backward", "gould_forward", "run_suite",
     "verify_eq2", "verify_eq3", "verify_eq10",

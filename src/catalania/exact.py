@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Sequence, Union
 
 Rat = Fraction
@@ -56,15 +56,24 @@ def binom(x: RatLike, k: int) -> Rat:
     """Generalized binomial coefficient x(x-1)...(x-k+1) / k!.
 
     Defined for every rational x and non-negative integer k, with
-    binom(x, 0) = 1.  The falling factorial is accumulated left to right
-    and divided by k! once at the end.
+    binom(x, 0) = 1.  The work is done in integers: for integral x it is
+    ``math.comb`` (with the upper-negation rule for x < 0); for x = p/q in
+    lowest terms the falling factorial prod(p - i*q) is one integer and a
+    single Fraction is built over q**k * k!.
     """
     check_nat(k, "k")
-    x = Fraction(x)
-    num = Fraction(1)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    if q == 1:
+        if p >= 0:
+            return Fraction(comb(p, k))
+        value = comb(k - p - 1, k)
+        return Fraction(-value if k % 2 else value)
+    num = 1
     for i in range(k):
-        num *= x - i
-    return num / factorial(k)
+        num *= p - i * q
+    return Fraction(num, q**k * factorial(k))
 
 
 def multinomial(x: RatLike, parts: Sequence[int]) -> Rat:

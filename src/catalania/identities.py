@@ -28,8 +28,8 @@ from .riordan import (
     convolution_check,
     modified_riordan_check,
     riordan_theorem_check,
+    row_sums,
     series_binpow,
-    _row_sums,
 )
 
 IDENTITY_IDS = (
@@ -112,26 +112,42 @@ def _report(identity_id: str, grid: str,
 CatalanFn = Callable[[int, RatLike, RatLike], Rat]
 
 
+def _catalan_values(catalan: CatalanFn, beta: Rat, gamma: RatLike, n_max: int) -> list[Rat]:
+    """[catalan(0), ..., catalan(n_max)] at one (beta, gamma), each value
+    computed once and shared by every row n <= n_max of the sums below."""
+    return [catalan(i, beta, gamma) for i in range(n_max + 1)]
+
+
+def _direct_sum(alpha: Rat, beta: Rat, cats: Sequence[Rat], n: int) -> Rat:
+    total = Fraction(0)
+    for i in range(n + 1):
+        term = binom((beta - 1) * i + alpha, n - i) * cats[i]
+        total = total - term if (n - i) % 2 else total + term
+    return total
+
+
+def _reindexed_sum(alpha: Rat, beta: Rat, cats: Sequence[Rat], n: int) -> Rat:
+    total = Fraction(0)
+    for i in range(n + 1):
+        term = binom((beta - 1) * (n - i) + alpha, i) * cats[n - i]
+        total = total - term if i % 2 else total + term
+    return total
+
+
 def eq2_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
             catalan: CatalanFn = catalan_gen) -> Rat:
     """sum_i (-1)**(n-i) * binom((beta-1)i + alpha, n-i) * C(i)."""
     alpha, beta = Fraction(alpha), Fraction(beta)
-    total = Fraction(0)
-    for i in range(n + 1):
-        sign = -1 if (n - i) % 2 else 1
-        total += sign * binom((beta - 1) * i + alpha, n - i) * catalan(i, beta, gamma)
-    return total
+    return _direct_sum(alpha, beta, _catalan_values(catalan, beta, gamma, n), n)
 
 
 def eq2_lhs_reindexed(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
                       catalan: CatalanFn = catalan_gen) -> Rat:
-    """Same sum with the summation index reversed (i -> n - i)."""
+    """Same sum with the summation index reversed (i -> n - i); the counting
+    function is queried in that reversed order too."""
     alpha, beta = Fraction(alpha), Fraction(beta)
-    total = Fraction(0)
-    for i in range(n + 1):
-        sign = -1 if i % 2 else 1
-        total += sign * binom((beta - 1) * (n - i) + alpha, i) * catalan(n - i, beta, gamma)
-    return total
+    cats = [catalan(j, beta, gamma) for j in range(n, -1, -1)][::-1]
+    return _reindexed_sum(alpha, beta, cats, n)
 
 
 def eq2_rhs(alpha: RatLike, gamma: RatLike, n: int) -> Rat:
@@ -146,14 +162,16 @@ def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
     plus the reversed-index evaluation as an internal consistency check."""
     check_nat(n_max, "n_max")
     grid = f"alpha={rat_str(alpha)}, beta={rat_str(beta)}, gamma={rat_str(gamma)}, n<={n_max}"
+    a, b = Fraction(alpha), Fraction(beta)
+    cats = _catalan_values(catalan, b, gamma, n_max)
     for n in range(n_max + 1):
-        lhs = eq2_lhs(alpha, beta, gamma, n, catalan)
+        lhs = _direct_sum(a, b, cats, n)
         rhs = eq2_rhs(alpha, gamma, n)
         params = {"alpha": rat_str(alpha), "beta": rat_str(beta),
                   "gamma": rat_str(gamma), "n": n}
         if lhs != rhs:
             return _report("Eq2", grid, Counterexample.at(params, lhs, rhs, "direct sum"))
-        reindexed = eq2_lhs_reindexed(alpha, beta, gamma, n, catalan)
+        reindexed = _reindexed_sum(a, b, cats, n)
         if reindexed != lhs:
             return _report("Eq2", grid,
                            Counterexample.at(params, reindexed, lhs, "reindexed sum differs"))
@@ -165,9 +183,11 @@ def verify_eq4(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Ide
     produce identical values term for term (the identity itself is Eq2's)."""
     check_nat(n_max, "n_max")
     grid = f"alpha={rat_str(alpha)}, beta={rat_str(beta)}, gamma={rat_str(gamma)}, n<={n_max}"
+    a, b = Fraction(alpha), Fraction(beta)
+    cats = _catalan_values(catalan_gen, b, gamma, n_max)
     for n in range(n_max + 1):
-        reindexed = eq2_lhs_reindexed(alpha, beta, gamma, n)
-        direct = eq2_lhs(alpha, beta, gamma, n)
+        reindexed = _reindexed_sum(a, b, cats, n)
+        direct = _direct_sum(a, b, cats, n)
         if reindexed != direct:
             params = {"alpha": rat_str(alpha), "beta": rat_str(beta),
                       "gamma": rat_str(gamma), "n": n}
@@ -447,11 +467,22 @@ def _grid_nat(cfg: Mapping, key: str) -> int:
     return value
 
 
-def _suite_eq2(cfg: Mapping, catalan: CatalanFn) -> IdentityReport:
+# A point (alpha, beta, gamma, n_max) at which verify_eq2 passed with the
+# true catalan_gen.  Such a pass includes, for every n <= n_max, the
+# comparison of the reversed-index sum with the direct sum, which is all
+# that verify_eq4 computes at that point, on the same values; so Eq4 may
+# take its verdict there from Eq2 instead of recomputing it.  A point where
+# Eq2 failed, was not reached, or ran with another counting function is
+# evaluated by Eq4 itself.  The set lives for one run_suite call.
+SweptPoints = set[tuple[Rat, Rat, Rat, int]]
+
+
+def _suite_eq2(cfg: Mapping, catalan: CatalanFn, swept: SweptPoints) -> IdentityReport:
     """Direct grid sweep plus the enumerative and matrix routes: the signed
     census and the array row sums must both reproduce the direct sum, and
     the plain and derivative-form summation checks must both accept the
-    family instance."""
+    family instance.  Points passed with the true catalan_gen go to
+    ``swept``."""
     alphas = expand_interval(cfg["alpha"])
     betas = expand_interval(cfg["beta"])
     gammas = expand_interval(cfg["gamma"])
@@ -467,6 +498,8 @@ def _suite_eq2(cfg: Mapping, catalan: CatalanFn) -> IdentityReport:
                 rep = verify_eq2(alpha, beta, gamma, n_max, catalan)
                 if not rep.ok:
                     return _report("Eq2", grid, rep.counterexample)
+                if catalan is catalan_gen:
+                    swept.add((alpha, beta, gamma, n_max))
 
     cross = cfg.get("cross")
     if cross:
@@ -475,7 +508,7 @@ def _suite_eq2(cfg: Mapping, catalan: CatalanFn) -> IdentityReport:
                 for offset in cross["alpha_offsets"]:
                     alpha = gamma + offset
                     order = _grid_nat(cross, "n_max")
-                    row_sums = _row_sums(
+                    sums = row_sums(
                         catalan_family(alpha, beta, max(order, 1)),
                         catalan_gf(beta, gamma, max(order, 1)),
                         order,
@@ -487,9 +520,9 @@ def _suite_eq2(cfg: Mapping, catalan: CatalanFn) -> IdentityReport:
                         if census != direct:
                             return _report("Eq2", grid, Counterexample.at(
                                 params, census, direct, "involution census vs direct sum"))
-                        if row_sums[n] != direct:
+                        if sums[n] != direct:
                             return _report("Eq2", grid, Counterexample.at(
-                                params, row_sums[n], direct, "array row sum vs direct sum"))
+                                params, sums[n], direct, "array row sum vs direct sum"))
 
     family = cfg.get("family")
     if family:
@@ -529,7 +562,7 @@ def _suite_eq3(cfg: Mapping) -> IdentityReport:
     return _report("Eq3", grid, None)
 
 
-def _suite_eq4(cfg: Mapping) -> IdentityReport:
+def _suite_eq4(cfg: Mapping, swept: SweptPoints) -> IdentityReport:
     alphas = expand_interval(cfg["alpha"])
     betas = expand_interval(cfg["beta"])
     gammas = expand_interval(cfg["gamma"])
@@ -539,6 +572,8 @@ def _suite_eq4(cfg: Mapping) -> IdentityReport:
     for alpha in alphas:
         for beta in betas:
             for gamma in gammas:
+                if (alpha, beta, gamma, n_max) in swept:
+                    continue
                 rep = verify_eq4(alpha, beta, gamma, n_max)
                 if not rep.ok:
                     return _report("Eq4", grid, rep.counterexample)
@@ -587,7 +622,12 @@ def _suite_eq9(cfg: Mapping) -> IdentityReport:
     seed = cfg.get("seed")
     if not isinstance(seed, int):
         raise ConfigError("eq9 needs an integer seed")
-    pairs = [GouldPair(int(as_rat(a)), as_rat(m), as_rat(z)) for a, m, z in cfg["pairs"]]
+    pairs = []
+    for pair in cfg["pairs"]:
+        a, m, z = (as_rat(v) for v in pair)
+        if a.denominator != 1:
+            raise ConfigError(f"eq9 pair {pair}: a must be an integer, got {rat_str(a)}")
+        pairs.append(GouldPair(int(a), m, z))
     grid = f"{count} seeded sequences of length {length}, pairs {[str(p) for p in cfg['pairs']]}"
     rng = random.Random(seed)
     for index in range(count):
@@ -664,6 +704,7 @@ def run_suite(config: Optional[Mapping] = None) -> list[IdentityReport]:
     catalan = _corrupted_catalan if cfg.get("corrupt_catalan") else catalan_gen
 
     reports: list[IdentityReport] = []
+    swept: SweptPoints = set()
     try:
         if "eq1" in cfg:
             n_max = _grid_nat(cfg["eq1"], "n_max")
@@ -671,11 +712,11 @@ def run_suite(config: Optional[Mapping] = None) -> list[IdentityReport]:
             reports.append(_report("Eq1", f"alpha=1, beta=2, gamma=1, n<={n_max}",
                                    rep.counterexample))
         if "eq2" in cfg:
-            reports.append(_suite_eq2(cfg["eq2"], catalan))
+            reports.append(_suite_eq2(cfg["eq2"], catalan, swept))
         if "eq3" in cfg:
             reports.append(_suite_eq3(cfg["eq3"]))
         if "eq4" in cfg:
-            reports.append(_suite_eq4(cfg["eq4"]))
+            reports.append(_suite_eq4(cfg["eq4"], swept))
         if "eq7" in cfg:
             reports.append(_suite_eq7(cfg["eq7"]))
         if "eq8" in cfg:

@@ -252,7 +252,7 @@ def riordan_entry(r: RiordanArray, n: int, k: int) -> Rat:
     return column.coeffs[n]
 
 
-def _row_sums(r: RiordanArray, a: Series, n_max: int) -> list[Rat]:
+def row_sums(r: RiordanArray, a: Series, n_max: int) -> list[Rat]:
     """[sum_k entry(n,k) * a[k] for n <= n_max], one column pass."""
     sums = [Fraction(0)] * (n_max + 1)
     column = r.g.truncate(n_max)
@@ -272,7 +272,7 @@ def riordan_theorem_check(r: RiordanArray, a: Series, l: Series) -> bool:
     l's coefficients; computed both as literal row sums and through the
     functional form g * a(f) = l, which must agree."""
     n = min(r.order, a.order, l.order)
-    by_rows = _row_sums(r, a, n) == list(l.coeffs[: n + 1])
+    by_rows = row_sums(r, a, n) == list(l.coeffs[: n + 1])
     composed = series_mul(r.g.truncate(n), series_compose(a.truncate(n), r.f.truncate(n)))
     by_function = composed == l.truncate(n)
     if by_rows != by_function:

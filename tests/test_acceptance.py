@@ -28,13 +28,13 @@ from catalania.involution import (
     signed_sum_vector,
 )
 from catalania.riordan import (
-    _row_sums,
     catalan_family,
     catalan_gf,
     catalan_gf_functional_check,
     convolution_check,
     modified_riordan_check,
     riordan_theorem_check,
+    row_sums,
     series_binpow,
 )
 
@@ -198,7 +198,7 @@ def test_c09_cross_method_agreement():
     for beta in (2, 3):
         for gamma in (1, 2):
             for alpha in (gamma, gamma + 1, gamma + 2):
-                rows = _row_sums(
+                rows = row_sums(
                     catalan_family(alpha, beta, 5), catalan_gf(beta, gamma, 5), 4
                 )
                 for n in range(5):

@@ -58,6 +58,38 @@ class TestBinom:
             binom(3, -1)
 
 
+class TestBinomKernel:
+    """The integer kernel against the plain falling-factorial product."""
+
+    def test_rational_grid_matches_reference(self):
+        cases = 0
+        for p in range(-30, 31):
+            for q in range(1, 8):
+                for k in range(13):
+                    got = binom(F(p, q), k)
+                    assert type(got) is F
+                    assert got == falling_factorial_quotient(F(p, q), k), (p, q, k)
+                    cases += 1
+        assert cases == 5551
+
+    def test_negative_integers(self):
+        for n in range(1, 41):
+            for k in range(16):
+                expected = (-1) ** k * F(factorial(n + k - 1), factorial(k) * factorial(n - 1))
+                assert binom(-n, k) == binom(F(-n), k) == expected
+
+    def test_vanishes_when_k_exceeds_natural_x(self):
+        for x in range(10):
+            for k in range(x + 1, x + 6):
+                assert binom(x, k) == 0
+                assert binom(F(x), k) == 0
+
+    @pytest.mark.parametrize("x", [0, 7, -4, F(9), F(-2), F(5, 3), F(-7, 2), "3/4"])
+    @pytest.mark.parametrize("k", [0, 1, 4, 11])
+    def test_returns_fraction(self, x, k):
+        assert type(binom(x, k)) is F
+
+
 class TestMultinomial:
     def test_two_explicit_parts(self):
         # binom(6,1) * binom(5,1)

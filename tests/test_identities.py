@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from catalania.counting import catalan_gen, catalan_sequence
+from catalania import identities
 from catalania.exact import binom
 from catalania.identities import (
     DEFAULT_CONFIG,
@@ -32,7 +34,7 @@ from catalania.identities import (
     verify_eq10,
 )
 from catalania.involution import signed_sum
-from catalania.riordan import _row_sums, catalan_family, catalan_gf
+from catalania.riordan import catalan_family, catalan_gf, row_sums
 
 
 class TestEq2:
@@ -206,7 +208,7 @@ class TestCrossMethodAgreement:
         for beta in (2, 3):
             for gamma in (1, 2):
                 for alpha in (gamma, gamma + 1, gamma + 2):
-                    rows = _row_sums(
+                    rows = row_sums(
                         catalan_family(alpha, beta, 5), catalan_gf(beta, gamma, 5), 4
                     )
                     for n in range(5):
@@ -244,6 +246,13 @@ class TestSuite:
         with pytest.raises(ConfigError):
             run_suite({"eq99": {}})
 
+    def test_non_integral_gould_a_rejected(self):
+        config = {"eq9": {"length": 4, "sequences": 2, "seed": 1,
+                          "pairs": [["1/2", "0", "1"]]}}
+        message = r"eq9 pair \['1/2', '0', '1'\]: a must be an integer"
+        with pytest.raises(ConfigError, match=message):
+            run_suite(config)
+
     def test_malformed_section_rejected(self):
         with pytest.raises(ConfigError):
             run_suite({"eq2": {"alpha": {"min": "0"}, "beta": {}, "gamma": {}, "n_max": 2}})
@@ -256,6 +265,64 @@ class TestSuite:
             load_config("{not json")
         with pytest.raises(ConfigError):
             load_config("[1, 2]")
+
+
+def _small_grid(alpha: dict, n_max: int) -> dict:
+    return {"alpha": alpha, "beta": {"min": "1", "max": "2", "step": "1"},
+            "gamma": {"min": "1", "max": "2", "step": "1"}, "n_max": n_max}
+
+
+ALPHA_0_2 = {"min": "0", "max": "2", "step": "1"}
+
+# sha256 of reports_to_json(run_suite(config)), each computed by the
+# straightforward implementation that evaluated every Eq4 point itself.
+GOLDEN_REPORTS = [
+    (None, "2538d28b057d4f2f5c29f3f288dd88c4e7e573a33d04b4a40c6726c90815ecfd"),
+    ({"eq2": _small_grid(ALPHA_0_2, 4), "eq4": _small_grid(ALPHA_0_2, 4),
+      "corrupt_catalan": True},
+     "ce5637a850e45c58a2e8b3d1a7ed7aa04ff9c7ac0761a59ca34bfddc17a07bdf"),
+    ({"eq4": _small_grid({"min": "-1/2", "max": "1", "step": "1/2"}, 5)},
+     "ac829d3efe5ec06e02769329ace072be99757d31c7b408e8ea94ffc5f36ed804"),
+    ({"eq2": _small_grid(ALPHA_0_2, 4),
+      "eq4": _small_grid({"min": "1", "max": "3", "step": "1"}, 4)},
+     "7bf12170c3fa589ff024e56b7f9567fd459b1db5d0ac74107b3319e9ec073cee"),
+]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("config,digest", GOLDEN_REPORTS,
+                             ids=["default", "corrupt", "eq4-only", "eq4-grid-differs"])
+    def test_report_bytes_are_pinned(self, config, digest):
+        text = reports_to_json(run_suite(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_corrupted_eq2_leaves_eq4_passing(self):
+        eq2, eq4 = run_suite(GOLDEN_REPORTS[1][0])
+        assert not eq2.ok and eq4.ok
+        assert eq2.counterexample.to_json() == {
+            "params": {"alpha": "0", "beta": "1", "gamma": "1", "n": "2"},
+            "lhs": "2", "rhs": "1", "detail": "direct sum"}
+
+    @pytest.mark.parametrize("config,evaluated,points", [
+        (GOLDEN_REPORTS[1][0], 12, 12),  # corrupted Eq2 shares nothing
+        (GOLDEN_REPORTS[2][0], 16, 16),  # no Eq2 section
+        (GOLDEN_REPORTS[3][0], 4, 12),   # only the alpha = 3 points are new
+        ({"eq2": _small_grid(ALPHA_0_2, 4), "eq4": _small_grid(ALPHA_0_2, 5)}, 12, 12),
+    ])
+    def test_eq4_evaluates_only_points_eq2_did_not_pass(self, monkeypatch, config,
+                                                       evaluated, points):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return verify_eq4(*args)
+
+        monkeypatch.setattr(identities, "verify_eq4", counted)
+        run_suite(config)
+        assert len(calls) == evaluated
+        calls.clear()
+        run_suite({"eq4": config["eq4"]})  # nothing is kept between calls
+        assert len(calls) == points
 
 
 class TestGridExpansion:
