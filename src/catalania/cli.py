@@ -16,10 +16,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .counting import catalan_gen, catalan_sequence
-from .exact import as_rat, binom, rat_str
-from .forest import EnumerationBudgetError, encode, generate_forests
+from .exact import as_rat, rat_str
+from .forest import encode, generate_forests
 from .identities import (
     ConfigError,
+    eq2_rhs,
     load_config,
     reports_to_json,
     run_suite,
@@ -28,8 +29,8 @@ from .involution import (
     EXCEPTIONAL,
     FIRST,
     classify,
+    colored_census,
     encode_colored,
-    enumerate_colored,
     involute,
 )
 from .riordan import (
@@ -152,27 +153,21 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
 def _cmd_involution(args: argparse.Namespace) -> int:
     if not args.alpha >= args.gamma >= 1:
-        print("error: need --alpha >= --gamma >= 1", file=sys.stderr)
-        return 2
-    beta, n, gamma, alpha = args.beta, args.n, args.gamma, args.alpha
-    total = 0
-    slices = []
-    for i in range(n + 1):
-        structures = enumerate_colored(beta, n - i, i, gamma, alpha)
-        slices.append(structures)
-        total += sum(c.weight() for c in structures)
-    rhs = (-1) ** n * binom(alpha - gamma, n)
+        raise ConfigError("need --alpha >= --gamma >= 1")
+    census = colored_census(args.beta, args.n, args.gamma, args.alpha)
+    structures = [c for piece in census for c in piece]
+    total = sum(c.weight() for c in structures)
+    rhs = eq2_rhs(args.alpha, args.gamma, args.n)
     verdict = "OK" if total == rhs else "MISMATCH"
     print(f"sum={total} rhs={rat_str(rhs)} {verdict}")
     if args.dump_pairs:
-        for structures in slices:
-            for c in structures:
-                kind = classify(c).kind
-                if kind == FIRST:
-                    partner = involute(c, [beta])
-                    print(f"pair {encode_colored(c)} <-> {encode_colored(partner)}")
-                elif kind == EXCEPTIONAL:
-                    print(f"exceptional {encode_colored(c)}")
+        for c in structures:
+            kind = classify(c).kind
+            if kind == FIRST:
+                partner = involute(c, [args.beta])
+                print(f"pair {encode_colored(c)} <-> {encode_colored(partner)}")
+            elif kind == EXCEPTIONAL:
+                print(f"exceptional {encode_colored(c)}")
     return 0 if total == rhs else 1
 
 
@@ -190,47 +185,40 @@ def _load_series_file(path: str):
         raise ConfigError(f"series file {path}: {exc}") from None
 
 
+def _riordan_array(args: argparse.Namespace, order: int) -> RiordanArray:
+    """The array read from --g-json/--f-json, else the Catalan family at
+    --alpha/--beta truncated to ``order``."""
+    if args.g_json and args.f_json:
+        return RiordanArray(_load_series_file(args.g_json), _load_series_file(args.f_json))
+    if args.alpha is not None and args.beta is not None:
+        return catalan_family(args.alpha, args.beta, order)
+    raise ConfigError(f"{args.action} needs --alpha/--beta or --g-json/--f-json")
+
+
 def _cmd_riordan(args: argparse.Namespace) -> int:
     if args.action == "entry":
         if args.n is None or args.k is None:
-            print("error: entry needs --n and --k", file=sys.stderr)
-            return 2
-        order = args.order if args.order is not None else max(args.n, 1)
-        if args.g_json and args.f_json:
-            array = RiordanArray(_load_series_file(args.g_json), _load_series_file(args.f_json))
-        elif args.alpha is not None and args.beta is not None:
-            array = catalan_family(args.alpha, args.beta, max(order, args.n, 1))
-        else:
-            print("error: entry needs --alpha/--beta or --g-json/--f-json", file=sys.stderr)
-            return 2
+            raise ConfigError("entry needs --n and --k")
+        array = _riordan_array(args, max(args.order or 0, args.n, 1))
         print(rat_str(riordan_entry(array, args.n, args.k)))
         return 0
 
     order = args.order if args.order is not None else 12
     if order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 2
-    if args.g_json and args.f_json:
-        array = RiordanArray(_load_series_file(args.g_json), _load_series_file(args.f_json))
-    elif args.alpha is not None and args.beta is not None:
-        array = catalan_family(args.alpha, args.beta, order)
-    else:
-        print("error: check needs --alpha/--beta or --g-json/--f-json", file=sys.stderr)
-        return 2
+        raise ConfigError("--order must be >= 1")
+    array = _riordan_array(args, order)
     if args.a_json:
         a = _load_series_file(args.a_json)
     elif args.beta is not None and args.gamma is not None:
         a = catalan_gf(args.beta, args.gamma, order)
     else:
-        print("error: check needs --gamma (with --beta) or --a-json", file=sys.stderr)
-        return 2
+        raise ConfigError("check needs --gamma (with --beta) or --a-json")
     if args.l_json:
         l = _load_series_file(args.l_json)
     elif args.alpha is not None and args.gamma is not None:
         l = series_binpow(args.alpha - args.gamma, order)
     else:
-        print("error: check needs --alpha and --gamma, or --l-json", file=sys.stderr)
-        return 2
+        raise ConfigError("check needs --alpha and --gamma, or --l-json")
     plain = riordan_theorem_check(array, a, l)
     modified = modified_riordan_check(array, a, l)
     print(f"Eq5 {'OK' if plain else 'FAIL'}, Eq6 {'OK' if modified else 'FAIL'}")
@@ -238,16 +226,13 @@ def _cmd_riordan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    config = None
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
+                config = load_config(handle.read())
         except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        config = load_config(text)
-    else:
-        config = None
+            raise ConfigError(f"cannot read config: {exc}") from None
     reports = run_suite(config)
     print(reports_to_json(reports))
     return 0 if all(r.ok for r in reports) else 1
@@ -265,13 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # covers ConfigError, EnumerationBudgetError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

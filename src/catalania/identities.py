@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .counting import VecProfile, catalan_gen, catalan_vector, check_outdegrees
 from .exact import Rat, RatLike, as_rat, binom, check_nat, multinomial, rat_str
@@ -32,21 +32,9 @@ from .riordan import (
     series_binpow,
 )
 
-IDENTITY_IDS = (
-    "Eq1",
-    "Eq2",
-    "Eq3",
-    "Eq4",
-    "Eq7",
-    "Eq8",
-    "Eq9_roundtrip",
-    "Eq10",
-    "ClosedForm",
-)
-
 
 class ConfigError(ValueError):
-    """Malformed grid configuration."""
+    """Malformed configuration: a grid config, a series file, or CLI flags."""
 
 
 @dataclass(frozen=True)
@@ -105,6 +93,12 @@ def _report(identity_id: str, grid: str,
     return IdentityReport(identity_id, grid, status, counterexample, tuple(skipped))
 
 
+def _point(alpha: RatLike, beta: RatLike, gamma: RatLike) -> tuple[dict[str, object], str]:
+    """Report params of one (alpha, beta, gamma) point, and their text."""
+    params = {"alpha": rat_str(alpha), "beta": rat_str(beta), "gamma": rat_str(gamma)}
+    return params, ", ".join(f"{k}={v}" for k, v in params.items())
+
+
 # ---------------------------------------------------------------------------
 # The alternating-sum identity (scalar form)
 # ---------------------------------------------------------------------------
@@ -161,20 +155,20 @@ def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
     """Check the alternating sum against its closed form for 0 <= n <= n_max,
     plus the reversed-index evaluation as an internal consistency check."""
     check_nat(n_max, "n_max")
-    grid = f"alpha={rat_str(alpha)}, beta={rat_str(beta)}, gamma={rat_str(gamma)}, n<={n_max}"
+    point, text = _point(alpha, beta, gamma)
+    grid = f"{text}, n<={n_max}"
     a, b = Fraction(alpha), Fraction(beta)
     cats = _catalan_values(catalan, b, gamma, n_max)
     for n in range(n_max + 1):
         lhs = _direct_sum(a, b, cats, n)
         rhs = eq2_rhs(alpha, gamma, n)
-        params = {"alpha": rat_str(alpha), "beta": rat_str(beta),
-                  "gamma": rat_str(gamma), "n": n}
         if lhs != rhs:
-            return _report("Eq2", grid, Counterexample.at(params, lhs, rhs, "direct sum"))
+            return _report("Eq2", grid, Counterexample.at(
+                {**point, "n": n}, lhs, rhs, "direct sum"))
         reindexed = _reindexed_sum(a, b, cats, n)
         if reindexed != lhs:
-            return _report("Eq2", grid,
-                           Counterexample.at(params, reindexed, lhs, "reindexed sum differs"))
+            return _report("Eq2", grid, Counterexample.at(
+                {**point, "n": n}, reindexed, lhs, "reindexed sum differs"))
     return _report("Eq2", grid, None)
 
 
@@ -182,17 +176,16 @@ def verify_eq4(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Ide
     """Summation-order guard: the reversed-index rewriting of the sum must
     produce identical values term for term (the identity itself is Eq2's)."""
     check_nat(n_max, "n_max")
-    grid = f"alpha={rat_str(alpha)}, beta={rat_str(beta)}, gamma={rat_str(gamma)}, n<={n_max}"
+    point, text = _point(alpha, beta, gamma)
+    grid = f"{text}, n<={n_max}"
     a, b = Fraction(alpha), Fraction(beta)
     cats = _catalan_values(catalan_gen, b, gamma, n_max)
     for n in range(n_max + 1):
         reindexed = _reindexed_sum(a, b, cats, n)
         direct = _direct_sum(a, b, cats, n)
         if reindexed != direct:
-            params = {"alpha": rat_str(alpha), "beta": rat_str(beta),
-                      "gamma": rat_str(gamma), "n": n}
             return _report("Eq4", grid, Counterexample.at(
-                params, reindexed, direct, "reversed-index sum differs"))
+                {**point, "n": n}, reindexed, direct, "reversed-index sum differs"))
     return _report("Eq4", grid, None)
 
 
@@ -319,7 +312,8 @@ def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Id
     """Check the expansion against catalan_gen for 1 <= n <= n_max, skipping
     (and listing) rows where its denominator vanishes."""
     check_nat(n_max, "n_max")
-    grid = f"alpha={rat_str(alpha)}, beta={rat_str(beta)}, gamma={rat_str(gamma)}, 1<=n<={n_max}"
+    point, text = _point(alpha, beta, gamma)
+    grid = f"{text}, 1<=n<={n_max}"
     skipped: list[str] = []
     for n in range(1, n_max + 1):
         if (1 - Fraction(beta)) * n - Fraction(alpha) == 0:
@@ -328,9 +322,7 @@ def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Id
         lhs = eq10_lhs(alpha, beta, gamma, n)
         rhs = catalan_gen(n, beta, gamma)
         if lhs != rhs:
-            params = {"alpha": rat_str(alpha), "beta": rat_str(beta),
-                      "gamma": rat_str(gamma), "n": n}
-            return _report("Eq10", grid, Counterexample.at(params, lhs, rhs), skipped)
+            return _report("Eq10", grid, Counterexample.at({**point, "n": n}, lhs, rhs), skipped)
     return _report("Eq10", grid, None, skipped)
 
 
@@ -439,25 +431,23 @@ DEFAULT_CONFIG: dict = {
 def expand_interval(spec: Mapping) -> list[Rat]:
     """Inclusive rational interval {"min","max","step"} -> list of values."""
     try:
-        lo = as_rat(spec["min"])
-        hi = as_rat(spec["max"])
-        step = as_rat(spec["step"])
+        lo, hi, step = (as_rat(spec[key]) for key in ("min", "max", "step"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad interval {spec!r}: {exc}") from None
     if step <= 0:
         raise ConfigError(f"interval step must be positive, got {rat_str(step)}")
     if lo > hi:
         raise ConfigError(f"interval min {rat_str(lo)} exceeds max {rat_str(hi)}")
-    values = []
-    v = lo
-    while v <= hi:
-        values.append(v)
-        v += step
-    return values
+    return [lo + i * step for i in range((hi - lo) // step + 1)]
 
 
-def _interval_text(spec: Mapping) -> str:
-    return f"[{spec['min']}..{spec['max']} step {spec['step']}]"
+def _grid(cfg: Mapping, *names: str) -> tuple[Iterator[tuple[Rat, ...]], str]:
+    """The points of the named intervals' product, first name outermost,
+    and the report text "name in [min..max step s], ..." of that grid."""
+    axes = [expand_interval(cfg[name]) for name in names]
+    text = ", ".join(f"{name} in [{cfg[name]['min']}..{cfg[name]['max']} step {cfg[name]['step']}]"
+                     for name in names)
+    return itertools.product(*axes), text
 
 
 def _grid_nat(cfg: Mapping, key: str) -> int:
@@ -467,148 +457,138 @@ def _grid_nat(cfg: Mapping, key: str) -> int:
     return value
 
 
-# A point (alpha, beta, gamma, n_max) at which verify_eq2 passed with the
-# true catalan_gen.  Such a pass includes, for every n <= n_max, the
-# comparison of the reversed-index sum with the direct sum, which is all
-# that verify_eq4 computes at that point, on the same values; so Eq4 may
-# take its verdict there from Eq2 instead of recomputing it.  A point where
-# Eq2 failed, was not reached, or ran with another counting function is
-# evaluated by Eq4 itself.  The set lives for one run_suite call.
-SweptPoints = set[tuple[Rat, Rat, Rat, int]]
+def _sweep(identity_id: str, grid: str, results: Iterable[Optional[Counterexample]],
+           skipped: Sequence[str] = ()) -> IdentityReport:
+    """Report on an ordered stream of per-point outcomes, None for a pass:
+    the first counterexample fails the section and stops the stream.
+    ``skipped`` is read once the stream has stopped, so a list that the
+    stream fills holds just the items of the points reached."""
+    counterexample = next((c for c in results if c is not None), None)
+    return _report(identity_id, grid, counterexample, skipped)
 
 
-def _suite_eq2(cfg: Mapping, catalan: CatalanFn, swept: SweptPoints) -> IdentityReport:
+@dataclass
+class _Run:
+    """What the sections of one run_suite call share.
+
+    ``eq2_passed`` holds the points (alpha, beta, gamma, n_max) where
+    verify_eq2 passed with the true catalan_gen.  Such a pass includes, for
+    every n <= n_max, the comparison of the reversed-index sum with the
+    direct sum, which is all that verify_eq4 computes at that point, on the
+    same values; so Eq4 takes its verdict there from Eq2 instead of
+    recomputing it.  A point where Eq2 failed, was not reached, or ran with
+    another counting function is evaluated by Eq4 itself.
+    """
+
+    catalan: CatalanFn
+    eq2_passed: set[tuple[Rat, Rat, Rat, int]] = field(default_factory=set)
+
+
+def _suite_eq1(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
+    rep = verify_eq2(1, 2, 1, _grid_nat(cfg, "n_max"), run.catalan)
+    return _report(identity_id, rep.grid, rep.counterexample)
+
+
+def _suite_eq2(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
+    points, axes = _grid(cfg, "alpha", "beta", "gamma")
+    n_max = _grid_nat(cfg, "n_max")
+    grid = f"{axes}, n<={n_max}; plus involution-census and array-row routes"
+    return _sweep(identity_id, grid, _eq2_results(cfg, run, points, n_max))
+
+
+def _eq2_results(cfg: Mapping, run: _Run, points: Iterable[tuple[Rat, ...]],
+                 n_max: int) -> Iterator[Optional[Counterexample]]:
     """Direct grid sweep plus the enumerative and matrix routes: the signed
     census and the array row sums must both reproduce the direct sum, and
     the plain and derivative-form summation checks must both accept the
-    family instance.  Points passed with the true catalan_gen go to
-    ``swept``."""
-    alphas = expand_interval(cfg["alpha"])
-    betas = expand_interval(cfg["beta"])
-    gammas = expand_interval(cfg["gamma"])
-    n_max = _grid_nat(cfg, "n_max")
-    grid = (
-        f"alpha in {_interval_text(cfg['alpha'])}, beta in {_interval_text(cfg['beta'])}, "
-        f"gamma in {_interval_text(cfg['gamma'])}, n<={n_max}; "
-        f"plus involution-census and array-row routes"
-    )
-    for alpha in alphas:
-        for beta in betas:
-            for gamma in gammas:
-                rep = verify_eq2(alpha, beta, gamma, n_max, catalan)
-                if not rep.ok:
-                    return _report("Eq2", grid, rep.counterexample)
-                if catalan is catalan_gen:
-                    swept.add((alpha, beta, gamma, n_max))
+    family instance."""
+    for point in points:
+        rep = verify_eq2(*point, n_max, run.catalan)
+        if rep.ok and run.catalan is catalan_gen:
+            run.eq2_passed.add((*point, n_max))
+        yield rep.counterexample
 
     cross = cfg.get("cross")
     if cross:
-        for beta in cross["betas"]:
-            for gamma in cross["gammas"]:
-                for offset in cross["alpha_offsets"]:
-                    alpha = gamma + offset
-                    order = _grid_nat(cross, "n_max")
-                    sums = row_sums(
-                        catalan_family(alpha, beta, max(order, 1)),
-                        catalan_gf(beta, gamma, max(order, 1)),
-                        order,
-                    )
-                    for n in range(order + 1):
-                        direct = eq2_lhs(alpha, beta, gamma, n, catalan)
-                        census = signed_sum(beta, n, gamma, alpha)
-                        params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
-                        if census != direct:
-                            return _report("Eq2", grid, Counterexample.at(
-                                params, census, direct, "involution census vs direct sum"))
-                        if sums[n] != direct:
-                            return _report("Eq2", grid, Counterexample.at(
-                                params, sums[n], direct, "array row sum vs direct sum"))
+        cross_points = itertools.product(cross["betas"], cross["gammas"], cross["alpha_offsets"])
+        order = _grid_nat(cross, "n_max")
+        for beta, gamma, offset in cross_points:
+            alpha = gamma + offset
+            sums = row_sums(catalan_family(alpha, beta, max(order, 1)),
+                            catalan_gf(beta, gamma, max(order, 1)), order)
+            for n in range(order + 1):
+                direct = eq2_lhs(alpha, beta, gamma, n, run.catalan)
+                census = signed_sum(beta, n, gamma, alpha)
+                params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
+                if census != direct:
+                    yield Counterexample.at(params, census, direct,
+                                            "involution census vs direct sum")
+                elif sums[n] != direct:
+                    yield Counterexample.at(params, sums[n], direct, "array row sum vs direct sum")
 
     family = cfg.get("family")
     if family:
         order = _grid_nat(family, "order")
-        for alpha_s in family["alphas"]:
-            for beta_s in family["betas"]:
-                for gamma_s in family["gammas"]:
-                    alpha, beta, gamma = as_rat(alpha_s), as_rat(beta_s), as_rat(gamma_s)
-                    r = catalan_family(alpha, beta, order)
-                    a = catalan_gf(beta, gamma, order)
-                    l = series_binpow(alpha - gamma, order)
-                    params = {"alpha": alpha_s, "beta": beta_s, "gamma": gamma_s, "order": order}
-                    if not riordan_theorem_check(r, a, l):
-                        return _report("Eq2", grid, Counterexample.at(
-                            params, "row sums", "target coefficients", "summation-matrix check"))
-                    if not modified_riordan_check(r, a, l):
-                        return _report("Eq2", grid, Counterexample.at(
-                            params, "derivative form", "target coefficients",
-                            "modified summation-matrix check"))
-    return _report("Eq2", grid, None)
+        for alpha_s, beta_s, gamma_s in itertools.product(
+                family["alphas"], family["betas"], family["gammas"]):
+            alpha, beta, gamma = as_rat(alpha_s), as_rat(beta_s), as_rat(gamma_s)
+            r = catalan_family(alpha, beta, order)
+            a = catalan_gf(beta, gamma, order)
+            l = series_binpow(alpha - gamma, order)
+            params = {"alpha": alpha_s, "beta": beta_s, "gamma": gamma_s, "order": order}
+            if not riordan_theorem_check(r, a, l):
+                yield Counterexample.at(params, "row sums", "target coefficients",
+                                        "summation-matrix check")
+            elif not modified_riordan_check(r, a, l):
+                yield Counterexample.at(params, "derivative form", "target coefficients",
+                                        "modified summation-matrix check")
 
 
-def _suite_eq3(cfg: Mapping) -> IdentityReport:
+def _suite_eq3(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
     p = tuple(cfg["p"])
-    gammas = expand_interval(cfg["gamma"])
-    alphas = expand_interval(cfg["alpha"])
+    points, axes = _grid(cfg, "gamma", "alpha")
     n_total_max = _grid_nat(cfg, "n_total_max")
-    grid = (f"p={list(p)}, gamma in {_interval_text(cfg['gamma'])}, "
-            f"alpha in {_interval_text(cfg['alpha'])}, sum(n)<={n_total_max}")
-    for gamma in gammas:
-        if gamma.denominator != 1:
-            raise ConfigError("eq3 gamma grid must be integral")
-        for alpha in alphas:
-            rep = verify_eq3(p, int(gamma), alpha, n_total_max)
-            if not rep.ok:
-                return _report("Eq3", grid, rep.counterexample)
-    return _report("Eq3", grid, None)
+    return _sweep(identity_id, f"p={list(p)}, {axes}, sum(n)<={n_total_max}", (
+        verify_eq3(p, _integral(gamma, "eq3 gamma grid must be integral"), alpha,
+                   n_total_max).counterexample
+        for gamma, alpha in points))
 
 
-def _suite_eq4(cfg: Mapping, swept: SweptPoints) -> IdentityReport:
-    alphas = expand_interval(cfg["alpha"])
-    betas = expand_interval(cfg["beta"])
-    gammas = expand_interval(cfg["gamma"])
+def _integral(value: Rat, message: str) -> int:
+    if value.denominator != 1:
+        raise ConfigError(message)
+    return int(value)
+
+
+def _suite_eq4(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
+    points, axes = _grid(cfg, "alpha", "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
-    grid = (f"alpha in {_interval_text(cfg['alpha'])}, beta in {_interval_text(cfg['beta'])}, "
-            f"gamma in {_interval_text(cfg['gamma'])}, n<={n_max}")
-    for alpha in alphas:
-        for beta in betas:
-            for gamma in gammas:
-                if (alpha, beta, gamma, n_max) in swept:
-                    continue
-                rep = verify_eq4(alpha, beta, gamma, n_max)
-                if not rep.ok:
-                    return _report("Eq4", grid, rep.counterexample)
-    return _report("Eq4", grid, None)
+    return _sweep(identity_id, f"{axes}, n<={n_max}", (
+        verify_eq4(*point, n_max).counterexample
+        for point in points if (*point, n_max) not in run.eq2_passed))
 
 
-def _suite_eq7(cfg: Mapping) -> IdentityReport:
-    betas = expand_interval(cfg["beta"])
-    gammas = expand_interval(cfg["gamma"])
+def _suite_eq7(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
+    points, axes = _grid(cfg, "beta", "gamma")
     order = _grid_nat(cfg, "order")
-    grid = (f"beta in {_interval_text(cfg['beta'])}, gamma in {_interval_text(cfg['gamma'])}, "
-            f"order {order}")
-    for beta in betas:
-        for gamma in gammas:
-            if not catalan_gf_functional_check(beta, gamma, order):
-                params = {"beta": rat_str(beta), "gamma": rat_str(gamma), "order": order}
-                return _report("Eq7", grid, Counterexample.at(
-                    params, "gf composed with x(1-x)^(beta-1)", "(1-x)^(-gamma)"))
-    return _report("Eq7", grid, None)
+    return _sweep(identity_id, f"{axes}, order {order}", (
+        None if catalan_gf_functional_check(beta, gamma, order) else Counterexample.at(
+            {"beta": rat_str(beta), "gamma": rat_str(gamma), "order": order},
+            "gf composed with x(1-x)^(beta-1)", "(1-x)^(-gamma)")
+        for beta, gamma in points))
 
 
-def _suite_eq8(cfg: Mapping) -> IdentityReport:
-    betas = expand_interval(cfg["beta"])
+def _suite_eq8(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
+    betas, axes = _grid(cfg, "beta")
     order = _grid_nat(cfg, "order")
     pairs = [(as_rat(a1), as_rat(a2)) for a1, a2 in cfg["alpha_pairs"]]
-    grid = (f"beta in {_interval_text(cfg['beta'])}, alpha pairs "
-            f"{[[rat_str(a), rat_str(b)] for a, b in pairs]}, order {order}")
-    for beta in betas:
-        for alpha1, alpha2 in pairs:
-            if not convolution_check(beta, alpha1, alpha2, order):
-                params = {"beta": rat_str(beta), "alpha1": rat_str(alpha1),
-                          "alpha2": rat_str(alpha2), "order": order}
-                return _report("Eq8", grid, Counterexample.at(
-                    params, "gf(alpha1) * gf(alpha2)", "gf(alpha1 + alpha2)"))
-    return _report("Eq8", grid, None)
+    grid = f"{axes}, alpha pairs {[[rat_str(a), rat_str(b)] for a, b in pairs]}, order {order}"
+    return _sweep(identity_id, grid, (
+        None if convolution_check(beta, alpha1, alpha2, order) else Counterexample.at(
+            {"beta": rat_str(beta), "alpha1": rat_str(alpha1), "alpha2": rat_str(alpha2),
+             "order": order},
+            "gf(alpha1) * gf(alpha2)", "gf(alpha1 + alpha2)")
+        for (beta,), (alpha1, alpha2) in itertools.product(betas, pairs)))
 
 
 def random_rational_sequence(rng: random.Random, length: int) -> list[Rat]:
@@ -616,7 +596,7 @@ def random_rational_sequence(rng: random.Random, length: int) -> list[Rat]:
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
 
 
-def _suite_eq9(cfg: Mapping) -> IdentityReport:
+def _suite_eq9(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
     length = _grid_nat(cfg, "length")
     count = _grid_nat(cfg, "sequences")
     seed = cfg.get("seed")
@@ -625,60 +605,61 @@ def _suite_eq9(cfg: Mapping) -> IdentityReport:
     pairs = []
     for pair in cfg["pairs"]:
         a, m, z = (as_rat(v) for v in pair)
-        if a.denominator != 1:
-            raise ConfigError(f"eq9 pair {pair}: a must be an integer, got {rat_str(a)}")
-        pairs.append(GouldPair(int(a), m, z))
+        message = f"eq9 pair {pair}: a must be an integer, got {rat_str(a)}"
+        pairs.append(GouldPair(_integral(a, message), m, z))
     grid = f"{count} seeded sequences of length {length}, pairs {[str(p) for p in cfg['pairs']]}"
     rng = random.Random(seed)
-    for index in range(count):
-        seq = random_rational_sequence(rng, length)
-        for pair in pairs:
-            back = gould_backward(gould_forward(seq, pair), pair)
-            fwd = gould_forward(gould_backward(seq, pair), pair)
-            params = {"sequence": index, "a": pair.a,
-                      "m": rat_str(pair.m), "z": rat_str(pair.z)}
-            if back != seq:
-                return _report("Eq9_roundtrip", grid, Counterexample.at(
-                    params, [rat_str(v) for v in back], [rat_str(v) for v in seq],
-                    "backward(forward) != id"))
-            if fwd != seq:
-                return _report("Eq9_roundtrip", grid, Counterexample.at(
-                    params, [rat_str(v) for v in fwd], [rat_str(v) for v in seq],
-                    "forward(backward) != id"))
-    return _report("Eq9_roundtrip", grid, None)
+    sequences = [random_rational_sequence(rng, length) for _ in range(count)]
+    return _sweep(identity_id, grid, (
+        _gould_roundtrip(index, seq, pair)
+        for (index, seq), pair in itertools.product(enumerate(sequences), pairs)))
 
 
-def _suite_eq10(cfg: Mapping) -> IdentityReport:
-    alphas = expand_interval(cfg["alpha"])
-    betas = expand_interval(cfg["beta"])
-    gammas = expand_interval(cfg["gamma"])
+def _gould_roundtrip(index: int, seq: list[Rat], pair: GouldPair) -> Optional[Counterexample]:
+    back = gould_backward(gould_forward(seq, pair), pair)
+    fwd = gould_forward(gould_backward(seq, pair), pair)
+    params = {"sequence": index, "a": pair.a, "m": rat_str(pair.m), "z": rat_str(pair.z)}
+    for got, detail in ((back, "backward(forward) != id"), (fwd, "forward(backward) != id")):
+        if got != seq:
+            return Counterexample.at(params, [rat_str(v) for v in got],
+                                     [rat_str(v) for v in seq], detail)
+    return None
+
+
+def _suite_eq10(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
+    points, axes = _grid(cfg, "alpha", "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
-    grid = (f"alpha in {_interval_text(cfg['alpha'])}, beta in {_interval_text(cfg['beta'])}, "
-            f"gamma in {_interval_text(cfg['gamma'])}, n<={n_max}")
     skipped: list[str] = []
-    for alpha in alphas:
-        for beta in betas:
-            for gamma in gammas:
-                rep = verify_eq10(alpha, beta, gamma, n_max)
-                prefix = f"alpha={rat_str(alpha)}, beta={rat_str(beta)}, gamma={rat_str(gamma)}"
-                skipped.extend(f"{prefix}, {item}" for item in rep.skipped)
-                if not rep.ok:
-                    return _report("Eq10", grid, rep.counterexample, skipped)
-    return _report("Eq10", grid, None, skipped)
+
+    def check(point: tuple[Rat, ...]) -> Optional[Counterexample]:
+        rep = verify_eq10(*point, n_max)
+        skipped.extend(f"{_point(*point)[1]}, {item}" for item in rep.skipped)
+        return rep.counterexample
+
+    return _sweep(identity_id, f"{axes}, n<={n_max}", map(check, points), skipped)
 
 
-def _suite_closed_form(cfg: Mapping) -> IdentityReport:
-    betas = expand_interval(cfg["beta"])
-    gammas = expand_interval(cfg["gamma"])
+def _suite_closed_form(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
+    points, axes = _grid(cfg, "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
-    grid = (f"beta in {_interval_text(cfg['beta'])}, gamma in {_interval_text(cfg['gamma'])}, "
-            f"n<={n_max}")
-    for beta in betas:
-        for gamma in gammas:
-            rep = closed_form_reduction_check(beta, gamma, n_max)
-            if not rep.ok:
-                return _report("ClosedForm", grid, rep.counterexample)
-    return _report("ClosedForm", grid, None)
+    return _sweep(identity_id, f"{axes}, n<={n_max}", (
+        closed_form_reduction_check(beta, gamma, n_max).counterexample for beta, gamma in points))
+
+
+# The suite's sections in run order: (config key, report id, runner).
+_SECTIONS: tuple[tuple[str, str, Callable[[str, Mapping, _Run], IdentityReport]], ...] = (
+    ("eq1", "Eq1", _suite_eq1),
+    ("eq2", "Eq2", _suite_eq2),
+    ("eq3", "Eq3", _suite_eq3),
+    ("eq4", "Eq4", _suite_eq4),
+    ("eq7", "Eq7", _suite_eq7),
+    ("eq8", "Eq8", _suite_eq8),
+    ("eq9", "Eq9_roundtrip", _suite_eq9),
+    ("eq10", "Eq10", _suite_eq10),
+    ("closed_form", "ClosedForm", _suite_closed_form),
+)
+
+IDENTITY_IDS = tuple(identity_id for _, identity_id, _ in _SECTIONS)
 
 
 def _corrupted_catalan(n: int, beta: RatLike, gamma: RatLike) -> Rat:
@@ -688,7 +669,7 @@ def _corrupted_catalan(n: int, beta: RatLike, gamma: RatLike) -> Rat:
 
 
 def run_suite(config: Optional[Mapping] = None) -> list[IdentityReport]:
-    """Run every identity check on its configured grid; deterministic order.
+    """Run every identity check on its configured grid, in _SECTIONS order.
 
     ``config``, when given, must follow the DEFAULT_CONFIG layout.  The key
     "corrupt_catalan" (a test hook) swaps in a deliberately broken counting
@@ -697,41 +678,17 @@ def run_suite(config: Optional[Mapping] = None) -> list[IdentityReport]:
     cfg = DEFAULT_CONFIG if config is None else config
     if not isinstance(cfg, Mapping):
         raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - {"eq1", "eq2", "eq3", "eq4", "eq7", "eq8", "eq9", "eq10",
-                          "closed_form", "corrupt_catalan"}
+    unknown = set(cfg) - {key for key, _, _ in _SECTIONS} - {"corrupt_catalan"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    catalan = _corrupted_catalan if cfg.get("corrupt_catalan") else catalan_gen
-
-    reports: list[IdentityReport] = []
-    swept: SweptPoints = set()
+    run = _Run(_corrupted_catalan if cfg.get("corrupt_catalan") else catalan_gen)
     try:
-        if "eq1" in cfg:
-            n_max = _grid_nat(cfg["eq1"], "n_max")
-            rep = verify_eq2(1, 2, 1, n_max, catalan)
-            reports.append(_report("Eq1", f"alpha=1, beta=2, gamma=1, n<={n_max}",
-                                   rep.counterexample))
-        if "eq2" in cfg:
-            reports.append(_suite_eq2(cfg["eq2"], catalan, swept))
-        if "eq3" in cfg:
-            reports.append(_suite_eq3(cfg["eq3"]))
-        if "eq4" in cfg:
-            reports.append(_suite_eq4(cfg["eq4"], swept))
-        if "eq7" in cfg:
-            reports.append(_suite_eq7(cfg["eq7"]))
-        if "eq8" in cfg:
-            reports.append(_suite_eq8(cfg["eq8"]))
-        if "eq9" in cfg:
-            reports.append(_suite_eq9(cfg["eq9"]))
-        if "eq10" in cfg:
-            reports.append(_suite_eq10(cfg["eq10"]))
-        if "closed_form" in cfg:
-            reports.append(_suite_closed_form(cfg["closed_form"]))
+        return [runner(identity_id, cfg[key], run)
+                for key, identity_id, runner in _SECTIONS if key in cfg]
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"malformed config: {exc}") from exc
-    return reports
 
 
 def load_config(text: str) -> dict:

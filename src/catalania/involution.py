@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .counting import VecProfile, catalan_gen, catalan_vector, check_outdegrees
 from .exact import Rat, binom, check_nat, multinomial
@@ -282,17 +282,19 @@ def enumerate_colored_vector(
 # Alternating censuses
 # ---------------------------------------------------------------------------
 
-def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:
-    """Sum of weights over all colored structures with n_internal + colored
-    = n, computed by enumeration.  Equals (-1)**n * binom(alpha-gamma, n).
-    """
+def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[ColoredForest]]:
+    """All colored structures with n_internal + colored = n, as one slice
+    per number of colored objects i = 0..n, each in enumerate_colored order."""
     _check_alpha_gamma(alpha, gamma)
     check_nat(n)
-    total = 0
-    for i in range(n + 1):
-        for c in enumerate_colored(beta, n - i, i, gamma, alpha):
-            total += c.weight()
-    return Fraction(total)
+    return [enumerate_colored(beta, n - i, i, gamma, alpha) for i in range(n + 1)]
+
+
+def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:
+    """Sum of weights over colored_census(beta, n, gamma, alpha).  Equals
+    (-1)**n * binom(alpha-gamma, n)."""
+    census = colored_census(beta, n, gamma, alpha)
+    return Fraction(sum(c.weight() for structures in census for c in structures))
 
 
 def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
@@ -308,11 +310,6 @@ def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
         for c in enumerate_colored_vector(residual, marks, gamma, alpha):
             total += c.weight()
     return Fraction(total)
-
-
-def exceptional_structures(structures: Iterable[ColoredForest]) -> list[ColoredForest]:
-    """The structures with no partner under the pairing."""
-    return [c for c in structures if classify(c).kind == EXCEPTIONAL]
 
 
 # ---------------------------------------------------------------------------

@@ -95,11 +95,6 @@ def series_neg(a: Series) -> Series:
     return Series(tuple(-c for c in a.coeffs))
 
 
-def series_scale(a: Series, factor: RatLike) -> Series:
-    factor = Fraction(factor)
-    return Series(tuple(factor * c for c in a.coeffs))
-
-
 def series_mul(a: Series, b: Series) -> Series:
     n = min(a.order, b.order)
     out = [Fraction(0)] * (n + 1)
@@ -111,14 +106,6 @@ def series_mul(a: Series, b: Series) -> Series:
             if bj:
                 out[i + j] += ai * bj
     return Series(tuple(out))
-
-
-def series_pow(a: Series, k: int) -> Series:
-    check_nat(k, "k")
-    out = series_const(1, a.order)
-    for _ in range(k):
-        out = series_mul(out, a)
-    return out
 
 
 def series_binpow(a: RatLike, order: int) -> Series:

@@ -178,16 +178,11 @@ def test_c07_riordan_theorems():
 
 
 def test_c08_inverse_relations():
-    from catalania.identities import (
-        DEFAULT_CONFIG,
-        _suite_closed_form,
-        _suite_eq9,
-        _suite_eq10,
-    )
+    from catalania.identities import DEFAULT_CONFIG, run_suite
 
-    eq9 = _suite_eq9(DEFAULT_CONFIG["eq9"])
-    eq10 = _suite_eq10(DEFAULT_CONFIG["eq10"])
-    closed = _suite_closed_form(DEFAULT_CONFIG["closed_form"])
+    sections = {key: DEFAULT_CONFIG[key] for key in ("eq9", "eq10", "closed_form")}
+    eq9, eq10, closed = run_suite(sections)
+    assert [r.identity_id for r in (eq9, eq10, closed)] == ["Eq9_roundtrip", "Eq10", "ClosedForm"]
     ok = eq9.ok and eq10.ok and closed.ok
     report(8, ok, "Gould roundtrips, inverse-relation expansion, reduction chain")
     assert ok

@@ -11,6 +11,7 @@ from catalania.exact import binom
 from catalania.identities import (
     DEFAULT_CONFIG,
     ConfigError,
+    Counterexample,
     GouldPair,
     IdentityReport,
     SingularGouldParameters,
@@ -323,6 +324,101 @@ class TestGoldenReports:
         calls.clear()
         run_suite({"eq4": config["eq4"]})  # nothing is kept between calls
         assert len(calls) == points
+
+
+def _interval(lo: str, hi: str, step: str = "1") -> dict:
+    return {"min": lo, "max": hi, "step": step}
+
+
+# One malformed section per config key, with the error it must raise.
+MALFORMED_SECTIONS = [
+    ("eq1", {"n_max": -1}, "n_max must be a non-negative integer, got -1"),
+    ("eq2", {"alpha": _interval("1", "1"), "beta": _interval("2", "2"),
+             "gamma": _interval("1", "1"), "n_max": 1,
+             "cross": {"betas": [2], "gammas": [1], "alpha_offsets": [0]}},
+     "n_max must be a non-negative integer, got None"),
+    ("eq3", {"p": [2], "gamma": _interval("0", "1", "1/2"), "alpha": _interval("0", "1"),
+             "n_total_max": 1},
+     "eq3 gamma grid must be integral"),
+    ("eq4", {"alpha": _interval("1", "0"), "beta": _interval("2", "2"),
+             "gamma": _interval("1", "1"), "n_max": 1},
+     "interval min 1 exceeds max 0"),
+    ("eq7", {"beta": _interval("1", "2"), "gamma": _interval("0", "1")},
+     "order must be a non-negative integer, got None"),
+    ("eq8", {"beta": _interval("1", "2"), "alpha_pairs": [["1"]], "order": 3},
+     "malformed config: not enough values to unpack"),
+    ("eq9", {"length": 3, "sequences": 1, "seed": "x", "pairs": []},
+     "eq9 needs an integer seed"),
+    ("eq10", {"alpha": _interval("1", "1"), "beta": _interval("2", "2"),
+              "gamma": _interval("1", "1"), "n_max": -2},
+     "n_max must be a non-negative integer, got -2"),
+    ("closed_form", {"gamma": _interval("0", "1"), "n_max": 3}, "malformed config: 'beta'"),
+]
+
+
+class TestSuiteConfigErrors:
+    @pytest.mark.parametrize("key,section,message", MALFORMED_SECTIONS,
+                             ids=[key for key, _, _ in MALFORMED_SECTIONS])
+    def test_malformed_section(self, key, section, message):
+        with pytest.raises(ConfigError) as err:
+            run_suite({key: section})
+        assert str(err.value).startswith(message)
+
+    def test_every_section_is_covered(self):
+        assert [key for key, _, _ in MALFORMED_SECTIONS] == list(DEFAULT_CONFIG)
+
+
+def _failing_at(checker, k: int, calls: list):
+    """``checker``, except that its k-th call reports a failure whose
+    counterexample names that call."""
+    def patched(*args):
+        calls.append(args)
+        rep = checker(*args)
+        if len(calls) != k:
+            return rep
+        marker = Counterexample.at({"call": k}, "lhs", "rhs")
+        return IdentityReport(rep.identity_id, rep.grid, "fail", marker, rep.skipped)
+    return patched
+
+
+EQ10_SMALL = {"alpha": _interval("-2", "1"), "beta": _interval("0", "2"),
+              "gamma": _interval("0", "1"), "n_max": 4}
+
+
+class TestFirstFailure:
+    @pytest.mark.parametrize("name,key,section,points", [
+        ("verify_eq3", "eq3", {"p": [2, 3], "gamma": _interval("0", "1"),
+                               "alpha": _interval("0", "1", "1/2"), "n_total_max": 2}, 6),
+        ("verify_eq10", "eq10", EQ10_SMALL, 24),
+        ("closed_form_reduction_check", "closed_form",
+         {"beta": _interval("0", "2"), "gamma": _interval("-1", "1"), "n_max": 4}, 9),
+    ])
+    def test_kth_point_failure_is_reported(self, monkeypatch, name, key, section, points):
+        for k in (1, 2, points // 2, points):
+            calls = []
+            monkeypatch.setattr(identities, name, _failing_at(getattr(identities, name), k, calls))
+            (report,) = run_suite({key: section})
+            assert len(calls) == k
+            assert not report.ok
+            assert dict(report.counterexample.params) == {"call": str(k)}
+        monkeypatch.undo()
+        (report,) = run_suite({key: section})
+        assert report.ok
+
+    @pytest.mark.parametrize("k", range(1, 25))
+    def test_eq10_skipped_holds_items_reached(self, monkeypatch, k):
+        reached = []
+        for alpha in expand_interval(EQ10_SMALL["alpha"]):
+            for beta in expand_interval(EQ10_SMALL["beta"]):
+                for gamma in expand_interval(EQ10_SMALL["gamma"]):
+                    prefix = f"alpha={alpha}, beta={beta}, gamma={gamma}"
+                    reached.append([f"{prefix}, {item}" for item in
+                                    verify_eq10(alpha, beta, gamma, EQ10_SMALL["n_max"]).skipped])
+        calls = []
+        monkeypatch.setattr(identities, "verify_eq10", _failing_at(verify_eq10, k, calls))
+        (report,) = run_suite({"eq10": EQ10_SMALL})
+        assert report.skipped == tuple(item for items in reached[:k] for item in items)
+        assert dict(report.counterexample.params) == {"call": str(k)}
 
 
 class TestGridExpansion:
