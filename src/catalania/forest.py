@@ -1,8 +1,9 @@
 """Ordered rooted trees and forests: exhaustive generators and text codec.
 
-Generators enumerate in a fixed canonical order (child-count splits in
-lexicographic order, subtrees left to right), so their output lists are
-stable golden-test material.  Each generator knows its own cardinality in
+One generator, ``generate_mixed_forests``, builds every forest; beta-ary
+forests are its one-class case.  It enumerates in a fixed canonical order
+(child-count splits in lexicographic order, subtrees left to right), so its
+output lists are stable golden-test material.  It counts its output in
 closed form and refuses, with that estimate, to materialize more than the
 CATALANIA_MAX_STRUCTS budget (default 5,000,000).
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .counting import VecProfile, catalan_gen, catalan_vector
+from .counting import VecProfile, catalan_vector
 from .exact import check_nat
 
 MAX_STRUCTS_ENV = "CATALANIA_MAX_STRUCTS"
@@ -189,63 +190,11 @@ def replace_at(forest: Forest, addr: VertexAddr, new: Tree) -> Forest:
 # Generators
 # ---------------------------------------------------------------------------
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of ``total`` into ``parts`` parts, lexicographic."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head, *rest)
-
-
-def _check_arity(beta: int) -> int:
+def check_arity(beta: int) -> int:
+    """Validate a uniform outdegree beta >= 1."""
     if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
         raise ValueError(f"beta must be an integer >= 1, got {beta!r}")
     return beta
-
-
-@lru_cache(maxsize=None)
-def _kary_trees(beta: int, n: int) -> tuple[Tree, ...]:
-    if n == 0:
-        return (LEAF,)
-    out: list[Tree] = []
-    for split in compositions(n - 1, beta):
-        for kids in itertools.product(*(_kary_trees(beta, m) for m in split)):
-            out.append(Tree(kids))
-    return tuple(out)
-
-
-def generate_kary(beta: int, n: int) -> list[Tree]:
-    """All trees whose internal vertices have outdegree exactly ``beta``,
-    with exactly ``n`` internal vertices, in canonical order."""
-    _check_arity(beta)
-    check_nat(n)
-    check_budget(catalan_gen(n, beta, 1))
-    return list(_kary_trees(beta, n))
-
-
-def generate_forests(beta: int, n: int, gamma: int) -> list[Forest]:
-    """All gamma-component ordered forests of beta-ary trees with ``n``
-    internal vertices in total, in canonical order."""
-    _check_arity(beta)
-    check_nat(n)
-    check_nat(gamma, "gamma")
-    check_budget(catalan_gen(n, beta, gamma))
-    out: list[Forest] = []
-    for split in compositions(n, gamma):
-        for trees in itertools.product(*(_kary_trees(beta, m) for m in split)):
-            out.append(Forest(trees))
-    return out
-
-
-def _vector_boxes(vec: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All vectors 0 <= u <= vec coordinate-wise, lexicographic."""
-    return itertools.product(*(range(v + 1) for v in vec))
 
 
 def _vector_compositions(vec: tuple[int, ...], parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -257,10 +206,16 @@ def _vector_compositions(vec: tuple[int, ...], parts: int) -> Iterator[tuple[tup
     if parts == 1:
         yield (vec,)
         return
-    for head in _vector_boxes(vec):
+    for head in itertools.product(*(range(v + 1) for v in vec)):
         rest_vec = tuple(v - h for v, h in zip(vec, head))
         for rest in _vector_compositions(rest_vec, parts - 1):
             yield (head, *rest)
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Weak compositions of ``total`` into ``parts`` parts, lexicographic:
+    the one-coordinate case of _vector_compositions."""
+    return (tuple(v for (v,) in split) for split in _vector_compositions((total,), parts))
 
 
 @lru_cache(maxsize=None)
@@ -288,6 +243,21 @@ def generate_mixed_forests(profile: VecProfile, gamma: int) -> list[Forest]:
         for trees in itertools.product(*(_mixed_trees(s, profile.p) for s in split)):
             out.append(Forest(trees))
     return out
+
+
+def generate_kary(beta: int, n: int) -> list[Tree]:
+    """All trees whose internal vertices have outdegree exactly ``beta``,
+    with exactly ``n`` internal vertices, in canonical order."""
+    return [forest.trees[0] for forest in generate_forests(beta, n, 1)]
+
+
+def generate_forests(beta: int, n: int, gamma: int) -> list[Forest]:
+    """All gamma-component ordered forests of beta-ary trees with ``n``
+    internal vertices in total, in canonical order: the one-class mixed
+    forests of profile ((n,), (beta,))."""
+    check_arity(beta)
+    check_nat(n)
+    return generate_mixed_forests(VecProfile((n,), (beta,)), gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .counting import VecProfile, catalan_gen, catalan_vector, check_outdegrees
-from .exact import Rat, binom, check_nat, multinomial
+from .counting import VecProfile, catalan_vector, check_outdegrees
+from .exact import Rat, check_nat, multinomial
 from .forest import (
     LEAF,
     Forest,
     Tree,
     VertexAddr,
+    check_arity,
     check_budget,
     generate_forests,
     generate_mixed_forests,
@@ -209,42 +210,52 @@ def _check_alpha_gamma(alpha: int, gamma: int) -> None:
         raise ValueError(f"need alpha >= gamma >= 1, got alpha={alpha}, gamma={gamma}")
 
 
+def _colored_count(profile: VecProfile, marks: tuple[int, ...], gamma: int, alpha: int) -> Rat:
+    """Number of structures enumerate_colored_vector(profile, marks, gamma,
+    alpha) yields: forests times color assignments of their slots."""
+    slot_count = profile.leaf_count(gamma) + alpha - gamma
+    return catalan_vector(profile, gamma) * multinomial(slot_count, marks)
+
+
+def _color_assignments(slots: tuple[int, ...], marks: tuple[int, ...]) -> Iterator[tuple]:
+    """All ways to pick disjoint subsets of sizes marks[j] from ``slots``;
+    yields one ascending tuple per color class."""
+    head, *tail = marks
+    if not tail:
+        return ((chosen,) for chosen in itertools.combinations(slots, head))
+    return ((chosen, *rest) for chosen in itertools.combinations(slots, head)
+            for rest in _color_assignments(tuple(i for i in slots if i not in chosen), tail))
+
+
+def _colorings(forests: list[Forest], planted: int, marks: tuple[int, ...]) -> list[ColoredForest]:
+    """Each forest with marks[j] of its slots colored j+1, forest-major.
+    Slots are the leaves in preorder followed by the planted roots."""
+    out: list[ColoredForest] = []
+    for forest in forests:
+        leaves = leaf_addresses(forest)
+        n_leaves = len(leaves)
+        for classes in _color_assignments(tuple(range(n_leaves + planted)), marks):
+            leaf_colors = tuple((leaves[i], color) for color, chosen in enumerate(classes, 1)
+                                for i in chosen if i < n_leaves)
+            root_colors = tuple((i - n_leaves, color) for color, chosen in enumerate(classes, 1)
+                                for i in chosen if i >= n_leaves)
+            out.append(ColoredForest(forest, planted, leaf_colors, root_colors))
+    return out
+
+
 def enumerate_colored(
     beta: int, n_internal: int, n_colored: int, gamma: int, alpha: int
 ) -> list[ColoredForest]:
     """All (alpha-gamma)-planted beta-ary gamma-component forests with
     ``n_internal`` internal vertices and ``n_colored`` colored objects
-    (single color), in deterministic order."""
+    (single color), in deterministic order: the one-class case of
+    enumerate_colored_vector, with the forests drawn from generate_forests."""
     _check_alpha_gamma(alpha, gamma)
     check_nat(n_internal, "n_internal")
     check_nat(n_colored, "n_colored")
-    planted = alpha - gamma
-    slots_per_forest = (beta - 1) * n_internal + alpha
-    check_budget(catalan_gen(n_internal, beta, gamma) * binom(slots_per_forest, n_colored))
-    out: list[ColoredForest] = []
-    for forest in generate_forests(beta, n_internal, gamma):
-        slots: list[tuple[str, object]] = [("leaf", a) for a in leaf_addresses(forest)]
-        slots += [("root", i) for i in range(planted)]
-        for combo in itertools.combinations(slots, n_colored):
-            leaf_colors = tuple((slot, 1) for kind, slot in combo if kind == "leaf")
-            root_colors = tuple((slot, 1) for kind, slot in combo if kind == "root")
-            out.append(ColoredForest(forest, planted, leaf_colors, root_colors))
-    return out
-
-
-def _color_assignments(slot_count: int, marks: tuple[int, ...]) -> Iterator:
-    """All ways to pick disjoint index sets of sizes marks[j] from
-    range(slot_count); yields tuples of (index, color) pairs."""
-    def rec(indices: tuple[int, ...], j: int):
-        if j == len(marks):
-            yield ()
-            return
-        for chosen in itertools.combinations(indices, marks[j]):
-            rest = tuple(i for i in indices if i not in chosen)
-            for tail in rec(rest, j + 1):
-                yield tuple((i, j + 1) for i in chosen) + tail
-
-    return rec(tuple(range(slot_count)), 0)
+    profile = VecProfile((n_internal,), (check_arity(beta),))
+    check_budget(_colored_count(profile, (n_colored,), gamma, alpha))
+    return _colorings(generate_forests(beta, n_internal, gamma), alpha - gamma, (n_colored,))
 
 
 def enumerate_colored_vector(
@@ -258,36 +269,33 @@ def enumerate_colored_vector(
         raise ValueError("marks must give one count per outdegree class")
     for m in marks:
         check_nat(m, "marks[j]")
-    planted = alpha - gamma
-    slot_count = profile.leaf_count(gamma) + planted
-    check_budget(catalan_vector(profile, gamma) * multinomial(slot_count, marks))
-    out: list[ColoredForest] = []
-    for forest in generate_mixed_forests(profile, gamma):
-        slots: list[tuple[str, object]] = [("leaf", a) for a in leaf_addresses(forest)]
-        slots += [("root", i) for i in range(planted)]
-        for assignment in _color_assignments(len(slots), marks):
-            leaf_colors = []
-            root_colors = []
-            for idx, color in assignment:
-                kind, slot = slots[idx]
-                if kind == "leaf":
-                    leaf_colors.append((slot, color))
-                else:
-                    root_colors.append((slot, color))
-            out.append(ColoredForest(forest, planted, tuple(leaf_colors), tuple(root_colors)))
-    return out
+    check_budget(_colored_count(profile, marks, gamma, alpha))
+    return _colorings(generate_mixed_forests(profile, gamma), alpha - gamma, marks)
 
 
 # ---------------------------------------------------------------------------
 # Alternating censuses
 # ---------------------------------------------------------------------------
 
+def _census_slices(profile: VecProfile, gamma: int, alpha: int) -> list[tuple[VecProfile, tuple]]:
+    """Every split of profile.n into internal counts plus color marks, as
+    (residual profile, marks) with marks in lexicographic order, once the
+    whole census is known to fit the structure budget."""
+    slices = [
+        (VecProfile(tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p), marks)
+        for marks in itertools.product(*(range(nj + 1) for nj in profile.n))
+    ]
+    check_budget(sum(_colored_count(residual, marks, gamma, alpha) for residual, marks in slices))
+    return slices
+
+
 def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[ColoredForest]]:
     """All colored structures with n_internal + colored = n, as one slice
     per number of colored objects i = 0..n, each in enumerate_colored order."""
     _check_alpha_gamma(alpha, gamma)
     check_nat(n)
-    return [enumerate_colored(beta, n - i, i, gamma, alpha) for i in range(n + 1)]
+    slices = _census_slices(VecProfile((n,), (check_arity(beta),)), gamma, alpha)
+    return [enumerate_colored(beta, residual.n[0], i, gamma, alpha) for residual, (i,) in slices]
 
 
 def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:
@@ -302,14 +310,8 @@ def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
     class-wise internal + colored counts equal to profile.n, by enumeration.
     Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
     _check_alpha_gamma(alpha, gamma)
-    total = 0
-    for marks in itertools.product(*(range(nj + 1) for nj in profile.n)):
-        residual = VecProfile(
-            tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p
-        )
-        for c in enumerate_colored_vector(residual, marks, gamma, alpha):
-            total += c.weight()
-    return Fraction(total)
+    return Fraction(sum(c.weight() for residual, marks in _census_slices(profile, gamma, alpha)
+                        for c in enumerate_colored_vector(residual, marks, gamma, alpha)))
 
 
 # ---------------------------------------------------------------------------

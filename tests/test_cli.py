@@ -146,6 +146,26 @@ class TestInvolution:
         assert code == 0
         assert "exceptional P[1:0]|o" in out
 
+    def test_budget_covers_the_whole_census(self, capsys, monkeypatch):
+        # The three slices hold 2, 3 and 1 structures; each fits the budget alone.
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "4")
+        code, out, err = run_cli(
+            capsys, "involution", "--beta", "2", "--n", "2", "--gamma", "1", "--alpha", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: enumeration would produce 6 structures, over the limit "
+                       "of 4 (set CATALANIA_MAX_STRUCTS to raise it)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("trees", "count", "--beta", "0", "--n", "2"),
+    ("trees", "list", "--beta", "0", "--n", "2"),
+    ("involution", "--beta", "0", "--n", "2"),
+], ids=["trees-count", "trees-list", "involution"])
+def test_zero_beta_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: beta must be an integer >= 1, got 0\n")
+
 
 class TestRiordan:
     def test_entry(self, capsys):

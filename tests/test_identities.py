@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from catalania.counting import catalan_gen, catalan_sequence
+from catalania.cli import main
+from catalania.counting import VecProfile, catalan_gen, catalan_sequence
 from catalania import identities
 from catalania.exact import binom
 from catalania.identities import (
@@ -34,7 +35,7 @@ from catalania.identities import (
     verify_eq4,
     verify_eq10,
 )
-from catalania.involution import signed_sum
+from catalania.involution import encode_colored, enumerate_colored_vector, signed_sum
 from catalania.riordan import catalan_family, catalan_gf, row_sums
 
 
@@ -324,6 +325,42 @@ class TestGoldenReports:
         calls.clear()
         run_suite({"eq4": config["eq4"]})  # nothing is kept between calls
         assert len(calls) == points
+
+
+# sha256 of the stdout of `catalania ARGV`, and of the encodings of one
+# two-class census joined by newlines, each computed by the separate
+# beta-ary and vector generators that preceded the shared one.
+GOLDEN_ENUMERATIONS = [
+    (("trees", "list", "--beta", "2", "--n", "4"),
+     "51015e3cd75591f854920c80b74aa417af2d2d69c64d77705c6663a1a932172e"),
+    (("trees", "list", "--beta", "3", "--n", "3", "--gamma", "2"),
+     "8550858c935024b4ae0728b1dee5a8a3e8415cdd7d13463136d603e36925d36a"),
+    (("trees", "list", "--beta", "2", "--n", "2", "--gamma", "3"),
+     "610c9bc471df3646fce49839d94bf8ce84b1ba71fd2955be4785af9b9b7d7a49"),
+    (("involution", "--beta", "2", "--n", "3", "--gamma", "1", "--alpha", "2", "--dump-pairs"),
+     "1eb0d53eb9b8218f641d8797a021040bf59995e372cc34110f85346d773abf5a"),
+    (("involution", "--beta", "3", "--n", "3", "--gamma", "2", "--alpha", "3", "--dump-pairs"),
+     "a44111486a0d7d63e0fef2e6f93ebf87a3d06614e9b9eb2db69851d8b9dc18ac"),
+    (("involution", "--beta", "2", "--n", "4", "--gamma", "2", "--alpha", "4", "--dump-pairs"),
+     "8871c1a1a5930ab7019ca13bb3f77ff099941a46c56348dd3f5e7b85535186ab"),
+]
+
+
+class TestGoldenEnumerations:
+    @pytest.mark.parametrize("argv,digest", GOLDEN_ENUMERATIONS,
+                             ids=["b2n4g1", "b3n3g2", "b2n2g3",
+                                  "pairs-b2n3", "pairs-b3n3", "pairs-b2n4"])
+    def test_cli_output_is_pinned(self, capsys, argv, digest):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_two_class_census_order_is_pinned(self):
+        census = enumerate_colored_vector(VecProfile((2, 1), (2, 3)), (1, 1), 1, 3)
+        text = "\n".join(encode_colored(c, 2) for c in census)
+        assert len(census) == 882
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8f47341209cb48ba41de6c99af0c8a35c0410c6ee573a6e39623d823f8b5272d")
 
 
 def _interval(lo: str, hi: str, step: str = "1") -> dict:

@@ -4,7 +4,8 @@ import pytest
 
 from catalania.counting import VecProfile, catalan_vector
 from catalania.exact import binom, multinomial
-from catalania.forest import VertexAddr, count_internal, decode, encode
+from catalania import involution
+from catalania.forest import EnumerationBudgetError, VertexAddr, count_internal, decode, encode
 from catalania.involution import (
     EXCEPTIONAL,
     FIRST,
@@ -14,6 +15,7 @@ from catalania.involution import (
     StructureError,
     check_signed_matching,
     classify,
+    colored_census,
     encode_colored,
     enumerate_colored,
     enumerate_colored_vector,
@@ -212,6 +214,42 @@ class TestSignedSums:
                         got = signed_sum_vector(VecProfile((n1, n2), (2, 3)), gamma, alpha)
                         want = (-1) ** (n1 + n2) * multinomial(alpha - gamma, (n1, n2))
                         assert got == want
+
+
+class TestCensusBudget:
+    """The budget covers a whole census, checked before any slice is built."""
+
+    @staticmethod
+    def _refuse_enumeration(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated a slice before the census budget check")
+
+        monkeypatch.setattr(involution, "enumerate_colored", refuse)
+        monkeypatch.setattr(involution, "enumerate_colored_vector", refuse)
+
+    def test_scalar_census_sums_its_slices(self, monkeypatch):
+        # Slices of sizes 2, 3 and 1: each fits a budget of 4, the census does not.
+        assert [len(s) for s in colored_census(2, 2, 1, 2)] == [2, 3, 1]
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "4")
+        self._refuse_enumeration(monkeypatch)
+        with pytest.raises(EnumerationBudgetError) as err:
+            colored_census(2, 2, 1, 2)
+        assert (err.value.estimate, err.value.budget) == (6, 4)
+
+    def test_vector_census_sums_its_slices(self, monkeypatch):
+        # Slices of sizes 5, 3, 4 and 2: each fits a budget of 5, the census does not.
+        profile = VecProfile((1, 1), (2, 3))
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "5")
+        self._refuse_enumeration(monkeypatch)
+        with pytest.raises(EnumerationBudgetError) as err:
+            signed_sum_vector(profile, 1, 2)
+        assert (err.value.estimate, err.value.budget) == (14, 5)
+
+    def test_census_at_the_budget_runs(self, monkeypatch):
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "14")
+        assert signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2) == 0
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "6")
+        assert signed_sum(2, 2, 1, 2) == 0
 
 
 def _weight(c):
