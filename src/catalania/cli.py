@@ -50,6 +50,8 @@ def rat_flag(text: str) -> Fraction:
         return as_rat(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
 def nat_flag(text: str) -> int:

@@ -101,58 +101,44 @@ class Forest:
 @dataclass(frozen=True, order=True)
 class VertexAddr:
     """Address of a vertex: component index plus child-index path from the
-    component root.  Tuple ordering of (component, path) is exactly the
-    left-to-right order inside a fixed depth.
+    component root.  Tuple ordering of (component, path) is left-to-right
+    order inside a fixed depth and component-major preorder overall.
     """
 
     component: int
     path: tuple[int, ...] = field(default=())
 
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
-
-def iter_vertices(forest: Forest) -> Iterator[tuple[VertexAddr, Tree]]:
-    """All vertices in component-major preorder."""
-
-    def walk(node: Tree, comp: int, path: tuple[int, ...]):
-        yield VertexAddr(comp, path), node
-        for i, child in enumerate(node.children):
-            yield from walk(child, comp, path + (i,))
-
-    for comp, tree in enumerate(forest.trees):
-        yield from walk(tree, comp, ())
-
-
-def count_leaves(forest: Forest) -> int:
-    """Number of childless vertices of the forest."""
-    return sum(1 for _, node in iter_vertices(forest) if node.is_leaf)
-
-
-def count_internal(forest: Forest) -> int:
-    """Number of vertices with outdegree >= 1."""
-    return sum(1 for _, node in iter_vertices(forest) if not node.is_leaf)
-
-
-def leaf_addresses(forest: Forest) -> list[VertexAddr]:
-    """Addresses of all leaves, in component-major preorder."""
-    return [addr for addr, node in iter_vertices(forest) if node.is_leaf]
-
 
 def level_structure(forest: Forest) -> list[list[tuple[VertexAddr, Tree]]]:
     """Vertices grouped by depth, each level in left-to-right order.
 
-    Preorder within a component lists a level's vertices left to right, and
-    components are walked in order, so plain append order is correct.
+    Built breadth-first: the component roots, then the children of each
+    level's vertices in order, which is left-to-right order one level down.
     """
     levels: list[list[tuple[VertexAddr, Tree]]] = []
-    for addr, node in iter_vertices(forest):
-        depth = addr.depth
-        while len(levels) <= depth:
-            levels.append([])
-        levels[depth].append((addr, node))
+    level = [(VertexAddr(comp, ()), tree) for comp, tree in enumerate(forest.trees)]
+    while level:
+        levels.append(level)
+        level = [(VertexAddr(addr.component, addr.path + (i,)), child)
+                 for addr, node in level for i, child in enumerate(node.children)]
     return levels
+
+
+def count_leaves(forest: Forest) -> int:
+    """Number of childless vertices of the forest."""
+    return sum(1 for level in level_structure(forest) for _, node in level if node.is_leaf)
+
+
+def count_internal(forest: Forest) -> int:
+    """Number of vertices with outdegree >= 1."""
+    return sum(1 for level in level_structure(forest) for _, node in level if not node.is_leaf)
+
+
+def leaf_addresses(forest: Forest) -> list[VertexAddr]:
+    """Addresses of all leaves, in component-major preorder, which is
+    VertexAddr order."""
+    return sorted((addr for level in level_structure(forest) for addr, node in level
+                   if node.is_leaf), key=lambda a: (a.component, a.path))
 
 
 def subtree_at(forest: Forest, addr: VertexAddr) -> Tree:

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .counting import VecProfile, catalan_gen, catalan_vector, check_outdegrees
+from .counting import VecProfile, catalan_gen, check_outdegrees
 from .exact import Rat, RatLike, as_rat, binom, check_nat, multinomial, rat_str
 from .forest import compositions
-from .involution import signed_sum
+from .involution import census_sizes, signed_sum
 from .riordan import (
     catalan_family,
     catalan_gf,
@@ -194,17 +194,10 @@ def verify_eq4(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Ide
 # ---------------------------------------------------------------------------
 
 def eq3_lhs(p: Sequence[int], n_vec: Sequence[int], gamma: int, alpha: RatLike) -> Rat:
-    """Alternating sum over 0 <= i <= n of the colored-forest counts."""
-    p = check_outdegrees(p)
-    n_vec = tuple(n_vec)
-    alpha = Fraction(alpha)
-    total = Fraction(0)
-    for i_vec in itertools.product(*(range(nj + 1) for nj in n_vec)):
-        residual = tuple(nj - ij for nj, ij in zip(n_vec, i_vec))
-        sign = -1 if sum(i_vec) % 2 else 1
-        slots = sum((pj - 1) * rj for pj, rj in zip(p, residual)) + alpha
-        total += sign * multinomial(slots, i_vec) * catalan_vector(VecProfile(residual, p), gamma)
-    return total
+    """Alternating sum over 0 <= i <= n of the colored-forest counts: the
+    census slice sizes, signed by (-1)**sum(i)."""
+    sizes = census_sizes(VecProfile(tuple(n_vec), p), gamma, Fraction(alpha))
+    return sum(-size if sum(marks) % 2 else size for _, marks, size in sizes)
 
 
 def eq3_rhs(n_vec: Sequence[int], gamma: int, alpha: RatLike) -> Rat:
@@ -336,11 +329,10 @@ def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int) -> Id
     for n in range(1, n_max + 1):
         sign = -1 if n % 2 else 1
         m_top = (1 - beta) * n
-        s0 = sum((Fraction(k, n)) * binom(m_top, n - k) * binom(-gamma, k)
-                 for k in range(n + 1)) * sign
-        a1 = sum(binom(m_top, n - k) * binom(-gamma, k) for k in range(n + 1)) * sign
-        a2 = sum(Fraction(n - k, n) * binom(m_top, n - k) * binom(-gamma, k)
-                 for k in range(n + 1)) * sign
+        terms = [binom(m_top, n - k) * binom(-gamma, k) for k in range(n + 1)]
+        s0 = sum(Fraction(k, n) * term for k, term in enumerate(terms)) * sign
+        a1 = sum(terms) * sign
+        a2 = sum(Fraction(n - k, n) * term for k, term in enumerate(terms)) * sign
         params = {"beta": rat_str(beta), "gamma": rat_str(gamma), "n": n}
         if s0 != a1 - a2:
             return _report("ClosedForm", grid,
@@ -432,7 +424,7 @@ def expand_interval(spec: Mapping) -> list[Rat]:
     """Inclusive rational interval {"min","max","step"} -> list of values."""
     try:
         lo, hi, step = (as_rat(spec[key]) for key in ("min", "max", "step"))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad interval {spec!r}: {exc}") from None
     if step <= 0:
         raise ConfigError(f"interval step must be positive, got {rat_str(step)}")
@@ -602,17 +594,22 @@ def _suite_eq9(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
     seed = cfg.get("seed")
     if not isinstance(seed, int):
         raise ConfigError("eq9 needs an integer seed")
-    pairs = []
+    pairs, skipped = [], []
     for pair in cfg["pairs"]:
         a, m, z = (as_rat(v) for v in pair)
         message = f"eq9 pair {pair}: a must be an integer, got {rat_str(a)}"
-        pairs.append(GouldPair(_integral(a, message), m, z))
+        gould = GouldPair(_integral(a, message), m, z)
+        pole = next((n for n in range(1, length) if -gould.a * n - gould.m == 0), None)
+        if pole is None:
+            pairs.append(gould)
+        else:
+            skipped.append(f"pair {pair}: {SingularGouldParameters(pole)}")
     grid = f"{count} seeded sequences of length {length}, pairs {[str(p) for p in cfg['pairs']]}"
     rng = random.Random(seed)
     sequences = [random_rational_sequence(rng, length) for _ in range(count)]
     return _sweep(identity_id, grid, (
         _gould_roundtrip(index, seq, pair)
-        for (index, seq), pair in itertools.product(enumerate(sequences), pairs)))
+        for (index, seq), pair in itertools.product(enumerate(sequences), pairs)), skipped)
 
 
 def _gould_roundtrip(index: int, seq: list[Rat], pair: GouldPair) -> Optional[Counterexample]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .counting import VecProfile, catalan_vector, check_outdegrees
-from .exact import Rat, check_nat, multinomial
+from .exact import Rat, RatLike, check_nat, multinomial
 from .forest import (
     LEAF,
     Forest,
@@ -120,24 +120,12 @@ class Classification:
     kind: str  # FIRST | SECOND | EXCEPTIONAL
     vertex: Optional[VertexAddr] = None
 
-    @staticmethod
-    def first(candidate: VertexAddr) -> "Classification":
-        return Classification(FIRST, candidate)
-
-    @staticmethod
-    def second(incumbent: VertexAddr) -> "Classification":
-        return Classification(SECOND, incumbent)
-
-    @staticmethod
-    def exceptional() -> "Classification":
-        return Classification(EXCEPTIONAL)
-
 
 def classify(c: ColoredForest) -> Classification:
     """Assign a colored forest to its class (planted roots play no part)."""
     levels = level_structure(c.forest)
     if not levels:
-        return Classification.exceptional()
+        return Classification(EXCEPTIONAL)
     colored = {addr for addr, _ in c.leaf_colors}
     bottom = len(levels) - 1
 
@@ -151,17 +139,17 @@ def classify(c: ColoredForest) -> Classification:
             if node.children:
                 blocked = True
             elif addr in colored and not blocked:
-                return Classification.first(addr)
+                return Classification(FIRST, addr)
 
     # Second class: bottom level free of colored leaves, and the leftmost
     # internal vertex one level up has no colored leaf to its left there.
     if bottom >= 1 and not any(addr in colored for addr, _ in levels[bottom]):
         for addr, node in levels[bottom - 1]:
             if node.children:
-                return Classification.second(addr)
+                return Classification(SECOND, addr)
             if addr in colored:
                 break
-    return Classification.exceptional()
+    return Classification(EXCEPTIONAL)
 
 
 def involute(c: ColoredForest, p: Sequence[int]) -> ColoredForest:
@@ -210,7 +198,7 @@ def _check_alpha_gamma(alpha: int, gamma: int) -> None:
         raise ValueError(f"need alpha >= gamma >= 1, got alpha={alpha}, gamma={gamma}")
 
 
-def _colored_count(profile: VecProfile, marks: tuple[int, ...], gamma: int, alpha: int) -> Rat:
+def _colored_count(profile: VecProfile, marks: tuple[int, ...], gamma: int, alpha: RatLike) -> Rat:
     """Number of structures enumerate_colored_vector(profile, marks, gamma,
     alpha) yields: forests times color assignments of their slots."""
     slot_count = profile.leaf_count(gamma) + alpha - gamma
@@ -277,16 +265,26 @@ def enumerate_colored_vector(
 # Alternating censuses
 # ---------------------------------------------------------------------------
 
-def _census_slices(profile: VecProfile, gamma: int, alpha: int) -> list[tuple[VecProfile, tuple]]:
+def census_sizes(profile: VecProfile, gamma: int,
+                 alpha: RatLike) -> list[tuple[VecProfile, tuple[int, ...], Rat]]:
     """Every split of profile.n into internal counts plus color marks, as
-    (residual profile, marks) with marks in lexicographic order, once the
-    whole census is known to fit the structure budget."""
-    slices = [
-        (VecProfile(tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p), marks)
-        for marks in itertools.product(*(range(nj + 1) for nj in profile.n))
-    ]
-    check_budget(sum(_colored_count(residual, marks, gamma, alpha) for residual, marks in slices))
-    return slices
+    (residual profile, marks, size) with marks in lexicographic order and
+    size the number of structures enumerate_colored_vector(residual, marks,
+    gamma, alpha) yields.  Validates nothing and checks no budget, so it
+    also serves gamma = 0 and rational alpha, where the sizes are formal."""
+    out = []
+    for marks in itertools.product(*(range(nj + 1) for nj in profile.n)):
+        residual = VecProfile(tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p)
+        out.append((residual, marks, _colored_count(residual, marks, gamma, alpha)))
+    return out
+
+
+def _census_slices(profile: VecProfile, gamma: int, alpha: int) -> list[tuple[VecProfile, tuple]]:
+    """census_sizes without the sizes, once the whole census is known to fit
+    the structure budget."""
+    sizes = census_sizes(profile, gamma, alpha)
+    check_budget(sum(size for _, _, size in sizes))
+    return [(residual, marks) for residual, marks, _ in sizes]
 
 
 def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[ColoredForest]]:

@@ -47,18 +47,6 @@ class Series:
 
     __hash__ = None  # equality is truncation-aware, hashing would lie
 
-    def __add__(self, other: "Series") -> "Series":
-        return series_add(self, other)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return series_add(self, series_neg(other))
-
-    def __neg__(self) -> "Series":
-        return series_neg(self)
-
-    def __mul__(self, other: "Series") -> "Series":
-        return series_mul(self, other)
-
     def __repr__(self) -> str:
         inside = ", ".join(rat_str(c) for c in self.coeffs)
         return f"Series([{inside}])"
@@ -295,14 +283,17 @@ def catalan_gf(beta: RatLike, gamma: RatLike, order: int) -> Series:
     return Series(tuple(catalan_sequence(beta, gamma, order)))
 
 
+def _family_f(beta: RatLike, order: int) -> Series:
+    """x(1-x)**(beta-1) up to ``order`` >= 1."""
+    return Series((Fraction(0),) + series_binpow(Fraction(beta) - 1, order - 1).coeffs)
+
+
 def catalan_family(alpha: RatLike, beta: RatLike, order: int) -> RiordanArray:
     """The array [ (1-x)**alpha, x(1-x)**(beta-1) ] at the given order."""
     check_nat(order, "order")
     if order < 1:
         raise ValueError("the family needs order >= 1")
-    g = series_binpow(alpha, order)
-    f = Series((Fraction(0),) + series_binpow(Fraction(beta) - 1, order - 1).coeffs)
-    return RiordanArray(g, f)
+    return RiordanArray(series_binpow(alpha, order), _family_f(beta, order))
 
 
 def catalan_gf_functional_check(beta: RatLike, gamma: RatLike, order: int) -> bool:
@@ -311,8 +302,7 @@ def catalan_gf_functional_check(beta: RatLike, gamma: RatLike, order: int) -> bo
     check_nat(order, "order")
     if order < 1:
         raise ValueError("need order >= 1")
-    inner = Series((Fraction(0),) + series_binpow(Fraction(beta) - 1, order - 1).coeffs)
-    lhs = series_compose(catalan_gf(beta, gamma, order), inner)
+    lhs = series_compose(catalan_gf(beta, gamma, order), _family_f(beta, order))
     return lhs == series_binpow(-Fraction(gamma), order)
 
 

@@ -167,6 +167,17 @@ def test_zero_beta_is_usage_error(capsys, argv):
     assert (code, out, err) == (2, "", "error: beta must be an integer >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("seq", "--beta", "1/0", "--n", "3"),
+    ("riordan", "check", "--alpha", "1", "--beta", "1/0", "--gamma", "1"),
+], ids=["seq", "riordan-check"])
+def test_zero_denominator_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "argument --beta: zero denominator: '1/0'" in capsys.readouterr().err
+
+
 class TestRiordan:
     def test_entry(self, capsys):
         code, out, _ = run_cli(

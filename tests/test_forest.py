@@ -16,6 +16,7 @@ from catalania.forest import (
     generate_forests,
     generate_kary,
     generate_mixed_forests,
+    leaf_addresses,
     level_structure,
     replace_at,
     subtree_at,
@@ -101,6 +102,16 @@ class TestLeafCounts:
         profile = VecProfile((1, 1), (2, 3))
         for f in generate_mixed_forests(profile, 1):
             assert count_leaves(f) == profile.leaf_count(1) == 4
+
+
+    def test_leaf_addresses_in_preorder(self):
+        forests = [f for beta in (1, 2, 3) for n in range(4) for gamma in range(4)
+                   for f in generate_forests(beta, n, gamma)]
+        forests += generate_mixed_forests(VecProfile((2, 1), (1, 3)), 2)
+        for f in forests:
+            leaves = leaf_addresses(f)
+            assert all(a < b for a, b in zip(leaves, leaves[1:]))
+            assert len(leaves) == encode(f).count("o") == count_leaves(f)
 
 
 class TestStructureOps:

@@ -116,6 +116,11 @@ class TestEq3:
     def test_gamma_zero(self):
         assert verify_eq3((2, 3), 0, F(7, 3), 3).ok
 
+    def test_census_sizes_sum_at_gamma_zero_and_rational_alpha(self):
+        for gamma, alpha in ((0, F(7, 3)), (0, 1), (2, F(-1, 2))):
+            for n_vec in ((0, 0), (1, 0), (2, 1), (1, 3)):
+                assert eq3_lhs((1, 3), n_vec, gamma, alpha) == eq3_rhs(n_vec, gamma, alpha)
+
 
 class TestGould:
     def test_frozen_roundtrip(self):
@@ -254,6 +259,23 @@ class TestSuite:
         message = r"eq9 pair \['1/2', '0', '1'\]: a must be an integer"
         with pytest.raises(ConfigError, match=message):
             run_suite(config)
+
+    def test_singular_gould_pairs_are_skipped(self):
+        # -a*n - m = n - 3 vanishes at n = 3, inside length 4 but not length 3.
+        pairs = [["1", "-1", "1"], ["-1", "3", "1"], ["2", "0", "1"]]
+        (report,) = run_suite({"eq9": {"length": 4, "sequences": 3, "seed": 1, "pairs": pairs}})
+        assert report.ok
+        assert report.skipped == (
+            "pair ['1', '-1', '1']: backward transform undefined: -a*n - m = 0 at n = 1",
+            "pair ['-1', '3', '1']: backward transform undefined: -a*n - m = 0 at n = 3",
+        )
+        (report,) = run_suite({"eq9": {"length": 3, "sequences": 3, "seed": 1, "pairs": pairs}})
+        assert report.ok and len(report.skipped) == 1
+
+    def test_zero_denominator_step_rejected(self):
+        interval = {"min": "1", "max": "2", "step": "1/0"}
+        with pytest.raises(ConfigError, match="bad interval"):
+            run_suite({"eq7": {"beta": interval, "gamma": interval, "order": 3}})
 
     def test_malformed_section_rejected(self):
         with pytest.raises(ConfigError):

@@ -14,6 +14,7 @@ from catalania.involution import (
     InvolutionDomainError,
     StructureError,
     check_signed_matching,
+    census_sizes,
     classify,
     colored_census,
     encode_colored,
@@ -250,6 +251,21 @@ class TestCensusBudget:
         assert signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2) == 0
         monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "6")
         assert signed_sum(2, 2, 1, 2) == 0
+
+
+class TestCensusSizes:
+    @pytest.mark.parametrize("n, p", [((3,), (1,)), ((2,), (2,)), ((3,), (3,)),
+                                      ((1, 2), (1, 3)), ((2, 1), (2, 3))])
+    def test_sizes_count_the_enumerated_slices(self, n, p):
+        profile = VecProfile(n, p)
+        for gamma in (1, 2):
+            for alpha in (gamma, gamma + 2):
+                sizes = census_sizes(profile, gamma, alpha)
+                assert [marks for _, marks, _ in sizes] == sorted(marks for _, marks, _ in sizes)
+                assert len(sizes) == len({marks for _, marks, _ in sizes})
+                for residual, marks, size in sizes:
+                    assert residual.n == tuple(nj - ij for nj, ij in zip(n, marks))
+                    assert size == len(enumerate_colored_vector(residual, marks, gamma, alpha))
 
 
 def _weight(c):
