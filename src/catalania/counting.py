@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exact import Rat, RatLike, binom, check_nat, multinomial
+
+CatalanFn = Callable[[int, RatLike, RatLike], Rat]
 
 
 def check_outdegrees(p: Sequence[int]) -> tuple[int, ...]:
@@ -93,7 +95,8 @@ def catalan_vector(profile: VecProfile, gamma: int) -> Rat:
     return Fraction(gamma, total) * multinomial(total, profile.n)
 
 
-def catalan_sequence(beta: RatLike, gamma: RatLike, n_max: int) -> list[Rat]:
-    """[catalan_gen(0), ..., catalan_gen(n_max)] at fixed beta, gamma."""
+def catalan_sequence(beta: RatLike, gamma: RatLike, n_max: int,
+                     catalan: CatalanFn = catalan_gen) -> list[Rat]:
+    """[catalan(0), ..., catalan(n_max)] at fixed beta, gamma."""
     check_nat(n_max, "n_max")
-    return [catalan_gen(k, beta, gamma) for k in range(n_max + 1)]
+    return [catalan(k, beta, gamma) for k in range(n_max + 1)]

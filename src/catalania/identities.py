@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .counting import VecProfile, catalan_gen, check_outdegrees
+from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees
 from .exact import Rat, RatLike, as_rat, binom, check_nat, multinomial, rat_str
-from .forest import compositions
-from .involution import census_sizes, signed_sum
+from .forest import check_arity, compositions
+from .involution import census_sizes, check_alpha_gamma, signed_sum
 from .riordan import (
     catalan_family,
     catalan_gf,
@@ -103,15 +103,6 @@ def _point(alpha: RatLike, beta: RatLike, gamma: RatLike) -> tuple[dict[str, obj
 # The alternating-sum identity (scalar form)
 # ---------------------------------------------------------------------------
 
-CatalanFn = Callable[[int, RatLike, RatLike], Rat]
-
-
-def _catalan_values(catalan: CatalanFn, beta: Rat, gamma: RatLike, n_max: int) -> list[Rat]:
-    """[catalan(0), ..., catalan(n_max)] at one (beta, gamma), each value
-    computed once and shared by every row n <= n_max of the sums below."""
-    return [catalan(i, beta, gamma) for i in range(n_max + 1)]
-
-
 def _direct_sum(alpha: Rat, beta: Rat, cats: Sequence[Rat], n: int) -> Rat:
     total = Fraction(0)
     for i in range(n + 1):
@@ -132,7 +123,7 @@ def eq2_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
             catalan: CatalanFn = catalan_gen) -> Rat:
     """sum_i (-1)**(n-i) * binom((beta-1)i + alpha, n-i) * C(i)."""
     alpha, beta = Fraction(alpha), Fraction(beta)
-    return _direct_sum(alpha, beta, _catalan_values(catalan, beta, gamma, n), n)
+    return _direct_sum(alpha, beta, catalan_sequence(beta, gamma, n, catalan), n)
 
 
 def eq2_lhs_reindexed(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
@@ -154,11 +145,10 @@ def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
                catalan: CatalanFn = catalan_gen) -> IdentityReport:
     """Check the alternating sum against its closed form for 0 <= n <= n_max,
     plus the reversed-index evaluation as an internal consistency check."""
-    check_nat(n_max, "n_max")
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, n<={n_max}"
     a, b = Fraction(alpha), Fraction(beta)
-    cats = _catalan_values(catalan, b, gamma, n_max)
+    cats = catalan_sequence(b, gamma, n_max, catalan)
     for n in range(n_max + 1):
         lhs = _direct_sum(a, b, cats, n)
         rhs = eq2_rhs(alpha, gamma, n)
@@ -175,11 +165,10 @@ def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
 def verify_eq4(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
     """Summation-order guard: the reversed-index rewriting of the sum must
     produce identical values term for term (the identity itself is Eq2's)."""
-    check_nat(n_max, "n_max")
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, n<={n_max}"
     a, b = Fraction(alpha), Fraction(beta)
-    cats = _catalan_values(catalan_gen, b, gamma, n_max)
+    cats = catalan_sequence(b, gamma, n_max)
     for n in range(n_max + 1):
         reindexed = _reindexed_sum(a, b, cats, n)
         direct = _direct_sum(a, b, cats, n)
@@ -433,13 +422,13 @@ def expand_interval(spec: Mapping) -> list[Rat]:
     return [lo + i * step for i in range((hi - lo) // step + 1)]
 
 
-def _grid(cfg: Mapping, *names: str) -> tuple[Iterator[tuple[Rat, ...]], str]:
-    """The points of the named intervals' product, first name outermost,
-    and the report text "name in [min..max step s], ..." of that grid."""
+def _grid(cfg: Mapping, *names: str) -> tuple[list[list[Rat]], str]:
+    """The values of each named interval, and the report text
+    "name in [min..max step s], ..." of their product."""
     axes = [expand_interval(cfg[name]) for name in names]
     text = ", ".join(f"{name} in [{cfg[name]['min']}..{cfg[name]['max']} step {cfg[name]['step']}]"
                      for name in names)
-    return itertools.product(*axes), text
+    return axes, text
 
 
 def _grid_nat(cfg: Mapping, key: str) -> int:
@@ -449,14 +438,10 @@ def _grid_nat(cfg: Mapping, key: str) -> int:
     return value
 
 
-def _sweep(identity_id: str, grid: str, results: Iterable[Optional[Counterexample]],
-           skipped: Sequence[str] = ()) -> IdentityReport:
-    """Report on an ordered stream of per-point outcomes, None for a pass:
-    the first counterexample fails the section and stops the stream.
-    ``skipped`` is read once the stream has stopped, so a list that the
-    stream fills holds just the items of the points reached."""
-    counterexample = next((c for c in results if c is not None), None)
-    return _report(identity_id, grid, counterexample, skipped)
+def _section(value: object, name: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be a JSON object")
+    return value
 
 
 @dataclass
@@ -476,39 +461,50 @@ class _Run:
     eq2_passed: set[tuple[Rat, Rat, Rat, int]] = field(default_factory=set)
 
 
-def _suite_eq1(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
-    rep = verify_eq2(1, 2, 1, _grid_nat(cfg, "n_max"), run.catalan)
-    return _report(identity_id, rep.grid, rep.counterexample)
+# A runner reads and checks its whole section, evaluating nothing, and returns the grid
+# text, the lazy per-point outcomes (None: pass) and the skipped items the stream may add to.
+_Plan = tuple[str, Iterable[Optional[Counterexample]], Sequence[str]]
 
 
-def _suite_eq2(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
-    points, axes = _grid(cfg, "alpha", "beta", "gamma")
+def _suite_eq1(cfg: Mapping, run: _Run) -> _Plan:
     n_max = _grid_nat(cfg, "n_max")
-    grid = f"{axes}, n<={n_max}; plus involution-census and array-row routes"
-    return _sweep(identity_id, grid, _eq2_results(cfg, run, points, n_max))
+    return f"{_point(1, 2, 1)[1]}, n<={n_max}", (
+        verify_eq2(1, 2, 1, n, run.catalan).counterexample for n in [n_max]), ()
 
 
-def _eq2_results(cfg: Mapping, run: _Run, points: Iterable[tuple[Rat, ...]],
-                 n_max: int) -> Iterator[Optional[Counterexample]]:
+def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
     """Direct grid sweep plus the enumerative and matrix routes: the signed
     census and the array row sums must both reproduce the direct sum, and
     the plain and derivative-form summation checks must both accept the
     family instance."""
-    for point in points:
-        rep = verify_eq2(*point, n_max, run.catalan)
-        if rep.ok and run.catalan is catalan_gen:
-            run.eq2_passed.add((*point, n_max))
-        yield rep.counterexample
+    axes, text = _grid(cfg, "alpha", "beta", "gamma")
+    n_max = _grid_nat(cfg, "n_max")
+    cross_points, cross_order = [], 0
+    if cfg.get("cross"):
+        cross = _section(cfg["cross"], "config section eq2 cross")
+        cross_order = _grid_nat(cross, "n_max")
+        cross_points = [(check_alpha_gamma(gamma + offset, gamma), check_arity(beta), gamma)
+                        for beta, gamma, offset in itertools.product(
+                            cross["betas"], cross["gammas"], cross["alpha_offsets"])]
+    family_points, family_order = [], 0
+    if cfg.get("family"):
+        family = _section(cfg["family"], "config section eq2 family")
+        family_order = _grid_nat(family, "order")
+        if family_order < 1:
+            raise ValueError("the family needs order >= 1")
+        family_points = [(texts, tuple(map(as_rat, texts))) for texts in itertools.product(
+            family["alphas"], family["betas"], family["gammas"])]
 
-    cross = cfg.get("cross")
-    if cross:
-        cross_points = itertools.product(cross["betas"], cross["gammas"], cross["alpha_offsets"])
-        order = _grid_nat(cross, "n_max")
-        for beta, gamma, offset in cross_points:
-            alpha = gamma + offset
-            sums = row_sums(catalan_family(alpha, beta, max(order, 1)),
-                            catalan_gf(beta, gamma, max(order, 1)), order)
-            for n in range(order + 1):
+    def outcomes() -> Iterator[Optional[Counterexample]]:
+        for point in itertools.product(*axes):
+            rep = verify_eq2(*point, n_max, run.catalan)
+            if rep.ok and run.catalan is catalan_gen:
+                run.eq2_passed.add((*point, n_max))
+            yield rep.counterexample
+        for alpha, beta, gamma in cross_points:
+            sums = row_sums(catalan_family(alpha, beta, max(cross_order, 1)),
+                            catalan_gf(beta, gamma, max(cross_order, 1)), cross_order)
+            for n in range(cross_order + 1):
                 direct = eq2_lhs(alpha, beta, gamma, n, run.catalan)
                 census = signed_sum(beta, n, gamma, alpha)
                 params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
@@ -517,17 +513,11 @@ def _eq2_results(cfg: Mapping, run: _Run, points: Iterable[tuple[Rat, ...]],
                                             "involution census vs direct sum")
                 elif sums[n] != direct:
                     yield Counterexample.at(params, sums[n], direct, "array row sum vs direct sum")
-
-    family = cfg.get("family")
-    if family:
-        order = _grid_nat(family, "order")
-        for alpha_s, beta_s, gamma_s in itertools.product(
-                family["alphas"], family["betas"], family["gammas"]):
-            alpha, beta, gamma = as_rat(alpha_s), as_rat(beta_s), as_rat(gamma_s)
-            r = catalan_family(alpha, beta, order)
-            a = catalan_gf(beta, gamma, order)
-            l = series_binpow(alpha - gamma, order)
-            params = {"alpha": alpha_s, "beta": beta_s, "gamma": gamma_s, "order": order}
+        for (alpha_s, beta_s, gamma_s), (alpha, beta, gamma) in family_points:
+            r = catalan_family(alpha, beta, family_order)
+            a = catalan_gf(beta, gamma, family_order)
+            l = series_binpow(alpha - gamma, family_order)
+            params = {"alpha": alpha_s, "beta": beta_s, "gamma": gamma_s, "order": family_order}
             if not riordan_theorem_check(r, a, l):
                 yield Counterexample.at(params, "row sums", "target coefficients",
                                         "summation-matrix check")
@@ -535,15 +525,17 @@ def _eq2_results(cfg: Mapping, run: _Run, points: Iterable[tuple[Rat, ...]],
                 yield Counterexample.at(params, "derivative form", "target coefficients",
                                         "modified summation-matrix check")
 
+    return f"{text}, n<={n_max}; plus involution-census and array-row routes", outcomes(), ()
 
-def _suite_eq3(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
-    p = tuple(cfg["p"])
-    points, axes = _grid(cfg, "gamma", "alpha")
+
+def _suite_eq3(cfg: Mapping, run: _Run) -> _Plan:
+    p = check_outdegrees(cfg["p"])
+    (gammas, alphas), text = _grid(cfg, "gamma", "alpha")
+    gammas = [check_nat(_integral(g, "eq3 gamma grid must be integral"), "gamma") for g in gammas]
     n_total_max = _grid_nat(cfg, "n_total_max")
-    return _sweep(identity_id, f"p={list(p)}, {axes}, sum(n)<={n_total_max}", (
-        verify_eq3(p, _integral(gamma, "eq3 gamma grid must be integral"), alpha,
-                   n_total_max).counterexample
-        for gamma, alpha in points))
+    return f"p={list(p)}, {text}, sum(n)<={n_total_max}", (
+        verify_eq3(p, gamma, alpha, n_total_max).counterexample
+        for gamma, alpha in itertools.product(gammas, alphas)), ()
 
 
 def _integral(value: Rat, message: str) -> int:
@@ -552,35 +544,37 @@ def _integral(value: Rat, message: str) -> int:
     return int(value)
 
 
-def _suite_eq4(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
-    points, axes = _grid(cfg, "alpha", "beta", "gamma")
+def _suite_eq4(cfg: Mapping, run: _Run) -> _Plan:
+    axes, text = _grid(cfg, "alpha", "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
-    return _sweep(identity_id, f"{axes}, n<={n_max}", (
+    return f"{text}, n<={n_max}", (
         verify_eq4(*point, n_max).counterexample
-        for point in points if (*point, n_max) not in run.eq2_passed))
+        for point in itertools.product(*axes) if (*point, n_max) not in run.eq2_passed), ()
 
 
-def _suite_eq7(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
-    points, axes = _grid(cfg, "beta", "gamma")
+def _suite_eq7(cfg: Mapping, run: _Run) -> _Plan:
+    axes, text = _grid(cfg, "beta", "gamma")
     order = _grid_nat(cfg, "order")
-    return _sweep(identity_id, f"{axes}, order {order}", (
+    if order < 1:
+        raise ValueError("need order >= 1")
+    return f"{text}, order {order}", (
         None if catalan_gf_functional_check(beta, gamma, order) else Counterexample.at(
             {"beta": rat_str(beta), "gamma": rat_str(gamma), "order": order},
             "gf composed with x(1-x)^(beta-1)", "(1-x)^(-gamma)")
-        for beta, gamma in points))
+        for beta, gamma in itertools.product(*axes)), ()
 
 
-def _suite_eq8(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
-    betas, axes = _grid(cfg, "beta")
+def _suite_eq8(cfg: Mapping, run: _Run) -> _Plan:
+    (betas,), text = _grid(cfg, "beta")
     order = _grid_nat(cfg, "order")
     pairs = [(as_rat(a1), as_rat(a2)) for a1, a2 in cfg["alpha_pairs"]]
-    grid = f"{axes}, alpha pairs {[[rat_str(a), rat_str(b)] for a, b in pairs]}, order {order}"
-    return _sweep(identity_id, grid, (
+    grid = f"{text}, alpha pairs {[[rat_str(a), rat_str(b)] for a, b in pairs]}, order {order}"
+    return grid, (
         None if convolution_check(beta, alpha1, alpha2, order) else Counterexample.at(
             {"beta": rat_str(beta), "alpha1": rat_str(alpha1), "alpha2": rat_str(alpha2),
              "order": order},
             "gf(alpha1) * gf(alpha2)", "gf(alpha1 + alpha2)")
-        for (beta,), (alpha1, alpha2) in itertools.product(betas, pairs)))
+        for beta, (alpha1, alpha2) in itertools.product(betas, pairs)), ()
 
 
 def random_rational_sequence(rng: random.Random, length: int) -> list[Rat]:
@@ -588,11 +582,11 @@ def random_rational_sequence(rng: random.Random, length: int) -> list[Rat]:
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
 
 
-def _suite_eq9(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
+def _suite_eq9(cfg: Mapping, run: _Run) -> _Plan:
     length = _grid_nat(cfg, "length")
     count = _grid_nat(cfg, "sequences")
     seed = cfg.get("seed")
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("eq9 needs an integer seed")
     pairs, skipped = [], []
     for pair in cfg["pairs"]:
@@ -606,10 +600,9 @@ def _suite_eq9(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
             skipped.append(f"pair {pair}: {SingularGouldParameters(pole)}")
     grid = f"{count} seeded sequences of length {length}, pairs {[str(p) for p in cfg['pairs']]}"
     rng = random.Random(seed)
-    sequences = [random_rational_sequence(rng, length) for _ in range(count)]
-    return _sweep(identity_id, grid, (
-        _gould_roundtrip(index, seq, pair)
-        for (index, seq), pair in itertools.product(enumerate(sequences), pairs)), skipped)
+    sequences = (random_rational_sequence(rng, length) for _ in range(count))
+    return grid, (_gould_roundtrip(index, seq, pair)
+                  for index, seq in enumerate(sequences) for pair in pairs), skipped
 
 
 def _gould_roundtrip(index: int, seq: list[Rat], pair: GouldPair) -> Optional[Counterexample]:
@@ -623,8 +616,8 @@ def _gould_roundtrip(index: int, seq: list[Rat], pair: GouldPair) -> Optional[Co
     return None
 
 
-def _suite_eq10(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
-    points, axes = _grid(cfg, "alpha", "beta", "gamma")
+def _suite_eq10(cfg: Mapping, run: _Run) -> _Plan:
+    axes, text = _grid(cfg, "alpha", "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
     skipped: list[str] = []
 
@@ -633,18 +626,19 @@ def _suite_eq10(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
         skipped.extend(f"{_point(*point)[1]}, {item}" for item in rep.skipped)
         return rep.counterexample
 
-    return _sweep(identity_id, f"{axes}, n<={n_max}", map(check, points), skipped)
+    return f"{text}, n<={n_max}", map(check, itertools.product(*axes)), skipped
 
 
-def _suite_closed_form(identity_id: str, cfg: Mapping, run: _Run) -> IdentityReport:
-    points, axes = _grid(cfg, "beta", "gamma")
+def _suite_closed_form(cfg: Mapping, run: _Run) -> _Plan:
+    axes, text = _grid(cfg, "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
-    return _sweep(identity_id, f"{axes}, n<={n_max}", (
-        closed_form_reduction_check(beta, gamma, n_max).counterexample for beta, gamma in points))
+    return f"{text}, n<={n_max}", (
+        closed_form_reduction_check(beta, gamma, n_max).counterexample
+        for beta, gamma in itertools.product(*axes)), ()
 
 
 # The suite's sections in run order: (config key, report id, runner).
-_SECTIONS: tuple[tuple[str, str, Callable[[str, Mapping, _Run], IdentityReport]], ...] = (
+_SECTIONS: tuple[tuple[str, str, Callable[[Mapping, _Run], _Plan]], ...] = (
     ("eq1", "Eq1", _suite_eq1),
     ("eq2", "Eq2", _suite_eq2),
     ("eq3", "Eq3", _suite_eq3),
@@ -671,21 +665,24 @@ def run_suite(config: Optional[Mapping] = None) -> list[IdentityReport]:
     ``config``, when given, must follow the DEFAULT_CONFIG layout.  The key
     "corrupt_catalan" (a test hook) swaps in a deliberately broken counting
     oracle so that failure reporting can be exercised end to end.
+
+    Every section is read and checked, which alone raises ConfigError, before
+    any is evaluated.  Each stream stops at its first counterexample.
     """
-    cfg = DEFAULT_CONFIG if config is None else config
-    if not isinstance(cfg, Mapping):
-        raise ConfigError("config must be a JSON object")
+    cfg = _section(DEFAULT_CONFIG if config is None else config, "config")
     unknown = set(cfg) - {key for key, _, _ in _SECTIONS} - {"corrupt_catalan"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     run = _Run(_corrupted_catalan if cfg.get("corrupt_catalan") else catalan_gen)
     try:
-        return [runner(identity_id, cfg[key], run)
-                for key, identity_id, runner in _SECTIONS if key in cfg]
+        plans = [(identity_id, runner(_section(cfg[key], f"config section {key}"), run))
+                 for key, identity_id, runner in _SECTIONS if key in cfg]
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"malformed config: {exc}") from exc
+    return [_report(identity_id, grid, next((c for c in outcomes if c is not None), None), skipped)
+            for identity_id, (grid, outcomes, skipped) in plans]
 
 
 def load_config(text: str) -> dict:
@@ -694,9 +691,7 @@ def load_config(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    return obj
+    return _section(obj, "config")
 
 
 def reports_to_json(reports: Sequence[IdentityReport]) -> str:

@@ -191,11 +191,13 @@ def involute(c: ColoredForest, p: Sequence[int]) -> ColoredForest:
 # Enumeration of colored structures
 # ---------------------------------------------------------------------------
 
-def _check_alpha_gamma(alpha: int, gamma: int) -> None:
+def check_alpha_gamma(alpha: int, gamma: int) -> int:
+    """Validate natural alpha >= gamma >= 1 and return alpha."""
     check_nat(alpha, "alpha")
     check_nat(gamma, "gamma")
     if gamma < 1 or alpha < gamma:
         raise ValueError(f"need alpha >= gamma >= 1, got alpha={alpha}, gamma={gamma}")
+    return alpha
 
 
 def _colored_count(profile: VecProfile, marks: tuple[int, ...], gamma: int, alpha: RatLike) -> Rat:
@@ -238,7 +240,7 @@ def enumerate_colored(
     ``n_internal`` internal vertices and ``n_colored`` colored objects
     (single color), in deterministic order: the one-class case of
     enumerate_colored_vector, with the forests drawn from generate_forests."""
-    _check_alpha_gamma(alpha, gamma)
+    check_alpha_gamma(alpha, gamma)
     check_nat(n_internal, "n_internal")
     check_nat(n_colored, "n_colored")
     profile = VecProfile((n_internal,), (check_arity(beta),))
@@ -251,7 +253,7 @@ def enumerate_colored_vector(
 ) -> list[ColoredForest]:
     """All planted mixed forests matching ``profile`` with marks[j] objects
     colored j+1 among leaves and planted roots."""
-    _check_alpha_gamma(alpha, gamma)
+    check_alpha_gamma(alpha, gamma)
     marks = tuple(marks)
     if len(marks) != profile.t:
         raise ValueError("marks must give one count per outdegree class")
@@ -290,7 +292,7 @@ def _census_slices(profile: VecProfile, gamma: int, alpha: int) -> list[tuple[Ve
 def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[ColoredForest]]:
     """All colored structures with n_internal + colored = n, as one slice
     per number of colored objects i = 0..n, each in enumerate_colored order."""
-    _check_alpha_gamma(alpha, gamma)
+    check_alpha_gamma(alpha, gamma)
     check_nat(n)
     slices = _census_slices(VecProfile((n,), (check_arity(beta),)), gamma, alpha)
     return [enumerate_colored(beta, residual.n[0], i, gamma, alpha) for residual, (i,) in slices]
@@ -307,7 +309,7 @@ def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
     """Sum of weights over all t-colored planted mixed forests with
     class-wise internal + colored counts equal to profile.n, by enumeration.
     Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
-    _check_alpha_gamma(alpha, gamma)
+    check_alpha_gamma(alpha, gamma)
     return Fraction(sum(c.weight() for residual, marks in _census_slices(profile, gamma, alpha)
                         for c in enumerate_colored_vector(residual, marks, gamma, alpha)))
 

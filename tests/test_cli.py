@@ -282,3 +282,9 @@ class TestVerify:
         path.write_text(json.dumps({"eq42": {}}))
         code, _, err = run_cli(capsys, "verify", "--config", str(path))
         assert code == 2
+
+    def test_non_object_section_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"eq1": 5}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: config section eq1 must be a JSON object\n")

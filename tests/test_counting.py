@@ -93,6 +93,16 @@ class TestCatalanSequence:
     def test_two_component_binary(self):
         assert catalan_sequence(2, 2, 1) == [1, 2]
 
+    def test_counting_function_is_swappable(self):
+        calls = []
+
+        def counted(n, beta, gamma):
+            calls.append((n, beta, gamma))
+            return catalan_gen(n, beta, gamma) + n
+
+        assert catalan_sequence(2, 1, 3, catalan=counted) == [1, 2, 4, 8]
+        assert calls == [(0, 2, 1), (1, 2, 1), (2, 2, 1), (3, 2, 1)]
+
 
 class TestEnumerationOracle:
     """The central dual route: the closed forms against exhaustive generation."""

@@ -9,6 +9,7 @@ from catalania.cli import main
 from catalania.counting import VecProfile, catalan_gen, catalan_sequence
 from catalania import identities
 from catalania.exact import binom
+from catalania.forest import EnumerationBudgetError
 from catalania.identities import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -225,16 +226,16 @@ class TestCrossMethodAgreement:
 
 
 class TestSuite:
-    def test_default_suite_passes(self):
-        reports = run_suite()
+    def test_default_suite_passes(self, default_reports):
+        reports = default_reports
         assert [r.identity_id for r in reports] == [
             "Eq1", "Eq2", "Eq3", "Eq4", "Eq7", "Eq8", "Eq9_roundtrip", "Eq10",
             "ClosedForm",
         ]
         assert all(r.ok for r in reports)
 
-    def test_report_json_is_deterministic(self):
-        first = reports_to_json(run_suite())
+    def test_report_json_is_deterministic(self, default_reports):
+        first = reports_to_json(default_reports)
         second = reports_to_json(run_suite())
         assert first == second
         parsed = json.loads(first)
@@ -316,8 +317,10 @@ GOLDEN_REPORTS = [
 class TestGoldenReports:
     @pytest.mark.parametrize("config,digest", GOLDEN_REPORTS,
                              ids=["default", "corrupt", "eq4-only", "eq4-grid-differs"])
-    def test_report_bytes_are_pinned(self, config, digest):
-        text = reports_to_json(run_suite(config))
+    def test_report_bytes_are_pinned(self, request, config, digest):
+        reports = (request.getfixturevalue("default_reports") if config is None
+                   else run_suite(config))
+        text = reports_to_json(reports)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_corrupted_eq2_leaves_eq4_passing(self):
@@ -425,6 +428,106 @@ class TestSuiteConfigErrors:
 
     def test_every_section_is_covered(self):
         assert [key for key, _, _ in MALFORMED_SECTIONS] == list(DEFAULT_CONFIG)
+
+
+# The functions that evaluate the suite's sections, as the identities module
+# names them.
+EVALUATORS = [
+    "verify_eq2", "verify_eq3", "verify_eq4", "verify_eq10", "closed_form_reduction_check",
+    "catalan_gf_functional_check", "convolution_check", "gould_forward", "gould_backward",
+    "signed_sum", "eq2_lhs", "row_sums", "catalan_family", "catalan_gf",
+    "riordan_theorem_check", "modified_riordan_check",
+]
+
+
+@pytest.fixture
+def no_evaluation(monkeypatch):
+    """Make every evaluator fail the test if it is called."""
+    def refuse(*args, **kwargs):
+        pytest.fail("a section was evaluated before the whole config was read")
+
+    for name in EVALUATORS:
+        monkeypatch.setattr(identities, name, refuse)
+
+
+_EQ2_POINT = {"alpha": _interval("1", "1"), "beta": _interval("2", "2"),
+              "gamma": _interval("1", "1"), "n_max": 1}
+_CROSS = {"betas": [2], "gammas": [1], "alpha_offsets": [0], "n_max": 2}
+_FAMILY = {"alphas": ["0"], "betas": ["1"], "gammas": ["1"], "order": 3}
+_EQ3 = {"p": [2], "gamma": _interval("0", "1"), "alpha": _interval("0", "1"), "n_total_max": 1}
+
+# Domain mistakes that the evaluators report too, each found while the config
+# is read, with the evaluator's message.
+DOMAIN_MISTAKES = [
+    ("eq2", {**_EQ2_POINT, "cross": {**_CROSS, "betas": [0]}},
+     "malformed config: beta must be an integer >= 1, got 0"),
+    ("eq2", {**_EQ2_POINT, "cross": {**_CROSS, "alpha_offsets": [-1]}},
+     "malformed config: need alpha >= gamma >= 1, got alpha=0, gamma=1"),
+    ("eq2", {**_EQ2_POINT, "family": {**_FAMILY, "order": 0}},
+     "malformed config: the family needs order >= 1"),
+    ("eq3", {**_EQ3, "p": [3, 2]},
+     "malformed config: outdegrees must be strictly increasing, got (3, 2)"),
+    ("eq3", {**_EQ3, "gamma": _interval("-1", "1")},
+     "malformed config: gamma must be a non-negative integer, got -1"),
+    ("eq7", {"beta": _interval("1", "2"), "gamma": _interval("0", "1"), "order": 0},
+     "malformed config: need order >= 1"),
+]
+
+
+class TestReadBeforeEvaluate:
+    def test_malformed_last_section_stops_the_run_before_any_work(self, no_evaluation):
+        config = {**DEFAULT_CONFIG, "closed_form": {"gamma": _interval("0", "1"), "n_max": 3}}
+        with pytest.raises(ConfigError, match="malformed config: 'beta'"):
+            run_suite(config)
+
+    @pytest.mark.parametrize("key,section,message", MALFORMED_SECTIONS + DOMAIN_MISTAKES,
+                             ids=[key for key, _, _ in MALFORMED_SECTIONS] + [
+                                 "eq2-cross-beta", "eq2-cross-alpha", "eq2-family-order",
+                                 "eq3-p", "eq3-gamma", "eq7-order"])
+    def test_each_mistake_is_found_by_the_read(self, no_evaluation, key, section, message):
+        with pytest.raises(ConfigError) as err:
+            run_suite({**DEFAULT_CONFIG, key: section})
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("config,message", [
+        ({"eq1": 5}, "config section eq1 must be a JSON object"),
+        ({"eq10": None}, "config section eq10 must be a JSON object"),
+        ({"eq2": {**_EQ2_POINT, "cross": 5}}, "config section eq2 cross must be a JSON object"),
+        ({"eq2": {**_EQ2_POINT, "family": [1]}},
+         "config section eq2 family must be a JSON object"),
+        ([], "config must be a JSON object"),
+    ])
+    def test_non_object_section_is_named(self, no_evaluation, config, message):
+        with pytest.raises(ConfigError) as err:
+            run_suite(config)
+        assert str(err.value) == message
+
+    def test_bool_seed_rejected(self, no_evaluation):
+        config = {"eq9": {"length": 3, "sequences": 1, "seed": True, "pairs": []}}
+        with pytest.raises(ConfigError, match="eq9 needs an integer seed"):
+            run_suite(config)
+
+
+class TestEvaluationErrors:
+    @pytest.mark.parametrize("error", [KeyError("n"), TypeError("bug"), ValueError("bug")])
+    def test_error_raised_while_evaluating_propagates(self, monkeypatch, error):
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(identities, "verify_eq2", broken)
+        with pytest.raises(type(error)) as err:
+            run_suite({"eq1": {"n_max": 2}})
+        assert err.value is error
+
+    def test_census_budget_is_not_a_config_error(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "4")
+        config = {"eq2": {**_EQ2_POINT, "cross": {**_CROSS, "n_max": 3}}}
+        with pytest.raises(EnumerationBudgetError):
+            run_suite(config)
+        path = tmp_path / "cross.json"
+        path.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: enumeration")
 
 
 def _failing_at(checker, k: int, calls: list):

@@ -313,3 +313,18 @@ class TestColoredEncoding:
 
     def test_no_planted_prefix_shape(self):
         assert encode_colored(colored("o", [()])) == "P[0:]|o*"
+
+
+class TestColoredForestChecks:
+    @pytest.mark.parametrize("planted,leaf_colors,root_colors,message", [
+        (0, ((addr(), 1),), (), r"colored vertex .* is not a leaf"),
+        (0, ((addr(0), 0),), (), "colors must be >= 1, got 0"),
+        (0, ((addr(0), 1), (addr(0), 2)), (), "duplicate color entry for"),
+        (1, (), ((1, 1),), "planted-root index 1 out of range"),
+        (1, (), ((0, 0),), "colors must be >= 1, got 0"),
+        (2, (), ((0, 1), (0, 2)), "duplicate color entry for root 0"),
+    ], ids=["internal-vertex", "leaf-color-0", "duplicate-leaf", "root-out-of-range",
+            "root-color-0", "duplicate-root"])
+    def test_inconsistent_coloring_rejected(self, planted, leaf_colors, root_colors, message):
+        with pytest.raises(StructureError, match=message):
+            ColoredForest(decode("(oo)"), planted, leaf_colors, root_colors)
