@@ -14,6 +14,8 @@ from .forest import (
     generate_forests,
     generate_kary,
     generate_mixed_forests,
+    iter_forests,
+    iter_mixed_forests,
 )
 from .involution import (
     ColoredForest,
@@ -54,6 +56,7 @@ __all__ = [
     "VecProfile", "catalan_gen", "catalan_sequence", "catalan_vector",
     "Forest", "Tree", "VertexAddr", "count_leaves", "decode", "encode",
     "generate_forests", "generate_kary", "generate_mixed_forests",
+    "iter_forests", "iter_mixed_forests",
     "ColoredForest", "Classification", "check_signed_matching", "classify",
     "enumerate_colored", "involute", "signed_sum", "signed_sum_vector",
     "RiordanArray", "Series", "catalan_gf", "convolution_check",

@@ -10,6 +10,7 @@ and newline-terminated, and identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 from .counting import catalan_gen, catalan_sequence
 from .exact import as_rat, rat_str
-from .forest import encode, generate_forests
+from .forest import encode, iter_forests
 from .identities import (
     ConfigError,
     eq2_rhs,
@@ -125,16 +126,18 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
-    forests = generate_forests(args.beta, args.n, args.gamma)
+    forests = iter_forests(args.beta, args.n, args.gamma)
     if args.action == "list":
-        encodings = [encode(f) for f in forests]
         if args.format == "json":
-            print(json.dumps(encodings))
-        else:
-            for text in encodings:
-                print(text)
+            print(json.dumps([encode(f) for f in forests]))
+            return 0
+        # Written in blocks of lines: with an unbuffered stdout, one write
+        # per line would cost a system call each.
+        encodings = map(encode, forests)
+        while block := list(itertools.islice(encodings, 1024)):
+            sys.stdout.write("\n".join(block) + "\n")
         return 0
-    count = len(forests)
+    count = sum(1 for _ in forests)
     if args.check_formula:
         formula = catalan_gen(args.n, args.beta, args.gamma)
         match = formula == count

@@ -1,11 +1,18 @@
 """Ordered rooted trees and forests: exhaustive generators and text codec.
 
-One generator, ``generate_mixed_forests``, builds every forest; beta-ary
-forests are its one-class case.  It enumerates in a fixed canonical order
-(child-count splits in lexicographic order, subtrees left to right), so its
-output lists are stable golden-test material.  It counts its output in
-closed form and refuses, with that estimate, to materialize more than the
-CATALANIA_MAX_STRUCTS budget (default 5,000,000).
+One lazy generator, ``iter_mixed_forests``, yields every forest; beta-ary
+forests (``iter_forests``) are its one-class case.  It yields in a fixed
+canonical order (child-count splits in lexicographic order, subtrees left
+to right), so its output is stable golden-test material; the
+``generate_*`` functions are lists of the same sequence.  Each generator
+counts its output in closed form and refuses, with that estimate and when
+it is called, to produce more than the CATALANIA_MAX_STRUCTS budget
+(default 5,000,000).
+
+Subtrees are drawn from pools, one per vector of internal-vertex counts.
+A pool of at most POOL_CACHE_MAX trees is built once and kept; a larger
+one is regenerated on each use, so memory stays bounded by the cap rather
+than by the output.
 
 Text encoding, bit-exact::
 
@@ -23,7 +30,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .counting import VecProfile, catalan_vector
 from .exact import check_nat
@@ -204,46 +211,116 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     return (tuple(v for (v,) in split) for split in _vector_compositions((total,), parts))
 
 
-@lru_cache(maxsize=None)
-def _mixed_trees(counts: tuple[int, ...], p: tuple[int, ...]) -> tuple[Tree, ...]:
+# Subtree pools of at most this many trees are built once and kept; larger
+# ones are regenerated on each use.  For beta = 3 that keeps the pools of
+# up to 7 internal vertices, for beta = 2 up to 9.
+POOL_CACHE_MAX = 10_000
+
+_Split = tuple[tuple[int, ...], ...]
+# One split's subtree pools: a held pool is its tuple of trees, a pool over
+# the cap is None and is regenerated from its counts in the split.
+_Pools = tuple[Optional[tuple[Tree, ...]], ...]
+_Plan = tuple[tuple[_Split, _Pools], ...]
+
+
+# Building a pool recurses once per internal vertex; a plain dict rather
+# than lru_cache keeps each level to one frame of the recursion limit.
+_pools: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple[Tree, ...]]] = {}
+
+
+def _pool(counts: tuple[int, ...], p: tuple[int, ...]) -> Optional[tuple[Tree, ...]]:
+    """All trees with internal-vertex counts ``counts``, or None when there
+    are more than POOL_CACHE_MAX of them."""
+    key = (counts, p)
+    if key not in _pools:
+        held = catalan_vector(VecProfile(counts, p), 1) <= POOL_CACHE_MAX
+        _pools[key] = tuple(_trees(_tree_plan(counts, p), p)) if held else None
+    return _pools[key]
+
+
+def _tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> _Plan:
+    """Each child split of a root, by root class, in canonical order, with
+    its pools.  A tree without internal vertices is a leaf, the one tree of
+    no children."""
     if not any(counts):
-        return (LEAF,)
-    out: list[Tree] = []
+        return (((), ()),)
+    plan = []
     for j, pj in enumerate(p):
         if counts[j] == 0:
             continue
         remaining = tuple(c - 1 if i == j else c for i, c in enumerate(counts))
         for split in _vector_compositions(remaining, pj):
-            for kids in itertools.product(*(_mixed_trees(s, p) for s in split)):
-                out.append(Tree(kids))
-    return tuple(out)
+            plan.append((split, tuple(map(_pool, split, itertools.repeat(p)))))
+    return tuple(plan)
 
 
-def generate_mixed_forests(profile: VecProfile, gamma: int) -> list[Forest]:
+# A pool over the cap is regenerated on each use, from a plan made once.
+_large_plan = lru_cache(maxsize=None)(_tree_plan)
+
+
+def _trees(plan: _Plan, p: tuple[int, ...]) -> Iterator[Tree]:
+    return itertools.chain.from_iterable(
+        map(Tree, _product(split, pools, p)) for split, pools in plan)
+
+
+def _product(split: _Split, pools: _Pools, p: tuple[int, ...]) -> Iterator[tuple[Tree, ...]]:
+    """itertools.product over the pools of ``split``, in the same order."""
+    return _nested_product(split, pools, p) if None in pools else itertools.product(*pools)
+
+
+def _nested_product(split: _Split, pools: _Pools, p: tuple[int, ...]) -> Iterator[tuple[Tree, ...]]:
+    # itertools.product holds all its arguments, so the first pool over the
+    # cap is walked in a nested loop, and what follows it is regenerated for
+    # each prefix.
+    i = pools.index(None)
+    tail_split, tail_pools = split[i + 1:], pools[i + 1:]
+    for head in itertools.product(*pools[:i]):
+        trees = _trees(_large_plan(split[i], p), p)
+        if not tail_pools:
+            yield from zip(*map(itertools.repeat, head), trees)
+            continue
+        for tree in trees:
+            yield from map((*head, tree).__add__, _product(tail_split, tail_pools, p))
+
+
+def iter_mixed_forests(profile: VecProfile, gamma: int) -> Iterator[Forest]:
     """All gamma-component ordered forests with exactly profile.n[j] internal
-    vertices of outdegree profile.p[j] and every other vertex a leaf."""
+    vertices of outdegree profile.p[j] and every other vertex a leaf, in
+    canonical order.  Arguments and budget are checked on the call, before
+    the first forest."""
     check_nat(gamma, "gamma")
     check_budget(catalan_vector(profile, gamma))
-    out: list[Forest] = []
-    for split in _vector_compositions(profile.n, gamma):
-        for trees in itertools.product(*(_mixed_trees(s, profile.p) for s in split)):
-            out.append(Forest(trees))
-    return out
+    return _forests(profile.n, profile.p, gamma)
 
 
-def generate_kary(beta: int, n: int) -> list[Tree]:
-    """All trees whose internal vertices have outdegree exactly ``beta``,
-    with exactly ``n`` internal vertices, in canonical order."""
-    return [forest.trees[0] for forest in generate_forests(beta, n, 1)]
+def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[Forest]:
+    for split in _vector_compositions(counts, gamma):
+        yield from map(Forest, _product(split, tuple(map(_pool, split, itertools.repeat(p))), p))
 
 
-def generate_forests(beta: int, n: int, gamma: int) -> list[Forest]:
+def iter_forests(beta: int, n: int, gamma: int) -> Iterator[Forest]:
     """All gamma-component ordered forests of beta-ary trees with ``n``
     internal vertices in total, in canonical order: the one-class mixed
     forests of profile ((n,), (beta,))."""
     check_arity(beta)
     check_nat(n)
-    return generate_mixed_forests(VecProfile((n,), (beta,)), gamma)
+    return iter_mixed_forests(VecProfile((n,), (beta,)), gamma)
+
+
+def generate_mixed_forests(profile: VecProfile, gamma: int) -> list[Forest]:
+    """The list of iter_mixed_forests(profile, gamma)."""
+    return list(iter_mixed_forests(profile, gamma))
+
+
+def generate_forests(beta: int, n: int, gamma: int) -> list[Forest]:
+    """The list of iter_forests(beta, n, gamma)."""
+    return list(iter_forests(beta, n, gamma))
+
+
+def generate_kary(beta: int, n: int) -> list[Tree]:
+    """All trees whose internal vertices have outdegree exactly ``beta``,
+    with exactly ``n`` internal vertices, in canonical order."""
+    return [forest.trees[0] for forest in iter_forests(beta, n, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catalania
 from catalania.cli import main
+from catalania.forest import encode, generate_forests
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +103,52 @@ class TestTrees:
         )
         assert code == 0
         assert json.loads(out) == {"count": "2"}
+
+    # 1,430 forests span more than one block of written lines; the empty
+    # forest prints an empty line, and no forest prints nothing.
+    @pytest.mark.parametrize("beta,n,gamma", [(2, 8, 1), (2, 0, 0), (2, 1, 0)])
+    @pytest.mark.parametrize("fmt", ["text", "paren"])
+    def test_list_prints_one_line_per_forest(self, capsys, beta, n, gamma, fmt):
+        code, out, _ = run_cli(capsys, "trees", "list", "--beta", str(beta), "--n", str(n),
+                               "--gamma", str(gamma), "--format", fmt)
+        assert code == 0
+        assert out == "".join(encode(f) + "\n" for f in generate_forests(beta, n, gamma))
+
+    @pytest.mark.parametrize("action", ["count", "list"])
+    @pytest.mark.parametrize("fmt", ["text", "paren", "json"])
+    def test_over_budget_prints_nothing(self, capsys, monkeypatch, action, fmt):
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "1000")
+        code, out, err = run_cli(capsys, "trees", action, "--beta", "3", "--n", "9",
+                                 "--gamma", "2", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("error: enumeration would produce 690690 structures, over the limit "
+                       "of 1000 (set CATALANIA_MAX_STRUCTS to raise it)\n")
+
+    def test_count_holds_no_forest(self):
+        # The child reports its own peak RSS: 45 MB when the count held all
+        # 120,175 forests, about 19 MB streamed (Python 3.11, Linux).  On
+        # Linux a process's ru_maxrss keeps the peak of the process that
+        # started it, so a bare interpreter starts the child, not pytest.
+        pytest.importorskip("resource")
+        child = (
+            "import resource, sys\n"
+            "from catalania.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-c", child,
+             "trees", "count", "--beta", "3", "--n", "8", "--gamma", "2", "--check-formula"],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "120175 == 120175 OK\n")
+        # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+        unit = 1 if sys.platform == "darwin" else 1024
+        peak_mb = int(proc.stderr.split()[-1]) * unit / 2**20
+        assert peak_mb < 30
 
 
 class TestInvolution:

@@ -1,6 +1,11 @@
-import pytest
+import contextlib
 
-from catalania.counting import VecProfile, catalan_gen
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from catalania import forest
+from catalania.counting import VecProfile, catalan_gen, catalan_vector
 from catalania.forest import (
     LEAF,
     EnumerationBudgetError,
@@ -16,6 +21,8 @@ from catalania.forest import (
     generate_forests,
     generate_kary,
     generate_mixed_forests,
+    iter_forests,
+    iter_mixed_forests,
     leaf_addresses,
     level_structure,
     replace_at,
@@ -45,6 +52,11 @@ class TestGenerators:
     def test_unary_paths_are_unique(self):
         for n in range(6):
             assert len(generate_kary(1, n)) == 1
+
+    def test_deep_unary_tree(self):
+        # Building a pool recurses once per internal vertex.
+        [path] = generate_forests(1, 350, 1)
+        assert count_internal(path) == 350
 
     def test_rejects_zero_arity(self):
         with pytest.raises(ValueError):
@@ -88,6 +100,79 @@ class TestGenerators:
         mixed = generate_mixed_forests(VecProfile((2, 1), (2, 3)), 2)
         encodings = [encode(f) for f in mixed]
         assert len(set(encodings)) == len(encodings)
+
+
+@contextlib.contextmanager
+def pool_cap(cap):
+    """Run with forest.POOL_CACHE_MAX set to ``cap`` and empty pool caches."""
+    saved = forest.POOL_CACHE_MAX
+
+    def reset(value):
+        forest.POOL_CACHE_MAX = value
+        forest._pools.clear()
+        forest._large_plan.cache_clear()
+
+    reset(cap)
+    try:
+        yield
+    finally:
+        reset(saved)
+
+
+# Small one- and two-class profiles; a two-class profile's outdegrees
+# increase strictly, as VecProfile requires.
+small_profiles = st.one_of(
+    st.builds(lambda n, p: VecProfile((n,), (p,)), st.integers(0, 5), st.integers(1, 4)),
+    st.builds(lambda n1, n2, p1, step: VecProfile((n1, n2), (p1, p1 + step)),
+              st.integers(0, 2), st.integers(0, 2), st.integers(1, 3), st.integers(1, 2)),
+)
+
+
+class TestStreaming:
+    # Each shape has a subtree pool over the cap: the binary trees with 10
+    # internal vertices (16,796), the ternary with 8 (43,263), the 4-ary
+    # with 7 (53,820) and the two-class (3, 3) trees (10,010).
+    @pytest.mark.parametrize("beta,n,gamma", [(2, 10, 1), (3, 8, 2), (4, 7, 1)])
+    def test_beta_ary_stream_matches_held_pools(self, beta, n, gamma):
+        with pool_cap(10**9):
+            held = generate_forests(beta, n, gamma)
+        assert forest._pool((n,), (beta,)) is None
+        assert list(iter_forests(beta, n, gamma)) == held
+        assert len(held) == catalan_gen(n, beta, gamma)
+
+    def test_two_class_stream_matches_held_pools(self):
+        profile = VecProfile((3, 3), (2, 3))
+        with pool_cap(10**9):
+            held = generate_mixed_forests(profile, 2)
+        assert forest._pool((3, 3), profile.p) is None
+        assert forest._pool((3, 2), profile.p) is not None
+        assert list(iter_mixed_forests(profile, 2)) == held
+        assert len(held) == catalan_vector(profile, 2)
+
+    @given(profile=small_profiles, gamma=st.integers(0, 3),
+           cap=st.sampled_from([0, 1, 2, 5, 30]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_cap_yields_the_canonical_sequence(self, profile, gamma, cap):
+        held = generate_mixed_forests(profile, gamma)
+        with pool_cap(cap):
+            lazy = list(iter_mixed_forests(profile, gamma))
+        assert len(lazy) == catalan_vector(profile, gamma)
+        assert lazy == held
+
+    def test_budget_is_checked_on_call(self, monkeypatch):
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "1000")
+        with pytest.raises(EnumerationBudgetError) as err:
+            iter_forests(3, 9, 2)
+        assert err.value.estimate == 690690
+        with pytest.raises(EnumerationBudgetError):
+            iter_mixed_forests(VecProfile((9,), (3,)), 2)
+
+    @pytest.mark.parametrize("beta,n,gamma", [
+        (0, 1, 1), (True, 1, 1), (2, -1, 1), (2, 1, -1), (2, 1, True), (2, 1, "1"),
+    ])
+    def test_bad_arguments_are_rejected_on_call(self, beta, n, gamma):
+        with pytest.raises(ValueError):
+            iter_forests(beta, n, gamma)
 
 
 class TestLeafCounts:
