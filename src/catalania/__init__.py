@@ -8,6 +8,7 @@ from .forest import (
     Forest,
     Tree,
     VertexAddr,
+    count_forests,
     count_leaves,
     decode,
     encode,
@@ -24,6 +25,7 @@ from .involution import (
     classify,
     enumerate_colored,
     involute,
+    pairings,
     signed_sum,
     signed_sum_vector,
 )
@@ -54,11 +56,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Rat", "as_rat", "binom", "kronecker", "multinomial", "rat_str",
     "VecProfile", "catalan_gen", "catalan_sequence", "catalan_vector",
-    "Forest", "Tree", "VertexAddr", "count_leaves", "decode", "encode",
+    "Forest", "Tree", "VertexAddr", "count_forests", "count_leaves", "decode", "encode",
     "generate_forests", "generate_kary", "generate_mixed_forests",
     "iter_forests", "iter_mixed_forests",
     "ColoredForest", "Classification", "check_signed_matching", "classify",
-    "enumerate_colored", "involute", "signed_sum", "signed_sum_vector",
+    "enumerate_colored", "involute", "pairings", "signed_sum", "signed_sum_vector",
     "RiordanArray", "Series", "catalan_gf", "convolution_check",
     "modified_riordan_check", "riordan_entry", "riordan_theorem_check", "row_sums",
     "GouldPair", "IdentityReport", "closed_form_reduction_check",

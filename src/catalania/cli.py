@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .counting import catalan_gen, catalan_sequence
 from .exact import as_rat, rat_str
-from .forest import encode, iter_forests
+from .forest import count_forests, encode, iter_forests
 from .identities import (
     ConfigError,
     eq2_rhs,
@@ -29,10 +29,10 @@ from .identities import (
 from .involution import (
     EXCEPTIONAL,
     FIRST,
-    classify,
     colored_census,
     encode_colored,
-    involute,
+    pairings,
+    signed_sum,
 )
 from .riordan import (
     catalan_family,
@@ -126,8 +126,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
-    forests = iter_forests(args.beta, args.n, args.gamma)
     if args.action == "list":
+        forests = iter_forests(args.beta, args.n, args.gamma)
         if args.format == "json":
             print(json.dumps([encode(f) for f in forests]))
             return 0
@@ -137,7 +137,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
         while block := list(itertools.islice(encodings, 1024)):
             sys.stdout.write("\n".join(block) + "\n")
         return 0
-    count = sum(1 for _ in forests)
+    count = count_forests(args.beta, args.n, args.gamma)
     if args.check_formula:
         formula = catalan_gen(args.n, args.beta, args.gamma)
         match = formula == count
@@ -159,19 +159,21 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 def _cmd_involution(args: argparse.Namespace) -> int:
     if not args.alpha >= args.gamma >= 1:
         raise ConfigError("need --alpha >= --gamma >= 1")
-    census = colored_census(args.beta, args.n, args.gamma, args.alpha)
-    structures = [c for piece in census for c in piece]
-    total = sum(c.weight() for c in structures)
+    if args.dump_pairs:
+        # The pairs print after the sum, so the census is held.
+        structures = list(itertools.chain.from_iterable(
+            colored_census(args.beta, args.n, args.gamma, args.alpha)))
+        total = sum(c.weight() for c in structures)
+    else:
+        total = signed_sum(args.beta, args.n, args.gamma, args.alpha)
     rhs = eq2_rhs(args.alpha, args.gamma, args.n)
     verdict = "OK" if total == rhs else "MISMATCH"
     print(f"sum={total} rhs={rat_str(rhs)} {verdict}")
     if args.dump_pairs:
-        for c in structures:
-            kind = classify(c).kind
-            if kind == FIRST:
-                partner = involute(c, [args.beta])
+        for c, cls, partner in pairings(structures, [args.beta]):
+            if cls.kind == FIRST:
                 print(f"pair {encode_colored(c)} <-> {encode_colored(partner)}")
-            elif kind == EXCEPTIONAL:
+            elif cls.kind == EXCEPTIONAL:
                 print(f"exceptional {encode_colored(c)}")
     return 0 if total == rhs else 1
 

@@ -4,15 +4,20 @@ One lazy generator, ``iter_mixed_forests``, yields every forest; beta-ary
 forests (``iter_forests``) are its one-class case.  It yields in a fixed
 canonical order (child-count splits in lexicographic order, subtrees left
 to right), so its output is stable golden-test material; the
-``generate_*`` functions are lists of the same sequence.  Each generator
-counts its output in closed form and refuses, with that estimate and when
-it is called, to produce more than the CATALANIA_MAX_STRUCTS budget
-(default 5,000,000).
+``generate_*`` functions are lists of the same sequence, and
+``count_forests`` counts it without wrapping a single ``Forest``.  Each of
+them checks its arguments and counts its output in closed form when it is
+called, and refuses, with that estimate, to produce more than the
+CATALANIA_MAX_STRUCTS budget (default 5,000,000).  Past that check the
+stream is pure ``itertools`` composition: the generated trees are valid by
+construction and are never checked again.
 
 Subtrees are drawn from pools, one per vector of internal-vertex counts.
 A pool of at most POOL_CACHE_MAX trees is built once and kept; a larger
 one is regenerated on each use, so memory stays bounded by the cap rather
-than by the output.
+than by the output.  Pools are built bottom-up, and the walks over a tree
+(``leaf_addresses``, ``replace_at``, ``encode_tree``) and ``decode`` use
+explicit stacks, so no depth of tree reaches the recursion limit.
 
 Text encoding, bit-exact::
 
@@ -25,6 +30,7 @@ in parentheses; components are joined by ";".
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -144,8 +150,17 @@ def count_internal(forest: Forest) -> int:
 def leaf_addresses(forest: Forest) -> list[VertexAddr]:
     """Addresses of all leaves, in component-major preorder, which is
     VertexAddr order."""
-    return sorted((addr for level in level_structure(forest) for addr, node in level
-                   if node.is_leaf), key=lambda a: (a.component, a.path))
+    out = []
+    for comp, tree in enumerate(forest.trees):
+        stack = [((), tree)]
+        while stack:
+            path, node = stack.pop()
+            kids = node.children
+            if kids:
+                stack.extend((path + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1))
+            else:
+                out.append(VertexAddr(comp, path))
+    return out
 
 
 def subtree_at(forest: Forest, addr: VertexAddr) -> Tree:
@@ -161,22 +176,19 @@ def subtree_at(forest: Forest, addr: VertexAddr) -> Tree:
 
 def replace_at(forest: Forest, addr: VertexAddr, new: Tree) -> Forest:
     """Forest with the subtree at addr swapped for ``new``."""
-
-    def rebuild(node: Tree, path: tuple[int, ...]) -> Tree:
-        if not path:
-            return new
-        i = path[0]
-        if i >= len(node.children):
-            raise ValueError(f"no vertex at {addr}")
-        kids = list(node.children)
-        kids[i] = rebuild(kids[i], path[1:])
-        return Tree(tuple(kids))
-
     if addr.component >= len(forest.trees):
         raise ValueError(f"no vertex at {addr}")
-    trees = list(forest.trees)
-    trees[addr.component] = rebuild(trees[addr.component], addr.path)
-    return Forest(tuple(trees))
+    ancestors = []
+    node = forest.trees[addr.component]
+    for i in addr.path:
+        if i >= len(node.children):
+            raise ValueError(f"no vertex at {addr}")
+        ancestors.append(node)
+        node = node.children[i]
+    for parent, i in zip(reversed(ancestors), reversed(addr.path)):
+        new = Tree(parent.children[:i] + (new,) + parent.children[i + 1:])
+    trees = forest.trees
+    return Forest(trees[:addr.component] + (new,) + trees[addr.component + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +235,6 @@ _Pools = tuple[Optional[tuple[Tree, ...]], ...]
 _Plan = tuple[tuple[_Split, _Pools], ...]
 
 
-# Building a pool recurses once per internal vertex; a plain dict rather
-# than lru_cache keeps each level to one frame of the recursion limit.
 _pools: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple[Tree, ...]]] = {}
 
 
@@ -233,8 +243,13 @@ def _pool(counts: tuple[int, ...], p: tuple[int, ...]) -> Optional[tuple[Tree, .
     are more than POOL_CACHE_MAX of them."""
     key = (counts, p)
     if key not in _pools:
-        held = catalan_vector(VecProfile(counts, p), 1) <= POOL_CACHE_MAX
-        _pools[key] = tuple(_trees(_tree_plan(counts, p), p)) if held else None
+        # Bottom-up, so that building a pool never recurses: a subtree's
+        # counts are componentwise at most its tree's, which puts its pool
+        # earlier in lexicographic order.
+        for sub in itertools.product(*(range(c + 1) for c in counts)):
+            if (sub, p) not in _pools:
+                held = catalan_vector(VecProfile(sub, p), 1) <= POOL_CACHE_MAX
+                _pools[sub, p] = tuple(_trees(_tree_plan(sub, p), p)) if held else None
     return _pools[key]
 
 
@@ -273,14 +288,38 @@ def _nested_product(split: _Split, pools: _Pools, p: tuple[int, ...]) -> Iterato
     # cap is walked in a nested loop, and what follows it is regenerated for
     # each prefix.
     i = pools.index(None)
+    heads = itertools.product(*pools[:i])
+    large = _large_plan(split[i], p)
     tail_split, tail_pools = split[i + 1:], pools[i + 1:]
-    for head in itertools.product(*pools[:i]):
-        trees = _trees(_large_plan(split[i], p), p)
-        if not tail_pools:
-            yield from zip(*map(itertools.repeat, head), trees)
-            continue
-        for tree in trees:
-            yield from map((*head, tree).__add__, _product(tail_split, tail_pools, p))
+    if all(pool is not None and len(pool) == 1 for pool in tail_pools):
+        # A tail of one-tree pools (leaves, say) is the same for every item.
+        tail = [itertools.repeat(pool[0]) for pool in tail_pools]
+        return itertools.chain.from_iterable(
+            zip(*map(itertools.repeat, head), _trees(large, p), *tail) for head in heads)
+    return itertools.chain.from_iterable(
+        map((*head, tree).__add__, _product(tail_split, tail_pools, p))
+        for head in heads for tree in _trees(large, p))
+
+
+def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[tuple[Tree, ...]]:
+    """The trees of each forest, in canonical order."""
+    return itertools.chain.from_iterable(
+        _product(split, tuple(map(_pool, split, itertools.repeat(p))), p)
+        for split in _vector_compositions(counts, gamma))
+
+
+def _checked_forests(profile: VecProfile, gamma: int) -> Iterator[tuple[Tree, ...]]:
+    """_forests, once gamma and the budget are checked."""
+    check_nat(gamma, "gamma")
+    check_budget(catalan_vector(profile, gamma))
+    return _forests(profile.n, profile.p, gamma)
+
+
+def _beta_profile(beta: int, n: int) -> VecProfile:
+    """The one-class profile of beta-ary forests with n internal vertices."""
+    check_arity(beta)
+    check_nat(n)
+    return VecProfile((n,), (beta,))
 
 
 def iter_mixed_forests(profile: VecProfile, gamma: int) -> Iterator[Forest]:
@@ -288,23 +327,24 @@ def iter_mixed_forests(profile: VecProfile, gamma: int) -> Iterator[Forest]:
     vertices of outdegree profile.p[j] and every other vertex a leaf, in
     canonical order.  Arguments and budget are checked on the call, before
     the first forest."""
-    check_nat(gamma, "gamma")
-    check_budget(catalan_vector(profile, gamma))
-    return _forests(profile.n, profile.p, gamma)
-
-
-def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[Forest]:
-    for split in _vector_compositions(counts, gamma):
-        yield from map(Forest, _product(split, tuple(map(_pool, split, itertools.repeat(p))), p))
+    return map(Forest, _checked_forests(profile, gamma))
 
 
 def iter_forests(beta: int, n: int, gamma: int) -> Iterator[Forest]:
     """All gamma-component ordered forests of beta-ary trees with ``n``
     internal vertices in total, in canonical order: the one-class mixed
     forests of profile ((n,), (beta,))."""
-    check_arity(beta)
-    check_nat(n)
-    return iter_mixed_forests(VecProfile((n,), (beta,)), gamma)
+    return iter_mixed_forests(_beta_profile(beta, n), gamma)
+
+
+def count_forests(beta: int, n: int, gamma: int) -> int:
+    """The number of forests iter_forests(beta, n, gamma) yields, counted by
+    enumerating them.  Arguments and budget are checked as iter_forests
+    checks them, before any work; the count wraps no Forest."""
+    # Consumed inside itertools and deque: no Python frame runs per forest.
+    counter = itertools.count()
+    collections.deque(zip(_checked_forests(_beta_profile(beta, n), gamma), counter), maxlen=0)
+    return next(counter)
 
 
 def generate_mixed_forests(profile: VecProfile, gamma: int) -> list[Forest]:
@@ -336,49 +376,66 @@ class ForestSyntaxError(ValueError):
 
 
 def encode_tree(tree: Tree) -> str:
-    if tree.is_leaf:
-        return "o"
-    return "(" + "".join(encode_tree(c) for c in tree.children) + ")"
+    out = []
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            out.append(node)
+        elif node.children:
+            out.append("(")
+            stack.append(")")
+            stack.extend(reversed(node.children))
+        else:
+            out.append("o")
+    return "".join(out)
 
 
 def encode(forest: Forest) -> str:
     """Parenthesis encoding; the empty forest encodes to ""."""
-    return ";".join(encode_tree(t) for t in forest.trees)
+    return ";".join(map(encode_tree, forest.trees))
 
 
 def decode(text: str) -> Forest:
     """Parse the parenthesis encoding; inverse of encode on its image."""
     if text == "":
         return Forest(())
+    end = len(text)
+    trees: list[Tree] = []
+    open_kids: list[list[Tree]] = []  # the children so far of each unclosed "("
     pos = 0
-
-    def parse_tree() -> Tree:
-        nonlocal pos
-        if pos >= len(text):
+    while True:
+        # A tree starts at pos.
+        if pos >= end:
             raise ForestSyntaxError("unexpected end of input", pos)
         ch = text[pos]
         if ch == "o":
-            pos += 1
-            return LEAF
-        if ch == "(":
-            pos += 1
-            kids: list[Tree] = []
-            while pos < len(text) and text[pos] in "o(":
-                kids.append(parse_tree())
-            if pos >= len(text):
+            node: Optional[Tree] = LEAF
+        elif ch == "(":
+            open_kids.append([])
+            node = None
+        else:
+            raise ForestSyntaxError(f"unexpected {ch!r}", pos)
+        pos += 1
+        # Close every vertex that ends here; stop where its next child starts.
+        while open_kids:
+            if node is not None:
+                open_kids[-1].append(node)
+            if pos < end and text[pos] in "o(":
+                break
+            if pos >= end:
                 raise ForestSyntaxError("unclosed '('", pos)
             if text[pos] != ")":
                 raise ForestSyntaxError(f"unexpected {text[pos]!r}", pos)
+            kids = open_kids.pop()
             if not kids:
                 raise ForestSyntaxError("internal vertex needs at least one child", pos)
             pos += 1
-            return Tree(tuple(kids))
-        raise ForestSyntaxError(f"unexpected {ch!r}", pos)
-
-    trees = [parse_tree()]
-    while pos < len(text):
-        if text[pos] != ";":
-            raise ForestSyntaxError(f"unexpected {text[pos]!r}", pos)
-        pos += 1
-        trees.append(parse_tree())
-    return Forest(tuple(trees))
+            node = Tree(tuple(kids))
+        else:
+            trees.append(node)
+            if pos >= end:
+                return Forest(tuple(trees))
+            if text[pos] != ";":
+                raise ForestSyntaxError(f"unexpected {text[pos]!r}", pos)
+            pos += 1

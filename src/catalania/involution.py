@@ -23,14 +23,27 @@ The map is a fixed-point-free involution that swaps the classes and flips
 the (-1)**(number of colored objects) weight, so every alternating census
 is carried entirely by the *exceptional* structures: those with no colored
 leaf and no internal vertex (only planted roots colored).
+
+Validation happens where structures come from outside.  ``ColoredForest(...)``
+checks and sorts every coloring that users build or decode.  The
+enumerators (``enumerate_colored``, ``enumerate_colored_vector`` and the
+censuses built on them) check their arguments and the structure budget
+once, then build each structure from fields that are canonical by
+construction (leaves in preorder, colors chosen in ascending order) and
+skip that check; so does the pairing, whose output is canonical whenever
+its input is.  ``pairings`` walks a census for ``--dump-pairs``: it
+classifies each structure once, computes each forest's levels once for all
+of its colorings, and pairs the first class from that classification.
+``signed_sum`` sums a census slice by slice, so at most one slice is held.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .counting import VecProfile, catalan_vector, check_outdegrees
 from .exact import Rat, RatLike, check_nat, multinomial
@@ -109,8 +122,16 @@ class ColoredForest:
     def weight(self) -> int:
         return -1 if self.colored_count % 2 else 1
 
-    def colored_leaf_map(self) -> dict[VertexAddr, int]:
-        return dict(self.leaf_colors)
+
+def _built(forest: Forest, planted: int, leaf_colors: tuple, root_colors: tuple) -> ColoredForest:
+    """ColoredForest(forest, planted, leaf_colors, root_colors) from fields
+    that already hold: every leaf_colors address is a leaf, every root
+    index is below ``planted``, every color is >= 1, and both tuples are
+    sorted without duplicates.  It skips the check."""
+    c = object.__new__(ColoredForest)
+    vars(c).update(forest=forest, planted=planted, leaf_colors=leaf_colors,
+                   root_colors=root_colors)
+    return c
 
 
 @dataclass(frozen=True)
@@ -121,9 +142,12 @@ class Classification:
     vertex: Optional[VertexAddr] = None
 
 
-def classify(c: ColoredForest) -> Classification:
-    """Assign a colored forest to its class (planted roots play no part)."""
-    levels = level_structure(c.forest)
+def classify(c: ColoredForest, levels: Optional[list] = None) -> Classification:
+    """Assign a colored forest to its class (planted roots play no part).
+    ``levels`` is level_structure(c.forest), for a caller that already has
+    it."""
+    if levels is None:
+        levels = level_structure(c.forest)
     if not levels:
         return Classification(EXCEPTIONAL)
     colored = {addr for addr, _ in c.leaf_colors}
@@ -161,17 +185,20 @@ def involute(c: ColoredForest, p: Sequence[int]) -> ColoredForest:
     StructureError if the structure disagrees with ``p``.
     """
     p = check_outdegrees(p)
-    cls = classify(c)
+    return _partner(c, classify(c), p)
+
+
+def _partner(c: ColoredForest, cls: Classification, p: tuple[int, ...]) -> ColoredForest:
+    """involute(c, p), given cls = classify(c) and a checked ``p``."""
+    addr = cls.vertex
     if cls.kind == FIRST:
-        addr = cls.vertex
-        color = c.colored_leaf_map()[addr]
+        color = next(color for leaf, color in c.leaf_colors if leaf == addr)
         if color > len(p):
             raise StructureError(f"color {color} has no outdegree class in {p}")
         grown = replace_at(c.forest, addr, Tree((LEAF,) * p[color - 1]))
         keep = tuple(pair for pair in c.leaf_colors if pair[0] != addr)
-        return ColoredForest(grown, c.planted, keep, c.root_colors)
+        return _built(grown, c.planted, keep, c.root_colors)
     if cls.kind == SECOND:
-        addr = cls.vertex
         node = subtree_at(c.forest, addr)
         degree = len(node.children)
         if degree not in p:
@@ -180,11 +207,31 @@ def involute(c: ColoredForest, p: Sequence[int]) -> ColoredForest:
             raise StructureError("incumbent's children must all be leaves")
         color = p.index(degree) + 1
         pruned = replace_at(c.forest, addr, LEAF)
-        recolored = c.leaf_colors + ((addr, color),)
-        return ColoredForest(pruned, c.planted, recolored, c.root_colors)
+        recolored = tuple(sorted(c.leaf_colors + ((addr, color),)))
+        return _built(pruned, c.planted, recolored, c.root_colors)
     raise InvolutionDomainError(
         "exceptional structure (no colored leaf, no internal vertex) has no partner"
     )
+
+
+def pairings(structures: Iterable[ColoredForest], p: Sequence[int],
+             ) -> Iterator[tuple[ColoredForest, Classification, Optional[ColoredForest]]]:
+    """Each structure with classify(c) and, for a first-class c, its partner
+    involute(c, p); None for the other classes.  In a census every
+    second-class structure is the partner of a first-class one, so the
+    first-class entries list each pair once.
+
+    Classifies each structure once.  The levels of a forest are computed
+    once for a run of structures that share it, as the enumerators list
+    each forest's colorings one after another."""
+    p = check_outdegrees(p)
+    forest = levels = None
+    for c in structures:
+        if c.forest is not forest:
+            forest = c.forest
+            levels = level_structure(forest)
+        cls = classify(c, levels)
+        yield c, cls, _partner(c, cls, p) if cls.kind == FIRST else None
 
 
 # ---------------------------------------------------------------------------
@@ -219,47 +266,65 @@ def _color_assignments(slots: tuple[int, ...], marks: tuple[int, ...]) -> Iterat
 
 def _colorings(forests: list[Forest], planted: int, marks: tuple[int, ...]) -> list[ColoredForest]:
     """Each forest with marks[j] of its slots colored j+1, forest-major.
-    Slots are the leaves in preorder followed by the planted roots."""
+    Slots are the leaves in preorder followed by the planted roots, so
+    ascending slots give the sorted fields ColoredForest keeps."""
+    if not any(marks):
+        return [_built(forest, planted, (), ()) for forest in forests]
     out: list[ColoredForest] = []
     for forest in forests:
         leaves = leaf_addresses(forest)
         n_leaves = len(leaves)
-        for classes in _color_assignments(tuple(range(n_leaves + planted)), marks):
-            leaf_colors = tuple((leaves[i], color) for color, chosen in enumerate(classes, 1)
-                                for i in chosen if i < n_leaves)
-            root_colors = tuple((i - n_leaves, color) for color, chosen in enumerate(classes, 1)
-                                for i in chosen if i >= n_leaves)
-            out.append(ColoredForest(forest, planted, leaf_colors, root_colors))
+        slots = tuple(range(n_leaves + planted))
+        # entries[j][i]: the coloring entry of slot i in color j+1.
+        entries = [[(addr, color) for addr in leaves] + [(k, color) for k in range(planted)]
+                   for color in range(1, len(marks) + 1)]
+        if len(marks) == 1:
+            entry = entries[0].__getitem__
+            for chosen in itertools.combinations(slots, marks[0]):
+                split = bisect_left(chosen, n_leaves)
+                out.append(_built(forest, planted, tuple(map(entry, chosen[:split])),
+                                  tuple(map(entry, chosen[split:]))))
+            continue
+        for classes in _color_assignments(slots, marks):
+            order = sorted((i, j) for j, chosen in enumerate(classes) for i in chosen)
+            picked = [entries[j][i] for i, j in order]
+            split = bisect_left(order, (n_leaves,))
+            out.append(_built(forest, planted, tuple(picked[:split]), tuple(picked[split:])))
     return out
 
 
 def enumerate_colored(
-    beta: int, n_internal: int, n_colored: int, gamma: int, alpha: int
+    beta: int, n_internal: int, n_colored: int, gamma: int, alpha: int,
+    *, size: Optional[Rat] = None,
 ) -> list[ColoredForest]:
     """All (alpha-gamma)-planted beta-ary gamma-component forests with
     ``n_internal`` internal vertices and ``n_colored`` colored objects
     (single color), in deterministic order: the one-class case of
-    enumerate_colored_vector, with the forests drawn from generate_forests."""
+    enumerate_colored_vector, with the forests drawn from generate_forests.
+    ``size`` is the slice size census_sizes gave, which a census passes so
+    that the budget check does not compute it again."""
     check_alpha_gamma(alpha, gamma)
     check_nat(n_internal, "n_internal")
     check_nat(n_colored, "n_colored")
     profile = VecProfile((n_internal,), (check_arity(beta),))
-    check_budget(_colored_count(profile, (n_colored,), gamma, alpha))
+    check_budget(_colored_count(profile, (n_colored,), gamma, alpha) if size is None else size)
     return _colorings(generate_forests(beta, n_internal, gamma), alpha - gamma, (n_colored,))
 
 
 def enumerate_colored_vector(
-    profile: VecProfile, marks: Sequence[int], gamma: int, alpha: int
+    profile: VecProfile, marks: Sequence[int], gamma: int, alpha: int,
+    *, size: Optional[Rat] = None,
 ) -> list[ColoredForest]:
     """All planted mixed forests matching ``profile`` with marks[j] objects
-    colored j+1 among leaves and planted roots."""
+    colored j+1 among leaves and planted roots.  ``size`` is as for
+    enumerate_colored."""
     check_alpha_gamma(alpha, gamma)
     marks = tuple(marks)
     if len(marks) != profile.t:
         raise ValueError("marks must give one count per outdegree class")
     for m in marks:
         check_nat(m, "marks[j]")
-    check_budget(_colored_count(profile, marks, gamma, alpha))
+    check_budget(_colored_count(profile, marks, gamma, alpha) if size is None else size)
     return _colorings(generate_mixed_forests(profile, gamma), alpha - gamma, marks)
 
 
@@ -281,37 +346,48 @@ def census_sizes(profile: VecProfile, gamma: int,
     return out
 
 
-def _census_slices(profile: VecProfile, gamma: int, alpha: int) -> list[tuple[VecProfile, tuple]]:
-    """census_sizes without the sizes, once the whole census is known to fit
-    the structure budget."""
+def _census_slices(profile: VecProfile, gamma: int,
+                   alpha: int) -> list[tuple[VecProfile, tuple[int, ...], Rat]]:
+    """census_sizes, once the whole census is known to fit the structure
+    budget."""
     sizes = census_sizes(profile, gamma, alpha)
     check_budget(sum(size for _, _, size in sizes))
-    return [(residual, marks) for residual, marks, _ in sizes]
+    return sizes
+
+
+def _scalar_census(beta: int, n: int, gamma: int, alpha: int) -> Iterator[list[ColoredForest]]:
+    """The slices of colored_census, each built when it is asked for."""
+    check_alpha_gamma(alpha, gamma)
+    check_nat(n)
+    slices = _census_slices(VecProfile((n,), (check_arity(beta),)), gamma, alpha)
+    return (enumerate_colored(beta, residual.n[0], i, gamma, alpha, size=size)
+            for residual, (i,), size in slices)
 
 
 def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[ColoredForest]]:
     """All colored structures with n_internal + colored = n, as one slice
     per number of colored objects i = 0..n, each in enumerate_colored order."""
-    check_alpha_gamma(alpha, gamma)
-    check_nat(n)
-    slices = _census_slices(VecProfile((n,), (check_arity(beta),)), gamma, alpha)
-    return [enumerate_colored(beta, residual.n[0], i, gamma, alpha) for residual, (i,) in slices]
+    return list(_scalar_census(beta, n, gamma, alpha))
+
+
+def _weight_sum(structures: list[ColoredForest]) -> int:
+    return sum(c.weight() for c in structures)
 
 
 def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:
-    """Sum of weights over colored_census(beta, n, gamma, alpha).  Equals
-    (-1)**n * binom(alpha-gamma, n)."""
-    census = colored_census(beta, n, gamma, alpha)
-    return Fraction(sum(c.weight() for structures in census for c in structures))
+    """Sum of weights over colored_census(beta, n, gamma, alpha), one slice
+    alive at a time.  Equals (-1)**n * binom(alpha-gamma, n)."""
+    return Fraction(sum(map(_weight_sum, _scalar_census(beta, n, gamma, alpha))))
 
 
 def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
     """Sum of weights over all t-colored planted mixed forests with
-    class-wise internal + colored counts equal to profile.n, by enumeration.
-    Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
+    class-wise internal + colored counts equal to profile.n, by enumeration,
+    one slice alive at a time.  Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
     check_alpha_gamma(alpha, gamma)
-    return Fraction(sum(c.weight() for residual, marks in _census_slices(profile, gamma, alpha)
-                        for c in enumerate_colored_vector(residual, marks, gamma, alpha)))
+    return Fraction(sum(
+        _weight_sum(enumerate_colored_vector(residual, marks, gamma, alpha, size=size))
+        for residual, marks, size in _census_slices(profile, gamma, alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +446,32 @@ def encode_colored(c: ColoredForest, num_colors: int = 1) -> str:
     Root color entries are "i" (single color) or "i*j", comma-separated and
     sorted by index.
     """
-    colors = c.colored_leaf_map()
-
-    def tree_text(node: Tree, comp: int, path: tuple[int, ...]) -> str:
-        if node.is_leaf:
-            color = colors.get(VertexAddr(comp, path))
-            if color is None:
-                return "o"
-            return "o*" if num_colors == 1 else f"o*{color}"
-        parts = (tree_text(ch, comp, path + (i,)) for i, ch in enumerate(node.children))
-        return "(" + "".join(parts) + ")"
+    # leaf_colors is sorted by address, which is the preorder of the walk,
+    # so each leaf is matched against the next colored one only.
+    pending = iter(c.leaf_colors)
+    target, color = next(pending, (None, 0))
+    parts = []
+    for comp, tree in enumerate(c.forest.trees):
+        if comp:
+            parts.append(";")
+        stack: list = [((), tree)]
+        while stack:
+            path, node = stack.pop()
+            if node is None:
+                parts.append(")")
+            elif node.children:
+                parts.append("(")
+                stack.append((None, None))
+                kids = node.children
+                stack.extend((path + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1))
+            elif target is not None and target.path == path and target.component == comp:
+                parts.append("o*" if num_colors == 1 else f"o*{color}")
+                target, color = next(pending, (None, 0))
+            else:
+                parts.append("o")
 
     if num_colors == 1:
         roots = ",".join(str(i) for i, _ in c.root_colors)
     else:
         roots = ",".join(f"{i}*{j}" for i, j in c.root_colors)
-    body = ";".join(tree_text(t, comp, ()) for comp, t in enumerate(c.forest.trees))
-    return f"P[{c.planted}:{roots}]|{body}"
+    return f"P[{c.planted}:{roots}]|{''.join(parts)}"

@@ -114,6 +114,12 @@ class TestTrees:
         assert code == 0
         assert out == "".join(encode(f) + "\n" for f in generate_forests(beta, n, gamma))
 
+    def test_deep_unary_forests(self, capsys):
+        # One structure each, hundreds of levels deep.
+        assert run_cli(capsys, "trees", "count", "--beta", "1", "--n", "500") == (0, "1\n", "")
+        code, out, err = run_cli(capsys, "trees", "list", "--beta", "1", "--n", "335")
+        assert (code, out, err) == (0, "(" * 335 + "o" + ")" * 335 + "\n", "")
+
     @pytest.mark.parametrize("action", ["count", "list"])
     @pytest.mark.parametrize("fmt", ["text", "paren", "json"])
     def test_over_budget_prints_nothing(self, capsys, monkeypatch, action, fmt):
@@ -197,6 +203,11 @@ class TestInvolution:
         )
         assert code == 0
         assert "exceptional P[1:0]|o" in out
+
+    def test_deep_unary_dump(self, capsys):
+        code, out, _ = run_cli(capsys, "involution", "--beta", "1", "--n", "400", "--dump-pairs")
+        path = "(" * 399 + "o*" + ")" * 399
+        assert (code, out) == (0, f"sum=0 rhs=0 OK\npair P[0:]|{path} <-> P[0:]|({path.replace('o*', 'o')})\n")
 
     def test_budget_covers_the_whole_census(self, capsys, monkeypatch):
         # The three slices hold 2, 3 and 1 structures; each fits the budget alone.

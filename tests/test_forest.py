@@ -14,6 +14,7 @@ from catalania.forest import (
     Tree,
     VertexAddr,
     compositions,
+    count_forests,
     count_internal,
     count_leaves,
     decode,
@@ -54,9 +55,15 @@ class TestGenerators:
             assert len(generate_kary(1, n)) == 1
 
     def test_deep_unary_tree(self):
-        # Building a pool recurses once per internal vertex.
-        [path] = generate_forests(1, 350, 1)
-        assert count_internal(path) == 350
+        # Pools are built bottom-up, and no walk recurses per level.
+        [path] = generate_forests(1, 1500, 1)
+        assert count_internal(path) == 1500
+        text = "(" * 1500 + "o" + ")" * 1500
+        assert encode(path) == text
+        assert encode(decode(text)) == text
+        deepest = VertexAddr(0, (0,) * 1500)
+        assert leaf_addresses(path) == [deepest]
+        assert encode(replace_at(path, deepest, Tree((LEAF,)))) == "(" + text + ")"
 
     def test_rejects_zero_arity(self):
         with pytest.raises(ValueError):
@@ -173,6 +180,39 @@ class TestStreaming:
     def test_bad_arguments_are_rejected_on_call(self, beta, n, gamma):
         with pytest.raises(ValueError):
             iter_forests(beta, n, gamma)
+
+
+class TestCountForests:
+    def test_counts_the_generated_forests(self):
+        for beta in range(1, 5):
+            for n in range(7):
+                for gamma in range(4):
+                    assert count_forests(beta, n, gamma) == len(generate_forests(beta, n, gamma))
+
+    def test_budget_is_checked_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generated before the budget check")
+
+        monkeypatch.setattr(forest, "_forests", refuse)
+        monkeypatch.setattr(forest, "_pool", refuse)
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "1000")
+        with pytest.raises(EnumerationBudgetError) as err:
+            count_forests(3, 9, 2)
+        assert (err.value.estimate, err.value.budget) == (690690, 1000)
+
+    @pytest.mark.parametrize("beta,n,gamma", [
+        (0, 1, 1), (True, 1, 1), (2, -1, 1), (2, 1, -1), (2, 1, True), (2, 1, "1"),
+    ])
+    def test_rejects_what_iter_forests_rejects(self, beta, n, gamma):
+        with pytest.raises(ValueError) as expected:
+            iter_forests(beta, n, gamma)
+        with pytest.raises(ValueError) as err:
+            count_forests(beta, n, gamma)
+        assert str(err.value) == str(expected.value)
+
+    def test_zero_beta_message(self):
+        with pytest.raises(ValueError, match=r"^beta must be an integer >= 1, got 0$"):
+            count_forests(0, 1, 1)
 
 
 class TestLeafCounts:

@@ -368,13 +368,16 @@ GOLDEN_ENUMERATIONS = [
      "a44111486a0d7d63e0fef2e6f93ebf87a3d06614e9b9eb2db69851d8b9dc18ac"),
     (("involution", "--beta", "2", "--n", "4", "--gamma", "2", "--alpha", "4", "--dump-pairs"),
      "8871c1a1a5930ab7019ca13bb3f77ff099941a46c56348dd3f5e7b85535186ab"),
+    # A dump shape of the enumerate benchmark workload.
+    (("involution", "--beta", "3", "--n", "6", "--gamma", "1", "--alpha", "3", "--dump-pairs"),
+     "d4bff542b26b2a1972757488fdf3cba09710c2e2b0cc0690894ea0badb05cc82"),
 ]
 
 
 class TestGoldenEnumerations:
     @pytest.mark.parametrize("argv,digest", GOLDEN_ENUMERATIONS,
                              ids=["b2n4g1", "b3n3g2", "b2n2g3",
-                                  "pairs-b2n3", "pairs-b3n3", "pairs-b2n4"])
+                                  "pairs-b2n3", "pairs-b3n3", "pairs-b2n4", "pairs-b3n6"])
     def test_cli_output_is_pinned(self, capsys, argv, digest):
         assert main(list(argv)) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import itertools
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +24,7 @@ from catalania.involution import (
     enumerate_colored_vector,
     find_matching_violation,
     involute,
+    pairings,
     signed_sum,
     signed_sum_vector,
 )
@@ -266,6 +269,115 @@ class TestCensusSizes:
                 for residual, marks, size in sizes:
                     assert residual.n == tuple(nj - ij for nj, ij in zip(n, marks))
                     assert size == len(enumerate_colored_vector(residual, marks, gamma, alpha))
+
+
+class TestCensusWork:
+    def test_each_slice_size_is_computed_once(self, monkeypatch):
+        calls = []
+        original = involution._colored_count
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(involution, "_colored_count", counted)
+        census = colored_census(3, 6, 2, 3)
+        assert len(census) == 7 and len(calls) == 7
+        calls.clear()
+        signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("name,run", [
+        ("enumerate_colored", lambda: signed_sum(2, 5, 2, 3)),
+        ("enumerate_colored_vector", lambda: signed_sum_vector(VecProfile((2, 1), (2, 3)), 1, 3)),
+    ])
+    def test_signed_sums_hold_one_slice_at_a_time(self, monkeypatch, name, run):
+        class Slice(list):  # a list that can be weakly referenced
+            pass
+
+        original = getattr(involution, name)
+        slices = []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in slices), "an earlier slice is still alive"
+            out = Slice(original(*args, **kwargs))
+            slices.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(involution, name, tracked)
+        assert run() == 0 and len(slices) > 2
+
+
+class TestGeneratedStructures:
+    """The enumerators skip ColoredForest's check; their fields must be
+    exactly what the check would have produced."""
+
+    @staticmethod
+    def _assert_canonical(structures):
+        for c in structures:
+            assert list(c.leaf_colors) == sorted(c.leaf_colors)
+            assert list(c.root_colors) == sorted(c.root_colors)
+            assert c == ColoredForest(c.forest, c.planted, c.leaf_colors, c.root_colors)
+
+    def test_scalar_slices(self):
+        for beta, n_internal, n_colored, gamma, alpha in [
+            (2, 2, 2, 1, 3), (3, 1, 3, 2, 4), (1, 3, 1, 2, 2), (2, 0, 3, 2, 3), (2, 3, 0, 1, 2),
+        ]:
+            structures = enumerate_colored(beta, n_internal, n_colored, gamma, alpha)
+            assert structures
+            self._assert_canonical(structures)
+
+    def test_vector_slices(self):
+        # alpha > gamma: planted roots take colors of both classes.
+        for profile, marks, gamma, alpha in [
+            (VecProfile((2, 1), (2, 3)), (1, 1), 1, 3),
+            (VecProfile((1, 1), (1, 3)), (2, 1), 2, 4),
+            (VecProfile((0, 1), (2, 3)), (2, 2), 1, 3),
+        ]:
+            structures = enumerate_colored_vector(profile, marks, gamma, alpha)
+            assert any(len(c.root_colors) == 2 for c in structures)
+            assert any({j for _, j in c.root_colors} == {1, 2} for c in structures)
+            self._assert_canonical(structures)
+
+    def test_partners(self):
+        pool = [c for c in all_structures(2, 3, 2, 3) if classify(c).kind != EXCEPTIONAL]
+        self._assert_canonical(involute(c, [2]) for c in pool)
+        pool = enumerate_colored_vector(VecProfile((1, 1), (2, 3)), (1, 1), 1, 2)
+        self._assert_canonical(involute(c, [2, 3]) for c in pool
+                               if classify(c).kind != EXCEPTIONAL)
+
+    def test_user_input_is_still_checked(self):
+        with pytest.raises(StructureError, match="is not a leaf"):
+            ColoredForest(decode("(oo)"), 0, ((addr(), 1),), ())
+        c = ColoredForest(decode("(oo)"), 2, ((addr(1), 1), (addr(0), 2)), ((1, 1), (0, 2)))
+        assert c.leaf_colors == ((addr(0), 2), (addr(1), 1))
+        assert c.root_colors == ((0, 2), (1, 1))
+
+
+class TestPairings:
+    def test_classifies_once_and_pairs_like_involute(self, monkeypatch):
+        structures = list(itertools.chain.from_iterable(colored_census(2, 4, 2, 3)))
+        calls = {"classify": 0, "level_structure": 0}
+        for name in calls:
+            original = getattr(involution, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(involution, name, counted)
+        entries = list(pairings(structures, [2]))
+        forests = len({id(c.forest) for c in structures})
+        assert calls == {"classify": len(structures), "level_structure": forests}
+        monkeypatch.undo()
+        assert [c for c, _, _ in entries] == structures
+        for c, cls, partner in entries:
+            assert cls == classify(c)
+            assert partner == (involute(c, [2]) if cls.kind == FIRST else None)
+        first = [c for c, cls, _ in entries if cls.kind == FIRST]
+        second = {c for c, cls, _ in entries if cls.kind == SECOND}
+        assert {partner for _, _, partner in entries if partner is not None} == second
+        assert len(first) == len(second)
 
 
 def _weight(c):
