@@ -144,8 +144,10 @@ class Classification:
 
 def classify(c: ColoredForest, levels: Optional[list] = None) -> Classification:
     """Assign a colored forest to its class (planted roots play no part).
-    ``levels`` is level_structure(c.forest), for a caller that already has
-    it."""
+
+    ``levels`` is a trusted hand-off for pairings, which computes
+    level_structure(c.forest) once per forest: it is used unchecked, so
+    any other value misclassifies c.  Other callers leave it out."""
     if levels is None:
         levels = level_structure(c.forest)
     if not levels:
@@ -264,32 +266,30 @@ def _color_assignments(slots: tuple[int, ...], marks: tuple[int, ...]) -> Iterat
             for rest in _color_assignments(tuple(i for i in slots if i not in chosen), tail))
 
 
-def _colorings(forests: list[Forest], planted: int, marks: tuple[int, ...]) -> list[ColoredForest]:
-    """Each forest with marks[j] of its slots colored j+1, forest-major.
-    Slots are the leaves in preorder followed by the planted roots, so
-    ascending slots give the sorted fields ColoredForest keeps."""
-    if not any(marks):
+def _colorings(forests: list[Forest], n_leaves: int, planted: int,
+               marks: tuple[int, ...]) -> list[ColoredForest]:
+    """Each forest (all with ``n_leaves`` leaves) with marks[j] of its slots
+    colored j+1, forest-major.  Slots are the leaves in preorder followed by
+    the planted roots, so merging the color classes by slot gives the
+    sorted fields ColoredForest keeps."""
+    if not any(marks):  # the uncolored slice needs no slots: walk no forest
         return [_built(forest, planted, (), ()) for forest in forests]
+    t = len(marks)
+    # Slot i colored j+1 has key i * t + j.  Each coloring is the same for
+    # every forest: its ascending leaf keys and its planted-root entries.
+    leaf_end = n_leaves * t
+    roots = [(k, color) for k in range(planted) for color in range(1, t + 1)]
+    colorings = []
+    for classes in _color_assignments(tuple(range(n_leaves + planted)), marks):
+        keys = sorted(i * t + j for j, chosen in enumerate(classes) for i in chosen)
+        split = bisect_left(keys, leaf_end)
+        colorings.append((keys[:split], tuple(roots[k - leaf_end] for k in keys[split:])))
     out: list[ColoredForest] = []
     for forest in forests:
-        leaves = leaf_addresses(forest)
-        n_leaves = len(leaves)
-        slots = tuple(range(n_leaves + planted))
-        # entries[j][i]: the coloring entry of slot i in color j+1.
-        entries = [[(addr, color) for addr in leaves] + [(k, color) for k in range(planted)]
-                   for color in range(1, len(marks) + 1)]
-        if len(marks) == 1:
-            entry = entries[0].__getitem__
-            for chosen in itertools.combinations(slots, marks[0]):
-                split = bisect_left(chosen, n_leaves)
-                out.append(_built(forest, planted, tuple(map(entry, chosen[:split])),
-                                  tuple(map(entry, chosen[split:]))))
-            continue
-        for classes in _color_assignments(slots, marks):
-            order = sorted((i, j) for j, chosen in enumerate(classes) for i in chosen)
-            picked = [entries[j][i] for i, j in order]
-            split = bisect_left(order, (n_leaves,))
-            out.append(_built(forest, planted, tuple(picked[:split]), tuple(picked[split:])))
+        entry = [(addr, color) for addr in leaf_addresses(forest)
+                 for color in range(1, t + 1)].__getitem__
+        out.extend(_built(forest, planted, tuple(map(entry, leaf_keys)), root_colors)
+                   for leaf_keys, root_colors in colorings)
     return out
 
 
@@ -301,14 +301,18 @@ def enumerate_colored(
     ``n_internal`` internal vertices and ``n_colored`` colored objects
     (single color), in deterministic order: the one-class case of
     enumerate_colored_vector, with the forests drawn from generate_forests.
-    ``size`` is the slice size census_sizes gave, which a census passes so
-    that the budget check does not compute it again."""
+
+    ``size`` is a trusted hand-off for the censuses, which take each
+    slice's size from census_sizes and check the whole census against the
+    budget first.  It replaces the slice's budget estimate unchecked, so
+    any other value weakens the budget check.  Other callers leave it out."""
     check_alpha_gamma(alpha, gamma)
     check_nat(n_internal, "n_internal")
     check_nat(n_colored, "n_colored")
     profile = VecProfile((n_internal,), (check_arity(beta),))
     check_budget(_colored_count(profile, (n_colored,), gamma, alpha) if size is None else size)
-    return _colorings(generate_forests(beta, n_internal, gamma), alpha - gamma, (n_colored,))
+    return _colorings(generate_forests(beta, n_internal, gamma), profile.leaf_count(gamma),
+                      alpha - gamma, (n_colored,))
 
 
 def enumerate_colored_vector(
@@ -316,8 +320,8 @@ def enumerate_colored_vector(
     *, size: Optional[Rat] = None,
 ) -> list[ColoredForest]:
     """All planted mixed forests matching ``profile`` with marks[j] objects
-    colored j+1 among leaves and planted roots.  ``size`` is as for
-    enumerate_colored."""
+    colored j+1 among leaves and planted roots.  ``size`` is the censuses'
+    trusted hand-off, as for enumerate_colored."""
     check_alpha_gamma(alpha, gamma)
     marks = tuple(marks)
     if len(marks) != profile.t:
@@ -325,7 +329,8 @@ def enumerate_colored_vector(
     for m in marks:
         check_nat(m, "marks[j]")
     check_budget(_colored_count(profile, marks, gamma, alpha) if size is None else size)
-    return _colorings(generate_mixed_forests(profile, gamma), alpha - gamma, marks)
+    return _colorings(generate_mixed_forests(profile, gamma), profile.leaf_count(gamma),
+                      alpha - gamma, marks)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,32 @@ class TestCensusWork:
         signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2)
         assert len(calls) == 4
 
+    def test_census_hands_each_slice_its_own_size(self, monkeypatch):
+        # size= replaces the budget estimate unchecked, so it must be exact.
+        handed = []
+        scalar, vector = involution.enumerate_colored, involution.enumerate_colored_vector
+
+        def scalar_slice(beta, n_internal, n_colored, gamma, alpha, *, size):
+            out = scalar(beta, n_internal, n_colored, gamma, alpha, size=size)
+            profile = VecProfile((n_internal,), (beta,))
+            handed.append((size, involution._colored_count(profile, (n_colored,), gamma, alpha),
+                           len(out)))
+            return out
+
+        def vector_slice(profile, marks, gamma, alpha, *, size):
+            out = vector(profile, marks, gamma, alpha, size=size)
+            handed.append((size, involution._colored_count(profile, tuple(marks), gamma, alpha),
+                           len(out)))
+            return out
+
+        monkeypatch.setattr(involution, "enumerate_colored", scalar_slice)
+        monkeypatch.setattr(involution, "enumerate_colored_vector", vector_slice)
+        colored_census(3, 4, 2, 3)
+        signed_sum(2, 4, 1, 3)
+        signed_sum_vector(VecProfile((2, 1), (2, 3)), 1, 3)
+        assert len(handed) == 5 + 5 + 6
+        assert all(size == count == n for size, count, n in handed)
+
     @pytest.mark.parametrize("name,run", [
         ("enumerate_colored", lambda: signed_sum(2, 5, 2, 3)),
         ("enumerate_colored_vector", lambda: signed_sum_vector(VecProfile((2, 1), (2, 3)), 1, 3)),
