@@ -5,6 +5,11 @@ the truncation order pessimistically (minimum of the operands, minus one
 for the derivative), so an identity check can never pass on coefficients
 it does not actually know.  Equality compares coefficients up to the
 common order.
+
+The quadratic loops (products, composition, row sums) run on integer
+numerators over a common denominator (``_scaled``) and build one reduced
+Fraction per output coefficient, so they stay exact without paying for a
+Fraction on every coefficient product.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .counting import catalan_sequence
 from .exact import Rat, RatLike, as_rat, binom, check_nat, rat_str
@@ -27,7 +34,9 @@ class Series:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c if type(c) is Fraction else Fraction(c) for c in self.coeffs
+        ))
 
     @property
     def order(self) -> int:
@@ -83,17 +92,21 @@ def series_neg(a: Series) -> Series:
     return Series(tuple(-c for c in a.coeffs))
 
 
+def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den) with coeffs[k] == nums[k] / den, den the least common
+    denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def series_mul(a: Series, b: Series) -> Series:
     n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj:
-                out[i + j] += ai * bj
-    return Series(tuple(out))
+    a_nums, a_den = _scaled(a.coeffs[: n + 1])
+    b_nums, b_den = _scaled(b.coeffs[n::-1])  # reversed: b_nums[n - j] is b[j]
+    den = a_den * b_den
+    return Series(tuple(
+        Fraction(sum(map(mul, a_nums[: k + 1], b_nums[n - k:])), den) for k in range(n + 1)
+    ))
 
 
 def series_binpow(a: RatLike, order: int) -> Series:
@@ -144,7 +157,9 @@ def series_compose(outer: Series, inner: Series) -> Series:
     inner_n = inner.truncate(n)
     acc = series_const(outer.coeffs[n], n)
     for k in range(n - 1, -1, -1):  # Horner in the truncated ring
-        acc = series_add(series_mul(acc, inner_n), series_const(outer.coeffs[k], n))
+        # inner(0) = 0, so acc * inner has constant term 0: adding outer[k]
+        # sets it.
+        acc = Series((outer.coeffs[k],) + series_mul(acc, inner_n).coeffs[1:])
     return acc
 
 
@@ -176,7 +191,14 @@ def series_from_json(obj: object) -> Series:
     check_nat(order, "order")
     if not isinstance(coeffs, list) or len(coeffs) != order + 1:
         raise ValueError("series JSON needs a coeffs list of length order + 1")
-    return series(coeffs)
+    try:
+        return series(coeffs)
+    except TypeError as exc:  # a float, bool, null or nested coefficient
+        raise ValueError(
+            f"series JSON coeffs must be integers or rational strings: {exc}"
+        ) from None
+    except ZeroDivisionError:  # "p/0"
+        raise ValueError("series JSON coeffs have a zero denominator") from None
 
 
 def series_loads(text: str) -> Series:
@@ -220,8 +242,8 @@ def riordan_entry(r: RiordanArray, n: int, k: int) -> Rat:
         raise ValueError(f"entry row {n} exceeds truncation order {r.order}")
     if k > n:
         return Fraction(0)
-    column = r.g.truncate(r.order)
-    f = r.f.truncate(r.order)
+    column = r.g.truncate(n)
+    f = r.f.truncate(n)
     for _ in range(k):
         column = series_mul(column, f)
     return column.coeffs[n]
@@ -229,17 +251,21 @@ def riordan_entry(r: RiordanArray, n: int, k: int) -> Rat:
 
 def row_sums(r: RiordanArray, a: Series, n_max: int) -> list[Rat]:
     """[sum_k entry(n,k) * a[k] for n <= n_max], one column pass."""
-    sums = [Fraction(0)] * (n_max + 1)
     column = r.g.truncate(n_max)
     f = r.f.truncate(n_max)
+    a_nums, a_den = _scaled(a.coeffs[: n_max + 1])
+    sums, den = [0] * (n_max + 1), 1  # row sum n is sums[n] / (den * a_den)
     for k in range(n_max + 1):
         if k > 0:
             column = series_mul(column, f)
-        ak = a.coeffs[k]
+        ak = a_nums[k]
         if ak:
-            for n in range(k, n_max + 1):
-                sums[n] += column.coeffs[n] * ak
-    return sums
+            c_nums, c_den = _scaled(column.coeffs)
+            new_den = lcm(den, c_den)
+            up, c_up = new_den // den, new_den // c_den * ak
+            sums = [s * up + c * c_up for s, c in zip(sums, c_nums)]
+            den = new_den
+    return [Fraction(s, den * a_den) for s in sums]
 
 
 def riordan_theorem_check(r: RiordanArray, a: Series, l: Series) -> bool:
@@ -265,10 +291,14 @@ def modified_riordan_check(r: RiordanArray, a: Series, l: Series) -> bool:
         return True
     x_over_f = series_inverse_unit(series_shift_down(r.f.truncate(n_max)))
     dquot = series_derivative(series_div_unit(l.truncate(n_max), r.g.truncate(n_max)))
+    # reversed: dq_nums[n_max - 1 - j] is dquot[j]
+    dq_nums, dq_den = _scaled(dquot.coeffs[::-1])
     power = series_const(1, n_max - 1)
     for n in range(1, n_max + 1):
         power = series_mul(power, x_over_f)
-        rhs = series_mul(power, dquot).coeffs[n - 1]
+        # [x^(n-1)] power * dquot, one dot product
+        p_nums, p_den = _scaled(power.coeffs[:n])
+        rhs = Fraction(sum(map(mul, p_nums, dq_nums[n_max - n:])), p_den * dq_den)
         if n * a.coeffs[n] != rhs:
             return False
     return True

@@ -295,6 +295,17 @@ class TestRiordan:
         )
         assert code == 2 and "JSON" in err
 
+    @pytest.mark.parametrize("coeff", [1.5, True, None, [1], "1/0"])
+    def test_bad_series_coefficient_is_usage_error(self, capsys, tmp_path, coeff):
+        bad = tmp_path / "g.json"
+        bad.write_text(json.dumps({"order": 1, "coeffs": [coeff, 2]}))
+        code, out, err = run_cli(
+            capsys, "riordan", "entry", "--g-json", str(bad), "--f-json", str(bad),
+            "--n", "1", "--k", "0",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: series file {bad}: series JSON coeffs ")
+
     def test_missing_pieces_rejected(self, capsys):
         code, _, err = run_cli(capsys, "riordan", "entry", "--n", "1", "--k", "0")
         assert code == 2

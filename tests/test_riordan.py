@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from catalania.riordan import (
     modified_riordan_check,
     riordan_entry,
     riordan_theorem_check,
+    row_sums,
     series,
     series_add,
     series_binpow,
@@ -225,6 +227,14 @@ class TestTheoremChecks:
         assert not riordan_theorem_check(array, a, bad)
         assert not modified_riordan_check(array, a, bad)
 
+    @pytest.mark.parametrize("index", [1, 12])
+    def test_perturbed_transform_detected_at_both_ends(self, index):
+        # [x^1] is the first dot product of the derivative form, [x^12] the last
+        array, a, l = self.instance(2, 3, 1, 12)
+        bad = Series(a.coeffs[:index] + (a.coeffs[index] + 1,) + a.coeffs[index + 1:])
+        assert not riordan_theorem_check(array, bad, l)
+        assert not modified_riordan_check(array, bad, l)
+
     def test_identity_array_trivial(self):
         array = RiordanArray(series_const(1, 5), series_x(5))
         one = series_const(1, 5)
@@ -304,9 +314,136 @@ class TestJson:
             {"order": 1},
             {"order": 2, "coeffs": ["1", "2"]},
             {"order": 1, "coeffs": ["1", "1.5"]},
+            {"order": 1, "coeffs": ["1", 1.5]},
+            {"order": 1, "coeffs": [True, "1"]},
+            {"order": 1, "coeffs": [None, "1"]},
+            {"order": 1, "coeffs": [["1"], "1"]},
+            {"order": 1, "coeffs": ["1/0", "1"]},
             ["1", "2"],
         ],
     )
     def test_rejects_malformed(self, payload):
         with pytest.raises(ValueError):
             series_from_json(payload)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer-scaled kernel against Fraction schoolbook
+# loops written out here, on plain lists of Fractions.
+# ---------------------------------------------------------------------------
+
+def ref_mul(a, b):
+    n = min(len(a), len(b))
+    out = [F(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_compose(outer, inner):
+    """sum_k outer[k] * inner**k, by powers rather than Horner's rule."""
+    n = min(len(outer), len(inner))
+    out, power = [F(0)] * n, [F(1)] + [F(0)] * (n - 1)
+    for c in outer[:n]:
+        out = [o + c * p for o, p in zip(out, power)]
+        power = ref_mul(power, inner[:n])
+    return out
+
+
+def ref_row_sums(g, f, a, n_max):
+    sums, column = [F(0)] * (n_max + 1), g[: n_max + 1]
+    for k in range(n_max + 1):
+        sums = [s + c * a[k] for s, c in zip(sums, column)]
+        column = ref_mul(column, f[: n_max + 1])
+    return sums
+
+
+def ref_div(a, b):
+    out = []
+    for k in range(min(len(a), len(b))):
+        out.append((a[k] - sum(b[i] * out[k - i] for i in range(1, k + 1))) / b[0])
+    return out
+
+
+def ref_modified_check(g, f, a, l):
+    n_max = min(len(g), len(f), len(a), len(l)) - 1
+    if a[0] != l[0] / g[0]:
+        return False
+    one = [F(1)] + [F(0)] * (n_max - 1)
+    x_over_f = ref_div(one, f[1 : n_max + 1])
+    quot = ref_div(l[: n_max + 1], g[: n_max + 1])
+    dquot = [k * quot[k] for k in range(1, n_max + 1)]
+    power = one
+    for n in range(1, n_max + 1):
+        power = ref_mul(power, x_over_f)
+        if n * a[n] != ref_mul(power, dquot)[n - 1]:
+            return False
+    return True
+
+
+def assert_reduced(coeffs):
+    for c in coeffs:
+        assert type(c) is F
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+# Small mixed denominators share factors; primes and draws up to 10**30 are
+# mostly coprime, so the common denominator grows.
+denominators = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 6, 12, 5, 7, 11, 97]),
+    st.integers(min_value=1, max_value=10**30),
+)
+nonzero_coeffs = st.builds(
+    F, st.integers(min_value=-50, max_value=50).filter(bool), denominators
+)
+coeffs = st.one_of(st.just(F(0)), nonzero_coeffs)
+coeff_lists = st.lists(coeffs, min_size=1, max_size=9)  # orders 0..8
+unit_lists = st.builds(lambda c0, rest: [c0] + rest, nonzero_coeffs, st.lists(coeffs, max_size=8))
+# f(0) = 0 and f'(0) != 0, orders 1..8
+f_lists = st.builds(
+    lambda c1, rest: [F(0), c1] + rest, nonzero_coeffs, st.lists(coeffs, max_size=7)
+)
+
+
+class TestIntegerKernel:
+    @given(a=coeff_lists, b=coeff_lists)
+    @settings(max_examples=80)
+    def test_mul(self, a, b):
+        got = series_mul(Series(tuple(a)), Series(tuple(b)))
+        assert list(got.coeffs) == ref_mul(a, b)
+        assert_reduced(got.coeffs)
+
+    @given(outer=coeff_lists, inner_tail=coeff_lists)
+    @settings(max_examples=80)
+    def test_compose(self, outer, inner_tail):
+        inner = [F(0)] + inner_tail
+        got = series_compose(Series(tuple(outer)), Series(tuple(inner)))
+        assert list(got.coeffs) == ref_compose(outer, inner)
+        assert_reduced(got.coeffs)
+
+    @given(g=unit_lists, f=f_lists, a=coeff_lists)
+    @settings(max_examples=50)
+    def test_row_sums(self, g, f, a):
+        array = RiordanArray(Series(tuple(g)), Series(tuple(f)))
+        n_max = min(array.order, len(a) - 1)
+        got = row_sums(array, Series(tuple(a)), n_max)
+        assert got == ref_row_sums(g, f, a, n_max)
+        assert_reduced(got)
+
+    @given(
+        g=unit_lists, f=f_lists, a=coeff_lists,
+        bump=st.one_of(st.none(), st.tuples(st.integers(0, 8), nonzero_coeffs)),
+    )
+    @settings(max_examples=60)
+    def test_modified_check(self, g, f, a, bump):
+        # l = g * a(f) satisfies the theorem; a bump may break it at one index
+        l = ref_mul(g, ref_compose(a, f))
+        if bump is not None:
+            index, delta = bump
+            if index < len(l):
+                l[index] += delta
+        array = RiordanArray(Series(tuple(g)), Series(tuple(f)))
+        got = modified_riordan_check(array, Series(tuple(a)), Series(tuple(l)))
+        assert got == ref_modified_check(g, f, a, l)
+        assert got == (bump is None or bump[0] >= len(l))
