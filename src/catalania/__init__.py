@@ -1,70 +1,54 @@
 """Exact enumeration toolkit: generalized Catalan numbers, forests with a
 weight-reversing pairing, truncated rational power series, Riordan arrays,
-and an identity verification suite with a CLI."""
+and an identity verification suite with a CLI.
 
-from .exact import Rat, as_rat, binom, kronecker, multinomial, rat_str
-from .counting import VecProfile, catalan_gen, catalan_sequence, catalan_vector
-from .forest import (
-    Forest,
-    Tree,
-    VertexAddr,
-    count_forests,
-    count_leaves,
-    decode,
-    encode,
-    generate_forests,
-    generate_kary,
-    generate_mixed_forests,
-    iter_forests,
-    iter_mixed_forests,
-)
-from .involution import (
-    ColoredForest,
-    Classification,
-    check_signed_matching,
-    classify,
-    enumerate_colored,
-    involute,
-    pairings,
-    signed_sum,
-    signed_sum_vector,
-)
-from .riordan import (
-    RiordanArray,
-    Series,
-    catalan_gf,
-    convolution_check,
-    modified_riordan_check,
-    riordan_entry,
-    riordan_theorem_check,
-    row_sums,
-)
-from .identities import (
-    GouldPair,
-    IdentityReport,
-    closed_form_reduction_check,
-    gould_backward,
-    gould_forward,
-    run_suite,
-    verify_eq2,
-    verify_eq3,
-    verify_eq10,
-)
+The layer modules are imported lazily: each one is in ``sys.modules`` and
+bound on the package from the start, but its code runs on first attribute
+access.  A CLI subcommand therefore runs only the layers it calls, and a
+public name such as ``catalania.binom`` loads its module when first read.
+"""
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rat", "as_rat", "binom", "kronecker", "multinomial", "rat_str",
-    "VecProfile", "catalan_gen", "catalan_sequence", "catalan_vector",
-    "Forest", "Tree", "VertexAddr", "count_forests", "count_leaves", "decode", "encode",
-    "generate_forests", "generate_kary", "generate_mixed_forests",
-    "iter_forests", "iter_mixed_forests",
-    "ColoredForest", "Classification", "check_signed_matching", "classify",
-    "enumerate_colored", "involute", "pairings", "signed_sum", "signed_sum_vector",
-    "RiordanArray", "Series", "catalan_gf", "convolution_check",
-    "modified_riordan_check", "riordan_entry", "riordan_theorem_check", "row_sums",
-    "GouldPair", "IdentityReport", "closed_form_reduction_check",
-    "gould_backward", "gould_forward", "run_suite",
-    "verify_eq2", "verify_eq3", "verify_eq10",
-    "__version__",
-]
+# Public names by the module that defines them.
+_PUBLIC = {
+    "exact": ("Rat", "as_rat", "binom", "kronecker", "multinomial", "rat_str"),
+    "counting": ("VecProfile", "catalan_gen", "catalan_sequence", "catalan_vector"),
+    "forest": ("Forest", "Tree", "VertexAddr", "count_forests", "count_leaves", "decode",
+               "encode", "generate_forests", "generate_kary", "generate_mixed_forests",
+               "iter_forests", "iter_mixed_forests"),
+    "involution": ("ColoredForest", "Classification", "check_signed_matching", "classify",
+                   "enumerate_colored", "involute", "pairings", "signed_sum",
+                   "signed_sum_vector"),
+    "riordan": ("RiordanArray", "Series", "catalan_gf", "convolution_check",
+                "modified_riordan_check", "riordan_entry", "riordan_theorem_check",
+                "row_sums"),
+    "identities": ("GouldPair", "IdentityReport", "closed_form_reduction_check",
+                   "gould_backward", "gould_forward", "run_suite",
+                   "verify_eq2", "verify_eq3", "verify_eq10"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+for _name in _PUBLIC:
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = _module
+    _spec.loader.exec_module(_module)
+    globals()[_name] = _module
+del _name, _spec, _module
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,39 +16,14 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .counting import catalan_gen, catalan_sequence
-from .exact import as_rat, rat_str
-from .forest import count_forests, encode, iter_forests
-from .identities import (
-    ConfigError,
-    eq2_rhs,
-    load_config,
-    reports_to_json,
-    run_suite,
-)
-from .involution import (
-    EXCEPTIONAL,
-    FIRST,
-    colored_census,
-    encode_colored,
-    pairings,
-    signed_sum,
-)
-from .riordan import (
-    catalan_family,
-    catalan_gf,
-    modified_riordan_check,
-    riordan_entry,
-    riordan_theorem_check,
-    series_binpow,
-    series_from_json,
-    RiordanArray,
-)
+# Layer modules load on first use (see the package docstring), so a
+# subcommand runs only the layers it calls.
+from . import counting, exact, forest, identities, involution, riordan
 
 
 def rat_flag(text: str) -> Fraction:
     try:
-        return as_rat(text)
+        return exact.as_rat(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ZeroDivisionError:
@@ -116,38 +91,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    values = catalan_sequence(args.beta, args.gamma, args.n)
+    values = counting.catalan_sequence(args.beta, args.gamma, args.n)
     if args.format == "json":
-        print(json.dumps([rat_str(v) for v in values]))
+        print(json.dumps([exact.rat_str(v) for v in values]))
     else:
         for v in values:
-            print(rat_str(v))
+            print(exact.rat_str(v))
     return 0
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
     if args.action == "list":
-        forests = iter_forests(args.beta, args.n, args.gamma)
+        forests = forest.iter_forests(args.beta, args.n, args.gamma)
         if args.format == "json":
-            print(json.dumps([encode(f) for f in forests]))
+            print(json.dumps([forest.encode(f) for f in forests]))
             return 0
         # Written in blocks of lines: with an unbuffered stdout, one write
         # per line would cost a system call each.
-        encodings = map(encode, forests)
+        encodings = map(forest.encode, forests)
         while block := list(itertools.islice(encodings, 1024)):
             sys.stdout.write("\n".join(block) + "\n")
         return 0
-    count = count_forests(args.beta, args.n, args.gamma)
+    count = forest.count_forests(args.beta, args.n, args.gamma)
     if args.check_formula:
-        formula = catalan_gen(args.n, args.beta, args.gamma)
+        formula = counting.catalan_gen(args.n, args.beta, args.gamma)
         match = formula == count
         verdict = "OK" if match else "MISMATCH"
         if args.format == "json":
-            print(json.dumps({"count": str(count), "formula": rat_str(formula),
+            print(json.dumps({"count": str(count), "formula": exact.rat_str(formula),
                               "match": match}, sort_keys=True))
         else:
             relation = "==" if match else "!="
-            print(f"{count} {relation} {rat_str(formula)} {verdict}")
+            print(f"{count} {relation} {exact.rat_str(formula)} {verdict}")
         return 0 if match else 1
     if args.format == "json":
         print(json.dumps({"count": str(count)}))
@@ -158,23 +133,23 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
 def _cmd_involution(args: argparse.Namespace) -> int:
     if not args.alpha >= args.gamma >= 1:
-        raise ConfigError("need --alpha >= --gamma >= 1")
+        raise exact.ConfigError("need --alpha >= --gamma >= 1")
     if args.dump_pairs:
         # The pairs print after the sum, so the census is held.
         structures = list(itertools.chain.from_iterable(
-            colored_census(args.beta, args.n, args.gamma, args.alpha)))
+            involution.colored_census(args.beta, args.n, args.gamma, args.alpha)))
         total = sum(c.weight() for c in structures)
     else:
-        total = signed_sum(args.beta, args.n, args.gamma, args.alpha)
-    rhs = eq2_rhs(args.alpha, args.gamma, args.n)
+        total = involution.signed_sum(args.beta, args.n, args.gamma, args.alpha)
+    rhs = counting.eq2_rhs(args.alpha, args.gamma, args.n)
     verdict = "OK" if total == rhs else "MISMATCH"
-    print(f"sum={total} rhs={rat_str(rhs)} {verdict}")
+    print(f"sum={total} rhs={exact.rat_str(rhs)} {verdict}")
     if args.dump_pairs:
-        for c, cls, partner in pairings(structures, [args.beta]):
-            if cls.kind == FIRST:
-                print(f"pair {encode_colored(c)} <-> {encode_colored(partner)}")
-            elif cls.kind == EXCEPTIONAL:
-                print(f"exceptional {encode_colored(c)}")
+        for c, cls, partner in involution.pairings(structures, [args.beta]):
+            if cls.kind == involution.FIRST:
+                print(f"pair {involution.encode_colored(c)} <-> {involution.encode_colored(partner)}")
+            elif cls.kind == involution.EXCEPTIONAL:
+                print(f"exceptional {involution.encode_colored(c)}")
     return 0 if total == rhs else 1
 
 
@@ -183,51 +158,52 @@ def _load_series_file(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read series file {path}: {exc}") from None
+        raise exact.ConfigError(f"cannot read series file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"series file {path} is not valid JSON: {exc}") from None
+        raise exact.ConfigError(f"series file {path} is not valid JSON: {exc}") from None
     try:
-        return series_from_json(payload)
+        return riordan.series_from_json(payload)
     except ValueError as exc:
-        raise ConfigError(f"series file {path}: {exc}") from None
+        raise exact.ConfigError(f"series file {path}: {exc}") from None
 
 
-def _riordan_array(args: argparse.Namespace, order: int) -> RiordanArray:
+def _riordan_array(args: argparse.Namespace, order: int) -> riordan.RiordanArray:
     """The array read from --g-json/--f-json, else the Catalan family at
     --alpha/--beta truncated to ``order``."""
     if args.g_json and args.f_json:
-        return RiordanArray(_load_series_file(args.g_json), _load_series_file(args.f_json))
+        return riordan.RiordanArray(_load_series_file(args.g_json), _load_series_file(args.f_json))
     if args.alpha is not None and args.beta is not None:
-        return catalan_family(args.alpha, args.beta, order)
-    raise ConfigError(f"{args.action} needs --alpha/--beta or --g-json/--f-json")
+        return riordan.catalan_family(args.alpha, args.beta, order)
+    raise exact.ConfigError(f"{args.action} needs --alpha/--beta or --g-json/--f-json")
 
 
 def _cmd_riordan(args: argparse.Namespace) -> int:
     if args.action == "entry":
         if args.n is None or args.k is None:
-            raise ConfigError("entry needs --n and --k")
-        array = _riordan_array(args, max(args.order or 0, args.n, 1))
-        print(rat_str(riordan_entry(array, args.n, args.k)))
+            raise exact.ConfigError("entry needs --n and --k")
+        # Entry (n, k) reads coefficients up to x**n only, whatever --order says.
+        array = _riordan_array(args, max(args.n, 1))
+        print(exact.rat_str(riordan.riordan_entry(array, args.n, args.k)))
         return 0
 
     order = args.order if args.order is not None else 12
     if order < 1:
-        raise ConfigError("--order must be >= 1")
+        raise exact.ConfigError("--order must be >= 1")
     array = _riordan_array(args, order)
     if args.a_json:
         a = _load_series_file(args.a_json)
     elif args.beta is not None and args.gamma is not None:
-        a = catalan_gf(args.beta, args.gamma, order)
+        a = riordan.catalan_gf(args.beta, args.gamma, order)
     else:
-        raise ConfigError("check needs --gamma (with --beta) or --a-json")
+        raise exact.ConfigError("check needs --gamma (with --beta) or --a-json")
     if args.l_json:
         l = _load_series_file(args.l_json)
     elif args.alpha is not None and args.gamma is not None:
-        l = series_binpow(args.alpha - args.gamma, order)
+        l = riordan.series_binpow(args.alpha - args.gamma, order)
     else:
-        raise ConfigError("check needs --alpha and --gamma, or --l-json")
-    plain = riordan_theorem_check(array, a, l)
-    modified = modified_riordan_check(array, a, l)
+        raise exact.ConfigError("check needs --alpha and --gamma, or --l-json")
+    plain = riordan.riordan_theorem_check(array, a, l)
+    modified = riordan.modified_riordan_check(array, a, l)
     print(f"Eq5 {'OK' if plain else 'FAIL'}, Eq6 {'OK' if modified else 'FAIL'}")
     return 0 if plain and modified else 1
 
@@ -237,11 +213,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                config = load_config(handle.read())
+                config = identities.load_config(handle.read())
         except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
-    reports = run_suite(config)
-    print(reports_to_json(reports))
+            raise exact.ConfigError(f"cannot read config: {exc}") from None
+    reports = identities.run_suite(config)
+    print(identities.reports_to_json(reports))
     return 0 if all(r.ok for r in reports) else 1
 
 

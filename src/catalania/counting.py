@@ -79,6 +79,13 @@ def catalan_gen(n: int, beta: RatLike, gamma: RatLike) -> Rat:
     return gamma / n * binom(beta * n + gamma - 1, n - 1)
 
 
+def eq2_rhs(alpha: RatLike, gamma: RatLike, n: int) -> Rat:
+    """(-1)**n * binom(alpha - gamma, n), the closed form of the alternating
+    sum of Eq2 over the counts of ``catalan_gen``."""
+    sign = -1 if n % 2 else 1
+    return sign * binom(Fraction(alpha) - Fraction(gamma), n)
+
+
 def catalan_vector(profile: VecProfile, gamma: int) -> Rat:
     """Count of ordered forests with gamma components and profile.n[j]
     internal vertices of outdegree profile.p[j] for each class j.

@@ -3,7 +3,8 @@
 Every quantity in this package is an exact rational.  ``Rat`` is the stdlib
 ``Fraction``, which already keeps values reduced with a positive denominator
 and raises on division by zero; natural-number arguments are plain ``int``
-validated at the boundary.
+validated at the boundary.  ``ConfigError`` lives here, below every layer
+that raises it, so that raising one loads nothing else.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ def as_rat(value: RatLike | str) -> Rat:
 def rat_str(value: RatLike) -> str:
     """Canonical text form: "num/den", or just "num" for integral values."""
     return str(Fraction(value))
+
+
+class ConfigError(ValueError):
+    """Malformed configuration: a grid config, a series file, or CLI flags."""
 
 
 def check_nat(n: int, name: str = "n") -> int:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees
-from .exact import Rat, RatLike, as_rat, binom, check_nat, multinomial, rat_str
+from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
+from .exact import ConfigError, Rat, RatLike, as_rat, binom, check_nat, multinomial, rat_str
 from .forest import check_arity, compositions
 from .involution import census_sizes, check_alpha_gamma, signed_sum
 from .riordan import (
@@ -31,10 +31,6 @@ from .riordan import (
     row_sums,
     series_binpow,
 )
-
-
-class ConfigError(ValueError):
-    """Malformed configuration: a grid config, a series file, or CLI flags."""
 
 
 @dataclass(frozen=True)
@@ -133,12 +129,6 @@ def eq2_lhs_reindexed(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
     alpha, beta = Fraction(alpha), Fraction(beta)
     cats = [catalan(j, beta, gamma) for j in range(n, -1, -1)][::-1]
     return _reindexed_sum(alpha, beta, cats, n)
-
-
-def eq2_rhs(alpha: RatLike, gamma: RatLike, n: int) -> Rat:
-    """(-1)**n * binom(alpha - gamma, n)."""
-    sign = -1 if n % 2 else 1
-    return sign * binom(Fraction(alpha) - Fraction(gamma), n)
 
 
 def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,

@@ -306,6 +306,13 @@ class TestRiordan:
         assert code == 2 and out == ""
         assert err.startswith(f"error: series file {bad}: series JSON coeffs ")
 
+    def test_entry_ignores_order(self, capsys):
+        # Entry (n, k) reads the series up to x**n, so --order changes nothing.
+        argv = ("riordan", "entry", "--alpha", "3/2", "--beta", "7/3", "--n", "5", "--k", "3")
+        plain = run_cli(capsys, *argv)
+        assert plain == (0, "99/8\n", "")
+        assert run_cli(capsys, *argv, "--order", "2000") == plain
+
     def test_missing_pieces_rejected(self, capsys):
         code, _, err = run_cli(capsys, "riordan", "entry", "--n", "1", "--k", "0")
         assert code == 2
@@ -362,3 +369,47 @@ class TestVerify:
         path.write_text(json.dumps({"eq1": 5}))
         code, out, err = run_cli(capsys, "verify", "--config", str(path))
         assert (code, out, err) == (2, "", "error: config section eq1 must be a JSON object\n")
+
+
+# A subprocess runs one subcommand and prints the catalania modules whose
+# code ran: a lazily registered layer is in sys.modules from the start, but
+# its type is ModuleType only once something has read from it.
+LAYERS_CHILD = """\
+import json, sys, types
+from catalania import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps(sorted(name for name, module in sys.modules.items()
+                        if name.partition(".")[0] == "catalania"
+                        and type(module) is types.ModuleType)), file=sys.stderr)
+sys.exit(code)
+"""
+BASE = ["catalania", "catalania.cli"]
+SEQ = BASE + ["catalania.counting", "catalania.exact"]
+TREES = SEQ + ["catalania.forest"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], BASE),
+    (["seq", "--beta", "2", "--n", "3"], SEQ),
+    (["riordan", "entry", "--alpha", "1", "--beta", "2", "--n", "2", "--k", "1"],
+     SEQ + ["catalania.riordan"]),
+    (["riordan", "check", "--alpha", "2", "--beta", "3", "--gamma", "1", "--order", "4"],
+     SEQ + ["catalania.riordan"]),
+    (["trees", "count", "--beta", "2", "--n", "3", "--check-formula"], TREES),
+    (["involution", "--beta", "2", "--n", "2", "--alpha", "2", "--dump-pairs"],
+     TREES + ["catalania.involution"]),
+    (["verify", "--config", "CONFIG"],
+     TREES + ["catalania.identities", "catalania.involution", "catalania.riordan"]),
+], ids=["help", "seq", "riordan-entry", "riordan-check", "trees-count", "involution", "verify"])
+def test_subcommand_runs_only_its_layers(tmp_path, argv, loaded):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"eq1": {"n_max": 3}}))
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", LAYERS_CHILD, *argv],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == sorted(loaded)

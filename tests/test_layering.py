@@ -1,7 +1,14 @@
-"""Modules of the package use only each other's public names."""
+"""Modules of the package use only each other's public names, and the
+package serves its public names from lazily loaded layers."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import catalania
 
@@ -28,3 +35,53 @@ def test_package_modules_are_found():
 def test_no_module_imports_a_private_name_from_another():
     found = [item for path in sorted(PACKAGE_DIR.glob("*.py")) for item in _private_imports(path)]
     assert found == []
+
+
+LAYERS = ("exact", "counting", "forest", "involution", "riordan", "identities")
+
+
+def test_public_names_are_their_modules_objects():
+    for name in catalania.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(catalania, name)
+        holders = [layer for layer in LAYERS
+                   if vars(getattr(catalania, layer)).get(name) is value]
+        assert holders, name
+        home = getattr(value, "__module__", "")
+        if home.startswith("catalania."):
+            assert home.split(".")[1] in holders, name
+
+
+def test_star_import_and_dir_cover_all_public_names():
+    namespace: dict = {}
+    exec("from catalania import *", namespace)
+    assert all(namespace[name] is getattr(catalania, name) for name in catalania.__all__)
+    assert set(catalania.__all__) <= set(dir(catalania))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        catalania.no_such_name  # noqa: B018
+    assert not hasattr(catalania, "eq2_lhs")
+
+
+def test_cli_import_registers_every_layer_without_running_it():
+    # A tracer that rebinds functions across the package finds every layer
+    # in sys.modules after importing the CLI alone, and reading a layer's
+    # namespace runs it.
+    child = (
+        "import json, sys, types\n"
+        "import catalania.cli\n"
+        "ran = {name: type(m) is types.ModuleType for name, m in sys.modules.items()\n"
+        "       if name.partition('.')[0] == 'catalania'}\n"
+        "binom = vars(sys.modules['catalania.exact'])['binom']\n"
+        "print(json.dumps([ran, binom(5, 2) == 10]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, check=True)
+    ran, binom_works = json.loads(proc.stdout)
+    assert ran == {"catalania": True, "catalania.cli": True,
+                   **{f"catalania.{layer}": False for layer in LAYERS}}
+    assert binom_works
