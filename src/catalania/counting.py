@@ -8,7 +8,6 @@ indeterminate, so every parameter cell of the verification grids is total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -30,24 +29,46 @@ def check_outdegrees(p: Sequence[int]) -> tuple[int, ...]:
     return p
 
 
-@dataclass(frozen=True)
 class VecProfile:
     """Outdegree classes: n[j] internal vertices of outdegree p[j].
 
     p must be strictly increasing so an internal vertex's outdegree
-    identifies its class unambiguously.
+    identifies its class unambiguously.  A profile is immutable, and equal
+    to (and hashed like) every profile with the same n and p.
     """
 
+    __slots__ = ("n", "p")
     n: tuple[int, ...]
     p: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", tuple(self.n))
-        object.__setattr__(self, "p", check_outdegrees(self.p))
-        if len(self.n) != len(self.p):
+    def __init__(self, n: Sequence[int], p: Sequence[int]) -> None:
+        n, p = tuple(n), check_outdegrees(p)
+        if len(n) != len(p):
             raise ValueError("n and p must have equal length")
-        for nj in self.n:
+        for nj in n:
             check_nat(nj, "n[j]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"VecProfile is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"VecProfile is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return VecProfile, (self.n, self.p)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VecProfile:
+            return NotImplemented
+        return (self.n, self.p) == (other.n, other.p)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p))
+
+    def __repr__(self) -> str:
+        return f"VecProfile(n={self.n!r}, p={self.p!r})"
 
     @property
     def t(self) -> int:

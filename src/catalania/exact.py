@@ -62,23 +62,29 @@ def binom(x: RatLike, k: int) -> Rat:
 
     Defined for every rational x and non-negative integer k, with
     binom(x, 0) = 1.  The work is done in integers: for integral x it is
-    ``math.comb`` (with the upper-negation rule for x < 0); for x = p/q in
-    lowest terms the falling factorial prod(p - i*q) is one integer and a
-    single Fraction is built over q**k * k!.
+    ``int_binom``; for x = p/q in lowest terms the falling factorial
+    prod(p - i*q) is one integer and a single Fraction is built over
+    q**k * k!.
     """
     check_nat(k, "k")
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     p, q = x.numerator, x.denominator
     if q == 1:
-        if p >= 0:
-            return Fraction(comb(p, k))
-        value = comb(k - p - 1, k)
-        return Fraction(-value if k % 2 else value)
+        return Fraction(int_binom(p, k))
     num = 1
     for i in range(k):
         num *= p - i * q
     return Fraction(num, q**k * factorial(k))
+
+
+def int_binom(x: int, k: int) -> int:
+    """binom(x, k) for an integer x, as an int: ``math.comb`` for x >= 0, and
+    the upper-negation rule binom(x, k) = (-1)**k * binom(k - x - 1, k) below."""
+    if x >= 0:
+        return comb(x, k)
+    value = comb(k - x - 1, k)
+    return -value if k % 2 else value
 
 
 def multinomial(x: RatLike, parts: Sequence[int]) -> Rat:

@@ -12,25 +12,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
-from .exact import ConfigError, Rat, RatLike, as_rat, binom, check_nat, multinomial, rat_str
+from .exact import ConfigError, Rat, RatLike, as_rat, binom, check_nat, int_binom, multinomial, rat_str
 from .forest import check_arity, compositions
 from .involution import census_sizes, check_alpha_gamma, signed_sum
-from .riordan import (
-    catalan_family,
-    catalan_gf,
-    catalan_gf_functional_check,
-    convolution_check,
-    modified_riordan_check,
-    riordan_theorem_check,
-    row_sums,
-    series_binpow,
-)
+from .riordan import (catalan_family, catalan_gf, catalan_gf_functional_check, convolution_check,
+                      modified_riordan_check, riordan_theorem_check, row_sums, series_binpow)
 
 
 @dataclass(frozen=True)
@@ -96,39 +89,110 @@ def _point(alpha: RatLike, beta: RatLike, gamma: RatLike) -> tuple[dict[str, obj
 
 
 # ---------------------------------------------------------------------------
-# The alternating-sum identity (scalar form)
+# Gould's inverse pair: the one kernel of the scalar sums
 # ---------------------------------------------------------------------------
 
-def _direct_sum(alpha: Rat, beta: Rat, cats: Sequence[Rat], n: int) -> Rat:
-    total = Fraction(0)
-    for i in range(n + 1):
-        term = binom((beta - 1) * i + alpha, n - i) * cats[i]
-        total = total - term if (n - i) % 2 else total + term
-    return total
+@dataclass(frozen=True)
+class GouldPair:
+    """Parameters (a, m, z) of the mutually inverse sequence transforms."""
+
+    a: int
+    m: Rat
+    z: Rat
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.a, int) or isinstance(self.a, bool):
+            raise ValueError(f"a must be an integer, got {self.a!r}")
+        object.__setattr__(self, "m", Fraction(self.m))
+        object.__setattr__(self, "z", Fraction(self.z))
 
 
-def _reindexed_sum(alpha: Rat, beta: Rat, cats: Sequence[Rat], n: int) -> Rat:
-    total = Fraction(0)
-    for i in range(n + 1):
-        term = binom((beta - 1) * (n - i) + alpha, i) * cats[n - i]
-        total = total - term if i % 2 else total + term
-    return total
+class SingularGouldParameters(ValueError):
+    """The backward transform's denominator -a*n - m vanished at some n."""
+
+    def __init__(self, n: int):
+        self.n = n
+        super().__init__(f"backward transform undefined: -a*n - m = 0 at n = {n}")
+
+
+def _ring(values: Iterable[RatLike]) -> tuple[list, Callable[[RatLike, int], RatLike]]:
+    """The one ring choice: ints and int_binom if every value is integral, else Fractions and binom."""
+    values = list(values)
+    if all(v.denominator == 1 for v in values):
+        return [v.numerator for v in values], int_binom
+    return [Fraction(v) for v in values], binom
+
+
+def _gould_rows(a: RatLike, m: RatLike, z: RatLike, length: int,
+                backward: bool = False) -> list[list[RatLike]]:
+    """Rows 0..length-1 of the forward matrix of Gould's inverse pair (a, m, z),
+    F[n][k] = binom(m + a*k, n-k) * z**(n-k) for k <= n, or with ``backward`` of
+    the backward matrix with row n scaled by its denominator d = -a*n - m, whose
+    diagonal is d: B[n][k] = (-a*k - m) * binom(d, n-k) * z**(n-k).  Ints at integral a, m, z."""
+    (a, m, z), choose = _ring((a, m, z))
+    if backward:
+        return [[(-a * k - m) * choose(-a * n - m, n - k) * z ** (n - k) for k in range(n + 1)]
+                for n in range(length)]
+    return [[choose(m + a * k, n - k) * z ** (n - k) for k in range(n + 1)] for n in range(length)]
+
+
+def _dot(row: Sequence[RatLike], seq: Sequence[RatLike]) -> RatLike:
+    return sum(map(operator.mul, row, seq))
+
+
+def _backward(rows: Sequence[Sequence[RatLike]], seq: Sequence[Rat]) -> list[Rat]:
+    """Scaled backward rows applied to seq, each row n >= 1 divided by its diagonal."""
+    out = list(seq[:1])
+    for n in range(1, len(rows)):
+        if rows[n][n] == 0:
+            raise SingularGouldParameters(n)
+        out.append(Fraction(_dot(rows[n], seq), rows[n][n]))
+    return out
+
+
+def gould_forward(seq_a: Sequence[RatLike], pair: GouldPair) -> list[Rat]:
+    """b_n = sum_k binom(m + a*k, n - k) * z**(n-k) * a_k."""
+    seq = [Fraction(v) for v in seq_a]
+    return [_dot(row, seq) for row in _gould_rows(pair.a, pair.m, pair.z, len(seq))]
+
+
+def gould_backward(seq_b: Sequence[RatLike], pair: GouldPair) -> list[Rat]:
+    """a_n = sum_k ((-a*k - m)/(-a*n - m)) * binom(-a*n - m, n - k) * z**(n-k) * b_k.
+
+    The k = n term is the diagonal 1; for n >= 1 the remaining terms need
+    -a*n - m != 0, else SingularGouldParameters is raised.
+    """
+    seq = [Fraction(v) for v in seq_b]
+    return _backward(_gould_rows(pair.a, pair.m, pair.z, len(seq), backward=True), seq)
+
+
+# ---------------------------------------------------------------------------
+# The alternating sum and its inverse expansion: the pair (beta - 1, alpha, -1)
+# ---------------------------------------------------------------------------
+
+def _eq2_row_sums(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
+                  catalan: CatalanFn) -> Iterator[tuple[RatLike, RatLike]]:
+    """Forward rows 0..n_max against the counting sequence, summed forwards and reversed."""
+    beta = Fraction(beta)
+    cats, _ = _ring(catalan_sequence(beta, gamma, n_max, catalan))
+    for n, row in enumerate(_gould_rows(beta - 1, alpha, -1, n_max + 1)):
+        yield _dot(row, cats), _dot(row[::-1], cats[n::-1])
 
 
 def eq2_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
             catalan: CatalanFn = catalan_gen) -> Rat:
     """sum_i (-1)**(n-i) * binom((beta-1)i + alpha, n-i) * C(i)."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    return _direct_sum(alpha, beta, catalan_sequence(beta, gamma, n, catalan), n)
+    *_, (direct, _) = _eq2_row_sums(alpha, beta, gamma, n, catalan)
+    return Fraction(direct)
 
 
 def eq2_lhs_reindexed(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
                       catalan: CatalanFn = catalan_gen) -> Rat:
     """Same sum with the summation index reversed (i -> n - i); the counting
     function is queried in that reversed order too."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    cats = [catalan(j, beta, gamma) for j in range(n, -1, -1)][::-1]
-    return _reindexed_sum(alpha, beta, cats, n)
+    beta = Fraction(beta)
+    cats, _ = _ring(catalan(j, beta, gamma) for j in range(check_nat(n), -1, -1))
+    return Fraction(_dot(_gould_rows(beta - 1, alpha, -1, n + 1)[n][::-1], cats))
 
 
 def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
@@ -137,15 +201,10 @@ def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
     plus the reversed-index evaluation as an internal consistency check."""
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, n<={n_max}"
-    a, b = Fraction(alpha), Fraction(beta)
-    cats = catalan_sequence(b, gamma, n_max, catalan)
-    for n in range(n_max + 1):
-        lhs = _direct_sum(a, b, cats, n)
+    for n, (lhs, reindexed) in enumerate(_eq2_row_sums(alpha, beta, gamma, n_max, catalan)):
         rhs = eq2_rhs(alpha, gamma, n)
         if lhs != rhs:
-            return _report("Eq2", grid, Counterexample.at(
-                {**point, "n": n}, lhs, rhs, "direct sum"))
-        reindexed = _reindexed_sum(a, b, cats, n)
+            return _report("Eq2", grid, Counterexample.at({**point, "n": n}, lhs, rhs, "direct sum"))
         if reindexed != lhs:
             return _report("Eq2", grid, Counterexample.at(
                 {**point, "n": n}, reindexed, lhs, "reindexed sum differs"))
@@ -157,15 +216,80 @@ def verify_eq4(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Ide
     produce identical values term for term (the identity itself is Eq2's)."""
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, n<={n_max}"
-    a, b = Fraction(alpha), Fraction(beta)
-    cats = catalan_sequence(b, gamma, n_max)
-    for n in range(n_max + 1):
-        reindexed = _reindexed_sum(a, b, cats, n)
-        direct = _direct_sum(a, b, cats, n)
+    for n, (direct, reindexed) in enumerate(_eq2_row_sums(alpha, beta, gamma, n_max, catalan_gen)):
         if reindexed != direct:
             return _report("Eq4", grid, Counterexample.at(
                 {**point, "n": n}, reindexed, direct, "reversed-index sum differs"))
     return _report("Eq4", grid, None)
+
+
+def _eq10_row_sums(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Iterator[tuple]:
+    """Backward rows 0..n_max, each scaled by its denominator
+    (1-beta)*n - alpha, against the closed forms of Eq2; and that denominator."""
+    check_nat(n_max)
+    alpha, gamma = Fraction(alpha), Fraction(gamma)
+    rhs, _ = _ring(eq2_rhs(alpha, gamma, k) for k in range(n_max + 1))
+    for n, row in enumerate(_gould_rows(Fraction(beta) - 1, alpha, -1, n_max + 1, backward=True)):
+        yield _dot(row, rhs), row[n]
+
+
+def eq10_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int) -> Rat:
+    """The inverse-relation sum; undefined where (1-beta)*n - alpha = 0."""
+    *_, (scaled, denom) = _eq10_row_sums(alpha, beta, gamma, n)
+    if denom == 0:
+        raise ZeroDivisionError("(1-beta)*n - alpha = 0")
+    return Fraction(scaled, denom)
+
+
+def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
+    """Check the expansion against catalan_gen for 1 <= n <= n_max, skipping
+    (and listing) rows where its denominator vanishes.  Rows are compared
+    times their denominators, so integral points compare integers."""
+    point, text = _point(alpha, beta, gamma)
+    grid = f"{text}, 1<=n<={n_max}"
+    cats, _ = _ring(catalan_sequence(beta, gamma, n_max))  # checks n_max
+    skipped: list[str] = []
+    for n, (scaled, denom) in enumerate(_eq10_row_sums(alpha, beta, gamma, n_max)):
+        if n and denom == 0:
+            skipped.append(f"n={n}: (1-beta)*n - alpha = 0")
+        elif n and scaled != cats[n] * denom:
+            return _report("Eq10", grid, Counterexample.at(
+                {**point, "n": n}, Fraction(scaled, denom), cats[n]), skipped)
+    return _report("Eq10", grid, None, skipped)
+
+
+def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
+    """Verify every link of the alpha = 0 reduction chain separately:
+    (i) splitting the k/n weight into 1 - (n-k)/n, (ii) the two Vandermonde
+    evaluations, (iii) recombination to catalan_gen."""
+    check_nat(n_max, "n_max")
+    beta, gamma = Fraction(beta), Fraction(gamma)
+    grid = f"beta={rat_str(beta)}, gamma={rat_str(gamma)}, 1<=n<={n_max}"
+
+    def fail(n: int, lhs: object, rhs: object, link: str) -> IdentityReport:
+        params = {"beta": rat_str(beta), "gamma": rat_str(gamma), "n": n}
+        return _report("ClosedForm", grid, Counterexample.at(params, lhs, rhs, link))
+
+    (b, g), choose = _ring((beta, gamma))
+    for n in range(1, n_max + 1):
+        sign = -1 if n % 2 else 1
+        m_top = (1 - b) * n
+        terms = [choose(m_top, n - k) * choose(-g, k) for k in range(n + 1)]
+        s0_n = sum(k * term for k, term in enumerate(terms)) * sign  # n * s0
+        a1 = sum(terms) * sign
+        a2_n = sum((n - k) * term for k, term in enumerate(terms)) * sign  # n * a2
+        if s0_n != n * a1 - a2_n:
+            return fail(n, Fraction(s0_n, n), a1 - Fraction(a2_n, n), "link (i): split")
+        v1 = sign * choose(m_top - g, n)
+        v2 = sign * (1 - b) * choose(m_top - 1 - g, n - 1)
+        if a1 != v1 or a2_n != n * v2:
+            return fail(n, f"{a1},{Fraction(a2_n, n)}", f"{v1},{v2}",
+                        "link (ii): Vandermonde evaluations")
+        recombined = v1 + sign * (b - 1) * choose(m_top - 1 - g, n - 1)
+        closed = catalan_gen(n, beta, gamma)
+        if recombined != closed:
+            return fail(n, recombined, closed, "link (iii): recombination")
+    return _report("ClosedForm", grid, None)
 
 
 # ---------------------------------------------------------------------------
@@ -200,135 +324,6 @@ def verify_eq3(p: Sequence[int], gamma: int, alpha: RatLike, n_max_total: int) -
                           "alpha": rat_str(alpha), "n": str(list(n_vec))}
                 return _report("Eq3", grid, Counterexample.at(params, lhs, rhs))
     return _report("Eq3", grid, None)
-
-
-# ---------------------------------------------------------------------------
-# Gould inverse relations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GouldPair:
-    """Parameters (a, m, z) of the mutually inverse sequence transforms."""
-
-    a: int
-    m: Rat
-    z: Rat
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or isinstance(self.a, bool):
-            raise ValueError(f"a must be an integer, got {self.a!r}")
-        object.__setattr__(self, "m", Fraction(self.m))
-        object.__setattr__(self, "z", Fraction(self.z))
-
-
-class SingularGouldParameters(ValueError):
-    """The backward transform's denominator -a*n - m vanished at some n."""
-
-    def __init__(self, n: int):
-        self.n = n
-        super().__init__(f"backward transform undefined: -a*n - m = 0 at n = {n}")
-
-
-def gould_forward(seq_a: Sequence[RatLike], pair: GouldPair) -> list[Rat]:
-    """b_n = sum_k binom(m + a*k, n - k) * z**(n-k) * a_k."""
-    seq = [Fraction(v) for v in seq_a]
-    out: list[Rat] = []
-    for n in range(len(seq)):
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += binom(pair.m + pair.a * k, n - k) * pair.z ** (n - k) * seq[k]
-        out.append(total)
-    return out
-
-
-def gould_backward(seq_b: Sequence[RatLike], pair: GouldPair) -> list[Rat]:
-    """a_n = sum_k ((-a*k - m)/(-a*n - m)) * binom(-a*n - m, n - k) * z**(n-k) * b_k.
-
-    The k = n term is the diagonal 1; for n >= 1 the remaining terms need
-    -a*n - m != 0, else SingularGouldParameters is raised.
-    """
-    seq = [Fraction(v) for v in seq_b]
-    out: list[Rat] = []
-    for n in range(len(seq)):
-        total = seq[n]
-        if n >= 1:
-            denom = -pair.a * n - pair.m
-            if denom == 0:
-                raise SingularGouldParameters(n)
-            for k in range(n):
-                numer = -pair.a * k - pair.m
-                total += (numer / denom) * binom(denom, n - k) * pair.z ** (n - k) * seq[k]
-        out.append(total)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The inverse-relation expansion of the counting formula
-# ---------------------------------------------------------------------------
-
-def eq10_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int) -> Rat:
-    """The inverse-relation sum; undefined where (1-beta)*n - alpha = 0."""
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    denom = (1 - beta) * n - alpha
-    if denom == 0:
-        raise ZeroDivisionError("(1-beta)*n - alpha = 0")
-    sign = -1 if n % 2 else 1
-    total = Fraction(0)
-    for k in range(n + 1):
-        coeff = ((1 - beta) * k - alpha) / denom
-        total += sign * coeff * binom(denom, n - k) * binom(alpha - gamma, k)
-    return total
-
-
-def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
-    """Check the expansion against catalan_gen for 1 <= n <= n_max, skipping
-    (and listing) rows where its denominator vanishes."""
-    check_nat(n_max, "n_max")
-    point, text = _point(alpha, beta, gamma)
-    grid = f"{text}, 1<=n<={n_max}"
-    skipped: list[str] = []
-    for n in range(1, n_max + 1):
-        if (1 - Fraction(beta)) * n - Fraction(alpha) == 0:
-            skipped.append(f"n={n}: (1-beta)*n - alpha = 0")
-            continue
-        lhs = eq10_lhs(alpha, beta, gamma, n)
-        rhs = catalan_gen(n, beta, gamma)
-        if lhs != rhs:
-            return _report("Eq10", grid, Counterexample.at({**point, "n": n}, lhs, rhs), skipped)
-    return _report("Eq10", grid, None, skipped)
-
-
-def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
-    """Verify every link of the alpha = 0 reduction chain separately:
-    (i) splitting the k/n weight into 1 - (n-k)/n, (ii) the two Vandermonde
-    evaluations, (iii) recombination to catalan_gen."""
-    check_nat(n_max, "n_max")
-    beta, gamma = Fraction(beta), Fraction(gamma)
-    grid = f"beta={rat_str(beta)}, gamma={rat_str(gamma)}, 1<=n<={n_max}"
-    for n in range(1, n_max + 1):
-        sign = -1 if n % 2 else 1
-        m_top = (1 - beta) * n
-        terms = [binom(m_top, n - k) * binom(-gamma, k) for k in range(n + 1)]
-        s0 = sum(Fraction(k, n) * term for k, term in enumerate(terms)) * sign
-        a1 = sum(terms) * sign
-        a2 = sum(Fraction(n - k, n) * term for k, term in enumerate(terms)) * sign
-        params = {"beta": rat_str(beta), "gamma": rat_str(gamma), "n": n}
-        if s0 != a1 - a2:
-            return _report("ClosedForm", grid,
-                           Counterexample.at(params, s0, a1 - a2, "link (i): split"))
-        v1 = sign * binom(m_top - gamma, n)
-        v2 = sign * (1 - beta) * binom(m_top - 1 - gamma, n - 1)
-        if a1 != v1 or a2 != v2:
-            return _report("ClosedForm", grid,
-                           Counterexample.at(params, f"{a1},{a2}", f"{v1},{v2}",
-                                             "link (ii): Vandermonde evaluations"))
-        recombined = v1 + sign * (beta - 1) * binom(m_top - 1 - gamma, n - 1)
-        closed = catalan_gen(n, beta, gamma)
-        if recombined != closed:
-            return _report("ClosedForm", grid,
-                           Counterexample.at(params, recombined, closed,
-                                             "link (iii): recombination"))
-    return _report("ClosedForm", grid, None)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +434,10 @@ class _Run:
     """What the sections of one run_suite call share.
 
     ``eq2_passed`` holds the points (alpha, beta, gamma, n_max) where
-    verify_eq2 passed with the true catalan_gen.  Such a pass includes, for
-    every n <= n_max, the comparison of the reversed-index sum with the
-    direct sum, which is all that verify_eq4 computes at that point, on the
-    same values; so Eq4 takes its verdict there from Eq2 instead of
-    recomputing it.  A point where Eq2 failed, was not reached, or ran with
-    another counting function is evaluated by Eq4 itself.
+    verify_eq2 passed with the true catalan_gen.  That pass compared the
+    reversed-index sum with the direct sum on the same values for every
+    n <= n_max, which is all that verify_eq4 computes, so Eq4 takes its
+    verdict there from Eq2.  Any other point is evaluated by Eq4 itself.
     """
 
     catalan: CatalanFn
@@ -494,8 +487,7 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
         for alpha, beta, gamma in cross_points:
             sums = row_sums(catalan_family(alpha, beta, max(cross_order, 1)),
                             catalan_gf(beta, gamma, max(cross_order, 1)), cross_order)
-            for n in range(cross_order + 1):
-                direct = eq2_lhs(alpha, beta, gamma, n, run.catalan)
+            for n, (direct, _) in enumerate(_eq2_row_sums(alpha, beta, gamma, cross_order, run.catalan)):
                 census = signed_sum(beta, n, gamma, alpha)
                 params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
                 if census != direct:
@@ -590,14 +582,22 @@ def _suite_eq9(cfg: Mapping, run: _Run) -> _Plan:
             skipped.append(f"pair {pair}: {SingularGouldParameters(pole)}")
     grid = f"{count} seeded sequences of length {length}, pairs {[str(p) for p in cfg['pairs']]}"
     rng = random.Random(seed)
-    sequences = (random_rational_sequence(rng, length) for _ in range(count))
-    return grid, (_gould_roundtrip(index, seq, pair)
-                  for index, seq in enumerate(sequences) for pair in pairs), skipped
+
+    def outcomes() -> Iterator[Optional[Counterexample]]:
+        matrices = [(pair, _gould_rows(pair.a, pair.m, pair.z, length),
+                     _gould_rows(pair.a, pair.m, pair.z, length, backward=True)) for pair in pairs]
+        for index in range(count):
+            seq = random_rational_sequence(rng, length)
+            yield from (_gould_roundtrip(index, seq, *matrix) for matrix in matrices)
+
+    return grid, outcomes(), skipped
 
 
-def _gould_roundtrip(index: int, seq: list[Rat], pair: GouldPair) -> Optional[Counterexample]:
-    back = gould_backward(gould_forward(seq, pair), pair)
-    fwd = gould_forward(gould_backward(seq, pair), pair)
+def _gould_roundtrip(index: int, seq: list[Rat], pair: GouldPair, forward: list[list[RatLike]],
+                     backward: list[list[RatLike]]) -> Optional[Counterexample]:
+    back = _backward(backward, [_dot(row, seq) for row in forward])
+    inverse = _backward(backward, seq)
+    fwd = [_dot(row, inverse) for row in forward]
     params = {"sequence": index, "a": pair.a, "m": rat_str(pair.m), "z": rat_str(pair.z)}
     for got, detail in ((back, "backward(forward) != id"), (fwd, "forward(backward) != id")):
         if got != seq:

@@ -373,7 +373,9 @@ class TestVerify:
 
 # A subprocess runs one subcommand and prints the catalania modules whose
 # code ran: a lazily registered layer is in sys.modules from the start, but
-# its type is ModuleType only once something has read from it.
+# its type is ModuleType only once something has read from it.  It also
+# prints "dataclasses" when that stdlib module (with inspect, dis and
+# tokenize behind it) was imported.
 LAYERS_CHILD = """\
 import json, sys, types
 from catalania import cli
@@ -383,21 +385,21 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps(sorted(name for name, module in sys.modules.items()
                         if name.partition(".")[0] == "catalania"
-                        and type(module) is types.ModuleType)), file=sys.stderr)
+                        and type(module) is types.ModuleType
+                        or name == "dataclasses")), file=sys.stderr)
 sys.exit(code)
 """
 BASE = ["catalania", "catalania.cli"]
 SEQ = BASE + ["catalania.counting", "catalania.exact"]
-TREES = SEQ + ["catalania.forest"]
+SERIES = SEQ + ["catalania.riordan", "dataclasses"]
+TREES = SEQ + ["catalania.forest", "dataclasses"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
     (["--help"], BASE),
     (["seq", "--beta", "2", "--n", "3"], SEQ),
-    (["riordan", "entry", "--alpha", "1", "--beta", "2", "--n", "2", "--k", "1"],
-     SEQ + ["catalania.riordan"]),
-    (["riordan", "check", "--alpha", "2", "--beta", "3", "--gamma", "1", "--order", "4"],
-     SEQ + ["catalania.riordan"]),
+    (["riordan", "entry", "--alpha", "1", "--beta", "2", "--n", "2", "--k", "1"], SERIES),
+    (["riordan", "check", "--alpha", "2", "--beta", "3", "--gamma", "1", "--order", "4"], SERIES),
     (["trees", "count", "--beta", "2", "--n", "3", "--check-formula"], TREES),
     (["involution", "--beta", "2", "--n", "2", "--alpha", "2", "--dump-pairs"],
      TREES + ["catalania.involution"]),

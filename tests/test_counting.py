@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -81,6 +83,27 @@ class TestVecProfile:
         assert profile.t == 2
         assert profile.dot_np() == 7
         assert profile.leaf_count(2) == 2 * 1 + 1 * 2 + 2
+
+    def test_value_semantics(self):
+        profile = VecProfile([2, 1], [2, 3])
+        assert (profile.n, profile.p) == ((2, 1), (2, 3))
+        assert profile == VecProfile(n=(2, 1), p=(2, 3))
+        assert hash(profile) == hash(VecProfile((2, 1), (2, 3)))
+        assert profile != VecProfile((1, 2), (2, 3))
+        assert profile != ((2, 1), (2, 3))
+        assert len({profile, VecProfile((2, 1), (2, 3))}) == 1
+        assert repr(profile) == "VecProfile(n=(2, 1), p=(2, 3))"
+        assert pickle.loads(pickle.dumps(profile)) == profile == copy.copy(profile)
+
+    def test_immutable(self):
+        profile = VecProfile((2, 1), (2, 3))
+        with pytest.raises(AttributeError):
+            profile.n = (1, 1)
+        with pytest.raises(AttributeError):
+            del profile.p
+        with pytest.raises(AttributeError):
+            profile.extra = 1
+        assert (profile.n, profile.p) == ((2, 1), (2, 3))
 
 
 class TestCatalanSequence:

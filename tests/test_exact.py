@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalania.exact import as_rat, binom, kronecker, multinomial, rat_str
+from catalania.exact import as_rat, binom, int_binom, kronecker, multinomial, rat_str
 
 
 def falling_factorial_quotient(x, k):
@@ -88,6 +88,13 @@ class TestBinomKernel:
     @pytest.mark.parametrize("k", [0, 1, 4, 11])
     def test_returns_fraction(self, x, k):
         assert type(binom(x, k)) is F
+
+    @given(x=st.integers(min_value=-40, max_value=40), k=st.integers(min_value=0, max_value=15))
+    @settings(max_examples=200)
+    def test_int_binom_is_the_integral_case_as_an_int(self, x, k):
+        got = int_binom(x, k)
+        assert type(got) is int
+        assert got == falling_factorial_quotient(x, k) == binom(x, k)
 
 
 class TestMultinomial:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from catalania.cli import main
 from catalania.counting import VecProfile, catalan_gen, catalan_sequence
@@ -196,6 +198,101 @@ class TestEq10:
 
     def test_rational_point(self):
         assert verify_eq10(F(1, 2), F(3, 2), F(-1, 2), 8).ok
+
+
+def _binom_ref(x, k):
+    """Falling-factorial binomial, independent of the package's kernels."""
+    out = F(1)
+    for i in range(k):
+        out = out * (x - i) / (i + 1)
+    return out
+
+
+def _forward_ref(seq, a, m, z):
+    return [sum(_binom_ref(m + a * k, n - k) * z ** (n - k) * seq[k] for k in range(n + 1))
+            for n in range(len(seq))]
+
+
+def _backward_ref(seq, a, m, z):
+    out = []
+    for n in range(len(seq)):
+        d = -a * n - m
+        out.append(seq[n] + sum((-a * k - m) / d * _binom_ref(d, n - k) * z ** (n - k) * seq[k]
+                                for k in range(n)))
+    return out
+
+
+# Small parameters, integral (the int path) or rational (the Fraction path).
+small_params = st.one_of(st.integers(min_value=-3, max_value=4).map(F),
+                         st.fractions(min_value=-3, max_value=4, max_denominator=3))
+row_numbers = st.integers(min_value=0, max_value=8)
+
+
+class TestPairKernel:
+    """Eq2, Eq10 and the Gould transforms are one inverse pair evaluated by one kernel."""
+
+    @given(alpha=small_params, beta=st.integers(min_value=0, max_value=4), gamma=small_params,
+           n=row_numbers)
+    @settings(max_examples=100, deadline=None)
+    def test_eq2_row_is_the_forward_transform_of_the_counts(self, alpha, beta, gamma, n):
+        pair = GouldPair(beta - 1, alpha, -1)
+        want = gould_forward(catalan_sequence(beta, gamma, n), pair)[n]
+        direct, reindexed = eq2_lhs(alpha, beta, gamma, n), eq2_lhs_reindexed(alpha, beta, gamma, n)
+        assert direct == reindexed == want == eq2_rhs(alpha, gamma, n)
+        assert type(direct) is type(reindexed) is F
+
+    @given(alpha=small_params, beta=st.integers(min_value=0, max_value=4), gamma=small_params,
+           n=row_numbers)
+    @settings(max_examples=100, deadline=None)
+    def test_eq10_row_is_the_backward_transform_of_the_closed_forms(self, alpha, beta, gamma, n):
+        assume(all((1 - beta) * k - alpha != 0 for k in range(n + 1)))
+        closed_forms = [eq2_rhs(alpha, gamma, k) for k in range(n + 1)]
+        got = eq10_lhs(alpha, beta, gamma, n)
+        assert got == gould_backward(closed_forms, GouldPair(beta - 1, alpha, -1))[n]
+        assert got == catalan_gen(n, beta, gamma)
+        assert type(got) is F
+
+    @given(a=st.integers(min_value=-2, max_value=3), m=small_params, z=small_params,
+           seq=st.lists(small_params, min_size=0, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_transforms_match_the_textbook_sums(self, a, m, z, seq):
+        pair = GouldPair(a, m, z)
+        forward = gould_forward(seq, pair)
+        assert forward == _forward_ref(seq, a, m, z)
+        assert all(type(v) is F for v in forward)
+        assume(all(-a * n - m != 0 for n in range(1, len(seq))))
+        backward = gould_backward(seq, pair)
+        assert backward == _backward_ref(seq, a, m, z)
+        assert all(type(v) is F for v in backward)
+        assert gould_forward(backward, pair) == seq == gould_backward(forward, pair)
+
+    def test_eq9_builds_each_pairs_matrices_once(self, monkeypatch):
+        calls = []
+        gould_rows = identities._gould_rows
+
+        def recorded(a, m, z, length, backward=False):
+            calls.append((a, m, z, length, backward))
+            return gould_rows(a, m, z, length, backward)
+
+        monkeypatch.setattr(identities, "_gould_rows", recorded)
+        config = DEFAULT_CONFIG["eq9"]
+        (report,) = run_suite({"eq9": config})
+        assert report.ok and not report.skipped
+        pairs = [GouldPair(int(a), F(m), F(z)) for a, m, z in config["pairs"]]
+        assert calls == [(pair.a, pair.m, pair.z, config["length"], backward)
+                         for pair in pairs for backward in (False, True)]
+
+    @pytest.mark.parametrize("alpha,beta,gamma", [(2, 0, 1), (F(1, 2), 3, F(-1, 2))])
+    def test_failing_eq10_row_shows_the_unscaled_sum(self, monkeypatch, alpha, beta, gamma):
+        def corrupted(beta, gamma, n_max, catalan=catalan_gen):
+            return [c + (n == 3) for n, c in enumerate(catalan_sequence(beta, gamma, n_max, catalan))]
+
+        monkeypatch.setattr(identities, "catalan_sequence", corrupted)
+        report = verify_eq10(alpha, beta, gamma, 6)
+        assert report.counterexample.to_json() == {
+            "params": {"alpha": str(F(alpha)), "beta": str(beta), "gamma": str(F(gamma)), "n": "3"},
+            "lhs": str(eq10_lhs(alpha, beta, gamma, 3)),
+            "rhs": str(catalan_gen(3, beta, gamma) + 1)}
 
 
 class TestClosedFormReduction:
@@ -439,7 +536,7 @@ EVALUATORS = [
     "verify_eq2", "verify_eq3", "verify_eq4", "verify_eq10", "closed_form_reduction_check",
     "catalan_gf_functional_check", "convolution_check", "gould_forward", "gould_backward",
     "signed_sum", "eq2_lhs", "row_sums", "catalan_family", "catalan_gf",
-    "riordan_theorem_check", "modified_riordan_check",
+    "riordan_theorem_check", "modified_riordan_check", "_gould_rows",
 ]
 
 
