@@ -1,5 +1,13 @@
 """Ordered rooted trees and forests: exhaustive generators and text codec.
 
+Trees are tuples.  A ``Tree`` is the tuple of its child trees, so a leaf is
+the empty tree; a ``Forest`` is the tuple of its trees; a ``VertexAddr`` is
+a named (component, path) pair.  tuple's own constructor builds each of
+them, so ``map(Tree, itertools.product(...))`` runs in C, with no Python
+frame per vertex.  All three are immutable and hashable and compare
+structurally; a ``Tree`` or ``Forest`` equals only its own kind, never a
+plain tuple.
+
 One lazy generator, ``iter_mixed_forests``, yields every forest; beta-ary
 forests (``iter_forests``) are its one-class case.  It yields in a fixed
 canonical order (child-count splits in lexicographic order, subtrees left
@@ -16,8 +24,9 @@ Subtrees are drawn from pools, one per vector of internal-vertex counts.
 A pool of at most POOL_CACHE_MAX trees is built once and kept; a larger
 one is regenerated on each use, so memory stays bounded by the cap rather
 than by the output.  Pools are built bottom-up, and the walks over a tree
-(``leaf_addresses``, ``replace_at``, ``encode_tree``) and ``decode`` use
-explicit stacks, so no depth of tree reaches the recursion limit.
+(``leaf_addresses``, ``replace_at``, ``encode_tree``, the vertex counts and
+``Tree`` equality and hashing) and ``decode`` use explicit stacks, so no
+depth of tree reaches the recursion limit.
 
 Text encoding, bit-exact::
 
@@ -32,11 +41,11 @@ from __future__ import annotations
 
 import collections
 import itertools
+import operator
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .counting import VecProfile, catalan_vector
 from .exact import check_nat
@@ -82,44 +91,92 @@ def check_budget(estimate: Fraction | int) -> None:
 # Data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tree:
-    """Ordered rooted tree; a vertex with no children is a leaf."""
+class StrictTuple(tuple):
+    """A tuple equal only to tuples of its own class, never to a plain one."""
 
-    children: tuple["Tree", ...] = ()
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({tuple.__repr__(self)})"
+
+
+class Tree(StrictTuple):
+    """Ordered rooted tree: the tuple of its child trees, so a leaf is the
+    empty tree.  ``Tree(children)`` is built by tuple's own constructor.
+
+    Equality and hashing use the tree's outdegree word, which determines
+    the tree and is read with an explicit stack, so trees of any depth
+    compare and hash.
+    """
+
+    __slots__ = ()
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
+    def children(self) -> Tree:
+        return self
+
+    is_leaf = property(operator.not_, doc="True for a vertex without children.")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Tree:
+            return StrictTuple.__eq__(self, other)
+        return self is other or _outdegrees((self,)) == _outdegrees((other,))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_outdegrees((self,))))
 
 
 LEAF = Tree()
 
 
-@dataclass(frozen=True)
-class Forest:
-    """Ordered sequence of trees; the component count is gamma (may be 0).
+class Forest(StrictTuple):
+    """Ordered sequence of trees, as the tuple of its trees; the component
+    count is gamma (may be 0).
 
     All component roots sit on depth 0; children of depth-d vertices sit on
     depth d+1.  Left-to-right order inside a depth is component-major.
     """
 
-    trees: tuple[Tree, ...] = ()
+    __slots__ = ()
 
     @property
-    def gamma(self) -> int:
-        return len(self.trees)
+    def trees(self) -> Forest:
+        return self
+
+    gamma = property(len, doc="The number of components.")
 
 
-@dataclass(frozen=True, order=True)
-class VertexAddr:
+class VertexAddr(NamedTuple):
     """Address of a vertex: component index plus child-index path from the
     component root.  Tuple ordering of (component, path) is left-to-right
     order inside a fixed depth and component-major preorder overall.
     """
 
     component: int
-    path: tuple[int, ...] = field(default=())
+    path: tuple[int, ...] = ()
+
+
+def _outdegrees(trees: Iterable[Tree]) -> list[int]:
+    """The outdegree word of ``trees``: the outdegree of every vertex, in
+    the preorder of their mirror image, which determines the trees."""
+    out = []
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        out.append(len(node))
+        stack.extend(node)
+    return out
 
 
 def level_structure(forest: Forest) -> list[list[tuple[VertexAddr, Tree]]]:
@@ -129,35 +186,35 @@ def level_structure(forest: Forest) -> list[list[tuple[VertexAddr, Tree]]]:
     level's vertices in order, which is left-to-right order one level down.
     """
     levels: list[list[tuple[VertexAddr, Tree]]] = []
-    level = [(VertexAddr(comp, ()), tree) for comp, tree in enumerate(forest.trees)]
+    level = [(VertexAddr(comp, ()), tree) for comp, tree in enumerate(forest)]
     while level:
         levels.append(level)
         level = [(VertexAddr(addr.component, addr.path + (i,)), child)
-                 for addr, node in level for i, child in enumerate(node.children)]
+                 for addr, node in level for i, child in enumerate(node)]
     return levels
 
 
 def count_leaves(forest: Forest) -> int:
     """Number of childless vertices of the forest."""
-    return sum(1 for level in level_structure(forest) for _, node in level if node.is_leaf)
+    return _outdegrees(forest).count(0)
 
 
 def count_internal(forest: Forest) -> int:
     """Number of vertices with outdegree >= 1."""
-    return sum(1 for level in level_structure(forest) for _, node in level if not node.is_leaf)
+    degrees = _outdegrees(forest)
+    return len(degrees) - degrees.count(0)
 
 
 def leaf_addresses(forest: Forest) -> list[VertexAddr]:
     """Addresses of all leaves, in component-major preorder, which is
     VertexAddr order."""
     out = []
-    for comp, tree in enumerate(forest.trees):
+    for comp, tree in enumerate(forest):
         stack = [((), tree)]
         while stack:
             path, node = stack.pop()
-            kids = node.children
-            if kids:
-                stack.extend((path + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1))
+            if node:
+                stack.extend((path + (i,), node[i]) for i in range(len(node) - 1, -1, -1))
             else:
                 out.append(VertexAddr(comp, path))
     return out
@@ -166,9 +223,9 @@ def leaf_addresses(forest: Forest) -> list[VertexAddr]:
 def subtree_at(forest: Forest, addr: VertexAddr) -> Tree:
     """The subtree rooted at addr; raises if the address does not exist."""
     try:
-        node = forest.trees[addr.component]
+        node = forest[addr.component]
         for i in addr.path:
-            node = node.children[i]
+            node = node[i]
     except IndexError:
         raise ValueError(f"no vertex at {addr}") from None
     return node
@@ -176,19 +233,18 @@ def subtree_at(forest: Forest, addr: VertexAddr) -> Tree:
 
 def replace_at(forest: Forest, addr: VertexAddr, new: Tree) -> Forest:
     """Forest with the subtree at addr swapped for ``new``."""
-    if addr.component >= len(forest.trees):
+    if addr.component >= len(forest):
         raise ValueError(f"no vertex at {addr}")
     ancestors = []
-    node = forest.trees[addr.component]
+    node = forest[addr.component]
     for i in addr.path:
-        if i >= len(node.children):
+        if i >= len(node):
             raise ValueError(f"no vertex at {addr}")
         ancestors.append(node)
-        node = node.children[i]
+        node = node[i]
     for parent, i in zip(reversed(ancestors), reversed(addr.path)):
-        new = Tree(parent.children[:i] + (new,) + parent.children[i + 1:])
-    trees = forest.trees
-    return Forest(trees[:addr.component] + (new,) + trees[addr.component + 1:])
+        new = Tree(parent[:i] + (new,) + parent[i + 1:])
+    return Forest(forest[:addr.component] + (new,) + forest[addr.component + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +416,7 @@ def generate_forests(beta: int, n: int, gamma: int) -> list[Forest]:
 def generate_kary(beta: int, n: int) -> list[Tree]:
     """All trees whose internal vertices have outdegree exactly ``beta``,
     with exactly ``n`` internal vertices, in canonical order."""
-    return [forest.trees[0] for forest in iter_forests(beta, n, 1)]
+    return [forest[0] for forest in iter_forests(beta, n, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +438,10 @@ def encode_tree(tree: Tree) -> str:
         node = stack.pop()
         if node.__class__ is str:
             out.append(node)
-        elif node.children:
+        elif node:
             out.append("(")
             stack.append(")")
-            stack.extend(reversed(node.children))
+            stack.extend(reversed(node))
         else:
             out.append("o")
     return "".join(out)
@@ -393,7 +449,7 @@ def encode_tree(tree: Tree) -> str:
 
 def encode(forest: Forest) -> str:
     """Parenthesis encoding; the empty forest encodes to ""."""
-    return ";".join(map(encode_tree, forest.trees))
+    return ";".join(map(encode_tree, forest))
 
 
 def decode(text: str) -> Forest:
@@ -431,11 +487,11 @@ def decode(text: str) -> Forest:
             if not kids:
                 raise ForestSyntaxError("internal vertex needs at least one child", pos)
             pos += 1
-            node = Tree(tuple(kids))
+            node = Tree(kids)
         else:
             trees.append(node)
             if pos >= end:
-                return Forest(tuple(trees))
+                return Forest(trees)
             if text[pos] != ";":
                 raise ForestSyntaxError(f"unexpected {text[pos]!r}", pos)
             pos += 1

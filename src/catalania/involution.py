@@ -24,6 +24,11 @@ the (-1)**(number of colored objects) weight, so every alternating census
 is carried entirely by the *exceptional* structures: those with no colored
 leaf and no internal vertex (only planted roots colored).
 
+A ``ColoredForest`` is the tuple (forest, planted, leaf_colors, root_colors)
+and a ``Classification`` the named pair (kind, vertex).  Both are immutable
+and hashable, and compare structurally at any depth of forest, since
+``Tree`` equality and hashing use explicit stacks.
+
 Validation happens where structures come from outside.  ``ColoredForest(...)``
 checks and sorts every coloring that users build or decode.  The
 enumerators (``enumerate_colored``, ``enumerate_colored_vector`` and the
@@ -40,16 +45,17 @@ of its colorings, and pairs the first class from that classification.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .counting import VecProfile, catalan_vector, check_outdegrees
 from .exact import Rat, RatLike, check_nat, multinomial
 from .forest import (
     LEAF,
     Forest,
+    StrictTuple,
     Tree,
     VertexAddr,
     check_arity,
@@ -75,28 +81,32 @@ class StructureError(ValueError):
     """A structure is inconsistent with the declared outdegree classes."""
 
 
-@dataclass(frozen=True)
-class ColoredForest:
-    """Forest + planted roots + coloring of leaves and planted roots.
+class ColoredForest(StrictTuple):
+    """Forest + planted roots + coloring of leaves and planted roots, as the
+    tuple (forest, planted, leaf_colors, root_colors).
 
     ``leaf_colors`` maps leaf addresses to colors >= 1 and is stored as a
     tuple of pairs sorted by address; ``root_colors`` maps planted-root
     indices (0 .. planted-1) to colors, sorted by index.  Structures are
-    immutable, hashable and compare structurally.
+    immutable, hashable and compare structurally, at any depth of forest.
     """
 
-    forest: Forest
-    planted: int = 0
-    leaf_colors: tuple[tuple[VertexAddr, int], ...] = ()
-    root_colors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_nat(self.planted, "planted")
-        leaf_colors = tuple(sorted(tuple(self.leaf_colors)))
-        root_colors = tuple(sorted(tuple(self.root_colors)))
+    forest = property(operator.itemgetter(0))
+    planted = property(operator.itemgetter(1))
+    leaf_colors = property(operator.itemgetter(2))
+    root_colors = property(operator.itemgetter(3))
+
+    def __new__(cls, forest: Forest, planted: int = 0,
+                leaf_colors: Iterable[tuple[VertexAddr, int]] = (),
+                root_colors: Iterable[tuple[int, int]] = ()) -> ColoredForest:
+        check_nat(planted, "planted")
+        leaf_colors = tuple(sorted(leaf_colors))
+        root_colors = tuple(sorted(root_colors))
         seen_addrs = set()
         for addr, color in leaf_colors:
-            if not subtree_at(self.forest, addr).is_leaf:
+            if not subtree_at(forest, addr).is_leaf:
                 raise StructureError(f"colored vertex {addr} is not a leaf")
             if color < 1:
                 raise StructureError(f"colors must be >= 1, got {color}")
@@ -105,15 +115,21 @@ class ColoredForest:
             seen_addrs.add(addr)
         seen_roots = set()
         for idx, color in root_colors:
-            if not 0 <= idx < self.planted:
+            if not 0 <= idx < planted:
                 raise StructureError(f"planted-root index {idx} out of range")
             if color < 1:
                 raise StructureError(f"colors must be >= 1, got {color}")
             if idx in seen_roots:
                 raise StructureError(f"duplicate color entry for root {idx}")
             seen_roots.add(idx)
-        object.__setattr__(self, "leaf_colors", leaf_colors)
-        object.__setattr__(self, "root_colors", root_colors)
+        return tuple.__new__(cls, (forest, planted, leaf_colors, root_colors))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return ("ColoredForest(forest={!r}, planted={!r}, leaf_colors={!r}, "
+                "root_colors={!r})".format(*self))
 
     @property
     def colored_count(self) -> int:
@@ -128,14 +144,10 @@ def _built(forest: Forest, planted: int, leaf_colors: tuple, root_colors: tuple)
     that already hold: every leaf_colors address is a leaf, every root
     index is below ``planted``, every color is >= 1, and both tuples are
     sorted without duplicates.  It skips the check."""
-    c = object.__new__(ColoredForest)
-    vars(c).update(forest=forest, planted=planted, leaf_colors=leaf_colors,
-                   root_colors=root_colors)
-    return c
+    return tuple.__new__(ColoredForest, (forest, planted, leaf_colors, root_colors))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Outcome of ``classify``: which class, and the acting vertex."""
 
     kind: str  # FIRST | SECOND | EXCEPTIONAL
@@ -162,7 +174,7 @@ def classify(c: ColoredForest, levels: Optional[list] = None) -> Classification:
             continue
         blocked = False
         for addr, node in levels[depth]:
-            if node.children:
+            if node:
                 blocked = True
             elif addr in colored and not blocked:
                 return Classification(FIRST, addr)
@@ -171,7 +183,7 @@ def classify(c: ColoredForest, levels: Optional[list] = None) -> Classification:
     # internal vertex one level up has no colored leaf to its left there.
     if bottom >= 1 and not any(addr in colored for addr, _ in levels[bottom]):
         for addr, node in levels[bottom - 1]:
-            if node.children:
+            if node:
                 return Classification(SECOND, addr)
             if addr in colored:
                 break
@@ -202,10 +214,10 @@ def _partner(c: ColoredForest, cls: Classification, p: tuple[int, ...]) -> Color
         return _built(grown, c.planted, keep, c.root_colors)
     if cls.kind == SECOND:
         node = subtree_at(c.forest, addr)
-        degree = len(node.children)
+        degree = len(node)
         if degree not in p:
             raise StructureError(f"incumbent outdegree {degree} not among classes {p}")
-        if any(not child.is_leaf for child in node.children):
+        if any(node):
             raise StructureError("incumbent's children must all be leaves")
         color = p.index(degree) + 1
         pruned = replace_at(c.forest, addr, LEAF)
@@ -284,6 +296,8 @@ def _colorings(forests: list[Forest], n_leaves: int, planted: int,
         keys = sorted(i * t + j for j, chosen in enumerate(classes) for i in chosen)
         split = bisect_left(keys, leaf_end)
         colorings.append((keys[:split], tuple(roots[k - leaf_end] for k in keys[split:])))
+    if not colorings:  # more marks than slots: walk no forest
+        return []
     out: list[ColoredForest] = []
     for forest in forests:
         entry = [(addr, color) for addr in leaf_addresses(forest)
@@ -409,11 +423,15 @@ def find_matching_violation(
     weight-reversing involution on the given set, or None if it is one.
 
     With ``klass`` given, also requires partner to swap the two classes.
+    A repeated structure is reported first: the first one, in input order,
+    that occurs more than once.
     """
-    pool = set(structures)
-    if len(pool) != len(structures):
-        dupe = next(s for s in structures if structures.count(s) > 1)
-        return ("duplicate structure", dupe)
+    pool: set = set()
+    dupes: set = set()
+    for s in structures:
+        (dupes if s in pool else pool).add(s)
+    if dupes:
+        return ("duplicate structure", next(s for s in structures if s in dupes))
     for s in structures:
         t = partner(s)
         if t not in pool:
@@ -456,7 +474,7 @@ def encode_colored(c: ColoredForest, num_colors: int = 1) -> str:
     pending = iter(c.leaf_colors)
     target, color = next(pending, (None, 0))
     parts = []
-    for comp, tree in enumerate(c.forest.trees):
+    for comp, tree in enumerate(c.forest):
         if comp:
             parts.append(";")
         stack: list = [((), tree)]
@@ -464,11 +482,10 @@ def encode_colored(c: ColoredForest, num_colors: int = 1) -> str:
             path, node = stack.pop()
             if node is None:
                 parts.append(")")
-            elif node.children:
+            elif node:
                 parts.append("(")
                 stack.append((None, None))
-                kids = node.children
-                stack.extend((path + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1))
+                stack.extend((path + (i,), node[i]) for i in range(len(node) - 1, -1, -1))
             elif target is not None and target.path == path and target.component == comp:
                 parts.append("o*" if num_colors == 1 else f"o*{color}")
                 target, color = next(pending, (None, 0))

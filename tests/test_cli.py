@@ -392,7 +392,7 @@ sys.exit(code)
 BASE = ["catalania", "catalania.cli"]
 SEQ = BASE + ["catalania.counting", "catalania.exact"]
 SERIES = SEQ + ["catalania.riordan", "dataclasses"]
-TREES = SEQ + ["catalania.forest", "dataclasses"]
+TREES = SEQ + ["catalania.forest"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -404,7 +404,8 @@ TREES = SEQ + ["catalania.forest", "dataclasses"]
     (["involution", "--beta", "2", "--n", "2", "--alpha", "2", "--dump-pairs"],
      TREES + ["catalania.involution"]),
     (["verify", "--config", "CONFIG"],
-     TREES + ["catalania.identities", "catalania.involution", "catalania.riordan"]),
+     TREES + ["catalania.identities", "catalania.involution", "catalania.riordan",
+              "dataclasses"]),
 ], ids=["help", "seq", "riordan-entry", "riordan-check", "trees-count", "involution", "verify"])
 def test_subcommand_runs_only_its_layers(tmp_path, argv, loaded):
     config = tmp_path / "grid.json"

@@ -1,0 +1,152 @@
+"""The immutable value types of forest.py and involution.py: tuples built by
+tuple's own constructor, equal only to their own kind, and deep-safe."""
+
+import copy
+import pickle
+
+import pytest
+
+from catalania.forest import LEAF, Forest, Tree, VertexAddr, count_internal, count_leaves, decode
+from catalania.involution import (
+    FIRST,
+    Classification,
+    ColoredForest,
+    check_signed_matching,
+    classify,
+    colored_census,
+    find_matching_violation,
+    involute,
+)
+
+
+def _values():
+    """Two equal, separately built values of each type, and one that
+    differs from them in a single field or vertex."""
+    return {
+        "Tree": (decode("(o(oo))")[0], decode("(o(oo))")[0], decode("((oo)o)")[0]),
+        "Forest": (decode("(oo);o"), decode("(oo);o"), decode("o;(oo)")),
+        "VertexAddr": (VertexAddr(1, (0, 2)), VertexAddr(1, (0, 2)), VertexAddr(1, (2, 0))),
+        "ColoredForest": (
+            ColoredForest(decode("(oo)"), 1, ((VertexAddr(0, (1,)), 1),), ((0, 2),)),
+            ColoredForest(decode("(oo)"), 1, [(VertexAddr(0, (1,)), 1)], [(0, 2)]),
+            ColoredForest(decode("(oo)"), 1, ((VertexAddr(0, (0,)), 1),), ((0, 2),)),
+        ),
+        "Classification": (Classification(FIRST, VertexAddr(0, (1,))),
+                           Classification(FIRST, VertexAddr(0, (1,))),
+                           Classification(FIRST, VertexAddr(0, (0,)))),
+    }
+
+
+FIELDS = {"Tree": "children", "Forest": "trees", "VertexAddr": "path",
+          "ColoredForest": "planted", "Classification": "kind"}
+NAMES = sorted(FIELDS)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_immutable(name):
+    value, _, _ = _values()[name]
+    before = copy.copy(value)
+    with pytest.raises(AttributeError):
+        setattr(value, FIELDS[name], None)
+    with pytest.raises(AttributeError):
+        delattr(value, FIELDS[name])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_iff_structurally_equal(name):
+    value, twin, other = _values()[name]
+    assert value is not twin
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert value != other and not value == other
+    assert len({value, twin, other}) == 2
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pickle_and_copy_round_trip(name):
+    value, _, _ = _values()[name]
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert clone == value and type(clone) is type(value)
+        assert hash(clone) == hash(value)
+
+
+def test_tree_is_never_a_plain_tuple():
+    assert Tree((LEAF,)) != (LEAF,)
+    assert (LEAF,) != Tree((LEAF,))
+    assert LEAF != ()
+    assert Tree((LEAF,)) != Forest((LEAF,))
+    assert Forest((LEAF,)) != (LEAF,)
+    assert Forest((LEAF,)) != Tree((LEAF,))
+
+
+def test_tree_fields():
+    tree = decode("(o(oo))")[0]
+    assert tree.children is tree
+    assert tuple(tree) == (LEAF, Tree((LEAF, LEAF)))
+    assert LEAF.is_leaf and not tree.is_leaf
+    assert decode("o;o").trees == Forest((LEAF, LEAF))
+    assert decode("o;o").gamma == 2
+
+
+def test_repr_text():
+    addr = VertexAddr(0, (1,))
+    assert repr(addr) == "VertexAddr(component=0, path=(1,))"
+    assert repr(Classification(FIRST, addr)) == (
+        "Classification(kind='first', vertex=VertexAddr(component=0, path=(1,)))")
+    assert repr(Classification("exceptional")) == "Classification(kind='exceptional', vertex=None)"
+    assert repr(decode("(oo)")) == "Forest((Tree((Tree(()), Tree(()))),))"
+    assert repr(ColoredForest(decode("o"), 1, (), ((0, 1),))) == (
+        "ColoredForest(forest=Forest((Tree(()),)), planted=1, leaf_colors=(), "
+        "root_colors=((0, 1),))")
+
+
+DEEP = "(" * 3000 + "o" + ")" * 3000
+
+
+def test_deep_trees_compare_and_hash():
+    first, second = decode(DEEP), decode(DEEP)
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first[0], second[0]}) == 1
+    assert first != decode("(" + DEEP + ")")
+    assert count_internal(first) == 3000 and count_leaves(first) == 1
+
+
+def test_signed_matching_on_a_deep_census():
+    structures = [c for piece in colored_census(1, 1500, 1, 2) for c in piece]
+    assert len(structures) == 4
+    assert check_signed_matching(structures, lambda c: c.weight(), lambda c: involute(c, [1]),
+                                 klass=lambda c: classify(c).kind)
+
+
+def test_first_duplicate_in_input_order_is_reported():
+    a, b = decode("o"), decode("(o)")
+    assert find_matching_violation([a, b, b, a], int, id) == ("duplicate structure", a)
+    assert find_matching_violation([b, a, decode("o")], int, id) == ("duplicate structure", a)
+
+
+class _Counted:
+    """A hashable item that counts the equality tests made on it."""
+
+    tests = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        _Counted.tests += 1
+        return self.key == other.key
+
+
+def test_duplicate_scan_is_linear():
+    items = [_Counted(k) for k in range(2000)] + [_Counted(1999)]
+    _Counted.tests = 0
+    reason, witness = find_matching_violation(items, int, id)
+    assert (reason, witness) == ("duplicate structure", items[1999])
+    assert _Counted.tests <= 2 * len(items)
