@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import Rat, RatLike, binom, check_nat, multinomial
+from .exact import Rat, RatLike, binom, check_nat, int_binom, multinomial
 
 CatalanFn = Callable[[int, RatLike, RatLike], Rat]
 
@@ -83,6 +83,11 @@ class VecProfile:
         return sum(nj * (pj - 1) for nj, pj in zip(self.n, self.p)) + gamma
 
 
+def _rat(value: RatLike) -> RatLike:
+    """An int or Fraction as it is, anything else as a Fraction."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
 def catalan_gen(n: int, beta: RatLike, gamma: RatLike) -> Rat:
     """Count of ordered forests of beta-ary trees with gamma components and
     n internal vertices, as a rational function of beta and gamma.
@@ -91,20 +96,30 @@ def catalan_gen(n: int, beta: RatLike, gamma: RatLike) -> Rat:
     agrees with the quotient gamma/(beta*n+gamma) * binom(beta*n+gamma, n)
     wherever the latter is defined and stays finite at beta*n + gamma = 0.
     catalan_gen(0, beta, gamma) = 1 for all parameters.
+
+    At integral beta and gamma the value is an integer, the n-th coefficient
+    of B_beta(x)**gamma, and is built as one Fraction from ``int_binom``.
     """
     check_nat(n)
-    beta = Fraction(beta)
-    gamma = Fraction(gamma)
+    beta, gamma = _rat(beta), _rat(gamma)
     if n == 0:
         return Fraction(1)
-    return gamma / n * binom(beta * n + gamma - 1, n - 1)
+    if beta.denominator == 1 == gamma.denominator:
+        b, g = beta.numerator, gamma.numerator
+        return Fraction(g * int_binom(b * n + g - 1, n - 1), n)
+    return Fraction(gamma) / n * binom(beta * n + gamma - 1, n - 1)
 
 
 def eq2_rhs(alpha: RatLike, gamma: RatLike, n: int) -> Rat:
     """(-1)**n * binom(alpha - gamma, n), the closed form of the alternating
-    sum of Eq2 over the counts of ``catalan_gen``."""
+    sum of Eq2 over the counts of ``catalan_gen``.  At integral alpha - gamma
+    it is one Fraction built from ``int_binom``."""
+    check_nat(n)
     sign = -1 if n % 2 else 1
-    return sign * binom(Fraction(alpha) - Fraction(gamma), n)
+    x = _rat(alpha) - _rat(gamma)
+    if x.denominator == 1:
+        return Fraction(sign * int_binom(x.numerator, n))
+    return sign * binom(x, n)
 
 
 def catalan_vector(profile: VecProfile, gamma: int) -> Rat:

@@ -92,7 +92,12 @@ def check_budget(estimate: Fraction | int) -> None:
 # ---------------------------------------------------------------------------
 
 class StrictTuple(tuple):
-    """A tuple equal only to tuples of its own class, never to a plain one."""
+    """A tuple equal only to tuples of its own class, never to a plain one.
+
+    Immutable, so a copy or a deep copy is the value itself.  The repr is
+    ``Name(<tuple repr>)``, written with an explicit stack, so a tree of any
+    depth has one.
+    """
 
     __slots__ = ()
 
@@ -107,8 +112,28 @@ class StrictTuple(tuple):
 
     __hash__ = tuple.__hash__
 
+    def __copy__(self) -> StrictTuple:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> StrictTuple:
+        return self
+
     def __repr__(self) -> str:
-        return f"{self.__class__.__name__}({tuple.__repr__(self)})"
+        out = []
+        stack: list = [self]  # values still to write, and text (str) to emit as is
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                out.append(node)
+                continue
+            out.append(f"{node.__class__.__name__}((")
+            stack.append(",))" if len(node) == 1 else "))")
+            for i in range(len(node) - 1, -1, -1):
+                item = node[i]
+                stack.append(item if type(item).__repr__ is StrictTuple.__repr__ else repr(item))
+                if i:
+                    stack.append(", ")
+        return "".join(out)
 
 
 class Tree(StrictTuple):
@@ -136,6 +161,9 @@ class Tree(StrictTuple):
     def __hash__(self) -> int:
         return hash(tuple(_outdegrees((self,))))
 
+    def __reduce__(self) -> tuple:
+        return _decode_tree, (encode_tree(self),)
+
 
 LEAF = Tree()
 
@@ -155,6 +183,9 @@ class Forest(StrictTuple):
         return self
 
     gamma = property(len, doc="The number of components.")
+
+    def __reduce__(self) -> tuple:
+        return decode, (encode(self),)
 
 
 class VertexAddr(NamedTuple):
@@ -450,6 +481,12 @@ def encode_tree(tree: Tree) -> str:
 def encode(forest: Forest) -> str:
     """Parenthesis encoding; the empty forest encodes to ""."""
     return ";".join(map(encode_tree, forest))
+
+
+def _decode_tree(text: str) -> Tree:
+    """The one tree that ``text`` encodes: how a pickled Tree is rebuilt."""
+    (tree,) = decode(text)
+    return tree
 
 
 def decode(text: str) -> Forest:

@@ -16,6 +16,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
@@ -584,24 +585,46 @@ def _suite_eq9(cfg: Mapping, run: _Run) -> _Plan:
     rng = random.Random(seed)
 
     def outcomes() -> Iterator[Optional[Counterexample]]:
-        matrices = [(pair, _gould_rows(pair.a, pair.m, pair.z, length),
-                     _gould_rows(pair.a, pair.m, pair.z, length, backward=True)) for pair in pairs]
+        matrices = [(pair, *_roundtrip_rows(pair, length)) for pair in pairs]
         for index in range(count):
             seq = random_rational_sequence(rng, length)
-            yield from (_gould_roundtrip(index, seq, *matrix) for matrix in matrices)
+            (nums,), den = _cleared([seq])
+            yield from (_gould_roundtrip(index, seq, nums, den, *matrix) for matrix in matrices)
 
     return grid, outcomes(), skipped
 
 
-def _gould_roundtrip(index: int, seq: list[Rat], pair: GouldPair, forward: list[list[RatLike]],
-                     backward: list[list[RatLike]]) -> Optional[Counterexample]:
-    back = _backward(backward, [_dot(row, seq) for row in forward])
-    inverse = _backward(backward, seq)
-    fwd = [_dot(row, inverse) for row in forward]
+def _cleared(rows: Sequence[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
+    """(R * rows, R): the rows as integers over the lcm R of all their denominators."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def _roundtrip_rows(pair: GouldPair, length: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """Integer matrices of the pair's two transforms, built once for every round trip:
+    den * F for the forward matrix F over its lcm denominator den, mult * E for the
+    backward transform E (row 0 the identity, row n >= 1 the scaled backward row over
+    its diagonal) with mult the lcm of that diagonal, and den * mult."""
+    forward, den = _cleared(_gould_rows(pair.a, pair.m, pair.z, length))
+    backward, _ = _cleared([[1]][:length] + _gould_rows(pair.a, pair.m, pair.z, length, True)[1:])
+    diagonal = [row[n] for n, row in enumerate(backward)]  # nonzero: poles are skipped
+    mult = lcm(*diagonal)
+    return forward, [[v * (mult // d) for v in row] for row, d in zip(backward, diagonal)], den * mult
+
+
+def _gould_roundtrip(index: int, seq: list[Rat], nums: list[int], den: int, pair: GouldPair,
+                     forward: list[list[int]], inverse: list[list[int]],
+                     scale: int) -> Optional[Counterexample]:
+    """Both round trips of seq = nums / den, decided on integers: each composite
+    must map nums to scale * nums (see _roundtrip_rows)."""
+    target = [scale * v for v in nums]
     params = {"sequence": index, "a": pair.a, "m": rat_str(pair.m), "z": rat_str(pair.z)}
-    for got, detail in ((back, "backward(forward) != id"), (fwd, "forward(backward) != id")):
-        if got != seq:
-            return Counterexample.at(params, [rat_str(v) for v in got],
+    for outer, inner, detail in ((inverse, forward, "backward(forward) != id"),
+                                 (forward, inverse, "forward(backward) != id")):
+        image = [_dot(row, nums) for row in inner]
+        got = [_dot(row, image) for row in outer]
+        if got != target:
+            return Counterexample.at(params, [rat_str(Fraction(v, scale * den)) for v in got],
                                      [rat_str(v) for v in seq], detail)
     return None
 

@@ -3,8 +3,10 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catalania.counting import VecProfile, catalan_gen, catalan_sequence, catalan_vector
+from catalania.counting import VecProfile, catalan_gen, catalan_sequence, catalan_vector, eq2_rhs
 from catalania.exact import binom
 from catalania.forest import compositions, generate_forests, generate_mixed_forests
 
@@ -41,6 +43,43 @@ class TestCatalanGen:
                 for n in range(0, 9):
                     value = catalan_gen(n, beta, gamma)
                     assert value.denominator == 1 and value >= 0
+
+
+small_ints = st.integers(min_value=-4, max_value=6)
+
+
+class TestIntegralPaths:
+    """At integral parameters the closed forms are built from int_binom; they
+    must agree with the Fraction formulas and stay Fractions."""
+
+    @given(beta=small_ints, gamma=small_ints, n=st.integers(min_value=1, max_value=15))
+    @settings(max_examples=150, deadline=None)
+    def test_catalan_gen_matches_the_fraction_formula(self, beta, gamma, n):
+        value = catalan_gen(n, beta, gamma)
+        assert value == F(gamma) / n * binom(beta * n + gamma - 1, n - 1)
+        assert type(value) is F and value.denominator == 1
+        assert catalan_gen(n, F(beta), F(gamma)) == value
+
+    @given(alpha=small_ints, gamma=small_ints, n=st.integers(min_value=0, max_value=15))
+    @settings(max_examples=150, deadline=None)
+    def test_eq2_rhs_matches_the_fraction_formula(self, alpha, gamma, n):
+        value = eq2_rhs(alpha, gamma, n)
+        assert value == (-1) ** n * binom(alpha - gamma, n)
+        assert type(value) is F and value.denominator == 1
+        assert eq2_rhs(F(alpha), F(gamma), n) == value
+
+    @pytest.mark.parametrize("beta,gamma", [(F(1, 2), 1), (2, F(-3, 2)), (F(5, 3), F(2, 7))])
+    def test_rational_points_keep_the_fraction_formula(self, beta, gamma):
+        for n in range(1, 8):
+            value = catalan_gen(n, beta, gamma)
+            assert type(value) is F
+            assert value == F(gamma) / n * binom(F(beta) * n + gamma - 1, n - 1)
+            rhs = eq2_rhs(beta, gamma, n)
+            assert type(rhs) is F and rhs == (-1) ** n * binom(F(beta) - gamma, n)
+
+    def test_n_is_checked(self):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            eq2_rhs(1, 0, -1)
 
 
 class TestCatalanVector:

@@ -115,6 +115,19 @@ def test_deep_trees_compare_and_hash():
     assert count_internal(first) == 3000 and count_leaves(first) == 1
 
 
+def test_deep_trees_repr_pickle_and_copy():
+    forest = decode(DEEP)
+    assert repr(forest) == "Forest((" + "Tree((" * 3000 + "Tree(())" + ",))" * 3001
+    assert repr(forest[0]) == repr(forest)[len("Forest(("):-len(",))")]
+    for value in (forest, forest[0]):
+        clone = pickle.loads(pickle.dumps(value))
+        assert clone == value and type(clone) is type(value)
+        assert copy.copy(value) is value and copy.deepcopy(value) is value
+    colored = ColoredForest(forest, 1, (), ((0, 1),))
+    assert pickle.loads(pickle.dumps(colored)) == colored
+    assert copy.deepcopy(colored) is colored
+
+
 def test_signed_matching_on_a_deep_census():
     structures = [c for piece in colored_census(1, 1500, 1, 2) for c in piece]
     assert len(structures) == 4

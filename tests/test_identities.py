@@ -295,6 +295,67 @@ class TestPairKernel:
             "rhs": str(catalan_gen(3, beta, gamma) + 1)}
 
 
+def _perturbed_gould_rows(in_backward: bool, n: int, k: int):
+    """identities._gould_rows with entry [n][k] of its forward or its
+    backward matrix plus 1."""
+    gould_rows = identities._gould_rows
+
+    def rows(a, m, z, length, backward=False):
+        out = gould_rows(a, m, z, length, backward)
+        if backward == in_backward:
+            out[n][k] += 1
+        return out
+
+    return rows
+
+
+# sha256 of reports_to_json(run_suite({"eq9": ...})) with one perturbed entry
+# of the pair's forward or scaled backward matrix, computed by the Fraction
+# round trip.  At seed 14 the first sequence is 0 at index 4, so a forward
+# entry in column 4 leaves backward(forward) exact and only forward(backward)
+# fails; an off-diagonal and a diagonal backward entry fail backward(forward).
+EQ9_FAILURES = [
+    (["2", "0", "1"], True, (6, 2), "backward(forward) != id",
+     "5bd3581a832d68b3014f7e489d4837c36f03bc6107a4da69a7cd46a47bc1694d"),
+    (["2", "0", "1"], False, (7, 4), "forward(backward) != id",
+     "5751a8882da7961371a8955fb522917f2a6c321f335058a59e0102845d363d61"),
+    (["2", "0", "1"], True, (5, 5), "backward(forward) != id",
+     "843ee6ede777fa42ad36be1d7983e1761e7d0b1ae2fe8aff96c0d1ec6babf014"),
+    (["1", "1/2", "-1"], True, (6, 2), "backward(forward) != id",
+     "12a1af9f8bbd6110f2dd8ed414d0514c72877c5736fcb2d14ac3e0aaa3ed5fc2"),
+    (["1", "1/2", "-1"], False, (7, 4), "forward(backward) != id",
+     "d7000a194545689ce5721905e8b9c1ad637d8469e0472f364bf7a381653054ea"),
+    (["1", "1/2", "-1"], True, (5, 5), "backward(forward) != id",
+     "876ed1d1700663fadbc0ed4cfb7594970cabcc87141b292b4a01d1fd458f7738"),
+]
+
+
+class TestEq9Failures:
+    @pytest.mark.parametrize("pair,backward,entry,detail,digest", EQ9_FAILURES,
+                             ids=["int-backward", "int-forward", "int-diagonal",
+                                  "rat-backward", "rat-forward", "rat-diagonal"])
+    def test_failure_report_bytes_are_pinned(self, monkeypatch, pair, backward, entry,
+                                             detail, digest):
+        monkeypatch.setattr(identities, "_gould_rows", _perturbed_gould_rows(backward, *entry))
+        reports = run_suite({"eq9": {"length": 10, "sequences": 3, "seed": 14, "pairs": [pair]}})
+        assert reports[0].counterexample.detail == detail
+        text = reports_to_json(reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_reported_values_are_the_perturbed_round_trip(self, monkeypatch):
+        pair = GouldPair(1, F(1, 2), F(-1))
+        forward = identities._gould_rows(pair.a, pair.m, pair.z, 10)
+        forward[7][4] += 1
+        seq = random_rational_sequence(random.Random(14), 10)
+        inverse = gould_backward(seq, pair)
+        got = [sum(f * v for f, v in zip(row, inverse)) for row in forward]
+        monkeypatch.setattr(identities, "_gould_rows", _perturbed_gould_rows(False, 7, 4))
+        (report,) = run_suite({"eq9": {"length": 10, "sequences": 1, "seed": 14,
+                                       "pairs": [["1", "1/2", "-1"]]}})
+        assert report.counterexample.lhs == str([str(v) for v in got])
+        assert report.counterexample.rhs == str([str(v) for v in seq])
+
+
 class TestClosedFormReduction:
     def test_binary_point(self):
         assert closed_form_reduction_check(2, 1, 10).ok
