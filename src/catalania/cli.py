@@ -168,13 +168,17 @@ def _load_series_file(path: str):
 
 
 def _riordan_array(args: argparse.Namespace, order: int) -> riordan.RiordanArray:
-    """The array read from --g-json/--f-json, else the Catalan family at
-    --alpha/--beta truncated to ``order``."""
-    if args.g_json and args.f_json:
-        return riordan.RiordanArray(_load_series_file(args.g_json), _load_series_file(args.f_json))
-    if args.alpha is not None and args.beta is not None:
-        return riordan.catalan_family(args.alpha, args.beta, order)
-    raise exact.ConfigError(f"{args.action} needs --alpha/--beta or --g-json/--f-json")
+    """The Catalan family at --alpha/--beta truncated to ``order``, with
+    --g-json and --f-json each replacing its half; with both files the family
+    flags are not needed."""
+    family = None
+    if not (args.g_json and args.f_json):
+        if args.alpha is None or args.beta is None:
+            raise exact.ConfigError(f"{args.action} needs --alpha/--beta or --g-json/--f-json")
+        family = riordan.catalan_family(args.alpha, args.beta, order)
+    g = _load_series_file(args.g_json) if args.g_json else family.g
+    f = _load_series_file(args.f_json) if args.f_json else family.f
+    return riordan.RiordanArray(g, f)
 
 
 def _cmd_riordan(args: argparse.Namespace) -> int:

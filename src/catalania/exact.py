@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence, Union
 
 Rat = Fraction
@@ -44,6 +44,12 @@ def as_rat(value: RatLike | str) -> Rat:
 def rat_str(value: RatLike) -> str:
     """Canonical text form: "num/den", or just "num" for integral values."""
     return str(Fraction(value))
+
+
+def cleared(rows: Sequence[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
+    """(R * rows, R): rows of reduced rationals as integers over the lcm R of their denominators."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 class ConfigError(ValueError):

@@ -20,7 +20,8 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
-from .exact import ConfigError, Rat, RatLike, as_rat, binom, check_nat, int_binom, multinomial, rat_str
+from .exact import (ConfigError, Rat, RatLike, as_rat, binom, check_nat, cleared, int_binom, multinomial,
+                    rat_str)
 from .forest import check_arity, compositions
 from .involution import census_sizes, check_alpha_gamma, signed_sum
 from .riordan import (catalan_family, catalan_gf, catalan_gf_functional_check, convolution_check,
@@ -588,16 +589,10 @@ def _suite_eq9(cfg: Mapping, run: _Run) -> _Plan:
         matrices = [(pair, *_roundtrip_rows(pair, length)) for pair in pairs]
         for index in range(count):
             seq = random_rational_sequence(rng, length)
-            (nums,), den = _cleared([seq])
+            (nums,), den = cleared([seq])
             yield from (_gould_roundtrip(index, seq, nums, den, *matrix) for matrix in matrices)
 
     return grid, outcomes(), skipped
-
-
-def _cleared(rows: Sequence[Sequence[RatLike]]) -> tuple[list[list[int]], int]:
-    """(R * rows, R): the rows as integers over the lcm R of all their denominators."""
-    den = lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 def _roundtrip_rows(pair: GouldPair, length: int) -> tuple[list[list[int]], list[list[int]], int]:
@@ -605,8 +600,8 @@ def _roundtrip_rows(pair: GouldPair, length: int) -> tuple[list[list[int]], list
     den * F for the forward matrix F over its lcm denominator den, mult * E for the
     backward transform E (row 0 the identity, row n >= 1 the scaled backward row over
     its diagonal) with mult the lcm of that diagonal, and den * mult."""
-    forward, den = _cleared(_gould_rows(pair.a, pair.m, pair.z, length))
-    backward, _ = _cleared([[1]][:length] + _gould_rows(pair.a, pair.m, pair.z, length, True)[1:])
+    forward, den = cleared(_gould_rows(pair.a, pair.m, pair.z, length))
+    backward, _ = cleared([[1]][:length] + _gould_rows(pair.a, pair.m, pair.z, length, True)[1:])
     diagonal = [row[n] for n, row in enumerate(backward)]  # nonzero: poles are skipped
     mult = lcm(*diagonal)
     return forward, [[v * (mult // d) for v in row] for row, d in zip(backward, diagonal)], den * mult

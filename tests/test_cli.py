@@ -286,6 +286,26 @@ class TestRiordan:
         assert code == 0
         assert out == "-2\n"
 
+    def test_lone_series_file_replaces_its_half_of_the_family(self, capsys, tmp_path):
+        g = tmp_path / "g.json"
+        f = tmp_path / "f.json"
+        g.write_text(json.dumps({"order": 0, "coeffs": ["5"]}))
+        f.write_text(json.dumps({"order": 3, "coeffs": ["0", "1", "0", "0"]}))
+        family = ("--alpha", "1", "--beta", "2")
+        assert run_cli(capsys, "riordan", "entry", "--g-json", str(g), *family,
+                       "--n", "0", "--k", "0") == (0, "5\n", "")
+        # g = 1 - x from the family, f = x from the file: [x^2] (1 - x) * x = -1
+        assert run_cli(capsys, "riordan", "entry", "--f-json", str(f), *family,
+                       "--n", "2", "--k", "1") == (0, "-1\n", "")
+
+    @pytest.mark.parametrize("flag", ["--g-json", "--f-json"])
+    def test_lone_series_file_without_family_is_usage_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"order": 3, "coeffs": ["0", "1", "0", "0"]}))
+        code, out, err = run_cli(capsys, "riordan", "entry", flag, str(path), "--n", "1", "--k", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: entry needs --alpha/--beta or --g-json/--f-json\n"
+
     def test_malformed_series_file(self, capsys, tmp_path):
         bad = tmp_path / "g.json"
         bad.write_text("{nope")
@@ -391,7 +411,7 @@ sys.exit(code)
 """
 BASE = ["catalania", "catalania.cli"]
 SEQ = BASE + ["catalania.counting", "catalania.exact"]
-SERIES = SEQ + ["catalania.riordan", "dataclasses"]
+SERIES = SEQ + ["catalania.riordan"]
 TREES = SEQ + ["catalania.forest"]
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 from math import gcd
 
@@ -82,6 +84,43 @@ class TestArithmetic:
         assert series_add(a, series_neg(a)) == series_const(0, a.order)
         n = min(a.order, b.order, c.order)
         assert series_mul(a.truncate(n), series_const(1, n)) == a.truncate(n)
+
+
+class TestRepresentation:
+    def test_lowest_terms_over_one_denominator(self):
+        s = series(["2/4", "1/6", "-3"])
+        assert (s.nums, s.den) == ((3, 1, -18), 6)
+        assert s.coeffs == (F(1, 2), F(1, 6), F(-3))
+        assert repr(s) == "Series([1/2, 1/6, -3])"
+
+    def test_zero_has_denominator_one(self):
+        z = series_neg(series(["0", "0"]))
+        assert (z.nums, z.den) == ((0, 0), 1)
+
+    def test_truncation_and_division_renormalize(self):
+        assert series(["1", "1/2"]).truncate(0).den == 1
+        # dividing by -2 at order 2 starts from the denominator (-2)**3
+        q = series_div_unit(series(["1", "1", "0"]), series(["-2", "0", "0"]))
+        assert (q.nums, q.den) == ((-1, -1, 0), 2)
+
+    def test_immutable_and_unhashable(self):
+        s = series(["1", "2"])
+        with pytest.raises(AttributeError):
+            s.den = 2
+        with pytest.raises(AttributeError):
+            del s.nums
+        with pytest.raises(AttributeError):
+            catalan_family(1, 2, 3).g = s
+        with pytest.raises(TypeError):
+            hash(s)
+
+    def test_copy_and_pickle_restore_the_slots(self):
+        s = series(["1", "-1/2", "7/3"])
+        for clone in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert (clone.nums, clone.den) == (s.nums, s.den)
+        array = catalan_family(1, 2, 3)
+        clone = pickle.loads(pickle.dumps(array))
+        assert (clone.g, clone.f) == (array.g, array.f)
 
 
 class TestBinpow:
@@ -180,6 +219,10 @@ class TestRiordanArray:
         for n in range(7):
             for k in range(7):
                 assert riordan_entry(pascal, n, k) == binom(n, k)
+
+    def test_row_sums_need_the_coefficients_they_sum(self):
+        with pytest.raises(ValueError, match="cannot extend order 1 to 4"):
+            row_sums(catalan_family(1, 2, 5), series(["1", "2"]), 4)
 
     def test_family_entry(self):
         assert riordan_entry(catalan_family(1, 2, 4), 2, 1) == -2
@@ -388,6 +431,13 @@ def assert_reduced(coeffs):
         assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
 
 
+def assert_canonical(s):
+    """The stored form: integer numerators over one positive denominator, in lowest terms."""
+    assert all(type(v) is int for v in s.nums) and type(s.den) is int
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    assert_reduced(s.coeffs)
+
+
 # Small mixed denominators share factors; primes and draws up to 10**30 are
 # mostly coprime, so the common denominator grows.
 denominators = st.one_of(
@@ -412,7 +462,7 @@ class TestIntegerKernel:
     def test_mul(self, a, b):
         got = series_mul(Series(tuple(a)), Series(tuple(b)))
         assert list(got.coeffs) == ref_mul(a, b)
-        assert_reduced(got.coeffs)
+        assert_canonical(got)
 
     @given(outer=coeff_lists, inner_tail=coeff_lists)
     @settings(max_examples=80)
@@ -420,7 +470,40 @@ class TestIntegerKernel:
         inner = [F(0)] + inner_tail
         got = series_compose(Series(tuple(outer)), Series(tuple(inner)))
         assert list(got.coeffs) == ref_compose(outer, inner)
-        assert_reduced(got.coeffs)
+        assert_canonical(got)
+
+    @given(a=coeff_lists, b=unit_lists)
+    @settings(max_examples=80)
+    def test_div_unit(self, a, b):
+        # b(0) may be negative or non-integral: the quotient's denominator
+        # starts as a power of b's constant numerator and must come out positive
+        got = series_div_unit(Series(a), Series(b))
+        assert list(got.coeffs) == ref_div(a, b)
+        assert_canonical(got)
+
+    @given(b=unit_lists)
+    @settings(max_examples=60)
+    def test_inverse_unit(self, b):
+        got = series_inverse_unit(Series(b))
+        assert list(got.coeffs) == ref_div([F(1)] + [F(0)] * (len(b) - 1), b)
+        assert_canonical(got)
+
+    @given(a=coeff_lists, b=coeff_lists)
+    @settings(max_examples=60)
+    def test_add_and_neg(self, a, b):
+        total = series_add(Series(a), Series(b))
+        assert list(total.coeffs) == [x + y for x, y in zip(a, b)]
+        assert_canonical(total)
+        neg = series_neg(Series(a))
+        assert list(neg.coeffs) == [-x for x in a]
+        assert_canonical(neg)
+
+    @given(a=coeff_lists)
+    @settings(max_examples=60)
+    def test_derivative(self, a):
+        got = series_derivative(Series(a))
+        assert list(got.coeffs) == ([k * c for k, c in enumerate(a)][1:] or [F(0)])
+        assert_canonical(got)
 
     @given(g=unit_lists, f=f_lists, a=coeff_lists)
     @settings(max_examples=50)
