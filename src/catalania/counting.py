@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import Rat, RatLike, binom, check_nat, int_binom, multinomial
+from .exact import Rat, RatLike, binom, check_nat, int_binom
 
 CatalanFn = Callable[[int, RatLike, RatLike], Rat]
 
@@ -127,15 +127,22 @@ def catalan_vector(profile: VecProfile, gamma: int) -> Rat:
     internal vertices of outdegree profile.p[j] for each class j.
 
     The empty profile (all n[j] = 0) counts 1 for every gamma including 0;
-    gamma = 0 with a non-empty profile counts 0.
+    gamma = 0 with a non-empty profile counts 0.  Otherwise the count is
+    gamma/total * multinomial(total, n) with total = n . p + gamma, built as
+    one Fraction over total from the integer product of the multinomial's
+    binomials.
     """
     check_nat(gamma, "gamma")
     if all(nj == 0 for nj in profile.n):
         return Fraction(1)
     if gamma == 0:
         return Fraction(0)
-    total = profile.dot_np() + gamma
-    return Fraction(gamma, total) * multinomial(total, profile.n)
+    total = x = profile.dot_np() + gamma
+    count = gamma
+    for nj in profile.n:
+        count *= int_binom(x, nj)
+        x -= nj
+    return Fraction(count, total)
 
 
 def catalan_sequence(beta: RatLike, gamma: RatLike, n_max: int,

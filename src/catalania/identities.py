@@ -14,7 +14,7 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import dataclass, field
+from contextvars import ContextVar
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -24,16 +24,52 @@ from .exact import (ConfigError, Rat, RatLike, as_rat, binom, check_nat, cleared
                     rat_str)
 from .forest import check_arity, compositions
 from .involution import census_sizes, check_alpha_gamma, signed_sum
-from .riordan import (catalan_family, catalan_gf, catalan_gf_functional_check, convolution_check,
-                      modified_riordan_check, riordan_theorem_check, row_sums, series_binpow)
+from .riordan import (RiordanArray, Series, catalan_family, catalan_gf, catalan_gf_functional_check,
+                      convolution_check, modified_riordan_check, riordan_theorem_check, row_sums,
+                      series_binpow)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class _Record:
+    """A record of the named ``__slots__``, each written once by the constructor
+    (or by copy and pickle), equal to a record of its own class with equal
+    slots, and shown as ``Name(slot=value, ...)``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Counterexample(_Record):
+    __slots__ = ("params", "lhs", "rhs", "detail")
     params: tuple[tuple[str, str], ...]
     lhs: str
     rhs: str
-    detail: str = ""
+    detail: str
+
+    def __init__(self, params: tuple[tuple[str, str], ...], lhs: str, rhs: str,
+                 detail: str = "") -> None:
+        self.params, self.lhs, self.rhs, self.detail = params, lhs, rhs, detail
 
     @staticmethod
     def at(params: Mapping[str, object], lhs: object, rhs: object, detail: str = "") -> "Counterexample":
@@ -47,21 +83,25 @@ class Counterexample:
         return out
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
+    __slots__ = ("identity_id", "grid", "status", "counterexample", "skipped")
     identity_id: str
     grid: str
     status: str  # "pass" | "fail"
-    counterexample: Optional[Counterexample] = None
-    skipped: tuple[str, ...] = ()
+    counterexample: Optional[Counterexample]
+    skipped: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.identity_id not in IDENTITY_IDS:
-            raise ValueError(f"unknown identity id {self.identity_id!r}")
-        if self.status == "fail" and self.counterexample is None:
+    def __init__(self, identity_id: str, grid: str, status: str,
+                 counterexample: Optional[Counterexample] = None,
+                 skipped: tuple[str, ...] = ()) -> None:
+        if identity_id not in IDENTITY_IDS:
+            raise ValueError(f"unknown identity id {identity_id!r}")
+        if status == "fail" and counterexample is None:
             raise ValueError("a failing report must carry a counterexample")
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"bad status {self.status!r}")
+        if status not in ("pass", "fail"):
+            raise ValueError(f"bad status {status!r}")
+        self.identity_id, self.grid, self.status = identity_id, grid, status
+        self.counterexample, self.skipped = counterexample, skipped
 
     @property
     def ok(self) -> bool:
@@ -94,19 +134,18 @@ def _point(alpha: RatLike, beta: RatLike, gamma: RatLike) -> tuple[dict[str, obj
 # Gould's inverse pair: the one kernel of the scalar sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GouldPair:
+class GouldPair(_Record):
     """Parameters (a, m, z) of the mutually inverse sequence transforms."""
 
+    __slots__ = ("a", "m", "z")
     a: int
     m: Rat
     z: Rat
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or isinstance(self.a, bool):
-            raise ValueError(f"a must be an integer, got {self.a!r}")
-        object.__setattr__(self, "m", Fraction(self.m))
-        object.__setattr__(self, "z", Fraction(self.z))
+    def __init__(self, a: int, m: RatLike, z: RatLike) -> None:
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise ValueError(f"a must be an integer, got {a!r}")
+        self.a, self.m, self.z = a, Fraction(m), Fraction(z)
 
 
 class SingularGouldParameters(ValueError):
@@ -169,6 +208,91 @@ def gould_backward(seq_b: Sequence[RatLike], pair: GouldPair) -> list[Rat]:
 
 
 # ---------------------------------------------------------------------------
+# What one run shares: the verdicts Eq4 takes from Eq2, and the tables
+# ---------------------------------------------------------------------------
+
+class _Run(_Record):
+    """What the sections of one run_suite call share, dropped with it.
+
+    ``eq2_passed`` holds the points (alpha, beta, gamma, n_max) where
+    verify_eq2 passed with the true catalan_gen.  That pass compared the
+    reversed-index sum with the direct sum on the same values for every
+    n <= n_max, which is all that verify_eq4 computes, so Eq4 takes its
+    verdict there from Eq2.  Any other point is evaluated by Eq4 itself.
+
+    ``tables`` holds the values that many grid points of Eq1, Eq2, Eq4 and
+    Eq10 need, keyed by a table name and the exact parameters the value
+    depends on: the Catalan counts per (catalan, beta, gamma, n_max), the
+    Eq2 closed forms per (alpha - gamma, n_max), the forward and backward
+    Gould rows per (a, m, z, length), and the arrays and series of Eq2's
+    array routes.  An entry is built on its first use by the builder this
+    module names at that moment, so a run sees a builder replaced before it
+    started, and is immutable (tuples, Series, RiordanArray).  Nothing
+    outlives the run: a table kept across runs would hand a later run values
+    built by an earlier run's builders.
+    """
+
+    __slots__ = ("catalan", "eq2_passed", "tables")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None  # eq2_passed and tables grow as the run goes
+    catalan: CatalanFn
+    eq2_passed: set[tuple[Rat, Rat, Rat, int]]
+    tables: dict[tuple, object]
+
+    def __init__(self, catalan: CatalanFn, eq2_passed: Optional[set] = None,
+                 tables: Optional[dict] = None) -> None:
+        self.catalan = catalan
+        self.eq2_passed = set() if eq2_passed is None else eq2_passed
+        self.tables = {} if tables is None else tables
+
+
+# The run_suite call under way in this context, whose tables the checks read;
+# None outside one, where every check builds what it needs for itself.
+_ACTIVE_RUN: ContextVar[Optional[_Run]] = ContextVar("catalania_active_run", default=None)
+
+
+def _shared(key: tuple, build: Callable[[], object]) -> object:
+    """The active run's table entry for ``key``, built on its first use."""
+    run = _ACTIVE_RUN.get()
+    if run is None:
+        return build()
+    tables = run.tables
+    if key not in tables:
+        tables[key] = build()
+    return tables[key]
+
+
+def _catalans(beta: RatLike, gamma: RatLike, n_max: int, catalan: CatalanFn) -> tuple:
+    """catalan(k, beta, gamma) for k <= n_max, in the ring of ``_ring``."""
+    return _shared(("catalan", catalan, beta, gamma, n_max), lambda: tuple(
+        _ring(catalan_sequence(beta, gamma, n_max, catalan))[0]))
+
+
+def _closed_forms(alpha: RatLike, gamma: RatLike, n_max: int) -> tuple:
+    """eq2_rhs(alpha, gamma, k) for k <= n_max, in the ring of ``_ring``."""
+    return _shared(("closed form", alpha - gamma, n_max), lambda: tuple(
+        _ring(eq2_rhs(alpha, gamma, k) for k in range(check_nat(n_max, "n_max") + 1))[0]))
+
+
+def _rows(a: RatLike, m: RatLike, z: RatLike, length: int, backward: bool = False) -> tuple:
+    """_gould_rows(a, m, z, length, backward) as a tuple of tuples."""
+    return _shared(("rows", a, m, z, length, backward), lambda: tuple(
+        map(tuple, _gould_rows(a, m, z, length, backward))))
+
+
+def _family(alpha: RatLike, beta: RatLike, order: int) -> RiordanArray:
+    return _shared(("family", alpha, beta, order), lambda: catalan_family(alpha, beta, order))
+
+
+def _gf(beta: RatLike, gamma: RatLike, order: int) -> Series:
+    return _shared(("gf", beta, gamma, order), lambda: catalan_gf(beta, gamma, order))
+
+
+def _binpow(a: RatLike, order: int) -> Series:
+    return _shared(("binpow", a, order), lambda: series_binpow(a, order))
+
+
+# ---------------------------------------------------------------------------
 # The alternating sum and its inverse expansion: the pair (beta - 1, alpha, -1)
 # ---------------------------------------------------------------------------
 
@@ -176,8 +300,8 @@ def _eq2_row_sums(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
                   catalan: CatalanFn) -> Iterator[tuple[RatLike, RatLike]]:
     """Forward rows 0..n_max against the counting sequence, summed forwards and reversed."""
     beta = Fraction(beta)
-    cats, _ = _ring(catalan_sequence(beta, gamma, n_max, catalan))
-    for n, row in enumerate(_gould_rows(beta - 1, alpha, -1, n_max + 1)):
+    cats = _catalans(beta, gamma, n_max, catalan)
+    for n, row in enumerate(_rows(beta - 1, alpha, -1, n_max + 1)):
         yield _dot(row, cats), _dot(row[::-1], cats[n::-1])
 
 
@@ -203,8 +327,9 @@ def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
     plus the reversed-index evaluation as an internal consistency check."""
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, n<={n_max}"
+    closed = _closed_forms(alpha, gamma, n_max)
     for n, (lhs, reindexed) in enumerate(_eq2_row_sums(alpha, beta, gamma, n_max, catalan)):
-        rhs = eq2_rhs(alpha, gamma, n)
+        rhs = closed[n]
         if lhs != rhs:
             return _report("Eq2", grid, Counterexample.at({**point, "n": n}, lhs, rhs, "direct sum"))
         if reindexed != lhs:
@@ -230,8 +355,8 @@ def _eq10_row_sums(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) ->
     (1-beta)*n - alpha, against the closed forms of Eq2; and that denominator."""
     check_nat(n_max)
     alpha, gamma = Fraction(alpha), Fraction(gamma)
-    rhs, _ = _ring(eq2_rhs(alpha, gamma, k) for k in range(n_max + 1))
-    for n, row in enumerate(_gould_rows(Fraction(beta) - 1, alpha, -1, n_max + 1, backward=True)):
+    rhs = _closed_forms(alpha, gamma, n_max)
+    for n, row in enumerate(_rows(Fraction(beta) - 1, alpha, -1, n_max + 1, backward=True)):
         yield _dot(row, rhs), row[n]
 
 
@@ -249,7 +374,7 @@ def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Id
     times their denominators, so integral points compare integers."""
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, 1<=n<={n_max}"
-    cats, _ = _ring(catalan_sequence(beta, gamma, n_max))  # checks n_max
+    cats = _catalans(beta, gamma, n_max, catalan_gen)  # checks n_max
     skipped: list[str] = []
     for n, (scaled, denom) in enumerate(_eq10_row_sums(alpha, beta, gamma, n_max)):
         if n and denom == 0:
@@ -431,21 +556,6 @@ def _section(value: object, name: str) -> Mapping:
     return value
 
 
-@dataclass
-class _Run:
-    """What the sections of one run_suite call share.
-
-    ``eq2_passed`` holds the points (alpha, beta, gamma, n_max) where
-    verify_eq2 passed with the true catalan_gen.  That pass compared the
-    reversed-index sum with the direct sum on the same values for every
-    n <= n_max, which is all that verify_eq4 computes, so Eq4 takes its
-    verdict there from Eq2.  Any other point is evaluated by Eq4 itself.
-    """
-
-    catalan: CatalanFn
-    eq2_passed: set[tuple[Rat, Rat, Rat, int]] = field(default_factory=set)
-
-
 # A runner reads and checks its whole section, evaluating nothing, and returns the grid
 # text, the lazy per-point outcomes (None: pass) and the skipped items the stream may add to.
 _Plan = tuple[str, Iterable[Optional[Counterexample]], Sequence[str]]
@@ -487,8 +597,8 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
                 run.eq2_passed.add((*point, n_max))
             yield rep.counterexample
         for alpha, beta, gamma in cross_points:
-            sums = row_sums(catalan_family(alpha, beta, max(cross_order, 1)),
-                            catalan_gf(beta, gamma, max(cross_order, 1)), cross_order)
+            sums = row_sums(_family(alpha, beta, max(cross_order, 1)),
+                            _gf(beta, gamma, max(cross_order, 1)), cross_order)
             for n, (direct, _) in enumerate(_eq2_row_sums(alpha, beta, gamma, cross_order, run.catalan)):
                 census = signed_sum(beta, n, gamma, alpha)
                 params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
@@ -498,9 +608,9 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
                 elif sums[n] != direct:
                     yield Counterexample.at(params, sums[n], direct, "array row sum vs direct sum")
         for (alpha_s, beta_s, gamma_s), (alpha, beta, gamma) in family_points:
-            r = catalan_family(alpha, beta, family_order)
-            a = catalan_gf(beta, gamma, family_order)
-            l = series_binpow(alpha - gamma, family_order)
+            r = _family(alpha, beta, family_order)
+            a = _gf(beta, gamma, family_order)
+            l = _binpow(alpha - gamma, family_order)
             params = {"alpha": alpha_s, "beta": beta_s, "gamma": gamma_s, "order": family_order}
             if not riordan_theorem_check(r, a, l):
                 yield Counterexample.at(params, "row sums", "target coefficients",
@@ -509,7 +619,8 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
                 yield Counterexample.at(params, "derivative form", "target coefficients",
                                         "modified summation-matrix check")
 
-    return f"{text}, n<={n_max}; plus involution-census and array-row routes", outcomes(), ()
+    routes = "; plus involution-census and array-row routes" if cross_points else ""
+    return f"{text}, n<={n_max}{routes}", outcomes(), ()
 
 
 def _suite_eq3(cfg: Mapping, run: _Run) -> _Plan:
@@ -689,8 +800,12 @@ def run_suite(config: Optional[Mapping] = None) -> list[IdentityReport]:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"malformed config: {exc}") from exc
-    return [_report(identity_id, grid, next((c for c in outcomes if c is not None), None), skipped)
-            for identity_id, (grid, outcomes, skipped) in plans]
+    token = _ACTIVE_RUN.set(run)
+    try:
+        return [_report(identity_id, grid, next((c for c in outcomes if c is not None), None), skipped)
+                for identity_id, (grid, outcomes, skipped) in plans]
+    finally:
+        _ACTIVE_RUN.reset(token)
 
 
 def load_config(text: str) -> dict:

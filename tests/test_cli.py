@@ -424,8 +424,7 @@ TREES = SEQ + ["catalania.forest"]
     (["involution", "--beta", "2", "--n", "2", "--alpha", "2", "--dump-pairs"],
      TREES + ["catalania.involution"]),
     (["verify", "--config", "CONFIG"],
-     TREES + ["catalania.identities", "catalania.involution", "catalania.riordan",
-              "dataclasses"]),
+     TREES + ["catalania.identities", "catalania.involution", "catalania.riordan"]),
 ], ids=["help", "seq", "riordan-entry", "riordan-check", "trees-count", "involution", "verify"])
 def test_subcommand_runs_only_its_layers(tmp_path, argv, loaded):
     config = tmp_path / "grid.json"

@@ -3,11 +3,11 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalania.counting import VecProfile, catalan_gen, catalan_sequence, catalan_vector, eq2_rhs
-from catalania.exact import binom
+from catalania.exact import binom, multinomial
 from catalania.forest import compositions, generate_forests, generate_mixed_forests
 
 
@@ -96,6 +96,21 @@ class TestCatalanVector:
 
     def test_gamma_zero_nonempty_counts_zero(self):
         assert catalan_vector(VecProfile((1, 0), (2, 3)), 0) == 0
+
+    @given(p=st.sets(st.integers(min_value=1, max_value=5), min_size=1, max_size=3),
+           n=st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=3),
+           gamma=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    @example(p={2, 3}, n=[0, 0, 0], gamma=0)
+    @example(p={2, 3}, n=[0, 0, 0], gamma=3)
+    @example(p={1, 4}, n=[2, 1, 0], gamma=0)
+    def test_integer_product_matches_the_fraction_formula(self, p, n, gamma):
+        profile = VecProfile(n[:len(p)], sorted(p))
+        total = profile.dot_np() + gamma
+        value = catalan_vector(profile, gamma)
+        # gamma = 0 with the empty profile is the one point where total = 0.
+        assert value == (1 if total == 0 else F(gamma, total) * multinomial(total, profile.n))
+        assert type(value) is F and value.denominator == 1
 
 
 class TestVecProfile:

@@ -1,6 +1,12 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
+import sys
+import threading
+from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
@@ -394,10 +400,20 @@ class TestSuite:
 
     def test_report_json_is_deterministic(self, default_reports):
         first = reports_to_json(default_reports)
-        second = reports_to_json(run_suite())
+        rerun = run_suite()  # a second run in the same process shares nothing with the first
+        assert tuple(rerun) == default_reports
+        second = reports_to_json(rerun)
         assert first == second
         parsed = json.loads(first)
         assert {entry["status"] for entry in parsed} == {"pass"}
+
+    def test_eq2_grid_text_names_only_the_routes_configured(self):
+        (report,) = run_suite({"eq2": _EQ2_POINT})
+        assert report.ok
+        assert report.grid == (
+            "alpha in [1..1 step 1], beta in [2..2 step 1], gamma in [1..1 step 1], n<=1")
+        (report,) = run_suite({"eq2": {**_EQ2_POINT, "cross": _CROSS}})
+        assert report.grid.endswith(", n<=1; plus involution-census and array-row routes")
 
     def test_empty_config_gives_empty_report(self):
         assert run_suite({}) == []
@@ -458,17 +474,21 @@ def _small_grid(alpha: dict, n_max: int) -> dict:
 ALPHA_0_2 = {"min": "0", "max": "2", "step": "1"}
 
 # sha256 of reports_to_json(run_suite(config)), each computed by the
-# straightforward implementation that evaluated every Eq4 point itself.
+# straightforward implementation that evaluated every Eq4 point itself.  An
+# Eq2 section without a cross route names no census or array-row route in
+# its grid text, so the two reports of such sections are that
+# implementation's bytes without "; plus involution-census and array-row
+# routes".
 GOLDEN_REPORTS = [
     (None, "2538d28b057d4f2f5c29f3f288dd88c4e7e573a33d04b4a40c6726c90815ecfd"),
     ({"eq2": _small_grid(ALPHA_0_2, 4), "eq4": _small_grid(ALPHA_0_2, 4),
       "corrupt_catalan": True},
-     "ce5637a850e45c58a2e8b3d1a7ed7aa04ff9c7ac0761a59ca34bfddc17a07bdf"),
+     "f2140e85f4358677b2511830cd3f97f7aed07e2f4d56a44b34f1c092cc303254"),
     ({"eq4": _small_grid({"min": "-1/2", "max": "1", "step": "1/2"}, 5)},
      "ac829d3efe5ec06e02769329ace072be99757d31c7b408e8ea94ffc5f36ed804"),
     ({"eq2": _small_grid(ALPHA_0_2, 4),
       "eq4": _small_grid({"min": "1", "max": "3", "step": "1"}, 4)},
-     "7bf12170c3fa589ff024e56b7f9567fd459b1db5d0ac74107b3319e9ec073cee"),
+     "68aeb0b3b37cfe112a0245591d98c91bd152cfa84a798fed3e97c97c9465abc7"),
 ]
 
 
@@ -508,6 +528,89 @@ class TestGoldenReports:
         calls.clear()
         run_suite({"eq4": config["eq4"]})  # nothing is kept between calls
         assert len(calls) == points
+
+
+def _recorded(calls: list, fn, key):
+    """``fn``, recording key(*args) of every call in ``calls``."""
+    def recording(*args):
+        calls.append(key(*args))
+        return fn(*args)
+    return recording
+
+
+class TestRunScope:
+    """The tables of a run_suite call live only for that call."""
+
+    SECTIONS = {key: DEFAULT_CONFIG[key] for key in ("eq1", "eq2", "eq4", "eq10")}
+
+    def test_each_table_entry_is_built_once_per_run(self, monkeypatch):
+        rows, cats, closed = [], [], []
+        monkeypatch.setattr(identities, "_gould_rows", _recorded(
+            rows, identities._gould_rows, lambda a, m, z, length, backward=False:
+            (a, m, z, length, backward)))
+        monkeypatch.setattr(identities, "catalan_sequence", _recorded(
+            cats, catalan_sequence, lambda beta, gamma, n_max, catalan: (beta, gamma, n_max, catalan)))
+        monkeypatch.setattr(identities, "eq2_rhs", _recorded(
+            closed, eq2_rhs, lambda alpha, gamma, n: (F(alpha) - F(gamma), n)))
+        for _ in range(2):  # the second run builds everything again
+            for calls in (rows, cats, closed):
+                calls.clear()
+            assert all(r.ok for r in run_suite(self.SECTIONS))
+            # Eq1's row set and counts, Eq2's 45 forward row sets (alpha, beta) and
+            # 35 count sequences (beta, gamma), the cross route's 8 and 4, and
+            # Eq10's 24 backward row sets and 20 count sequences; Eq4 takes
+            # every verdict from Eq2.
+            assert len(rows) == len(set(rows)) == 1 + 45 + 8 + 24
+            assert len(cats) == len(set(cats)) == 1 + 35 + 4 + 20
+            # The closed forms per alpha - gamma: Eq1's 0 up to n = 8, Eq2's
+            # -7..7 up to 12 and Eq10's -5..4 up to 10.
+            tables = [(0, 8)] + [(x, 12) for x in range(-7, 8)] + [(x, 10) for x in range(-5, 5)]
+            assert sorted(closed) == sorted((x, n) for x, n_max in tables for n in range(n_max + 1))
+            assert len(closed) == 9 + 15 * 13 + 10 * 11
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_a_later_run_sees_a_patched_builder(self, monkeypatch, backward):
+        config = {"eq1": {"n_max": 4}, "eq10": EQ10_SMALL}
+        assert [r.ok for r in run_suite(config)] == [True, True]
+        monkeypatch.setattr(identities, "_gould_rows", _perturbed_gould_rows(backward, 3, 1))
+        assert [r.ok for r in run_suite(config)] == [backward, not backward]
+
+    def test_concurrent_runs_share_nothing(self, monkeypatch):
+        """Each run builds its own rows, in its own order, whatever the runs in
+        other threads do at the same time."""
+        config = {"eq1": {"n_max": 6}, "eq10": EQ10_SMALL}
+        builds = defaultdict(list)
+        gould_rows = identities._gould_rows
+
+        def recorded(*args):
+            builds[threading.get_ident()].append(args)
+            return gould_rows(*args)
+
+        def run():
+            return reports_to_json(run_suite(config)), builds.pop(threading.get_ident())
+
+        monkeypatch.setattr(identities, "_gould_rows", recorded)
+        expected = run()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+
+    def test_no_table_outlives_its_run(self, monkeypatch):
+        def broken(*args):
+            raise ArithmeticError("internal bug")
+
+        run_suite({"eq1": {"n_max": 2}})
+        assert identities._ACTIVE_RUN.get() is None
+        monkeypatch.setattr(identities, "catalan_sequence", broken)
+        with pytest.raises(ArithmeticError):
+            run_suite({"eq1": {"n_max": 2}})
+        assert identities._ACTIVE_RUN.get() is None
 
 
 # sha256 of the stdout of `catalania ARGV`, and of the encodings of one
@@ -778,3 +881,45 @@ class TestReportShape:
     def test_unknown_identity_rejected(self):
         with pytest.raises(ValueError):
             IdentityReport("Eq5", "grid", "pass")
+
+
+class TestRecords:
+    """The report records are immutable values, shown by their fields."""
+
+    EXAMPLE = Counterexample((("n", "2"),), "2", "1", "direct sum")
+    RECORDS = [EXAMPLE, IdentityReport("Eq2", "grid", "fail", EXAMPLE, ("n=1",)),
+               IdentityReport("Eq7", "grid", "pass"), GouldPair(2, 1, F(1, 3))]
+
+    def test_repr(self):
+        assert [repr(r) for r in self.RECORDS] == [
+            "Counterexample(params=(('n', '2'),), lhs='2', rhs='1', detail='direct sum')",
+            "IdentityReport(identity_id='Eq2', grid='grid', status='fail', counterexample="
+            "Counterexample(params=(('n', '2'),), lhs='2', rhs='1', detail='direct sum'), "
+            "skipped=('n=1',))",
+            "IdentityReport(identity_id='Eq7', grid='grid', status='pass', counterexample=None, "
+            "skipped=())",
+            "GouldPair(a=2, m=Fraction(1, 1), z=Fraction(1, 3))"]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_value_semantics(self, index):
+        record = self.RECORDS[index]
+        for twin in (type(record)(*record._values()), pickle.loads(pickle.dumps(record)),
+                     copy.copy(record), copy.deepcopy(record)):
+            assert twin == record and hash(twin) == hash(record)
+        assert record != record._values()
+        with pytest.raises(AttributeError):
+            setattr(record, type(record).__slots__[0], None)
+        with pytest.raises(AttributeError):
+            delattr(record, type(record).__slots__[-1])
+
+    def test_gould_pair_checks_a_and_normalizes_m_and_z(self):
+        for a in (True, 1.0, F(2)):
+            with pytest.raises(ValueError, match="a must be an integer"):
+                GouldPair(a, 0, 1)
+        pair = GouldPair(1, 2, -1)
+        assert (type(pair.m), type(pair.z)) == (F, F)
+        assert pair == GouldPair(1, F(2), F(-1))
+
+    def test_bad_status_rejected(self):
+        with pytest.raises(ValueError, match="bad status"):
+            IdentityReport("Eq2", "grid", "unknown")
