@@ -68,9 +68,8 @@ def binom(x: RatLike, k: int) -> Rat:
 
     Defined for every rational x and non-negative integer k, with
     binom(x, 0) = 1.  The work is done in integers: for integral x it is
-    ``int_binom``; for x = p/q in lowest terms the falling factorial
-    prod(p - i*q) is one integer and a single Fraction is built over
-    q**k * k!.
+    ``int_binom``; for x = p/q in lowest terms ``falling(p, q, k)`` is one
+    integer and a single Fraction is built over q**k * k!.
     """
     check_nat(k, "k")
     if not isinstance(x, (int, Fraction)):
@@ -78,10 +77,17 @@ def binom(x: RatLike, k: int) -> Rat:
     p, q = x.numerator, x.denominator
     if q == 1:
         return Fraction(int_binom(p, k))
+    return Fraction(falling(p, q, k), q**k * factorial(k))
+
+
+def falling(p: int, q: int, k: int) -> int:
+    """prod(p - i*q for i < k), the falling factorial of x = p/q scaled by
+    q**k: x(x-1)...(x-k+1) * q**k, exact in integers for any integer p and
+    q >= 1, reduced or not.  falling(p, q, 0) = 1."""
     num = 1
     for i in range(k):
         num *= p - i * q
-    return Fraction(num, q**k * factorial(k))
+    return num
 
 
 def int_binom(x: int, k: int) -> int:

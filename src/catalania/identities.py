@@ -16,14 +16,13 @@ import operator
 import random
 from contextvars import ContextVar
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, perm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
-from .exact import (ConfigError, Rat, RatLike, as_rat, binom, check_nat, cleared, int_binom, multinomial,
-                    rat_str)
+from .exact import ConfigError, Rat, RatLike, as_rat, binom, check_nat, cleared, falling, int_binom, rat_str
 from .forest import check_arity, compositions
-from .involution import census_sizes, check_alpha_gamma, signed_sum
+from .involution import census_terms, check_alpha_gamma, signed_sum
 from .riordan import (RiordanArray, Series, catalan_family, catalan_gf, catalan_gf_functional_check,
                       convolution_check, modified_riordan_check, riordan_theorem_check, row_sums,
                       series_binpow)
@@ -220,12 +219,14 @@ class _Run(_Record):
     n <= n_max, which is all that verify_eq4 computes, so Eq4 takes its
     verdict there from Eq2.  Any other point is evaluated by Eq4 itself.
 
-    ``tables`` holds the values that many grid points of Eq1, Eq2, Eq4 and
-    Eq10 need, keyed by a table name and the exact parameters the value
-    depends on: the Catalan counts per (catalan, beta, gamma, n_max), the
-    Eq2 closed forms per (alpha - gamma, n_max), the forward and backward
-    Gould rows per (a, m, z, length), and the arrays and series of Eq2's
-    array routes.  An entry is built on its first use by the builder this
+    ``tables`` holds the values that many grid points of Eq1, Eq2, Eq3, Eq4
+    and Eq10 need, keyed by a table name and the exact parameters the value
+    depends on: the Catalan counts per (catalan, beta, gamma) and the Eq2
+    closed forms per alpha - gamma, each the longest sequence asked for so
+    far, whose prefixes serve the shorter requests; the forward and backward
+    Gould rows per (a, m, z, length); the arrays and series of Eq2's array
+    routes; and Eq3's census terms per (p, n_vec, gamma), which every alpha
+    of its grid reads.  An entry is built on its first use by the builder this
     module names at that moment, so a run sees a builder replaced before it
     started, and is immutable (tuples, Series, RiordanArray).  Nothing
     outlives the run: a table kept across runs would hand a later run values
@@ -262,16 +263,29 @@ def _shared(key: tuple, build: Callable[[], object]) -> object:
     return tables[key]
 
 
+def _shared_prefix(key: tuple, n_max: int, build: Callable[[int], tuple]) -> tuple:
+    """Entries 0..n_max of the active run's sequence ``key``: a prefix of the
+    longest one built so far, which a longer request rebuilds as build(n_max)."""
+    check_nat(n_max, "n_max")
+    run = _ACTIVE_RUN.get()
+    if run is None:
+        return build(n_max)
+    tables = run.tables
+    if len(tables.get(key, ())) <= n_max:
+        tables[key] = build(n_max)
+    return tables[key][:n_max + 1]
+
+
 def _catalans(beta: RatLike, gamma: RatLike, n_max: int, catalan: CatalanFn) -> tuple:
     """catalan(k, beta, gamma) for k <= n_max, in the ring of ``_ring``."""
-    return _shared(("catalan", catalan, beta, gamma, n_max), lambda: tuple(
-        _ring(catalan_sequence(beta, gamma, n_max, catalan))[0]))
+    return _shared_prefix(("catalan", catalan, beta, gamma), n_max, lambda length: tuple(
+        _ring(catalan_sequence(beta, gamma, length, catalan))[0]))
 
 
 def _closed_forms(alpha: RatLike, gamma: RatLike, n_max: int) -> tuple:
     """eq2_rhs(alpha, gamma, k) for k <= n_max, in the ring of ``_ring``."""
-    return _shared(("closed form", alpha - gamma, n_max), lambda: tuple(
-        _ring(eq2_rhs(alpha, gamma, k) for k in range(check_nat(n_max, "n_max") + 1))[0]))
+    return _shared_prefix(("closed form", alpha - gamma), n_max, lambda length: tuple(
+        _ring(eq2_rhs(alpha, gamma, k) for k in range(length + 1))[0]))
 
 
 def _rows(a: RatLike, m: RatLike, z: RatLike, length: int, backward: bool = False) -> tuple:
@@ -423,33 +437,86 @@ def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int) -> Id
 # The vector form
 # ---------------------------------------------------------------------------
 
+def _eq3_terms(p: tuple[int, ...], n_vec: tuple[int, ...], gamma: int) -> tuple:
+    """census_terms of the census of (p, n_vec, gamma), the alpha-free part of Eq3."""
+    return _shared(("eq3 terms", p, n_vec, gamma), lambda: tuple(
+        census_terms(VecProfile(n_vec, p), gamma)))
+
+
+def _falling_blocks(x: int, q: int, parts: Sequence[int]) -> int:
+    """q**sum(parts) * prod(parts[j]!) * multinomial(x/q, parts): the falling
+    products of the blocks, falling(x_j, q, parts[j]) with x_0 = x and
+    x_{j+1} = x_j - parts[j]*q."""
+    out = 1
+    for k in parts:
+        out *= falling(x, q, k)
+        x -= k * q
+    return out
+
+
+def _eq3_sides(terms: Sequence[tuple], n_vec: tuple[int, ...], gamma: int,
+               a: int, q: int) -> tuple[int, int, int]:
+    """(D * lhs, D * rhs, D) of Eq3 at n_vec and alpha = a/q, for the census
+    ``terms``; an empty ``terms`` gives lhs = 0.
+
+    With N = sum(n_vec), D = q**N * prod(n_j!) times the lcm of the
+    denominators of the terms' forest counts (1 for true counts).  The
+    census slice of marks i holds forests * multinomial(free_slots + alpha,
+    i) structures, which is forests * _falling_blocks(free_slots*q + a, q, i)
+    * q**(N - |i|) * prod(n_j!/i_j!) over D; the right side (-1)**N *
+    multinomial(alpha - gamma, n_vec) is _falling_blocks(a - gamma*q, q,
+    n_vec) over D.  Both scaled sides are integers at natural gamma, and the
+    identity holds exactly where they are equal."""
+    total = sum(n_vec)
+    clear = lcm(*(forests.denominator for _, _, forests, _ in terms))
+    lhs = 0
+    for _, marks, forests, free_slots in terms:
+        term = (forests.numerator * (clear // forests.denominator)
+                * _falling_blocks(free_slots * q + a, q, marks) * q ** (total - sum(marks)))
+        for nj, ij in zip(n_vec, marks):
+            term *= perm(nj, nj - ij)
+        lhs += -term if sum(marks) % 2 else term
+    rhs = clear * _falling_blocks(a - gamma * q, q, n_vec)
+    scale = clear * q**total
+    for nj in n_vec:
+        scale *= factorial(nj)
+    return lhs, -rhs if total % 2 else rhs, scale
+
+
 def eq3_lhs(p: Sequence[int], n_vec: Sequence[int], gamma: int, alpha: RatLike) -> Rat:
     """Alternating sum over 0 <= i <= n of the colored-forest counts: the
     census slice sizes, signed by (-1)**sum(i)."""
-    sizes = census_sizes(VecProfile(tuple(n_vec), p), gamma, Fraction(alpha))
-    return sum(-size if sum(marks) % 2 else size for _, marks, size in sizes)
+    n_vec, alpha = tuple(n_vec), Fraction(alpha)
+    lhs, _, scale = _eq3_sides(_eq3_terms(tuple(p), n_vec, gamma), n_vec, gamma,
+                               alpha.numerator, alpha.denominator)
+    return Fraction(lhs, scale)
 
 
 def eq3_rhs(n_vec: Sequence[int], gamma: int, alpha: RatLike) -> Rat:
-    n_vec = tuple(n_vec)
-    sign = -1 if sum(n_vec) % 2 else 1
-    return sign * multinomial(Fraction(alpha) - gamma, n_vec)
+    """(-1)**sum(n) * multinomial(alpha - gamma, n)."""
+    n_vec, alpha = tuple(check_nat(nj, "part") for nj in n_vec), Fraction(alpha)
+    _, rhs, scale = _eq3_sides((), n_vec, gamma, alpha.numerator, alpha.denominator)
+    return Fraction(rhs, scale)
 
 
 def verify_eq3(p: Sequence[int], gamma: int, alpha: RatLike, n_max_total: int) -> IdentityReport:
-    """Check the vector identity for every n-vector with sum <= n_max_total."""
+    """Check the vector identity for every n-vector with sum <= n_max_total,
+    on the integers of _eq3_sides; a Fraction is built only to report a
+    failing point."""
     p = check_outdegrees(p)
     check_nat(gamma, "gamma")
     check_nat(n_max_total, "n_max_total")
+    alpha = Fraction(alpha)
+    a, q = alpha.numerator, alpha.denominator
     grid = f"p={list(p)}, gamma={gamma}, alpha={rat_str(alpha)}, sum(n)<={n_max_total}"
     for total in range(n_max_total + 1):
         for n_vec in compositions(total, len(p)):
-            lhs = eq3_lhs(p, n_vec, gamma, alpha)
-            rhs = eq3_rhs(n_vec, gamma, alpha)
+            lhs, rhs, scale = _eq3_sides(_eq3_terms(p, n_vec, gamma), n_vec, gamma, a, q)
             if lhs != rhs:
                 params = {"p": str(list(p)), "gamma": gamma,
                           "alpha": rat_str(alpha), "n": str(list(n_vec))}
-                return _report("Eq3", grid, Counterexample.at(params, lhs, rhs))
+                return _report("Eq3", grid, Counterexample.at(
+                    params, Fraction(lhs, scale), Fraction(rhs, scale)))
     return _report("Eq3", grid, None)
 
 

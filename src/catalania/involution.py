@@ -48,6 +48,7 @@ import itertools
 import operator
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .counting import VecProfile, catalan_vector, check_outdegrees
@@ -283,27 +284,32 @@ def _colorings(forests: list[Forest], n_leaves: int, planted: int,
     """Each forest (all with ``n_leaves`` leaves) with marks[j] of its slots
     colored j+1, forest-major.  Slots are the leaves in preorder followed by
     the planted roots, so merging the color classes by slot gives the
-    sorted fields ColoredForest keeps."""
+    sorted fields ColoredForest keeps.  The structures are built unchecked,
+    as by _built, through map and zip: no Python frame runs per structure."""
     if not any(marks):  # the uncolored slice needs no slots: walk no forest
-        return [_built(forest, planted, (), ()) for forest in forests]
+        return list(map(tuple.__new__, repeat(ColoredForest),
+                        zip(forests, repeat(planted), repeat(()), repeat(()))))
     t = len(marks)
     # Slot i colored j+1 has key i * t + j.  Each coloring is the same for
     # every forest: its ascending leaf keys and its planted-root entries.
     leaf_end = n_leaves * t
     roots = [(k, color) for k in range(planted) for color in range(1, t + 1)]
-    colorings = []
+    leaf_keys: list[list[int]] = []
+    root_colors: list[tuple] = []
     for classes in _color_assignments(tuple(range(n_leaves + planted)), marks):
         keys = sorted(i * t + j for j, chosen in enumerate(classes) for i in chosen)
         split = bisect_left(keys, leaf_end)
-        colorings.append((keys[:split], tuple(roots[k - leaf_end] for k in keys[split:])))
-    if not colorings:  # more marks than slots: walk no forest
+        leaf_keys.append(keys[:split])
+        root_colors.append(tuple(roots[k - leaf_end] for k in keys[split:]))
+    if not leaf_keys:  # more marks than slots: walk no forest
         return []
     out: list[ColoredForest] = []
     for forest in forests:
         entry = [(addr, color) for addr in leaf_addresses(forest)
                  for color in range(1, t + 1)].__getitem__
-        out.extend(_built(forest, planted, tuple(map(entry, leaf_keys)), root_colors)
-                   for leaf_keys, root_colors in colorings)
+        leaf_colors = map(tuple, map(map, repeat(entry), leaf_keys))
+        out.extend(map(tuple.__new__, repeat(ColoredForest),
+                       zip(repeat(forest), repeat(planted), leaf_colors, root_colors)))
     return out
 
 
@@ -351,18 +357,33 @@ def enumerate_colored_vector(
 # Alternating censuses
 # ---------------------------------------------------------------------------
 
+def census_terms(profile: VecProfile,
+                 gamma: int) -> list[tuple[VecProfile, tuple[int, ...], Rat, int]]:
+    """The alpha-free part of every census slice: each split of profile.n
+    into internal counts plus color marks, as (residual profile, marks,
+    forests, free_slots) with marks in lexicographic order, forests =
+    catalan_vector(residual, gamma) and free_slots = residual.leaf_count(gamma)
+    - gamma.  The slice then holds forests * multinomial(free_slots + alpha,
+    marks) structures: its forests, each with free_slots + alpha slots (the
+    leaves and the alpha - gamma planted roots) to color."""
+    out = []
+    for marks in itertools.product(*(range(nj + 1) for nj in profile.n)):
+        residual = VecProfile(tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p)
+        out.append((residual, marks, catalan_vector(residual, gamma),
+                    residual.leaf_count(gamma) - gamma))
+    return out
+
+
 def census_sizes(profile: VecProfile, gamma: int,
                  alpha: RatLike) -> list[tuple[VecProfile, tuple[int, ...], Rat]]:
     """Every split of profile.n into internal counts plus color marks, as
     (residual profile, marks, size) with marks in lexicographic order and
     size the number of structures enumerate_colored_vector(residual, marks,
-    gamma, alpha) yields.  Validates nothing and checks no budget, so it
-    also serves gamma = 0 and rational alpha, where the sizes are formal."""
-    out = []
-    for marks in itertools.product(*(range(nj + 1) for nj in profile.n)):
-        residual = VecProfile(tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p)
-        out.append((residual, marks, _colored_count(residual, marks, gamma, alpha)))
-    return out
+    gamma, alpha) yields, built on census_terms.  Validates nothing and
+    checks no budget, so it also serves gamma = 0 and rational alpha, where
+    the sizes are formal."""
+    return [(residual, marks, forests * multinomial(free_slots + alpha, marks))
+            for residual, marks, forests, free_slots in census_terms(profile, gamma)]
 
 
 def _census_slices(profile: VecProfile, gamma: int,
@@ -390,7 +411,11 @@ def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[Color
 
 
 def _weight_sum(structures: list[ColoredForest]) -> int:
-    return sum(c.weight() for c in structures)
+    """Sum of c.weight(): the count minus twice the structures with an odd
+    number of colored objects (leaf_colors plus root_colors)."""
+    colored = map(operator.add, map(len, map(ColoredForest.leaf_colors.fget, structures)),
+                  map(len, map(ColoredForest.root_colors.fget, structures)))
+    return len(structures) - 2 * sum(map(operator.and_, colored, repeat(1)))
 
 
 def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalania.exact import as_rat, binom, int_binom, kronecker, multinomial, rat_str
+from catalania.exact import as_rat, binom, falling, int_binom, kronecker, multinomial, rat_str
 
 
 def falling_factorial_quotient(x, k):
@@ -95,6 +95,15 @@ class TestBinomKernel:
         got = int_binom(x, k)
         assert type(got) is int
         assert got == falling_factorial_quotient(x, k) == binom(x, k)
+
+    @given(p=st.integers(min_value=-30, max_value=30), q=st.integers(min_value=1, max_value=6),
+           k=st.integers(min_value=0, max_value=9))
+    @settings(max_examples=200)
+    def test_falling_is_the_scaled_falling_factorial(self, p, q, k):
+        # Reduced or not, p/q gives q**k * k! * binom(p/q, k) as an int.
+        got = falling(p, q, k)
+        assert type(got) is int
+        assert got == q**k * factorial(k) * falling_factorial_quotient(F(p, q), k)
 
 
 class TestMultinomial:

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from catalania.cli import main
 from catalania.counting import VecProfile, catalan_gen, catalan_sequence
 from catalania import identities
-from catalania.exact import binom
-from catalania.forest import EnumerationBudgetError
+from catalania import involution
+from catalania.exact import binom, multinomial
+from catalania.forest import EnumerationBudgetError, compositions
 from catalania.identities import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -44,7 +45,8 @@ from catalania.identities import (
     verify_eq4,
     verify_eq10,
 )
-from catalania.involution import encode_colored, enumerate_colored_vector, signed_sum
+from catalania.involution import (census_sizes, census_terms, encode_colored, enumerate_colored_vector,
+                                  signed_sum)
 from catalania.riordan import catalan_family, catalan_gf, row_sums
 
 
@@ -129,6 +131,59 @@ class TestEq3:
         for gamma, alpha in ((0, F(7, 3)), (0, 1), (2, F(-1, 2))):
             for n_vec in ((0, 0), (1, 0), (2, 1), (1, 3)):
                 assert eq3_lhs((1, 3), n_vec, gamma, alpha) == eq3_rhs(n_vec, gamma, alpha)
+
+    @given(p=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3, unique=True),
+           data=st.data(), gamma=st.integers(min_value=0, max_value=2),
+           alpha=st.fractions(min_value=-3, max_value=4, max_denominator=4))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_verdict_is_the_fraction_sum(self, p, data, gamma, alpha):
+        p = tuple(sorted(p))
+        total = data.draw(st.integers(min_value=0, max_value=3), label="total")
+        for n_vec in (n for k in range(total + 1) for n in compositions(k, len(p))):
+            sizes = census_sizes(VecProfile(n_vec, p), gamma, alpha)
+            lhs = sum(-size if sum(marks) % 2 else size for _, marks, size in sizes)
+            rhs = (-1) ** sum(n_vec) * multinomial(alpha - gamma, n_vec)
+            assert eq3_lhs(p, n_vec, gamma, alpha) == lhs
+            assert eq3_rhs(n_vec, gamma, alpha) == rhs
+            assert lhs == rhs
+        assert verify_eq3(p, gamma, alpha, total).ok
+
+    @pytest.mark.parametrize("gamma,alpha,residual,delta", [
+        (1, F(2), (1, 0), 1), (2, F(-1, 2), (0, 1), -1), (0, F(5, 3), (0, 0), 1),
+        (1, F(3, 4), (1, 1), F(1, 2)),
+    ])
+    def test_a_wrong_forest_count_fails_with_the_fraction_counterexample(
+            self, monkeypatch, gamma, alpha, residual, delta):
+        p = (2, 3)
+
+        def perturbed(profile, g):
+            return [(res, marks, forests + delta if res.n == residual else forests, free)
+                    for res, marks, forests, free in census_terms(profile, g)]
+
+        expected = None
+        for n_vec in (n for k in range(4) for n in compositions(k, 2)):
+            lhs = sum((-1) ** sum(marks) * forests * multinomial(free + alpha, marks)
+                      for _, marks, forests, free in perturbed(VecProfile(n_vec, p), gamma))
+            rhs = (-1) ** sum(n_vec) * multinomial(alpha - gamma, n_vec)
+            if lhs != rhs:
+                expected = Counterexample.at({"p": "[2, 3]", "gamma": gamma, "alpha": str(alpha),
+                                              "n": str(list(n_vec))}, lhs, rhs)
+                break
+        assert expected is not None
+        monkeypatch.setattr(identities, "census_terms", perturbed)
+        report = verify_eq3(p, gamma, alpha, 3)
+        assert report.counterexample == expected
+
+    def test_a_passing_point_builds_no_fraction(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(identities, "Fraction", counted)
+        assert verify_eq3((2, 3), 1, F(3, 2), 3).ok
+        assert built == [(F(3, 2),)]  # verify_eq3 reads alpha once, no point builds one
 
 
 class TestGould:
@@ -362,6 +417,56 @@ class TestEq9Failures:
         assert report.counterexample.rhs == str([str(v) for v in seq])
 
 
+def _interval(lo: str, hi: str, step: str = "1") -> dict:
+    return {"min": lo, "max": hi, "step": step}
+
+
+def _perturbed_catalan_vector(residual: tuple, gamma: int, delta):
+    """involution.catalan_vector plus ``delta`` at (residual, gamma)."""
+    catalan_vector = involution.catalan_vector
+
+    def perturbed(profile, g):
+        value = catalan_vector(profile, g)
+        return value + delta if (profile.n, g) == (residual, gamma) else value
+
+    return perturbed
+
+
+def _eq3_section(p: list, gamma: dict, alpha: dict, n_total_max: int = 3) -> dict:
+    return {"p": p, "gamma": gamma, "alpha": alpha, "n_total_max": n_total_max}
+
+
+# sha256 of reports_to_json(run_suite({"eq3": ...})) with one forest count of
+# the census off by delta, computed by the implementation that summed the
+# census sizes as Fractions for every alpha.
+EQ3_FAILURES = [
+    (_eq3_section([2, 3], _interval("1", "1"), _interval("0", "3")), (1, 0), 1, F(1),
+     "b7b1126dc28451156da104ac4ad71b949576bb41cf372eb3dd526fd9f290449e"),
+    (_eq3_section([2, 3], _interval("2", "2"), _interval("1/2", "5/2")), (0, 1), 2, F(-1),
+     "31ac9dc4273285c978433ee2b6d78fd55bf8835d743ff367322d66f2ab34ea42"),
+    (_eq3_section([2, 3], _interval("0", "0"), _interval("0", "2", "1/2")), (1, 0), 0, F(1, 3),
+     "c100d6fadf247cd2739310cacf1310a8c1ff425e34e190fd12e46b5d39569910"),
+    (DEFAULT_CONFIG["eq3"], (1, 1), 2, F(1),
+     "aab3e66e4de0faab2dc86abd1c11ffdd899c20c8da8d2dbded164022b99e21e0"),
+    (_eq3_section([1, 3], _interval("0", "1"), _interval("-2/3", "1", "1/3"), 4), (2, 1), 1, F(2),
+     "c1c5bcedf860baf1e59fcc0e22b92126056b682a1308ab08be2222829e868789"),
+]
+
+
+class TestEq3Failures:
+    @pytest.mark.parametrize("section,residual,gamma,delta,digest", EQ3_FAILURES,
+                             ids=["int-alpha", "rat-alpha", "gamma-zero-rat-count", "default-grid",
+                                  "three-class-rat-alpha"])
+    def test_failure_report_bytes_are_pinned(self, monkeypatch, section, residual, gamma, delta,
+                                             digest):
+        monkeypatch.setattr(involution, "catalan_vector",
+                            _perturbed_catalan_vector(residual, gamma, delta))
+        reports = run_suite({"eq3": section})
+        assert not reports[0].ok
+        text = reports_to_json(reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestClosedFormReduction:
     def test_binary_point(self):
         assert closed_form_reduction_check(2, 1, 10).ok
@@ -557,16 +662,38 @@ class TestRunScope:
                 calls.clear()
             assert all(r.ok for r in run_suite(self.SECTIONS))
             # Eq1's row set and counts, Eq2's 45 forward row sets (alpha, beta) and
-            # 35 count sequences (beta, gamma), the cross route's 8 and 4, and
-            # Eq10's 24 backward row sets and 20 count sequences; Eq4 takes
-            # every verdict from Eq2.
+            # 35 count sequences (beta, gamma), the cross route's 8 row sets, and
+            # Eq10's 24 backward row sets; Eq4 takes every verdict from Eq2.
             assert len(rows) == len(set(rows)) == 1 + 45 + 8 + 24
-            assert len(cats) == len(set(cats)) == 1 + 35 + 4 + 20
-            # The closed forms per alpha - gamma: Eq1's 0 up to n = 8, Eq2's
-            # -7..7 up to 12 and Eq10's -5..4 up to 10.
-            tables = [(0, 8)] + [(x, 12) for x in range(-7, 8)] + [(x, 10) for x in range(-5, 5)]
+            # Eq1's (2, 1) up to n = 8 is rebuilt up to 12 by Eq2, whose
+            # sequences serve the cross route's 4 (up to 4) and Eq10's 20 (up to
+            # 10) as prefixes.
+            assert len(cats) == len(set(cats)) == 1 + 35
+            assert sorted(key[2] for key in cats) == [8] + [12] * 35
+            # The closed forms per alpha - gamma: Eq1's 0 up to n = 8, then
+            # Eq2's -7..7 up to 12, whose prefixes serve Eq10's -5..4.
+            tables = [(0, 8)] + [(x, 12) for x in range(-7, 8)]
             assert sorted(closed) == sorted((x, n) for x, n_max in tables for n in range(n_max + 1))
-            assert len(closed) == 9 + 15 * 13 + 10 * 11
+            assert len(closed) == 9 + 15 * 13
+
+    def test_each_eq3_term_table_is_built_once_per_run(self, monkeypatch):
+        terms, forests = [], []
+        monkeypatch.setattr(identities, "census_terms", _recorded(
+            terms, census_terms, lambda profile, gamma: (profile, gamma)))
+        monkeypatch.setattr(involution, "catalan_vector", _recorded(
+            forests, involution.catalan_vector, lambda profile, gamma: (profile, gamma)))
+        for _ in range(2):  # the second run builds every table again
+            terms.clear()
+            forests.clear()
+            assert run_suite({"eq3": DEFAULT_CONFIG["eq3"]})[0].ok
+            assert identities._ACTIVE_RUN.get() is None
+            # One table per n (10 with sum(n) <= 3) and gamma (3), read by all
+            # 11 alphas; one forest count per split of each n (35 splits, whose
+            # residuals are the same 10 n).
+            assert len(terms) == len(set(terms)) == 10 * 3
+            assert len(forests) == 35 * 3 and len(set(forests)) == 10 * 3
+        assert verify_eq3((2, 3), 1, 2, 1).ok  # outside a run, a check builds its own
+        assert len(terms) == 30 + 3
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_a_later_run_sees_a_patched_builder(self, monkeypatch, backward):
@@ -652,10 +779,6 @@ class TestGoldenEnumerations:
             "8f47341209cb48ba41de6c99af0c8a35c0410c6ee573a6e39623d823f8b5272d")
 
 
-def _interval(lo: str, hi: str, step: str = "1") -> dict:
-    return {"min": lo, "max": hi, "step": step}
-
-
 # One malformed section per config key, with the error it must raise.
 MALFORMED_SECTIONS = [
     ("eq1", {"n_max": -1}, "n_max must be a non-negative integer, got -1"),
@@ -700,7 +823,7 @@ EVALUATORS = [
     "verify_eq2", "verify_eq3", "verify_eq4", "verify_eq10", "closed_form_reduction_check",
     "catalan_gf_functional_check", "convolution_check", "gould_forward", "gould_backward",
     "signed_sum", "eq2_lhs", "row_sums", "catalan_family", "catalan_gf",
-    "riordan_theorem_check", "modified_riordan_check", "_gould_rows",
+    "riordan_theorem_check", "modified_riordan_check", "_gould_rows", "census_terms",
 ]
 
 

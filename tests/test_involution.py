@@ -273,19 +273,23 @@ class TestCensusSizes:
 
 class TestCensusWork:
     def test_each_slice_size_is_computed_once(self, monkeypatch):
-        calls = []
-        original = involution._colored_count
+        # A slice's size is its forest count times its color assignments.
+        calls = {"catalan_vector": [], "multinomial": []}
+        for name, record in calls.items():
+            original = getattr(involution, name)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+            def counted(*args, record=record, original=original):
+                record.append(args)
+                return original(*args)
 
-        monkeypatch.setattr(involution, "_colored_count", counted)
+            monkeypatch.setattr(involution, name, counted)
         census = colored_census(3, 6, 2, 3)
-        assert len(census) == 7 and len(calls) == 7
-        calls.clear()
+        assert len(census) == 7
+        assert [len(record) for record in calls.values()] == [7, 7]
+        for record in calls.values():
+            record.clear()
         signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2)
-        assert len(calls) == 4
+        assert [len(record) for record in calls.values()] == [4, 4]
 
     def test_census_hands_each_slice_its_own_size(self, monkeypatch):
         # size= replaces the budget estimate unchecked, so it must be exact.
