@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import Rat, RatLike, binom, check_nat, int_binom
+from .exact import Rat, RatLike, Record, binom, check_nat, int_binom
 
 CatalanFn = Callable[[int, RatLike, RatLike], Rat]
 
@@ -29,7 +29,7 @@ def check_outdegrees(p: Sequence[int]) -> tuple[int, ...]:
     return p
 
 
-class VecProfile:
+class VecProfile(Record):
     """Outdegree classes: n[j] internal vertices of outdegree p[j].
 
     p must be strictly increasing so an internal vertex's outdegree
@@ -41,34 +41,13 @@ class VecProfile:
     n: tuple[int, ...]
     p: tuple[int, ...]
 
-    def __init__(self, n: Sequence[int], p: Sequence[int]) -> None:
+    def __new__(cls, n: Sequence[int], p: Sequence[int]) -> "VecProfile":
         n, p = tuple(n), check_outdegrees(p)
         if len(n) != len(p):
             raise ValueError("n and p must have equal length")
         for nj in n:
             check_nat(nj, "n[j]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"VecProfile is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"VecProfile is immutable: cannot delete {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return VecProfile, (self.n, self.p)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not VecProfile:
-            return NotImplemented
-        return (self.n, self.p) == (other.n, other.p)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p))
-
-    def __repr__(self) -> str:
-        return f"VecProfile(n={self.n!r}, p={self.p!r})"
+        return cls._make(n, p)
 
     @property
     def t(self) -> int:

@@ -1,10 +1,15 @@
-"""Exact arithmetic kernel: rationals and generalized binomial coefficients.
+"""Exact arithmetic kernel: rationals, generalized binomial coefficients, and
+the bases of the package's immutable values.
 
 Every quantity in this package is an exact rational.  ``Rat`` is the stdlib
 ``Fraction``, which already keeps values reduced with a positive denominator
 and raises on division by zero; natural-number arguments are plain ``int``
 validated at the boundary.  ``ConfigError`` lives here, below every layer
 that raises it, so that raising one loads nothing else.
+
+``Frozen`` and ``Record`` live here for the same reason: they are the one
+definition of a write-once ``__slots__`` value (series, Riordan arrays,
+outdegree profiles and the identity reports), and every layer loads this one.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ Rat = Fraction
 RatLike = Union[Fraction, int]
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_new, _set = object.__new__, object.__setattr__  # Frozen._make's one write, without a hook
 
 
 def as_rat(value: RatLike | str) -> Rat:
@@ -119,3 +125,49 @@ def kronecker(n: int) -> Rat:
     """1 at n = 0, else 0."""
     check_nat(n)
     return Fraction(1 if n == 0 else 0)
+
+
+class Frozen:
+    """A value whose ``__slots__`` are written once, by ``_make``, and never again.
+    A subclass validates its arguments in ``__new__`` and returns
+    ``cls._make(...)``; copy and pickle rebuild through ``_make`` at every protocol."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, *values: object) -> "Frozen":
+        """An instance whose slots, in ``__slots__`` order, are ``values``, unvalidated."""
+        self = _new(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set(self, name, value)
+        return self
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self) -> tuple:
+        return self._make, self._values()
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Record(Frozen):
+    """A Frozen value equal to (and hashed like) a record of its own class with
+    equal slots, and shown as ``Name(slot=value, ...)``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"

@@ -20,7 +20,8 @@ from math import factorial, lcm, perm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
-from .exact import ConfigError, Rat, RatLike, as_rat, binom, check_nat, cleared, falling, int_binom, rat_str
+from .exact import (ConfigError, Rat, RatLike, Record, as_rat, binom, check_nat, cleared, falling,
+                    int_binom, rat_str)
 from .forest import check_arity, compositions
 from .involution import census_terms, check_alpha_gamma, signed_sum
 from .riordan import (RiordanArray, Series, catalan_family, catalan_gf, catalan_gf_functional_check,
@@ -28,47 +29,16 @@ from .riordan import (RiordanArray, Series, catalan_family, catalan_gf, catalan_
                       series_binpow)
 
 
-class _Record:
-    """A record of the named ``__slots__``, each written once by the constructor
-    (or by copy and pickle), equal to a record of its own class with equal
-    slots, and shown as ``Name(slot=value, ...)``."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if hasattr(self, name):
-            raise AttributeError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({shown})"
-
-
-class Counterexample(_Record):
+class Counterexample(Record):
     __slots__ = ("params", "lhs", "rhs", "detail")
     params: tuple[tuple[str, str], ...]
     lhs: str
     rhs: str
     detail: str
 
-    def __init__(self, params: tuple[tuple[str, str], ...], lhs: str, rhs: str,
-                 detail: str = "") -> None:
-        self.params, self.lhs, self.rhs, self.detail = params, lhs, rhs, detail
+    def __new__(cls, params: tuple[tuple[str, str], ...], lhs: str, rhs: str,
+                detail: str = "") -> "Counterexample":
+        return cls._make(params, lhs, rhs, detail)
 
     @staticmethod
     def at(params: Mapping[str, object], lhs: object, rhs: object, detail: str = "") -> "Counterexample":
@@ -82,7 +52,7 @@ class Counterexample(_Record):
         return out
 
 
-class IdentityReport(_Record):
+class IdentityReport(Record):
     __slots__ = ("identity_id", "grid", "status", "counterexample", "skipped")
     identity_id: str
     grid: str
@@ -90,17 +60,16 @@ class IdentityReport(_Record):
     counterexample: Optional[Counterexample]
     skipped: tuple[str, ...]
 
-    def __init__(self, identity_id: str, grid: str, status: str,
-                 counterexample: Optional[Counterexample] = None,
-                 skipped: tuple[str, ...] = ()) -> None:
+    def __new__(cls, identity_id: str, grid: str, status: str,
+                counterexample: Optional[Counterexample] = None,
+                skipped: tuple[str, ...] = ()) -> "IdentityReport":
         if identity_id not in IDENTITY_IDS:
             raise ValueError(f"unknown identity id {identity_id!r}")
         if status == "fail" and counterexample is None:
             raise ValueError("a failing report must carry a counterexample")
         if status not in ("pass", "fail"):
             raise ValueError(f"bad status {status!r}")
-        self.identity_id, self.grid, self.status = identity_id, grid, status
-        self.counterexample, self.skipped = counterexample, skipped
+        return cls._make(identity_id, grid, status, counterexample, skipped)
 
     @property
     def ok(self) -> bool:
@@ -133,7 +102,7 @@ def _point(alpha: RatLike, beta: RatLike, gamma: RatLike) -> tuple[dict[str, obj
 # Gould's inverse pair: the one kernel of the scalar sums
 # ---------------------------------------------------------------------------
 
-class GouldPair(_Record):
+class GouldPair(Record):
     """Parameters (a, m, z) of the mutually inverse sequence transforms."""
 
     __slots__ = ("a", "m", "z")
@@ -141,10 +110,10 @@ class GouldPair(_Record):
     m: Rat
     z: Rat
 
-    def __init__(self, a: int, m: RatLike, z: RatLike) -> None:
+    def __new__(cls, a: int, m: RatLike, z: RatLike) -> "GouldPair":
         if not isinstance(a, int) or isinstance(a, bool):
             raise ValueError(f"a must be an integer, got {a!r}")
-        self.a, self.m, self.z = a, Fraction(m), Fraction(z)
+        return cls._make(a, Fraction(m), Fraction(z))
 
 
 class SingularGouldParameters(ValueError):
@@ -210,7 +179,7 @@ def gould_backward(seq_b: Sequence[RatLike], pair: GouldPair) -> list[Rat]:
 # What one run shares: the verdicts Eq4 takes from Eq2, and the tables
 # ---------------------------------------------------------------------------
 
-class _Run(_Record):
+class _Run:
     """What the sections of one run_suite call share, dropped with it.
 
     ``eq2_passed`` holds the points (alpha, beta, gamma, n_max) where
@@ -234,17 +203,12 @@ class _Run(_Record):
     """
 
     __slots__ = ("catalan", "eq2_passed", "tables")
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-    __hash__ = None  # eq2_passed and tables grow as the run goes
     catalan: CatalanFn
     eq2_passed: set[tuple[Rat, Rat, Rat, int]]
     tables: dict[tuple, object]
 
-    def __init__(self, catalan: CatalanFn, eq2_passed: Optional[set] = None,
-                 tables: Optional[dict] = None) -> None:
-        self.catalan = catalan
-        self.eq2_passed = set() if eq2_passed is None else eq2_passed
-        self.tables = {} if tables is None else tables
+    def __init__(self, catalan: CatalanFn) -> None:
+        self.catalan, self.eq2_passed, self.tables = catalan, set(), {}
 
 
 # The run_suite call under way in this context, whose tables the checks read;
@@ -324,15 +288,6 @@ def eq2_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
     """sum_i (-1)**(n-i) * binom((beta-1)i + alpha, n-i) * C(i)."""
     *_, (direct, _) = _eq2_row_sums(alpha, beta, gamma, n, catalan)
     return Fraction(direct)
-
-
-def eq2_lhs_reindexed(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
-                      catalan: CatalanFn = catalan_gen) -> Rat:
-    """Same sum with the summation index reversed (i -> n - i); the counting
-    function is queried in that reversed order too."""
-    beta = Fraction(beta)
-    cats, _ = _ring(catalan(j, beta, gamma) for j in range(check_nat(n), -1, -1))
-    return Fraction(_dot(_gould_rows(beta - 1, alpha, -1, n + 1)[n][::-1], cats))
 
 
 def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,

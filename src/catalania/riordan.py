@@ -21,34 +21,20 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .counting import catalan_sequence
-from .exact import Rat, RatLike, as_rat, check_nat, cleared, rat_str
+from .exact import Frozen, Rat, RatLike, as_rat, check_nat, cleared, rat_str
 
 
-class _Frozen:
-    """Slots written once, by the constructor or by copy and pickle, then read-only."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if hasattr(self, name):
-            raise AttributeError(f"{type(self).__name__} is immutable")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class Series(_Frozen):
+class Series(Frozen):
     """Coefficient k is nums[k] / den, with den > 0 and gcd(den, *nums) = 1;
     order = len(nums) - 1 >= 0."""
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[RatLike]) -> None:
+    def __new__(cls, coeffs: Iterable[RatLike]) -> "Series":
         (nums,), den = cleared([[c if type(c) is Fraction else Fraction(c) for c in coeffs]])
         if not nums:
             raise ValueError("a series needs at least the constant coefficient")
-        self.nums, self.den = tuple(nums), den
+        return cls._make(tuple(nums), den)
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:
@@ -79,10 +65,7 @@ class Series(_Frozen):
 def _lowest(nums: Sequence[int], den: int) -> Series:
     """The series nums[k] / den (den != 0), brought to lowest terms with den > 0."""
     g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-    s = object.__new__(Series)
-    s.nums = tuple(nums) if g == 1 else tuple([v // g for v in nums])
-    s.den = den // g
-    return s
+    return Series._make(tuple(nums) if g == 1 else tuple([v // g for v in nums]), den // g)
 
 
 def series(coeffs: Iterable[RatLike | str]) -> Series:
@@ -220,20 +203,20 @@ def series_dumps(s: Series) -> str:
 # Riordan arrays
 # ---------------------------------------------------------------------------
 
-class RiordanArray(_Frozen):
+class RiordanArray(Frozen):
     """Pair (g, f) with g(0) != 0, f(0) = 0 and f'(0) != 0; column k of the
     lower-triangular matrix has generating function g * f**k."""
 
     __slots__ = ("g", "f")
 
-    def __init__(self, g: Series, f: Series) -> None:
+    def __new__(cls, g: Series, f: Series) -> "RiordanArray":
         if g.nums[0] == 0:
             raise ValueError("g(0) must be nonzero")
         if f.nums[0] != 0:
             raise ValueError("f(0) must be zero")
         if f.order < 1 or f.nums[1] == 0:
             raise ValueError("f'(0) must be nonzero")
-        self.g, self.f = g, f
+        return cls._make(g, f)
 
     @property
     def order(self) -> int:

@@ -149,16 +149,6 @@ class TestVecProfile:
         assert repr(profile) == "VecProfile(n=(2, 1), p=(2, 3))"
         assert pickle.loads(pickle.dumps(profile)) == profile == copy.copy(profile)
 
-    def test_immutable(self):
-        profile = VecProfile((2, 1), (2, 3))
-        with pytest.raises(AttributeError):
-            profile.n = (1, 1)
-        with pytest.raises(AttributeError):
-            del profile.p
-        with pytest.raises(AttributeError):
-            profile.extra = 1
-        assert (profile.n, profile.p) == ((2, 1), (2, 3))
-
 
 class TestCatalanSequence:
     def test_binary_prefix(self):

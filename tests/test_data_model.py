@@ -1,11 +1,18 @@
-"""The immutable value types of forest.py and involution.py: tuples built by
-tuple's own constructor, equal only to their own kind, and deep-safe."""
+"""The hashable immutable value types: the tuples of forest.py and
+involution.py, built by tuple's own constructor and deep-safe, and the
+``exact.Record`` values of counting.py and identities.py.  Each is equal only
+to its own kind and round-trips through copy and pickle at every protocol.
+(``Series`` and ``RiordanArray`` are tested in test_riordan.py: one is
+unhashable, the other compared by identity.)"""
 
 import copy
 import pickle
 
+from fractions import Fraction as F
+
 import pytest
 
+from catalania.counting import VecProfile
 from catalania.forest import LEAF, Forest, Tree, VertexAddr, count_internal, count_leaves, decode
 from catalania.involution import (
     FIRST,
@@ -17,6 +24,7 @@ from catalania.involution import (
     find_matching_violation,
     involute,
 )
+from catalania.identities import Counterexample, GouldPair, IdentityReport
 
 
 def _values():
@@ -34,11 +42,21 @@ def _values():
         "Classification": (Classification(FIRST, VertexAddr(0, (1,))),
                            Classification(FIRST, VertexAddr(0, (1,))),
                            Classification(FIRST, VertexAddr(0, (0,)))),
+        "VecProfile": (VecProfile((2, 1), (2, 3)), VecProfile([2, 1], [2, 3]),
+                       VecProfile((1, 2), (2, 3))),
+        "Counterexample": (Counterexample((("n", "2"),), "2", "1", "direct sum"),
+                           Counterexample.at({"n": 2}, 2, 1, "direct sum"),
+                           Counterexample((("n", "2"),), "2", "1")),
+        "IdentityReport": (IdentityReport("Eq2", "grid", "pass"),
+                           IdentityReport("Eq2", "grid", "pass", None, ()),
+                           IdentityReport("Eq2", "grid", "pass", skipped=("n=1",))),
+        "GouldPair": (GouldPair(2, 1, F(1, 3)), GouldPair(2, F(1), F(2, 6)), GouldPair(2, 1, F(1, 2))),
     }
 
 
 FIELDS = {"Tree": "children", "Forest": "trees", "VertexAddr": "path",
-          "ColoredForest": "planted", "Classification": "kind"}
+          "ColoredForest": "planted", "Classification": "kind", "VecProfile": "n",
+          "Counterexample": "lhs", "IdentityReport": "status", "GouldPair": "z"}
 NAMES = sorted(FIELDS)
 
 
@@ -68,7 +86,9 @@ def test_equal_iff_structurally_equal(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_pickle_and_copy_round_trip(name):
     value, _, _ = _values()[name]
-    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+    pickled = [pickle.loads(pickle.dumps(value, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in (*pickled, copy.copy(value), copy.deepcopy(value)):
         assert clone == value and type(clone) is type(value)
         assert hash(clone) == hash(value)
 

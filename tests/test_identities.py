@@ -1,7 +1,5 @@
-import copy
 import hashlib
 import json
-import pickle
 import random
 import sys
 import threading
@@ -28,7 +26,6 @@ from catalania.identities import (
     SingularGouldParameters,
     closed_form_reduction_check,
     eq2_lhs,
-    eq2_lhs_reindexed,
     eq2_rhs,
     eq3_lhs,
     eq3_rhs,
@@ -70,25 +67,13 @@ class TestEq2:
 
     def test_reindexed_sum_is_identical(self):
         for alpha, beta, gamma in [(3, 2, 1), (F(-1, 2), F(5, 3), 2), (0, 0, -1)]:
+            assert verify_eq4(alpha, beta, gamma, 6).ok
             for n in range(7):
-                assert eq2_lhs(alpha, beta, gamma, n) == eq2_lhs_reindexed(
-                    alpha, beta, gamma, n
-                )
+                assert eq2_lhs(alpha, beta, gamma, n) == eq2_rhs(alpha, gamma, n)
 
     def test_reindexed_verifier(self):
         assert verify_eq4(3, 2, 1, 8).ok
         assert verify_eq4(F(-3, 2), F(1, 3), F(2), 6).ok
-
-    def test_reindexed_verifier_catches_order_bugs(self):
-        # a drifting oracle makes the two orderings disagree at n = 1
-        calls = iter(range(100))
-
-        def drifting(n, beta, gamma):
-            return catalan_gen(n, beta, gamma) + next(calls)
-
-        assert eq2_lhs(1, 2, 1, 1, catalan=drifting) != eq2_lhs_reindexed(
-            1, 2, 1, 1, catalan=drifting
-        )
 
     def test_rational_parameters(self):
         assert verify_eq2(F(7, 2), F(5, 3), F(-1, 2), 8).ok
@@ -298,9 +283,9 @@ class TestPairKernel:
     def test_eq2_row_is_the_forward_transform_of_the_counts(self, alpha, beta, gamma, n):
         pair = GouldPair(beta - 1, alpha, -1)
         want = gould_forward(catalan_sequence(beta, gamma, n), pair)[n]
-        direct, reindexed = eq2_lhs(alpha, beta, gamma, n), eq2_lhs_reindexed(alpha, beta, gamma, n)
-        assert direct == reindexed == want == eq2_rhs(alpha, gamma, n)
-        assert type(direct) is type(reindexed) is F
+        direct = eq2_lhs(alpha, beta, gamma, n)
+        assert direct == want == eq2_rhs(alpha, gamma, n)
+        assert type(direct) is F and verify_eq4(alpha, beta, gamma, n).ok
 
     @given(alpha=small_params, beta=st.integers(min_value=0, max_value=4), gamma=small_params,
            n=row_numbers)
@@ -1025,15 +1010,11 @@ class TestRecords:
 
     @pytest.mark.parametrize("index", range(4))
     def test_value_semantics(self, index):
+        # Immutability, copy and pickle: test_data_model.py, for every record type.
         record = self.RECORDS[index]
-        for twin in (type(record)(*record._values()), pickle.loads(pickle.dumps(record)),
-                     copy.copy(record), copy.deepcopy(record)):
-            assert twin == record and hash(twin) == hash(record)
+        twin = type(record)(*record._values())
+        assert twin == record and hash(twin) == hash(record)
         assert record != record._values()
-        with pytest.raises(AttributeError):
-            setattr(record, type(record).__slots__[0], None)
-        with pytest.raises(AttributeError):
-            delattr(record, type(record).__slots__[-1])
 
     def test_gould_pair_checks_a_and_normalizes_m_and_z(self):
         for a in (True, 1.0, F(2)):

@@ -27,6 +27,24 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+def _attribute_hooks(path: Path) -> list[str]:
+    """Where a module defines or assigns ``__setattr__`` or ``__delattr__``."""
+    hooks = ("__setattr__", "__delattr__")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id if isinstance(n, ast.Name) else n.attr
+                     for target in targets for n in ast.walk(target)
+                     if isinstance(n, (ast.Name, ast.Attribute))]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names if name in hooks]
+    return found
+
+
 def test_package_modules_are_found():
     names = {path.name for path in PACKAGE_DIR.glob("*.py")}
     assert {"cli.py", "identities.py", "involution.py", "riordan.py"} <= names
@@ -35,6 +53,14 @@ def test_package_modules_are_found():
 def test_no_module_imports_a_private_name_from_another():
     found = [item for path in sorted(PACKAGE_DIR.glob("*.py")) for item in _private_imports(path)]
     assert found == []
+
+
+def test_only_exact_defines_the_write_once_rule():
+    found = [item for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "exact.py"
+             for item in _attribute_hooks(path)]
+    assert found == []
+    assert {item.split(": ")[1] for item in _attribute_hooks(PACKAGE_DIR / "exact.py")} == {
+        "__setattr__", "__delattr__"}
 
 
 LAYERS = ("exact", "counting", "forest", "involution", "riordan", "identities")

@@ -115,12 +115,15 @@ class TestRepresentation:
             hash(s)
 
     def test_copy_and_pickle_restore_the_slots(self):
-        s = series(["1", "-1/2", "7/3"])
-        for clone in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-            assert (clone.nums, clone.den) == (s.nums, s.den)
-        array = catalan_family(1, 2, 3)
-        clone = pickle.loads(pickle.dumps(array))
-        assert (clone.g, clone.f) == (array.g, array.f)
+        s, array = series(["1", "-1/2", "7/3"]), catalan_family(1, 2, 3)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        for clone in (copy.copy(s), copy.deepcopy(s),
+                      *(pickle.loads(pickle.dumps(s, p)) for p in protocols)):
+            assert type(clone) is Series and (clone.nums, clone.den) == (s.nums, s.den)
+        for clone in (copy.copy(array), copy.deepcopy(array),
+                      *(pickle.loads(pickle.dumps(array, p)) for p in protocols)):
+            assert type(clone) is RiordanArray and clone is not array
+            assert (clone.g, clone.f) == (array.g, array.f)
 
 
 class TestBinpow:
