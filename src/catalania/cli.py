@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 # Layer modules load on first use (see the package docstring), so a
 # subcommand runs only the layers it calls.
@@ -90,10 +89,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(value: object) -> None:
+    import json  # loaded here: most commands print no JSON
+
+    print(json.dumps(value))
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to stdout, 1,024 lines to a
+    write: with an unbuffered stdout, one write per line would cost a
+    system call each."""
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, 1024)):
+        sys.stdout.write("\n".join(block) + "\n")
+
+
 def _cmd_seq(args: argparse.Namespace) -> int:
     values = counting.catalan_sequence(args.beta, args.gamma, args.n)
     if args.format == "json":
-        print(json.dumps([exact.rat_str(v) for v in values]))
+        _print_json([exact.rat_str(v) for v in values])
     else:
         for v in values:
             print(exact.rat_str(v))
@@ -104,13 +118,9 @@ def _cmd_trees(args: argparse.Namespace) -> int:
     if args.action == "list":
         forests = forest.iter_forests(args.beta, args.n, args.gamma)
         if args.format == "json":
-            print(json.dumps([forest.encode(f) for f in forests]))
+            _print_json([forest.encode(f) for f in forests])
             return 0
-        # Written in blocks of lines: with an unbuffered stdout, one write
-        # per line would cost a system call each.
-        encodings = map(forest.encode, forests)
-        while block := list(itertools.islice(encodings, 1024)):
-            sys.stdout.write("\n".join(block) + "\n")
+        _write_lines(map(forest.encode, forests))
         return 0
     count = forest.count_forests(args.beta, args.n, args.gamma)
     if args.check_formula:
@@ -118,14 +128,13 @@ def _cmd_trees(args: argparse.Namespace) -> int:
         match = formula == count
         verdict = "OK" if match else "MISMATCH"
         if args.format == "json":
-            print(json.dumps({"count": str(count), "formula": exact.rat_str(formula),
-                              "match": match}, sort_keys=True))
+            _print_json({"count": str(count), "formula": exact.rat_str(formula), "match": match})
         else:
             relation = "==" if match else "!="
             print(f"{count} {relation} {exact.rat_str(formula)} {verdict}")
         return 0 if match else 1
     if args.format == "json":
-        print(json.dumps({"count": str(count)}))
+        _print_json({"count": str(count)})
     else:
         print(count)
     return 0
@@ -145,15 +154,18 @@ def _cmd_involution(args: argparse.Namespace) -> int:
     verdict = "OK" if total == rhs else "MISMATCH"
     print(f"sum={total} rhs={exact.rat_str(rhs)} {verdict}")
     if args.dump_pairs:
-        for c, cls, partner in involution.pairings(structures, [args.beta]):
-            if cls.kind == involution.FIRST:
-                print(f"pair {involution.encode_colored(c)} <-> {involution.encode_colored(partner)}")
-            elif cls.kind == involution.EXCEPTIONAL:
-                print(f"exceptional {involution.encode_colored(c)}")
+        encode = involution.encode_colored
+        _write_lines(
+            f"pair {encode(c)} <-> {encode(partner)}" if cls.kind == involution.FIRST
+            else f"exceptional {encode(c)}"
+            for c, cls, partner in involution.pairings(structures, [args.beta])
+            if cls.kind != involution.SECOND)
     return 0 if total == rhs else 1
 
 
 def _load_series_file(path: str):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)

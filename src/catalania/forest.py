@@ -28,6 +28,9 @@ than by the output.  Pools are built bottom-up, and the walks over a tree
 ``Tree`` equality and hashing) and ``decode`` use explicit stacks, so no
 depth of tree reaches the recursion limit.
 
+From a process's first encoding on, the trees of held pools carry their
+text, so ``encode_tree`` walks only the vertices of other trees.
+
 Text encoding, bit-exact::
 
     forest := tree (";" tree)* | ""
@@ -44,7 +47,7 @@ import itertools
 import operator
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .counting import VecProfile, catalan_vector
@@ -254,28 +257,21 @@ def leaf_addresses(forest: Forest) -> list[VertexAddr]:
 def subtree_at(forest: Forest, addr: VertexAddr) -> Tree:
     """The subtree rooted at addr; raises if the address does not exist."""
     try:
-        node = forest[addr.component]
-        for i in addr.path:
-            node = node[i]
+        return reduce(operator.getitem, addr.path, forest[addr.component])
     except IndexError:
         raise ValueError(f"no vertex at {addr}") from None
-    return node
 
 
 def replace_at(forest: Forest, addr: VertexAddr, new: Tree) -> Forest:
     """Forest with the subtree at addr swapped for ``new``."""
-    if addr.component >= len(forest):
-        raise ValueError(f"no vertex at {addr}")
-    ancestors = []
-    node = forest[addr.component]
-    for i in addr.path:
-        if i >= len(node):
-            raise ValueError(f"no vertex at {addr}")
-        ancestors.append(node)
-        node = node[i]
-    for parent, i in zip(reversed(ancestors), reversed(addr.path)):
-        new = Tree(parent[:i] + (new,) + parent[i + 1:])
-    return Forest(forest[:addr.component] + (new,) + forest[addr.component + 1:])
+    steps = (addr.component, *addr.path)
+    try:  # the forest, then each vertex down to the one replaced
+        nodes = list(itertools.accumulate(steps, operator.getitem, initial=forest))
+    except IndexError:
+        raise ValueError(f"no vertex at {addr}") from None
+    for parent, i in zip(reversed(nodes[:-1]), reversed(steps)):
+        new = parent.__class__(parent[:i] + (new,) + parent[i + 1:])
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +333,8 @@ def _pool(counts: tuple[int, ...], p: tuple[int, ...]) -> Optional[tuple[Tree, .
             if (sub, p) not in _pools:
                 held = catalan_vector(VecProfile(sub, p), 1) <= POOL_CACHE_MAX
                 _pools[sub, p] = tuple(_trees(_tree_plan(sub, p), p)) if held else None
+                if _texted:
+                    _add_texts([_pools[sub, p]])
     return _pools[key]
 
 
@@ -462,25 +460,49 @@ class ForestSyntaxError(ValueError):
         super().__init__(f"{message} at position {position}")
 
 
+# _texts keys every held pool's tree by id to its text, from the first
+# encoding on, so a process that never encodes keeps none.  _texted holds
+# LEAF and those pools, so no id is reused while its entry lives.
+_texts = {}
+_texted = []
+
+
+def _add_texts(pools: Iterable[Optional[tuple[Tree, ...]]]) -> None:
+    """Key the trees of each held pool, in the order the pools were built:
+    bottom-up, so a pool's subtrees are keyed before it."""
+    for pool in filter(None, pools):
+        _texted.append(pool)
+        _texts.update(zip(map(id, pool), map(encode_tree, pool)))
+
+
 def encode_tree(tree: Tree) -> str:
+    """Parenthesis encoding of one tree, walking only the vertices that are
+    not a held pool's tree.  The first call keys the pools built so far;
+    _pool keys those built later."""
+    if not _texted:
+        _add_texts([(LEAF,), *_pools.values()])
     out = []
-    stack: list = [tree]
+    stack: list = [tree]  # trees, and text (str) to emit as is
     while stack:
         node = stack.pop()
         if node.__class__ is str:
             out.append(node)
-        elif node:
+        elif not node:
+            out.append("o")
+        elif (text := _texts.get(id(node))) is not None:
+            out.append(text)
+        else:
             out.append("(")
             stack.append(")")
             stack.extend(reversed(node))
-        else:
-            out.append("o")
     return "".join(out)
 
 
 def encode(forest: Forest) -> str:
     """Parenthesis encoding; the empty forest encodes to ""."""
-    return ";".join(map(encode_tree, forest))
+    # A forest of held pools' trees is joined with no Python call per tree.
+    texts = list(map(_texts.get, map(id, forest)))
+    return ";".join(map(encode_tree, forest) if None in texts else texts)
 
 
 def _decode_tree(text: str) -> Tree:
@@ -491,44 +513,27 @@ def _decode_tree(text: str) -> Tree:
 
 def decode(text: str) -> Forest:
     """Parse the parenthesis encoding; inverse of encode on its image."""
-    if text == "":
-        return Forest(())
-    end = len(text)
     trees: list[Tree] = []
-    open_kids: list[list[Tree]] = []  # the children so far of each unclosed "("
-    pos = 0
-    while True:
-        # A tree starts at pos.
-        if pos >= end:
-            raise ForestSyntaxError("unexpected end of input", pos)
-        ch = text[pos]
-        if ch == "o":
-            node: Optional[Tree] = LEAF
-        elif ch == "(":
-            open_kids.append([])
-            node = None
+    stack = [trees]  # the trees so far, then the children so far of each unclosed "("
+    starts = bool(text)  # a tree must start at the next character
+    for pos, ch in enumerate(text):
+        if ch in "o(" and (starts or len(stack) > 1):
+            if ch == "o":
+                stack[-1].append(LEAF)
+            else:
+                stack.append([])
+            starts = ch == "("
+        elif ch == ")" and len(stack) > 1:
+            if starts:
+                raise ForestSyntaxError("internal vertex needs at least one child", pos)
+            kids = stack.pop()
+            stack[-1].append(Tree(kids))
+        elif ch == ";" and len(stack) == 1 and not starts:
+            starts = True
         else:
             raise ForestSyntaxError(f"unexpected {ch!r}", pos)
-        pos += 1
-        # Close every vertex that ends here; stop where its next child starts.
-        while open_kids:
-            if node is not None:
-                open_kids[-1].append(node)
-            if pos < end and text[pos] in "o(":
-                break
-            if pos >= end:
-                raise ForestSyntaxError("unclosed '('", pos)
-            if text[pos] != ")":
-                raise ForestSyntaxError(f"unexpected {text[pos]!r}", pos)
-            kids = open_kids.pop()
-            if not kids:
-                raise ForestSyntaxError("internal vertex needs at least one child", pos)
-            pos += 1
-            node = Tree(kids)
-        else:
-            trees.append(node)
-            if pos >= end:
-                return Forest(trees)
-            if text[pos] != ";":
-                raise ForestSyntaxError(f"unexpected {text[pos]!r}", pos)
-            pos += 1
+    if len(stack) > 1:
+        raise ForestSyntaxError("unclosed '('", len(text))
+    if starts:
+        raise ForestSyntaxError("unexpected end of input", len(text))
+    return Forest(trees)

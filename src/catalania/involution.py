@@ -40,6 +40,9 @@ its input is.  ``pairings`` walks a census for ``--dump-pairs``: it
 classifies each structure once, computes each forest's levels once for all
 of its colorings, and pairs the first class from that classification.
 ``signed_sum`` sums a census slice by slice, so at most one slice is held.
+``encode_colored`` marks the colored leaves in the forest's text, which
+held pools' trees carry (see ``forest``): it walks only the paths to the
+colored leaves, so its cost is linear in depth.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .forest import (
     VertexAddr,
     check_arity,
     check_budget,
+    encode_tree,
     generate_forests,
     generate_mixed_forests,
     leaf_addresses,
@@ -494,31 +498,29 @@ def encode_colored(c: ColoredForest, num_colors: int = 1) -> str:
     Root color entries are "i" (single color) or "i*j", comma-separated and
     sorted by index.
     """
-    # leaf_colors is sorted by address, which is the preorder of the walk,
-    # so each leaf is matched against the next colored one only.
-    pending = iter(c.leaf_colors)
-    target, color = next(pending, (None, 0))
-    parts = []
-    for comp, tree in enumerate(c.forest):
-        if comp:
-            parts.append(";")
-        stack: list = [((), tree)]
-        while stack:
-            path, node = stack.pop()
-            if node is None:
-                parts.append(")")
-            elif node:
-                parts.append("(")
-                stack.append((None, None))
-                stack.extend((path + (i,), node[i]) for i in range(len(node) - 1, -1, -1))
-            elif target is not None and target.path == path and target.component == comp:
-                parts.append("o*" if num_colors == 1 else f"o*{color}")
-                target, color = next(pending, (None, 0))
-            else:
-                parts.append("o")
-
+    forest = c.forest
+    parts = list(map(encode_tree, forest))
+    text = ";".join(parts)
+    if c.leaf_colors:
+        # A colored leaf's "o" sits after the text of everything left of it:
+        # the components before its own, and on each step down its path an
+        # opening "(" and the subtrees left of the path.  So only the paths
+        # to colored leaves are walked, and leaf_colors, sorted by address,
+        # lists the leaves in text order.
+        pieces = []
+        done = 0
+        for addr, color in c.leaf_colors:
+            comp = addr.component
+            pos, node = sum(map(len, parts[:comp])) + comp, forest[comp]
+            for i in addr.path:
+                pos += (1 + sum(map(len, map(encode_tree, node[:i])))) if i else 1
+                node = node[i]
+            pieces += (text[done:pos], "o*" if num_colors == 1 else f"o*{color}")
+            done = pos + 1
+        pieces.append(text[done:])
+        text = "".join(pieces)
     if num_colors == 1:
         roots = ",".join(str(i) for i, _ in c.root_colors)
     else:
         roots = ",".join(f"{i}*{j}" for i, j in c.root_colors)
-    return f"P[{c.planted}:{roots}]|{''.join(parts)}"
+    return f"P[{c.planted}:{roots}]|{text}"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -218,6 +219,59 @@ class TestInvolution:
         assert (code, out) == (2, "")
         assert err == ("error: enumeration would produce 6 structures, over the limit "
                        "of 4 (set CATALANIA_MAX_STRUCTS to raise it)\n")
+
+
+# sha1 of stdout, as the per-vertex encoders with one print per line wrote
+# it.  "text" and "paren" print the same lines.  (3, 8, 2) and (2, 10, 1)
+# draw their trees from a pool over the cap.
+LIST_GOLDENS = {
+    (4, 5, 5): ("59e967c26eba5be68b0316f5821cc6f618ea7c59", "7001ce2670a32a070168174d6868f58a041449e6"),
+    (5, 5, 3): ("705e83ad2470949ce78a4af5b611bc1cc0e8fc2b", "5ab84041c0867cc67cc0c99e71d6c874969d2029"),
+    (3, 8, 2): ("b137b94893c69e6c902dbe0d1b64607cd765fb7a", "2936db51bba8e50fb5380c6d2f1be0ee8729ff75"),
+    (2, 10, 1): ("092f96a07e181ed24694456be65efb2c6758474b", "f9711d29b69c6047528a69983327bd555c953a24"),
+    (3, 0, 2): ("9810e1b1264fb95d0023a3acbdbac9a1e3af5aac", "1d816d419bff7229241c69f1d3f393c5b0bdf32e"),
+    (2, 0, 0): ("adc83b19e793491b1c6ea0fd8b46cd9f32e592fc", "ad98df6fb7066077a7b33f8c156c7b6f412a4fd5"),
+    (2, 3, 0): ("da39a3ee5e6b4b0d3255bfef95601890afd80709", "cd0d4cc32346750408f7d4f5e78ec9a6e5b79a0d"),
+}
+
+# The benchmark's three --dump-pairs shapes, then one more census of over
+# 1,024 lines: (beta, n, gamma, alpha) -> sha1 of stdout.
+DUMP_GOLDENS = {
+    (3, 6, 1, 3): "8e5ce970dd1c807df6eee8d8bfcb8cc1bac208f6",
+    (3, 5, 3, 5): "68972999672e9046a07a85f2520e2ee4b3d1c514",
+    (2, 7, 2, 2): "6db72c2f181ae49bf02ea181538287f212f662b1",
+    (2, 6, 2, 4): "36fe6b46a689fecb357f3119ec24f2cca495a14e",
+}
+
+
+def _shape_id(shape):
+    return "-".join(map(str, shape))
+
+
+@pytest.mark.parametrize("shape", list(LIST_GOLDENS), ids=_shape_id)
+@pytest.mark.parametrize("fmt", ["text", "paren", "json"])
+def test_list_output_golden(capsys, shape, fmt):
+    beta, n, gamma = shape
+    code, out, err = run_cli(capsys, "trees", "list", f"--beta={beta}", f"--n={n}",
+                             f"--gamma={gamma}", f"--format={fmt}")
+    assert (code, err) == (0, "")
+    lines, as_json = LIST_GOLDENS[shape]
+    assert hashlib.sha1(out.encode()).hexdigest() == (as_json if fmt == "json" else lines)
+
+
+@pytest.mark.parametrize("shape", list(DUMP_GOLDENS), ids=_shape_id)
+def test_dump_pairs_output_golden(shape):
+    # A child with an unbuffered stdout, as the benchmark runs it.
+    beta, n, gamma, alpha = shape
+    env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent),
+           "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "catalania.cli", "involution", f"--beta={beta}", f"--n={n}",
+         f"--gamma={gamma}", f"--alpha={alpha}", "--dump-pairs"],
+        env=env, capture_output=True, check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha1(proc.stdout).hexdigest() == DUMP_GOLDENS[shape]
 
 
 @pytest.mark.parametrize("argv", [
