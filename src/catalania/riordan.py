@@ -10,12 +10,21 @@ A Series is stored as integer numerators over one positive denominator in
 lowest terms (``nums``, ``den``), and every operation runs on those
 integers: a reduced ``Fraction`` is built only when ``.coeffs`` or a public
 coefficient is read.
+
+Products stop at the order that is read.  Column k of a Riordan array is
+x**k * g * h**k with h = f/x, so an entry, a row sum, a Horner step of a
+composition and a power (x/f)**n of the derivative form are each multiplied
+out only to the x-power their result can still reach.  They share one
+prefix-product helper with ``series_mul``, which reduces every result, so a
+chain of products with rational coefficients carries no unreduced
+denominator.  (1 - x)**(p/q) is built on integer numerators over
+q**order * order!.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -100,20 +109,45 @@ def series_neg(a: Series) -> Series:
     return _lowest([-v for v in a.nums], a.den)
 
 
-def series_mul(a: Series, b: Series) -> Series:
-    n = min(a.order, b.order)
-    a_nums, b_nums = a.nums, b.nums[n::-1]  # reversed: b_nums[n - j] is b[j]
-    return _lowest([sum(map(mul, a_nums[: k + 1], b_nums[n - k:])) for k in range(n + 1)],
+def _mul_to(a: Series, b: Series, order: int) -> Series:
+    """a * b up to x**order, which neither operand's order may be below."""
+    b_nums = b.nums[order::-1]  # reversed: b_nums[order - j] is b[j]
+    return _lowest([sum(map(mul, a.nums[: k + 1], b_nums[order - k:])) for k in range(order + 1)],
                    a.den * b.den)
 
 
+def _over_x(f: Series, order: int) -> Series:
+    """f/x up to x**order, for f(0) = 0 and order < f.order."""
+    return _lowest(f.nums[1 : order + 2], f.den)
+
+
+def series_mul(a: Series, b: Series) -> Series:
+    return _mul_to(a, b, min(a.order, b.order))
+
+
+def _power(a: Series, e: int) -> Series:
+    """a**e for e >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if e & 1:
+            result = a if result is None else series_mul(result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = series_mul(a, a)
+
+
 def series_binpow(a: RatLike, order: int) -> Series:
-    """(1 - x)**a: coefficient of x^n is (-1)**n * binom(a, n)."""
+    """(1 - x)**a: coefficient of x^n is (-1)**n * binom(a, n).  With a = p/q
+    that is prod(i*q - p for i < n) / (q**n * n!), built over the common
+    denominator q**order * order! and reduced once."""
     check_nat(order, "order")
-    a, coeffs = Fraction(a), [Fraction(1)]
-    for n in range(order):  # (-1)**(n+1) * binom(a, n+1) from (-1)**n * binom(a, n)
-        coeffs.append(coeffs[-1] * (n - a) / (n + 1))
-    return Series(coeffs)
+    a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    falling = accumulate((i * q - p for i in range(order)), mul, initial=1)
+    # scales[order - n] is q**(order - n) * order! / n!
+    scales = list(accumulate((q * j for j in range(order, 0, -1)), mul, initial=1))
+    return _lowest(list(map(mul, falling, reversed(scales))), scales[-1])
 
 
 def series_derivative(a: Series) -> Series:
@@ -148,10 +182,14 @@ def series_compose(outer: Series, inner: Series) -> Series:
     if inner.nums[0] != 0:
         raise ValueError("composition requires inner(0) = 0")
     n = min(outer.order, inner.order)
-    inner_n, zeros = inner.truncate(n), (0,) * n
-    acc = _lowest((outer.nums[n],) + zeros, outer.den)
-    for k in range(n - 1, -1, -1):  # Horner in the truncated ring
-        acc = series_add(series_mul(acc, inner_n), _lowest((outer.nums[k],) + zeros, outer.den))
+    h = _over_x(inner, n - 1)
+    acc = _lowest(outer.nums[n:n + 1], outer.den)
+    for k in range(n - 1, -1, -1):
+        # Horner: acc = outer[k] + x * h * acc, known up to x**(n - k)
+        tail = _mul_to(acc, h, n - 1 - k)
+        den = lcm(outer.den, tail.den)
+        up = den // tail.den
+        acc = _lowest([outer.nums[k] * (den // outer.den), *(v * up for v in tail.nums)], den)
     return acc
 
 
@@ -161,7 +199,7 @@ def series_shift_down(f: Series) -> Series:
         raise ValueError("f/x requires f(0) = 0")
     if f.order == 0:
         raise ValueError("f/x needs order >= 1")
-    return _lowest(f.nums[1:], f.den)
+    return _over_x(f, f.order - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +230,14 @@ def series_from_json(obj: object) -> Series:
 
 
 def series_loads(text: str) -> Series:
+    import json  # here, so that the CLI loads json only for a series file
+
     return series_from_json(json.loads(text))
 
 
 def series_dumps(s: Series) -> str:
+    import json
+
     return json.dumps(series_to_json(s), sort_keys=True)
 
 
@@ -231,21 +273,24 @@ def riordan_entry(r: RiordanArray, n: int, k: int) -> Rat:
         raise ValueError(f"entry row {n} exceeds truncation order {r.order}")
     if k > n:
         return Fraction(0)
-    column, f = r.g.truncate(n), r.f.truncate(n)
-    for _ in range(k):
-        column = series_mul(column, f)
-    return Fraction(column.nums[n], column.den)
+    m = n - k  # f**k = x**k * h**k with h = f/x, so the entry is [x^m] g * h**k
+    column = r.g.truncate(m)
+    if k:
+        column = series_mul(column, _power(_over_x(r.f, m), k))
+    return Fraction(column.nums[m], column.den)
 
 
 def _row_sums(r: RiordanArray, a: Series, n_max: int) -> Series:
-    """sum_k a[k] * (column k of the array) up to x**n_max, one column pass."""
-    column, f, a = r.g.truncate(n_max), r.f.truncate(n_max), a.truncate(n_max)
+    """sum_k a[k] * (column k of the array) up to x**n_max, one column pass;
+    column k is x**k times g * h**k (h = f/x), so it is built to x**(n_max - k)."""
+    column, a = r.g.truncate(n_max), a.truncate(n_max)
+    h = _over_x(r.f, n_max - 1)
     total = series_zero(n_max)  # the sum so far, times a.den
     for k, ak in enumerate(a.nums):
         if k > 0:
-            column = series_mul(column, f)
+            column = _mul_to(column, h, n_max - k)
         if ak:
-            total = series_add(total, _lowest([ak * v for v in column.nums], column.den))
+            total = series_add(total, _lowest([0] * k + [ak * v for v in column.nums], column.den))
     return _lowest(total.nums, total.den * a.den)
 
 
@@ -275,14 +320,17 @@ def modified_riordan_check(r: RiordanArray, a: Series, l: Series) -> bool:
         return False
     if n_max == 0:
         return True
-    x_over_f = series_inverse_unit(series_shift_down(r.f.truncate(n_max)))
+    h = _over_x(r.f, n_max - 1)
     dquot = series_derivative(series_div_unit(l.truncate(n_max), r.g.truncate(n_max)))
     dq_nums = dquot.nums[::-1]  # reversed: dq_nums[n_max - 1 - j] is dquot[j]
-    power = series_const(1, n_max - 1)
-    for n in range(1, n_max + 1):
-        power = series_mul(power, x_over_f)
+    # (x/f)**n is needed only up to x**(n - 1), so the powers run downward from
+    # (x/f)**n_max: each step multiplies by f/x and drops one order.
+    power = _power(series_inverse_unit(h), n_max)
+    for n in range(n_max, 0, -1):
+        if n < n_max:
+            power = _mul_to(power, h, n - 1)
         # [x^(n-1)] power * dquot, one dot product over power.den * dquot.den
-        rhs = sum(map(mul, power.nums[:n], dq_nums[n_max - n:]))
+        rhs = sum(map(mul, power.nums, dq_nums[n_max - n:]))
         if n * a.nums[n] * power.den * dquot.den != rhs * a.den:
             return False
     return True

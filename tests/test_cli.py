@@ -489,3 +489,34 @@ def test_subcommand_runs_only_its_layers(tmp_path, argv, loaded):
                           env=env, capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == sorted(loaded)
+
+
+# Unlike LAYERS_CHILD, this child imports nothing but the CLI before it looks.
+JSON_CHILD = """\
+import sys
+from catalania import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print("json" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_json", [
+    (["seq", "--beta", "2", "--n", "3"], False),
+    (["riordan", "entry", "--alpha", "3/2", "--beta", "7/3", "--n", "5", "--k", "3"], False),
+    (["riordan", "check", "--alpha", "2", "--beta", "3", "--gamma", "1", "--order", "4"], False),
+    (["riordan", "entry", "--g-json", "G", "--f-json", "F", "--n", "1", "--k", "1"], True),
+], ids=["seq", "riordan-entry", "riordan-check", "series-file"])
+def test_json_is_loaded_only_for_a_series_file(tmp_path, argv, loads_json):
+    files = {"G": tmp_path / "g.json", "F": tmp_path / "f.json"}
+    files["G"].write_text('{"order": 1, "coeffs": ["1", "1"]}')
+    files["F"].write_text('{"order": 1, "coeffs": ["0", "1"]}')
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", JSON_CHILD, *argv],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(loads_json)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalania import riordan
 from catalania.counting import catalan_gen
 from catalania.exact import binom
 from catalania.riordan import (
@@ -247,6 +248,15 @@ class TestRiordanArray:
                         want = (-1) ** (n - k) * binom(alpha + (beta - 1) * k, n - k)
                         assert riordan_entry(array, n, k) == want
 
+    @pytest.mark.parametrize("alpha", [F(5, 2), F(-5, 2), F(7, 2), F(-7, 2)])
+    @pytest.mark.parametrize("beta", [F(7, 3), F(8, 3)])
+    def test_family_closed_form_entries_at_series_shapes(self, alpha, beta):
+        # the rational entries the series benchmark reads, from row 36
+        array = catalan_family(alpha, beta, 36)
+        for k in (0, 1, 18, 35, 36):
+            want = (-1) ** (36 - k) * binom(alpha + (beta - 1) * k, 36 - k)
+            assert riordan_entry(array, 36, k) == want
+
 
 class TestTheoremChecks:
     def instance(self, alpha, beta, gamma, order):
@@ -280,6 +290,19 @@ class TestTheoremChecks:
         bad = Series(a.coeffs[:index] + (a.coeffs[index] + 1,) + a.coeffs[index + 1:])
         assert not riordan_theorem_check(array, bad, l)
         assert not modified_riordan_check(array, bad, l)
+
+    @pytest.mark.parametrize("route", ["series_compose", "_row_sums"])
+    def test_disagreeing_routes_are_an_internal_error(self, monkeypatch, route):
+        array, a, l = self.instance(2, 3, 1, 8)
+        honest = getattr(riordan, route)
+
+        def bumped(*args):
+            s = honest(*args)
+            return Series(s.coeffs[:3] + (s.coeffs[3] + 1,) + s.coeffs[4:])
+
+        monkeypatch.setattr(riordan, route, bumped)
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            riordan_theorem_check(array, a, l)
 
     def test_identity_array_trivial(self):
         array = RiordanArray(series_const(1, 5), series_x(5))
@@ -459,6 +482,16 @@ f_lists = st.builds(
 )
 
 
+def ref_binpow(a, order):
+    return [(-1) ** n * binom(a, n) for n in range(order + 1)]
+
+
+binpow_exponents = st.one_of(
+    st.integers(min_value=0, max_value=25).map(F),
+    st.builds(F, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=12)),
+)
+
+
 class TestIntegerKernel:
     @given(a=coeff_lists, b=coeff_lists)
     @settings(max_examples=80)
@@ -473,6 +506,35 @@ class TestIntegerKernel:
         inner = [F(0)] + inner_tail
         got = series_compose(Series(tuple(outer)), Series(tuple(inner)))
         assert list(got.coeffs) == ref_compose(outer, inner)
+        assert_canonical(got)
+
+    @given(outer=coeff_lists, inner_tail=coeff_lists)
+    @settings(max_examples=40)
+    def test_compose_without_linear_term(self, outer, inner_tail):
+        inner = [F(0), F(0)] + inner_tail
+        got = series_compose(Series(tuple(outer)), Series(tuple(inner)))
+        assert list(got.coeffs) == ref_compose(outer, inner)
+        assert_canonical(got)
+
+    @given(g=unit_lists, f=f_lists)
+    @settings(max_examples=40)
+    def test_entry(self, g, f):
+        # every entry, k = 0 to k = n and up to n = order, against g * f**k
+        # built at full order
+        array = RiordanArray(Series(tuple(g)), Series(tuple(f)))
+        column = g[: array.order + 1]
+        for k in range(array.order + 1):
+            for n in range(array.order + 1):
+                got = riordan_entry(array, n, k)
+                assert got == (column[n] if k <= n else 0)
+                assert_reduced([got])
+            column = ref_mul(column, f)
+
+    @given(a=binpow_exponents, order=st.integers(min_value=0, max_value=20))
+    @settings(max_examples=80)
+    def test_binpow(self, a, order):
+        got = series_binpow(a, order)
+        assert list(got.coeffs) == ref_binpow(a, order)
         assert_canonical(got)
 
     @given(a=coeff_lists, b=unit_lists)
