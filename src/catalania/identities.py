@@ -24,9 +24,9 @@ from .exact import (ConfigError, Rat, RatLike, Record, as_rat, binom, check_nat,
                     int_binom, rat_str)
 from .forest import check_arity, compositions
 from .involution import census_terms, check_alpha_gamma, signed_sum
-from .riordan import (RiordanArray, Series, catalan_family, catalan_gf, catalan_gf_functional_check,
-                      convolution_check, modified_riordan_check, riordan_theorem_check, row_sums,
-                      series_binpow)
+from .riordan import (RiordanArray, Series, catalan_gf, derivative_form_check, family_f, inverse_powers,
+                      riordan_columns, row_sums, series_binpow, series_compose, series_div_unit,
+                      series_mul, summation_check)
 
 
 class Counterexample(Record):
@@ -188,23 +188,26 @@ class _Run:
     n <= n_max, which is all that verify_eq4 computes, so Eq4 takes its
     verdict there from Eq2.  Any other point is evaluated by Eq4 itself.
 
-    ``tables`` holds the values that many grid points of Eq1, Eq2, Eq3, Eq4
-    and Eq10 need, keyed by a table name and the exact parameters the value
-    depends on: the Catalan counts per (catalan, beta, gamma) and the Eq2
-    closed forms per alpha - gamma, each the longest sequence asked for so
-    far, whose prefixes serve the shorter requests; the forward and backward
-    Gould rows per (a, m, z, length); the arrays and series of Eq2's array
-    routes; and Eq3's census terms per (p, n_vec, gamma), which every alpha
-    of its grid reads.  An entry is built on its first use by the builder this
-    module names at that moment, so a run sees a builder replaced before it
-    started, and is immutable (tuples, Series, RiordanArray).  Nothing
-    outlives the run: a table kept across runs would hand a later run values
-    built by an earlier run's builders.
+    ``tables`` holds the values that many grid points of every section but
+    Eq9 need, keyed by a table name and the exact parameters the value
+    depends on (an int for an integral one, which hashes like its Fraction):
+    the Catalan counts per (catalan, beta, gamma) and the Eq2 closed forms
+    per alpha - gamma, each the longest sequence asked for so far, whose
+    prefixes serve the shorter requests; the forward and backward Gould rows
+    per (a, m, z, length); the series of Eq2's array routes, Eq7 and Eq8
+    (generating functions, x(1-x)**(beta-1) and (1-x)**a); the pieces of the
+    family route, see _family_pieces; and Eq3's census terms per
+    (p, n_vec, gamma), which every alpha of its grid reads.  An entry is
+    built on its first use by the builder this module names at that moment,
+    so a run sees a builder replaced before it started, and is immutable
+    (tuples, Series, RiordanArray).  Nothing outlives the run: a table kept
+    across runs would hand a later run values built by an earlier run's
+    builders.
     """
 
     __slots__ = ("catalan", "eq2_passed", "tables")
     catalan: CatalanFn
-    eq2_passed: set[tuple[Rat, Rat, Rat, int]]
+    eq2_passed: set[tuple[RatLike, RatLike, RatLike, int]]
     tables: dict[tuple, object]
 
     def __init__(self, catalan: CatalanFn) -> None:
@@ -258,8 +261,12 @@ def _rows(a: RatLike, m: RatLike, z: RatLike, length: int, backward: bool = Fals
         map(tuple, _gould_rows(a, m, z, length, backward))))
 
 
+def _f(beta: RatLike, order: int) -> Series:
+    return _shared(("f", beta, order), lambda: family_f(beta, order))
+
+
 def _family(alpha: RatLike, beta: RatLike, order: int) -> RiordanArray:
-    return _shared(("family", alpha, beta, order), lambda: catalan_family(alpha, beta, order))
+    return RiordanArray(_binpow(alpha, order), _f(beta, order))
 
 
 def _gf(beta: RatLike, gamma: RatLike, order: int) -> Series:
@@ -270,6 +277,19 @@ def _binpow(a: RatLike, order: int) -> Series:
     return _shared(("binpow", a, order), lambda: series_binpow(a, order))
 
 
+def _family_pieces(alpha: RatLike, beta: RatLike, gamma: RatLike, order: int) -> tuple[tuple, tuple]:
+    """The arguments of summation_check and derivative_form_check at one point of
+    Eq2's family route, each piece from the table of the parameters it depends on:
+    the columns per (alpha, beta), a(f) per (beta, gamma), the powers (x/f)**n per
+    beta and l/g per (alpha, gamma)."""
+    r, a, l = _family(alpha, beta, order), _gf(beta, gamma, order), _binpow(alpha - gamma, order)
+    columns = _shared(("columns", alpha, beta, order), lambda: riordan_columns(r, order))
+    composed = _shared(("a(f)", beta, gamma, order), lambda: series_compose(a, r.f))
+    powers = _shared(("powers", beta, order), lambda: inverse_powers(r.f, order))
+    quotient = _shared(("l/g", alpha, gamma, order), lambda: series_div_unit(l, r.g))
+    return (columns, composed, a, l), (powers, quotient, a)
+
+
 # ---------------------------------------------------------------------------
 # The alternating sum and its inverse expansion: the pair (beta - 1, alpha, -1)
 # ---------------------------------------------------------------------------
@@ -277,7 +297,6 @@ def _binpow(a: RatLike, order: int) -> Series:
 def _eq2_row_sums(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
                   catalan: CatalanFn) -> Iterator[tuple[RatLike, RatLike]]:
     """Forward rows 0..n_max against the counting sequence, summed forwards and reversed."""
-    beta = Fraction(beta)
     cats = _catalans(beta, gamma, n_max, catalan)
     for n, row in enumerate(_rows(beta - 1, alpha, -1, n_max + 1)):
         yield _dot(row, cats), _dot(row[::-1], cats[n::-1])
@@ -323,9 +342,8 @@ def _eq10_row_sums(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) ->
     """Backward rows 0..n_max, each scaled by its denominator
     (1-beta)*n - alpha, against the closed forms of Eq2; and that denominator."""
     check_nat(n_max)
-    alpha, gamma = Fraction(alpha), Fraction(gamma)
     rhs = _closed_forms(alpha, gamma, n_max)
-    for n, row in enumerate(_rows(Fraction(beta) - 1, alpha, -1, n_max + 1, backward=True)):
+    for n, row in enumerate(_rows(beta - 1, alpha, -1, n_max + 1, backward=True)):
         yield _dot(row, rhs), row[n]
 
 
@@ -556,10 +574,11 @@ def expand_interval(spec: Mapping) -> list[Rat]:
     return [lo + i * step for i in range((hi - lo) // step + 1)]
 
 
-def _grid(cfg: Mapping, *names: str) -> tuple[list[list[Rat]], str]:
-    """The values of each named interval, and the report text
-    "name in [min..max step s], ..." of their product."""
-    axes = [expand_interval(cfg[name]) for name in names]
+def _grid(cfg: Mapping, *names: str) -> tuple[list[list[RatLike]], str]:
+    """The values of each named interval, an integral one as an int, and the
+    report text "name in [min..max step s], ..." of their product."""
+    axes = [[v.numerator if v.denominator == 1 else v for v in expand_interval(cfg[name])]
+            for name in names]
     text = ", ".join(f"{name} in [{cfg[name]['min']}..{cfg[name]['max']} step {cfg[name]['step']}]"
                      for name in names)
     return axes, text
@@ -630,14 +649,12 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
                 elif sums[n] != direct:
                     yield Counterexample.at(params, sums[n], direct, "array row sum vs direct sum")
         for (alpha_s, beta_s, gamma_s), (alpha, beta, gamma) in family_points:
-            r = _family(alpha, beta, family_order)
-            a = _gf(beta, gamma, family_order)
-            l = _binpow(alpha - gamma, family_order)
+            plain, modified = _family_pieces(alpha, beta, gamma, family_order)
             params = {"alpha": alpha_s, "beta": beta_s, "gamma": gamma_s, "order": family_order}
-            if not riordan_theorem_check(r, a, l):
+            if not summation_check(*plain):
                 yield Counterexample.at(params, "row sums", "target coefficients",
                                         "summation-matrix check")
-            elif not modified_riordan_check(r, a, l):
+            elif not derivative_form_check(*modified):
                 yield Counterexample.at(params, "derivative form", "target coefficients",
                                         "modified summation-matrix check")
 
@@ -675,7 +692,8 @@ def _suite_eq7(cfg: Mapping, run: _Run) -> _Plan:
     if order < 1:
         raise ValueError("need order >= 1")
     return f"{text}, order {order}", (
-        None if catalan_gf_functional_check(beta, gamma, order) else Counterexample.at(
+        None if series_compose(_gf(beta, gamma, order), _f(beta, order)) == _binpow(-gamma, order)
+        else Counterexample.at(
             {"beta": rat_str(beta), "gamma": rat_str(gamma), "order": order},
             "gf composed with x(1-x)^(beta-1)", "(1-x)^(-gamma)")
         for beta, gamma in itertools.product(*axes)), ()
@@ -687,7 +705,8 @@ def _suite_eq8(cfg: Mapping, run: _Run) -> _Plan:
     pairs = [(as_rat(a1), as_rat(a2)) for a1, a2 in cfg["alpha_pairs"]]
     grid = f"{text}, alpha pairs {[[rat_str(a), rat_str(b)] for a, b in pairs]}, order {order}"
     return grid, (
-        None if convolution_check(beta, alpha1, alpha2, order) else Counterexample.at(
+        None if series_mul(_gf(beta, alpha1, order), _gf(beta, alpha2, order))
+        == _gf(beta, alpha1 + alpha2, order) else Counterexample.at(
             {"beta": rat_str(beta), "alpha1": rat_str(alpha1), "alpha2": rat_str(alpha2),
              "order": order},
             "gf(alpha1) * gf(alpha2)", "gf(alpha1 + alpha2)")
@@ -720,7 +739,9 @@ def _suite_eq9(cfg: Mapping, run: _Run) -> _Plan:
 
     def outcomes() -> Iterator[Optional[Counterexample]]:
         matrices = [(pair, *_roundtrip_rows(pair, length)) for pair in pairs]
-        for index in range(count):
+        if 6 * count > length:  # the composites cost less than the walk, see _inverse_pair
+            matrices = [matrix for matrix in matrices if not _inverse_pair(*matrix[1:])]
+        for index in range(count if matrices else 0):
             seq = random_rational_sequence(rng, length)
             (nums,), den = cleared([seq])
             yield from (_gould_roundtrip(index, seq, nums, den, *matrix) for matrix in matrices)
@@ -738,6 +759,17 @@ def _roundtrip_rows(pair: GouldPair, length: int) -> tuple[list[list[int]], list
     diagonal = [row[n] for n, row in enumerate(backward)]  # nonzero: poles are skipped
     mult = lcm(*diagonal)
     return forward, [[v * (mult // d) for v in row] for row, d in zip(backward, diagonal)], den * mult
+
+
+def _inverse_pair(forward: list[list[int]], inverse: list[list[int]], scale: int) -> bool:
+    """Whether both integer composites, inverse * forward and forward * inverse, are
+    scale * I, so that every round trip passes (see _roundtrip_rows).  The two
+    triangular products cost about length**3 / 3 multiplications, the walk of
+    ``sequences`` round trips about 2 * sequences * length**2, so Eq9 asks this
+    only while length < 6 * sequences."""
+    return all(sum(outer[i][k] * inner[k][j] for k in range(j, i + 1)) == (scale if i == j else 0)
+               for outer, inner in ((inverse, forward), (forward, inverse))
+               for i in range(len(outer)) for j in range(i + 1))
 
 
 def _gould_roundtrip(index: int, seq: list[Rat], nums: list[int], den: int, pair: GouldPair,

@@ -19,6 +19,10 @@ prefix-product helper with ``series_mul``, which reduces every result, so a
 chain of products with rational coefficients carries no unreduced
 denominator.  (1 - x)**(p/q) is built on integer numerators over
 q**order * order!.
+
+riordan_theorem_check and modified_riordan_check are summation_check and
+derivative_form_check at one point; over a grid, a caller builds their
+pieces (riordan_columns, a(f), inverse_powers, l/g) once per parameter.
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ def series(coeffs: Iterable[RatLike | str]) -> Series:
 def series_const(value: RatLike, order: int) -> Series:
     check_nat(order, "order")
     return Series((value,) + (0,) * order)
-
-
-def series_zero(order: int) -> Series:
-    return series_const(0, order)
 
 
 def series_x(order: int) -> Series:
@@ -280,15 +280,18 @@ def riordan_entry(r: RiordanArray, n: int, k: int) -> Rat:
     return Fraction(column.nums[m], column.den)
 
 
-def _row_sums(r: RiordanArray, a: Series, n_max: int) -> Series:
-    """sum_k a[k] * (column k of the array) up to x**n_max, one column pass;
-    column k is x**k times g * h**k (h = f/x), so it is built to x**(n_max - k)."""
-    column, a = r.g.truncate(n_max), a.truncate(n_max)
+def riordan_columns(r: RiordanArray, n_max: int) -> tuple[Series, ...]:
+    """Columns 0..n_max without their factor x**k: g * h**k (h = f/x) up to x**(n_max - k)."""
     h = _over_x(r.f, n_max - 1)
-    total = series_zero(n_max)  # the sum so far, times a.den
-    for k, ak in enumerate(a.nums):
-        if k > 0:
-            column = _mul_to(column, h, n_max - k)
+    return tuple(accumulate(range(n_max - 1, -1, -1), lambda column, order: _mul_to(column, h, order),
+                            initial=r.g.truncate(n_max)))
+
+
+def _row_sums(columns: Sequence[Series], a: Series) -> Series:
+    """sum_k a[k] * x**k * columns[k] up to x**n_max, for riordan_columns(r, n_max)."""
+    a = a.truncate(len(columns) - 1)
+    total = series_const(0, a.order)  # the sum so far, times a.den
+    for k, (ak, column) in enumerate(zip(a.nums, columns)):
         if ak:
             total = series_add(total, _lowest([0] * k + [ak * v for v in column.nums], column.den))
     return _lowest(total.nums, total.den * a.den)
@@ -296,44 +299,49 @@ def _row_sums(r: RiordanArray, a: Series, n_max: int) -> Series:
 
 def row_sums(r: RiordanArray, a: Series, n_max: int) -> list[Rat]:
     """[sum_k entry(n,k) * a[k] for n <= n_max], one column pass."""
-    return list(_row_sums(r, a, n_max).coeffs)
+    return list(_row_sums(riordan_columns(r, n_max), a).coeffs)
 
 
-def riordan_theorem_check(r: RiordanArray, a: Series, l: Series) -> bool:
-    """Whether the row sums of the array against a's coefficients reproduce
-    l's coefficients; computed both as literal row sums and through the
-    functional form g * a(f) = l, which must agree."""
-    n = min(r.order, a.order, l.order)
-    by_rows = _row_sums(r, a, n) == l
-    composed = series_mul(r.g.truncate(n), series_compose(a.truncate(n), r.f.truncate(n)))
-    by_function = composed == l
-    if by_rows != by_function:
+def inverse_powers(f: Series, n_max: int) -> tuple[Series, ...]:
+    """(x/f)**n up to x**(n - 1) for n = n_max down to 1, each the one before times f/x."""
+    h = _over_x(f, n_max - 1)
+    return tuple(accumulate(range(n_max - 2, -1, -1), lambda power, order: _mul_to(power, h, order),
+                            initial=_power(series_inverse_unit(h), n_max))) if n_max else ()
+
+
+def summation_check(columns: Sequence[Series], composed: Series, a: Series, l: Series) -> bool:
+    """Whether sum_k a[k] * column k reproduces l, for ``columns`` = riordan_columns(r, n), both
+    as row sums and as g * a(f) = l with ``composed`` = a(f), two routes that must agree."""
+    by_rows = _row_sums(columns, a) == l
+    if by_rows != (series_mul(columns[0], composed) == l):  # columns[0] is g
         raise RuntimeError("row-sum and functional routes disagree; internal error")
     return by_rows
 
 
+def riordan_theorem_check(r: RiordanArray, a: Series, l: Series) -> bool:
+    """summation_check at one point, up to the common order of r, a and l."""
+    n = min(r.order, a.order, l.order)
+    composed = series_compose(a.truncate(n), r.f.truncate(n))
+    return summation_check(riordan_columns(r, n), composed, a, l)
+
+
+def derivative_form_check(powers: Sequence[Series], quotient: Series, a: Series) -> bool:
+    """Whether a(0) = l(0)/g(0) and n*[x^n]a = [x^(n-1)] (x/f)**n * (l/g)' for 1 <= n <= n_max,
+    from ``powers`` = inverse_powers(f, n_max) and ``quotient`` = l/g, each right side one dot
+    product over power.den * dquot.den; an equivalent route to summation_check."""
+    n_max = len(powers)
+    dquot = series_derivative(quotient.truncate(n_max))
+    dq_nums = dquot.nums[::-1]  # dq_nums[n_max - 1 - j] is dquot[j]
+    return a.nums[0] * quotient.den == quotient.nums[0] * a.den and all(
+        n * a.nums[n] * power.den * dquot.den == sum(map(mul, power.nums, dq_nums[n_max - n:])) * a.den
+        for n, power in zip(range(n_max, 0, -1), powers))
+
+
 def modified_riordan_check(r: RiordanArray, a: Series, l: Series) -> bool:
-    """Whether n*[x^n]a = [x^(n-1)] (x/f)**n * (l/g)' for 1 <= n <= order
-    and a(0) = l(0)/g(0); an equivalent route to riordan_theorem_check."""
-    n_max = min(r.order, a.order, l.order)
-    if a.nums[0] * l.den * r.g.nums[0] != l.nums[0] * a.den * r.g.den:
-        return False
-    if n_max == 0:
-        return True
-    h = _over_x(r.f, n_max - 1)
-    dquot = series_derivative(series_div_unit(l.truncate(n_max), r.g.truncate(n_max)))
-    dq_nums = dquot.nums[::-1]  # reversed: dq_nums[n_max - 1 - j] is dquot[j]
-    # (x/f)**n is needed only up to x**(n - 1), so the powers run downward from
-    # (x/f)**n_max: each step multiplies by f/x and drops one order.
-    power = _power(series_inverse_unit(h), n_max)
-    for n in range(n_max, 0, -1):
-        if n < n_max:
-            power = _mul_to(power, h, n - 1)
-        # [x^(n-1)] power * dquot, one dot product over power.den * dquot.den
-        rhs = sum(map(mul, power.nums, dq_nums[n_max - n:]))
-        if n * a.nums[n] * power.den * dquot.den != rhs * a.den:
-            return False
-    return True
+    """derivative_form_check at one point, up to the common order of r, a and l."""
+    n = min(r.order, a.order, l.order)
+    quotient = series_div_unit(l.truncate(n), r.g.truncate(n))
+    return derivative_form_check(inverse_powers(r.f, n), quotient, a)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +353,7 @@ def catalan_gf(beta: RatLike, gamma: RatLike, order: int) -> Series:
     return Series(catalan_sequence(beta, gamma, order))
 
 
-def _family_f(beta: RatLike, order: int) -> Series:
+def family_f(beta: RatLike, order: int) -> Series:
     """x(1-x)**(beta-1) up to ``order`` >= 1."""
     check_nat(order, "order")
     if order < 1:
@@ -356,13 +364,13 @@ def _family_f(beta: RatLike, order: int) -> Series:
 
 def catalan_family(alpha: RatLike, beta: RatLike, order: int) -> RiordanArray:
     """The array [ (1-x)**alpha, x(1-x)**(beta-1) ] at the given order."""
-    return RiordanArray(series_binpow(alpha, order), _family_f(beta, order))
+    return RiordanArray(series_binpow(alpha, order), family_f(beta, order))
 
 
 def catalan_gf_functional_check(beta: RatLike, gamma: RatLike, order: int) -> bool:
     """Whether composing the generating function with x(1-x)**(beta-1)
     collapses it to (1-x)**(-gamma)."""
-    lhs = series_compose(catalan_gf(beta, gamma, order), _family_f(beta, order))
+    lhs = series_compose(catalan_gf(beta, gamma, order), family_f(beta, order))
     return lhs == series_binpow(-Fraction(gamma), order)
 
 

@@ -44,7 +44,7 @@ from catalania.identities import (
 )
 from catalania.involution import (census_sizes, census_terms, encode_colored, enumerate_colored_vector,
                                   signed_sum)
-from catalania.riordan import catalan_family, catalan_gf, row_sums
+from catalania.riordan import Series, catalan_family, catalan_gf, family_f, row_sums, series_binpow
 
 
 class TestEq2:
@@ -327,6 +327,47 @@ class TestPairKernel:
         pairs = [GouldPair(int(a), F(m), F(z)) for a, m, z in config["pairs"]]
         assert calls == [(pair.a, pair.m, pair.z, config["length"], backward)
                          for pair in pairs for backward in (False, True)]
+
+    def test_eq9_decides_inverse_pairs_without_drawing_a_sequence(self, monkeypatch):
+        def refuse(rng, length):
+            pytest.fail("a sequence was drawn")
+
+        monkeypatch.setattr(identities, "random_rational_sequence", refuse)
+        (report,) = run_suite({"eq9": DEFAULT_CONFIG["eq9"]})
+        assert report.ok and not report.skipped
+
+    def test_eq9_walks_the_sequences_for_a_pair_that_is_not_inverse(self, monkeypatch):
+        gould_rows = identities._gould_rows
+
+        def rows(a, m, z, length, backward=False):  # the pair with a = 2 is perturbed
+            out = gould_rows(a, m, z, length, backward)
+            if backward and a == 2:
+                out[6][2] += 1
+            return out
+
+        monkeypatch.setattr(identities, "_gould_rows", rows)
+        draws = []
+        monkeypatch.setattr(identities, "random_rational_sequence", _recorded(
+            draws, random_rational_sequence, lambda rng, length: length))
+        section = {"length": 10, "sequences": 5, "seed": 14}
+        (alone,) = run_suite({"eq9": {**section, "pairs": [["2", "0", "1"]]}})
+        assert not alone.ok and len(draws) == 1
+        (report,) = run_suite({"eq9": {**section, "pairs": [["1", "1", "1"], ["2", "0", "1"]]}})
+        assert report.counterexample == alone.counterexample and len(draws) == 2
+
+    @pytest.mark.parametrize("length,sequences,composites", [(29, 5, 1), (30, 5, 0), (10, 1, 0)])
+    def test_eq9_forms_the_composites_only_below_six_draws_a_position(
+            self, monkeypatch, length, sequences, composites):
+        formed, draws = [], []
+        monkeypatch.setattr(identities, "_inverse_pair", _recorded(
+            formed, identities._inverse_pair, lambda *args: len(args[0])))
+        monkeypatch.setattr(identities, "random_rational_sequence", _recorded(
+            draws, random_rational_sequence, lambda rng, length: length))
+        config = {**DEFAULT_CONFIG["eq9"], "length": length, "sequences": sequences}
+        (report,) = run_suite({"eq9": config})
+        assert report.ok and not report.skipped
+        assert formed == [length] * len(config["pairs"]) * composites
+        assert draws == [length] * sequences * (1 - composites)
 
     @pytest.mark.parametrize("alpha,beta,gamma", [(2, 0, 1), (F(1, 2), 3, F(-1, 2))])
     def test_failing_eq10_row_shows_the_unscaled_sum(self, monkeypatch, alpha, beta, gamma):
@@ -725,6 +766,172 @@ class TestRunScope:
         assert identities._ACTIVE_RUN.get() is None
 
 
+class TestSeriesTables:
+    """Eq2's array routes, Eq7 and Eq8 read their series from the run's tables."""
+
+    def test_each_generating_function_and_power_is_built_once_per_run(self, monkeypatch):
+        gfs, fs, powers = [], [], []
+        monkeypatch.setattr(identities, "catalan_gf", _recorded(gfs, catalan_gf, lambda *key: key))
+        monkeypatch.setattr(identities, "family_f", _recorded(fs, family_f, lambda *key: key))
+        monkeypatch.setattr(identities, "series_binpow", _recorded(
+            powers, series_binpow, lambda *key: key))
+        config = {key: DEFAULT_CONFIG[key] for key in ("eq2", "eq7", "eq8")}
+        for _ in range(2):  # the second run builds every series again
+            for calls in (gfs, fs, powers):
+                calls.clear()
+            assert all(r.ok for r in run_suite(config))
+            # (beta, gamma, order): the cross route's 2 x 2 at order 4, the family
+            # route's 3 x 2 at 15, Eq7's 4 x 4 at 20 and Eq8's 3 betas times the 6
+            # gammas {1, 2, 3, 5, 1/2, 3/2} at 15, 6 of which the family route holds.
+            assert len(gfs) == len(set(gfs)) == 4 + 6 + 16 + 18 - 6
+            # x(1-x)^(beta-1) per (beta, order): 2 at order 4, 3 at 15, 4 at 20.
+            assert len(fs) == len(set(fs)) == 2 + 3 + 4
+            # (1-x)^a per (a, order): the cross route's alphas 1..4 at 4, the family
+            # route's alphas 0..3 and alpha - gamma in -2..2 at 15, and Eq7's
+            # (1-x)^(-gamma) for gamma 0..3 at 20.
+            assert len(powers) == len(set(powers)) == 4 + 6 + 4
+        assert identities._ACTIVE_RUN.get() is None
+
+
+def _bumped(s, index: int = 1):
+    """The series s with coefficient ``index`` plus 1."""
+    return Series(s.coeffs[:index] + (s.coeffs[index] + 1,) + s.coeffs[index + 1:])
+
+
+# Where each builder of a family piece takes its f = x(1-x)^(beta-1).
+_PIECE_F = {"riordan_columns": lambda r, n: r.f, "inverse_powers": lambda f, n: f,
+            "series_compose": lambda a, f: f}
+
+
+def _perturbed_at_beta_two(name: str, perturb):
+    """identities.<name>, with ``perturb`` applied to the pieces it builds at beta = 2,
+    where f's x^2 coefficient 1 - beta is -1."""
+    build, f_of = getattr(identities, name), _PIECE_F[name]
+
+    def perturbed(*args):
+        pieces = build(*args)
+        return perturb(pieces) if f_of(*args).coeffs[2] == -1 else pieces
+
+    return perturbed
+
+
+FAMILY_ONLY = {key: value for key, value in DEFAULT_CONFIG["eq2"].items() if key != "cross"}
+
+
+class TestFamilyPieces:
+    """Eq2's family route builds each array piece once per run, keyed on the
+    parameters it depends on, and both of its summation checks read them."""
+
+    def test_each_piece_is_built_once_per_run(self, monkeypatch):
+        builds = defaultdict(list)
+        for name, key in [("riordan_columns", lambda r, n: (r.g.coeffs, r.f.coeffs, n)),
+                          ("inverse_powers", lambda f, n: (f.coeffs, n)),
+                          ("series_compose", lambda a, f: (a.coeffs, f.coeffs)),
+                          ("series_div_unit", lambda l, g: (l.coeffs, g.coeffs))]:
+            monkeypatch.setattr(identities, name, _recorded(builds[name], getattr(identities, name), key))
+        for _ in range(2):  # the second run builds every piece again
+            for calls in builds.values():
+                calls.clear()
+            assert run_suite({"eq2": FAMILY_ONLY})[0].ok
+            assert identities._ACTIVE_RUN.get() is None
+            assert all(len(calls) == len(set(calls)) for calls in builds.values())
+            # 4 alphas x 3 betas x 2 gammas: columns per (alpha, beta), powers per
+            # beta, a(f) per (beta, gamma) and l/g per (alpha, gamma).
+            assert {name: len(calls) for name, calls in builds.items()} == {
+                "riordan_columns": 12, "inverse_powers": 3, "series_compose": 6,
+                "series_div_unit": 8}
+
+    @pytest.mark.parametrize("name,perturb,sides,detail", [
+        # Column 0 is g, which both routes of the plain check read.
+        ("riordan_columns", lambda columns: (_bumped(columns[0]),) + columns[1:],
+         "row sums", "summation-matrix check"),
+        ("inverse_powers", lambda powers: powers[:3] + (_bumped(powers[3]),) + powers[4:],
+         "derivative form", "modified summation-matrix check"),
+    ], ids=["column-0", "power-chain"])
+    def test_a_piece_perturbed_at_one_beta_fails_eq2(self, monkeypatch, name, perturb, sides,
+                                                     detail):
+        monkeypatch.setattr(identities, name, _perturbed_at_beta_two(name, perturb))
+        (report,) = run_suite({"eq2": FAMILY_ONLY})
+        assert report.counterexample.to_json() == {
+            "params": {"alpha": "0", "beta": "2", "gamma": "1", "order": "15"},
+            "lhs": sides, "rhs": "target coefficients", "detail": detail}
+
+    def test_a_perturbed_quotient_fails_the_derivative_form(self, monkeypatch):
+        build = identities.series_div_unit
+        monkeypatch.setattr(identities, "series_div_unit", lambda l, g: _bumped(build(l, g), 4))
+        (report,) = run_suite({"eq2": FAMILY_ONLY})
+        assert report.counterexample.detail == "modified summation-matrix check"
+
+    @pytest.mark.parametrize("name,perturb", [
+        ("riordan_columns", lambda columns: columns[:2] + (_bumped(columns[2]),) + columns[3:]),
+        ("series_compose", _bumped),
+    ], ids=["column-2", "a(f)"])
+    def test_a_single_route_perturbed_at_one_beta_is_an_internal_error(self, monkeypatch, name,
+                                                                      perturb):
+        monkeypatch.setattr(identities, name, _perturbed_at_beta_two(name, perturb))
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            run_suite({"eq2": FAMILY_ONLY})
+
+
+def _fraction_grid(cfg, *names):
+    """identities._grid as it was before its axes held ints: every value a Fraction."""
+    axes = [expand_interval(cfg[name]) for name in names]
+    text = ", ".join(f"{name} in [{cfg[name]['min']}..{cfg[name]['max']} step {cfg[name]['step']}]"
+                     for name in names)
+    return axes, text
+
+
+@st.composite
+def small_intervals(draw, lo: int = -2, hi: int = 3):
+    """An interval of 1 to 3 points whose endpoints and step are integral, rational or mixed."""
+    start = draw(st.fractions(min_value=lo, max_value=hi, max_denominator=2))
+    step = draw(st.sampled_from([F(1), F(1, 2), F(3, 2)]))
+    stop = start + draw(st.integers(min_value=0, max_value=2)) * step
+    return {"min": str(start), "max": str(stop), "step": str(step)}
+
+
+def _closed_forms_off_at_two(alpha, gamma, n):
+    return eq2_rhs(alpha, gamma, n) + (n == 2)
+
+
+def _reports_with(config: dict, patches: dict) -> str:
+    """reports_to_json(run_suite(config)) with the identities names in ``patches`` replaced."""
+    saved = {name: getattr(identities, name) for name in patches}
+    try:
+        for name, value in patches.items():
+            setattr(identities, name, value)
+        return reports_to_json(run_suite(config))
+    finally:
+        for name, value in saved.items():
+            setattr(identities, name, value)
+
+
+class TestIntegerAxes:
+    """The grid gives integral values as ints; the reports are those of Fraction axes."""
+
+    @given(alpha=small_intervals(), beta=small_intervals(0, 3), gamma=small_intervals(),
+           n_max=st.integers(min_value=0, max_value=4),
+           fault=st.sampled_from(["none", "corrupt_catalan", "closed_forms"]))
+    @settings(max_examples=60, deadline=None)
+    def test_reports_are_those_of_fraction_axes(self, alpha, beta, gamma, n_max, fault):
+        axes = {"alpha": alpha, "beta": beta, "gamma": gamma, "n_max": n_max}
+        config = {"eq2": axes, "eq4": axes, "eq10": axes,
+                  "closed_form": {"beta": beta, "gamma": gamma, "n_max": n_max}}
+        if fault == "corrupt_catalan":
+            config["corrupt_catalan"] = True
+        # Wrong closed forms fail Eq2 and Eq10 at n = 2.
+        patches = {"eq2_rhs": _closed_forms_off_at_two} if fault == "closed_forms" else {}
+        assert _reports_with(config, patches) == _reports_with(
+            config, {**patches, "_grid": _fraction_grid})
+
+    def test_integral_values_are_ints(self):
+        (alphas, betas), _ = identities._grid(
+            {"alpha": _interval("-1", "1", "1/2"), "beta": _interval("0", "2")}, "alpha", "beta")
+        assert [type(v) for v in alphas] == [int, F, int, F, int]
+        assert alphas == [-1, F(-1, 2), 0, F(1, 2), 1]
+        assert [type(v) for v in betas] == [int] * 3
+
+
 # sha256 of the stdout of `catalania ARGV`, and of the encodings of one
 # two-class census joined by newlines, each computed by the separate
 # beta-ary and vector generators that preceded the shared one.
@@ -806,9 +1013,9 @@ class TestSuiteConfigErrors:
 # names them.
 EVALUATORS = [
     "verify_eq2", "verify_eq3", "verify_eq4", "verify_eq10", "closed_form_reduction_check",
-    "catalan_gf_functional_check", "convolution_check", "gould_forward", "gould_backward",
-    "signed_sum", "eq2_lhs", "row_sums", "catalan_family", "catalan_gf",
-    "riordan_theorem_check", "modified_riordan_check", "_gould_rows", "census_terms",
+    "series_mul", "gould_forward", "gould_backward", "signed_sum", "eq2_lhs",
+    "row_sums", "family_f", "catalan_gf", "series_binpow", "riordan_columns", "inverse_powers",
+    "series_compose", "summation_check", "derivative_form_check", "_gould_rows", "census_terms",
 ]
 
 

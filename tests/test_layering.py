@@ -15,16 +15,43 @@ import catalania
 PACKAGE_DIR = Path(catalania.__file__).parent
 
 
-def _private_imports(path: Path) -> list[str]:
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        internal = node.level > 0 or (node.module or "").split(".")[0] == "catalania"
-        if internal:
-            found += [f"{path.name}:{node.lineno}: {alias.name}"
-                      for alias in node.names if alias.name.startswith("_")]
-    return found
+MODULES = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+
+
+def _dotted(node: ast.AST) -> str:
+    """"a.b.c" for a chain of names and attribute reads, else ""."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        inner = _dotted(node.value)
+        return inner and f"{inner}.{node.attr}"
+    return ""
+
+
+def _private_uses(source: str, name: str) -> list[str]:
+    """Where a module imports another package module's private name, or reads
+    one as an attribute of that module (``riordan._mul_to``)."""
+    tree = ast.parse(source, name)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "catalania":
+                found += [f"{name}:{node.lineno}: {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+                modules |= {alias.asname or alias.name for alias in node.names
+                            if alias.name in MODULES}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "catalania":
+                    continue
+                if alias.asname and alias.name != "catalania":
+                    modules.add(alias.asname)
+                else:  # the package is bound, as catalania or its alias
+                    modules |= {f"{alias.asname or 'catalania'}.{m}" for m in MODULES}
+    private = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_") and not node.attr.endswith("__")]
+    return found + [f"{name}:{node.lineno}: {_dotted(node)}" for node in private
+                    if _dotted(node.value) in modules]
 
 
 def _attribute_hooks(path: Path) -> list[str]:
@@ -51,8 +78,28 @@ def test_package_modules_are_found():
 
 
 def test_no_module_imports_a_private_name_from_another():
-    found = [item for path in sorted(PACKAGE_DIR.glob("*.py")) for item in _private_imports(path)]
+    found = [item for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for item in _private_uses(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from .riordan import _mul_to\n", ["m.py:1: _mul_to"]),
+    ("from . import riordan\nriordan._mul_to(a, b, 1)\n", ["m.py:2: riordan._mul_to"]),
+    ("from catalania import riordan as r\nx = r._power\n", ["m.py:2: r._power"]),
+    ("import catalania.riordan\ncatalania.riordan._lowest([1], 1)\n",
+     ["m.py:2: catalania.riordan._lowest"]),
+    ("import catalania.riordan as r\nr._over_x\n", ["m.py:2: r._over_x"]),
+    ("import catalania\ncatalania.riordan._lowest([1], 1)\n",
+     ["m.py:2: catalania.riordan._lowest"]),
+    ("import catalania as c\nc.forest._pools\n", ["m.py:2: c.forest._pools"]),
+    ("import catalania.riordan\ncatalania.forest._pools\n", ["m.py:2: catalania.forest._pools"]),
+    # Not another module's private name: a class's, a dunder, or a local object's.
+    ("from . import riordan\nriordan.Series._make()\nriordan.__name__\n", []),
+    ("from .riordan import Series\nSeries._make(); self._x\n", []),
+])
+def test_the_private_name_check_sees_imports_and_attribute_reads(source, found):
+    assert _private_uses(source, "m.py") == found
 
 
 def test_only_exact_defines_the_write_once_rule():

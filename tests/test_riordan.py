@@ -17,7 +17,9 @@ from catalania.riordan import (
     catalan_gf,
     catalan_gf_functional_check,
     convolution_check,
+    inverse_powers,
     modified_riordan_check,
+    riordan_columns,
     riordan_entry,
     riordan_theorem_check,
     row_sums,
@@ -493,6 +495,26 @@ binpow_exponents = st.one_of(
 
 
 class TestIntegerKernel:
+    @given(g=unit_lists, f=f_lists)
+    @settings(max_examples=60)
+    def test_columns_and_inverse_powers(self, g, f):
+        array = RiordanArray(Series(tuple(g)), Series(tuple(f)))
+        n_max = array.order
+        column = g[: n_max + 1]  # g * f**k, whose coefficients below x**k are 0
+        for k, got in enumerate(riordan_columns(array, n_max)):
+            assert list(got.coeffs) == column[k:]
+            assert_canonical(got)
+            column = ref_mul(column, f[: n_max + 1])
+        powers = inverse_powers(array.f, n_max)
+        assert len(powers) == n_max
+        one = [F(1)] + [F(0)] * (n_max - 1)
+        x_over_f, power = ref_div(one, f[1 : n_max + 1]), one
+        for n in range(1, n_max + 1):
+            power = ref_mul(power, x_over_f)
+            assert list(powers[n_max - n].coeffs) == power[:n]
+            assert_canonical(powers[n_max - n])
+        assert inverse_powers(array.f, 0) == ()
+
     @given(a=coeff_lists, b=coeff_lists)
     @settings(max_examples=80)
     def test_mul(self, a, b):
