@@ -144,22 +144,15 @@ def _cmd_involution(args: argparse.Namespace) -> int:
     if not args.alpha >= args.gamma >= 1:
         raise exact.ConfigError("need --alpha >= --gamma >= 1")
     if args.dump_pairs:
-        # The pairs print after the sum, so the census is held.
-        structures = list(itertools.chain.from_iterable(
-            involution.colored_census(args.beta, args.n, args.gamma, args.alpha)))
-        total = sum(c.weight() for c in structures)
+        # The lines print after the sum, so they are held.
+        total, lines = involution.pair_lines(args.beta, args.n, args.gamma, args.alpha)
     else:
         total = involution.signed_sum(args.beta, args.n, args.gamma, args.alpha)
     rhs = counting.eq2_rhs(args.alpha, args.gamma, args.n)
     verdict = "OK" if total == rhs else "MISMATCH"
     print(f"sum={total} rhs={exact.rat_str(rhs)} {verdict}")
     if args.dump_pairs:
-        encode = involution.encode_colored
-        _write_lines(
-            f"pair {encode(c)} <-> {encode(partner)}" if cls.kind == involution.FIRST
-            else f"exceptional {encode(c)}"
-            for c, cls, partner in involution.pairings(structures, [args.beta])
-            if cls.kind != involution.SECOND)
+        _write_lines(lines)
     return 0 if total == rhs else 1
 
 

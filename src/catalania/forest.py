@@ -37,7 +37,9 @@ Text encoding, bit-exact::
     tree   := "o" | "(" tree+ ")"
 
 A leaf is "o"; an internal vertex wraps the concatenation of its children
-in parentheses; components are joined by ";".
+in parentheses; components are joined by ";".  The text is the forest's
+preorder (Lukasiewicz) word, and one pass over it (``layout``) places every
+leaf and every level, so the pairing reads a forest's shape off its text.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import collections
 import itertools
 import operator
 import os
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -213,19 +216,53 @@ def _outdegrees(trees: Iterable[Tree]) -> list[int]:
     return out
 
 
-def level_structure(forest: Forest) -> list[list[tuple[VertexAddr, Tree]]]:
-    """Vertices grouped by depth, each level in left-to-right order.
+class Layout(NamedTuple):
+    """A forest's text, the position of each of its leaves ("o") in preorder,
+    and the positions of its vertices ("o" or "(") by depth, each level left
+    to right, which is text order."""
 
-    Built breadth-first: the component roots, then the children of each
-    level's vertices in order, which is left-to-right order one level down.
-    """
-    levels: list[list[tuple[VertexAddr, Tree]]] = []
-    level = [(VertexAddr(comp, ()), tree) for comp, tree in enumerate(forest)]
-    while level:
-        levels.append(level)
-        level = [(VertexAddr(addr.component, addr.path + (i,)), child)
-                 for addr, node in level for i, child in enumerate(node)]
-    return levels
+    text: str
+    leaves: list[int]
+    levels: list[list[int]]
+
+    def position(self, addr: VertexAddr) -> int:
+        """The text position of the vertex at ``addr``, which must exist: a
+        vertex's i-th child is the i-th vertex one level down after it."""
+        pos = self.levels[0][addr.component]
+        for level, i in zip(self.levels[1:], addr.path):
+            pos = level[bisect_right(level, pos) + i]
+        return pos
+
+    def address(self, pos: int) -> VertexAddr:
+        """The address of the vertex at text position ``pos``, from one scan
+        of the text before it, which counts the children that end there of
+        each vertex still open, and the components that end there."""
+        ends = [0]
+        for ch in self.text[:pos]:
+            if ch == "(":
+                ends.append(0)
+            elif ch != ";":
+                if ch == ")":
+                    ends.pop()
+                ends[-1] += 1
+        return VertexAddr(ends[0], tuple(ends[1:]))
+
+
+def layout(text: str) -> Layout:
+    """The Layout of a forest's text, from one pass over it."""
+    leaves, levels, depth = [], [], 0
+    for pos, ch in enumerate(text):
+        if ch == ")":
+            depth -= 1
+        elif ch != ";":
+            if depth == len(levels):
+                levels.append([])
+            levels[depth].append(pos)
+            if ch == "o":
+                leaves.append(pos)
+            else:
+                depth += 1
+    return Layout(text, leaves, levels)
 
 
 def count_leaves(forest: Forest) -> int:

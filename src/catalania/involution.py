@@ -36,13 +36,20 @@ censuses built on them) check their arguments and the structure budget
 once, then build each structure from fields that are canonical by
 construction (leaves in preorder, colors chosen in ascending order) and
 skip that check; so does the pairing, whose output is canonical whenever
-its input is.  ``pairings`` walks a census for ``--dump-pairs``: it
-classifies each structure once, computes each forest's levels once for all
-of its colorings, and pairs the first class from that classification.
-``signed_sum`` sums a census slice by slice, so at most one slice is held.
-``encode_colored`` marks the colored leaves in the forest's text, which
-held pools' trees carry (see ``forest``): it walks only the paths to the
-colored leaves, so its cost is linear in depth.
+its input is.  ``signed_sum`` sums a census slice by slice, so at most one
+slice is held.
+
+The classes are read on text.  A forest's text is its preorder word, and
+one pass over it (``forest.layout``) places its leaves and its levels; the
+rule reads the bottom two levels there.  ``pairings`` and ``pair_lines``
+(``--dump-pairs``) lay each forest out once for all of its colorings and
+classify each structure once.  ``pair_lines`` reads each coloring's leaf
+positions off the layout and writes its lines by splicing into the
+forest's text: a structure's colored leaves become "o*", and a first-class
+structure's partner is the same splice with the candidate's "o" grown to
+"(" + "o" * beta + ")", so no partner forest is built and no tree is
+walked.  ``classify`` and ``encode_colored`` find the colored leaves on
+the layout, in time linear in depth.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from .exact import Rat, RatLike, check_nat, multinomial
 from .forest import (
     LEAF,
     Forest,
+    Layout,
     StrictTuple,
     Tree,
     VertexAddr,
@@ -67,8 +75,8 @@ from .forest import (
     encode_tree,
     generate_forests,
     generate_mixed_forests,
+    layout,
     leaf_addresses,
-    level_structure,
     replace_at,
     subtree_at,
 )
@@ -159,39 +167,38 @@ class Classification(NamedTuple):
     vertex: Optional[VertexAddr] = None
 
 
-def classify(c: ColoredForest, levels: Optional[list] = None) -> Classification:
+def _acting(shape: Layout, colored: Sequence[int]) -> tuple[str, Optional[int]]:
+    """The class of a colored forest and the text position of its acting
+    vertex, from the layout of its forest's text and the positions of its
+    colored leaves: the one classification rule.  The bottom level holds
+    leaves only, so its first colored leaf is the candidate.  Failing that,
+    on the level above, a colored leaf left of the first internal vertex is
+    the candidate, and else that vertex is the incumbent."""
+    for pos in itertools.chain(*shape.levels[-1:-3:-1]):
+        if shape.text[pos] == "(":
+            return SECOND, pos
+        if pos in colored:
+            return FIRST, pos
+    return EXCEPTIONAL, None
+
+
+def classify(c: ColoredForest, shape: Optional[Layout] = None,
+             colored: Optional[list[int]] = None) -> Classification:
     """Assign a colored forest to its class (planted roots play no part).
 
-    ``levels`` is a trusted hand-off for pairings, which computes
-    level_structure(c.forest) once per forest: it is used unchecked, so
-    any other value misclassifies c.  Other callers leave it out."""
-    if levels is None:
-        levels = level_structure(c.forest)
-    if not levels:
-        return Classification(EXCEPTIONAL)
-    colored = {addr for addr, _ in c.leaf_colors}
-    bottom = len(levels) - 1
-
-    # First class: deepest-then-leftmost colored leaf in the bottom two
-    # levels with no internal vertex anywhere to its left on its level.
-    for depth in (bottom, bottom - 1):
-        if depth < 0:
-            continue
-        blocked = False
-        for addr, node in levels[depth]:
-            if node:
-                blocked = True
-            elif addr in colored and not blocked:
-                return Classification(FIRST, addr)
-
-    # Second class: bottom level free of colored leaves, and the leftmost
-    # internal vertex one level up has no colored leaf to its left there.
-    if bottom >= 1 and not any(addr in colored for addr, _ in levels[bottom]):
-        for addr, node in levels[bottom - 1]:
-            if node:
-                return Classification(SECOND, addr)
-            if addr in colored:
-                break
+    ``shape`` and ``colored`` are trusted hand-offs for the census walks,
+    which lay each forest out once: the layout of c.forest's text and the
+    text positions of the leaves of c.leaf_colors, in order.  They are used
+    unchecked, so other values misclassify c.  Other callers leave them out."""
+    if shape is None:
+        shape = _layout(c.forest)
+    if colored is None:
+        colored = [shape.position(addr) for addr, _ in c.leaf_colors]
+    kind, pos = _acting(shape, colored)
+    if kind == FIRST:
+        return Classification(FIRST, c.leaf_colors[colored.index(pos)][0])
+    if kind == SECOND:
+        return Classification(SECOND, shape.address(pos))
     return Classification(EXCEPTIONAL)
 
 
@@ -233,6 +240,11 @@ def _partner(c: ColoredForest, cls: Classification, p: tuple[int, ...]) -> Color
     )
 
 
+def _layout(forest: Forest) -> Layout:
+    """The layout of the forest's text, joined from its trees' texts."""
+    return layout(";".join(map(encode_tree, forest)))
+
+
 def pairings(structures: Iterable[ColoredForest], p: Sequence[int],
              ) -> Iterator[tuple[ColoredForest, Classification, Optional[ColoredForest]]]:
     """Each structure with classify(c) and, for a first-class c, its partner
@@ -240,16 +252,16 @@ def pairings(structures: Iterable[ColoredForest], p: Sequence[int],
     second-class structure is the partner of a first-class one, so the
     first-class entries list each pair once.
 
-    Classifies each structure once.  The levels of a forest are computed
-    once for a run of structures that share it, as the enumerators list
-    each forest's colorings one after another."""
+    Classifies each structure once.  A forest is laid out once for a run of
+    structures that share it, as the enumerators list each forest's
+    colorings one after another."""
     p = check_outdegrees(p)
-    forest = levels = None
+    forest = shape = None
     for c in structures:
         if c.forest is not forest:
             forest = c.forest
-            levels = level_structure(forest)
-        cls = classify(c, levels)
+            shape = _layout(forest)
+        cls = classify(c, shape)
         yield c, cls, _partner(c, cls, p) if cls.kind == FIRST else None
 
 
@@ -283,19 +295,14 @@ def _color_assignments(slots: tuple[int, ...], marks: tuple[int, ...]) -> Iterat
             for rest in _color_assignments(tuple(i for i in slots if i not in chosen), tail))
 
 
-def _colorings(forests: list[Forest], n_leaves: int, planted: int,
-               marks: tuple[int, ...]) -> list[ColoredForest]:
-    """Each forest (all with ``n_leaves`` leaves) with marks[j] of its slots
-    colored j+1, forest-major.  Slots are the leaves in preorder followed by
-    the planted roots, so merging the color classes by slot gives the
-    sorted fields ColoredForest keeps.  The structures are built unchecked,
-    as by _built, through map and zip: no Python frame runs per structure."""
-    if not any(marks):  # the uncolored slice needs no slots: walk no forest
-        return list(map(tuple.__new__, repeat(ColoredForest),
-                        zip(forests, repeat(planted), repeat(()), repeat(()))))
+def _slice_colorings(n_leaves: int, planted: int,
+                     marks: tuple[int, ...]) -> tuple[list[list[int]], list[tuple]]:
+    """Each coloring of marks[j] slots with color j+1, in census order, as
+    the lists of its leaves' keys and of its root colors: the same for every
+    forest of a slice (all with ``n_leaves`` leaves).  Slots are the leaves
+    in preorder, then the planted roots; slot i colored j+1 has key
+    i * t + j, so the leaf keys ascend and the root colors come sorted."""
     t = len(marks)
-    # Slot i colored j+1 has key i * t + j.  Each coloring is the same for
-    # every forest: its ascending leaf keys and its planted-root entries.
     leaf_end = n_leaves * t
     roots = [(k, color) for k in range(planted) for color in range(1, t + 1)]
     leaf_keys: list[list[int]] = []
@@ -305,8 +312,21 @@ def _colorings(forests: list[Forest], n_leaves: int, planted: int,
         split = bisect_left(keys, leaf_end)
         leaf_keys.append(keys[:split])
         root_colors.append(tuple(roots[k - leaf_end] for k in keys[split:]))
+    return leaf_keys, root_colors
+
+
+def _colorings(forests: list[Forest], n_leaves: int, planted: int,
+               marks: tuple[int, ...]) -> list[ColoredForest]:
+    """Each forest (all with ``n_leaves`` leaves) with each coloring of
+    _slice_colorings, forest-major.  The structures are built unchecked, as
+    by _built, through map and zip: no Python frame runs per structure."""
+    if not any(marks):  # the uncolored slice needs no slots: walk no forest
+        return list(map(tuple.__new__, repeat(ColoredForest),
+                        zip(forests, repeat(planted), repeat(()), repeat(()))))
+    leaf_keys, root_colors = _slice_colorings(n_leaves, planted, marks)
     if not leaf_keys:  # more marks than slots: walk no forest
         return []
+    t = len(marks)
     out: list[ColoredForest] = []
     for forest in forests:
         entry = [(addr, color) for addr in leaf_addresses(forest)
@@ -438,6 +458,40 @@ def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
         for residual, marks, size in _census_slices(profile, gamma, alpha)))
 
 
+def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str]]:
+    """The sum of the weights over colored_census(beta, n, gamma, alpha) and
+    its ``--dump-pairs`` lines in census order, as encode_colored writes the
+    structures: "pair c <-> involute(c, [beta])" for each first-class c,
+    "exceptional c" for each exceptional one.  One slice is held at a time,
+    and its structures are walked in step with _slice_colorings."""
+    grown = "(" + "o" * beta + ")"
+    total = 0
+    lines: list[str] = []
+    for i, structures in enumerate(_scalar_census(beta, n, gamma, alpha)):
+        total += _weight_sum(structures)
+        leaf_count = VecProfile((n - i,), (beta,)).leaf_count(gamma)
+        leaf_keys, root_colors = _slice_colorings(leaf_count, alpha - gamma, (i,))
+        colorings = list(zip(leaf_keys, [_planted_text(alpha - gamma, roots, 1)
+                                         for roots in root_colors]))
+        forest = None
+        for c, (keys, prefix) in zip(structures, itertools.cycle(colorings)):
+            if c.forest is not forest:
+                forest = c.forest
+                shape = _layout(forest)
+            colored = list(map(shape.leaves.__getitem__, keys))
+            cls = classify(c, shape, colored)
+            if cls.kind == SECOND:  # listed as the partner of a first-class one
+                continue
+            marked = prefix + _splice(shape.text, zip(colored, repeat("o*")))
+            if cls.kind == EXCEPTIONAL:
+                lines.append(f"exceptional {marked}")
+                continue
+            acting = colored[[addr for addr, _ in c.leaf_colors].index(cls.vertex)]
+            partner = _splice(shape.text, ((q, grown if q == acting else "o*") for q in colored))
+            lines.append(f"pair {marked} <-> {prefix}{partner}")
+    return total, lines
+
+
 # ---------------------------------------------------------------------------
 # Generic signed-matching certificate
 # ---------------------------------------------------------------------------
@@ -491,6 +545,25 @@ def check_signed_matching(
 # Text encoding (extends the forest grammar)
 # ---------------------------------------------------------------------------
 
+def _splice(text: str, edits: Iterable[tuple[int, str]]) -> str:
+    """``text`` with the character at each position of ``edits`` (in
+    ascending order) replaced by its string: how colored leaves are
+    marked."""
+    pieces = []
+    done = 0
+    for pos, new in edits:
+        pieces += (text[done:pos], new)
+        done = pos + 1
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
+def _planted_text(planted: int, root_colors: Iterable[tuple[int, int]], num_colors: int) -> str:
+    """The planted prefix "P[k:...]|" of a colored forest's text."""
+    roots = ",".join(str(i) if num_colors == 1 else f"{i}*{j}" for i, j in root_colors)
+    return f"P[{planted}:{roots}]|"
+
+
 def encode_colored(c: ColoredForest, num_colors: int = 1) -> str:
     """Text form: planted prefix "P[k:...]|" then the forest with colored
     leaves as "o*" (single color) or "o*j" (several colors).
@@ -498,29 +571,7 @@ def encode_colored(c: ColoredForest, num_colors: int = 1) -> str:
     Root color entries are "i" (single color) or "i*j", comma-separated and
     sorted by index.
     """
-    forest = c.forest
-    parts = list(map(encode_tree, forest))
-    text = ";".join(parts)
-    if c.leaf_colors:
-        # A colored leaf's "o" sits after the text of everything left of it:
-        # the components before its own, and on each step down its path an
-        # opening "(" and the subtrees left of the path.  So only the paths
-        # to colored leaves are walked, and leaf_colors, sorted by address,
-        # lists the leaves in text order.
-        pieces = []
-        done = 0
-        for addr, color in c.leaf_colors:
-            comp = addr.component
-            pos, node = sum(map(len, parts[:comp])) + comp, forest[comp]
-            for i in addr.path:
-                pos += (1 + sum(map(len, map(encode_tree, node[:i])))) if i else 1
-                node = node[i]
-            pieces += (text[done:pos], "o*" if num_colors == 1 else f"o*{color}")
-            done = pos + 1
-        pieces.append(text[done:])
-        text = "".join(pieces)
-    if num_colors == 1:
-        roots = ",".join(str(i) for i, _ in c.root_colors)
-    else:
-        roots = ",".join(f"{i}*{j}" for i, j in c.root_colors)
-    return f"P[{c.planted}:{roots}]|{text}"
+    shape = _layout(c.forest)
+    text = _splice(shape.text, ((shape.position(addr), "o*" if num_colors == 1 else f"o*{color}")
+                                for addr, color in c.leaf_colors))
+    return _planted_text(c.planted, c.root_colors, num_colors) + text

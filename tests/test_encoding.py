@@ -1,10 +1,13 @@
-"""The text codec against plain reference walks.
+"""The text codec and the text route of the pairing against plain
+reference walks.
 
 ``forest.encode_tree`` reads the text of every held pool's tree from a memo,
-``involution.encode_colored`` walks only the paths to colored leaves, and
-``forest.decode`` reads one character at a time.  The references below are
-the walks they replace: the encoders visit every vertex and remember
-nothing between calls, and the decoder reads a tree at a time.
+``involution.encode_colored`` and ``classify`` find the colored leaves on
+the text's layout, ``involution.pair_lines`` writes a census's pairs by
+splicing into forest text, and ``forest.decode`` reads one character at a
+time.  The references below are the walks they replace: the encoders visit
+every vertex and remember nothing between calls, the classifier reads
+levels of vertex addresses, and the decoder reads a tree at a time.
 """
 
 import itertools
@@ -20,11 +23,13 @@ from hypothesis import strategies as st
 import catalania
 from catalania import forest
 from catalania.counting import VecProfile
+from catalania.exact import binom
 from catalania.forest import (
     LEAF,
     Forest,
     ForestSyntaxError,
     Tree,
+    VertexAddr,
     decode,
     encode,
     encode_tree,
@@ -35,11 +40,17 @@ from catalania.forest import (
     replace_at,
 )
 from catalania.involution import (
+    EXCEPTIONAL,
+    FIRST,
+    SECOND,
+    Classification,
     ColoredForest,
+    classify,
     colored_census,
     encode_colored,
     enumerate_colored_vector,
     involute,
+    pair_lines,
     pairings,
 )
 
@@ -90,6 +101,48 @@ def reference_encode_colored(c, num_colors=1):
     else:
         roots = ",".join(f"{i}*{j}" for i, j in c.root_colors)
     return f"P[{c.planted}:{roots}]|{''.join(parts)}"
+
+
+def reference_levels(f):
+    """Vertices by depth as (address, subtree) pairs, each level left to
+    right: breadth-first, copying every vertex's path."""
+    levels = []
+    level = [(VertexAddr(comp, ()), tree) for comp, tree in enumerate(f)]
+    while level:
+        levels.append(level)
+        level = [(VertexAddr(addr.component, addr.path + (i,)), child)
+                 for addr, node in level for i, child in enumerate(node)]
+    return levels
+
+
+def reference_classify(c):
+    """The classification rule read on levels of vertex addresses."""
+    levels = reference_levels(c.forest)
+    colored = {addr for addr, _ in c.leaf_colors}
+    bottom = len(levels) - 1
+    for depth in (bottom, bottom - 1):
+        blocked = False
+        for addr, node in levels[depth] if depth >= 0 else ():
+            if node:
+                blocked = True
+            elif addr in colored and not blocked:
+                return Classification(FIRST, addr)
+    if bottom >= 1 and not any(addr in colored for addr, _ in levels[bottom]):
+        for addr, node in levels[bottom - 1]:
+            if node:
+                return Classification(SECOND, addr)
+            if addr in colored:
+                break
+    return Classification(EXCEPTIONAL)
+
+
+def reference_pair_lines(beta, n, gamma, alpha):
+    """The --dump-pairs census as the object route prints it."""
+    structures = [c for piece in colored_census(beta, n, gamma, alpha) for c in piece]
+    lines = [f"pair {reference_encode_colored(c)} <-> {reference_encode_colored(partner)}"
+             if cls.kind == FIRST else f"exceptional {reference_encode_colored(c)}"
+             for c, cls, partner in pairings(structures, [beta]) if cls.kind != SECOND]
+    return sum(c.weight() for c in structures), lines
 
 
 def reference_decode(text):
@@ -235,6 +288,65 @@ class TestEncodeColored:
             if c.leaf_colors:
                 partner = involute(c, [1])
                 assert encode_colored(partner) == reference_encode_colored(partner)
+
+
+class TestClassify:
+    """``classify`` on the text's layout against the rule on address levels."""
+
+    @given(beta=st.integers(1, 3), n=st.integers(0, 4), gamma=st.integers(1, 3),
+           extra=st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_censuses(self, beta, n, gamma, extra):
+        for piece in colored_census(beta, n, gamma, gamma + extra):
+            for c in piece:
+                assert classify(c) == reference_classify(c)
+
+    @given(profile=st.sampled_from([VecProfile((2, 1), (1, 2)), VecProfile((1, 1), (2, 3)),
+                                    VecProfile((1, 1, 1), (1, 2, 3))]),
+           gamma=st.integers(1, 2), extra=st.integers(0, 1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_several_colors(self, profile, gamma, extra, data):
+        marks = tuple(data.draw(st.integers(0, 2)) for _ in profile.n)
+        for c in enumerate_colored_vector(profile, marks, gamma, gamma + extra):
+            assert classify(c) == reference_classify(c)
+
+    @given(f=forests, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hand_built_colorings(self, f, data):
+        leaves = leaf_addresses(f)
+        chosen = data.draw(st.lists(st.sampled_from(leaves), unique=True) if leaves else st.just([]))
+        c = ColoredForest(f, 1, ((addr, 1) for addr in chosen), ())
+        assert classify(c) == reference_classify(c)
+
+    def test_deep_census(self):
+        structures = [c for piece in colored_census(1, 1500, 1, 2) for c in piece]
+        # 1,500 levels: the layout maps addresses and positions linearly in depth.
+        assert [classify(c).kind for c in structures] == [SECOND, FIRST] * 2
+        for c in structures:
+            assert classify(c) == reference_classify(c)
+
+
+class TestPairLines:
+    """``pair_lines`` on text against pairings and the reference encoder."""
+
+    @given(beta=st.integers(1, 3), n=st.integers(0, 5), gamma=st.integers(1, 3),
+           extra=st.integers(0, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_small_censuses(self, beta, n, gamma, extra):
+        assert pair_lines(beta, n, gamma, gamma + extra) == reference_pair_lines(
+            beta, n, gamma, gamma + extra)
+
+    @pytest.mark.parametrize("beta,n,gamma,alpha", [(2, 0, 1, 1), (2, 3, 2, 2), (1, 4, 1, 3),
+                                                    (3, 2, 3, 5)])
+    def test_edge_shapes(self, beta, n, gamma, alpha):
+        # n = 0, alpha = gamma, unary paths, and colored planted roots: the
+        # exceptional lines are the binom(alpha - gamma, n) structures that
+        # carry the sum.
+        total, lines = pair_lines(beta, n, gamma, alpha)
+        assert (total, lines) == reference_pair_lines(beta, n, gamma, alpha)
+        exceptional = binom(alpha - gamma, n)
+        assert sum(line.startswith("exceptional ") for line in lines) == exceptional
+        assert total == (-1) ** n * exceptional
 
 
 class TestMemo:

@@ -24,8 +24,8 @@ from catalania.forest import (
     generate_mixed_forests,
     iter_forests,
     iter_mixed_forests,
+    layout,
     leaf_addresses,
-    level_structure,
     replace_at,
     subtree_at,
 )
@@ -241,16 +241,35 @@ class TestLeafCounts:
 
 class TestStructureOps:
     def test_level_structure_orders_left_to_right(self):
-        f = decode("(o(oo));(oo)")
-        levels = level_structure(f)
-        assert [addr for addr, _ in levels[0]] == [VertexAddr(0, ()), VertexAddr(1, ())]
-        assert [addr for addr, _ in levels[1]] == [
-            VertexAddr(0, (0,)),
-            VertexAddr(0, (1,)),
-            VertexAddr(1, (0,)),
-            VertexAddr(1, (1,)),
-        ]
-        assert len(levels) == 3
+        # "(o(oo));(oo)": a vertex is its "o" or its "(", by text position.
+        text = "(o(oo));(oo)"
+        shape = layout(text)
+        assert shape.text == text
+        assert shape.leaves == [1, 3, 4, 9, 10]
+        assert shape.levels == [[0, 8], [1, 2, 9, 10], [3, 4]]
+        addrs = [[VertexAddr(0, ()), VertexAddr(1, ())],
+                 [VertexAddr(0, (0,)), VertexAddr(0, (1,)), VertexAddr(1, (0,)), VertexAddr(1, (1,))],
+                 [VertexAddr(0, (1, 0)), VertexAddr(0, (1, 1))]]
+        for level, addr_level in zip(shape.levels, addrs):
+            assert [shape.address(pos) for pos in level] == addr_level
+            assert [shape.position(addr) for addr in addr_level] == level
+
+    @pytest.mark.parametrize("beta,n,gamma", [(1, 4, 2), (2, 3, 2), (3, 3, 1), (2, 0, 3)])
+    def test_layout_places_every_vertex(self, beta, n, gamma):
+        # Each level lists its vertices left to right, and a vertex's address
+        # and text position map to each other.
+        for f in generate_forests(beta, n, gamma):
+            text = encode(f)
+            shape = layout(text)
+            leaves = []
+            for depth, level in enumerate(shape.levels):
+                addrs = [shape.address(pos) for pos in level]
+                assert addrs == sorted(addrs) and all(len(a.path) == depth for a in addrs)
+                assert [shape.position(addr) for addr in addrs] == level
+                assert [subtree_at(f, a).is_leaf for a in addrs] == [text[pos] == "o" for pos in level]
+                leaves += (a for a, pos in zip(addrs, level) if text[pos] == "o")
+            assert sorted(leaves) == leaf_addresses(f)
+            assert shape.leaves == [pos for pos, ch in enumerate(text) if ch == "o"]
 
     def test_subtree_and_replace(self):
         f = decode("(o(oo))")

@@ -24,6 +24,7 @@ from catalania.involution import (
     enumerate_colored_vector,
     find_matching_violation,
     involute,
+    pair_lines,
     pairings,
     signed_sum,
     signed_sum_vector,
@@ -387,7 +388,7 @@ class TestGeneratedStructures:
 class TestPairings:
     def test_classifies_once_and_pairs_like_involute(self, monkeypatch):
         structures = list(itertools.chain.from_iterable(colored_census(2, 4, 2, 3)))
-        calls = {"classify": 0, "level_structure": 0}
+        calls = {"classify": 0, "layout": 0}
         for name in calls:
             original = getattr(involution, name)
 
@@ -398,7 +399,7 @@ class TestPairings:
             monkeypatch.setattr(involution, name, counted)
         entries = list(pairings(structures, [2]))
         forests = len({id(c.forest) for c in structures})
-        assert calls == {"classify": len(structures), "level_structure": forests}
+        assert calls == {"classify": len(structures), "layout": forests}
         monkeypatch.undo()
         assert [c for c, _, _ in entries] == structures
         for c, cls, partner in entries:
@@ -408,6 +409,23 @@ class TestPairings:
         second = {c for c, cls, _ in entries if cls.kind == SECOND}
         assert {partner for _, _, partner in entries if partner is not None} == second
         assert len(first) == len(second)
+
+    def test_pair_lines_lays_each_forest_out_once(self, monkeypatch):
+        census = colored_census(2, 4, 2, 3)
+        calls = {"classify": 0, "layout": 0}
+        for name in calls:
+            original = getattr(involution, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(involution, name, counted)
+        total, lines = pair_lines(2, 4, 2, 3)
+        forests = sum(len({id(c.forest) for c in piece}) for piece in census)
+        assert calls == {"classify": sum(map(len, census)), "layout": forests}
+        assert total == signed_sum(2, 4, 2, 3)
+        assert len(lines) == sum(map(len, census)) // 2  # binom(1, 4) = 0 exceptional
 
 
 def _weight(c):
