@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # Public names by the module that defines them.
 _PUBLIC = {
-    "exact": ("Rat", "as_rat", "binom", "kronecker", "multinomial", "rat_str"),
+    "exact": ("Rat", "as_rat", "binom", "multinomial", "rat_str"),
     "counting": ("VecProfile", "catalan_gen", "catalan_sequence", "catalan_vector"),
     "forest": ("Forest", "Tree", "VertexAddr", "count_forests", "count_leaves", "decode",
                "encode", "generate_forests", "generate_kary", "generate_mixed_forests",
@@ -23,9 +23,8 @@ _PUBLIC = {
     "involution": ("ColoredForest", "Classification", "check_signed_matching", "classify",
                    "enumerate_colored", "involute", "pairings", "signed_sum",
                    "signed_sum_vector"),
-    "riordan": ("RiordanArray", "Series", "catalan_gf", "convolution_check",
-                "modified_riordan_check", "riordan_entry", "riordan_theorem_check",
-                "row_sums"),
+    "riordan": ("RiordanArray", "Series", "catalan_gf", "modified_riordan_check",
+                "riordan_entry", "riordan_theorem_check", "row_sums"),
     "identities": ("GouldPair", "IdentityReport", "closed_form_reduction_check",
                    "gould_backward", "gould_forward", "run_suite",
                    "verify_eq2", "verify_eq3", "verify_eq10"),

@@ -162,7 +162,7 @@ def _load_series_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise exact.ConfigError(f"cannot read series file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise exact.ConfigError(f"series file {path} is not valid JSON: {exc}") from None
@@ -223,8 +223,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 config = identities.load_config(handle.read())
-        except OSError as exc:
+        except OSError as exc:  # its text names the file
             raise exact.ConfigError(f"cannot read config: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise exact.ConfigError(f"cannot read config {args.config}: {exc}") from None
     reports = identities.run_suite(config)
     print(identities.reports_to_json(reports))
     return 0 if all(r.ok for r in reports) else 1

@@ -121,12 +121,6 @@ def multinomial(x: RatLike, parts: Sequence[int]) -> Rat:
     return out
 
 
-def kronecker(n: int) -> Rat:
-    """1 at n = 0, else 0."""
-    check_nat(n)
-    return Fraction(1 if n == 0 else 0)
-
-
 class Frozen:
     """A value whose ``__slots__`` are written once, by ``_make``, and never again.
     A subclass validates its arguments in ``__new__`` and returns

@@ -24,7 +24,7 @@ Subtrees are drawn from pools, one per vector of internal-vertex counts.
 A pool of at most POOL_CACHE_MAX trees is built once and kept; a larger
 one is regenerated on each use, so memory stays bounded by the cap rather
 than by the output.  Pools are built bottom-up, and the walks over a tree
-(``leaf_addresses``, ``replace_at``, ``encode_tree``, the vertex counts and
+(``leaf_addresses``, ``replace_at``, ``encode_tree``, the leaf count and
 ``Tree`` equality and hashing) and ``decode`` use explicit stacks, so no
 depth of tree reaches the recursion limit.
 
@@ -268,12 +268,6 @@ def layout(text: str) -> Layout:
 def count_leaves(forest: Forest) -> int:
     """Number of childless vertices of the forest."""
     return _outdegrees(forest).count(0)
-
-
-def count_internal(forest: Forest) -> int:
-    """Number of vertices with outdegree >= 1."""
-    degrees = _outdegrees(forest)
-    return len(degrees) - degrees.count(0)
 
 
 def leaf_addresses(forest: Forest) -> list[VertexAddr]:

@@ -91,22 +91,10 @@ def series_const(value: RatLike, order: int) -> Series:
     return Series((value,) + (0,) * order)
 
 
-def series_x(order: int) -> Series:
-    """The monomial x at the given order (order >= 1)."""
-    check_nat(order, "order")
-    if order < 1:
-        raise ValueError("x needs order >= 1")
-    return Series((0, 1) + (0,) * (order - 1))
-
-
 def series_add(a: Series, b: Series) -> Series:
     den = lcm(a.den, b.den)
     up_a, up_b = den // a.den, den // b.den
     return _lowest([x * up_a + y * up_b for x, y in zip(a.nums, b.nums)], den)
-
-
-def series_neg(a: Series) -> Series:
-    return _lowest([-v for v in a.nums], a.den)
 
 
 def _mul_to(a: Series, b: Series, order: int) -> Series:
@@ -193,22 +181,9 @@ def series_compose(outer: Series, inner: Series) -> Series:
     return acc
 
 
-def series_shift_down(f: Series) -> Series:
-    """f / x for a series with f(0) = 0; the order drops by one."""
-    if f.nums[0] != 0:
-        raise ValueError("f/x requires f(0) = 0")
-    if f.order == 0:
-        raise ValueError("f/x needs order >= 1")
-    return _over_x(f, f.order - 1)
-
-
 # ---------------------------------------------------------------------------
 # JSON format: {"order": N, "coeffs": ["1", "-1/2", ...]}
 # ---------------------------------------------------------------------------
-
-def series_to_json(s: Series) -> dict:
-    return {"order": s.order, "coeffs": [rat_str(c) for c in s.coeffs]}
-
 
 def series_from_json(obj: object) -> Series:
     if not isinstance(obj, dict):
@@ -227,18 +202,6 @@ def series_from_json(obj: object) -> Series:
         raise ValueError(f"series JSON coeffs must be integers or rational strings: {exc}") from None
     except ZeroDivisionError:  # "p/0"
         raise ValueError("series JSON coeffs have a zero denominator") from None
-
-
-def series_loads(text: str) -> Series:
-    import json  # here, so that the CLI loads json only for a series file
-
-    return series_from_json(json.loads(text))
-
-
-def series_dumps(s: Series) -> str:
-    import json
-
-    return json.dumps(series_to_json(s), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +328,3 @@ def family_f(beta: RatLike, order: int) -> Series:
 def catalan_family(alpha: RatLike, beta: RatLike, order: int) -> RiordanArray:
     """The array [ (1-x)**alpha, x(1-x)**(beta-1) ] at the given order."""
     return RiordanArray(series_binpow(alpha, order), family_f(beta, order))
-
-
-def catalan_gf_functional_check(beta: RatLike, gamma: RatLike, order: int) -> bool:
-    """Whether composing the generating function with x(1-x)**(beta-1)
-    collapses it to (1-x)**(-gamma)."""
-    lhs = series_compose(catalan_gf(beta, gamma, order), family_f(beta, order))
-    return lhs == series_binpow(-Fraction(gamma), order)
-
-
-def convolution_check(beta: RatLike, alpha1: RatLike, alpha2: RatLike, n_max: int) -> bool:
-    """Whether the gamma parameter is additive under series product:
-    gf(beta, alpha1 + alpha2) = gf(beta, alpha1) * gf(beta, alpha2)."""
-    lhs = catalan_gf(beta, Fraction(alpha1) + Fraction(alpha2), n_max)
-    rhs = series_mul(catalan_gf(beta, alpha1, n_max), catalan_gf(beta, alpha2, n_max))
-    return lhs == rhs

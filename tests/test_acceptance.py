@@ -30,8 +30,6 @@ from catalania.involution import (
 from catalania.riordan import (
     catalan_family,
     catalan_gf,
-    catalan_gf_functional_check,
-    convolution_check,
     modified_riordan_check,
     riordan_theorem_check,
     row_sums,
@@ -154,6 +152,8 @@ def test_c06_identity_grid():
 
 
 def test_c07_riordan_theorems():
+    from catalania.identities import DEFAULT_CONFIG, run_suite
+
     ok = True
     for alpha in (0, 1, 2, 3):
         for beta in (1, 2, 3):
@@ -165,14 +165,13 @@ def test_c07_riordan_theorems():
                     ok = False
                 if not modified_riordan_check(array, a, l):
                     ok = False
-    for beta in (1, 2, 3, 4):
-        for gamma in (0, 1, 2, 3):
-            if not catalan_gf_functional_check(beta, gamma, 20):
-                ok = False
-    for beta in (1, 2, 3):
-        for a1, a2 in ((1, 1), (2, 3), (F(1, 2), F(3, 2)), (F(1, 2), F(1, 2))):
-            if not convolution_check(beta, a1, a2, 15):
-                ok = False
+    eq7, eq8 = run_suite({key: DEFAULT_CONFIG[key] for key in ("eq7", "eq8")})
+    assert [(r.identity_id, r.grid) for r in (eq7, eq8)] == [
+        ("Eq7", "beta in [1..4 step 1], gamma in [0..3 step 1], order 20"),
+        ("Eq8", "beta in [1..3 step 1], alpha pairs [['1', '1'], ['2', '3'], ['1/2', '3/2'],"
+                " ['1/2', '1/2']], order 15"),
+    ]
+    ok = ok and eq7.ok and eq8.ok
     report(7, ok, "summation-matrix checks, functional equation, convolution rule")
     assert ok
 

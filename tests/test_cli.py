@@ -380,6 +380,15 @@ class TestRiordan:
         assert code == 2 and out == ""
         assert err.startswith(f"error: series file {bad}: series JSON coeffs ")
 
+    def test_series_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        bad = tmp_path / "g.json"
+        bad.write_bytes(b'\xff{"order": 1, "coeffs": ["1", "2"]}')
+        code, out, err = run_cli(capsys, "riordan", "check", "--alpha", "1", "--beta", "2",
+                                 "--gamma", "1", "--g-json", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read series file {bad}: 'utf-8' codec can't decode"
+                       " byte 0xff in position 0: invalid start byte\n")
+
     def test_entry_ignores_order(self, capsys):
         # Entry (n, k) reads the series up to x**n, so --order changes nothing.
         argv = ("riordan", "entry", "--alpha", "3/2", "--beta", "7/3", "--n", "5", "--k", "3")
@@ -425,6 +434,14 @@ class TestVerify:
     def test_missing_config(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--config", "/nonexistent/grid.json")
         assert code == 2 and "config" in err
+
+    def test_config_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_bytes(b'\xff{"eq1": {"n_max": 5}}')
+        code, out, err = run_cli(capsys, "verify", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read config {path}: 'utf-8' codec can't decode"
+                       " byte 0xff in position 0: invalid start byte\n")
 
     def test_invalid_config_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from catalania.counting import VecProfile
-from catalania.forest import LEAF, Forest, Tree, VertexAddr, count_internal, count_leaves, decode
+from catalania.forest import LEAF, Forest, Tree, VertexAddr, count_leaves, decode, encode
 from catalania.involution import (
     FIRST,
     Classification,
@@ -132,7 +132,7 @@ def test_deep_trees_compare_and_hash():
     assert hash(first) == hash(second)
     assert len({first[0], second[0]}) == 1
     assert first != decode("(" + DEEP + ")")
-    assert count_internal(first) == 3000 and count_leaves(first) == 1
+    assert encode(first).count("(") == 3000 and count_leaves(first) == 1
 
 
 def test_deep_trees_repr_pickle_and_copy():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalania.exact import as_rat, binom, falling, int_binom, kronecker, multinomial, rat_str
+from catalania.exact import as_rat, binom, falling, int_binom, multinomial, rat_str
 
 
 def falling_factorial_quotient(x, k):
@@ -126,12 +126,6 @@ class TestMultinomial:
     @settings(max_examples=60)
     def test_single_part_is_binom(self, x, m):
         assert multinomial(x, [m]) == binom(x, m)
-
-
-def test_kronecker():
-    assert kronecker(0) == 1
-    assert kronecker(1) == 0
-    assert kronecker(12) == 0
 
 
 class TestRatParsing:

@@ -15,7 +15,6 @@ from catalania.forest import (
     VertexAddr,
     compositions,
     count_forests,
-    count_internal,
     count_leaves,
     decode,
     encode,
@@ -57,9 +56,8 @@ class TestGenerators:
     def test_deep_unary_tree(self):
         # Pools are built bottom-up, and no walk recurses per level.
         [path] = generate_forests(1, 1500, 1)
-        assert count_internal(path) == 1500
         text = "(" * 1500 + "o" + ")" * 1500
-        assert encode(path) == text
+        assert encode(path) == text  # one "(" per internal vertex
         assert encode(decode(text)) == text
         deepest = VertexAddr(0, (0,) * 1500)
         assert leaf_addresses(path) == [deepest]
@@ -285,7 +283,6 @@ class TestStructureOps:
 
     def test_counts(self):
         f = decode("(o(oo));o")
-        assert count_internal(f) == 2
         assert count_leaves(f) == 4
 
 
@@ -298,7 +295,7 @@ class TestCodec:
     def test_decode_example(self):
         f = decode("(o(oo));o")
         assert f.gamma == 2
-        assert count_internal(f) == 2
+        assert encode(f).count("(") == 2  # one per internal vertex
 
     def test_decode_empty(self):
         assert decode("") == Forest(())

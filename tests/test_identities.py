@@ -798,6 +798,42 @@ def _bumped(s, index: int = 1):
     return Series(s.coeffs[:index] + (s.coeffs[index] + 1,) + s.coeffs[index + 1:])
 
 
+def _gf_bumped_at(beta, gamma):
+    """identities.catalan_gf with coefficient 3 plus 1 at (beta, gamma) only."""
+    def gf(b, g, order):
+        s = catalan_gf(b, g, order)
+        return _bumped(s, 3) if (b, g) == (beta, gamma) else s
+    return gf
+
+
+class TestSeriesFailures:
+    """Eq7 and Eq8 report the first point whose series differ, and pass a grid
+    that misses it."""
+
+    def test_eq7_names_the_bumped_point(self, monkeypatch):
+        monkeypatch.setattr(identities, "catalan_gf", _gf_bumped_at(3, 2))
+        (report,) = run_suite({"eq7": DEFAULT_CONFIG["eq7"]})
+        assert report.status == "fail"
+        assert report.counterexample.to_json() == {
+            "params": {"beta": "3", "gamma": "2", "order": "20"},
+            "lhs": "gf composed with x(1-x)^(beta-1)", "rhs": "(1-x)^(-gamma)"}
+        for missed in ({"beta": _interval("1", "2")}, {"gamma": _interval("0", "1")}):
+            assert run_suite({"eq7": {**DEFAULT_CONFIG["eq7"], **missed}})[0].ok
+
+    # At beta 2, gamma 5 is the sum of the pair (2, 3), and 1/2 the first
+    # part of the pair (1/2, 3/2).
+    @pytest.mark.parametrize("gamma,alpha1,alpha2", [(5, "2", "3"), (F(1, 2), "1/2", "3/2")])
+    def test_eq8_names_the_bumped_point(self, monkeypatch, gamma, alpha1, alpha2):
+        monkeypatch.setattr(identities, "catalan_gf", _gf_bumped_at(2, gamma))
+        (report,) = run_suite({"eq8": DEFAULT_CONFIG["eq8"]})
+        assert report.status == "fail"
+        assert report.counterexample.to_json() == {
+            "params": {"beta": "2", "alpha1": alpha1, "alpha2": alpha2, "order": "15"},
+            "lhs": "gf(alpha1) * gf(alpha2)", "rhs": "gf(alpha1 + alpha2)"}
+        for missed in ({"beta": _interval("3", "3")}, {"alpha_pairs": [["1", "1"]]}):
+            assert run_suite({"eq8": {**DEFAULT_CONFIG["eq8"], **missed}})[0].ok
+
+
 # Where each builder of a family piece takes its f = x(1-x)^(beta-1).
 _PIECE_F = {"riordan_columns": lambda r, n: r.f, "inverse_powers": lambda f, n: f,
             "series_compose": lambda a, f: f}

@@ -7,7 +7,7 @@ import pytest
 from catalania.counting import VecProfile, catalan_vector
 from catalania.exact import binom, multinomial
 from catalania import involution
-from catalania.forest import EnumerationBudgetError, VertexAddr, count_internal, decode, encode
+from catalania.forest import EnumerationBudgetError, VertexAddr, decode, encode
 from catalania.involution import (
     EXCEPTIONAL,
     FIRST,
@@ -29,6 +29,11 @@ from catalania.involution import (
     signed_sum,
     signed_sum_vector,
 )
+
+
+def internal(forest):
+    """The number of internal vertices: the text has one "(" for each."""
+    return encode(forest).count("(")
 
 
 def addr(*path, component=0):
@@ -106,7 +111,7 @@ class TestClassify:
                 exceptional = [c for c in pool if classify(c).kind == EXCEPTIONAL]
                 assert len(exceptional) == binom(alpha - gamma, n)
                 for c in exceptional:
-                    assert count_internal(c.forest) == 0 and not c.leaf_colors
+                    assert internal(c.forest) == 0 and not c.leaf_colors
 
 
 class TestInvolute:
@@ -123,7 +128,7 @@ class TestInvolute:
 
     def test_index_shifts(self):
         img = involute(FIG_LEFT, [3])
-        assert count_internal(img.forest) == count_internal(FIG_LEFT.forest) + 1
+        assert internal(img.forest) == internal(FIG_LEFT.forest) + 1
         assert img.colored_count == FIG_LEFT.colored_count - 1
 
     def test_exceptional_input_rejected(self):
@@ -148,7 +153,7 @@ class TestInvolute:
                             assert involute(image, [beta]) == c
                             assert classify(image).kind != classify(c).kind
                             assert image.weight() == -c.weight()
-                            shift = count_internal(image.forest) - count_internal(c.forest)
+                            shift = internal(image.forest) - internal(c.forest)
                             assert abs(shift) == 1
                             assert image.colored_count - c.colored_count == -shift
 

@@ -4,6 +4,7 @@ package serves its public names from lazily loaded layers."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,56 @@ def test_only_exact_defines_the_write_once_rule():
 
 
 LAYERS = ("exact", "counting", "forest", "involution", "riordan", "identities")
+
+# A backtick span that is a name, dotted or called: `encode`, `exact.Frozen`, `binom(x, k)`.
+_NAMED = re.compile(r"`(?:\w+\.)*(\w+)(?:\([^`]*\))?`")
+
+
+def _unreferenced(sources: dict[str, str], readme: str) -> list[str]:
+    """The top-level public functions and classes of the layer modules in ``sources``
+    (module name -> text) that no code of any module reads outside their own
+    definition, and that ``readme`` does not name in backticks.  Strings, docstrings
+    and imports are not reads."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    named = set(_NAMED.findall(readme))
+    found = []
+    for layer in filter(trees.__contains__, LAYERS):
+        for node in trees[layer].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = set(map(id, ast.walk(node)))
+            read = any(id(ref) not in own and isinstance(ref.ctx, ast.Load)
+                       and (ref.id if isinstance(ref, ast.Name) else ref.attr) == node.name
+                       for tree in trees.values() for ref in ast.walk(tree)
+                       if isinstance(ref, (ast.Name, ast.Attribute)))
+            if not read and node.name not in named:
+                found.append(f"{layer}.{node.name}")
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_DIR.glob("*.py")}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _unreferenced(sources, readme) == []
+
+
+@pytest.mark.parametrize("sources,readme,found", [
+    ({"riordan": "def series_neg(a):\n    return a\n"}, "", ["riordan.series_neg"]),
+    # A call from another module, or from a sibling in the same one, is a read.
+    ({"riordan": "def series_neg(a):\n    return a\n",
+      "cli": "from . import riordan\nriordan.series_neg(1)\n"}, "", []),
+    ({"exact": "def binom(x, k):\n    return 1\n\ndef b2(x):\n    return binom(x, 2)\n"},
+     "`b2(x)`", []),
+    # A self-call, an import, a string or a docstring is not; neither is bare README text.
+    ({"forest": "def walk(t):\n    return walk(t)\n",
+      "cli": "from .forest import walk\n'walk'\n\ndef f():\n    \"\"\"Calls walk.\"\"\"\n"},
+     "walk, `walk it`", ["forest.walk"]),
+    ({"forest": "class Tree:\n    pass\n\ndef walk(t):\n    pass\n"},
+     "`forest.Tree` and `walk(t)`", []),
+    ({"cli": "def main():\n    pass\n", "forest": "def _walk(t):\n    pass\n"}, "", []),
+])
+def test_the_caller_check_sees_reads_and_backticks(sources, readme, found):
+    assert _unreferenced(sources, readme) == found
 
 
 def test_public_names_are_their_modules_objects():
