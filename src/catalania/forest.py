@@ -13,7 +13,8 @@ forests (``iter_forests``) are its one-class case.  It yields in a fixed
 canonical order (child-count splits in lexicographic order, subtrees left
 to right), so its output is stable golden-test material; the
 ``generate_*`` functions are lists of the same sequence, and
-``count_forests`` counts it without wrapping a single ``Forest``.  Each of
+``count_forests`` counts the same stream of child tuples without wrapping
+a single ``Forest``, or a ``Tree`` for any tree it regenerates.  Each of
 them checks its arguments and counts its output in closed form when it is
 called, and refuses, with that estimate, to produce more than the
 CATALANIA_MAX_STRUCTS budget (default 5,000,000).  Past that check the
@@ -21,12 +22,14 @@ stream is pure ``itertools`` composition: the generated trees are valid by
 construction and are never checked again.
 
 Subtrees are drawn from pools, one per vector of internal-vertex counts.
-A pool of at most POOL_CACHE_MAX trees is built once and kept; a larger
-one is regenerated on each use, so memory stays bounded by the cap rather
-than by the output.  Pools are built bottom-up, and the walks over a tree
-(``leaf_addresses``, ``replace_at``, ``encode_tree``, the leaf count and
-``Tree`` equality and hashing) and ``decode`` use explicit stacks, so no
-depth of tree reaches the recursion limit.
+A pool of at most POOL_CACHE_MAX trees is built once and kept, of
+``Tree``s; a larger one is regenerated on each use, so memory stays
+bounded by the cap rather than by the output.  Pools are built bottom-up,
+and the walks over a tree (``leaf_paths``, ``replace_at``, ``encode_tree``,
+the leaf count and ``Tree`` equality and hashing) and ``decode`` use
+explicit stacks, so no depth of tree reaches the recursion limit;
+``leaf_paths`` keeps one index list and builds a path only at a leaf, so it
+is linear in depth too.
 
 From a process's first encoding on, the trees of held pools carry their
 text, so ``encode_tree`` walks only the vertices of other trees.
@@ -270,19 +273,32 @@ def count_leaves(forest: Forest) -> int:
     return _outdegrees(forest).count(0)
 
 
+def leaf_paths(tree: Tree) -> list[tuple[int, ...]]:
+    """The child-index path from the root to each leaf of ``tree``, in
+    preorder.  The walk keeps one index list and builds a path tuple only
+    at a leaf, so its time is linear in the tree and the paths it returns."""
+    out = []
+    path, parents = [], []  # the child index taken below each vertex on the path
+    node = tree
+    while True:
+        while node:
+            parents.append(node)
+            path.append(0)
+            node = node[0]
+        out.append(tuple(path))
+        while path and path[-1] + 1 == len(parents[-1]):
+            path.pop()
+            parents.pop()
+        if not path:
+            return out
+        path[-1] += 1
+        node = parents[-1][path[-1]]
+
+
 def leaf_addresses(forest: Forest) -> list[VertexAddr]:
     """Addresses of all leaves, in component-major preorder, which is
     VertexAddr order."""
-    out = []
-    for comp, tree in enumerate(forest):
-        stack = [((), tree)]
-        while stack:
-            path, node = stack.pop()
-            if node:
-                stack.extend((path + (i,), node[i]) for i in range(len(node) - 1, -1, -1))
-            else:
-                out.append(VertexAddr(comp, path))
-    return out
+    return [VertexAddr(comp, path) for comp, tree in enumerate(forest) for path in leaf_paths(tree)]
 
 
 def subtree_at(forest: Forest, addr: VertexAddr) -> Tree:
@@ -363,7 +379,7 @@ def _pool(counts: tuple[int, ...], p: tuple[int, ...]) -> Optional[tuple[Tree, .
         for sub in itertools.product(*(range(c + 1) for c in counts)):
             if (sub, p) not in _pools:
                 held = catalan_vector(VecProfile(sub, p), 1) <= POOL_CACHE_MAX
-                _pools[sub, p] = tuple(_trees(_tree_plan(sub, p), p)) if held else None
+                _pools[sub, p] = tuple(_trees(_tree_plan(sub, p), p, Tree)) if held else None
                 if _texted:
                     _add_texts([_pools[sub, p]])
     return _pools[key]
@@ -389,17 +405,25 @@ def _tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> _Plan:
 _large_plan = lru_cache(maxsize=None)(_tree_plan)
 
 
-def _trees(plan: _Plan, p: tuple[int, ...]) -> Iterator[Tree]:
+def _trees(plan: _Plan, p: tuple[int, ...], wrap: Optional[type]) -> Iterator[tuple]:
+    """The trees of ``plan``, in canonical order: each the tuple of its
+    children, wrapped in ``wrap`` (Tree), or left a plain tuple when wrap is
+    None, for a caller that only counts them."""
     return itertools.chain.from_iterable(
-        map(Tree, _product(split, pools, p)) for split, pools in plan)
+        _product(split, pools, p, wrap) if wrap is None
+        else map(wrap, _product(split, pools, p, wrap)) for split, pools in plan)
 
 
-def _product(split: _Split, pools: _Pools, p: tuple[int, ...]) -> Iterator[tuple[Tree, ...]]:
-    """itertools.product over the pools of ``split``, in the same order."""
-    return _nested_product(split, pools, p) if None in pools else itertools.product(*pools)
+def _product(split: _Split, pools: _Pools, p: tuple[int, ...],
+             wrap: Optional[type]) -> Iterator[tuple]:
+    """itertools.product over the pools of ``split``, in the same order; a
+    pool over the cap is regenerated through _trees with ``wrap``."""
+    return (_nested_product(split, pools, p, wrap) if None in pools
+            else itertools.product(*pools))
 
 
-def _nested_product(split: _Split, pools: _Pools, p: tuple[int, ...]) -> Iterator[tuple[Tree, ...]]:
+def _nested_product(split: _Split, pools: _Pools, p: tuple[int, ...],
+                    wrap: Optional[type]) -> Iterator[tuple]:
     # itertools.product holds all its arguments, so the first pool over the
     # cap is walked in a nested loop, and what follows it is regenerated for
     # each prefix.
@@ -411,24 +435,25 @@ def _nested_product(split: _Split, pools: _Pools, p: tuple[int, ...]) -> Iterato
         # A tail of one-tree pools (leaves, say) is the same for every item.
         tail = [itertools.repeat(pool[0]) for pool in tail_pools]
         return itertools.chain.from_iterable(
-            zip(*map(itertools.repeat, head), _trees(large, p), *tail) for head in heads)
+            zip(*map(itertools.repeat, head), _trees(large, p, wrap), *tail) for head in heads)
     return itertools.chain.from_iterable(
-        map((*head, tree).__add__, _product(tail_split, tail_pools, p))
-        for head in heads for tree in _trees(large, p))
+        map((*head, tree).__add__, _product(tail_split, tail_pools, p, wrap))
+        for head in heads for tree in _trees(large, p, wrap))
 
 
-def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[tuple[Tree, ...]]:
-    """The trees of each forest, in canonical order."""
+def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int,
+             wrap: Optional[type]) -> Iterator[tuple]:
+    """The trees of each forest, in canonical order; ``wrap`` as for _trees."""
     return itertools.chain.from_iterable(
-        _product(split, tuple(map(_pool, split, itertools.repeat(p))), p)
+        _product(split, tuple(map(_pool, split, itertools.repeat(p))), p, wrap)
         for split in _vector_compositions(counts, gamma))
 
 
-def _checked_forests(profile: VecProfile, gamma: int) -> Iterator[tuple[Tree, ...]]:
+def _checked_forests(profile: VecProfile, gamma: int, wrap: Optional[type]) -> Iterator[tuple]:
     """_forests, once gamma and the budget are checked."""
     check_nat(gamma, "gamma")
     check_budget(catalan_vector(profile, gamma))
-    return _forests(profile.n, profile.p, gamma)
+    return _forests(profile.n, profile.p, gamma, wrap)
 
 
 def _beta_profile(beta: int, n: int) -> VecProfile:
@@ -443,7 +468,7 @@ def iter_mixed_forests(profile: VecProfile, gamma: int) -> Iterator[Forest]:
     vertices of outdegree profile.p[j] and every other vertex a leaf, in
     canonical order.  Arguments and budget are checked on the call, before
     the first forest."""
-    return map(Forest, _checked_forests(profile, gamma))
+    return map(Forest, _checked_forests(profile, gamma, Tree))
 
 
 def iter_forests(beta: int, n: int, gamma: int) -> Iterator[Forest]:
@@ -456,10 +481,12 @@ def iter_forests(beta: int, n: int, gamma: int) -> Iterator[Forest]:
 def count_forests(beta: int, n: int, gamma: int) -> int:
     """The number of forests iter_forests(beta, n, gamma) yields, counted by
     enumerating them.  Arguments and budget are checked as iter_forests
-    checks them, before any work; the count wraps no Forest."""
+    checks them, before any work.  The count streams each forest's tuple of
+    trees, one item per forest, and wraps no Forest; a pool over the cap is
+    regenerated as plain child tuples, so it wraps no Tree either."""
     # Consumed inside itertools and deque: no Python frame runs per forest.
     counter = itertools.count()
-    collections.deque(zip(_checked_forests(_beta_profile(beta, n), gamma), counter), maxlen=0)
+    collections.deque(zip(_checked_forests(_beta_profile(beta, n), gamma, None), counter), maxlen=0)
     return next(counter)
 
 

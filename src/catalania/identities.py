@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
+from .counting import (CatalanFn, VecProfile, catalan_gen, catalan_sequence, catalan_vector,
+                       check_outdegrees, eq2_rhs)
 from .exact import (ConfigError, Rat, RatLike, Record, as_rat, binom, check_nat, cleared, falling,
                     int_binom, rat_str)
 from .forest import check_arity, compositions
@@ -197,12 +198,13 @@ class _Run:
     per (a, m, z, length); the series of Eq2's array routes, Eq7 and Eq8
     (generating functions, x(1-x)**(beta-1) and (1-x)**a); the pieces of the
     family route, see _family_pieces; and Eq3's census terms per
-    (p, n_vec, gamma), which every alpha of its grid reads.  An entry is
-    built on its first use by the builder this module names at that moment,
-    so a run sees a builder replaced before it started, and is immutable
-    (tuples, Series, RiordanArray).  Nothing outlives the run: a table kept
-    across runs would hand a later run values built by an earlier run's
-    builders.
+    (p, n_vec, gamma), which every alpha of its grid reads, and its forest
+    counts per (p, residual, gamma), which the terms of every larger n_vec
+    read.  An entry is built on its first use by the builder this module
+    names at that moment, so a run sees a builder replaced before it
+    started, and is immutable (tuples, Fractions, Series, RiordanArray).
+    Nothing outlives the run: a table kept across runs would hand a later
+    run values built by an earlier run's builders.
     """
 
     __slots__ = ("catalan", "eq2_passed", "tables")
@@ -413,7 +415,14 @@ def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int) -> Id
 def _eq3_terms(p: tuple[int, ...], n_vec: tuple[int, ...], gamma: int) -> tuple:
     """census_terms of the census of (p, n_vec, gamma), the alpha-free part of Eq3."""
     return _shared(("eq3 terms", p, n_vec, gamma), lambda: tuple(
-        census_terms(VecProfile(n_vec, p), gamma)))
+        census_terms(VecProfile(n_vec, p), gamma, _eq3_forests)))
+
+
+def _eq3_forests(residual: VecProfile, gamma: int) -> Rat:
+    """catalan_vector(residual, gamma), counted once per run: the censuses of
+    larger n share the residuals of smaller ones."""
+    return _shared(("eq3 forests", residual.p, residual.n, gamma),
+                   lambda: catalan_vector(residual, gamma))
 
 
 def _falling_blocks(x: int, q: int, parts: Sequence[int]) -> int:

@@ -36,8 +36,11 @@ censuses built on them) check their arguments and the structure budget
 once, then build each structure from fields that are canonical by
 construction (leaves in preorder, colors chosen in ascending order) and
 skip that check; so does the pairing, whose output is canonical whenever
-its input is.  ``signed_sum`` sums a census slice by slice, so at most one
-slice is held.
+its input is.  The forests of a slice share their component trees (the
+pools' trees), so a slice finds each tree's leaf paths once
+(``forest.leaf_paths``) and builds every forest's leaf addresses from
+them.  ``signed_sum`` sums a census slice by slice, so at most one slice
+is held.
 
 The classes are read on text.  A forest's text is its preorder word, and
 one pass over it (``forest.layout``) places its leaves and its levels; the
@@ -76,7 +79,7 @@ from .forest import (
     generate_forests,
     generate_mixed_forests,
     layout,
-    leaf_addresses,
+    leaf_paths,
     replace_at,
     subtree_at,
 )
@@ -318,8 +321,10 @@ def _slice_colorings(n_leaves: int, planted: int,
 def _colorings(forests: list[Forest], n_leaves: int, planted: int,
                marks: tuple[int, ...]) -> list[ColoredForest]:
     """Each forest (all with ``n_leaves`` leaves) with each coloring of
-    _slice_colorings, forest-major.  The structures are built unchecked, as
-    by _built, through map and zip: no Python frame runs per structure."""
+    _slice_colorings, forest-major.  Each tree's leaf paths are found once
+    per call, however many forests share the tree.  The structures are
+    built unchecked, as by _built, through map and zip: no Python frame
+    runs per structure."""
     if not any(marks):  # the uncolored slice needs no slots: walk no forest
         return list(map(tuple.__new__, repeat(ColoredForest),
                         zip(forests, repeat(planted), repeat(()), repeat(()))))
@@ -327,10 +332,16 @@ def _colorings(forests: list[Forest], n_leaves: int, planted: int,
     if not leaf_keys:  # more marks than slots: walk no forest
         return []
     t = len(marks)
+    paths: dict[int, list] = {}  # id(tree) -> leaf_paths(tree); forests keeps each tree alive
     out: list[ColoredForest] = []
     for forest in forests:
-        entry = [(addr, color) for addr in leaf_addresses(forest)
-                 for color in range(1, t + 1)].__getitem__
+        addrs: list[VertexAddr] = []
+        for comp, tree in enumerate(forest):
+            tree_paths = paths.get(id(tree))
+            if tree_paths is None:
+                tree_paths = paths[id(tree)] = leaf_paths(tree)
+            addrs += map(tuple.__new__, repeat(VertexAddr), zip(repeat(comp), tree_paths))
+        entry = [(addr, color) for addr in addrs for color in range(1, t + 1)].__getitem__
         leaf_colors = map(tuple, map(map, repeat(entry), leaf_keys))
         out.extend(map(tuple.__new__, repeat(ColoredForest),
                        zip(repeat(forest), repeat(planted), leaf_colors, root_colors)))
@@ -381,19 +392,22 @@ def enumerate_colored_vector(
 # Alternating censuses
 # ---------------------------------------------------------------------------
 
-def census_terms(profile: VecProfile,
-                 gamma: int) -> list[tuple[VecProfile, tuple[int, ...], Rat, int]]:
+def census_terms(profile: VecProfile, gamma: int,
+                 count: Optional[Callable[[VecProfile, int], Rat]] = None,
+                 ) -> list[tuple[VecProfile, tuple[int, ...], Rat, int]]:
     """The alpha-free part of every census slice: each split of profile.n
     into internal counts plus color marks, as (residual profile, marks,
     forests, free_slots) with marks in lexicographic order, forests =
-    catalan_vector(residual, gamma) and free_slots = residual.leaf_count(gamma)
-    - gamma.  The slice then holds forests * multinomial(free_slots + alpha,
+    count(residual, gamma) and free_slots = residual.leaf_count(gamma) -
+    gamma.  The slice then holds forests * multinomial(free_slots + alpha,
     marks) structures: its forests, each with free_slots + alpha slots (the
-    leaves and the alpha - gamma planted roots) to color."""
+    leaves and the alpha - gamma planted roots) to color.  ``count`` stands
+    in for catalan_vector, for a caller that keeps the counts it has seen."""
+    count = count or catalan_vector
     out = []
     for marks in itertools.product(*(range(nj + 1) for nj in profile.n)):
         residual = VecProfile(tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p)
-        out.append((residual, marks, catalan_vector(residual, gamma),
+        out.append((residual, marks, count(residual, gamma),
                     residual.leaf_count(gamma) - gamma))
     return out
 

@@ -25,6 +25,7 @@ from catalania.forest import (
     iter_mixed_forests,
     layout,
     leaf_addresses,
+    leaf_paths,
     replace_at,
     subtree_at,
 )
@@ -62,6 +63,11 @@ class TestGenerators:
         deepest = VertexAddr(0, (0,) * 1500)
         assert leaf_addresses(path) == [deepest]
         assert encode(replace_at(path, deepest, Tree((LEAF,)))) == "(" + text + ")"
+
+    def test_deep_leaf_addresses_are_linear(self):
+        # One index list along the walk: 4,000 levels build one path tuple.
+        deep = decode("(" * 4000 + "o" + ")" * 4000)
+        assert leaf_addresses(deep) == [VertexAddr(0, (0,) * 4000)]
 
     def test_rejects_zero_arity(self):
         with pytest.raises(ValueError):
@@ -198,6 +204,44 @@ class TestCountForests:
             count_forests(3, 9, 2)
         assert (err.value.estimate, err.value.budget) == (690690, 1000)
 
+    # At caps 0 to 5, (2, 6, 2) and (2, 7, 1) reach both tails of a pool
+    # over the cap in _nested_product: one-tree pools (leaves), and pools of
+    # several trees or over the cap too.  Unary (1, 4, 2) has one-tree pools
+    # only, all over cap 0.
+    @pytest.mark.parametrize("cap", [0, 1, 2, 5, 30])
+    @pytest.mark.parametrize("beta,n,gamma", [(2, 6, 2), (3, 4, 3), (1, 4, 2), (2, 7, 1)])
+    def test_counts_at_any_cap(self, beta, n, gamma, cap):
+        with pool_cap(cap):
+            count = count_forests(beta, n, gamma)
+            listed = len(generate_forests(beta, n, gamma))
+        assert count == listed == catalan_gen(n, beta, gamma)
+
+    def test_count_wraps_no_regenerated_tree(self, monkeypatch):
+        # What the count consumes: one item per forest, holding held pools'
+        # trees and, for a pool over the cap, plain child tuples, never a
+        # Tree built for the count.
+        consumed = []
+        stream = forest._checked_forests
+
+        def recorded(*args):
+            items = list(stream(*args))
+            consumed.extend(items)
+            return iter(items)
+
+        monkeypatch.setattr(forest, "_checked_forests", recorded)
+        with pool_cap(5):
+            assert count_forests(2, 6, 2) == len(consumed) == 429
+            held = {id(tree) for pool in forest._pools.values() if pool for tree in pool}
+            assert forest._pool((6,), (2,)) is None
+            built = []
+            stack = [tree for item in consumed for tree in item]
+            while stack:
+                node = stack.pop()
+                if id(node) not in held:
+                    built.append(node)
+                    stack.extend(node)
+        assert built and {type(node) for node in built} == {tuple}
+
     @pytest.mark.parametrize("beta,n,gamma", [
         (0, 1, 1), (True, 1, 1), (2, -1, 1), (2, 1, -1), (2, 1, True), (2, 1, "1"),
     ])
@@ -235,6 +279,11 @@ class TestLeafCounts:
             leaves = leaf_addresses(f)
             assert all(a < b for a, b in zip(leaves, leaves[1:]))
             assert len(leaves) == encode(f).count("o") == count_leaves(f)
+            # The text's leaves, found without a tree walk, in the same order.
+            shape = layout(encode(f))
+            assert leaves == [shape.address(pos) for pos in shape.leaves]
+            assert leaves == [VertexAddr(comp, path) for comp, tree in enumerate(f)
+                              for path in leaf_paths(tree)]
 
 
 class TestStructureOps:

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catalania.cli import main
-from catalania.counting import VecProfile, catalan_gen, catalan_sequence
+from catalania.counting import VecProfile, catalan_gen, catalan_sequence, catalan_vector
 from catalania import identities
 from catalania import involution
 from catalania.exact import binom, multinomial
@@ -141,9 +141,9 @@ class TestEq3:
             self, monkeypatch, gamma, alpha, residual, delta):
         p = (2, 3)
 
-        def perturbed(profile, g):
+        def perturbed(profile, g, count=None):
             return [(res, marks, forests + delta if res.n == residual else forests, free)
-                    for res, marks, forests, free in census_terms(profile, g)]
+                    for res, marks, forests, free in census_terms(profile, g, count)]
 
         expected = None
         for n_vec in (n for k in range(4) for n in compositions(k, 2)):
@@ -448,8 +448,7 @@ def _interval(lo: str, hi: str, step: str = "1") -> dict:
 
 
 def _perturbed_catalan_vector(residual: tuple, gamma: int, delta):
-    """involution.catalan_vector plus ``delta`` at (residual, gamma)."""
-    catalan_vector = involution.catalan_vector
+    """catalan_vector plus ``delta`` at (residual, gamma)."""
 
     def perturbed(profile, g):
         value = catalan_vector(profile, g)
@@ -485,7 +484,8 @@ class TestEq3Failures:
                                   "three-class-rat-alpha"])
     def test_failure_report_bytes_are_pinned(self, monkeypatch, section, residual, gamma, delta,
                                              digest):
-        monkeypatch.setattr(involution, "catalan_vector",
+        # Eq3's forest counts are built by the catalan_vector that identities names.
+        monkeypatch.setattr(identities, "catalan_vector",
                             _perturbed_catalan_vector(residual, gamma, delta))
         reports = run_suite({"eq3": section})
         assert not reports[0].ok
@@ -703,23 +703,27 @@ class TestRunScope:
             assert len(closed) == 9 + 15 * 13
 
     def test_each_eq3_term_table_is_built_once_per_run(self, monkeypatch):
-        terms, forests = [], []
+        terms, forests, unshared = [], [], []
         monkeypatch.setattr(identities, "census_terms", _recorded(
-            terms, census_terms, lambda profile, gamma: (profile, gamma)))
+            terms, census_terms, lambda profile, gamma, count: (profile, gamma)))
+        monkeypatch.setattr(identities, "catalan_vector", _recorded(
+            forests, catalan_vector, lambda profile, gamma: (profile, gamma)))
         monkeypatch.setattr(involution, "catalan_vector", _recorded(
-            forests, involution.catalan_vector, lambda profile, gamma: (profile, gamma)))
+            unshared, catalan_vector, lambda profile, gamma: (profile, gamma)))
         for _ in range(2):  # the second run builds every table again
             terms.clear()
             forests.clear()
             assert run_suite({"eq3": DEFAULT_CONFIG["eq3"]})[0].ok
             assert identities._ACTIVE_RUN.get() is None
             # One table per n (10 with sum(n) <= 3) and gamma (3), read by all
-            # 11 alphas; one forest count per split of each n (35 splits, whose
-            # residuals are the same 10 n).
+            # 11 alphas; one forest count per residual, which is again one of
+            # the same 10 n, however many of the 35 splits share it.
             assert len(terms) == len(set(terms)) == 10 * 3
-            assert len(forests) == 35 * 3 and len(set(forests)) == 10 * 3
+            assert len(forests) == len(set(forests)) == 10 * 3
+        assert unshared == []
         assert verify_eq3((2, 3), 1, 2, 1).ok  # outside a run, a check builds its own
         assert len(terms) == 30 + 3
+        assert len(forests) == 30 + 5  # the 1 + 2 + 2 splits of n = (0, 0), (1, 0), (0, 1)
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_a_later_run_sees_a_patched_builder(self, monkeypatch, backward):

@@ -7,7 +7,8 @@ import pytest
 from catalania.counting import VecProfile, catalan_vector
 from catalania.exact import binom, multinomial
 from catalania import involution
-from catalania.forest import EnumerationBudgetError, VertexAddr, decode, encode
+from catalania.forest import (EnumerationBudgetError, VertexAddr, decode, encode, generate_forests,
+                              generate_mixed_forests, leaf_addresses)
 from catalania.involution import (
     EXCEPTIONAL,
     FIRST,
@@ -374,6 +375,36 @@ class TestGeneratedStructures:
             assert any(len(c.root_colors) == 2 for c in structures)
             assert any({j for _, j in c.root_colors} == {1, 2} for c in structures)
             self._assert_canonical(structures)
+
+    @staticmethod
+    def _per_forest(forests, planted, marks):
+        """The slice of ``forests`` with each coloring of ``marks``, built with
+        leaf_addresses per forest and the checked constructor."""
+        t = len(marks)
+        n_leaves = len(leaf_addresses(forests[0]))
+        leaf_keys, root_colors = involution._slice_colorings(n_leaves, planted, marks)
+        out = []
+        for f in forests:
+            entry = [(a, color) for a in leaf_addresses(f) for color in range(1, t + 1)]
+            out += [ColoredForest(f, planted, [entry[k] for k in keys], roots)
+                    for keys, roots in zip(leaf_keys, root_colors)]
+        return out
+
+    def test_slices_match_addresses_found_per_forest(self):
+        # The forests of a slice share component trees, whose leaf paths the
+        # slice finds once.
+        slices = [(generate_forests(3, 5 - i, 3), (i,), census)
+                  for i, census in enumerate(colored_census(3, 5, 3, 5))]
+        profile = VecProfile((2, 1), (2, 3))
+        for marks in itertools.product(range(3), range(2)):
+            residual = VecProfile((2 - marks[0], 1 - marks[1]), profile.p)
+            slices.append((generate_mixed_forests(residual, 2), marks,
+                           enumerate_colored_vector(residual, marks, 2, 4)))
+        for forests, marks, structures in slices:
+            assert structures == self._per_forest(forests, 2, marks)
+        # The 273 forests of the slice with one colored object hold 72 trees.
+        forests = slices[1][0]
+        assert len({id(tree) for f in forests for tree in f}) == 72
 
     def test_partners(self):
         pool = [c for c in all_structures(2, 3, 2, 3) if classify(c).kind != EXCEPTIONAL]
