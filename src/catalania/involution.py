@@ -39,8 +39,8 @@ skip that check; so does the pairing, whose output is canonical whenever
 its input is.  The forests of a slice share their component trees (the
 pools' trees), so a slice finds each tree's leaf paths once
 (``forest.leaf_paths``) and builds every forest's leaf addresses from
-them.  ``signed_sum`` sums a census slice by slice, so at most one slice
-is held.
+them.  ``signed_sum_vector`` builds no structure: all of a slice has one
+weight, so the slice adds that weight times its forests and colorings.
 
 The classes are read on text.  A forest's text is its preorder word, and
 one pass over it (``forest.layout``) places its leaves and its levels; the
@@ -78,6 +78,7 @@ from .forest import (
     encode_tree,
     generate_forests,
     generate_mixed_forests,
+    iter_mixed_forests,
     layout,
     leaf_paths,
     replace_at,
@@ -357,8 +358,8 @@ def enumerate_colored(
     (single color), in deterministic order: the one-class case of
     enumerate_colored_vector, with the forests drawn from generate_forests.
 
-    ``size`` is a trusted hand-off for the censuses, which take each
-    slice's size from census_sizes and check the whole census against the
+    ``size`` is a trusted hand-off for colored_census, which takes each
+    slice's size from census_sizes and checks the whole census against the
     budget first.  It replaces the slice's budget estimate unchecked, so
     any other value weakens the budget check.  Other callers leave it out."""
     check_alpha_gamma(alpha, gamma)
@@ -372,18 +373,16 @@ def enumerate_colored(
 
 def enumerate_colored_vector(
     profile: VecProfile, marks: Sequence[int], gamma: int, alpha: int,
-    *, size: Optional[Rat] = None,
 ) -> list[ColoredForest]:
     """All planted mixed forests matching ``profile`` with marks[j] objects
-    colored j+1 among leaves and planted roots.  ``size`` is the censuses'
-    trusted hand-off, as for enumerate_colored."""
+    colored j+1 among leaves and planted roots."""
     check_alpha_gamma(alpha, gamma)
     marks = tuple(marks)
     if len(marks) != profile.t:
         raise ValueError("marks must give one count per outdegree class")
     for m in marks:
         check_nat(m, "marks[j]")
-    check_budget(_colored_count(profile, marks, gamma, alpha) if size is None else size)
+    check_budget(_colored_count(profile, marks, gamma, alpha))
     return _colorings(generate_mixed_forests(profile, gamma), profile.leaf_count(gamma),
                       alpha - gamma, marks)
 
@@ -448,28 +447,28 @@ def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[Color
     return list(_scalar_census(beta, n, gamma, alpha))
 
 
-def _weight_sum(structures: list[ColoredForest]) -> int:
-    """Sum of c.weight(): the count minus twice the structures with an odd
-    number of colored objects (leaf_colors plus root_colors)."""
-    colored = map(operator.add, map(len, map(ColoredForest.leaf_colors.fget, structures)),
-                  map(len, map(ColoredForest.root_colors.fget, structures)))
-    return len(structures) - 2 * sum(map(operator.and_, colored, repeat(1)))
-
-
 def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:
-    """Sum of weights over colored_census(beta, n, gamma, alpha), one slice
-    alive at a time.  Equals (-1)**n * binom(alpha-gamma, n)."""
-    return Fraction(sum(map(_weight_sum, _scalar_census(beta, n, gamma, alpha))))
+    """Sum of weights over colored_census(beta, n, gamma, alpha), as the
+    one-class signed_sum_vector counts it.  Equals (-1)**n * binom(alpha-gamma, n)."""
+    check_alpha_gamma(alpha, gamma)
+    check_nat(n)
+    return signed_sum_vector(VecProfile((n,), (check_arity(beta),)), gamma, alpha)
 
 
 def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
     """Sum of weights over all t-colored planted mixed forests with
-    class-wise internal + colored counts equal to profile.n, by enumeration,
-    one slice alive at a time.  Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
+    class-wise internal + colored counts equal to profile.n, counted, not
+    built: the slice with ``marks`` adds (-1)**sum(marks) times its forests
+    times the colorings of their slots, as iter_mixed_forests and
+    _color_assignments yield them.  Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
     check_alpha_gamma(alpha, gamma)
-    return Fraction(sum(
-        _weight_sum(enumerate_colored_vector(residual, marks, gamma, alpha, size=size))
-        for residual, marks, size in _census_slices(profile, gamma, alpha)))
+    total = 0
+    for residual, marks, _ in _census_slices(profile, gamma, alpha):
+        slots = tuple(range(residual.leaf_count(gamma) + alpha - gamma))
+        colorings = sum(1 for _ in _color_assignments(slots, marks))
+        forests = sum(1 for _ in iter_mixed_forests(residual, gamma))
+        total += (-1) ** sum(marks) * forests * colorings
+    return Fraction(total)
 
 
 def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str]]:
@@ -482,7 +481,7 @@ def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str
     total = 0
     lines: list[str] = []
     for i, structures in enumerate(_scalar_census(beta, n, gamma, alpha)):
-        total += _weight_sum(structures)
+        total += (-1) ** i * len(structures)
         leaf_count = VecProfile((n - i,), (beta,)).leaf_count(gamma)
         leaf_keys, root_colors = _slice_colorings(leaf_count, alpha - gamma, (i,))
         colorings = list(zip(leaf_keys, [_planted_text(alpha - gamma, roots, 1)

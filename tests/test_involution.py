@@ -1,8 +1,9 @@
 import itertools
-import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalania.counting import VecProfile, catalan_vector
 from catalania.exact import binom, multinomial
@@ -226,6 +227,35 @@ class TestSignedSums:
                         want = (-1) ** (n1 + n2) * multinomial(alpha - gamma, (n1, n2))
                         assert got == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           p=st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True).map(sorted),
+           gamma=st.integers(1, 2), extra=st.integers(0, 3))
+    def test_counted_sums_match_the_built_census(self, data, p, gamma, extra):
+        # The reference: the weights summed over the built census.
+        n_vec = data.draw(st.lists(st.integers(0, 3), min_size=len(p), max_size=len(p))
+                          .filter(lambda n: sum(n) <= 3))
+        profile, alpha = VecProfile(n_vec, p), gamma + extra
+        built = sum(c.weight() for residual, marks, _ in census_sizes(profile, gamma, alpha)
+                    for c in enumerate_colored_vector(residual, marks, gamma, alpha))
+        assert signed_sum_vector(profile, gamma, alpha) == built
+        assert built == (-1) ** sum(n_vec) * multinomial(alpha - gamma, n_vec)
+        beta, n = p[0], sum(n_vec)
+        built = sum(c.weight() for piece in colored_census(beta, n, gamma, alpha) for c in piece)
+        assert signed_sum(beta, n, gamma, alpha) == built
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, -1, 2, 1), "need alpha >= gamma >= 1, got alpha=1, gamma=2"),
+        ((0, -1, 1, 1), "n must be a non-negative integer, got -1"),
+        ((0, 1, 1, 1), "beta must be an integer >= 1, got 0"),
+        ((True, 1, 1, 1), "beta must be an integer >= 1, got True"),
+    ])
+    def test_scalar_arguments_are_checked_in_order(self, args, message):
+        # alpha and gamma first, then n, then beta.
+        with pytest.raises(ValueError) as err:
+            signed_sum(*args)
+        assert str(err.value) == message
+
 
 class TestCensusBudget:
     """The budget covers a whole census, checked before any slice is built."""
@@ -301,7 +331,7 @@ class TestCensusWork:
     def test_census_hands_each_slice_its_own_size(self, monkeypatch):
         # size= replaces the budget estimate unchecked, so it must be exact.
         handed = []
-        scalar, vector = involution.enumerate_colored, involution.enumerate_colored_vector
+        scalar = involution.enumerate_colored
 
         def scalar_slice(beta, n_internal, n_colored, gamma, alpha, *, size):
             out = scalar(beta, n_internal, n_colored, gamma, alpha, size=size)
@@ -310,39 +340,26 @@ class TestCensusWork:
                            len(out)))
             return out
 
-        def vector_slice(profile, marks, gamma, alpha, *, size):
-            out = vector(profile, marks, gamma, alpha, size=size)
-            handed.append((size, involution._colored_count(profile, tuple(marks), gamma, alpha),
-                           len(out)))
-            return out
-
         monkeypatch.setattr(involution, "enumerate_colored", scalar_slice)
-        monkeypatch.setattr(involution, "enumerate_colored_vector", vector_slice)
         colored_census(3, 4, 2, 3)
-        signed_sum(2, 4, 1, 3)
-        signed_sum_vector(VecProfile((2, 1), (2, 3)), 1, 3)
-        assert len(handed) == 5 + 5 + 6
+        assert len(handed) == 5
         assert all(size == count == n for size, count, n in handed)
 
     @pytest.mark.parametrize("name,run", [
-        ("enumerate_colored", lambda: signed_sum(2, 5, 2, 3)),
-        ("enumerate_colored_vector", lambda: signed_sum_vector(VecProfile((2, 1), (2, 3)), 1, 3)),
+        ("enumerate_colored", lambda: [signed_sum(2, 5, 2, 3)] == [0]),
+        ("enumerate_colored_vector", lambda: [
+            signed_sum_vector(VecProfile((2, 1), (2, 3)), 1, 3),
+            signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 4),
+        ] == [-multinomial(2, (2, 1)), 6]),
     ])
     def test_signed_sums_hold_one_slice_at_a_time(self, monkeypatch, name, run):
-        class Slice(list):  # a list that can be weakly referenced
-            pass
+        # The sums count each slice and build none, so not even one slice is held.
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a signed sum built colored structures through {name}")
 
-        original = getattr(involution, name)
-        slices = []
-
-        def tracked(*args, **kwargs):
-            assert all(ref() is None for ref in slices), "an earlier slice is still alive"
-            out = Slice(original(*args, **kwargs))
-            slices.append(weakref.ref(out))
-            return out
-
-        monkeypatch.setattr(involution, name, tracked)
-        assert run() == 0 and len(slices) > 2
+        for builder in (name, "_colorings"):
+            monkeypatch.setattr(involution, builder, refuse)
+        assert run()
 
 
 class TestGeneratedStructures:
