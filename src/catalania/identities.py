@@ -465,22 +465,6 @@ def _eq3_sides(terms: Sequence[tuple], n_vec: tuple[int, ...], gamma: int,
     return lhs, -rhs if total % 2 else rhs, scale
 
 
-def eq3_lhs(p: Sequence[int], n_vec: Sequence[int], gamma: int, alpha: RatLike) -> Rat:
-    """Alternating sum over 0 <= i <= n of the colored-forest counts: the
-    census slice sizes, signed by (-1)**sum(i)."""
-    n_vec, alpha = tuple(n_vec), Fraction(alpha)
-    lhs, _, scale = _eq3_sides(_eq3_terms(tuple(p), n_vec, gamma), n_vec, gamma,
-                               alpha.numerator, alpha.denominator)
-    return Fraction(lhs, scale)
-
-
-def eq3_rhs(n_vec: Sequence[int], gamma: int, alpha: RatLike) -> Rat:
-    """(-1)**sum(n) * multinomial(alpha - gamma, n)."""
-    n_vec, alpha = tuple(check_nat(nj, "part") for nj in n_vec), Fraction(alpha)
-    _, rhs, scale = _eq3_sides((), n_vec, gamma, alpha.numerator, alpha.denominator)
-    return Fraction(rhs, scale)
-
-
 def verify_eq3(p: Sequence[int], gamma: int, alpha: RatLike, n_max_total: int) -> IdentityReport:
     """Check the vector identity for every n-vector with sum <= n_max_total,
     on the integers of _eq3_sides; a Fraction is built only to report a

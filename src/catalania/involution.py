@@ -31,16 +31,18 @@ and hashable, and compare structurally at any depth of forest, since
 
 Validation happens where structures come from outside.  ``ColoredForest(...)``
 checks and sorts every coloring that users build or decode.  The
-enumerators (``enumerate_colored``, ``enumerate_colored_vector`` and the
-censuses built on them) check their arguments and the structure budget
-once, then build each structure from fields that are canonical by
+enumerators check their arguments and the structure budget once:
+``enumerate_colored_vector`` and its one-class case ``enumerate_colored``
+for their slice, and the scalar census (``colored_census``, ``pair_lines``),
+which is the one-class vector census, for all its slices before the first.
+They then build each structure from fields that are canonical by
 construction (leaves in preorder, colors chosen in ascending order) and
 skip that check; so does the pairing, whose output is canonical whenever
-its input is.  The forests of a slice share their component trees (the
-pools' trees), so a slice finds each tree's leaf paths once
-(``forest.leaf_paths``) and builds every forest's leaf addresses from
-them.  ``signed_sum_vector`` builds no structure: all of a slice has one
-weight, so the slice adds that weight times its forests and colorings.
+its input is.  A slice finds its colorings once and, as its forests share
+their component trees (the pools' trees), each tree's leaf paths once
+(``forest.leaf_paths``).  ``signed_sum_vector`` builds no structure: all
+of a slice has one weight, so the slice adds that weight times its forests
+and colorings.
 
 The classes are read on text.  A forest's text is its preorder word, and
 one pass over it (``forest.layout``) places its leaves and its levels; the
@@ -76,7 +78,6 @@ from .forest import (
     check_arity,
     check_budget,
     encode_tree,
-    generate_forests,
     generate_mixed_forests,
     iter_mixed_forests,
     layout,
@@ -282,13 +283,6 @@ def check_alpha_gamma(alpha: int, gamma: int) -> int:
     return alpha
 
 
-def _colored_count(profile: VecProfile, marks: tuple[int, ...], gamma: int, alpha: RatLike) -> Rat:
-    """Number of structures enumerate_colored_vector(profile, marks, gamma,
-    alpha) yields: forests times color assignments of their slots."""
-    slot_count = profile.leaf_count(gamma) + alpha - gamma
-    return catalan_vector(profile, gamma) * multinomial(slot_count, marks)
-
-
 def _color_assignments(slots: tuple[int, ...], marks: tuple[int, ...]) -> Iterator[tuple]:
     """All ways to pick disjoint subsets of sizes marks[j] from ``slots``;
     yields one ascending tuple per color class."""
@@ -319,17 +313,16 @@ def _slice_colorings(n_leaves: int, planted: int,
     return leaf_keys, root_colors
 
 
-def _colorings(forests: list[Forest], n_leaves: int, planted: int,
-               marks: tuple[int, ...]) -> list[ColoredForest]:
-    """Each forest (all with ``n_leaves`` leaves) with each coloring of
-    _slice_colorings, forest-major.  Each tree's leaf paths are found once
-    per call, however many forests share the tree.  The structures are
-    built unchecked, as by _built, through map and zip: no Python frame
-    runs per structure."""
+def _colorings(forests: list[Forest], planted: int, marks: tuple[int, ...],
+               leaf_keys: list[list[int]], root_colors: list[tuple]) -> list[ColoredForest]:
+    """Each forest with each coloring of ``marks``, forest-major, given the
+    leaf keys and root colors that _slice_colorings finds for the forests'
+    leaf count.  Each tree's leaf paths are found once per call, however
+    many forests share the tree.  The structures are built unchecked, as by
+    _built, through map and zip: no Python frame runs per structure."""
     if not any(marks):  # the uncolored slice needs no slots: walk no forest
         return list(map(tuple.__new__, repeat(ColoredForest),
                         zip(forests, repeat(planted), repeat(()), repeat(()))))
-    leaf_keys, root_colors = _slice_colorings(n_leaves, planted, marks)
     if not leaf_keys:  # more marks than slots: walk no forest
         return []
     t = len(marks)
@@ -349,26 +342,17 @@ def _colorings(forests: list[Forest], n_leaves: int, planted: int,
     return out
 
 
-def enumerate_colored(
-    beta: int, n_internal: int, n_colored: int, gamma: int, alpha: int,
-    *, size: Optional[Rat] = None,
-) -> list[ColoredForest]:
+def enumerate_colored(beta: int, n_internal: int, n_colored: int, gamma: int,
+                      alpha: int) -> list[ColoredForest]:
     """All (alpha-gamma)-planted beta-ary gamma-component forests with
     ``n_internal`` internal vertices and ``n_colored`` colored objects
     (single color), in deterministic order: the one-class case of
-    enumerate_colored_vector, with the forests drawn from generate_forests.
-
-    ``size`` is a trusted hand-off for colored_census, which takes each
-    slice's size from census_sizes and checks the whole census against the
-    budget first.  It replaces the slice's budget estimate unchecked, so
-    any other value weakens the budget check.  Other callers leave it out."""
+    enumerate_colored_vector, and one slice of colored_census."""
     check_alpha_gamma(alpha, gamma)
     check_nat(n_internal, "n_internal")
     check_nat(n_colored, "n_colored")
     profile = VecProfile((n_internal,), (check_arity(beta),))
-    check_budget(_colored_count(profile, (n_colored,), gamma, alpha) if size is None else size)
-    return _colorings(generate_forests(beta, n_internal, gamma), profile.leaf_count(gamma),
-                      alpha - gamma, (n_colored,))
+    return enumerate_colored_vector(profile, (n_colored,), gamma, alpha)
 
 
 def enumerate_colored_vector(
@@ -382,9 +366,10 @@ def enumerate_colored_vector(
         raise ValueError("marks must give one count per outdegree class")
     for m in marks:
         check_nat(m, "marks[j]")
-    check_budget(_colored_count(profile, marks, gamma, alpha))
-    return _colorings(generate_mixed_forests(profile, gamma), profile.leaf_count(gamma),
-                      alpha - gamma, marks)
+    planted, n_leaves = alpha - gamma, profile.leaf_count(gamma)
+    check_budget(catalan_vector(profile, gamma) * multinomial(n_leaves + planted, marks))
+    return _colorings(generate_mixed_forests(profile, gamma), planted, marks,
+                      *_slice_colorings(n_leaves, planted, marks))
 
 
 # ---------------------------------------------------------------------------
@@ -432,27 +417,39 @@ def _census_slices(profile: VecProfile, gamma: int,
     return sizes
 
 
-def _scalar_census(beta: int, n: int, gamma: int, alpha: int) -> Iterator[list[ColoredForest]]:
-    """The slices of colored_census, each built when it is asked for."""
+def _census(profile: VecProfile, gamma: int, alpha: int) -> Iterator[tuple]:
+    """The colored census of ``profile``, one slice at a time in census_sizes
+    order, each built when it is asked for: its marks, its structures (as
+    enumerate_colored_vector lists them) and the (leaf keys, root colors)
+    of _slice_colorings they were built from.  The whole census is checked
+    against the structure budget before the first slice."""
+    planted = alpha - gamma
+    for residual, marks, _ in _census_slices(profile, gamma, alpha):
+        forests = generate_mixed_forests(residual, gamma)
+        colorings = _slice_colorings(residual.leaf_count(gamma), planted, marks)
+        yield marks, _colorings(forests, planted, marks, *colorings), colorings
+
+
+def _scalar_profile(beta: int, n: int, gamma: int, alpha: int) -> VecProfile:
+    """The one-class profile ((n,), (beta,)) of a scalar census, once its
+    arguments are checked: alpha and gamma, then n, then beta."""
     check_alpha_gamma(alpha, gamma)
     check_nat(n)
-    slices = _census_slices(VecProfile((n,), (check_arity(beta),)), gamma, alpha)
-    return (enumerate_colored(beta, residual.n[0], i, gamma, alpha, size=size)
-            for residual, (i,), size in slices)
+    return VecProfile((n,), (check_arity(beta),))
 
 
 def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[ColoredForest]]:
     """All colored structures with n_internal + colored = n, as one slice
-    per number of colored objects i = 0..n, each in enumerate_colored order."""
-    return list(_scalar_census(beta, n, gamma, alpha))
+    per number of colored objects i = 0..n, each in enumerate_colored order:
+    the one-class vector census, built."""
+    profile = _scalar_profile(beta, n, gamma, alpha)
+    return [structures for _, structures, _ in _census(profile, gamma, alpha)]
 
 
 def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:
     """Sum of weights over colored_census(beta, n, gamma, alpha), as the
     one-class signed_sum_vector counts it.  Equals (-1)**n * binom(alpha-gamma, n)."""
-    check_alpha_gamma(alpha, gamma)
-    check_nat(n)
-    return signed_sum_vector(VecProfile((n,), (check_arity(beta),)), gamma, alpha)
+    return signed_sum_vector(_scalar_profile(beta, n, gamma, alpha), gamma, alpha)
 
 
 def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
@@ -476,14 +473,14 @@ def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str
     its ``--dump-pairs`` lines in census order, as encode_colored writes the
     structures: "pair c <-> involute(c, [beta])" for each first-class c,
     "exceptional c" for each exceptional one.  One slice is held at a time,
-    and its structures are walked in step with _slice_colorings."""
+    and its structures are walked in step with the colorings that the
+    census built them from."""
+    profile = _scalar_profile(beta, n, gamma, alpha)
     grown = "(" + "o" * beta + ")"
     total = 0
     lines: list[str] = []
-    for i, structures in enumerate(_scalar_census(beta, n, gamma, alpha)):
+    for (i,), structures, (leaf_keys, root_colors) in _census(profile, gamma, alpha):
         total += (-1) ** i * len(structures)
-        leaf_count = VecProfile((n - i,), (beta,)).leaf_count(gamma)
-        leaf_keys, root_colors = _slice_colorings(leaf_count, alpha - gamma, (i,))
         colorings = list(zip(leaf_keys, [_planted_text(alpha - gamma, roots, 1)
                                          for roots in root_colors]))
         forest = None

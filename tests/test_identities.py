@@ -27,8 +27,6 @@ from catalania.identities import (
     closed_form_reduction_check,
     eq2_lhs,
     eq2_rhs,
-    eq3_lhs,
-    eq3_rhs,
     eq10_lhs,
     expand_interval,
     gould_backward,
@@ -92,6 +90,23 @@ class TestEq2:
         assert eq2_lhs(1, 2, 1, n, catalan=corrupted) != eq2_rhs(1, 1, n)
 
 
+def eq3_sides(p, n_vec, gamma, alpha):
+    """Eq3's two sides at one point, as the integer kernel of verify_eq3 gives
+    them, each divided by its scale."""
+    n_vec, alpha = tuple(n_vec), F(alpha)
+    lhs, rhs, scale = identities._eq3_sides(identities._eq3_terms(tuple(p), n_vec, gamma), n_vec,
+                                            gamma, alpha.numerator, alpha.denominator)
+    return F(lhs, scale), F(rhs, scale)
+
+
+def fraction_sides(p, n_vec, gamma, alpha):
+    """Eq3's two sides at one point in Fractions: the census_sizes slice sizes
+    signed by (-1)**sum(marks), and (-1)**sum(n) * multinomial(alpha - gamma, n)."""
+    sizes = census_sizes(VecProfile(n_vec, p), gamma, alpha)
+    lhs = sum(-size if sum(marks) % 2 else size for _, marks, size in sizes)
+    return lhs, (-1) ** sum(n_vec) * multinomial(alpha - gamma, n_vec)
+
+
 class TestEq3:
     def test_scalar_specialization_matches_eq2(self):
         for beta in (2, 3):
@@ -102,8 +117,8 @@ class TestEq3:
                     assert vector.status == scalar.status == "pass"
 
     def test_point_values(self):
-        assert eq3_lhs((2, 3), (1, 1), 1, 1) == 0 == eq3_rhs((1, 1), 1, 1)
-        assert eq3_lhs((2, 3), (1, 1), 1, 4) == 6 == eq3_rhs((1, 1), 1, 4)
+        assert eq3_sides((2, 3), (1, 1), 1, 1) == (0, 0)
+        assert eq3_sides((2, 3), (1, 1), 1, 4) == (6, 6)
 
     def test_rational_alpha_grid(self):
         for alpha in (F(-1, 2), F(1, 2), F(5, 2)):
@@ -115,7 +130,9 @@ class TestEq3:
     def test_census_sizes_sum_at_gamma_zero_and_rational_alpha(self):
         for gamma, alpha in ((0, F(7, 3)), (0, 1), (2, F(-1, 2))):
             for n_vec in ((0, 0), (1, 0), (2, 1), (1, 3)):
-                assert eq3_lhs((1, 3), n_vec, gamma, alpha) == eq3_rhs(n_vec, gamma, alpha)
+                lhs, rhs = eq3_sides((1, 3), n_vec, gamma, alpha)
+                assert (lhs, rhs) == fraction_sides((1, 3), n_vec, gamma, alpha)
+                assert lhs == rhs
 
     @given(p=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3, unique=True),
            data=st.data(), gamma=st.integers(min_value=0, max_value=2),
@@ -125,11 +142,8 @@ class TestEq3:
         p = tuple(sorted(p))
         total = data.draw(st.integers(min_value=0, max_value=3), label="total")
         for n_vec in (n for k in range(total + 1) for n in compositions(k, len(p))):
-            sizes = census_sizes(VecProfile(n_vec, p), gamma, alpha)
-            lhs = sum(-size if sum(marks) % 2 else size for _, marks, size in sizes)
-            rhs = (-1) ** sum(n_vec) * multinomial(alpha - gamma, n_vec)
-            assert eq3_lhs(p, n_vec, gamma, alpha) == lhs
-            assert eq3_rhs(n_vec, gamma, alpha) == rhs
+            lhs, rhs = fraction_sides(p, n_vec, gamma, alpha)
+            assert eq3_sides(p, n_vec, gamma, alpha) == (lhs, rhs)
             assert lhs == rhs
         assert verify_eq3(p, gamma, alpha, total).ok
 

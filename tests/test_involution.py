@@ -251,10 +251,11 @@ class TestSignedSums:
         ((True, 1, 1, 1), "beta must be an integer >= 1, got True"),
     ])
     def test_scalar_arguments_are_checked_in_order(self, args, message):
-        # alpha and gamma first, then n, then beta.
-        with pytest.raises(ValueError) as err:
-            signed_sum(*args)
-        assert str(err.value) == message
+        # alpha and gamma first, then n, then beta, by every scalar census.
+        for census in (signed_sum, colored_census, pair_lines):
+            with pytest.raises(ValueError) as err:
+                census(*args)
+            assert str(err.value) == message
 
 
 class TestCensusBudget:
@@ -265,8 +266,8 @@ class TestCensusBudget:
         def refuse(*args):
             raise AssertionError("enumerated a slice before the census budget check")
 
-        monkeypatch.setattr(involution, "enumerate_colored", refuse)
-        monkeypatch.setattr(involution, "enumerate_colored_vector", refuse)
+        for builder in ("enumerate_colored", "enumerate_colored_vector", "_colorings"):
+            monkeypatch.setattr(involution, builder, refuse)
 
     def test_scalar_census_sums_its_slices(self, monkeypatch):
         # Slices of sizes 2, 3 and 1: each fits a budget of 4, the census does not.
@@ -328,22 +329,30 @@ class TestCensusWork:
         signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2)
         assert [len(record) for record in calls.values()] == [4, 4]
 
-    def test_census_hands_each_slice_its_own_size(self, monkeypatch):
-        # size= replaces the budget estimate unchecked, so it must be exact.
-        handed = []
-        scalar = involution.enumerate_colored
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.integers(1, 3), n=st.integers(0, 4), gamma=st.integers(1, 2),
+           extra=st.integers(0, 2))
+    def test_scalar_census_is_the_one_class_vector_census(self, beta, n, gamma, extra):
+        alpha = gamma + extra
+        census = colored_census(beta, n, gamma, alpha)
+        slices = census_sizes(VecProfile((n,), (beta,)), gamma, alpha)
+        assert census == [enumerate_colored_vector(residual, marks, gamma, alpha)
+                          for residual, marks, _ in slices]
+        for i, structures in enumerate(census):
+            assert enumerate_colored(beta, n - i, i, gamma, alpha) == structures
+        assert pair_lines(beta, n, gamma, alpha)[0] == signed_sum(beta, n, gamma, alpha)
 
-        def scalar_slice(beta, n_internal, n_colored, gamma, alpha, *, size):
-            out = scalar(beta, n_internal, n_colored, gamma, alpha, size=size)
-            profile = VecProfile((n_internal,), (beta,))
-            handed.append((size, involution._colored_count(profile, (n_colored,), gamma, alpha),
-                           len(out)))
-            return out
+    def test_the_dump_finds_each_slices_colorings_once(self, monkeypatch):
+        calls = []
+        original = involution._slice_colorings
 
-        monkeypatch.setattr(involution, "enumerate_colored", scalar_slice)
-        colored_census(3, 4, 2, 3)
-        assert len(handed) == 5
-        assert all(size == count == n for size, count, n in handed)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(involution, "_slice_colorings", counted)
+        pair_lines(3, 5, 3, 5)
+        assert calls == [(VecProfile((5 - i,), (3,)).leaf_count(3), 2, (i,)) for i in range(6)]
 
     @pytest.mark.parametrize("name,run", [
         ("enumerate_colored", lambda: [signed_sum(2, 5, 2, 3)] == [0]),

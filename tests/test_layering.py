@@ -121,19 +121,24 @@ def _unreferenced(sources: dict[str, str], readme: str) -> list[str]:
     """The top-level public functions and classes of the layer modules in ``sources``
     (module name -> text) that no code of any module reads outside their own
     definition, and that ``readme`` does not name in backticks.  Strings, docstrings
-    and imports are not reads."""
+    and imports are not reads.  Each module is walked once: every name it reads is
+    kept with the module and the top-level definition the read sits in."""
     trees = {name: ast.parse(text, name) for name, text in sources.items()}
     named = set(_NAMED.findall(readme))
+    readers: dict[str, set] = {}  # name read -> {(module, enclosing top-level definition)}
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for ref in ast.walk(top):
+                if isinstance(ref, (ast.Name, ast.Attribute)) and isinstance(ref.ctx, ast.Load):
+                    name = ref.id if isinstance(ref, ast.Name) else ref.attr
+                    readers.setdefault(name, set()).add((module, owner))
     found = []
     for layer in filter(trees.__contains__, LAYERS):
         for node in trees[layer].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            own = set(map(id, ast.walk(node)))
-            read = any(id(ref) not in own and isinstance(ref.ctx, ast.Load)
-                       and (ref.id if isinstance(ref, ast.Name) else ref.attr) == node.name
-                       for tree in trees.values() for ref in ast.walk(tree)
-                       if isinstance(ref, (ast.Name, ast.Attribute)))
+            read = readers.get(node.name, set()) - {(layer, node.name)}
             if not read and node.name not in named:
                 found.append(f"{layer}.{node.name}")
     return found
