@@ -13,9 +13,8 @@ forests (``iter_forests``) are its one-class case.  It yields in a fixed
 canonical order (child-count splits in lexicographic order, subtrees left
 to right), so its output is stable golden-test material; the
 ``generate_*`` functions are lists of the same sequence, and
-``count_forests`` counts the same stream of child tuples without wrapping
-a single ``Forest``, or a ``Tree`` for any tree it regenerates.  Each of
-them checks its arguments and counts its output in closed form when it is
+``count_mixed_forests`` (``count_forests``) counts it.  Each of them
+checks its arguments and counts its output in closed form when it is
 called, and refuses, with that estimate, to produce more than the
 CATALANIA_MAX_STRUCTS budget (default 5,000,000).  Past that check the
 stream is pure ``itertools`` composition: the generated trees are valid by
@@ -24,10 +23,13 @@ construction and are never checked again.
 Subtrees are drawn from pools, one per vector of internal-vertex counts.
 A pool of at most POOL_CACHE_MAX trees is built once and kept, of
 ``Tree``s; a larger one is regenerated on each use, so memory stays
-bounded by the cap rather than by the output.  Pools are built bottom-up,
-and the walks over a tree (``leaf_paths``, ``replace_at``, ``encode_tree``,
-the leaf count and ``Tree`` equality and hashing) and ``decode`` use
-explicit stacks, so no depth of tree reaches the recursion limit;
+bounded by the cap rather than by the output.  A count regenerates none:
+it splits a larger pool into pieces, tuples of held pools whose products
+are its trees spelled out in held trees.  Pools and pieces are built
+bottom-up, and the walks over a tree (``leaf_paths``, ``replace_at``,
+``encode_tree``, the leaf count and ``Tree`` equality and hashing) and
+``decode`` use explicit stacks, so no depth of tree reaches the recursion
+limit;
 ``leaf_paths`` keeps one index list and builds a path only at a leaf, so it
 is linear in depth too.
 
@@ -47,7 +49,6 @@ leaf and every level, so the pairing reads a forest's shape off its text.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import operator
 import os
@@ -359,10 +360,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 POOL_CACHE_MAX = 10_000
 
 _Split = tuple[tuple[int, ...], ...]
-# One split's subtree pools: a held pool is its tuple of trees, a pool over
-# the cap is None and is regenerated from its counts in the split.
-_Pools = tuple[Optional[tuple[Tree, ...]], ...]
-_Plan = tuple[tuple[_Split, _Pools], ...]
 
 
 _pools: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple[Tree, ...]]] = {}
@@ -379,81 +376,73 @@ def _pool(counts: tuple[int, ...], p: tuple[int, ...]) -> Optional[tuple[Tree, .
         for sub in itertools.product(*(range(c + 1) for c in counts)):
             if (sub, p) not in _pools:
                 held = catalan_vector(VecProfile(sub, p), 1) <= POOL_CACHE_MAX
-                _pools[sub, p] = tuple(_trees(_tree_plan(sub, p), p, Tree)) if held else None
+                _pools[sub, p] = tuple(_trees(_tree_plan(sub, p), p)) if held else None
                 if _texted:
                     _add_texts([_pools[sub, p]])
     return _pools[key]
 
 
-def _tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> _Plan:
-    """Each child split of a root, by root class, in canonical order, with
-    its pools.  A tree without internal vertices is a leaf, the one tree of
-    no children."""
+def _tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> tuple[_Split, ...]:
+    """Each child split of a root, by root class, in canonical order.  A tree
+    without internal vertices is a leaf, the one tree of no children."""
     if not any(counts):
-        return (((), ()),)
-    plan = []
-    for j, pj in enumerate(p):
-        if counts[j] == 0:
-            continue
-        remaining = tuple(c - 1 if i == j else c for i, c in enumerate(counts))
-        for split in _vector_compositions(remaining, pj):
-            plan.append((split, tuple(map(_pool, split, itertools.repeat(p)))))
-    return tuple(plan)
+        return ((),)
+    return tuple(split for j, pj in enumerate(p) if counts[j] for split in _vector_compositions(
+        tuple(c - (i == j) for i, c in enumerate(counts)), pj))
 
 
 # A pool over the cap is regenerated on each use, from a plan made once.
 _large_plan = lru_cache(maxsize=None)(_tree_plan)
 
 
-def _trees(plan: _Plan, p: tuple[int, ...], wrap: Optional[type]) -> Iterator[tuple]:
-    """The trees of ``plan``, in canonical order: each the tuple of its
-    children, wrapped in ``wrap`` (Tree), or left a plain tuple when wrap is
-    None, for a caller that only counts them."""
-    return itertools.chain.from_iterable(
-        _product(split, pools, p, wrap) if wrap is None
-        else map(wrap, _product(split, pools, p, wrap)) for split, pools in plan)
+def _trees(plan: tuple[_Split, ...], p: tuple[int, ...]) -> Iterator[Tree]:
+    """The trees of ``plan``, in canonical order."""
+    return itertools.chain.from_iterable(map(Tree, _product(split, p)) for split in plan)
 
 
-def _product(split: _Split, pools: _Pools, p: tuple[int, ...],
-             wrap: Optional[type]) -> Iterator[tuple]:
-    """itertools.product over the pools of ``split``, in the same order; a
-    pool over the cap is regenerated through _trees with ``wrap``."""
-    return (_nested_product(split, pools, p, wrap) if None in pools
-            else itertools.product(*pools))
-
-
-def _nested_product(split: _Split, pools: _Pools, p: tuple[int, ...],
-                    wrap: Optional[type]) -> Iterator[tuple]:
-    # itertools.product holds all its arguments, so the first pool over the
-    # cap is walked in a nested loop, and what follows it is regenerated for
-    # each prefix.
+def _product(split: _Split, p: tuple[int, ...]) -> Iterator[tuple]:
+    """itertools.product over the pools of ``split``, in the same order.
+    As itertools.product holds all its arguments, the first pool over the
+    cap (None) is regenerated through _trees in a nested loop, and what
+    follows it for each prefix."""
+    pools = tuple(map(_pool, split, itertools.repeat(p)))
+    if None not in pools:
+        return itertools.product(*pools)
     i = pools.index(None)
     heads = itertools.product(*pools[:i])
     large = _large_plan(split[i], p)
-    tail_split, tail_pools = split[i + 1:], pools[i + 1:]
-    if all(pool is not None and len(pool) == 1 for pool in tail_pools):
+    if all(pool is not None and len(pool) == 1 for pool in pools[i + 1:]):
         # A tail of one-tree pools (leaves, say) is the same for every item.
-        tail = [itertools.repeat(pool[0]) for pool in tail_pools]
+        tail = [itertools.repeat(pool[0]) for pool in pools[i + 1:]]
         return itertools.chain.from_iterable(
-            zip(*map(itertools.repeat, head), _trees(large, p, wrap), *tail) for head in heads)
+            zip(*map(itertools.repeat, head), _trees(large, p), *tail) for head in heads)
+    return itertools.chain.from_iterable(map((*head, tree).__add__, _product(split[i + 1:], p))
+                                         for head in heads for tree in _trees(large, p))
+
+
+def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[tuple]:
+    """The trees of each forest, in canonical order."""
     return itertools.chain.from_iterable(
-        map((*head, tree).__add__, _product(tail_split, tail_pools, p, wrap))
-        for head in heads for tree in _trees(large, p, wrap))
+        _product(split, p) for split in _vector_compositions(counts, gamma))
 
 
-def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int,
-             wrap: Optional[type]) -> Iterator[tuple]:
-    """The trees of each forest, in canonical order; ``wrap`` as for _trees."""
-    return itertools.chain.from_iterable(
-        _product(split, tuple(map(_pool, split, itertools.repeat(p))), p, wrap)
-        for split in _vector_compositions(counts, gamma))
+def _pieces(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[tuple]:
+    """The forests of _forests as pieces: tuples of held pools whose
+    products, piece after piece, are those forests with each tree of a pool
+    over the cap spelled out in held pools' trees.  A held pool is its own
+    one piece; a larger pool, and the forest, joins one piece of each part
+    of each of its splits.  Built bottom-up, as _pool builds pools."""
+    pieces: dict = {}
 
+    def joined(splits: Iterable[_Split]) -> Iterator[tuple]:
+        return map(sum, itertools.chain.from_iterable(itertools.product(
+            *map(pieces.__getitem__, split)) for split in splits), itertools.repeat(()))
 
-def _checked_forests(profile: VecProfile, gamma: int, wrap: Optional[type]) -> Iterator[tuple]:
-    """_forests, once gamma and the budget are checked."""
-    check_nat(gamma, "gamma")
-    check_budget(catalan_vector(profile, gamma))
-    return _forests(profile.n, profile.p, gamma, wrap)
+    _pool(counts, p)  # builds every pool up to counts, so each _pool below is a lookup
+    for sub in itertools.product(*(range(c + 1) for c in counts)):
+        pool = _pool(sub, p)
+        pieces[sub] = ((pool,),) if pool is not None else tuple(joined(_large_plan(sub, p)))
+    return joined(_vector_compositions(counts, gamma))
 
 
 def _beta_profile(beta: int, n: int) -> VecProfile:
@@ -468,7 +457,21 @@ def iter_mixed_forests(profile: VecProfile, gamma: int) -> Iterator[Forest]:
     vertices of outdegree profile.p[j] and every other vertex a leaf, in
     canonical order.  Arguments and budget are checked on the call, before
     the first forest."""
-    return map(Forest, _checked_forests(profile, gamma, Tree))
+    check_nat(gamma, "gamma")
+    check_budget(catalan_vector(profile, gamma))
+    return map(Forest, _forests(profile.n, profile.p, gamma))
+
+
+def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
+    """The number of forests iter_mixed_forests(profile, gamma) yields, with
+    the same checks first, counted as the items of itertools.product over
+    the pieces of _pieces, one per forest."""
+    check_nat(gamma, "gamma")
+    check_budget(catalan_vector(profile, gamma))
+    # No Python frame runs per forest, and product reuses its item tuple.  The
+    # pool (1,) in front makes every item true for compress, the empty one too.
+    return sum(sum(itertools.compress(itertools.repeat(1), itertools.product((1,), *piece)))
+               for piece in _pieces(profile.n, profile.p, gamma))
 
 
 def iter_forests(beta: int, n: int, gamma: int) -> Iterator[Forest]:
@@ -480,14 +483,8 @@ def iter_forests(beta: int, n: int, gamma: int) -> Iterator[Forest]:
 
 def count_forests(beta: int, n: int, gamma: int) -> int:
     """The number of forests iter_forests(beta, n, gamma) yields, counted by
-    enumerating them.  Arguments and budget are checked as iter_forests
-    checks them, before any work.  The count streams each forest's tuple of
-    trees, one item per forest, and wraps no Forest; a pool over the cap is
-    regenerated as plain child tuples, so it wraps no Tree either."""
-    # Consumed inside itertools and deque: no Python frame runs per forest.
-    counter = itertools.count()
-    collections.deque(zip(_checked_forests(_beta_profile(beta, n), gamma, None), counter), maxlen=0)
-    return next(counter)
+    count_mixed_forests."""
+    return count_mixed_forests(_beta_profile(beta, n), gamma)
 
 
 def generate_mixed_forests(profile: VecProfile, gamma: int) -> list[Forest]:

@@ -183,6 +183,10 @@ def gould_backward(seq_b: Sequence[RatLike], pair: GouldPair) -> list[Rat]:
 class _Run:
     """What the sections of one run_suite call share, dropped with it.
 
+    ``catalan`` is the run's counting oracle.  Every section that reads the
+    Catalan counts reads this one, their generating functions included;
+    only Eq4, whose two sums read the same values, reads catalan_gen.
+
     ``eq2_passed`` holds the points (alpha, beta, gamma, n_max) where
     verify_eq2 passed with the true catalan_gen.  That pass compared the
     reversed-index sum with the direct sum on the same values for every
@@ -196,11 +200,11 @@ class _Run:
     per alpha - gamma, each the longest sequence asked for so far, whose
     prefixes serve the shorter requests; the forward and backward Gould rows
     per (a, m, z, length); the series of Eq2's array routes, Eq7 and Eq8
-    (generating functions, x(1-x)**(beta-1) and (1-x)**a); the pieces of the
-    family route, see _family_pieces; and Eq3's census terms per
-    (p, n_vec, gamma), which every alpha of its grid reads, and its forest
-    counts per (p, residual, gamma), which the terms of every larger n_vec
-    read.  An entry is built on its first use by the builder this module
+    (generating functions per oracle, x(1-x)**(beta-1) and (1-x)**a); the
+    pieces of the family route, see _family_pieces; and Eq3's census terms
+    per (p, n_vec, gamma), which every alpha of its grid reads, and its
+    forest counts per (p, residual, gamma), which the terms of every larger
+    n_vec read.  An entry is built on its first use by the builder this module
     names at that moment, so a run sees a builder replaced before it
     started, and is immutable (tuples, Fractions, Series, RiordanArray).
     Nothing outlives the run: a table kept across runs would hand a later
@@ -271,22 +275,25 @@ def _family(alpha: RatLike, beta: RatLike, order: int) -> RiordanArray:
     return RiordanArray(_binpow(alpha, order), _f(beta, order))
 
 
-def _gf(beta: RatLike, gamma: RatLike, order: int) -> Series:
-    return _shared(("gf", beta, gamma, order), lambda: catalan_gf(beta, gamma, order))
+def _gf(beta: RatLike, gamma: RatLike, order: int, catalan: CatalanFn) -> Series:
+    return _shared(("gf", catalan, beta, gamma, order),
+                   lambda: catalan_gf(beta, gamma, order, catalan))
 
 
 def _binpow(a: RatLike, order: int) -> Series:
     return _shared(("binpow", a, order), lambda: series_binpow(a, order))
 
 
-def _family_pieces(alpha: RatLike, beta: RatLike, gamma: RatLike, order: int) -> tuple[tuple, tuple]:
+def _family_pieces(alpha: RatLike, beta: RatLike, gamma: RatLike, order: int,
+                   catalan: CatalanFn) -> tuple[tuple, tuple]:
     """The arguments of summation_check and derivative_form_check at one point of
     Eq2's family route, each piece from the table of the parameters it depends on:
-    the columns per (alpha, beta), a(f) per (beta, gamma), the powers (x/f)**n per
-    beta and l/g per (alpha, gamma)."""
-    r, a, l = _family(alpha, beta, order), _gf(beta, gamma, order), _binpow(alpha - gamma, order)
+    the columns per (alpha, beta), a(f) per (catalan, beta, gamma), the powers
+    (x/f)**n per beta and l/g per (alpha, gamma)."""
+    r, a = _family(alpha, beta, order), _gf(beta, gamma, order, catalan)
+    l = _binpow(alpha - gamma, order)
     columns = _shared(("columns", alpha, beta, order), lambda: riordan_columns(r, order))
-    composed = _shared(("a(f)", beta, gamma, order), lambda: series_compose(a, r.f))
+    composed = _shared(("a(f)", catalan, beta, gamma, order), lambda: series_compose(a, r.f))
     powers = _shared(("powers", beta, order), lambda: inverse_powers(r.f, order))
     quotient = _shared(("l/g", alpha, gamma, order), lambda: series_div_unit(l, r.g))
     return (columns, composed, a, l), (powers, quotient, a)
@@ -357,13 +364,14 @@ def eq10_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int) -> Rat:
     return Fraction(scaled, denom)
 
 
-def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
-    """Check the expansion against catalan_gen for 1 <= n <= n_max, skipping
+def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
+                catalan: CatalanFn = catalan_gen) -> IdentityReport:
+    """Check the expansion against ``catalan`` for 1 <= n <= n_max, skipping
     (and listing) rows where its denominator vanishes.  Rows are compared
     times their denominators, so integral points compare integers."""
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, 1<=n<={n_max}"
-    cats = _catalans(beta, gamma, n_max, catalan_gen)  # checks n_max
+    cats = _catalans(beta, gamma, n_max, catalan)  # checks n_max
     skipped: list[str] = []
     for n, (scaled, denom) in enumerate(_eq10_row_sums(alpha, beta, gamma, n_max)):
         if n and denom == 0:
@@ -374,10 +382,11 @@ def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Id
     return _report("Eq10", grid, None, skipped)
 
 
-def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
+def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int,
+                                catalan: CatalanFn = catalan_gen) -> IdentityReport:
     """Verify every link of the alpha = 0 reduction chain separately:
     (i) splitting the k/n weight into 1 - (n-k)/n, (ii) the two Vandermonde
-    evaluations, (iii) recombination to catalan_gen."""
+    evaluations, (iii) recombination to ``catalan``."""
     check_nat(n_max, "n_max")
     beta, gamma = Fraction(beta), Fraction(gamma)
     grid = f"beta={rat_str(beta)}, gamma={rat_str(gamma)}, 1<=n<={n_max}"
@@ -402,7 +411,7 @@ def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int) -> Id
             return fail(n, f"{a1},{Fraction(a2_n, n)}", f"{v1},{v2}",
                         "link (ii): Vandermonde evaluations")
         recombined = v1 + sign * (b - 1) * choose(m_top - 1 - g, n - 1)
-        closed = catalan_gen(n, beta, gamma)
+        closed = catalan(n, beta, gamma)
         if recombined != closed:
             return fail(n, recombined, closed, "link (iii): recombination")
     return _report("ClosedForm", grid, None)
@@ -632,7 +641,7 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
             yield rep.counterexample
         for alpha, beta, gamma in cross_points:
             sums = row_sums(_family(alpha, beta, max(cross_order, 1)),
-                            _gf(beta, gamma, max(cross_order, 1)), cross_order)
+                            _gf(beta, gamma, max(cross_order, 1), run.catalan), cross_order)
             for n, (direct, _) in enumerate(_eq2_row_sums(alpha, beta, gamma, cross_order, run.catalan)):
                 census = signed_sum(beta, n, gamma, alpha)
                 params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
@@ -642,7 +651,7 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
                 elif sums[n] != direct:
                     yield Counterexample.at(params, sums[n], direct, "array row sum vs direct sum")
         for (alpha_s, beta_s, gamma_s), (alpha, beta, gamma) in family_points:
-            plain, modified = _family_pieces(alpha, beta, gamma, family_order)
+            plain, modified = _family_pieces(alpha, beta, gamma, family_order, run.catalan)
             params = {"alpha": alpha_s, "beta": beta_s, "gamma": gamma_s, "order": family_order}
             if not summation_check(*plain):
                 yield Counterexample.at(params, "row sums", "target coefficients",
@@ -685,8 +694,8 @@ def _suite_eq7(cfg: Mapping, run: _Run) -> _Plan:
     if order < 1:
         raise ValueError("need order >= 1")
     return f"{text}, order {order}", (
-        None if series_compose(_gf(beta, gamma, order), _f(beta, order)) == _binpow(-gamma, order)
-        else Counterexample.at(
+        None if series_compose(_gf(beta, gamma, order, run.catalan), _f(beta, order))
+        == _binpow(-gamma, order) else Counterexample.at(
             {"beta": rat_str(beta), "gamma": rat_str(gamma), "order": order},
             "gf composed with x(1-x)^(beta-1)", "(1-x)^(-gamma)")
         for beta, gamma in itertools.product(*axes)), ()
@@ -698,8 +707,9 @@ def _suite_eq8(cfg: Mapping, run: _Run) -> _Plan:
     pairs = [(as_rat(a1), as_rat(a2)) for a1, a2 in cfg["alpha_pairs"]]
     grid = f"{text}, alpha pairs {[[rat_str(a), rat_str(b)] for a, b in pairs]}, order {order}"
     return grid, (
-        None if series_mul(_gf(beta, alpha1, order), _gf(beta, alpha2, order))
-        == _gf(beta, alpha1 + alpha2, order) else Counterexample.at(
+        None if series_mul(_gf(beta, alpha1, order, run.catalan),
+                           _gf(beta, alpha2, order, run.catalan))
+        == _gf(beta, alpha1 + alpha2, order, run.catalan) else Counterexample.at(
             {"beta": rat_str(beta), "alpha1": rat_str(alpha1), "alpha2": rat_str(alpha2),
              "order": order},
             "gf(alpha1) * gf(alpha2)", "gf(alpha1 + alpha2)")
@@ -788,7 +798,7 @@ def _suite_eq10(cfg: Mapping, run: _Run) -> _Plan:
     skipped: list[str] = []
 
     def check(point: tuple[Rat, ...]) -> Optional[Counterexample]:
-        rep = verify_eq10(*point, n_max)
+        rep = verify_eq10(*point, n_max, run.catalan)
         skipped.extend(f"{_point(*point)[1]}, {item}" for item in rep.skipped)
         return rep.counterexample
 
@@ -799,7 +809,7 @@ def _suite_closed_form(cfg: Mapping, run: _Run) -> _Plan:
     axes, text = _grid(cfg, "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
     return f"{text}, n<={n_max}", (
-        closed_form_reduction_check(beta, gamma, n_max).counterexample
+        closed_form_reduction_check(beta, gamma, n_max, run.catalan).counterexample
         for beta, gamma in itertools.product(*axes)), ()
 
 

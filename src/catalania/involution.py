@@ -77,9 +77,9 @@ from .forest import (
     VertexAddr,
     check_arity,
     check_budget,
+    count_mixed_forests,
     encode_tree,
     generate_mixed_forests,
-    iter_mixed_forests,
     layout,
     leaf_paths,
     replace_at,
@@ -455,17 +455,30 @@ def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:
 def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
     """Sum of weights over all t-colored planted mixed forests with
     class-wise internal + colored counts equal to profile.n, counted, not
-    built: the slice with ``marks`` adds (-1)**sum(marks) times its forests
-    times the colorings of their slots, as iter_mixed_forests and
-    _color_assignments yield them.  Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
+    built: the slice with ``marks`` adds (-1)**sum(marks) times its forests,
+    as count_mixed_forests counts them, times the colorings of their slots.
+    Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
     check_alpha_gamma(alpha, gamma)
     total = 0
     for residual, marks, _ in _census_slices(profile, gamma, alpha):
-        slots = tuple(range(residual.leaf_count(gamma) + alpha - gamma))
-        colorings = sum(1 for _ in _color_assignments(slots, marks))
-        forests = sum(1 for _ in iter_mixed_forests(residual, gamma))
-        total += (-1) ** sum(marks) * forests * colorings
+        colorings = _count_colorings(residual.leaf_count(gamma) + alpha - gamma, marks)
+        total += (-1) ** sum(marks) * count_mixed_forests(residual, gamma) * colorings
     return Fraction(total)
+
+
+def _count_colorings(slots: int, marks: tuple[int, ...]) -> int:
+    """The number of colorings _color_assignments(range(slots), marks)
+    yields, each class's choices counted inside itertools: class j picks
+    marks[j] of the slots that the classes before it leave, whichever those
+    are, so the colorings are the product of the classes' choices.  A class
+    of no marks has the one empty choice, which compress, counting true
+    items, would drop."""
+    out = 1
+    for m in marks:
+        if m:
+            out *= sum(itertools.compress(repeat(1), itertools.combinations(range(slots), m)))
+        slots -= m
+    return out
 
 
 def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str]]:

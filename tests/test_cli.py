@@ -10,6 +10,7 @@ import pytest
 import catalania
 from catalania.cli import main
 from catalania.forest import encode, generate_forests
+from catalania.identities import DEFAULT_CONFIG
 
 
 def run_cli(capsys, *argv):
@@ -430,6 +431,18 @@ class TestVerify:
         parsed = json.loads(out)
         assert parsed[0]["status"] == "fail"
         assert parsed[0]["counterexample"]["params"]["n"] == "2"
+
+    def test_corrupted_oracle_fails_eq7_eq10_and_closed_form(self, capsys, tmp_path):
+        sections = ("eq7", "eq10", "closed_form")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**{key: DEFAULT_CONFIG[key] for key in sections},
+                                    "corrupt_catalan": True}))
+        code, out, _ = run_cli(capsys, "verify", "--config", str(path))
+        assert code == 1
+        parsed = json.loads(out)
+        assert [r["identity_id"] for r in parsed] == ["Eq7", "Eq10", "ClosedForm"]
+        assert all(r["status"] == "fail" and r["counterexample"] for r in parsed)
+        assert [r["counterexample"]["params"].get("n") for r in parsed] == [None, "2", "2"]
 
     def test_missing_config(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--config", "/nonexistent/grid.json")

@@ -1,7 +1,8 @@
 import contextlib
+import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalania import forest
@@ -16,6 +17,7 @@ from catalania.forest import (
     compositions,
     count_forests,
     count_leaves,
+    count_mixed_forests,
     decode,
     encode,
     generate_forests,
@@ -204,10 +206,10 @@ class TestCountForests:
             count_forests(3, 9, 2)
         assert (err.value.estimate, err.value.budget) == (690690, 1000)
 
-    # At caps 0 to 5, (2, 6, 2) and (2, 7, 1) reach both tails of a pool
-    # over the cap in _nested_product: one-tree pools (leaves), and pools of
-    # several trees or over the cap too.  Unary (1, 4, 2) has one-tree pools
-    # only, all over cap 0.
+    # At caps 0 to 5, (2, 6, 2) and (2, 7, 1) have pools over the cap whose
+    # trees hold trees of pools over the cap too, so their pieces join the
+    # pieces of smaller pools; at cap 0 no pool is held and every piece is
+    # empty.  Unary (1, 4, 2) has one-tree pools only, all over cap 0.
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 30])
     @pytest.mark.parametrize("beta,n,gamma", [(2, 6, 2), (3, 4, 3), (1, 4, 2), (2, 7, 1)])
     def test_counts_at_any_cap(self, beta, n, gamma, cap):
@@ -216,31 +218,50 @@ class TestCountForests:
             listed = len(generate_forests(beta, n, gamma))
         assert count == listed == catalan_gen(n, beta, gamma)
 
-    def test_count_wraps_no_regenerated_tree(self, monkeypatch):
-        # What the count consumes: one item per forest, holding held pools'
-        # trees and, for a pool over the cap, plain child tuples, never a
-        # Tree built for the count.
-        consumed = []
-        stream = forest._checked_forests
+    # The empty forest is one item with no trees, with the leaf pool held or
+    # not, and so are the gamma leaves of a forest without internal vertex
+    # when the leaf pool is over the cap.
+    @given(profile=small_profiles, gamma=st.integers(0, 3),
+           cap=st.sampled_from([0, 1, 2, 5, 30]))
+    @example(profile=VecProfile((0,), (2,)), gamma=0, cap=30)
+    @example(profile=VecProfile((0, 0), (1, 3)), gamma=0, cap=0)
+    @example(profile=VecProfile((0,), (2,)), gamma=3, cap=0)
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_count_is_the_stream_length(self, profile, gamma, cap):
+        with pool_cap(cap):
+            count = count_mixed_forests(profile, gamma)
+            listed = len(list(iter_mixed_forests(profile, gamma)))
+        assert count == listed == catalan_vector(profile, gamma)
+
+    def test_deep_count_recurses_nowhere(self):
+        # At cap 0 every pool of the 3,000 unary pools is over the cap.
+        with pool_cap(0):
+            assert count_forests(1, 3000, 1) == 1
+
+    def test_count_walks_only_held_pools(self, monkeypatch):
+        # Once the pools are built, the count builds no tree of a pool over
+        # the cap, as a Tree or as a plain tuple, and every sequence of trees
+        # that it hands to itertools.product is a held pool.
+        def refuse(*args):
+            raise AssertionError("a tree was built for the count")
+
+        walked, product = [], itertools.product
 
         def recorded(*args):
-            items = list(stream(*args))
-            consumed.extend(items)
-            return iter(items)
+            walked.extend(arg for arg in args if arg and isinstance(arg[0], Tree))
+            return product(*args)
 
-        monkeypatch.setattr(forest, "_checked_forests", recorded)
         with pool_cap(5):
-            assert count_forests(2, 6, 2) == len(consumed) == 429
-            held = {id(tree) for pool in forest._pools.values() if pool for tree in pool}
-            assert forest._pool((6,), (2,)) is None
-            built = []
-            stack = [tree for item in consumed for tree in item]
-            while stack:
-                node = stack.pop()
-                if id(node) not in held:
-                    built.append(node)
-                    stack.extend(node)
-        assert built and {type(node) for node in built} == {tuple}
+            count_forests(2, 6, 2)
+            held = [pool for pool in forest._pools.values() if pool]
+            assert forest._pool((6,), (2,)) is None and forest._pool((4,), (2,)) is None
+            for name in ("Tree", "_trees", "_product", "_forests"):
+                monkeypatch.setattr(forest, name, refuse)
+            monkeypatch.setattr(itertools, "product", recorded)
+            count = count_forests(2, 6, 2)
+            monkeypatch.undo()
+        assert count == 429
+        assert walked and all(any(pool is p for p in held) for pool in walked)
 
     @pytest.mark.parametrize("beta,n,gamma", [
         (0, 1, 1), (True, 1, 1), (2, -1, 1), (2, 1, -1), (2, 1, True), (2, 1, "1"),

@@ -569,6 +569,17 @@ class TestSuite:
         assert not reports[0].ok
         assert reports[0].counterexample is not None
 
+    # A run has one oracle: every section that reads the Catalan counts,
+    # through their generating functions too, fails under the hook; Eq3 (the
+    # vector counts), Eq4 (two sums of the same values) and Eq9 read none.
+    @pytest.mark.parametrize("key,ok", [
+        ("eq1", False), ("eq2", False), ("eq3", True), ("eq4", True), ("eq7", False),
+        ("eq8", False), ("eq9", True), ("eq10", False), ("closed_form", False)])
+    def test_corrupt_catalan_reaches_every_section_that_reads_the_counts(self, key, ok):
+        (report,) = run_suite({key: DEFAULT_CONFIG[key], "corrupt_catalan": True})
+        assert report.ok is ok
+        assert (report.counterexample is None) is ok
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             run_suite({"eq99": {}})
@@ -818,8 +829,8 @@ def _bumped(s, index: int = 1):
 
 def _gf_bumped_at(beta, gamma):
     """identities.catalan_gf with coefficient 3 plus 1 at (beta, gamma) only."""
-    def gf(b, g, order):
-        s = catalan_gf(b, g, order)
+    def gf(b, g, order, catalan):
+        s = catalan_gf(b, g, order, catalan)
         return _bumped(s, 3) if (b, g) == (beta, gamma) else s
     return gf
 

@@ -244,6 +244,14 @@ class TestSignedSums:
         built = sum(c.weight() for piece in colored_census(beta, n, gamma, alpha) for c in piece)
         assert signed_sum(beta, n, gamma, alpha) == built
 
+    # A class of no marks has one empty choice; more marks than slots, none.
+    @pytest.mark.parametrize("marks", [(0,), (2,), (4,), (0, 0), (1, 0), (0, 2), (2, 1),
+                                       (3, 3), (1, 1, 1)])
+    def test_colorings_are_counted_as_assigned(self, marks):
+        for slots in range(6):
+            assigned = list(involution._color_assignments(tuple(range(slots)), marks))
+            assert involution._count_colorings(slots, marks) == len(assigned)
+
     @pytest.mark.parametrize("args, message", [
         ((0, -1, 2, 1), "need alpha >= gamma >= 1, got alpha=1, gamma=2"),
         ((0, -1, 1, 1), "n must be a non-negative integer, got -1"),
