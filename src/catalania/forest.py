@@ -24,15 +24,14 @@ Subtrees are drawn from pools, one per vector of internal-vertex counts.
 A pool of at most POOL_CACHE_MAX trees is built once and kept, of
 ``Tree``s; a larger one is regenerated on each use, so memory stays
 bounded by the cap rather than by the output.  A count regenerates none:
-it splits a larger pool into pieces, tuples of held pools whose products
-are its trees spelled out in held trees.  Pools and pieces are built
-bottom-up, and the walks over a tree (``leaf_paths``, ``replace_at``,
-``encode_tree``, the leaf count and ``Tree`` equality and hashing) and
-``decode`` use explicit stacks, so no depth of tree reaches the recursion
-limit;
-``leaf_paths`` keeps one index list and builds a path only at a leaf, so it
-is linear in depth too.
+it multiplies pool sizes, a held pool's size being its number of built
+trees and a larger pool's the sum over its splits of its parts' sizes
+multiplied.  Pools and sizes are built bottom-up, and ``encode_tree``,
+``replace_at`` and ``decode`` use explicit stacks, so no depth of tree
+reaches the recursion limit.
 
+``encode_tree`` is the one walk over a tree's tuples: ``Tree`` equality
+and hashing, the leaf count and ``leaf_paths`` read the tree's text.
 From a process's first encoding on, the trees of held pools carry their
 text, so ``encode_tree`` walks only the vertices of other trees.
 
@@ -55,6 +54,7 @@ import os
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .counting import VecProfile, catalan_vector
@@ -150,9 +150,9 @@ class Tree(StrictTuple):
     """Ordered rooted tree: the tuple of its child trees, so a leaf is the
     empty tree.  ``Tree(children)`` is built by tuple's own constructor.
 
-    Equality and hashing use the tree's outdegree word, which determines
-    the tree and is read with an explicit stack, so trees of any depth
-    compare and hash.
+    Equality and hashing read the tree's text (encode_tree), a memo lookup
+    for a held pool's tree, so trees of any depth compare and hash.  The
+    hash is therefore str's, which is salted per process (PYTHONHASHSEED).
     """
 
     __slots__ = ()
@@ -166,10 +166,10 @@ class Tree(StrictTuple):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Tree:
             return StrictTuple.__eq__(self, other)
-        return self is other or _outdegrees((self,)) == _outdegrees((other,))
+        return self is other or encode_tree(self) == encode_tree(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(_outdegrees((self,))))
+        return hash(encode_tree(self))
 
     def __reduce__(self) -> tuple:
         return _decode_tree, (encode_tree(self),)
@@ -206,18 +206,6 @@ class VertexAddr(NamedTuple):
 
     component: int
     path: tuple[int, ...] = ()
-
-
-def _outdegrees(trees: Iterable[Tree]) -> list[int]:
-    """The outdegree word of ``trees``: the outdegree of every vertex, in
-    the preorder of their mirror image, which determines the trees."""
-    out = []
-    stack = list(trees)
-    while stack:
-        node = stack.pop()
-        out.append(len(node))
-        stack.extend(node)
-    return out
 
 
 class Layout(NamedTuple):
@@ -270,30 +258,25 @@ def layout(text: str) -> Layout:
 
 
 def count_leaves(forest: Forest) -> int:
-    """Number of childless vertices of the forest."""
-    return _outdegrees(forest).count(0)
+    """Number of childless vertices of the forest: the "o"s of its text."""
+    return encode(forest).count("o")
 
 
 def leaf_paths(tree: Tree) -> list[tuple[int, ...]]:
     """The child-index path from the root to each leaf of ``tree``, in
-    preorder.  The walk keeps one index list and builds a path tuple only
-    at a leaf, so its time is linear in the tree and the paths it returns."""
+    preorder, read off its text in one pass."""
     out = []
-    path, parents = [], []  # the child index taken below each vertex on the path
-    node = tree
-    while True:
-        while node:
-            parents.append(node)
+    path = [0]  # the index of the next child of each open vertex, below a sentinel
+    for ch in encode_tree(tree):
+        if ch == "(":
             path.append(0)
-            node = node[0]
-        out.append(tuple(path))
-        while path and path[-1] + 1 == len(parents[-1]):
+            continue
+        if ch == "o":
+            out.append(tuple(path[1:]))
+        else:
             path.pop()
-            parents.pop()
-        if not path:
-            return out
         path[-1] += 1
-        node = parents[-1][path[-1]]
+    return out
 
 
 def leaf_addresses(forest: Forest) -> list[VertexAddr]:
@@ -426,25 +409,6 @@ def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterato
         _product(split, p) for split in _vector_compositions(counts, gamma))
 
 
-def _pieces(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[tuple]:
-    """The forests of _forests as pieces: tuples of held pools whose
-    products, piece after piece, are those forests with each tree of a pool
-    over the cap spelled out in held pools' trees.  A held pool is its own
-    one piece; a larger pool, and the forest, joins one piece of each part
-    of each of its splits.  Built bottom-up, as _pool builds pools."""
-    pieces: dict = {}
-
-    def joined(splits: Iterable[_Split]) -> Iterator[tuple]:
-        return map(sum, itertools.chain.from_iterable(itertools.product(
-            *map(pieces.__getitem__, split)) for split in splits), itertools.repeat(()))
-
-    _pool(counts, p)  # builds every pool up to counts, so each _pool below is a lookup
-    for sub in itertools.product(*(range(c + 1) for c in counts)):
-        pool = _pool(sub, p)
-        pieces[sub] = ((pool,),) if pool is not None else tuple(joined(_large_plan(sub, p)))
-    return joined(_vector_compositions(counts, gamma))
-
-
 def _beta_profile(beta: int, n: int) -> VecProfile:
     """The one-class profile of beta-ary forests with n internal vertices."""
     check_arity(beta)
@@ -464,14 +428,23 @@ def iter_mixed_forests(profile: VecProfile, gamma: int) -> Iterator[Forest]:
 
 def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
     """The number of forests iter_mixed_forests(profile, gamma) yields, with
-    the same checks first, counted as the items of itertools.product over
-    the pieces of _pieces, one per forest."""
+    the same checks first, from a table of pool sizes built bottom-up, as
+    _pool builds pools: a held pool's size is its number of trees, a pool
+    over the cap sums the products of its parts' sizes over its splits, and
+    the forests sum them over the forest splits."""
     check_nat(gamma, "gamma")
     check_budget(catalan_vector(profile, gamma))
-    # No Python frame runs per forest, and product reuses its item tuple.  The
-    # pool (1,) in front makes every item true for compress, the empty one too.
-    return sum(sum(itertools.compress(itertools.repeat(1), itertools.product((1,), *piece)))
-               for piece in _pieces(profile.n, profile.p, gamma))
+    counts, p = profile.n, profile.p
+    sizes: dict[tuple[int, ...], int] = {}
+
+    def total(splits: Iterable[_Split]) -> int:
+        return sum(prod(map(sizes.__getitem__, split)) for split in splits)
+
+    _pool(counts, p)  # builds every pool up to counts, so each _pool below is a lookup
+    for sub in itertools.product(*(range(c + 1) for c in counts)):
+        pool = _pool(sub, p)
+        sizes[sub] = len(pool) if pool is not None else total(_large_plan(sub, p))
+    return total(_vector_compositions(counts, gamma))
 
 
 def iter_forests(beta: int, n: int, gamma: int) -> Iterator[Forest]:

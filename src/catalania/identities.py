@@ -705,6 +705,8 @@ def _suite_eq8(cfg: Mapping, run: _Run) -> _Plan:
     (betas,), text = _grid(cfg, "beta")
     order = _grid_nat(cfg, "order")
     pairs = [(as_rat(a1), as_rat(a2)) for a1, a2 in cfg["alpha_pairs"]]
+    if not pairs:
+        raise ValueError("need at least one alpha pair")
     grid = f"{text}, alpha pairs {[[rat_str(a), rat_str(b)] for a, b in pairs]}, order {order}"
     return grid, (
         None if series_mul(_gf(beta, alpha1, order, run.catalan),
@@ -737,6 +739,8 @@ def _suite_eq9(cfg: Mapping, run: _Run) -> _Plan:
             pairs.append(gould)
         else:
             skipped.append(f"pair {pair}: {SingularGouldParameters(pole)}")
+    if length < 1 or count < 1 or not cfg["pairs"]:
+        raise ValueError("eq9 needs length >= 1, sequences >= 1 and at least one pair")
     grid = f"{count} seeded sequences of length {length}, pairs {[str(p) for p in cfg['pairs']]}"
     rng = random.Random(seed)
 
@@ -795,6 +799,8 @@ def _gould_roundtrip(index: int, seq: list[Rat], nums: list[int], den: int, pair
 def _suite_eq10(cfg: Mapping, run: _Run) -> _Plan:
     axes, text = _grid(cfg, "alpha", "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
+    if n_max < 1:
+        raise ValueError("eq10 rows are 1 <= n <= n_max: need n_max >= 1")
     skipped: list[str] = []
 
     def check(point: tuple[Rat, ...]) -> Optional[Counterexample]:
@@ -808,6 +814,8 @@ def _suite_eq10(cfg: Mapping, run: _Run) -> _Plan:
 def _suite_closed_form(cfg: Mapping, run: _Run) -> _Plan:
     axes, text = _grid(cfg, "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
+    if n_max < 1:
+        raise ValueError("closed_form rows are 1 <= n <= n_max: need n_max >= 1")
     return f"{text}, n<={n_max}", (
         closed_form_reduction_check(beta, gamma, n_max, run.catalan).counterexample
         for beta, gamma in itertools.product(*axes)), ()

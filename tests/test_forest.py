@@ -207,9 +207,10 @@ class TestCountForests:
         assert (err.value.estimate, err.value.budget) == (690690, 1000)
 
     # At caps 0 to 5, (2, 6, 2) and (2, 7, 1) have pools over the cap whose
-    # trees hold trees of pools over the cap too, so their pieces join the
-    # pieces of smaller pools; at cap 0 no pool is held and every piece is
-    # empty.  Unary (1, 4, 2) has one-tree pools only, all over cap 0.
+    # trees hold trees of pools over the cap too, so their sizes are sums
+    # over the sizes of smaller pools over the cap; at cap 0 no pool is held
+    # and every size is such a sum.  Unary (1, 4, 2) has one-tree pools
+    # only, all over cap 0.
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 30])
     @pytest.mark.parametrize("beta,n,gamma", [(2, 6, 2), (3, 4, 3), (1, 4, 2), (2, 7, 1)])
     def test_counts_at_any_cap(self, beta, n, gamma, cap):
@@ -233,6 +234,14 @@ class TestCountForests:
             listed = len(list(iter_mixed_forests(profile, gamma)))
         assert count == listed == catalan_vector(profile, gamma)
 
+    # Counts up to near the default budget (5,000,000), at the default cap.
+    @pytest.mark.parametrize("beta,n,gamma,want", [
+        (2, 12, 4, 4_345_965), (2, 14, 1, 2_674_440), (3, 10, 1, 1_430_715),
+        (5, 7, 1, 231_880), (3, 9, 2, 690_690),
+    ])
+    def test_counts_near_the_budget(self, beta, n, gamma, want):
+        assert count_forests(beta, n, gamma) == catalan_gen(n, beta, gamma) == want
+
     def test_deep_count_recurses_nowhere(self):
         # At cap 0 every pool of the 3,000 unary pools is over the cap.
         with pool_cap(0):
@@ -240,8 +249,8 @@ class TestCountForests:
 
     def test_count_walks_only_held_pools(self, monkeypatch):
         # Once the pools are built, the count builds no tree of a pool over
-        # the cap, as a Tree or as a plain tuple, and every sequence of trees
-        # that it hands to itertools.product is a held pool.
+        # the cap, as a Tree or as a plain tuple, and hands no sequence of
+        # trees to itertools.product: it reads the held pools' sizes only.
         def refuse(*args):
             raise AssertionError("a tree was built for the count")
 
@@ -261,7 +270,7 @@ class TestCountForests:
             count = count_forests(2, 6, 2)
             monkeypatch.undo()
         assert count == 429
-        assert walked and all(any(pool is p for p in held) for pool in walked)
+        assert held and not walked
 
     @pytest.mark.parametrize("beta,n,gamma", [
         (0, 1, 1), (True, 1, 1), (2, -1, 1), (2, 1, -1), (2, 1, True), (2, 1, "1"),

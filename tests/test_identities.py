@@ -971,6 +971,14 @@ def _reports_with(config: dict, patches: dict) -> str:
             setattr(identities, name, value)
 
 
+def _reports_or_refusal(config: dict, patches: dict) -> str:
+    """_reports_with(config, patches), or the text of the ConfigError it raises."""
+    try:
+        return _reports_with(config, patches)
+    except ConfigError as err:
+        return f"refused: {err}"
+
+
 class TestIntegerAxes:
     """The grid gives integral values as ints; the reports are those of Fraction axes."""
 
@@ -986,7 +994,8 @@ class TestIntegerAxes:
             config["corrupt_catalan"] = True
         # Wrong closed forms fail Eq2 and Eq10 at n = 2.
         patches = {"eq2_rhs": _closed_forms_off_at_two} if fault == "closed_forms" else {}
-        assert _reports_with(config, patches) == _reports_with(
+        # At n_max 0, Eq10 and ClosedForm have no row and both sides refuse the config.
+        assert _reports_or_refusal(config, patches) == _reports_or_refusal(
             config, {**patches, "_grid": _fraction_grid})
 
     def test_integral_values_are_ints(self):
@@ -1073,6 +1082,10 @@ class TestSuiteConfigErrors:
     def test_every_section_is_covered(self):
         assert [key for key, _, _ in MALFORMED_SECTIONS] == list(DEFAULT_CONFIG)
 
+    def test_eq1_checks_its_n_zero_row(self):
+        (report,) = run_suite({"eq1": {"n_max": 0}})
+        assert report.ok and report.grid.endswith("n<=0")
+
 
 # The functions that evaluate the suite's sections, as the identities module
 # names them.
@@ -1099,6 +1112,7 @@ _EQ2_POINT = {"alpha": _interval("1", "1"), "beta": _interval("2", "2"),
 _CROSS = {"betas": [2], "gammas": [1], "alpha_offsets": [0], "n_max": 2}
 _FAMILY = {"alphas": ["0"], "betas": ["1"], "gammas": ["1"], "order": 3}
 _EQ3 = {"p": [2], "gamma": _interval("0", "1"), "alpha": _interval("0", "1"), "n_total_max": 1}
+_EQ9 = {"length": 3, "sequences": 1, "seed": 7, "pairs": [["1", "1", "1"]]}
 
 # Domain mistakes that the evaluators report too, each found while the config
 # is read, with the evaluator's message.
@@ -1115,6 +1129,19 @@ DOMAIN_MISTAKES = [
      "malformed config: gamma must be a non-negative integer, got -1"),
     ("eq7", {"beta": _interval("1", "2"), "gamma": _interval("0", "1"), "order": 0},
      "malformed config: need order >= 1"),
+    # Sections whose grid would check nothing.
+    ("eq8", {"beta": _interval("1", "2"), "alpha_pairs": [], "order": 3},
+     "malformed config: need at least one alpha pair"),
+    ("eq9", {**_EQ9, "length": 0},
+     "malformed config: eq9 needs length >= 1, sequences >= 1 and at least one pair"),
+    ("eq9", {**_EQ9, "sequences": 0},
+     "malformed config: eq9 needs length >= 1, sequences >= 1 and at least one pair"),
+    ("eq9", {**_EQ9, "pairs": []},
+     "malformed config: eq9 needs length >= 1, sequences >= 1 and at least one pair"),
+    ("eq10", {**_EQ2_POINT, "n_max": 0},
+     "malformed config: eq10 rows are 1 <= n <= n_max: need n_max >= 1"),
+    ("closed_form", {"beta": _interval("1", "2"), "gamma": _interval("0", "1"), "n_max": 0},
+     "malformed config: closed_form rows are 1 <= n <= n_max: need n_max >= 1"),
 ]
 
 
@@ -1127,7 +1154,9 @@ class TestReadBeforeEvaluate:
     @pytest.mark.parametrize("key,section,message", MALFORMED_SECTIONS + DOMAIN_MISTAKES,
                              ids=[key for key, _, _ in MALFORMED_SECTIONS] + [
                                  "eq2-cross-beta", "eq2-cross-alpha", "eq2-family-order",
-                                 "eq3-p", "eq3-gamma", "eq7-order"])
+                                 "eq3-p", "eq3-gamma", "eq7-order", "eq8-no-pairs",
+                                 "eq9-length", "eq9-sequences", "eq9-no-pairs", "eq10-n_max",
+                                 "closed_form-n_max"])
     def test_each_mistake_is_found_by_the_read(self, no_evaluation, key, section, message):
         with pytest.raises(ConfigError) as err:
             run_suite({**DEFAULT_CONFIG, key: section})

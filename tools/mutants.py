@@ -1,0 +1,127 @@
+"""Mutation check: each row of MUTANTS breaks the program in one place, and
+each test it names must then fail.
+
+    python tools/mutants.py          # every row
+    python tools/mutants.py 0 3      # rows 0 and 3
+
+Each row is applied to a fresh temporary copy of ``src/`` and ``tests/``,
+never to the checkout, and only the row's tests run there.  A row is killed
+when every test it names fails (one failing parametrized case is enough).
+The script prints killed or survived per row and exits 1 if any row
+survives, if its tests cannot run, or if a row's ``old`` text does not
+occur exactly once in its file.  It is opt-in: the test suite checks only
+that every ``old`` text still occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str  # exact text, which must occur once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+MUTANTS = (
+    Mutant("the size table drops the first split of a pool over the cap",
+           "src/catalania/forest.py",
+           "total(_large_plan(sub, p))",
+           "total(_large_plan(sub, p)[1:])",
+           ("tests/test_forest.py::TestCountForests::test_counts_at_any_cap",
+            "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
+    Mutant("a held pool's size is counted as len(pool) + 1",
+           "src/catalania/forest.py",
+           "sizes[sub] = len(pool) if",
+           "sizes[sub] = len(pool) + 1 if",
+           ("tests/test_forest.py::TestCountForests::test_counts_the_generated_forests",
+            "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
+    Mutant("leaf_paths does not advance after a leaf",
+           "src/catalania/forest.py",
+           '            out.append(tuple(path[1:]))\n',
+           '            out.append(tuple(path[1:]))\n            continue\n',
+           ("tests/test_forest.py::TestLeafCounts::test_leaf_addresses_in_preorder",
+            "tests/test_identities.py::TestGoldenEnumerations::test_two_class_census_order_is_pinned")),
+    Mutant("Tree.__eq__ compares a tree's text with itself",
+           "src/catalania/forest.py",
+           "encode_tree(self) == encode_tree(other)",
+           "encode_tree(self) == encode_tree(self)",
+           ("tests/test_data_model.py::test_equal_iff_structurally_equal",
+            "tests/test_data_model.py::test_deep_trees_compare_and_hash")),
+    Mutant("closed_form accepts n_max 0, whose grid checks nothing",
+           "src/catalania/identities.py",
+           '    if n_max < 1:\n'
+           '        raise ValueError("closed_form rows are 1 <= n <= n_max: need n_max >= 1")\n',
+           "",
+           ("tests/test_identities.py::TestReadBeforeEvaluate::test_each_mistake_is_found_by_the_read"
+            "[closed_form-n_max]",)),
+    Mutant("the signed census drops one slot from multi-class slices",
+           "src/catalania/involution.py",
+           "_count_colorings(residual.leaf_count(gamma) + alpha - gamma, marks)",
+           "_count_colorings(residual.leaf_count(gamma) + alpha - gamma - (len(marks) > 1), marks)",
+           ("tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census",)),
+    Mutant("the census builds its first slice before the budget check",
+           "src/catalania/involution.py",
+           "    for residual, marks, _ in _census_slices(profile, gamma, alpha):\n"
+           "        forests = generate_mixed_forests(residual, gamma)\n",
+           "    residual, marks, _ = census_sizes(profile, gamma, alpha)[0]\n"
+           "    _colorings(generate_mixed_forests(residual, gamma), planted, marks,\n"
+           "               *_slice_colorings(residual.leaf_count(gamma), planted, marks))\n"
+           "    for residual, marks, _ in _census_slices(profile, gamma, alpha):\n"
+           "        forests = generate_mixed_forests(residual, gamma)\n",
+           ("tests/test_involution.py::TestCensusBudget::test_scalar_census_sums_its_slices",)),
+)
+
+
+def occurrences(mutant: Mutant) -> int:
+    """How often the row's old text occurs in its file in the checkout."""
+    return (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', or why not: the named tests that passed on the mutant, or
+    pytest's exit status when it ran no test to a verdict."""
+    with tempfile.TemporaryDirectory(prefix="catalania-mutant-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp, part),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        target = Path(tmp, mutant.file)
+        target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                          encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src")), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=tmp, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode not in (0, 1):
+        return f"error: pytest exited {proc.returncode}"
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    survivors = [test for test in mutant.tests
+                 if not any(f == test or f.startswith(test + "[") for f in failed)]
+    return "killed" if not survivors else "survived: " + ", ".join(survivors)
+
+
+def main(argv: list[str]) -> int:
+    rows = [int(arg) for arg in argv] if argv else range(len(MUTANTS))
+    ok = True
+    for i in rows:
+        mutant = MUTANTS[i]
+        found = occurrences(mutant)
+        verdict = run(mutant) if found == 1 else f"old text occurs {found} times, not once"
+        ok = ok and verdict == "killed"
+        print(f"{i}: {verdict} -- {mutant.name} ({mutant.file})", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
