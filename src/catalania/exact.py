@@ -8,8 +8,9 @@ validated at the boundary.  ``ConfigError`` lives here, below every layer
 that raises it, so that raising one loads nothing else.
 
 ``Frozen`` and ``Record`` live here for the same reason: they are the one
-definition of a write-once ``__slots__`` value (series, Riordan arrays,
-outdegree profiles and the identity reports), and every layer loads this one.
+definition of a write-once ``__slots__`` value (trees and forests, series,
+Riordan arrays, outdegree profiles and the identity reports), and every
+layer loads this one.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Ordered rooted trees and forests: exhaustive generators and text codec.
 
-Trees are tuples.  A ``Tree`` is the tuple of its child trees, so a leaf is
-the empty tree; a ``Forest`` is the tuple of its trees; a ``VertexAddr`` is
-a named (component, path) pair.  tuple's own constructor builds each of
-them, so ``map(Tree, itertools.product(...))`` runs in C, with no Python
-frame per vertex.  All three are immutable and hashable and compare
-structurally; a ``Tree`` or ``Forest`` equals only its own kind, never a
-plain tuple.
+A tree is its text.  A ``Tree`` and a ``Forest`` are immutable values
+(``exact.Record``) with one field, ``text``, their parenthesis encoding
+below; a ``VertexAddr`` is a named (component, path) pair.  A tree is also
+the sequence of its child trees, so a leaf is falsy, and a forest the
+sequence of its trees: ``len``, indexing and iteration scan the text for
+the parts' texts.  ``Tree(children)`` and ``Forest(trees)`` join their
+parts' texts.  A value equals only its own kind, compares and hashes by its
+text, and is its own copy, so values of any depth compare, hash and pickle.
 
 One lazy generator, ``iter_mixed_forests``, yields every forest; beta-ary
 forests (``iter_forests``) are its one-class case.  It yields in a fixed
@@ -20,20 +21,15 @@ CATALANIA_MAX_STRUCTS budget (default 5,000,000).  Past that check the
 stream is pure ``itertools`` composition: the generated trees are valid by
 construction and are never checked again.
 
-Subtrees are drawn from pools, one per vector of internal-vertex counts.
-A pool of at most POOL_CACHE_MAX trees is built once and kept, of
-``Tree``s; a larger one is regenerated on each use, so memory stays
-bounded by the cap rather than by the output.  A count regenerates none:
-it multiplies pool sizes, a held pool's size being its number of built
-trees and a larger pool's the sum over its splits of its parts' sizes
-multiplied.  Pools and sizes are built bottom-up, and ``encode_tree``,
-``replace_at`` and ``decode`` use explicit stacks, so no depth of tree
-reaches the recursion limit.
-
-``encode_tree`` is the one walk over a tree's tuples: ``Tree`` equality
-and hashing, the leaf count and ``leaf_paths`` read the tree's text.
-From a process's first encoding on, the trees of held pools carry their
-text, so ``encode_tree`` walks only the vertices of other trees.
+Subtrees are drawn from pools, one per vector of internal-vertex counts.  A
+pool is a tuple of tree texts, each "(" + its children's texts + ")" over
+``itertools.product`` of smaller pools, and a forest wraps the ";"-join of
+its trees' texts once.  A pool of at most POOL_CACHE_MAX trees is built
+once and kept; a larger one is regenerated on each use, so memory stays
+bounded by the cap rather than by the output.  A count builds no pool: it
+multiplies pool sizes, each pool's size being the sum over its splits of
+its parts' sizes multiplied.  Pools and sizes are built bottom-up and no
+function here recurses, so no depth of tree reaches the recursion limit.
 
 Text encoding, bit-exact::
 
@@ -43,7 +39,8 @@ Text encoding, bit-exact::
 A leaf is "o"; an internal vertex wraps the concatenation of its children
 in parentheses; components are joined by ";".  The text is the forest's
 preorder (Lukasiewicz) word, and one pass over it (``layout``) places every
-leaf and every level, so the pairing reads a forest's shape off its text.
+leaf and every level, so ``subtree_at``, ``replace_at`` and the pairing
+find a vertex's text position there and splice the text.
 """
 
 from __future__ import annotations
@@ -53,12 +50,12 @@ import operator
 import os
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .counting import VecProfile, catalan_vector
-from .exact import check_nat
+from .exact import Record, check_nat
 
 MAX_STRUCTS_ENV = "CATALANIA_MAX_STRUCTS"
 DEFAULT_MAX_STRUCTS = 5_000_000
@@ -101,101 +98,121 @@ def check_budget(estimate: Fraction | int) -> None:
 # Data model
 # ---------------------------------------------------------------------------
 
-class StrictTuple(tuple):
-    """A tuple equal only to tuples of its own class, never to a plain one.
-
-    Immutable, so a copy or a deep copy is the value itself.  The repr is
-    ``Name(<tuple repr>)``, written with an explicit stack, so a tree of any
-    depth has one.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    __hash__ = tuple.__hash__
-
-    def __copy__(self) -> StrictTuple:
-        return self
-
-    def __deepcopy__(self, memo: dict) -> StrictTuple:
-        return self
-
-    def __repr__(self) -> str:
-        out = []
-        stack: list = [self]  # values still to write, and text (str) to emit as is
-        while stack:
-            node = stack.pop()
-            if node.__class__ is str:
-                out.append(node)
-                continue
-            out.append(f"{node.__class__.__name__}((")
-            stack.append(",))" if len(node) == 1 else "))")
-            for i in range(len(node) - 1, -1, -1):
-                item = node[i]
-                stack.append(item if type(item).__repr__ is StrictTuple.__repr__ else repr(item))
-                if i:
-                    stack.append(", ")
-        return "".join(out)
+def _end(text: str, start: int) -> int:
+    """The position just past the tree whose text starts at ``start``.
+    While ``unclosed`` of its "(" are open, the tree cannot end within fewer
+    than that many characters, so each step counts that many at once, in C.
+    Text that ends with a "(" still open raises ValueError."""
+    end, unclosed = start + 1, int(text[start] == "(")
+    while unclosed and end < len(text):
+        step = unclosed
+        unclosed += text.count("(", end, end + step) - text.count(")", end, end + step)
+        end += step
+    if unclosed:
+        raise ValueError(f"unbalanced tree text from position {start}")
+    return end
 
 
-class Tree(StrictTuple):
-    """Ordered rooted tree: the tuple of its child trees, so a leaf is the
-    empty tree.  ``Tree(children)`` is built by tuple's own constructor.
+def _repr(name: str, items: str) -> str:
+    """``name((item, ...))`` as a tuple of Trees shows, for the trees whose
+    texts ``items`` concatenates or joins with ";", in one pass: a vertex's
+    count of children so far tells where a ", " and a one-item "," go."""
+    out = [name, "(("]
+    counts = [0]
+    for ch in items:
+        if ch == ")":
+            out.append(",))" if counts.pop() == 1 else "))")
+        elif ch != ";":
+            if counts[-1]:
+                out.append(", ")
+            counts[-1] += 1
+            if ch == "o":
+                out.append("Tree(())")
+            else:
+                out.append("Tree((")
+                counts.append(0)
+    out.append(",))" if counts[0] == 1 else "))")
+    return "".join(out)
 
-    Equality and hashing read the tree's text (encode_tree), a memo lookup
-    for a held pool's tree, so trees of any depth compare and hash.  The
-    hash is therefore str's, which is salted per process (PYTHONHASHSEED).
-    """
+
+class _Text(Record):
+    """The face that Tree and Forest share: a value holding its text, and
+    the sequence of its parts (a tree's children, a forest's trees), each a
+    Tree.  Immutable, so a copy or a deep copy is the value itself."""
 
     __slots__ = ()
 
-    @property
-    def children(self) -> Tree:
+    def __len__(self) -> int:
+        return len(self._parts())
+
+    def __getitem__(self, index: int) -> Tree:
+        return Tree._make(self._parts()[operator.index(index)])
+
+    def __iter__(self) -> Iterator[Tree]:
+        return map(Tree._make, self._parts())
+
+    def __copy__(self) -> _Text:
         return self
+
+    def __deepcopy__(self, memo: dict) -> _Text:
+        return self
+
+
+class Tree(_Text):
+    """Ordered rooted tree, held as its text: "o" for a leaf, else "(" + its
+    children's texts + ")".  As a sequence it is its child trees, so a leaf
+    is falsy.  ``Tree(children)`` joins the children's texts."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, children: Iterable[Tree] = ()) -> Tree:
+        inner = "".join([child.text for child in children])
+        return cls._make(f"({inner})" if inner else "o")
+
+    children = property(lambda self: self, doc="The tree, as the sequence of its children.")
+
+    def __bool__(self) -> bool:
+        return self.text != "o"
 
     is_leaf = property(operator.not_, doc="True for a vertex without children.")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Tree:
-            return StrictTuple.__eq__(self, other)
-        return self is other or encode_tree(self) == encode_tree(other)
+    def _parts(self) -> list[str]:
+        text, parts, pos = self.text, [], 1
+        while pos < len(text) - 1:
+            end = _end(text, pos)
+            parts.append(text[pos:end])
+            pos = end
+        return parts
 
-    def __hash__(self) -> int:
-        return hash(encode_tree(self))
-
-    def __reduce__(self) -> tuple:
-        return _decode_tree, (encode_tree(self),)
+    def __repr__(self) -> str:
+        return _repr("Tree", self.text[1:-1])
 
 
 LEAF = Tree()
 
 
-class Forest(StrictTuple):
-    """Ordered sequence of trees, as the tuple of its trees; the component
-    count is gamma (may be 0).
+class Forest(_Text):
+    """Ordered sequence of trees, held as its text: the trees' texts joined
+    by ";".  The component count is gamma (may be 0).  ``Forest(trees)``
+    joins the trees' texts.
 
     All component roots sit on depth 0; children of depth-d vertices sit on
     depth d+1.  Left-to-right order inside a depth is component-major.
     """
 
-    __slots__ = ()
+    __slots__ = ("text",)
 
-    @property
-    def trees(self) -> Forest:
-        return self
+    def __new__(cls, trees: Iterable[Tree] = ()) -> Forest:
+        return cls._make(";".join([tree.text for tree in trees]))
 
+    trees = property(lambda self: self, doc="The forest, as the sequence of its trees.")
     gamma = property(len, doc="The number of components.")
 
-    def __reduce__(self) -> tuple:
-        return decode, (encode(self),)
+    def _parts(self) -> list[str]:
+        return self.text.split(";") if self.text else []
+
+    def __repr__(self) -> str:
+        return _repr("Forest", self.text)
 
 
 class VertexAddr(NamedTuple):
@@ -259,7 +276,7 @@ def layout(text: str) -> Layout:
 
 def count_leaves(forest: Forest) -> int:
     """Number of childless vertices of the forest: the "o"s of its text."""
-    return encode(forest).count("o")
+    return forest.text.count("o")
 
 
 def leaf_paths(tree: Tree) -> list[tuple[int, ...]]:
@@ -267,7 +284,7 @@ def leaf_paths(tree: Tree) -> list[tuple[int, ...]]:
     preorder, read off its text in one pass."""
     out = []
     path = [0]  # the index of the next child of each open vertex, below a sentinel
-    for ch in encode_tree(tree):
+    for ch in tree.text:
         if ch == "(":
             path.append(0)
             continue
@@ -285,24 +302,30 @@ def leaf_addresses(forest: Forest) -> list[VertexAddr]:
     return [VertexAddr(comp, path) for comp, tree in enumerate(forest) for path in leaf_paths(tree)]
 
 
+def _span(forest: Forest, addr: VertexAddr) -> tuple[int, int]:
+    """The start and end of the text of the subtree at ``addr``, located on
+    the forest's layout; raises if the address does not exist."""
+    shape = layout(forest.text)
+    try:
+        pos = shape.position(addr)
+    except IndexError:
+        pos = None
+    if pos is None or shape.address(pos) != addr:
+        raise ValueError(f"no vertex at {addr}")
+    return pos, _end(forest.text, pos)
+
+
 def subtree_at(forest: Forest, addr: VertexAddr) -> Tree:
     """The subtree rooted at addr; raises if the address does not exist."""
-    try:
-        return reduce(operator.getitem, addr.path, forest[addr.component])
-    except IndexError:
-        raise ValueError(f"no vertex at {addr}") from None
+    start, end = _span(forest, addr)
+    return Tree._make(forest.text[start:end])
 
 
 def replace_at(forest: Forest, addr: VertexAddr, new: Tree) -> Forest:
-    """Forest with the subtree at addr swapped for ``new``."""
-    steps = (addr.component, *addr.path)
-    try:  # the forest, then each vertex down to the one replaced
-        nodes = list(itertools.accumulate(steps, operator.getitem, initial=forest))
-    except IndexError:
-        raise ValueError(f"no vertex at {addr}") from None
-    for parent, i in zip(reversed(nodes[:-1]), reversed(steps)):
-        new = parent.__class__(parent[:i] + (new,) + parent[i + 1:])
-    return new
+    """Forest with the subtree at addr swapped for ``new``, spliced into
+    the forest's text."""
+    start, end = _span(forest, addr)
+    return Forest._make(forest.text[:start] + new.text + forest.text[end:])
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +368,12 @@ POOL_CACHE_MAX = 10_000
 _Split = tuple[tuple[int, ...], ...]
 
 
-_pools: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple[Tree, ...]]] = {}
+_pools: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple[str, ...]]] = {}
 
 
-def _pool(counts: tuple[int, ...], p: tuple[int, ...]) -> Optional[tuple[Tree, ...]]:
-    """All trees with internal-vertex counts ``counts``, or None when there
-    are more than POOL_CACHE_MAX of them."""
+def _pool(counts: tuple[int, ...], p: tuple[int, ...]) -> Optional[tuple[str, ...]]:
+    """The texts of all trees with internal-vertex counts ``counts``, or
+    None when there are more than POOL_CACHE_MAX of them."""
     key = (counts, p)
     if key not in _pools:
         # Bottom-up, so that building a pool never recurses: a subtree's
@@ -360,8 +383,6 @@ def _pool(counts: tuple[int, ...], p: tuple[int, ...]) -> Optional[tuple[Tree, .
             if (sub, p) not in _pools:
                 held = catalan_vector(VecProfile(sub, p), 1) <= POOL_CACHE_MAX
                 _pools[sub, p] = tuple(_trees(_tree_plan(sub, p), p)) if held else None
-                if _texted:
-                    _add_texts([_pools[sub, p]])
     return _pools[key]
 
 
@@ -374,16 +395,19 @@ def _tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> tuple[_Split, ...
         tuple(c - (i == j) for i, c in enumerate(counts)), pj))
 
 
-# A pool over the cap is regenerated on each use, from a plan made once.
+# A pool over the cap is regenerated on each use, and a count sizes every
+# pool, from a plan made once.
 _large_plan = lru_cache(maxsize=None)(_tree_plan)
 
 
-def _trees(plan: tuple[_Split, ...], p: tuple[int, ...]) -> Iterator[Tree]:
-    """The trees of ``plan``, in canonical order."""
-    return itertools.chain.from_iterable(map(Tree, _product(split, p)) for split in plan)
+def _trees(plan: tuple[_Split, ...], p: tuple[int, ...]) -> Iterator[str]:
+    """The texts of the trees of ``plan``, in canonical order: "o" for the
+    split of no children, else the children's texts joined in parentheses."""
+    return itertools.chain.from_iterable(
+        map("({})".format, map("".join, _product(split, p))) if split else ("o",) for split in plan)
 
 
-def _product(split: _Split, p: tuple[int, ...]) -> Iterator[tuple]:
+def _product(split: _Split, p: tuple[int, ...]) -> Iterator[tuple[str, ...]]:
     """itertools.product over the pools of ``split``, in the same order.
     As itertools.product holds all its arguments, the first pool over the
     cap (None) is regenerated through _trees in a nested loop, and what
@@ -403,8 +427,8 @@ def _product(split: _Split, p: tuple[int, ...]) -> Iterator[tuple]:
                                          for head in heads for tree in _trees(large, p))
 
 
-def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[tuple]:
-    """The trees of each forest, in canonical order."""
+def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[tuple[str, ...]]:
+    """The texts of the trees of each forest, in canonical order."""
     return itertools.chain.from_iterable(
         _product(split, p) for split in _vector_compositions(counts, gamma))
 
@@ -423,15 +447,15 @@ def iter_mixed_forests(profile: VecProfile, gamma: int) -> Iterator[Forest]:
     the first forest."""
     check_nat(gamma, "gamma")
     check_budget(catalan_vector(profile, gamma))
-    return map(Forest, _forests(profile.n, profile.p, gamma))
+    return map(Forest._make, map(";".join, _forests(profile.n, profile.p, gamma)))
 
 
 def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
     """The number of forests iter_mixed_forests(profile, gamma) yields, with
     the same checks first, from a table of pool sizes built bottom-up, as
-    _pool builds pools: a held pool's size is its number of trees, a pool
-    over the cap sums the products of its parts' sizes over its splits, and
-    the forests sum them over the forest splits."""
+    _pool builds pools, that builds no pool: a pool's size sums the products
+    of its parts' sizes over its splits, and the forests sum them over the
+    forest splits."""
     check_nat(gamma, "gamma")
     check_budget(catalan_vector(profile, gamma))
     counts, p = profile.n, profile.p
@@ -440,10 +464,8 @@ def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
     def total(splits: Iterable[_Split]) -> int:
         return sum(prod(map(sizes.__getitem__, split)) for split in splits)
 
-    _pool(counts, p)  # builds every pool up to counts, so each _pool below is a lookup
     for sub in itertools.product(*(range(c + 1) for c in counts)):
-        pool = _pool(sub, p)
-        sizes[sub] = len(pool) if pool is not None else total(_large_plan(sub, p))
+        sizes[sub] = total(_large_plan(sub, p))
     return total(_vector_compositions(counts, gamma))
 
 
@@ -488,80 +510,31 @@ class ForestSyntaxError(ValueError):
         super().__init__(f"{message} at position {position}")
 
 
-# _texts keys every held pool's tree by id to its text, from the first
-# encoding on, so a process that never encodes keeps none.  _texted holds
-# LEAF and those pools, so no id is reused while its entry lives.
-_texts = {}
-_texted = []
-
-
-def _add_texts(pools: Iterable[Optional[tuple[Tree, ...]]]) -> None:
-    """Key the trees of each held pool, in the order the pools were built:
-    bottom-up, so a pool's subtrees are keyed before it."""
-    for pool in filter(None, pools):
-        _texted.append(pool)
-        _texts.update(zip(map(id, pool), map(encode_tree, pool)))
-
-
-def encode_tree(tree: Tree) -> str:
-    """Parenthesis encoding of one tree, walking only the vertices that are
-    not a held pool's tree.  The first call keys the pools built so far;
-    _pool keys those built later."""
-    if not _texted:
-        _add_texts([(LEAF,), *_pools.values()])
-    out = []
-    stack: list = [tree]  # trees, and text (str) to emit as is
-    while stack:
-        node = stack.pop()
-        if node.__class__ is str:
-            out.append(node)
-        elif not node:
-            out.append("o")
-        elif (text := _texts.get(id(node))) is not None:
-            out.append(text)
-        else:
-            out.append("(")
-            stack.append(")")
-            stack.extend(reversed(node))
-    return "".join(out)
-
-
 def encode(forest: Forest) -> str:
-    """Parenthesis encoding; the empty forest encodes to ""."""
-    # A forest of held pools' trees is joined with no Python call per tree.
-    texts = list(map(_texts.get, map(id, forest)))
-    return ";".join(map(encode_tree, forest) if None in texts else texts)
-
-
-def _decode_tree(text: str) -> Tree:
-    """The one tree that ``text`` encodes: how a pickled Tree is rebuilt."""
-    (tree,) = decode(text)
-    return tree
+    """Parenthesis encoding, the text the forest holds; the empty forest
+    encodes to ""."""
+    return forest.text
 
 
 def decode(text: str) -> Forest:
-    """Parse the parenthesis encoding; inverse of encode on its image."""
-    trees: list[Tree] = []
-    stack = [trees]  # the trees so far, then the children so far of each unclosed "("
+    """Parse the parenthesis encoding; inverse of encode on its image.  One
+    pass checks the text, which the forest then holds: no tree is built."""
+    depth = 0  # the "(" not yet closed
     starts = bool(text)  # a tree must start at the next character
     for pos, ch in enumerate(text):
-        if ch in "o(" and (starts or len(stack) > 1):
-            if ch == "o":
-                stack[-1].append(LEAF)
-            else:
-                stack.append([])
+        if ch in "o(" and (starts or depth):
             starts = ch == "("
-        elif ch == ")" and len(stack) > 1:
+            depth += starts
+        elif ch == ")" and depth:
             if starts:
                 raise ForestSyntaxError("internal vertex needs at least one child", pos)
-            kids = stack.pop()
-            stack[-1].append(Tree(kids))
-        elif ch == ";" and len(stack) == 1 and not starts:
+            depth -= 1
+        elif ch == ";" and not depth and not starts:
             starts = True
         else:
             raise ForestSyntaxError(f"unexpected {ch!r}", pos)
-    if len(stack) > 1:
+    if depth:
         raise ForestSyntaxError("unclosed '('", len(text))
     if starts:
         raise ForestSyntaxError("unexpected end of input", len(text))
-    return Forest(trees)
+    return Forest._make(text)

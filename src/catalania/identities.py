@@ -610,6 +610,19 @@ def _suite_eq1(cfg: Mapping, run: _Run) -> _Plan:
         verify_eq2(1, 2, 1, n, run.catalan).counterexample for n in [n_max]), ()
 
 
+def _eq2_block(cfg: Mapping, key: str, *axes: str) -> tuple[Mapping, list]:
+    """Eq2's ``cross`` or ``family`` block, a non-empty object, and the values of
+    its ``axes``, none empty: a block that is present must check something."""
+    block = _section(cfg[key], f"config section eq2 {key}")
+    if not block:
+        raise ValueError(f"eq2 {key} is empty")
+    values = [block[axis] for axis in axes]
+    for axis, value in zip(axes, values):
+        if not value:
+            raise ValueError(f"eq2 {key} has an empty {axis} axis")
+    return block, values
+
+
 def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
     """Direct grid sweep plus the enumerative and matrix routes: the signed
     census and the array row sums must both reproduce the direct sum, and
@@ -618,20 +631,18 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
     axes, text = _grid(cfg, "alpha", "beta", "gamma")
     n_max = _grid_nat(cfg, "n_max")
     cross_points, cross_order = [], 0
-    if cfg.get("cross"):
-        cross = _section(cfg["cross"], "config section eq2 cross")
+    if "cross" in cfg:
+        cross, cross_axes = _eq2_block(cfg, "cross", "betas", "gammas", "alpha_offsets")
         cross_order = _grid_nat(cross, "n_max")
         cross_points = [(check_alpha_gamma(gamma + offset, gamma), check_arity(beta), gamma)
-                        for beta, gamma, offset in itertools.product(
-                            cross["betas"], cross["gammas"], cross["alpha_offsets"])]
+                        for beta, gamma, offset in itertools.product(*cross_axes)]
     family_points, family_order = [], 0
-    if cfg.get("family"):
-        family = _section(cfg["family"], "config section eq2 family")
+    if "family" in cfg:
+        family, family_axes = _eq2_block(cfg, "family", "alphas", "betas", "gammas")
         family_order = _grid_nat(family, "order")
         if family_order < 1:
             raise ValueError("the family needs order >= 1")
-        family_points = [(texts, tuple(map(as_rat, texts))) for texts in itertools.product(
-            family["alphas"], family["betas"], family["gammas"])]
+        family_points = [(texts, tuple(map(as_rat, texts))) for texts in itertools.product(*family_axes)]
 
     def outcomes() -> Iterator[Optional[Counterexample]]:
         for point in itertools.product(*axes):
@@ -739,8 +750,8 @@ def _suite_eq9(cfg: Mapping, run: _Run) -> _Plan:
             pairs.append(gould)
         else:
             skipped.append(f"pair {pair}: {SingularGouldParameters(pole)}")
-    if length < 1 or count < 1 or not cfg["pairs"]:
-        raise ValueError("eq9 needs length >= 1, sequences >= 1 and at least one pair")
+    if length < 1 or count < 1 or not pairs:
+        raise ValueError("eq9 needs length >= 1, sequences >= 1 and at least one pair without a pole")
     grid = f"{count} seeded sequences of length {length}, pairs {[str(p) for p in cfg['pairs']]}"
     rng = random.Random(seed)
 

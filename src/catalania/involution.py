@@ -26,8 +26,8 @@ leaf and no internal vertex (only planted roots colored).
 
 A ``ColoredForest`` is the tuple (forest, planted, leaf_colors, root_colors)
 and a ``Classification`` the named pair (kind, vertex).  Both are immutable
-and hashable, and compare structurally at any depth of forest, since
-``Tree`` equality and hashing use explicit stacks.
+and hashable, and compare structurally at any depth of forest, since a
+forest compares and hashes by its text.
 
 Validation happens where structures come from outside.  ``ColoredForest(...)``
 checks and sorts every coloring that users build or decode.  The
@@ -39,7 +39,7 @@ They then build each structure from fields that are canonical by
 construction (leaves in preorder, colors chosen in ascending order) and
 skip that check; so does the pairing, whose output is canonical whenever
 its input is.  A slice finds its colorings once and, as its forests share
-their component trees (the pools' trees), each tree's leaf paths once
+their component trees (the pools' texts), each tree text's leaf paths once
 (``forest.leaf_paths``).  ``signed_sum_vector`` builds no structure: all
 of a slice has one weight, so the slice adds that weight times its forests
 and colorings.
@@ -52,9 +52,9 @@ classify each structure once.  ``pair_lines`` reads each coloring's leaf
 positions off the layout and writes its lines by splicing into the
 forest's text: a structure's colored leaves become "o*", and a first-class
 structure's partner is the same splice with the candidate's "o" grown to
-"(" + "o" * beta + ")", so no partner forest is built and no tree is
-walked.  ``classify`` and ``encode_colored`` find the colored leaves on
-the layout, in time linear in depth.
+"(" + "o" * beta + ")", so no partner forest is built.  ``classify``,
+``encode_colored`` and ``involute`` find their vertices on the layout, in
+time linear in depth, and ``involute`` splices the forest's text there.
 """
 
 from __future__ import annotations
@@ -69,20 +69,15 @@ from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional,
 from .counting import VecProfile, catalan_vector, check_outdegrees
 from .exact import Rat, RatLike, check_nat, multinomial
 from .forest import (
-    LEAF,
     Forest,
     Layout,
-    StrictTuple,
-    Tree,
     VertexAddr,
     check_arity,
     check_budget,
     count_mixed_forests,
-    encode_tree,
     generate_mixed_forests,
     layout,
     leaf_paths,
-    replace_at,
     subtree_at,
 )
 
@@ -99,17 +94,32 @@ class StructureError(ValueError):
     """A structure is inconsistent with the declared outdegree classes."""
 
 
-class ColoredForest(StrictTuple):
+class ColoredForest(tuple):
     """Forest + planted roots + coloring of leaves and planted roots, as the
     tuple (forest, planted, leaf_colors, root_colors).
 
     ``leaf_colors`` maps leaf addresses to colors >= 1 and is stored as a
     tuple of pairs sorted by address; ``root_colors`` maps planted-root
     indices (0 .. planted-1) to colors, sorted by index.  Structures are
-    immutable, hashable and compare structurally, at any depth of forest.
+    immutable (a copy is the value itself), hashable and compare
+    structurally at any depth of forest, never equal to a plain tuple.
     """
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is ColoredForest:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+
+    def __copy__(self) -> ColoredForest:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> ColoredForest:
+        return self
 
     forest = property(operator.itemgetter(0))
     planted = property(operator.itemgetter(1))
@@ -196,7 +206,7 @@ def classify(c: ColoredForest, shape: Optional[Layout] = None,
     text positions of the leaves of c.leaf_colors, in order.  They are used
     unchecked, so other values misclassify c.  Other callers leave them out."""
     if shape is None:
-        shape = _layout(c.forest)
+        shape = layout(c.forest.text)
     if colored is None:
         colored = [shape.position(addr) for addr, _ in c.leaf_colors]
     kind, pos = _acting(shape, colored)
@@ -216,38 +226,35 @@ def involute(c: ColoredForest, p: Sequence[int]) -> ColoredForest:
     StructureError if the structure disagrees with ``p``.
     """
     p = check_outdegrees(p)
-    return _partner(c, classify(c), p)
+    shape = layout(c.forest.text)
+    return _partner(c, classify(c, shape), p, shape)
 
 
-def _partner(c: ColoredForest, cls: Classification, p: tuple[int, ...]) -> ColoredForest:
-    """involute(c, p), given cls = classify(c) and a checked ``p``."""
+def _partner(c: ColoredForest, cls: Classification, p: tuple[int, ...],
+             shape: Layout) -> ColoredForest:
+    """involute(c, p), given cls = classify(c), a checked ``p`` and the
+    layout of c.forest's text, which is spliced at the acting vertex."""
     addr = cls.vertex
+    if cls.kind == EXCEPTIONAL:
+        raise InvolutionDomainError(
+            "exceptional structure (no colored leaf, no internal vertex) has no partner")
+    text, pos = shape.text, shape.position(addr)
     if cls.kind == FIRST:
         color = next(color for leaf, color in c.leaf_colors if leaf == addr)
         if color > len(p):
             raise StructureError(f"color {color} has no outdegree class in {p}")
-        grown = replace_at(c.forest, addr, Tree((LEAF,) * p[color - 1]))
+        grown = _splice(text, [(pos, "(" + "o" * p[color - 1] + ")")])
         keep = tuple(pair for pair in c.leaf_colors if pair[0] != addr)
-        return _built(grown, c.planted, keep, c.root_colors)
-    if cls.kind == SECOND:
-        node = subtree_at(c.forest, addr)
-        degree = len(node)
-        if degree not in p:
-            raise StructureError(f"incumbent outdegree {degree} not among classes {p}")
-        if any(node):
-            raise StructureError("incumbent's children must all be leaves")
-        color = p.index(degree) + 1
-        pruned = replace_at(c.forest, addr, LEAF)
-        recolored = tuple(sorted(c.leaf_colors + ((addr, color),)))
-        return _built(pruned, c.planted, recolored, c.root_colors)
-    raise InvolutionDomainError(
-        "exceptional structure (no colored leaf, no internal vertex) has no partner"
-    )
-
-
-def _layout(forest: Forest) -> Layout:
-    """The layout of the forest's text, joined from its trees' texts."""
-    return layout(";".join(map(encode_tree, forest)))
+        return _built(Forest._make(grown), c.planted, keep, c.root_colors)
+    # The incumbent sits one level above the bottom, which holds leaves only:
+    # its text is "(" + "o" * degree + ")".
+    degree = text.index(")", pos) - pos - 1
+    if degree not in p:
+        raise StructureError(f"incumbent outdegree {degree} not among classes {p}")
+    color = p.index(degree) + 1
+    pruned = text[:pos] + "o" + text[pos + degree + 2:]
+    recolored = tuple(sorted(c.leaf_colors + ((addr, color),)))
+    return _built(Forest._make(pruned), c.planted, recolored, c.root_colors)
 
 
 def pairings(structures: Iterable[ColoredForest], p: Sequence[int],
@@ -265,9 +272,9 @@ def pairings(structures: Iterable[ColoredForest], p: Sequence[int],
     for c in structures:
         if c.forest is not forest:
             forest = c.forest
-            shape = _layout(forest)
+            shape = layout(forest.text)
         cls = classify(c, shape)
-        yield c, cls, _partner(c, cls, p) if cls.kind == FIRST else None
+        yield c, cls, _partner(c, cls, p, shape) if cls.kind == FIRST else None
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +324,24 @@ def _colorings(forests: list[Forest], planted: int, marks: tuple[int, ...],
                leaf_keys: list[list[int]], root_colors: list[tuple]) -> list[ColoredForest]:
     """Each forest with each coloring of ``marks``, forest-major, given the
     leaf keys and root colors that _slice_colorings finds for the forests'
-    leaf count.  Each tree's leaf paths are found once per call, however
-    many forests share the tree.  The structures are built unchecked, as by
-    _built, through map and zip: no Python frame runs per structure."""
+    leaf count.  Each tree text's leaf paths are found once per call,
+    however many forests share the tree.  The structures are built
+    unchecked, as by _built, through map and zip: no Python frame runs per
+    structure."""
     if not any(marks):  # the uncolored slice needs no slots: walk no forest
         return list(map(tuple.__new__, repeat(ColoredForest),
                         zip(forests, repeat(planted), repeat(()), repeat(()))))
     if not leaf_keys:  # more marks than slots: walk no forest
         return []
     t = len(marks)
-    paths: dict[int, list] = {}  # id(tree) -> leaf_paths(tree); forests keeps each tree alive
+    paths: dict[str, list] = {}  # tree.text -> leaf_paths(tree)
     out: list[ColoredForest] = []
     for forest in forests:
         addrs: list[VertexAddr] = []
         for comp, tree in enumerate(forest):
-            tree_paths = paths.get(id(tree))
+            tree_paths = paths.get(tree.text)
             if tree_paths is None:
-                tree_paths = paths[id(tree)] = leaf_paths(tree)
+                tree_paths = paths[tree.text] = leaf_paths(tree)
             addrs += map(tuple.__new__, repeat(VertexAddr), zip(repeat(comp), tree_paths))
         entry = [(addr, color) for addr in addrs for color in range(1, t + 1)].__getitem__
         leaf_colors = map(tuple, map(map, repeat(entry), leaf_keys))
@@ -500,7 +508,7 @@ def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str
         for c, (keys, prefix) in zip(structures, itertools.cycle(colorings)):
             if c.forest is not forest:
                 forest = c.forest
-                shape = _layout(forest)
+                shape = layout(forest.text)
             colored = list(map(shape.leaves.__getitem__, keys))
             cls = classify(c, shape, colored)
             if cls.kind == SECOND:  # listed as the partner of a first-class one
@@ -594,7 +602,7 @@ def encode_colored(c: ColoredForest, num_colors: int = 1) -> str:
     Root color entries are "i" (single color) or "i*j", comma-separated and
     sorted by index.
     """
-    shape = _layout(c.forest)
+    shape = layout(c.forest.text)
     text = _splice(shape.text, ((shape.position(addr), "o*" if num_colors == 1 else f"o*{color}")
                                 for addr, color in c.leaf_colors))
     return _planted_text(c.planted, c.root_colors, num_colors) + text

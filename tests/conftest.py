@@ -1,5 +1,8 @@
+import contextlib
+
 import pytest
 
+from catalania import forest
 from catalania.identities import run_suite
 
 
@@ -8,3 +11,26 @@ def default_reports():
     """run_suite() on the default config, run once for every test that only
     reads it; a test that checks repeatability makes its own second run."""
     return tuple(run_suite())
+
+
+@contextlib.contextmanager
+def _pool_cap(cap):
+    saved = forest.POOL_CACHE_MAX
+
+    def reset(value):
+        forest.POOL_CACHE_MAX = value
+        forest._pools.clear()
+        forest._large_plan.cache_clear()
+
+    reset(cap)
+    try:
+        yield
+    finally:
+        reset(saved)
+
+
+@pytest.fixture(scope="session")
+def pool_cap():
+    """``with pool_cap(cap):`` runs its body with forest.POOL_CACHE_MAX set to
+    ``cap`` and empty pool caches, and restores the cap after."""
+    return _pool_cap

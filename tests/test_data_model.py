@@ -1,7 +1,8 @@
-"""The hashable immutable value types: the tuples of forest.py and
-involution.py, built by tuple's own constructor and deep-safe, and the
-``exact.Record`` values of counting.py and identities.py.  Each is equal only
-to its own kind and round-trips through copy and pickle at every protocol.
+"""The hashable immutable value types: the trees and forests of forest.py,
+which hold their text, and the tuples of both forest.py and involution.py,
+all deep-safe, and the ``exact.Record`` values of counting.py and
+identities.py.  Each is equal only to its own kind and round-trips through
+copy and pickle at every protocol.
 (``Series`` and ``RiordanArray`` are tested in test_riordan.py: one is
 unhashable, the other compared by identity.)"""
 
@@ -109,6 +110,15 @@ def test_tree_fields():
     assert LEAF.is_leaf and not tree.is_leaf
     assert decode("o;o").trees == Forest((LEAF, LEAF))
     assert decode("o;o").gamma == 2
+
+
+def test_unbalanced_text_raises():
+    # A tree's children are found by counting parentheses; text that ends
+    # with a "(" still open is refused rather than scanned past its end.
+    tree = Tree._make("(((o)")
+    for read in (len, list, lambda t: t[0]):
+        with pytest.raises(ValueError, match="unbalanced tree text from position 1"):
+            read(tree)
 
 
 def test_repr_text():

@@ -1,13 +1,15 @@
 """The text codec and the text route of the pairing against plain
 reference walks.
 
-``forest.encode_tree`` reads the text of every held pool's tree from a memo,
-``involution.encode_colored`` and ``classify`` find the colored leaves on
-the text's layout, ``involution.pair_lines`` writes a census's pairs by
-splicing into forest text, and ``forest.decode`` reads one character at a
-time.  The references below are the walks they replace: the encoders visit
-every vertex and remember nothing between calls, the classifier reads
-levels of vertex addresses, and the decoder reads a tree at a time.
+A tree and a forest hold their text, which the pools build by joining
+their subtrees' texts, ``involution.encode_colored`` and ``classify`` find
+the colored leaves on the text's layout, ``involution.pair_lines`` writes a
+census's pairs by splicing into forest text, and ``forest.decode`` checks
+one character at a time.  The references below walk trees as sequences of
+child trees instead: the encoders visit every vertex, the classifier reads
+levels of vertex addresses, and the decoder reads a tree at a time.  A
+model of nested plain tuples, parsed from the text, is the reference for
+the sequence face and the text splices (``TestSequenceFace``).
 """
 
 import itertools
@@ -32,12 +34,12 @@ from catalania.forest import (
     VertexAddr,
     decode,
     encode,
-    encode_tree,
     generate_forests,
     generate_mixed_forests,
     iter_forests,
     leaf_addresses,
     replace_at,
+    subtree_at,
 )
 from catalania.involution import (
     EXCEPTIONAL,
@@ -65,7 +67,7 @@ def reference_encode_tree(tree):
         elif node:
             out.append("(")
             stack.append(")")
-            stack.extend(reversed(node))
+            stack.extend(reversed(tuple(node)))
         else:
             out.append("o")
     return "".join(out)
@@ -90,7 +92,8 @@ def reference_encode_colored(c, num_colors=1):
             elif node:
                 parts.append("(")
                 stack.append((None, None))
-                stack.extend((path + (i,), node[i]) for i in range(len(node) - 1, -1, -1))
+                kids = tuple(node)
+                stack.extend((path + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1))
             elif target is not None and target.path == path and target.component == comp:
                 parts.append("o*" if num_colors == 1 else f"o*{color}")
                 target, color = next(pending, (None, 0))
@@ -208,7 +211,7 @@ class TestEncodeTree:
         text = reference_encode(f)
         assert encode(f) == text
         assert encode(decode(text)) == text
-        assert ";".join(map(encode_tree, f)) == text
+        assert ";".join(tree.text for tree in f) == text
 
     @given(shape=st.sampled_from([(2, 4, 2), (3, 3, 3), (1, 5, 2), (2, 10, 1)]),
            pick=st.integers(0, 10**6), graft=trees)
@@ -239,10 +242,112 @@ class TestEncodeTree:
         for c in structures + partners:
             assert encode(c.forest) == reference_encode(c.forest)
 
-    def test_pool_trees_carry_their_text(self):
+    def test_pool_trees_are_their_text(self):
         f = generate_forests(3, 3, 2)[-1]
-        encode(f)
-        assert [forest._texts[id(tree)] for tree in f] == list(map(reference_encode_tree, f))
+        texts = [tree.text for tree in f]
+        assert texts == list(map(reference_encode_tree, f))
+        # The trees' internal-vertex counts are 3 and 0: each is its pool's text.
+        assert [text in forest._pool((text.count("("),), (3,)) for text in texts] == [True, True]
+
+
+# The reference model: a tree is the plain tuple of its children, a forest
+# the plain tuple of its trees, parsed from the text or drawn directly.
+model_trees = st.recursive(st.just(()), lambda kids: st.lists(kids, min_size=1, max_size=4).map(tuple),
+                           max_leaves=30)
+model_forests = st.lists(model_trees, max_size=4).map(tuple)
+
+
+def model_of(text):
+    """The forest that ``text`` encodes, as nested plain tuples."""
+    stack = [[]]
+    for ch in text:
+        if ch == "(":
+            stack.append([])
+        elif ch == ")":
+            kids = stack.pop()
+            stack[-1].append(tuple(kids))
+        elif ch == "o":
+            stack[-1].append(())
+    return tuple(stack[0])
+
+
+def built(model_tree):
+    """The Tree of a model tree, built by Tree(children) from its leaves up."""
+    return Tree(map(built, model_tree))
+
+
+def model_vertices(model):
+    """Each vertex of a model forest as (address, model subtree), in preorder."""
+    out = []
+    stack = [(VertexAddr(comp, ()), tree) for comp, tree in reversed(list(enumerate(model)))]
+    while stack:
+        addr, node = stack.pop()
+        out.append((addr, node))
+        stack += [(VertexAddr(addr.component, addr.path + (i,)), node[i])
+                  for i in reversed(range(len(node)))]
+    return out
+
+
+def model_replace(model, addr, new):
+    """The model forest with the subtree at ``addr`` swapped for ``new``."""
+    steps = (addr.component, *addr.path)
+    nodes = [model]  # the forest, then each vertex down to the parent of the one replaced
+    for i in steps[:-1]:
+        nodes.append(nodes[-1][i])
+    for parent, i in zip(reversed(nodes), reversed(steps)):
+        new = parent[:i] + (new,) + parent[i + 1:]
+    return new
+
+
+def face(value):
+    """A Tree or Forest read through len, indexing, iteration and bool into
+    nested plain tuples."""
+    items = list(value)
+    assert items == [value[i] for i in range(len(value))] == [value[i - len(value)] for i in
+                                                              range(len(value))]
+    assert bool(value) == bool(items)
+    return tuple(map(face, items))
+
+
+class TestSequenceFace:
+    """Trees and forests as sequences, and ``subtree_at`` and ``replace_at``
+    on their text, against the tuple model."""
+
+    @staticmethod
+    def check(f, model, graft):
+        assert face(f) == model and f.gamma == len(model)
+        vertices = model_vertices(model)
+        assert leaf_addresses(f) == [addr for addr, node in vertices if not node]
+        for addr, node in vertices:
+            sub = subtree_at(f, addr)
+            assert sub.text == reference_encode_tree(node) and face(sub) == node
+            assert sub.is_leaf == (node == ())
+            grafted = replace_at(f, addr, built(graft))
+            assert grafted.text == reference_encode(model_replace(model, addr, graft))
+        missing = [VertexAddr(len(model), ())]
+        missing += [VertexAddr(addr.component, addr.path + (len(node),)) for addr, node in vertices]
+        for addr in missing:
+            with pytest.raises(ValueError, match="no vertex at"):
+                subtree_at(f, addr)
+            with pytest.raises(ValueError, match="no vertex at"):
+                replace_at(f, addr, LEAF)
+
+    @given(model=model_forests, how=st.sampled_from(["built", "decoded"]), graft=model_trees)
+    @settings(max_examples=100, deadline=None)
+    def test_hand_built_and_decoded_forests(self, model, how, graft):
+        text = reference_encode(model)
+        f = Forest(map(built, model)) if how == "built" else decode(text)
+        assert f.text == text and model_of(text) == model
+        self.check(f, model, graft)
+
+    @given(shape=st.sampled_from([(2, 10, 1), (3, 4, 2), (1, 6, 2), (2, 5, 3)]),
+           cap=st.sampled_from([0, 2, 5]), pick=st.integers(0, 10**6), graft=model_trees)
+    @settings(max_examples=40, deadline=None)
+    def test_forests_from_pools_over_the_cap(self, pool_cap, shape, cap, pick, graft):
+        with pool_cap(cap):
+            generated = list(itertools.islice(iter_forests(*shape), 500))
+        f = generated[pick % len(generated)]
+        self.check(f, model_of(f.text), graft)
 
 
 class TestEncodeColored:
@@ -349,35 +454,32 @@ class TestPairLines:
         assert total == (-1) ** n * exceptional
 
 
-class TestMemo:
+class TestPools:
     def test_regenerated_pools_encode_as_the_reference(self):
-        # Pools cleared as a test that changes POOL_CACHE_MAX clears them:
-        # the memo keeps the old pools' trees alive, so their ids stay theirs.
-        encode(generate_forests(2, 3, 2)[0])
+        # Pools cleared as a test that changes POOL_CACHE_MAX clears them.
         for beta, n, gamma in [(2, 4, 2), (3, 3, 2), (1, 4, 1)]:
             forest._pools.clear()
             forest._large_plan.cache_clear()
             for f in generate_forests(beta, n, gamma):
                 assert encode(f) == reference_encode(f)
-        for pool in forest._texted:
-            for tree in pool:
-                assert forest._texts[id(tree)] == reference_encode_tree(tree)
-        # Pools built after the first encoding are keyed as they are built.
-        assert all(id(tree) in forest._texts for pool in forest._pools.values() if pool
-                   for tree in pool)
+            # Each held pool is a tuple of tree texts, the reference's.
+            for pool in filter(None, forest._pools.values()):
+                assert all(text.__class__ is str for text in pool)
+                assert [reference_encode(decode(text)) for text in pool] == list(pool)
 
-    def test_no_memo_without_encoding(self):
-        # A fresh process: this one has encoded already.
+    def test_no_pool_without_listing(self):
+        # A fresh process: this one has built pools already.  Counts, the
+        # signed census and the suite build none; a listing does.
         child = (
             "from catalania import forest, identities, involution\n"
             "forest.count_forests(3, 6, 2)\n"
             "involution.signed_sum(2, 4, 2, 3)\n"
             "identities.run_suite()\n"
-            "print(len(forest._texts), len(forest._texted))\n"
+            "print(len(forest._pools))\n"
             "forest.encode(forest.generate_forests(2, 2, 1)[0])\n"
-            "print(len(forest._texts) > 0, len(forest._texted) > 0)\n"
+            "print(len(forest._pools) > 0)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
         proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                               text=True, check=False)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\nTrue True\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\nTrue\n", "")

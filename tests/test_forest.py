@@ -1,6 +1,3 @@
-import contextlib
-import itertools
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -115,23 +112,6 @@ class TestGenerators:
         assert len(set(encodings)) == len(encodings)
 
 
-@contextlib.contextmanager
-def pool_cap(cap):
-    """Run with forest.POOL_CACHE_MAX set to ``cap`` and empty pool caches."""
-    saved = forest.POOL_CACHE_MAX
-
-    def reset(value):
-        forest.POOL_CACHE_MAX = value
-        forest._pools.clear()
-        forest._large_plan.cache_clear()
-
-    reset(cap)
-    try:
-        yield
-    finally:
-        reset(saved)
-
-
 # Small one- and two-class profiles; a two-class profile's outdegrees
 # increase strictly, as VecProfile requires.
 small_profiles = st.one_of(
@@ -146,14 +126,14 @@ class TestStreaming:
     # internal vertices (16,796), the ternary with 8 (43,263), the 4-ary
     # with 7 (53,820) and the two-class (3, 3) trees (10,010).
     @pytest.mark.parametrize("beta,n,gamma", [(2, 10, 1), (3, 8, 2), (4, 7, 1)])
-    def test_beta_ary_stream_matches_held_pools(self, beta, n, gamma):
+    def test_beta_ary_stream_matches_held_pools(self, pool_cap, beta, n, gamma):
         with pool_cap(10**9):
             held = generate_forests(beta, n, gamma)
         assert forest._pool((n,), (beta,)) is None
         assert list(iter_forests(beta, n, gamma)) == held
         assert len(held) == catalan_gen(n, beta, gamma)
 
-    def test_two_class_stream_matches_held_pools(self):
+    def test_two_class_stream_matches_held_pools(self, pool_cap):
         profile = VecProfile((3, 3), (2, 3))
         with pool_cap(10**9):
             held = generate_mixed_forests(profile, 2)
@@ -165,7 +145,7 @@ class TestStreaming:
     @given(profile=small_profiles, gamma=st.integers(0, 3),
            cap=st.sampled_from([0, 1, 2, 5, 30]))
     @settings(max_examples=60, deadline=None)
-    def test_any_cap_yields_the_canonical_sequence(self, profile, gamma, cap):
+    def test_any_cap_yields_the_canonical_sequence(self, pool_cap, profile, gamma, cap):
         held = generate_mixed_forests(profile, gamma)
         with pool_cap(cap):
             lazy = list(iter_mixed_forests(profile, gamma))
@@ -213,7 +193,7 @@ class TestCountForests:
     # only, all over cap 0.
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 30])
     @pytest.mark.parametrize("beta,n,gamma", [(2, 6, 2), (3, 4, 3), (1, 4, 2), (2, 7, 1)])
-    def test_counts_at_any_cap(self, beta, n, gamma, cap):
+    def test_counts_at_any_cap(self, pool_cap, beta, n, gamma, cap):
         with pool_cap(cap):
             count = count_forests(beta, n, gamma)
             listed = len(generate_forests(beta, n, gamma))
@@ -228,7 +208,7 @@ class TestCountForests:
     @example(profile=VecProfile((0, 0), (1, 3)), gamma=0, cap=0)
     @example(profile=VecProfile((0,), (2,)), gamma=3, cap=0)
     @settings(max_examples=60, deadline=None)
-    def test_mixed_count_is_the_stream_length(self, profile, gamma, cap):
+    def test_mixed_count_is_the_stream_length(self, pool_cap, profile, gamma, cap):
         with pool_cap(cap):
             count = count_mixed_forests(profile, gamma)
             listed = len(list(iter_mixed_forests(profile, gamma)))
@@ -242,35 +222,26 @@ class TestCountForests:
     def test_counts_near_the_budget(self, beta, n, gamma, want):
         assert count_forests(beta, n, gamma) == catalan_gen(n, beta, gamma) == want
 
-    def test_deep_count_recurses_nowhere(self):
+    def test_deep_count_recurses_nowhere(self, pool_cap):
         # At cap 0 every pool of the 3,000 unary pools is over the cap.
         with pool_cap(0):
             assert count_forests(1, 3000, 1) == 1
 
-    def test_count_walks_only_held_pools(self, monkeypatch):
-        # Once the pools are built, the count builds no tree of a pool over
-        # the cap, as a Tree or as a plain tuple, and hands no sequence of
-        # trees to itertools.product: it reads the held pools' sizes only.
+    def test_count_builds_no_pool(self, pool_cap, monkeypatch):
+        # From empty pools, at any cap, the count builds no pool and no tree,
+        # held or regenerated: it reads pool sizes off the plans only.
         def refuse(*args):
-            raise AssertionError("a tree was built for the count")
+            raise AssertionError("a pool or a tree was built for the count")
 
-        walked, product = [], itertools.product
-
-        def recorded(*args):
-            walked.extend(arg for arg in args if arg and isinstance(arg[0], Tree))
-            return product(*args)
-
-        with pool_cap(5):
-            count_forests(2, 6, 2)
-            held = [pool for pool in forest._pools.values() if pool]
-            assert forest._pool((6,), (2,)) is None and forest._pool((4,), (2,)) is None
-            for name in ("Tree", "_trees", "_product", "_forests"):
-                monkeypatch.setattr(forest, name, refuse)
-            monkeypatch.setattr(itertools, "product", recorded)
-            count = count_forests(2, 6, 2)
-            monkeypatch.undo()
-        assert count == 429
-        assert held and not walked
+        profile = VecProfile((2, 1), (2, 3))
+        for cap in (0, 5, forest.POOL_CACHE_MAX):
+            with pool_cap(cap):
+                for name in ("Tree", "Forest", "_pool", "_trees", "_product", "_forests"):
+                    monkeypatch.setattr(forest, name, refuse)
+                count = count_forests(2, 6, 2), count_mixed_forests(profile, 2)
+                monkeypatch.undo()
+                assert forest._pools == {}
+            assert count == (429, catalan_vector(profile, 2))
 
     @pytest.mark.parametrize("beta,n,gamma", [
         (0, 1, 1), (True, 1, 1), (2, -1, 1), (2, 1, -1), (2, 1, True), (2, 1, "1"),

@@ -1138,6 +1138,18 @@ DOMAIN_MISTAKES = [
      "malformed config: eq9 needs length >= 1, sequences >= 1 and at least one pair"),
     ("eq9", {**_EQ9, "pairs": []},
      "malformed config: eq9 needs length >= 1, sequences >= 1 and at least one pair"),
+    # The pole scan skips the one pair (a = 1, m = -1 is singular at n = 1).
+    ("eq9", {"length": 3, "sequences": 2, "seed": 1, "pairs": [["1", "-1", "1"]]},
+     "malformed config: eq9 needs length >= 1, sequences >= 1 and at least one pair "
+     "without a pole"),
+    ("eq2", {**_EQ2_POINT, "cross": {}}, "malformed config: eq2 cross is empty"),
+    ("eq2", {**_EQ2_POINT, "family": {}}, "malformed config: eq2 family is empty"),
+    ("eq2", {**_EQ2_POINT, "cross": {**_CROSS, "betas": []}},
+     "malformed config: eq2 cross has an empty betas axis"),
+    ("eq2", {**_EQ2_POINT, "cross": {**_CROSS, "alpha_offsets": []}},
+     "malformed config: eq2 cross has an empty alpha_offsets axis"),
+    ("eq2", {**_EQ2_POINT, "family": {**_FAMILY, "gammas": []}},
+     "malformed config: eq2 family has an empty gammas axis"),
     ("eq10", {**_EQ2_POINT, "n_max": 0},
      "malformed config: eq10 rows are 1 <= n <= n_max: need n_max >= 1"),
     ("closed_form", {"beta": _interval("1", "2"), "gamma": _interval("0", "1"), "n_max": 0},
@@ -1155,8 +1167,10 @@ class TestReadBeforeEvaluate:
                              ids=[key for key, _, _ in MALFORMED_SECTIONS] + [
                                  "eq2-cross-beta", "eq2-cross-alpha", "eq2-family-order",
                                  "eq3-p", "eq3-gamma", "eq7-order", "eq8-no-pairs",
-                                 "eq9-length", "eq9-sequences", "eq9-no-pairs", "eq10-n_max",
-                                 "closed_form-n_max"])
+                                 "eq9-length", "eq9-sequences", "eq9-no-pairs",
+                                 "eq9-all-singular", "eq2-cross-empty", "eq2-family-empty",
+                                 "eq2-cross-no-betas", "eq2-cross-no-offsets",
+                                 "eq2-family-no-gammas", "eq10-n_max", "closed_form-n_max"])
     def test_each_mistake_is_found_by_the_read(self, no_evaluation, key, section, message):
         with pytest.raises(ConfigError) as err:
             run_suite({**DEFAULT_CONFIG, key: section})

@@ -436,9 +436,9 @@ class TestGeneratedStructures:
                            enumerate_colored_vector(residual, marks, 2, 4)))
         for forests, marks, structures in slices:
             assert structures == self._per_forest(forests, 2, marks)
-        # The 273 forests of the slice with one colored object hold 72 trees.
+        # The 273 forests of the slice with one colored object hold 72 tree texts.
         forests = slices[1][0]
-        assert len({id(tree) for f in forests for tree in f}) == 72
+        assert len({tree.text for f in forests for tree in f}) == 72
 
     def test_partners(self):
         pool = [c for c in all_structures(2, 3, 2, 3) if classify(c).kind != EXCEPTIONAL]

@@ -35,16 +35,16 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("the size table drops the first split of a pool over the cap",
+    Mutant("the size table drops each pool's first split",
            "src/catalania/forest.py",
            "total(_large_plan(sub, p))",
            "total(_large_plan(sub, p)[1:])",
            ("tests/test_forest.py::TestCountForests::test_counts_at_any_cap",
             "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
-    Mutant("a held pool's size is counted as len(pool) + 1",
+    Mutant("a split's size product is off by one",
            "src/catalania/forest.py",
-           "sizes[sub] = len(pool) if",
-           "sizes[sub] = len(pool) + 1 if",
+           "sum(prod(map(sizes.__getitem__, split)) for split in splits)",
+           "sum(prod(map(sizes.__getitem__, split)) + 1 for split in splits)",
            ("tests/test_forest.py::TestCountForests::test_counts_the_generated_forests",
             "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
     Mutant("leaf_paths does not advance after a leaf",
@@ -53,10 +53,10 @@ MUTANTS = (
            '            out.append(tuple(path[1:]))\n            continue\n',
            ("tests/test_forest.py::TestLeafCounts::test_leaf_addresses_in_preorder",
             "tests/test_identities.py::TestGoldenEnumerations::test_two_class_census_order_is_pinned")),
-    Mutant("Tree.__eq__ compares a tree's text with itself",
-           "src/catalania/forest.py",
-           "encode_tree(self) == encode_tree(other)",
-           "encode_tree(self) == encode_tree(self)",
+    Mutant("Record equality, which Tree and Forest use, compares a value's fields with themselves",
+           "src/catalania/exact.py",
+           "return self._values() == other._values()",
+           "return self._values() == self._values()",
            ("tests/test_data_model.py::test_equal_iff_structurally_equal",
             "tests/test_data_model.py::test_deep_trees_compare_and_hash")),
     Mutant("closed_form accepts n_max 0, whose grid checks nothing",
@@ -81,6 +81,13 @@ MUTANTS = (
            "    for residual, marks, _ in _census_slices(profile, gamma, alpha):\n"
            "        forests = generate_mixed_forests(residual, gamma)\n",
            ("tests/test_involution.py::TestCensusBudget::test_scalar_census_sums_its_slices",)),
+    Mutant("a regenerated pool's tree text drops its closing ')'",
+           "src/catalania/forest.py",
+           "zip(*map(itertools.repeat, head), _trees(large, p), *tail)",
+           "zip(*map(itertools.repeat, head), (text[:-1] for text in _trees(large, p)), *tail)",
+           ("tests/test_forest.py::TestStreaming::test_beta_ary_stream_matches_held_pools",
+            "tests/test_forest.py::TestStreaming::test_any_cap_yields_the_canonical_sequence",
+            "tests/test_encoding.py::TestSequenceFace::test_forests_from_pools_over_the_cap")),
 )
 
 
