@@ -395,8 +395,7 @@ def _tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> tuple[_Split, ...
         tuple(c - (i == j) for i, c in enumerate(counts)), pj))
 
 
-# A pool over the cap is regenerated on each use, and a count sizes every
-# pool, from a plan made once.
+# A pool over the cap is regenerated on each use from a plan made once.
 _large_plan = lru_cache(maxsize=None)(_tree_plan)
 
 
@@ -465,7 +464,7 @@ def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
         return sum(prod(map(sizes.__getitem__, split)) for split in splits)
 
     for sub in itertools.product(*(range(c + 1) for c in counts)):
-        sizes[sub] = total(_large_plan(sub, p))
+        sizes[sub] = total(_tree_plan(sub, p))
     return total(_vector_compositions(counts, gamma))
 
 

@@ -756,54 +756,45 @@ def _suite_eq9(cfg: Mapping, run: _Run) -> _Plan:
     rng = random.Random(seed)
 
     def outcomes() -> Iterator[Optional[Counterexample]]:
-        matrices = [(pair, *_roundtrip_rows(pair, length)) for pair in pairs]
-        if 6 * count > length:  # the composites cost less than the walk, see _inverse_pair
-            matrices = [matrix for matrix in matrices if not _inverse_pair(*matrix[1:])]
-        for index in range(count if matrices else 0):
+        failing = [pair for pair in pairs if not _inverse_pair(pair, length)]
+        for index in range(count if failing else 0):
             seq = random_rational_sequence(rng, length)
-            (nums,), den = cleared([seq])
-            yield from (_gould_roundtrip(index, seq, nums, den, *matrix) for matrix in matrices)
+            yield from (_gould_roundtrip(index, seq, pair) for pair in failing)
+        # No seeded sequence shows the failure: the identity itself is the counterexample.
+        yield from (Counterexample.at(_gould_params(pair), "B*F", "den*diag(B)",
+                                      "no seeded sequence shows the failing identity")
+                    for pair in failing)
 
     return grid, outcomes(), skipped
 
 
-def _roundtrip_rows(pair: GouldPair, length: int) -> tuple[list[list[int]], list[list[int]], int]:
-    """Integer matrices of the pair's two transforms, built once for every round trip:
-    den * F for the forward matrix F over its lcm denominator den, mult * E for the
-    backward transform E (row 0 the identity, row n >= 1 the scaled backward row over
-    its diagonal) with mult the lcm of that diagonal, and den * mult."""
+def _inverse_pair(pair: GouldPair, length: int) -> bool:
+    """Whether the pair's two transforms invert each other on every sequence of
+    ``length``, decided by one integer identity: B * F == den * diag(B), with
+    den * F the forward rows cleared over their lcm denominator den, and B the
+    scaled backward rows (row 0 the identity, row n >= 1 with diagonal -a*n - m,
+    nonzero as poles are skipped) cleared to integers.  It says that backward
+    after forward is the identity; a one-sided inverse of a square matrix is
+    two-sided, so forward after backward is too."""
     forward, den = cleared(_gould_rows(pair.a, pair.m, pair.z, length))
     backward, _ = cleared([[1]][:length] + _gould_rows(pair.a, pair.m, pair.z, length, True)[1:])
-    diagonal = [row[n] for n, row in enumerate(backward)]  # nonzero: poles are skipped
-    mult = lcm(*diagonal)
-    return forward, [[v * (mult // d) for v in row] for row, d in zip(backward, diagonal)], den * mult
+    columns = [[row[k] for row in forward[k:]] for k in range(length)]
+    return all(_dot(row[k:], columns[k]) == (den * row[k] if k == n else 0)
+               for n, row in enumerate(backward) for k in range(n + 1))
 
 
-def _inverse_pair(forward: list[list[int]], inverse: list[list[int]], scale: int) -> bool:
-    """Whether both integer composites, inverse * forward and forward * inverse, are
-    scale * I, so that every round trip passes (see _roundtrip_rows).  The two
-    triangular products cost about length**3 / 3 multiplications, the walk of
-    ``sequences`` round trips about 2 * sequences * length**2, so Eq9 asks this
-    only while length < 6 * sequences."""
-    return all(sum(outer[i][k] * inner[k][j] for k in range(j, i + 1)) == (scale if i == j else 0)
-               for outer, inner in ((inverse, forward), (forward, inverse))
-               for i in range(len(outer)) for j in range(i + 1))
+def _gould_params(pair: GouldPair) -> dict:
+    return {"a": pair.a, "m": rat_str(pair.m), "z": rat_str(pair.z)}
 
 
-def _gould_roundtrip(index: int, seq: list[Rat], nums: list[int], den: int, pair: GouldPair,
-                     forward: list[list[int]], inverse: list[list[int]],
-                     scale: int) -> Optional[Counterexample]:
-    """Both round trips of seq = nums / den, decided on integers: each composite
-    must map nums to scale * nums (see _roundtrip_rows)."""
-    target = [scale * v for v in nums]
-    params = {"sequence": index, "a": pair.a, "m": rat_str(pair.m), "z": rat_str(pair.z)}
-    for outer, inner, detail in ((inverse, forward, "backward(forward) != id"),
-                                 (forward, inverse, "forward(backward) != id")):
-        image = [_dot(row, nums) for row in inner]
-        got = [_dot(row, image) for row in outer]
-        if got != target:
-            return Counterexample.at(params, [rat_str(Fraction(v, scale * den)) for v in got],
-                                     [rat_str(v) for v in seq], detail)
+def _gould_roundtrip(index: int, seq: list[Rat], pair: GouldPair) -> Optional[Counterexample]:
+    """Both round trips of seq through gould_forward and gould_backward."""
+    for outer, inner, detail in ((gould_backward, gould_forward, "backward(forward) != id"),
+                                 (gould_forward, gould_backward, "forward(backward) != id")):
+        got = outer(inner(seq, pair), pair)
+        if got != seq:
+            return Counterexample.at({"sequence": index, **_gould_params(pair)},
+                                     [rat_str(v) for v in got], [rat_str(v) for v in seq], detail)
     return None
 
 

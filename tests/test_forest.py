@@ -243,6 +243,15 @@ class TestCountForests:
                 assert forest._pools == {}
             assert count == (429, catalan_vector(profile, 2))
 
+    def test_count_caches_no_plan(self, pool_cap):
+        # The size table reads plans made per count, so no plan outlives the
+        # count: a unary count would otherwise hold one per vertex count.
+        with pool_cap(forest.POOL_CACHE_MAX):
+            assert count_forests(1, 500, 1) == 1
+            assert count_mixed_forests(VecProfile((2, 1), (2, 3)), 2) == catalan_vector(
+                VecProfile((2, 1), (2, 3)), 2)
+            assert forest._large_plan.cache_info().currsize == 0
+
     @pytest.mark.parametrize("beta,n,gamma", [
         (0, 1, 1), (True, 1, 1), (2, -1, 1), (2, 1, -1), (2, 1, True), (2, 1, "1"),
     ])

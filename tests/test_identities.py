@@ -369,19 +369,19 @@ class TestPairKernel:
         (report,) = run_suite({"eq9": {**section, "pairs": [["1", "1", "1"], ["2", "0", "1"]]}})
         assert report.counterexample == alone.counterexample and len(draws) == 2
 
-    @pytest.mark.parametrize("length,sequences,composites", [(29, 5, 1), (30, 5, 0), (10, 1, 0)])
-    def test_eq9_forms_the_composites_only_below_six_draws_a_position(
-            self, monkeypatch, length, sequences, composites):
+    @pytest.mark.parametrize("length,sequences", [(10, 1), (29, 5), (30, 5), (60, 5)])
+    def test_eq9_forms_each_identity_once_and_draws_no_sequence(
+            self, monkeypatch, length, sequences):
         formed, draws = [], []
         monkeypatch.setattr(identities, "_inverse_pair", _recorded(
-            formed, identities._inverse_pair, lambda *args: len(args[0])))
+            formed, identities._inverse_pair, lambda pair, length: (pair, length)))
         monkeypatch.setattr(identities, "random_rational_sequence", _recorded(
             draws, random_rational_sequence, lambda rng, length: length))
         config = {**DEFAULT_CONFIG["eq9"], "length": length, "sequences": sequences}
         (report,) = run_suite({"eq9": config})
         assert report.ok and not report.skipped
-        assert formed == [length] * len(config["pairs"]) * composites
-        assert draws == [length] * sequences * (1 - composites)
+        assert formed == [(GouldPair(int(a), F(m), F(z)), length) for a, m, z in config["pairs"]]
+        assert draws == []
 
     @pytest.mark.parametrize("alpha,beta,gamma", [(2, 0, 1), (F(1, 2), 3, F(-1, 2))])
     def test_failing_eq10_row_shows_the_unscaled_sum(self, monkeypatch, alpha, beta, gamma):
@@ -415,30 +415,37 @@ def _perturbed_gould_rows(in_backward: bool, n: int, k: int):
 # round trip.  At seed 14 the first sequence is 0 at index 4, so a forward
 # entry in column 4 leaves backward(forward) exact and only forward(backward)
 # fails; an off-diagonal and a diagonal backward entry fail backward(forward).
+# The rows of _EQ9_LONG (length at least six times the sequences) were
+# computed by the implementation that decided such sections by the seeded
+# round trips alone, with no matrix identity.
+_EQ9_SHORT = {"length": 10, "sequences": 3, "seed": 14}
+_EQ9_LONG = {"length": 12, "sequences": 2, "seed": 14}
 EQ9_FAILURES = [
-    (["2", "0", "1"], True, (6, 2), "backward(forward) != id",
+    (_EQ9_SHORT, ["2", "0", "1"], True, (6, 2), "backward(forward) != id",
      "5bd3581a832d68b3014f7e489d4837c36f03bc6107a4da69a7cd46a47bc1694d"),
-    (["2", "0", "1"], False, (7, 4), "forward(backward) != id",
+    (_EQ9_SHORT, ["2", "0", "1"], False, (7, 4), "forward(backward) != id",
      "5751a8882da7961371a8955fb522917f2a6c321f335058a59e0102845d363d61"),
-    (["2", "0", "1"], True, (5, 5), "backward(forward) != id",
+    (_EQ9_SHORT, ["2", "0", "1"], True, (5, 5), "backward(forward) != id",
      "843ee6ede777fa42ad36be1d7983e1761e7d0b1ae2fe8aff96c0d1ec6babf014"),
-    (["1", "1/2", "-1"], True, (6, 2), "backward(forward) != id",
+    (_EQ9_SHORT, ["1", "1/2", "-1"], True, (6, 2), "backward(forward) != id",
      "12a1af9f8bbd6110f2dd8ed414d0514c72877c5736fcb2d14ac3e0aaa3ed5fc2"),
-    (["1", "1/2", "-1"], False, (7, 4), "forward(backward) != id",
+    (_EQ9_SHORT, ["1", "1/2", "-1"], False, (7, 4), "forward(backward) != id",
      "d7000a194545689ce5721905e8b9c1ad637d8469e0472f364bf7a381653054ea"),
-    (["1", "1/2", "-1"], True, (5, 5), "backward(forward) != id",
+    (_EQ9_SHORT, ["1", "1/2", "-1"], True, (5, 5), "backward(forward) != id",
      "876ed1d1700663fadbc0ed4cfb7594970cabcc87141b292b4a01d1fd458f7738"),
+    (_EQ9_LONG, ["2", "-1", "1/3"], False, (8, 4), "forward(backward) != id",
+     "0bf71627f983f7c57eaf22dd199a6ca78b0a52862d1d9ca042f08247a6bcf5f5"),
 ]
 
 
 class TestEq9Failures:
-    @pytest.mark.parametrize("pair,backward,entry,detail,digest", EQ9_FAILURES,
+    @pytest.mark.parametrize("section,pair,backward,entry,detail,digest", EQ9_FAILURES,
                              ids=["int-backward", "int-forward", "int-diagonal",
-                                  "rat-backward", "rat-forward", "rat-diagonal"])
-    def test_failure_report_bytes_are_pinned(self, monkeypatch, pair, backward, entry,
+                                  "rat-backward", "rat-forward", "rat-diagonal", "long-forward"])
+    def test_failure_report_bytes_are_pinned(self, monkeypatch, section, pair, backward, entry,
                                              detail, digest):
         monkeypatch.setattr(identities, "_gould_rows", _perturbed_gould_rows(backward, *entry))
-        reports = run_suite({"eq9": {"length": 10, "sequences": 3, "seed": 14, "pairs": [pair]}})
+        reports = run_suite({"eq9": {**section, "pairs": [pair]}})
         assert reports[0].counterexample.detail == detail
         text = reports_to_json(reports)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -453,6 +460,55 @@ class TestEq9Failures:
         monkeypatch.setattr(identities, "_gould_rows", _perturbed_gould_rows(False, 7, 4))
         (report,) = run_suite({"eq9": {"length": 10, "sequences": 1, "seed": 14,
                                        "pairs": [["1", "1/2", "-1"]]}})
+        assert report.counterexample.lhs == str([str(v) for v in got])
+        assert report.counterexample.rhs == str([str(v) for v in seq])
+
+    def test_a_failing_identity_no_sequence_shows_still_fails(self, monkeypatch):
+        monkeypatch.setattr(identities, "_gould_rows", _perturbed_gould_rows(True, 6, 2))
+        monkeypatch.setattr(identities, "random_rational_sequence",
+                            lambda rng, length: [F(0)] * length)
+        (report,) = run_suite({"eq9": {**_EQ9_SHORT, "pairs": [["2", "0", "1"]]}})
+        assert report.counterexample.to_json() == {
+            "params": {"a": "2", "m": "0", "z": "1"}, "lhs": "B*F", "rhs": "den*diag(B)",
+            "detail": "no seeded sequence shows the failing identity"}
+
+    @given(a=st.integers(min_value=-2, max_value=3), m=small_params, z=small_params,
+           length=st.integers(min_value=1, max_value=8), seed=st.integers(0, 2**16),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_identity_and_the_seeded_round_trips_agree(self, a, m, z, length, seed, data):
+        """The identity holds on the true rows.  With one entry perturbed it
+        fails, and the report names the first seeded sequence whose round trip
+        through gould_forward and gould_backward differs from it, or, when
+        none does, the identity itself."""
+        assume(all(-a * n - m != 0 for n in range(1, length)))
+        pair = GouldPair(a, m, z)
+        assert identities._inverse_pair(pair, length)
+        # Backward row 0 is the identity whatever its entry, and a backward
+        # diagonal entry changes the transform only beside a nonzero entry.
+        backward = data.draw(st.booleans()) and length > 1
+        n = data.draw(st.integers(min_value=int(backward), max_value=length - 1))
+        k = data.draw(st.integers(min_value=0, max_value=n))
+        if backward and k == n:
+            row = identities._gould_rows(a, m, z, length, True)[n]
+            assume(row[n] + 1 != 0 and any(row[:n]))
+        section = {"length": length, "sequences": 3, "seed": seed,
+                   "pairs": [[str(a), str(m), str(z)]]}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(identities, "_gould_rows", _perturbed_gould_rows(backward, n, k))
+            assert not identities._inverse_pair(pair, length)
+            (report,) = run_suite({"eq9": section})
+            rng = random.Random(seed)
+            trips = [(seq, [gould_backward(gould_forward(seq, pair), pair),
+                            gould_forward(gould_backward(seq, pair), pair)])
+                     for seq in (random_rational_sequence(rng, length) for _ in range(3))]
+        failing = [(index, seq, next(got for got in both if got != seq))
+                   for index, (seq, both) in enumerate(trips) if any(got != seq for got in both)]
+        if not failing:
+            assert report.counterexample.detail == "no seeded sequence shows the failing identity"
+            return
+        index, seq, got = failing[0]
+        assert dict(report.counterexample.params)["sequence"] == str(index)
         assert report.counterexample.lhs == str([str(v) for v in got])
         assert report.counterexample.rhs == str([str(v) for v in seq])
 
@@ -645,12 +701,17 @@ GOLDEN_REPORTS = [
     ({"eq2": _small_grid(ALPHA_0_2, 4),
       "eq4": _small_grid({"min": "1", "max": "3", "step": "1"}, 4)},
      "68aeb0b3b37cfe112a0245591d98c91bd152cfa84a798fed3e97c97c9465abc7"),
+    # Sequences of length six times their number, which that implementation
+    # decided by the seeded round trips alone, with no matrix identity.
+    ({"eq9": {**DEFAULT_CONFIG["eq9"], "length": 30, "sequences": 5}},
+     "03569a6988eb5bd3a430a7c91025f0ae360053cc62338b37a1ddc85fb5be40f5"),
 ]
 
 
 class TestGoldenReports:
     @pytest.mark.parametrize("config,digest", GOLDEN_REPORTS,
-                             ids=["default", "corrupt", "eq4-only", "eq4-grid-differs"])
+                             ids=["default", "corrupt", "eq4-only", "eq4-grid-differs",
+                                  "eq9-long"])
     def test_report_bytes_are_pinned(self, request, config, digest):
         reports = (request.getfixturevalue("default_reports") if config is None
                    else run_suite(config))

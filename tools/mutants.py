@@ -37,8 +37,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("the size table drops each pool's first split",
            "src/catalania/forest.py",
-           "total(_large_plan(sub, p))",
-           "total(_large_plan(sub, p)[1:])",
+           "total(_tree_plan(sub, p))",
+           "total(_tree_plan(sub, p)[1:])",
            ("tests/test_forest.py::TestCountForests::test_counts_at_any_cap",
             "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
     Mutant("a split's size product is off by one",
@@ -88,6 +88,22 @@ MUTANTS = (
            ("tests/test_forest.py::TestStreaming::test_beta_ary_stream_matches_held_pools",
             "tests/test_forest.py::TestStreaming::test_any_cap_yields_the_canonical_sequence",
             "tests/test_encoding.py::TestSequenceFace::test_forests_from_pools_over_the_cap")),
+    Mutant("the Eq9 identity skips its off-diagonal entries",
+           "src/catalania/identities.py",
+           "for n, row in enumerate(backward) for k in range(n + 1))",
+           "for n, row in enumerate(backward) for k in range(n, n + 1))",
+           ("tests/test_identities.py::TestEq9Failures::test_failure_report_bytes_are_pinned",
+            "tests/test_identities.py::TestEq9Failures::"
+            "test_the_identity_and_the_seeded_round_trips_agree")),
+    Mutant("the Eq9 identity drops the den factor on the diagonal",
+           "src/catalania/identities.py",
+           "(den * row[k] if k == n else 0)",
+           "(row[k] if k == n else 0)",
+           ("tests/test_identities.py::TestGoldenReports::test_report_bytes_are_pinned",
+            "tests/test_identities.py::TestPairKernel::"
+            "test_eq9_decides_inverse_pairs_without_drawing_a_sequence",
+            "tests/test_identities.py::TestEq9Failures::"
+            "test_the_identity_and_the_seeded_round_trips_agree")),
 )
 
 
