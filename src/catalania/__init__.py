@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "exact": ("Rat", "as_rat", "binom", "multinomial", "rat_str"),
     "counting": ("VecProfile", "catalan_gen", "catalan_sequence", "catalan_vector"),
-    "forest": ("Forest", "Tree", "VertexAddr", "count_forests", "count_leaves",
-               "count_mixed_forests", "decode", "encode", "generate_forests", "generate_kary",
-               "generate_mixed_forests", "iter_forests", "iter_mixed_forests"),
+    "forest": ("Forest", "Tree", "count_forests", "count_mixed_forests", "decode", "encode",
+               "generate_forests", "generate_mixed_forests", "iter_forests",
+               "iter_mixed_forests"),
     "involution": ("ColoredForest", "Classification", "check_signed_matching", "classify",
                    "enumerate_colored", "involute", "pairings", "signed_sum",
                    "signed_sum_vector"),

@@ -2,12 +2,10 @@
 
 A tree is its text.  A ``Tree`` and a ``Forest`` are immutable values
 (``exact.Record``) with one field, ``text``, their parenthesis encoding
-below; a ``VertexAddr`` is a named (component, path) pair.  A tree is also
-the sequence of its child trees, so a leaf is falsy, and a forest the
-sequence of its trees: ``len``, indexing and iteration scan the text for
-the parts' texts.  ``Tree(children)`` and ``Forest(trees)`` join their
-parts' texts.  A value equals only its own kind, compares and hashes by its
-text, and is its own copy, so values of any depth compare, hash and pickle.
+below, and show as ``Tree(text='(oo)')``.  ``Tree(children)`` and
+``Forest(trees)`` join their parts' texts.  A value equals only its own
+kind, compares and hashes by its text, and is its own copy, so values of
+any depth compare, hash and pickle.
 
 One lazy generator, ``iter_mixed_forests``, yields every forest; beta-ary
 forests (``iter_forests``) are its one-class case.  It yields in a fixed
@@ -38,17 +36,15 @@ Text encoding, bit-exact::
 
 A leaf is "o"; an internal vertex wraps the concatenation of its children
 in parentheses; components are joined by ";".  The text is the forest's
-preorder (Lukasiewicz) word, and one pass over it (``layout``) places every
-leaf and every level, so ``subtree_at``, ``replace_at`` and the pairing
-find a vertex's text position there and splice the text.
+preorder (Lukasiewicz) word, so the i-th "o" of the text names leaf i of
+the forest, and one pass over it (``layout``) places every leaf and every
+level: the pairing finds its vertices there and splices the text.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import os
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -98,58 +94,11 @@ def check_budget(estimate: Fraction | int) -> None:
 # Data model
 # ---------------------------------------------------------------------------
 
-def _end(text: str, start: int) -> int:
-    """The position just past the tree whose text starts at ``start``.
-    While ``unclosed`` of its "(" are open, the tree cannot end within fewer
-    than that many characters, so each step counts that many at once, in C.
-    Text that ends with a "(" still open raises ValueError."""
-    end, unclosed = start + 1, int(text[start] == "(")
-    while unclosed and end < len(text):
-        step = unclosed
-        unclosed += text.count("(", end, end + step) - text.count(")", end, end + step)
-        end += step
-    if unclosed:
-        raise ValueError(f"unbalanced tree text from position {start}")
-    return end
-
-
-def _repr(name: str, items: str) -> str:
-    """``name((item, ...))`` as a tuple of Trees shows, for the trees whose
-    texts ``items`` concatenates or joins with ";", in one pass: a vertex's
-    count of children so far tells where a ", " and a one-item "," go."""
-    out = [name, "(("]
-    counts = [0]
-    for ch in items:
-        if ch == ")":
-            out.append(",))" if counts.pop() == 1 else "))")
-        elif ch != ";":
-            if counts[-1]:
-                out.append(", ")
-            counts[-1] += 1
-            if ch == "o":
-                out.append("Tree(())")
-            else:
-                out.append("Tree((")
-                counts.append(0)
-    out.append(",))" if counts[0] == 1 else "))")
-    return "".join(out)
-
-
 class _Text(Record):
-    """The face that Tree and Forest share: a value holding its text, and
-    the sequence of its parts (a tree's children, a forest's trees), each a
-    Tree.  Immutable, so a copy or a deep copy is the value itself."""
+    """The base of Tree and Forest: a value holding its text.  Immutable,
+    so a copy or a deep copy is the value itself."""
 
     __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self._parts())
-
-    def __getitem__(self, index: int) -> Tree:
-        return Tree._make(self._parts()[operator.index(index)])
-
-    def __iter__(self) -> Iterator[Tree]:
-        return map(Tree._make, self._parts())
 
     def __copy__(self) -> _Text:
         return self
@@ -160,8 +109,7 @@ class _Text(Record):
 
 class Tree(_Text):
     """Ordered rooted tree, held as its text: "o" for a leaf, else "(" + its
-    children's texts + ")".  As a sequence it is its child trees, so a leaf
-    is falsy.  ``Tree(children)`` joins the children's texts."""
+    children's texts + ")".  ``Tree(children)`` joins the children's texts."""
 
     __slots__ = ("text",)
 
@@ -169,32 +117,14 @@ class Tree(_Text):
         inner = "".join([child.text for child in children])
         return cls._make(f"({inner})" if inner else "o")
 
-    children = property(lambda self: self, doc="The tree, as the sequence of its children.")
-
-    def __bool__(self) -> bool:
-        return self.text != "o"
-
-    is_leaf = property(operator.not_, doc="True for a vertex without children.")
-
-    def _parts(self) -> list[str]:
-        text, parts, pos = self.text, [], 1
-        while pos < len(text) - 1:
-            end = _end(text, pos)
-            parts.append(text[pos:end])
-            pos = end
-        return parts
-
-    def __repr__(self) -> str:
-        return _repr("Tree", self.text[1:-1])
-
 
 LEAF = Tree()
 
 
 class Forest(_Text):
     """Ordered sequence of trees, held as its text: the trees' texts joined
-    by ";".  The component count is gamma (may be 0).  ``Forest(trees)``
-    joins the trees' texts.
+    by ";", one per component (there may be none).  ``Forest(trees)`` joins
+    the trees' texts.
 
     All component roots sit on depth 0; children of depth-d vertices sit on
     depth d+1.  Left-to-right order inside a depth is component-major.
@@ -205,56 +135,16 @@ class Forest(_Text):
     def __new__(cls, trees: Iterable[Tree] = ()) -> Forest:
         return cls._make(";".join([tree.text for tree in trees]))
 
-    trees = property(lambda self: self, doc="The forest, as the sequence of its trees.")
-    gamma = property(len, doc="The number of components.")
-
-    def _parts(self) -> list[str]:
-        return self.text.split(";") if self.text else []
-
-    def __repr__(self) -> str:
-        return _repr("Forest", self.text)
-
-
-class VertexAddr(NamedTuple):
-    """Address of a vertex: component index plus child-index path from the
-    component root.  Tuple ordering of (component, path) is left-to-right
-    order inside a fixed depth and component-major preorder overall.
-    """
-
-    component: int
-    path: tuple[int, ...] = ()
-
 
 class Layout(NamedTuple):
     """A forest's text, the position of each of its leaves ("o") in preorder,
     and the positions of its vertices ("o" or "(") by depth, each level left
-    to right, which is text order."""
+    to right, which is text order.  Leaf i of the forest is the "o" at
+    leaves[i]."""
 
     text: str
     leaves: list[int]
     levels: list[list[int]]
-
-    def position(self, addr: VertexAddr) -> int:
-        """The text position of the vertex at ``addr``, which must exist: a
-        vertex's i-th child is the i-th vertex one level down after it."""
-        pos = self.levels[0][addr.component]
-        for level, i in zip(self.levels[1:], addr.path):
-            pos = level[bisect_right(level, pos) + i]
-        return pos
-
-    def address(self, pos: int) -> VertexAddr:
-        """The address of the vertex at text position ``pos``, from one scan
-        of the text before it, which counts the children that end there of
-        each vertex still open, and the components that end there."""
-        ends = [0]
-        for ch in self.text[:pos]:
-            if ch == "(":
-                ends.append(0)
-            elif ch != ";":
-                if ch == ")":
-                    ends.pop()
-                ends[-1] += 1
-        return VertexAddr(ends[0], tuple(ends[1:]))
 
 
 def layout(text: str) -> Layout:
@@ -272,60 +162,6 @@ def layout(text: str) -> Layout:
             else:
                 depth += 1
     return Layout(text, leaves, levels)
-
-
-def count_leaves(forest: Forest) -> int:
-    """Number of childless vertices of the forest: the "o"s of its text."""
-    return forest.text.count("o")
-
-
-def leaf_paths(tree: Tree) -> list[tuple[int, ...]]:
-    """The child-index path from the root to each leaf of ``tree``, in
-    preorder, read off its text in one pass."""
-    out = []
-    path = [0]  # the index of the next child of each open vertex, below a sentinel
-    for ch in tree.text:
-        if ch == "(":
-            path.append(0)
-            continue
-        if ch == "o":
-            out.append(tuple(path[1:]))
-        else:
-            path.pop()
-        path[-1] += 1
-    return out
-
-
-def leaf_addresses(forest: Forest) -> list[VertexAddr]:
-    """Addresses of all leaves, in component-major preorder, which is
-    VertexAddr order."""
-    return [VertexAddr(comp, path) for comp, tree in enumerate(forest) for path in leaf_paths(tree)]
-
-
-def _span(forest: Forest, addr: VertexAddr) -> tuple[int, int]:
-    """The start and end of the text of the subtree at ``addr``, located on
-    the forest's layout; raises if the address does not exist."""
-    shape = layout(forest.text)
-    try:
-        pos = shape.position(addr)
-    except IndexError:
-        pos = None
-    if pos is None or shape.address(pos) != addr:
-        raise ValueError(f"no vertex at {addr}")
-    return pos, _end(forest.text, pos)
-
-
-def subtree_at(forest: Forest, addr: VertexAddr) -> Tree:
-    """The subtree rooted at addr; raises if the address does not exist."""
-    start, end = _span(forest, addr)
-    return Tree._make(forest.text[start:end])
-
-
-def replace_at(forest: Forest, addr: VertexAddr, new: Tree) -> Forest:
-    """Forest with the subtree at addr swapped for ``new``, spliced into
-    the forest's text."""
-    start, end = _span(forest, addr)
-    return Forest._make(forest.text[:start] + new.text + forest.text[end:])
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +325,6 @@ def generate_mixed_forests(profile: VecProfile, gamma: int) -> list[Forest]:
 def generate_forests(beta: int, n: int, gamma: int) -> list[Forest]:
     """The list of iter_forests(beta, n, gamma)."""
     return list(iter_forests(beta, n, gamma))
-
-
-def generate_kary(beta: int, n: int) -> list[Tree]:
-    """All trees whose internal vertices have outdegree exactly ``beta``,
-    with exactly ``n`` internal vertices, in canonical order."""
-    return [forest[0] for forest in iter_forests(beta, n, 1)]
 
 
 # ---------------------------------------------------------------------------

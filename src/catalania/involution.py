@@ -3,7 +3,8 @@
 A colored forest is an ordered forest plus a number of planted roots
 (colorable marks sitting above the first component, with no depth of their
 own) and a coloring of a subset of leaves and planted roots with colors in
-{1..t}.  Internal vertices are never colored.
+{1..t}.  Internal vertices are never colored.  A leaf is named by its
+index, i for the i-th "o" of the forest's text (its preorder word).
 
 ``classify`` splits the structures with at least one internal vertex or one
 colored leaf into two classes by scanning the bottom two levels of the
@@ -18,16 +19,19 @@ forest (levels are forest-global, component-major):
 
 ``involute`` promotes a first-class candidate of color j to an internal
 vertex by attaching p[j-1] leaf children (erasing its color), and demotes a
-second-class incumbent with p[j-1] leaf children back to a colored leaf.
-The map is a fixed-point-free involution that swaps the classes and flips
-the (-1)**(number of colored objects) weight, so every alternating census
-is carried entirely by the *exceptional* structures: those with no colored
-leaf and no internal vertex (only planted roots colored).
+second-class incumbent with p[j-1] leaf children back to a colored leaf;
+the colored leaves after the acting vertex move up by p[j-1] - 1 indices,
+or back down.  The map is a fixed-point-free involution that swaps the
+classes and flips the (-1)**(number of colored objects) weight, so every
+alternating census is carried entirely by the *exceptional* structures:
+those with no colored leaf and no internal vertex (only planted roots
+colored).
 
 A ``ColoredForest`` is the tuple (forest, planted, leaf_colors, root_colors)
-and a ``Classification`` the named pair (kind, vertex).  Both are immutable
-and hashable, and compare structurally at any depth of forest, since a
-forest compares and hashes by its text.
+and a ``Classification`` the named pair (kind, vertex), the vertex being
+the acting vertex's position in the forest's text.  Both are immutable and
+hashable, and compare structurally at any depth of forest, since a forest
+compares and hashes by its text.
 
 Validation happens where structures come from outside.  ``ColoredForest(...)``
 checks and sorts every coloring that users build or decode.  The
@@ -38,11 +42,10 @@ which is the one-class vector census, for all its slices before the first.
 They then build each structure from fields that are canonical by
 construction (leaves in preorder, colors chosen in ascending order) and
 skip that check; so does the pairing, whose output is canonical whenever
-its input is.  A slice finds its colorings once and, as its forests share
-their component trees (the pools' texts), each tree text's leaf paths once
-(``forest.leaf_paths``).  ``signed_sum_vector`` builds no structure: all
-of a slice has one weight, so the slice adds that weight times its forests
-and colorings.
+its input is.  A slice finds its colorings once, as leaf indices that
+serve every forest of the slice, and pairs each forest with each of them.
+``signed_sum_vector`` builds no structure: all of a slice has one weight,
+so the slice adds that weight times its forests and colorings.
 
 The classes are read on text.  A forest's text is its preorder word, and
 one pass over it (``forest.layout``) places its leaves and its levels; the
@@ -54,7 +57,7 @@ forest's text: a structure's colored leaves become "o*", and a first-class
 structure's partner is the same splice with the candidate's "o" grown to
 "(" + "o" * beta + ")", so no partner forest is built.  ``classify``,
 ``encode_colored`` and ``involute`` find their vertices on the layout, in
-time linear in depth, and ``involute`` splices the forest's text there.
+time linear in the text, and ``involute`` splices the forest's text there.
 """
 
 from __future__ import annotations
@@ -71,14 +74,11 @@ from .exact import Rat, RatLike, check_nat, multinomial
 from .forest import (
     Forest,
     Layout,
-    VertexAddr,
     check_arity,
     check_budget,
     count_mixed_forests,
     generate_mixed_forests,
     layout,
-    leaf_paths,
-    subtree_at,
 )
 
 FIRST = "first"
@@ -98,11 +98,13 @@ class ColoredForest(tuple):
     """Forest + planted roots + coloring of leaves and planted roots, as the
     tuple (forest, planted, leaf_colors, root_colors).
 
-    ``leaf_colors`` maps leaf addresses to colors >= 1 and is stored as a
-    tuple of pairs sorted by address; ``root_colors`` maps planted-root
-    indices (0 .. planted-1) to colors, sorted by index.  Structures are
-    immutable (a copy is the value itself), hashable and compare
-    structurally at any depth of forest, never equal to a plain tuple.
+    ``leaf_colors`` maps leaf indices to colors >= 1 and is stored as a
+    tuple of pairs sorted by index, leaf i being the i-th "o" of the
+    forest's text (its i-th leaf in preorder); ``root_colors`` maps
+    planted-root indices (0 .. planted-1) to colors, sorted by index.
+    Structures are immutable (a copy is the value itself), hashable and
+    compare structurally at any depth of forest, never equal to a plain
+    tuple.
     """
 
     __slots__ = ()
@@ -127,20 +129,22 @@ class ColoredForest(tuple):
     root_colors = property(operator.itemgetter(3))
 
     def __new__(cls, forest: Forest, planted: int = 0,
-                leaf_colors: Iterable[tuple[VertexAddr, int]] = (),
+                leaf_colors: Iterable[tuple[int, int]] = (),
                 root_colors: Iterable[tuple[int, int]] = ()) -> ColoredForest:
         check_nat(planted, "planted")
-        leaf_colors = tuple(sorted(leaf_colors))
-        root_colors = tuple(sorted(root_colors))
-        seen_addrs = set()
-        for addr, color in leaf_colors:
-            if not subtree_at(forest, addr).is_leaf:
-                raise StructureError(f"colored vertex {addr} is not a leaf")
+        leaf_colors = tuple(leaf_colors)
+        n_leaves = forest.text.count("o")
+        seen_leaves = set()
+        for leaf, color in leaf_colors:
+            if leaf.__class__ is not int or not 0 <= leaf < n_leaves:
+                raise StructureError(f"leaf index {leaf!r} is not an int in range({n_leaves})")
             if color < 1:
                 raise StructureError(f"colors must be >= 1, got {color}")
-            if addr in seen_addrs:
-                raise StructureError(f"duplicate color entry for {addr}")
-            seen_addrs.add(addr)
+            if leaf in seen_leaves:
+                raise StructureError(f"duplicate color entry for leaf {leaf}")
+            seen_leaves.add(leaf)
+        leaf_colors = tuple(sorted(leaf_colors))
+        root_colors = tuple(sorted(root_colors))
         seen_roots = set()
         for idx, color in root_colors:
             if not 0 <= idx < planted:
@@ -169,37 +173,28 @@ class ColoredForest(tuple):
 
 def _built(forest: Forest, planted: int, leaf_colors: tuple, root_colors: tuple) -> ColoredForest:
     """ColoredForest(forest, planted, leaf_colors, root_colors) from fields
-    that already hold: every leaf_colors address is a leaf, every root
+    that already hold: every leaf index is below the leaf count, every root
     index is below ``planted``, every color is >= 1, and both tuples are
     sorted without duplicates.  It skips the check."""
     return tuple.__new__(ColoredForest, (forest, planted, leaf_colors, root_colors))
 
 
 class Classification(NamedTuple):
-    """Outcome of ``classify``: which class, and the acting vertex."""
+    """Outcome of ``classify``: which class, and the text position of the
+    acting vertex in the forest's text (None for an exceptional one)."""
 
     kind: str  # FIRST | SECOND | EXCEPTIONAL
-    vertex: Optional[VertexAddr] = None
-
-
-def _acting(shape: Layout, colored: Sequence[int]) -> tuple[str, Optional[int]]:
-    """The class of a colored forest and the text position of its acting
-    vertex, from the layout of its forest's text and the positions of its
-    colored leaves: the one classification rule.  The bottom level holds
-    leaves only, so its first colored leaf is the candidate.  Failing that,
-    on the level above, a colored leaf left of the first internal vertex is
-    the candidate, and else that vertex is the incumbent."""
-    for pos in itertools.chain(*shape.levels[-1:-3:-1]):
-        if shape.text[pos] == "(":
-            return SECOND, pos
-        if pos in colored:
-            return FIRST, pos
-    return EXCEPTIONAL, None
+    vertex: Optional[int] = None
 
 
 def classify(c: ColoredForest, shape: Optional[Layout] = None,
              colored: Optional[list[int]] = None) -> Classification:
-    """Assign a colored forest to its class (planted roots play no part).
+    """Assign a colored forest to its class (planted roots play no part), by
+    the one classification rule on the layout of its forest's text.  The
+    bottom level holds leaves only, so its first colored leaf is the
+    candidate.  Failing that, on the level above, a colored leaf left of the
+    first internal vertex is the candidate, and else that vertex is the
+    incumbent.
 
     ``shape`` and ``colored`` are trusted hand-offs for the census walks,
     which lay each forest out once: the layout of c.forest's text and the
@@ -208,12 +203,12 @@ def classify(c: ColoredForest, shape: Optional[Layout] = None,
     if shape is None:
         shape = layout(c.forest.text)
     if colored is None:
-        colored = [shape.position(addr) for addr, _ in c.leaf_colors]
-    kind, pos = _acting(shape, colored)
-    if kind == FIRST:
-        return Classification(FIRST, c.leaf_colors[colored.index(pos)][0])
-    if kind == SECOND:
-        return Classification(SECOND, shape.address(pos))
+        colored = [shape.leaves[leaf] for leaf, _ in c.leaf_colors]
+    for pos in itertools.chain(*shape.levels[-1:-3:-1]):
+        if shape.text[pos] == "(":
+            return Classification(SECOND, pos)
+        if pos in colored:
+            return Classification(FIRST, pos)
     return Classification(EXCEPTIONAL)
 
 
@@ -233,27 +228,32 @@ def involute(c: ColoredForest, p: Sequence[int]) -> ColoredForest:
 def _partner(c: ColoredForest, cls: Classification, p: tuple[int, ...],
              shape: Layout) -> ColoredForest:
     """involute(c, p), given cls = classify(c), a checked ``p`` and the
-    layout of c.forest's text, which is spliced at the acting vertex."""
-    addr = cls.vertex
+    layout of c.forest's text, which is spliced at the acting vertex.  The
+    leaves before that vertex keep their indices, and each later one moves
+    by the leaves that the splice adds or removes."""
     if cls.kind == EXCEPTIONAL:
         raise InvolutionDomainError(
             "exceptional structure (no colored leaf, no internal vertex) has no partner")
-    text, pos = shape.text, shape.position(addr)
+    text, pos = shape.text, cls.vertex
+    leaf = bisect_left(shape.leaves, pos)  # the leaves before the acting vertex
+    k = bisect_left(c.leaf_colors, (leaf,))  # the colored ones among them
     if cls.kind == FIRST:
-        color = next(color for leaf, color in c.leaf_colors if leaf == addr)
+        color = c.leaf_colors[k][1]
         if color > len(p):
             raise StructureError(f"color {color} has no outdegree class in {p}")
-        grown = _splice(text, [(pos, "(" + "o" * p[color - 1] + ")")])
-        keep = tuple(pair for pair in c.leaf_colors if pair[0] != addr)
-        return _built(Forest._make(grown), c.planted, keep, c.root_colors)
-    # The incumbent sits one level above the bottom, which holds leaves only:
-    # its text is "(" + "o" * degree + ")".
+        degree = p[color - 1]
+        grown = text[:pos] + "(" + "o" * degree + ")" + text[pos + 1:]
+        moved = [(i + degree - 1, j) for i, j in c.leaf_colors[k + 1:]]
+        return _built(Forest._make(grown), c.planted, (*c.leaf_colors[:k], *moved),
+                      c.root_colors)
+    # The incumbent sits one level above the bottom, which holds leaves only
+    # and none of them colored: its text is "(" + "o" * degree + ")".
     degree = text.index(")", pos) - pos - 1
     if degree not in p:
         raise StructureError(f"incumbent outdegree {degree} not among classes {p}")
-    color = p.index(degree) + 1
     pruned = text[:pos] + "o" + text[pos + degree + 2:]
-    recolored = tuple(sorted(c.leaf_colors + ((addr, color),)))
+    moved = [(i - degree + 1, j) for i, j in c.leaf_colors[k:]]
+    recolored = (*c.leaf_colors[:k], (leaf, p.index(degree) + 1), *moved)
     return _built(Forest._make(pruned), c.planted, recolored, c.root_colors)
 
 
@@ -324,30 +324,14 @@ def _colorings(forests: list[Forest], planted: int, marks: tuple[int, ...],
                leaf_keys: list[list[int]], root_colors: list[tuple]) -> list[ColoredForest]:
     """Each forest with each coloring of ``marks``, forest-major, given the
     leaf keys and root colors that _slice_colorings finds for the forests'
-    leaf count.  Each tree text's leaf paths are found once per call,
-    however many forests share the tree.  The structures are built
-    unchecked, as by _built, through map and zip: no Python frame runs per
-    structure."""
-    if not any(marks):  # the uncolored slice needs no slots: walk no forest
-        return list(map(tuple.__new__, repeat(ColoredForest),
-                        zip(forests, repeat(planted), repeat(()), repeat(()))))
-    if not leaf_keys:  # more marks than slots: walk no forest
-        return []
+    leaf count.  Key k colors leaf k // t with color k % t + 1, the same for
+    every forest of the slice, so the slice is the product of its forests
+    and its colorings.  The structures are built unchecked, as by _built."""
     t = len(marks)
-    paths: dict[str, list] = {}  # tree.text -> leaf_paths(tree)
-    out: list[ColoredForest] = []
-    for forest in forests:
-        addrs: list[VertexAddr] = []
-        for comp, tree in enumerate(forest):
-            tree_paths = paths.get(tree.text)
-            if tree_paths is None:
-                tree_paths = paths[tree.text] = leaf_paths(tree)
-            addrs += map(tuple.__new__, repeat(VertexAddr), zip(repeat(comp), tree_paths))
-        entry = [(addr, color) for addr in addrs for color in range(1, t + 1)].__getitem__
-        leaf_colors = map(tuple, map(map, repeat(entry), leaf_keys))
-        out.extend(map(tuple.__new__, repeat(ColoredForest),
-                       zip(repeat(forest), repeat(planted), leaf_colors, root_colors)))
-    return out
+    leaf_colors = [tuple((k // t, k % t + 1) for k in keys) for keys in leaf_keys]
+    colorings = list(zip(leaf_colors, root_colors))
+    return [tuple.__new__(ColoredForest, (forest, planted, leaves, roots))
+            for forest, (leaves, roots) in itertools.product(forests, colorings)]
 
 
 def enumerate_colored(beta: int, n_internal: int, n_colored: int, gamma: int,
@@ -517,8 +501,7 @@ def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str
             if cls.kind == EXCEPTIONAL:
                 lines.append(f"exceptional {marked}")
                 continue
-            acting = colored[[addr for addr, _ in c.leaf_colors].index(cls.vertex)]
-            partner = _splice(shape.text, ((q, grown if q == acting else "o*") for q in colored))
+            partner = _splice(shape.text, ((q, grown if q == cls.vertex else "o*") for q in colored))
             lines.append(f"pair {marked} <-> {prefix}{partner}")
     return total, lines
 
@@ -603,6 +586,6 @@ def encode_colored(c: ColoredForest, num_colors: int = 1) -> str:
     sorted by index.
     """
     shape = layout(c.forest.text)
-    text = _splice(shape.text, ((shape.position(addr), "o*" if num_colors == 1 else f"o*{color}")
-                                for addr, color in c.leaf_colors))
+    text = _splice(shape.text, ((shape.leaves[leaf], "o*" if num_colors == 1 else f"o*{color}")
+                                for leaf, color in c.leaf_colors))
     return _planted_text(c.planted, c.root_colors, num_colors) + text

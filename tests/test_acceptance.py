@@ -13,7 +13,7 @@ from catalania.counting import VecProfile, catalan_gen, catalan_vector
 from catalania.exact import binom, multinomial
 from catalania.forest import (
     compositions,
-    count_leaves,
+    encode,
     generate_forests,
     generate_mixed_forests,
 )
@@ -85,13 +85,13 @@ def test_c03_leaf_law():
     for beta, n, gamma in SCALAR_GRID:
         want = (beta - 1) * n + gamma
         for forest in generate_forests(beta, n, gamma):
-            if count_leaves(forest) != want:
+            if encode(forest).count("o") != want:
                 violations += 1
     for p, n_vec, gamma in VECTOR_GRID:
         profile = VecProfile(n_vec, p)
         want = profile.leaf_count(gamma)
         for forest in generate_mixed_forests(profile, gamma):
-            if count_leaves(forest) != want:
+            if encode(forest).count("o") != want:
                 violations += 1
     ok = violations == 0
     report(3, ok, f"leaf counts match the closed forms everywhere ({violations} violations)")

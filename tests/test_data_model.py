@@ -1,8 +1,8 @@
 """The hashable immutable value types: the trees and forests of forest.py,
-which hold their text, and the tuples of both forest.py and involution.py,
-all deep-safe, and the ``exact.Record`` values of counting.py and
-identities.py.  Each is equal only to its own kind and round-trips through
-copy and pickle at every protocol.
+which hold their text, and the tuples of involution.py, all deep-safe, and
+the ``exact.Record`` values of counting.py and identities.py.  Each is
+equal only to its own kind and round-trips through copy and pickle at
+every protocol.
 (``Series`` and ``RiordanArray`` are tested in test_riordan.py: one is
 unhashable, the other compared by identity.)"""
 
@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from catalania.counting import VecProfile
-from catalania.forest import LEAF, Forest, Tree, VertexAddr, count_leaves, decode, encode
+from catalania.forest import LEAF, Forest, Tree, decode, encode
 from catalania.involution import (
     FIRST,
     Classification,
@@ -31,18 +31,17 @@ from catalania.identities import Counterexample, GouldPair, IdentityReport
 def _values():
     """Two equal, separately built values of each type, and one that
     differs from them in a single field or vertex."""
+    pair = Tree((LEAF, LEAF))
     return {
-        "Tree": (decode("(o(oo))")[0], decode("(o(oo))")[0], decode("((oo)o)")[0]),
+        "Tree": (Tree((LEAF, pair)), Tree((LEAF, Tree((LEAF, LEAF)))), Tree((pair, LEAF))),
         "Forest": (decode("(oo);o"), decode("(oo);o"), decode("o;(oo)")),
-        "VertexAddr": (VertexAddr(1, (0, 2)), VertexAddr(1, (0, 2)), VertexAddr(1, (2, 0))),
         "ColoredForest": (
-            ColoredForest(decode("(oo)"), 1, ((VertexAddr(0, (1,)), 1),), ((0, 2),)),
-            ColoredForest(decode("(oo)"), 1, [(VertexAddr(0, (1,)), 1)], [(0, 2)]),
-            ColoredForest(decode("(oo)"), 1, ((VertexAddr(0, (0,)), 1),), ((0, 2),)),
+            ColoredForest(decode("(oo)"), 1, ((1, 1),), ((0, 2),)),
+            ColoredForest(decode("(oo)"), 1, [(1, 1)], [(0, 2)]),
+            ColoredForest(decode("(oo)"), 1, ((0, 1),), ((0, 2),)),
         ),
-        "Classification": (Classification(FIRST, VertexAddr(0, (1,))),
-                           Classification(FIRST, VertexAddr(0, (1,))),
-                           Classification(FIRST, VertexAddr(0, (0,)))),
+        "Classification": (Classification(FIRST, 2), Classification(FIRST, 2),
+                           Classification(FIRST, 1)),
         "VecProfile": (VecProfile((2, 1), (2, 3)), VecProfile([2, 1], [2, 3]),
                        VecProfile((1, 2), (2, 3))),
         "Counterexample": (Counterexample((("n", "2"),), "2", "1", "direct sum"),
@@ -55,7 +54,7 @@ def _values():
     }
 
 
-FIELDS = {"Tree": "children", "Forest": "trees", "VertexAddr": "path",
+FIELDS = {"Tree": "text", "Forest": "text",
           "ColoredForest": "planted", "Classification": "kind", "VecProfile": "n",
           "Counterexample": "lhs", "IdentityReport": "status", "GouldPair": "z"}
 NAMES = sorted(FIELDS)
@@ -104,52 +103,56 @@ def test_tree_is_never_a_plain_tuple():
 
 
 def test_tree_fields():
-    tree = decode("(o(oo))")[0]
-    assert tree.children is tree
-    assert tuple(tree) == (LEAF, Tree((LEAF, LEAF)))
-    assert LEAF.is_leaf and not tree.is_leaf
-    assert decode("o;o").trees == Forest((LEAF, LEAF))
-    assert decode("o;o").gamma == 2
+    # The one field of a tree or a forest is its text, which its
+    # constructor joins from its parts' texts.
+    tree = Tree((LEAF, Tree((LEAF, LEAF))))
+    assert (LEAF.text, tree.text) == ("o", "(o(oo))")
+    assert Forest((tree, LEAF)).text == "(o(oo));o" and Forest(()).text == ""
+    assert decode("o;o") == Forest((LEAF, LEAF))
 
 
 def test_unbalanced_text_raises():
-    # A tree's children are found by counting parentheses; text that ends
-    # with a "(" still open is refused rather than scanned past its end.
-    tree = Tree._make("(((o)")
-    for read in (len, list, lambda t: t[0]):
-        with pytest.raises(ValueError, match="unbalanced tree text from position 1"):
-            read(tree)
+    # Text from outside enters through decode, which refuses text that ends
+    # with a "(" still open rather than holding it.
+    with pytest.raises(ValueError, match=r"unclosed '\(' at position 5"):
+        decode("(((o)")
 
 
 def test_repr_text():
-    addr = VertexAddr(0, (1,))
-    assert repr(addr) == "VertexAddr(component=0, path=(1,))"
-    assert repr(Classification(FIRST, addr)) == (
-        "Classification(kind='first', vertex=VertexAddr(component=0, path=(1,)))")
+    assert repr(Classification(FIRST, 2)) == "Classification(kind='first', vertex=2)"
     assert repr(Classification("exceptional")) == "Classification(kind='exceptional', vertex=None)"
-    assert repr(decode("(oo)")) == "Forest((Tree((Tree(()), Tree(()))),))"
+    assert repr(decode("(oo)")) == "Forest(text='(oo)')"
+    assert repr(Tree((LEAF, LEAF))) == "Tree(text='(oo)')"
     assert repr(ColoredForest(decode("o"), 1, (), ((0, 1),))) == (
-        "ColoredForest(forest=Forest((Tree(()),)), planted=1, leaf_colors=(), "
+        "ColoredForest(forest=Forest(text='o'), planted=1, leaf_colors=(), "
         "root_colors=((0, 1),))")
 
 
 DEEP = "(" * 3000 + "o" + ")" * 3000
 
 
+def deep_tree():
+    """The unary chain of DEEP, built by Tree(children) one level at a time."""
+    tree = LEAF
+    for _ in range(3000):
+        tree = Tree((tree,))
+    return tree
+
+
 def test_deep_trees_compare_and_hash():
     first, second = decode(DEEP), decode(DEEP)
     assert first == second and not first != second
     assert hash(first) == hash(second)
-    assert len({first[0], second[0]}) == 1
-    assert first != decode("(" + DEEP + ")")
-    assert encode(first).count("(") == 3000 and count_leaves(first) == 1
+    assert len({deep_tree(), deep_tree()}) == 1
+    assert first != decode("(" + DEEP + ")") and first == Forest((deep_tree(),))
+    assert encode(first).count("(") == 3000 and encode(first).count("o") == 1
 
 
 def test_deep_trees_repr_pickle_and_copy():
     forest = decode(DEEP)
-    assert repr(forest) == "Forest((" + "Tree((" * 3000 + "Tree(())" + ",))" * 3001
-    assert repr(forest[0]) == repr(forest)[len("Forest(("):-len(",))")]
-    for value in (forest, forest[0]):
+    assert repr(forest) == f"Forest(text='{DEEP}')"
+    assert repr(deep_tree()) == f"Tree(text='{DEEP}')"
+    for value in (forest, deep_tree()):
         clone = pickle.loads(pickle.dumps(value))
         assert clone == value and type(clone) is type(value)
         assert copy.copy(value) is value and copy.deepcopy(value) is value

@@ -10,48 +10,48 @@ from catalania.forest import (
     Forest,
     ForestSyntaxError,
     Tree,
-    VertexAddr,
     compositions,
     count_forests,
-    count_leaves,
     count_mixed_forests,
     decode,
     encode,
     generate_forests,
-    generate_kary,
     generate_mixed_forests,
     iter_forests,
     iter_mixed_forests,
     layout,
-    leaf_addresses,
-    leaf_paths,
-    replace_at,
-    subtree_at,
 )
+from tuple_model import model_levels, model_of, model_vertices
+
+
+def leaf_count(f):
+    """The number of childless vertices of ``f``: the "o"s of its text."""
+    return encode(f).count("o")
 
 
 class TestGenerators:
+    # A beta-ary tree is a one-tree forest of generate_forests(beta, n, 1).
     def test_kary_zero_internal_is_single_leaf(self):
-        assert generate_kary(2, 0) == [LEAF]
+        assert generate_forests(2, 0, 1) == [Forest((LEAF,))]
 
     def test_binary_three_internal(self):
-        assert len(generate_kary(2, 3)) == 5
+        assert len(generate_forests(2, 3, 1)) == 5
 
     def test_ternary_two_internal_hand_enumeration(self):
         # root's internal child sits in position 1, 2 or 3
-        trees = generate_kary(3, 2)
+        trees = generate_forests(3, 2, 1)
         assert len(trees) == 3
         inner = Tree((LEAF, LEAF, LEAF))
         expected = {
-            Tree((inner, LEAF, LEAF)),
-            Tree((LEAF, inner, LEAF)),
-            Tree((LEAF, LEAF, inner)),
+            Forest((Tree((inner, LEAF, LEAF)),)),
+            Forest((Tree((LEAF, inner, LEAF)),)),
+            Forest((Tree((LEAF, LEAF, inner)),)),
         }
         assert set(trees) == expected
 
     def test_unary_paths_are_unique(self):
         for n in range(6):
-            assert len(generate_kary(1, n)) == 1
+            assert len(generate_forests(1, n, 1)) == 1
 
     def test_deep_unary_tree(self):
         # Pools are built bottom-up, and no walk recurses per level.
@@ -59,18 +59,10 @@ class TestGenerators:
         text = "(" * 1500 + "o" + ")" * 1500
         assert encode(path) == text  # one "(" per internal vertex
         assert encode(decode(text)) == text
-        deepest = VertexAddr(0, (0,) * 1500)
-        assert leaf_addresses(path) == [deepest]
-        assert encode(replace_at(path, deepest, Tree((LEAF,)))) == "(" + text + ")"
-
-    def test_deep_leaf_addresses_are_linear(self):
-        # One index list along the walk: 4,000 levels build one path tuple.
-        deep = decode("(" * 4000 + "o" + ")" * 4000)
-        assert leaf_addresses(deep) == [VertexAddr(0, (0,) * 4000)]
+        shape = layout(text)
+        assert shape.leaves == [1500] and len(shape.levels) == 1501
 
     def test_rejects_zero_arity(self):
-        with pytest.raises(ValueError):
-            generate_kary(0, 1)
         with pytest.raises(ValueError):
             generate_forests(0, 1, 1)
 
@@ -88,7 +80,7 @@ class TestGenerators:
         assert generate_forests(2, 1, 0) == []
 
     def test_canonical_order_golden(self):
-        assert [encode(Forest((t,))) for t in generate_kary(2, 2)] == ["(o(oo))", "((oo)o)"]
+        assert [encode(f) for f in generate_forests(2, 2, 1)] == ["(o(oo))", "((oo)o)"]
         assert [encode(f) for f in generate_forests(2, 1, 2)] == ["o;(oo)", "(oo);o"]
 
     def test_mixed_examples(self):
@@ -269,31 +261,30 @@ class TestCountForests:
 
 class TestLeafCounts:
     def test_single_leaf(self):
-        assert count_leaves(Forest((LEAF,))) == 1
+        assert leaf_count(Forest((LEAF,))) == 1
 
     def test_uniform_law(self):
         for f in generate_forests(3, 4, 2):
-            assert count_leaves(f) == (3 - 1) * 4 + 2
+            assert leaf_count(f) == (3 - 1) * 4 + 2
 
     def test_mixed_law(self):
         profile = VecProfile((1, 1), (2, 3))
         for f in generate_mixed_forests(profile, 1):
-            assert count_leaves(f) == profile.leaf_count(1) == 4
+            assert leaf_count(f) == profile.leaf_count(1) == 4
 
-
-    def test_leaf_addresses_in_preorder(self):
+    def test_leaf_positions_in_preorder(self):
+        # Leaf i is the i-th "o" of the text: the layout lists the leaves in
+        # preorder, as a walk of the tuple model meets them.
         forests = [f for beta in (1, 2, 3) for n in range(4) for gamma in range(4)
                    for f in generate_forests(beta, n, gamma)]
         forests += generate_mixed_forests(VecProfile((2, 1), (1, 3)), 2)
         for f in forests:
-            leaves = leaf_addresses(f)
+            leaves = layout(encode(f)).leaves
             assert all(a < b for a, b in zip(leaves, leaves[1:]))
-            assert len(leaves) == encode(f).count("o") == count_leaves(f)
-            # The text's leaves, found without a tree walk, in the same order.
-            shape = layout(encode(f))
-            assert leaves == [shape.address(pos) for pos in shape.leaves]
-            assert leaves == [VertexAddr(comp, path) for comp, tree in enumerate(f)
-                              for path in leaf_paths(tree)]
+            assert len(leaves) == leaf_count(f)
+            walked = [(leaf, pos) for _, pos, leaf, _ in model_vertices(model_of(f.text))
+                      if leaf is not None]
+            assert walked == list(enumerate(leaves))
 
 
 class TestStructureOps:
@@ -304,45 +295,23 @@ class TestStructureOps:
         assert shape.text == text
         assert shape.leaves == [1, 3, 4, 9, 10]
         assert shape.levels == [[0, 8], [1, 2, 9, 10], [3, 4]]
-        addrs = [[VertexAddr(0, ()), VertexAddr(1, ())],
-                 [VertexAddr(0, (0,)), VertexAddr(0, (1,)), VertexAddr(1, (0,)), VertexAddr(1, (1,))],
-                 [VertexAddr(0, (1, 0)), VertexAddr(0, (1, 1))]]
-        for level, addr_level in zip(shape.levels, addrs):
-            assert [shape.address(pos) for pos in level] == addr_level
-            assert [shape.position(addr) for addr in addr_level] == level
 
     @pytest.mark.parametrize("beta,n,gamma", [(1, 4, 2), (2, 3, 2), (3, 3, 1), (2, 0, 3)])
     def test_layout_places_every_vertex(self, beta, n, gamma):
-        # Each level lists its vertices left to right, and a vertex's address
-        # and text position map to each other.
+        # Each level lists its vertices left to right, as the levels of the
+        # tuple model place them, and a level's vertices are its "o"s and "("s.
         for f in generate_forests(beta, n, gamma):
             text = encode(f)
             shape = layout(text)
-            leaves = []
-            for depth, level in enumerate(shape.levels):
-                addrs = [shape.address(pos) for pos in level]
-                assert addrs == sorted(addrs) and all(len(a.path) == depth for a in addrs)
-                assert [shape.position(addr) for addr in addrs] == level
-                assert [subtree_at(f, a).is_leaf for a in addrs] == [text[pos] == "o" for pos in level]
-                leaves += (a for a, pos in zip(addrs, level) if text[pos] == "o")
-            assert sorted(leaves) == leaf_addresses(f)
+            levels = model_levels(model_of(text))
+            assert shape.levels == [[pos for _, pos, _, _ in level] for level in levels]
+            assert [[text[pos] == "o" for pos in level] for level in shape.levels] == [
+                [not node for _, _, _, node in level] for level in levels]
             assert shape.leaves == [pos for pos, ch in enumerate(text) if ch == "o"]
-
-    def test_subtree_and_replace(self):
-        f = decode("(o(oo))")
-        addr = VertexAddr(0, (1,))
-        assert subtree_at(f, addr) == Tree((LEAF, LEAF))
-        swapped = replace_at(f, addr, LEAF)
-        assert encode(swapped) == "(oo)"
-        assert encode(f) == "(o(oo))"  # original untouched
-
-    def test_replace_bad_address(self):
-        with pytest.raises(ValueError):
-            replace_at(decode("o"), VertexAddr(0, (3,)), LEAF)
 
     def test_counts(self):
         f = decode("(o(oo));o")
-        assert count_leaves(f) == 4
+        assert leaf_count(f) == 4 and layout(f.text).leaves == [1, 3, 4, 8]
 
 
 class TestCodec:
@@ -353,7 +322,7 @@ class TestCodec:
 
     def test_decode_example(self):
         f = decode("(o(oo));o")
-        assert f.gamma == 2
+        assert f == Forest((Tree((LEAF, Tree((LEAF, LEAF)))), LEAF))
         assert encode(f).count("(") == 2  # one per internal vertex
 
     def test_decode_empty(self):

@@ -577,17 +577,23 @@ class TestClosedFormReduction:
 
 
 class TestCrossMethodAgreement:
-    def test_three_routes_coincide(self):
-        for beta in (2, 3):
-            for gamma in (1, 2):
-                for alpha in (gamma, gamma + 1, gamma + 2):
-                    rows = row_sums(
-                        catalan_family(alpha, beta, 5), catalan_gf(beta, gamma, 5), 4
-                    )
-                    for n in range(5):
-                        direct = eq2_lhs(alpha, beta, gamma, n)
-                        census = signed_sum(beta, n, gamma, alpha)
-                        assert direct == census == rows[n]
+    """Eq2's direct sum, its involution census and the row sums of its
+    Riordan array on drawn points: the census at natural points, where it is
+    defined, and the other two at rational ones too."""
+
+    @given(beta=st.integers(1, 4), gamma=st.integers(1, 3), extra=st.integers(0, 3),
+           n=st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_three_routes_coincide(self, beta, gamma, extra, n):
+        alpha = gamma + extra
+        rows = row_sums(catalan_family(alpha, beta, n + 1), catalan_gf(beta, gamma, n + 1), n)
+        assert eq2_lhs(alpha, beta, gamma, n) == signed_sum(beta, n, gamma, alpha) == rows[n]
+
+    @given(alpha=small_params, beta=small_params, gamma=small_params, n=st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_direct_sum_and_array_rows_coincide_at_rational_points(self, alpha, beta, gamma, n):
+        rows = row_sums(catalan_family(alpha, beta, n + 1), catalan_gf(beta, gamma, n + 1), n)
+        assert [eq2_lhs(alpha, beta, gamma, m) for m in range(n + 1)] == rows
 
 
 class TestSuite:

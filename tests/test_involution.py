@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from catalania.counting import VecProfile, catalan_vector
 from catalania.exact import binom, multinomial
 from catalania import involution
-from catalania.forest import (EnumerationBudgetError, VertexAddr, decode, encode, generate_forests,
-                              generate_mixed_forests, leaf_addresses)
+from catalania.forest import (EnumerationBudgetError, decode, encode, generate_forests,
+                              generate_mixed_forests, layout)
 from catalania.involution import (
     EXCEPTIONAL,
     FIRST,
@@ -31,6 +31,7 @@ from catalania.involution import (
     signed_sum,
     signed_sum_vector,
 )
+from tuple_model import model_of, model_text
 
 
 def internal(forest):
@@ -38,16 +39,13 @@ def internal(forest):
     return encode(forest).count("(")
 
 
-def addr(*path, component=0):
-    return VertexAddr(component, tuple(path))
-
-
-def colored(text, leaf_paths, planted=0, roots=(), color=1):
-    forest = decode(text)
+def colored(text, leaves, planted=0, roots=(), color=1):
+    """The structure on ``text`` whose leaves of the given indices (leaf i
+    is the i-th "o") and planted roots are colored ``color``."""
     return ColoredForest(
-        forest,
+        decode(text),
         planted,
-        tuple((addr(*p), color) for p in leaf_paths),
+        tuple((leaf, color) for leaf in leaves),
         tuple((i, color) for i in roots),
     )
 
@@ -59,21 +57,22 @@ def all_structures(beta, n, gamma, alpha):
     return pool
 
 
-# A ternary tree with two colored leaves; its deepest-then-leftmost eligible
-# colored leaf is the second child of the right subtree, exactly as in the
-# promoted/demoted pair below.
-FIG_LEFT = colored("((ooo)o(oo(ooo)))", [(1,), (2, 1)])
-FIG_RIGHT = colored("((ooo)o(o(ooo)(ooo)))", [(1,)])
+# A ternary tree with two colored leaves, the root's second child (leaf 3)
+# and the right subtree's second child (leaf 5); its deepest-then-leftmost
+# eligible colored leaf is leaf 5, at text position 9, exactly as in the
+# promoted/demoted pair below, whose incumbent starts at the same position.
+FIG_LEFT = colored("((ooo)o(oo(ooo)))", [3, 5])
+FIG_RIGHT = colored("((ooo)o(o(ooo)(ooo)))", [3])
 
 
 class TestClassify:
     def test_marked_pair_classes(self):
         left = classify(FIG_LEFT)
         assert left.kind == FIRST
-        assert left.vertex == addr(2, 1)
+        assert left.vertex == 9 == layout(FIG_LEFT.forest.text).leaves[5]
         right = classify(FIG_RIGHT)
         assert right.kind == SECOND
-        assert right.vertex == addr(2, 1)
+        assert right.vertex == 9 and FIG_RIGHT.forest.text[9] == "("
 
     def test_only_planted_roots_colored_is_exceptional(self):
         c = colored("o;o", [], planted=3, roots=(0, 2))
@@ -87,14 +86,15 @@ class TestClassify:
         c = colored("(oo);(o(oo))", [])
         cls = classify(c)
         assert cls.kind == SECOND
-        # leftmost internal vertex on the second-lowest level
-        assert cls.vertex == addr(1, component=1)
+        # leftmost internal vertex on the second-lowest level: the second
+        # component's second child, which starts at text position 7
+        assert cls.vertex == 7
 
     def test_colored_root_leaf_is_first(self):
-        c = colored("o;o", [()], planted=1, roots=(0,))
+        c = colored("o;o", [0], planted=1, roots=(0,))
         cls = classify(c)
         assert cls.kind == FIRST
-        assert cls.vertex == addr()
+        assert cls.vertex == 0
 
     def test_totality_without_planted_roots(self):
         # alpha = gamma: anything with an internal vertex or a colored leaf
@@ -122,7 +122,7 @@ class TestInvolute:
         assert involute(FIG_RIGHT, [3]) == FIG_LEFT
 
     def test_single_colored_root_leaf(self):
-        c = colored("o", [()])
+        c = colored("o", [0])
         grown = involute(c, [2])
         assert encode(grown.forest) == "(oo)"
         assert grown.leaf_colors == ()
@@ -161,10 +161,82 @@ class TestInvolute:
 
     def test_vector_mode_uses_color_class(self):
         # a color-2 leaf grows p[1] = 3 children
-        c = ColoredForest(decode("o"), 0, ((addr(), 2),), ())
+        c = ColoredForest(decode("o"), 0, ((0, 2),), ())
         grown = involute(c, [2, 3])
         assert encode(grown.forest) == "(ooo)"
         assert involute(grown, [2, 3]) == c
+
+    def test_later_leaves_are_renumbered(self):
+        # Growing leaf 2 (color 1) into p[0] = 2 leaves moves leaf 4 to 5, and
+        # pruning moves it back.  Leaf 0, a root above the bottom level, keeps
+        # its index.
+        c = ColoredForest(decode("o;(oo);(oo)"), 0, ((0, 2), (2, 1), (4, 2)), ())
+        grown = involute(c, [2, 3])
+        assert encode(grown.forest) == "o;(o(oo));(oo)"
+        assert grown.leaf_colors == ((0, 2), (5, 2))
+        assert involute(grown, [2, 3]) == c
+        # Pruning the 3-ary incumbent at position 1 into leaf 0 (color 2)
+        # moves leaves 3 and 4 back by two.
+        c = ColoredForest(decode("((ooo)o);o"), 0, ((3, 1), (4, 2)), ())
+        pruned = involute(c, [2, 3])
+        assert encode(pruned.forest) == "(oo);o"
+        assert pruned.leaf_colors == ((0, 2), (1, 1), (2, 2))
+        assert involute(pruned, [2, 3]) == c
+
+    def test_deep_unary_chain(self):
+        # 4,000 levels: classify and involute read the layout and splice the
+        # text, and no walk recurses.
+        depth = 4000
+        c = ColoredForest(decode("(" * depth + "o" + ")" * depth), 0, ((0, 1),), ())
+        assert classify(c) == (FIRST, depth)
+        grown = involute(c, [1])
+        assert encode(grown.forest) == "(" * (depth + 1) + "o" + ")" * (depth + 1)
+        assert grown.leaf_colors == ()
+        assert classify(grown) == (SECOND, depth)
+        assert involute(grown, [1]) == c
+
+
+def grown_text(c, p):
+    """The partner text of a first-class c with several colors, written from
+    the tuple model of c's forest: the candidate leaf's mark becomes "(" and
+    p[j-1] leaves and ")" (j its color), and the other colored leaves keep
+    their "o*" marks, whatever their indices have become."""
+    candidate = c.forest.text[:classify(c).vertex].count("o")  # the leaves before it
+    colors = dict(c.leaf_colors)
+    marks = {leaf: f"o*{color}" for leaf, color in colors.items()}
+    marks[candidate] = "(" + "o" * p[colors[candidate] - 1] + ")"
+    roots = ",".join(f"{i}*{j}" for i, j in c.root_colors)
+    return f"P[{c.planted}:{roots}]|{model_text(model_of(c.forest.text), marks)}"
+
+
+class TestRenumbering:
+    """``involute`` in vector mode on slices where several leaves of both
+    colors are colored, so that growing or pruning moves colored leaves of
+    either color after the acting vertex."""
+
+    @given(case=st.sampled_from([(VecProfile((2, 1), (2, 3)), 1, 3),
+                                 (VecProfile((1, 2), (1, 3)), 1, 2),
+                                 (VecProfile((1, 2), (1, 3)), 2, 3)]),
+           marks=st.tuples(st.integers(1, 2), st.integers(1, 2)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_renumber_the_other_colored_leaves(self, case, marks, data):
+        profile, gamma, alpha = case
+        structures = enumerate_colored_vector(profile, marks, gamma, alpha)
+        sample = data.draw(st.lists(st.sampled_from(structures), min_size=1, max_size=20))
+        for c in sample:
+            cls = classify(c)
+            if cls.kind == EXCEPTIONAL:
+                continue
+            image = involute(c, profile.p)
+            assert involute(image, profile.p) == c
+            assert classify(image).kind != cls.kind
+            assert image.weight() == -c.weight()
+            n_leaves = image.forest.text.count("o")
+            assert all(0 <= leaf < n_leaves for leaf, _ in image.leaf_colors)
+            assert image == ColoredForest(*image)
+            assert list(image.leaf_colors) == sorted(image.leaf_colors)
+            first, second = (c, image) if cls.kind == FIRST else (image, c)
+            assert encode_colored(second, 2) == grown_text(first, profile.p)
 
 
 class TestEnumerateColored:
@@ -413,20 +485,21 @@ class TestGeneratedStructures:
     @staticmethod
     def _per_forest(forests, planted, marks):
         """The slice of ``forests`` with each coloring of ``marks``, built with
-        leaf_addresses per forest and the checked constructor."""
+        the leaves counted per forest and the checked constructor."""
         t = len(marks)
-        n_leaves = len(leaf_addresses(forests[0]))
+        n_leaves = forests[0].text.count("o")
         leaf_keys, root_colors = involution._slice_colorings(n_leaves, planted, marks)
         out = []
         for f in forests:
-            entry = [(a, color) for a in leaf_addresses(f) for color in range(1, t + 1)]
+            entry = [(leaf, color) for leaf in range(f.text.count("o"))
+                     for color in range(1, t + 1)]
             out += [ColoredForest(f, planted, [entry[k] for k in keys], roots)
                     for keys, roots in zip(leaf_keys, root_colors)]
         return out
 
     def test_slices_match_addresses_found_per_forest(self):
-        # The forests of a slice share component trees, whose leaf paths the
-        # slice finds once.
+        # A slice maps its leaf keys to leaf indices once, for all its
+        # forests; the reference finds each forest's leaf indices on its own.
         slices = [(generate_forests(3, 5 - i, 3), (i,), census)
                   for i, census in enumerate(colored_census(3, 5, 3, 5))]
         profile = VecProfile((2, 1), (2, 3))
@@ -436,9 +509,6 @@ class TestGeneratedStructures:
                            enumerate_colored_vector(residual, marks, 2, 4)))
         for forests, marks, structures in slices:
             assert structures == self._per_forest(forests, 2, marks)
-        # The 273 forests of the slice with one colored object hold 72 tree texts.
-        forests = slices[1][0]
-        assert len({tree.text for f in forests for tree in f}) == 72
 
     def test_partners(self):
         pool = [c for c in all_structures(2, 3, 2, 3) if classify(c).kind != EXCEPTIONAL]
@@ -448,10 +518,10 @@ class TestGeneratedStructures:
                                if classify(c).kind != EXCEPTIONAL)
 
     def test_user_input_is_still_checked(self):
-        with pytest.raises(StructureError, match="is not a leaf"):
-            ColoredForest(decode("(oo)"), 0, ((addr(), 1),), ())
-        c = ColoredForest(decode("(oo)"), 2, ((addr(1), 1), (addr(0), 2)), ((1, 1), (0, 2)))
-        assert c.leaf_colors == ((addr(0), 2), (addr(1), 1))
+        with pytest.raises(StructureError, match=r"leaf index 2 is not an int in range\(2\)"):
+            ColoredForest(decode("(oo)"), 0, ((2, 1),), ())
+        c = ColoredForest(decode("(oo)"), 2, ((1, 1), (0, 2)), ((1, 1), (0, 2)))
+        assert c.leaf_colors == ((0, 2), (1, 1))
         assert c.root_colors == ((0, 2), (1, 1))
 
 
@@ -534,27 +604,32 @@ class TestSignedMatching:
 
 class TestColoredEncoding:
     def test_scalar_text(self):
-        c = colored("(oo);o", [(1,)], planted=2, roots=(0,))
+        c = colored("(oo);o", [1], planted=2, roots=(0,))
         assert encode_colored(c) == "P[2:0]|(oo*);o"
 
     def test_vector_text(self):
-        c = ColoredForest(decode("(oo)"), 2, ((addr(1), 2),), ((1, 1),))
+        c = ColoredForest(decode("(oo)"), 2, ((1, 2),), ((1, 1),))
         assert encode_colored(c, num_colors=2) == "P[2:1*1]|(oo*2)"
 
     def test_no_planted_prefix_shape(self):
-        assert encode_colored(colored("o", [()])) == "P[0:]|o*"
+        assert encode_colored(colored("o", [0])) == "P[0:]|o*"
 
 
 class TestColoredForestChecks:
     @pytest.mark.parametrize("planted,leaf_colors,root_colors,message", [
-        (0, ((addr(), 1),), (), r"colored vertex .* is not a leaf"),
-        (0, ((addr(0), 0),), (), "colors must be >= 1, got 0"),
-        (0, ((addr(0), 1), (addr(0), 2)), (), "duplicate color entry for"),
+        (0, ((2, 1),), (), r"leaf index 2 is not an int in range\(2\)"),
+        (0, ((-1, 1),), (), r"leaf index -1 is not an int in range\(2\)"),
+        (0, ((True, 1),), (), r"leaf index True is not an int in range\(2\)"),
+        (0, ((1.0, 1),), (), r"leaf index 1.0 is not an int in range\(2\)"),
+        (0, (("1", 1), (0, 1)), (), r"leaf index '1' is not an int in range\(2\)"),
+        (0, ((0, 0),), (), "colors must be >= 1, got 0"),
+        (0, ((0, 1), (0, 2)), (), "duplicate color entry for leaf 0"),
         (1, (), ((1, 1),), "planted-root index 1 out of range"),
         (1, (), ((0, 0),), "colors must be >= 1, got 0"),
         (2, (), ((0, 1), (0, 2)), "duplicate color entry for root 0"),
-    ], ids=["internal-vertex", "leaf-color-0", "duplicate-leaf", "root-out-of-range",
-            "root-color-0", "duplicate-root"])
+    ], ids=["leaf-out-of-range", "leaf-negative", "leaf-bool", "leaf-float", "leaf-str",
+            "leaf-color-0", "duplicate-leaf", "root-out-of-range", "root-color-0",
+            "duplicate-root"])
     def test_inconsistent_coloring_rejected(self, planted, leaf_colors, root_colors, message):
         with pytest.raises(StructureError, match=message):
             ColoredForest(decode("(oo)"), planted, leaf_colors, root_colors)

@@ -47,11 +47,12 @@ MUTANTS = (
            "sum(prod(map(sizes.__getitem__, split)) + 1 for split in splits)",
            ("tests/test_forest.py::TestCountForests::test_counts_the_generated_forests",
             "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
-    Mutant("leaf_paths does not advance after a leaf",
-           "src/catalania/forest.py",
-           '            out.append(tuple(path[1:]))\n',
-           '            out.append(tuple(path[1:]))\n            continue\n',
-           ("tests/test_forest.py::TestLeafCounts::test_leaf_addresses_in_preorder",
+    Mutant("a census key of color j > 1 names a leaf j - 1 places to the right",
+           "src/catalania/involution.py",
+           "tuple((k // t, k % t + 1) for k in keys)",
+           "tuple((k // t + k % t, k % t + 1) for k in keys)",
+           ("tests/test_involution.py::TestGeneratedStructures::"
+            "test_slices_match_addresses_found_per_forest",
             "tests/test_identities.py::TestGoldenEnumerations::test_two_class_census_order_is_pinned")),
     Mutant("Record equality, which Tree and Forest use, compares a value's fields with themselves",
            "src/catalania/exact.py",
@@ -87,7 +88,7 @@ MUTANTS = (
            "zip(*map(itertools.repeat, head), (text[:-1] for text in _trees(large, p)), *tail)",
            ("tests/test_forest.py::TestStreaming::test_beta_ary_stream_matches_held_pools",
             "tests/test_forest.py::TestStreaming::test_any_cap_yields_the_canonical_sequence",
-            "tests/test_encoding.py::TestSequenceFace::test_forests_from_pools_over_the_cap")),
+            "tests/test_encoding.py::TestTupleModel::test_forests_from_pools_over_the_cap")),
     Mutant("the Eq9 identity skips its off-diagonal entries",
            "src/catalania/identities.py",
            "for n, row in enumerate(backward) for k in range(n + 1))",
@@ -104,6 +105,27 @@ MUTANTS = (
             "test_eq9_decides_inverse_pairs_without_drawing_a_sequence",
             "tests/test_identities.py::TestEq9Failures::"
             "test_the_identity_and_the_seeded_round_trips_agree")),
+    Mutant("involute grows the leaf one index to the right of the candidate",
+           "src/catalania/involution.py",
+           '        grown = text[:pos] + "(" + "o" * degree + ")" + text[pos + 1:]\n',
+           "        pos = shape.leaves[(leaf + 1) % len(shape.leaves)]\n"
+           '        grown = text[:pos] + "(" + "o" * degree + ")" + text[pos + 1:]\n',
+           ("tests/test_involution.py::TestRenumbering::test_pairs_renumber_the_other_colored_leaves",
+            "tests/test_involution.py::TestInvolute::test_roundtrip_grid",
+            "tests/test_encoding.py::TestPairLines::test_small_censuses")),
+    Mutant("growing a leaf moves the later colored leaves one index too far",
+           "src/catalania/involution.py",
+           "moved = [(i + degree - 1, j) for i, j in c.leaf_colors[k + 1:]]",
+           "moved = [(i + degree, j) for i, j in c.leaf_colors[k + 1:]]",
+           ("tests/test_involution.py::TestRenumbering::test_pairs_renumber_the_other_colored_leaves",
+            "tests/test_involution.py::TestInvolute::test_later_leaves_are_renumbered",
+            "tests/test_encoding.py::TestPairLines::test_small_censuses")),
+    Mutant("pruning an incumbent moves the later colored leaves by its outdegree",
+           "src/catalania/involution.py",
+           "moved = [(i - degree + 1, j) for i, j in c.leaf_colors[k:]]",
+           "moved = [(i - degree, j) for i, j in c.leaf_colors[k:]]",
+           ("tests/test_involution.py::TestRenumbering::test_pairs_renumber_the_other_colored_leaves",
+            "tests/test_involution.py::TestInvolute::test_later_leaves_are_renumbered")),
 )
 
 
