@@ -23,7 +23,7 @@ from .counting import (CatalanFn, VecProfile, catalan_gen, catalan_sequence, cat
                        check_outdegrees, eq2_rhs)
 from .exact import (ConfigError, Rat, RatLike, Record, as_rat, binom, check_nat, cleared, falling,
                     int_binom, rat_str)
-from .forest import check_arity, compositions
+from .forest import check_arity, compositions, count_mixed_forests
 from .involution import census_terms, check_alpha_gamma, signed_sum
 from .riordan import (RiordanArray, Series, catalan_gf, derivative_form_check, family_f, inverse_powers,
                       riordan_columns, row_sums, series_binpow, series_compose, series_div_unit,
@@ -138,8 +138,20 @@ def _gould_rows(a: RatLike, m: RatLike, z: RatLike, length: int,
     """Rows 0..length-1 of the forward matrix of Gould's inverse pair (a, m, z),
     F[n][k] = binom(m + a*k, n-k) * z**(n-k) for k <= n, or with ``backward`` of
     the backward matrix with row n scaled by its denominator d = -a*n - m, whose
-    diagonal is d: B[n][k] = (-a*k - m) * binom(d, n-k) * z**(n-k).  Ints at integral a, m, z."""
+    diagonal is d: B[n][k] = (-a*k - m) * binom(d, n-k) * z**(n-k).  Ints at integral a, m, z.
+
+    Elsewhere each entry is one Fraction of integers: with a*q and m*q integral
+    and z = zn/zd, binom(x, j) * z**j is falling(x*q, q, j) * zn**j / (q**j * j! * zd**j)."""
     (a, m, z), choose = _ring((a, m, z))
+    if choose is not int_binom:
+        q = lcm(a.denominator, m.denominator)
+        a, m, zn = int(a * q), int(m * q), z.numerator
+        dens = [(q * z.denominator) ** j * factorial(j) for j in range(length)]
+        if backward:
+            return [[Fraction((-a * k - m) * falling(-a * n - m, q, n - k) * zn ** (n - k), q * dens[n - k])
+                     for k in range(n + 1)] for n in range(length)]
+        return [[Fraction(falling(m + a * k, q, n - k) * zn ** (n - k), dens[n - k]) for k in range(n + 1)]
+                for n in range(length)]
     if backward:
         return [[(-a * k - m) * choose(-a * n - m, n - k) * z ** (n - k) for k in range(n + 1)]
                 for n in range(length)]
@@ -202,13 +214,13 @@ class _Run:
     per (a, m, z, length); the series of Eq2's array routes, Eq7 and Eq8
     (generating functions per oracle, x(1-x)**(beta-1) and (1-x)**a); the
     pieces of the family route, see _family_pieces; and Eq3's census terms
-    per (p, n_vec, gamma), which every alpha of its grid reads, and its
-    forest counts per (p, residual, gamma), which the terms of every larger
-    n_vec read.  An entry is built on its first use by the builder this module
-    names at that moment, so a run sees a builder replaced before it
-    started, and is immutable (tuples, Fractions, Series, RiordanArray).
-    Nothing outlives the run: a table kept across runs would hand a later
-    run values built by an earlier run's builders.
+    per (p, n_vec, gamma), which every alpha of its grid reads; and the forest
+    counts of Eq3 and of Eq2's cross route per (p, residual, gamma), which
+    the censuses of every larger n read.  An entry is built on its first use
+    by the builder this module names at that moment, so a run sees a builder
+    replaced before it started, and is immutable (tuples, Fractions, Series,
+    RiordanArray).  Nothing outlives the run: a table kept across runs would
+    hand a later run values built by an earlier run's builders.
     """
 
     __slots__ = ("catalan", "eq2_passed", "tables")
@@ -322,17 +334,23 @@ def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
                catalan: CatalanFn = catalan_gen) -> IdentityReport:
     """Check the alternating sum against its closed form for 0 <= n <= n_max,
     plus the reversed-index evaluation as an internal consistency check."""
-    point, text = _point(alpha, beta, gamma)
-    grid = f"{text}, n<={n_max}"
+    text = _point(alpha, beta, gamma)[1]
+    return _report("Eq2", f"{text}, n<={n_max}", _eq2_failure(alpha, beta, gamma, n_max, catalan))
+
+
+def _eq2_failure(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
+                 catalan: CatalanFn) -> Optional[Counterexample]:
+    """The counterexample of verify_eq2, or None where it passes; a passing
+    point builds no text."""
     closed = _closed_forms(alpha, gamma, n_max)
     for n, (lhs, reindexed) in enumerate(_eq2_row_sums(alpha, beta, gamma, n_max, catalan)):
-        rhs = closed[n]
-        if lhs != rhs:
-            return _report("Eq2", grid, Counterexample.at({**point, "n": n}, lhs, rhs, "direct sum"))
+        if lhs != closed[n]:
+            return Counterexample.at({**_point(alpha, beta, gamma)[0], "n": n}, lhs, closed[n],
+                                     "direct sum")
         if reindexed != lhs:
-            return _report("Eq2", grid, Counterexample.at(
-                {**point, "n": n}, reindexed, lhs, "reindexed sum differs"))
-    return _report("Eq2", grid, None)
+            return Counterexample.at({**_point(alpha, beta, gamma)[0], "n": n}, reindexed, lhs,
+                                     "reindexed sum differs")
+    return None
 
 
 def verify_eq4(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
@@ -432,6 +450,13 @@ def _eq3_forests(residual: VecProfile, gamma: int) -> Rat:
     larger n share the residuals of smaller ones."""
     return _shared(("eq3 forests", residual.p, residual.n, gamma),
                    lambda: catalan_vector(residual, gamma))
+
+
+def _cross_forests(residual: VecProfile, gamma: int) -> int:
+    """count_mixed_forests(residual, gamma), counted once per run: the censuses
+    of Eq2's cross route share their residuals across n and alpha."""
+    return _shared(("cross forests", residual.p, residual.n, gamma),
+                   lambda: count_mixed_forests(residual, gamma))
 
 
 def _falling_blocks(x: int, q: int, parts: Sequence[int]) -> int:
@@ -646,15 +671,15 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
 
     def outcomes() -> Iterator[Optional[Counterexample]]:
         for point in itertools.product(*axes):
-            rep = verify_eq2(*point, n_max, run.catalan)
-            if rep.ok and run.catalan is catalan_gen:
+            failure = _eq2_failure(*point, n_max, run.catalan)
+            if failure is None and run.catalan is catalan_gen:
                 run.eq2_passed.add((*point, n_max))
-            yield rep.counterexample
+            yield failure
         for alpha, beta, gamma in cross_points:
             sums = row_sums(_family(alpha, beta, max(cross_order, 1)),
                             _gf(beta, gamma, max(cross_order, 1), run.catalan), cross_order)
             for n, (direct, _) in enumerate(_eq2_row_sums(alpha, beta, gamma, cross_order, run.catalan)):
-                census = signed_sum(beta, n, gamma, alpha)
+                census = signed_sum(beta, n, gamma, alpha, _cross_forests)
                 params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
                 if census != direct:
                     yield Counterexample.at(params, census, direct,

@@ -138,8 +138,8 @@ class ColoredForest(tuple):
         for leaf, color in leaf_colors:
             if leaf.__class__ is not int or not 0 <= leaf < n_leaves:
                 raise StructureError(f"leaf index {leaf!r} is not an int in range({n_leaves})")
-            if color < 1:
-                raise StructureError(f"colors must be >= 1, got {color}")
+            if color.__class__ is not int or color < 1:
+                raise StructureError(f"colors must be ints >= 1, got {color!r}")
             if leaf in seen_leaves:
                 raise StructureError(f"duplicate color entry for leaf {leaf}")
             seen_leaves.add(leaf)
@@ -147,10 +147,10 @@ class ColoredForest(tuple):
         root_colors = tuple(sorted(root_colors))
         seen_roots = set()
         for idx, color in root_colors:
-            if not 0 <= idx < planted:
-                raise StructureError(f"planted-root index {idx} out of range")
-            if color < 1:
-                raise StructureError(f"colors must be >= 1, got {color}")
+            if idx.__class__ is not int or not 0 <= idx < planted:
+                raise StructureError(f"planted-root index {idx!r} is not an int in range({planted})")
+            if color.__class__ is not int or color < 1:
+                raise StructureError(f"colors must be ints >= 1, got {color!r}")
             if idx in seen_roots:
                 raise StructureError(f"duplicate color entry for root {idx}")
             seen_roots.add(idx)
@@ -438,23 +438,29 @@ def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[Color
     return [structures for _, structures, _ in _census(profile, gamma, alpha)]
 
 
-def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:
+def signed_sum(beta: int, n: int, gamma: int, alpha: int,
+               count: Optional[Callable[[VecProfile, int], int]] = None) -> Rat:
     """Sum of weights over colored_census(beta, n, gamma, alpha), as the
-    one-class signed_sum_vector counts it.  Equals (-1)**n * binom(alpha-gamma, n)."""
-    return signed_sum_vector(_scalar_profile(beta, n, gamma, alpha), gamma, alpha)
+    one-class signed_sum_vector counts it, ``count`` as there.  Equals
+    (-1)**n * binom(alpha-gamma, n)."""
+    return signed_sum_vector(_scalar_profile(beta, n, gamma, alpha), gamma, alpha, count)
 
 
-def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
+def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int,
+                      count: Optional[Callable[[VecProfile, int], int]] = None) -> Rat:
     """Sum of weights over all t-colored planted mixed forests with
     class-wise internal + colored counts equal to profile.n, counted, not
     built: the slice with ``marks`` adds (-1)**sum(marks) times its forests,
     as count_mixed_forests counts them, times the colorings of their slots.
-    Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
+    ``count`` stands in for count_mixed_forests, for a caller that keeps the
+    counts it has seen; the census is checked against the structure budget
+    before any count.  Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
     check_alpha_gamma(alpha, gamma)
+    count = count or count_mixed_forests
     total = 0
     for residual, marks, _ in _census_slices(profile, gamma, alpha):
         colorings = _count_colorings(residual.leaf_count(gamma) + alpha - gamma, marks)
-        total += (-1) ** sum(marks) * count_mixed_forests(residual, gamma) * colorings
+        total += (-1) ** sum(marks) * count(residual, gamma) * colorings
     return Fraction(total)
 
 

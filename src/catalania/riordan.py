@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .counting import CatalanFn, catalan_gen, catalan_sequence
@@ -89,12 +89,6 @@ def series(coeffs: Iterable[RatLike | str]) -> Series:
 def series_const(value: RatLike, order: int) -> Series:
     check_nat(order, "order")
     return Series((value,) + (0,) * order)
-
-
-def series_add(a: Series, b: Series) -> Series:
-    den = lcm(a.den, b.den)
-    up_a, up_b = den // a.den, den // b.den
-    return _lowest([x * up_a + y * up_b for x, y in zip(a.nums, b.nums)], den)
 
 
 def _mul_to(a: Series, b: Series, order: int) -> Series:
@@ -251,13 +245,16 @@ def riordan_columns(r: RiordanArray, n_max: int) -> tuple[Series, ...]:
 
 
 def _row_sums(columns: Sequence[Series], a: Series) -> Series:
-    """sum_k a[k] * x**k * columns[k] up to x**n_max, for riordan_columns(r, n_max)."""
+    """sum_k a[k] * x**k * columns[k] up to x**n_max, for riordan_columns(r, n_max): integer
+    numerators added over the lcm of the columns' denominators, reduced once."""
     a = a.truncate(len(columns) - 1)
-    total = series_const(0, a.order)  # the sum so far, times a.den
-    for k, (ak, column) in enumerate(zip(a.nums, columns)):
-        if ak:
-            total = series_add(total, _lowest([0] * k + [ak * v for v in column.nums], column.den))
-    return _lowest(total.nums, total.den * a.den)
+    terms = [(k, ak, column) for k, (ak, column) in enumerate(zip(a.nums, columns)) if ak]
+    den = lcm(*(column.den for _, _, column in terms))
+    total = [0] * len(columns)  # the sum times den * a.den
+    for k, ak, column in terms:
+        up = ak * (den // column.den)
+        total[k:] = map(add, total[k:], [up * v for v in column.nums])
+    return _lowest(total, den * a.den)
 
 
 def row_sums(r: RiordanArray, a: Series, n_max: int) -> list[Rat]:

@@ -1,9 +1,17 @@
 import contextlib
+import os
 
 import pytest
+from hypothesis import Phase, settings
 
 from catalania import forest
 from catalania.identities import run_suite
+
+# tools/mutants.py runs tests that are meant to fail: it needs only the first
+# failing example, so its profile neither shrinks nor explains it, and keeps
+# no example database.  Every other run keeps Hypothesis's default profile.
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate), database=None)
+settings.load_profile(os.environ.get("CATALANIA_HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

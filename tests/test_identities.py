@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catalania.cli import main
@@ -16,7 +16,7 @@ from catalania.counting import VecProfile, catalan_gen, catalan_sequence, catala
 from catalania import identities
 from catalania import involution
 from catalania.exact import binom, multinomial
-from catalania.forest import EnumerationBudgetError, compositions
+from catalania.forest import EnumerationBudgetError, compositions, count_mixed_forests
 from catalania.identities import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -325,6 +325,24 @@ class TestPairKernel:
         assert backward == _backward_ref(seq, a, m, z)
         assert all(type(v) is F for v in backward)
         assert gould_forward(backward, pair) == seq == gould_backward(forward, pair)
+
+    @given(a=st.one_of(st.integers(min_value=-3, max_value=3), small_params), m=small_params,
+           z=small_params, length=st.integers(min_value=0, max_value=12), backward=st.booleans())
+    @example(a=2, m=F(-1), z=F(1, 3), length=3, backward=False)  # Eq9's pair with a rational z
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_binom_and_fraction_powers(self, a, m, z, length, backward):
+        """Each entry, ints at an integral point and reduced Fractions elsewhere."""
+        def entry(n, k):
+            if backward:
+                return (-a * k - m) * binom(-a * n - m, n - k) * F(z) ** (n - k)
+            return binom(m + a * k, n - k) * F(z) ** (n - k)
+
+        integral = all(F(v).denominator == 1 for v in (a, m, z))
+        want = [[int(entry(n, k)) if integral else entry(n, k) for k in range(n + 1)]
+                for n in range(length)]
+        got = identities._gould_rows(a, m, z, length, backward)
+        assert got == want
+        assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in want]
 
     def test_eq9_builds_each_pairs_matrices_once(self, monkeypatch):
         calls = []
@@ -817,6 +835,20 @@ class TestRunScope:
         assert len(terms) == 30 + 3
         assert len(forests) == 30 + 5  # the 1 + 2 + 2 splits of n = (0, 0), (1, 0), (0, 1)
 
+    def test_each_cross_forest_count_is_made_once_per_run(self, monkeypatch):
+        counts, unshared = [], []
+        monkeypatch.setattr(identities, "count_mixed_forests", _recorded(
+            counts, count_mixed_forests, lambda profile, gamma: (profile, gamma)))
+        monkeypatch.setattr(involution, "count_mixed_forests", _recorded(
+            unshared, count_mixed_forests, lambda profile, gamma: (profile, gamma)))
+        for _ in range(2):  # the second run counts everything again
+            counts.clear()
+            assert run_suite({"eq2": DEFAULT_CONFIG["eq2"]})[0].ok
+            # 2 betas x 2 gammas x 3 alphas x 5 n run 60 censuses, whose 180
+            # slices share 20 (residual, gamma) pairs: n 0..4 per beta and gamma.
+            assert len(counts) == len(set(counts)) == 2 * 2 * 5
+        assert unshared == []
+
     @pytest.mark.parametrize("backward", [False, True])
     def test_a_later_run_sees_a_patched_builder(self, monkeypatch, backward):
         config = {"eq1": {"n_max": 4}, "eq10": EQ10_SMALL}
@@ -1161,6 +1193,7 @@ EVALUATORS = [
     "series_mul", "gould_forward", "gould_backward", "signed_sum", "eq2_lhs",
     "row_sums", "family_f", "catalan_gf", "series_binpow", "riordan_columns", "inverse_powers",
     "series_compose", "summation_check", "derivative_form_check", "_gould_rows", "census_terms",
+    "_eq2_failure",
 ]
 
 

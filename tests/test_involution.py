@@ -622,14 +622,18 @@ class TestColoredForestChecks:
         (0, ((True, 1),), (), r"leaf index True is not an int in range\(2\)"),
         (0, ((1.0, 1),), (), r"leaf index 1.0 is not an int in range\(2\)"),
         (0, (("1", 1), (0, 1)), (), r"leaf index '1' is not an int in range\(2\)"),
-        (0, ((0, 0),), (), "colors must be >= 1, got 0"),
+        (0, ((0, 0),), (), "colors must be ints >= 1, got 0"),
+        (0, ((0, 1.5),), (), r"colors must be ints >= 1, got 1\.5"),
         (0, ((0, 1), (0, 2)), (), "duplicate color entry for leaf 0"),
-        (1, (), ((1, 1),), "planted-root index 1 out of range"),
-        (1, (), ((0, 0),), "colors must be >= 1, got 0"),
+        (1, (), ((1, 1),), r"planted-root index 1 is not an int in range\(1\)"),
+        (2, (), ((True, 1),), r"planted-root index True is not an int in range\(2\)"),
+        (2, ((0, True),), ((True, 1.5),), "colors must be ints >= 1, got True"),
+        (1, (), ((0, 0),), "colors must be ints >= 1, got 0"),
+        (2, (), ((0, 1.5),), r"colors must be ints >= 1, got 1\.5"),
         (2, (), ((0, 1), (0, 2)), "duplicate color entry for root 0"),
     ], ids=["leaf-out-of-range", "leaf-negative", "leaf-bool", "leaf-float", "leaf-str",
-            "leaf-color-0", "duplicate-leaf", "root-out-of-range", "root-color-0",
-            "duplicate-root"])
+            "leaf-color-0", "leaf-color-float", "duplicate-leaf", "root-out-of-range", "root-bool",
+            "bool-and-float", "root-color-0", "root-color-float", "duplicate-root"])
     def test_inconsistent_coloring_rejected(self, planted, leaf_colors, root_colors, message):
         with pytest.raises(StructureError, match=message):
             ColoredForest(decode("(oo)"), planted, leaf_colors, root_colors)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalania import riordan
@@ -23,7 +23,6 @@ from catalania.riordan import (
     riordan_theorem_check,
     row_sums,
     series,
-    series_add,
     series_binpow,
     series_compose,
     series_const,
@@ -40,6 +39,11 @@ small_series = st.lists(small_rationals, min_size=1, max_size=6).map(
 )
 
 
+def add(a, b):
+    """a + b up to their common order, on the reduced coefficients."""
+    return Series([x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
 def geometric(order):
     return series_binpow(-1, order)
 
@@ -50,10 +54,6 @@ class TestArithmetic:
         alt = series(["1", "-1", "0"])
         assert series_mul(ones, alt) == series(["1", "0", "-1"])
 
-    def test_additive_unit(self):
-        a = series(["2", "-1/3", "5"])
-        assert series_add(a, series_const(0, 2)) == a
-
     def test_unit_inverse_product(self):
         sq = series_binpow(2, 8)
         inv_sq = series_binpow(-2, 8)
@@ -63,7 +63,6 @@ class TestArithmetic:
         a = series(["1", "1", "1", "1"])
         b = series(["1", "1"])
         assert series_mul(a, b).order == 1
-        assert series_add(a, b).order == 1
 
     def test_equality_up_to_common_order(self):
         assert series(["1", "2"]) == series(["1", "2", "99"])
@@ -74,10 +73,8 @@ class TestArithmetic:
     def test_ring_laws(self, a, b, c):
         assert series_mul(a, b) == series_mul(b, a)
         assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
-        assert series_mul(a, series_add(b, c)) == series_add(
-            series_mul(a, b), series_mul(a, c)
-        )
-        assert series_add(a, series_mul(series_const(-1, a.order), a)) == series_const(0, a.order)
+        assert series_mul(a, add(b, c)) == add(series_mul(a, b), series_mul(a, c))
+        assert add(a, series_mul(series_const(-1, a.order), a)) == series_const(0, a.order)
         n = min(a.order, b.order, c.order)
         assert series_mul(a.truncate(n), series_const(1, n)) == a.truncate(n)
 
@@ -90,7 +87,7 @@ class TestRepresentation:
         assert repr(s) == "Series([1/2, 1/6, -3])"
 
     def test_zero_has_denominator_one(self):
-        z = series_add(series(["1/3", "0"]), series(["-1/3", "0"]))
+        z = series_mul(series(["1/3", "0"]), series_const(0, 1))
         assert (z.nums, z.den) == ((0, 0), 1)
 
     def test_truncation_and_division_renormalize(self):
@@ -573,15 +570,21 @@ class TestIntegerKernel:
         assert list(got.coeffs) == ref_div([F(1)] + [F(0)] * (len(b) - 1), b)
         assert_canonical(got)
 
-    @given(a=coeff_lists, b=coeff_lists)
-    @settings(max_examples=60)
-    def test_add_and_neg(self, a, b):
-        total = series_add(Series(a), Series(b))
-        assert list(total.coeffs) == [x + y for x, y in zip(a, b)]
-        assert_canonical(total)
-        zero = series_add(Series(a), Series([-x for x in a]))
-        assert list(zero.coeffs) == [0] * len(a)
-        assert_canonical(zero)
+    @given(columns=st.lists(coeff_lists, min_size=1, max_size=9), a=coeff_lists)
+    @example(columns=[[F(1, 3), F(1)], [F(1, 2)]], a=[F(1), F(1)])  # denominators 3 and 2
+    @settings(max_examples=80)
+    def test_row_sums_add_over_one_denominator(self, columns, a):
+        """_row_sums is the sum of the series a[k] * x**k * column k, each reduced on its own."""
+        n_max = len(columns) - 1
+        columns = [(column * (n_max + 1))[: n_max + 1 - k] for k, column in enumerate(columns)]
+        a = (a * (n_max + 1))[: n_max + 1]
+        got = riordan._row_sums([Series(column) for column in columns], Series(a))
+        want = [F(0)] * (n_max + 1)
+        for k, column in enumerate(columns):
+            term = Series([F(0)] * k + [a[k] * v for v in column])
+            want = [w + v for w, v in zip(want, term.coeffs)]
+        assert list(got.coeffs) == want
+        assert_canonical(got)
 
     @given(a=coeff_lists)
     @settings(max_examples=60)

@@ -5,12 +5,14 @@ each test it names must then fail.
     python tools/mutants.py 0 3      # rows 0 and 3
 
 Each row is applied to a fresh temporary copy of ``src/`` and ``tests/``,
-never to the checkout, and only the row's tests run there.  A row is killed
-when every test it names fails (one failing parametrized case is enough).
-The script prints killed or survived per row and exits 1 if any row
-survives, if its tests cannot run, or if a row's ``old`` text does not
-occur exactly once in its file.  It is opt-in: the test suite checks only
-that every ``old`` text still occurs exactly once.
+never to the checkout, and only the row's tests run there, under the
+``mutants`` Hypothesis profile of ``tests/conftest.py`` (no shrinking, no
+explaining, no example database).  A row is killed when every test it
+names fails (one failing parametrized case is enough).  The script prints
+killed or survived per row and exits 1 if any row survives, if its tests
+cannot run, or if a row's ``old`` text does not occur exactly once in its
+file.  It is opt-in: the test suite checks only that every ``old`` text
+still occurs exactly once.
 """
 
 from __future__ import annotations
@@ -126,6 +128,23 @@ MUTANTS = (
            "moved = [(i - degree, j) for i, j in c.leaf_colors[k:]]",
            ("tests/test_involution.py::TestRenumbering::test_pairs_renumber_the_other_colored_leaves",
             "tests/test_involution.py::TestInvolute::test_later_leaves_are_renumbered")),
+    Mutant("a rational Gould row entry drops the z denominator's power from its denominator",
+           "src/catalania/identities.py",
+           "dens = [(q * z.denominator) ** j * factorial(j) for j in range(length)]",
+           "dens = [q ** j * factorial(j) for j in range(length)]",
+           ("tests/test_identities.py::TestPairKernel::test_rows_match_binom_and_fraction_powers",)),
+    Mutant("the run's cross-route forest counts are keyed without gamma",
+           "src/catalania/identities.py",
+           '_shared(("cross forests", residual.p, residual.n, gamma),',
+           '_shared(("cross forests", residual.p, residual.n),',
+           ("tests/test_identities.py::TestRunScope::test_each_cross_forest_count_is_made_once_per_run",
+            "tests/test_identities.py::TestGoldenReports::test_report_bytes_are_pinned")),
+    Mutant("a row sum leaves column 1 unscaled to the common denominator",
+           "src/catalania/riordan.py",
+           "up = ak * (den // column.den)",
+           "up = ak * (den // column.den if k != 1 else 1)",
+           ("tests/test_riordan.py::TestIntegerKernel::test_row_sums_add_over_one_denominator",
+            "tests/test_riordan.py::TestIntegerKernel::test_row_sums")),
 )
 
 
@@ -144,7 +163,8 @@ def run(mutant: Mutant) -> str:
         target = Path(tmp, mutant.file)
         target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
                           encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src")), "PYTHONDONTWRITEBYTECODE": "1"}
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src")), "PYTHONDONTWRITEBYTECODE": "1",
+               "CATALANIA_HYPOTHESIS_PROFILE": "mutants"}
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
             cwd=tmp, env=env, capture_output=True, text=True, check=False)
