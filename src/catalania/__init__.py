@@ -2,6 +2,12 @@
 weight-reversing pairing, truncated rational power series, Riordan arrays,
 and an identity verification suite with a CLI.
 
+What counts without building, the structure budget, the forest counts and
+the counted colored census, is a layer of its own, ``census``, below the
+generators of ``forest`` and the pairing of ``involution``: ``verify``,
+``trees count`` and ``involution`` without ``--dump-pairs`` count, and load
+neither of those two.
+
 The layer modules are imported lazily: each one is in ``sys.modules`` and
 bound on the package from the start, but its code runs on first attribute
 access.  A CLI subcommand therefore runs only the layers it calls, and a
@@ -17,12 +23,11 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "exact": ("Rat", "as_rat", "binom", "multinomial", "rat_str"),
     "counting": ("VecProfile", "catalan_gen", "catalan_sequence", "catalan_vector"),
-    "forest": ("Forest", "Tree", "count_forests", "count_mixed_forests", "decode", "encode",
-               "generate_forests", "generate_mixed_forests", "iter_forests",
-               "iter_mixed_forests"),
+    "census": ("count_forests", "count_mixed_forests", "signed_sum", "signed_sum_vector"),
+    "forest": ("Forest", "Tree", "decode", "encode", "generate_forests", "generate_mixed_forests",
+               "iter_forests", "iter_mixed_forests"),
     "involution": ("ColoredForest", "Classification", "check_signed_matching", "classify",
-                   "enumerate_colored", "involute", "pairings", "signed_sum",
-                   "signed_sum_vector"),
+                   "enumerate_colored", "involute", "pairings"),
     "riordan": ("RiordanArray", "Series", "catalan_gf", "modified_riordan_check",
                 "riordan_entry", "riordan_theorem_check", "row_sums"),
     "identities": ("GouldPair", "IdentityReport", "closed_form_reduction_check",

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 # Layer modules load on first use (see the package docstring), so a
 # subcommand runs only the layers it calls.
-from . import counting, exact, forest, identities, involution, riordan
+from . import census, counting, exact, forest, identities, involution, riordan
 
 
 def rat_flag(text: str) -> Fraction:
@@ -122,7 +122,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
             return 0
         _write_lines(map(forest.encode, forests))
         return 0
-    count = forest.count_forests(args.beta, args.n, args.gamma)
+    count = census.count_forests(args.beta, args.n, args.gamma)
     if args.check_formula:
         formula = counting.catalan_gen(args.n, args.beta, args.gamma)
         match = formula == count
@@ -147,7 +147,7 @@ def _cmd_involution(args: argparse.Namespace) -> int:
         # The lines print after the sum, so they are held.
         total, lines = involution.pair_lines(args.beta, args.n, args.gamma, args.alpha)
     else:
-        total = involution.signed_sum(args.beta, args.n, args.gamma, args.alpha)
+        total = census.signed_sum(args.beta, args.n, args.gamma, args.alpha)
     rhs = counting.eq2_rhs(args.alpha, args.gamma, args.n)
     verdict = "OK" if total == rhs else "MISMATCH"
     print(f"sum={total} rhs={exact.rat_str(rhs)} {verdict}")

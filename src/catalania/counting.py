@@ -125,7 +125,7 @@ def catalan_vector(profile: VecProfile, gamma: int) -> Rat:
 
 
 def catalan_sequence(beta: RatLike, gamma: RatLike, n_max: int,
-                     catalan: CatalanFn = catalan_gen) -> list[Rat]:
-    """[catalan(0), ..., catalan(n_max)] at fixed beta, gamma."""
+                     catalan: CatalanFn = catalan_gen, start: int = 0) -> list[Rat]:
+    """[catalan(start), ..., catalan(n_max)] at fixed beta, gamma."""
     check_nat(n_max, "n_max")
-    return [catalan(k, beta, gamma) for k in range(n_max + 1)]
+    return [catalan(k, beta, gamma) for k in range(start, n_max + 1)]

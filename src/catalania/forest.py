@@ -12,22 +12,20 @@ forests (``iter_forests``) are its one-class case.  It yields in a fixed
 canonical order (child-count splits in lexicographic order, subtrees left
 to right), so its output is stable golden-test material; the
 ``generate_*`` functions are lists of the same sequence, and
-``count_mixed_forests`` (``count_forests``) counts it.  Each of them
-checks its arguments and counts its output in closed form when it is
-called, and refuses, with that estimate, to produce more than the
-CATALANIA_MAX_STRUCTS budget (default 5,000,000).  Past that check the
-stream is pure ``itertools`` composition: the generated trees are valid by
-construction and are never checked again.
+``census.count_mixed_forests`` counts it without building it.  Each of
+them checks its arguments and the structure budget of ``census`` when it
+is called, before the first forest.  Past that check the stream is pure
+``itertools`` composition: the generated trees are valid by construction
+and are never checked again.
 
 Subtrees are drawn from pools, one per vector of internal-vertex counts.  A
 pool is a tuple of tree texts, each "(" + its children's texts + ")" over
 ``itertools.product`` of smaller pools, and a forest wraps the ";"-join of
 its trees' texts once.  A pool of at most POOL_CACHE_MAX trees is built
 once and kept; a larger one is regenerated on each use, so memory stays
-bounded by the cap rather than by the output.  A count builds no pool: it
-multiplies pool sizes, each pool's size being the sum over its splits of
-its parts' sizes multiplied.  Pools and sizes are built bottom-up and no
-function here recurses, so no depth of tree reaches the recursion limit.
+bounded by the cap rather than by the output.  A pool's trees follow its
+``census.tree_plan``.  Pools are built bottom-up and no function here
+recurses, so no depth of tree reaches the recursion limit.
 
 Text encoding, bit-exact::
 
@@ -44,50 +42,12 @@ level: the pairing finds its vertices there and splices the text.
 from __future__ import annotations
 
 import itertools
-import os
-from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+from .census import Split, beta_profile, check_budget, tree_plan, vector_compositions
 from .counting import VecProfile, catalan_vector
 from .exact import Record, check_nat
-
-MAX_STRUCTS_ENV = "CATALANIA_MAX_STRUCTS"
-DEFAULT_MAX_STRUCTS = 5_000_000
-
-
-class EnumerationBudgetError(ValueError):
-    """Enumeration would materialize more structures than the budget allows."""
-
-    def __init__(self, estimate: int, budget: int):
-        self.estimate = estimate
-        self.budget = budget
-        super().__init__(
-            f"enumeration would produce {estimate} structures, over the "
-            f"limit of {budget} (set {MAX_STRUCTS_ENV} to raise it)"
-        )
-
-
-def enumeration_budget() -> int:
-    """Current structure budget, from CATALANIA_MAX_STRUCTS or the default."""
-    raw = os.environ.get(MAX_STRUCTS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_STRUCTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_STRUCTS_ENV} must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError(f"{MAX_STRUCTS_ENV} must be positive, got {value}")
-    return value
-
-
-def check_budget(estimate: Fraction | int) -> None:
-    """Raise EnumerationBudgetError if an exact count exceeds the budget."""
-    budget = enumeration_budget()
-    if estimate > budget:
-        raise EnumerationBudgetError(int(estimate), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -168,41 +128,10 @@ def layout(text: str) -> Layout:
 # Generators
 # ---------------------------------------------------------------------------
 
-def check_arity(beta: int) -> int:
-    """Validate a uniform outdegree beta >= 1."""
-    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
-        raise ValueError(f"beta must be an integer >= 1, got {beta!r}")
-    return beta
-
-
-def _vector_compositions(vec: tuple[int, ...], parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Splits of ``vec`` into ``parts`` ordered vector summands, lexicographic."""
-    if parts == 0:
-        if not any(vec):
-            yield ()
-        return
-    if parts == 1:
-        yield (vec,)
-        return
-    for head in itertools.product(*(range(v + 1) for v in vec)):
-        rest_vec = tuple(v - h for v, h in zip(vec, head))
-        for rest in _vector_compositions(rest_vec, parts - 1):
-            yield (head, *rest)
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of ``total`` into ``parts`` parts, lexicographic:
-    the one-coordinate case of _vector_compositions."""
-    return (tuple(v for (v,) in split) for split in _vector_compositions((total,), parts))
-
-
 # Subtree pools of at most this many trees are built once and kept; larger
 # ones are regenerated on each use.  For beta = 3 that keeps the pools of
 # up to 7 internal vertices, for beta = 2 up to 9.
 POOL_CACHE_MAX = 10_000
-
-_Split = tuple[tuple[int, ...], ...]
-
 
 _pools: dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[tuple[str, ...]]] = {}
 
@@ -218,31 +147,22 @@ def _pool(counts: tuple[int, ...], p: tuple[int, ...]) -> Optional[tuple[str, ..
         for sub in itertools.product(*(range(c + 1) for c in counts)):
             if (sub, p) not in _pools:
                 held = catalan_vector(VecProfile(sub, p), 1) <= POOL_CACHE_MAX
-                _pools[sub, p] = tuple(_trees(_tree_plan(sub, p), p)) if held else None
+                _pools[sub, p] = tuple(_trees(tree_plan(sub, p), p)) if held else None
     return _pools[key]
 
 
-def _tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> tuple[_Split, ...]:
-    """Each child split of a root, by root class, in canonical order.  A tree
-    without internal vertices is a leaf, the one tree of no children."""
-    if not any(counts):
-        return ((),)
-    return tuple(split for j, pj in enumerate(p) if counts[j] for split in _vector_compositions(
-        tuple(c - (i == j) for i, c in enumerate(counts)), pj))
-
-
 # A pool over the cap is regenerated on each use from a plan made once.
-_large_plan = lru_cache(maxsize=None)(_tree_plan)
+_large_plan = lru_cache(maxsize=None)(tree_plan)
 
 
-def _trees(plan: tuple[_Split, ...], p: tuple[int, ...]) -> Iterator[str]:
+def _trees(plan: tuple[Split, ...], p: tuple[int, ...]) -> Iterator[str]:
     """The texts of the trees of ``plan``, in canonical order: "o" for the
     split of no children, else the children's texts joined in parentheses."""
     return itertools.chain.from_iterable(
         map("({})".format, map("".join, _product(split, p))) if split else ("o",) for split in plan)
 
 
-def _product(split: _Split, p: tuple[int, ...]) -> Iterator[tuple[str, ...]]:
+def _product(split: Split, p: tuple[int, ...]) -> Iterator[tuple[str, ...]]:
     """itertools.product over the pools of ``split``, in the same order.
     As itertools.product holds all its arguments, the first pool over the
     cap (None) is regenerated through _trees in a nested loop, and what
@@ -265,14 +185,7 @@ def _product(split: _Split, p: tuple[int, ...]) -> Iterator[tuple[str, ...]]:
 def _forests(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[tuple[str, ...]]:
     """The texts of the trees of each forest, in canonical order."""
     return itertools.chain.from_iterable(
-        _product(split, p) for split in _vector_compositions(counts, gamma))
-
-
-def _beta_profile(beta: int, n: int) -> VecProfile:
-    """The one-class profile of beta-ary forests with n internal vertices."""
-    check_arity(beta)
-    check_nat(n)
-    return VecProfile((n,), (beta,))
+        _product(split, p) for split in vector_compositions(counts, gamma))
 
 
 def iter_mixed_forests(profile: VecProfile, gamma: int) -> Iterator[Forest]:
@@ -285,36 +198,11 @@ def iter_mixed_forests(profile: VecProfile, gamma: int) -> Iterator[Forest]:
     return map(Forest._make, map(";".join, _forests(profile.n, profile.p, gamma)))
 
 
-def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
-    """The number of forests iter_mixed_forests(profile, gamma) yields, with
-    the same checks first, from a table of pool sizes built bottom-up, as
-    _pool builds pools, that builds no pool: a pool's size sums the products
-    of its parts' sizes over its splits, and the forests sum them over the
-    forest splits."""
-    check_nat(gamma, "gamma")
-    check_budget(catalan_vector(profile, gamma))
-    counts, p = profile.n, profile.p
-    sizes: dict[tuple[int, ...], int] = {}
-
-    def total(splits: Iterable[_Split]) -> int:
-        return sum(prod(map(sizes.__getitem__, split)) for split in splits)
-
-    for sub in itertools.product(*(range(c + 1) for c in counts)):
-        sizes[sub] = total(_tree_plan(sub, p))
-    return total(_vector_compositions(counts, gamma))
-
-
 def iter_forests(beta: int, n: int, gamma: int) -> Iterator[Forest]:
     """All gamma-component ordered forests of beta-ary trees with ``n``
     internal vertices in total, in canonical order: the one-class mixed
     forests of profile ((n,), (beta,))."""
-    return iter_mixed_forests(_beta_profile(beta, n), gamma)
-
-
-def count_forests(beta: int, n: int, gamma: int) -> int:
-    """The number of forests iter_forests(beta, n, gamma) yields, counted by
-    count_mixed_forests."""
-    return count_mixed_forests(_beta_profile(beta, n), gamma)
+    return iter_mixed_forests(beta_profile(beta, n), gamma)
 
 
 def generate_mixed_forests(profile: VecProfile, gamma: int) -> list[Forest]:

@@ -19,14 +19,14 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from .census import (census_terms, check_alpha_gamma, check_arity, compositions, count_mixed_forests,
+                     signed_sum)
 from .counting import (CatalanFn, VecProfile, catalan_gen, catalan_sequence, catalan_vector,
                        check_outdegrees, eq2_rhs)
 from .exact import (ConfigError, Rat, RatLike, Record, as_rat, binom, check_nat, cleared, falling,
                     int_binom, rat_str)
-from .forest import check_arity, compositions, count_mixed_forests
-from .involution import census_terms, check_alpha_gamma, signed_sum
-from .riordan import (RiordanArray, Series, catalan_gf, derivative_form_check, family_f, inverse_powers,
-                      riordan_columns, row_sums, series_binpow, series_compose, series_div_unit,
+from .riordan import (RiordanArray, Series, derivative_form_check, family_f, inverse_powers,
+                      riordan_columns, row_sums_from, series_binpow, series_compose, series_div_unit,
                       series_mul, summation_check)
 
 
@@ -210,14 +210,18 @@ class _Run:
     depends on (an int for an integral one, which hashes like its Fraction):
     the Catalan counts per (catalan, beta, gamma) and the Eq2 closed forms
     per alpha - gamma, each the longest sequence asked for so far, whose
-    prefixes serve the shorter requests; the forward and backward Gould rows
-    per (a, m, z, length); the series of Eq2's array routes, Eq7 and Eq8
-    (generating functions per oracle, x(1-x)**(beta-1) and (1-x)**a); the
-    pieces of the family route, see _family_pieces; and Eq3's census terms
-    per (p, n_vec, gamma), which every alpha of its grid reads; and the forest
-    counts of Eq3 and of Eq2's cross route per (p, residual, gamma), which
-    the censuses of every larger n read.  An entry is built on its first use
-    by the builder this module names at that moment, so a run sees a builder
+    prefixes serve the shorter requests and which a longer one extends; the
+    forward and backward Gould rows per (a, m, z, length); the series of
+    Eq2's array routes, Eq7 and Eq8 (generating functions per oracle, read
+    off the Catalan counts, x(1-x)**(beta-1) and (1-x)**a); the array
+    columns per (alpha, beta, n_max), which Eq7 reads at alpha = 0, and the
+    other pieces of the family route, see _family_pieces; the census terms
+    of Eq3 and of Eq2's cross route per (p, n_vec, gamma), which every alpha
+    of their grids reads; and their closed-form forest counts and the cross
+    route's counted ones per (p, residual, gamma), which the censuses of
+    every larger n read.  Every census checks its budget on the closed-form
+    counts before it counts.  An entry is built on its first use by the
+    builder this module names at that moment, so a run sees a builder
     replaced before it started, and is immutable (tuples, Fractions, Series,
     RiordanArray).  Nothing outlives the run: a table kept across runs would
     hand a later run values built by an earlier run's builders.
@@ -248,29 +252,31 @@ def _shared(key: tuple, build: Callable[[], object]) -> object:
     return tables[key]
 
 
-def _shared_prefix(key: tuple, n_max: int, build: Callable[[int], tuple]) -> tuple:
+def _shared_prefix(key: tuple, n_max: int, build: Callable[[int, int], tuple]) -> tuple:
     """Entries 0..n_max of the active run's sequence ``key``: a prefix of the
-    longest one built so far, which a longer request rebuilds as build(n_max)."""
+    longest one built so far, which a longer request extends by
+    build(start, n_max), the entries start..n_max."""
     check_nat(n_max, "n_max")
     run = _ACTIVE_RUN.get()
     if run is None:
-        return build(n_max)
+        return build(0, n_max)
     tables = run.tables
-    if len(tables.get(key, ())) <= n_max:
-        tables[key] = build(n_max)
-    return tables[key][:n_max + 1]
+    held = tables.get(key, ())
+    if len(held) <= n_max:
+        held = tables[key] = held + build(len(held), n_max)
+    return held[:n_max + 1]
 
 
 def _catalans(beta: RatLike, gamma: RatLike, n_max: int, catalan: CatalanFn) -> tuple:
-    """catalan(k, beta, gamma) for k <= n_max, in the ring of ``_ring``."""
-    return _shared_prefix(("catalan", catalan, beta, gamma), n_max, lambda length: tuple(
-        _ring(catalan_sequence(beta, gamma, length, catalan))[0]))
+    """catalan(k, beta, gamma) for k <= n_max, each piece built in the ring of ``_ring``."""
+    return _shared_prefix(("catalan", catalan, beta, gamma), n_max, lambda start, stop: tuple(
+        _ring(catalan_sequence(beta, gamma, stop, catalan, start))[0]))
 
 
 def _closed_forms(alpha: RatLike, gamma: RatLike, n_max: int) -> tuple:
-    """eq2_rhs(alpha, gamma, k) for k <= n_max, in the ring of ``_ring``."""
-    return _shared_prefix(("closed form", alpha - gamma), n_max, lambda length: tuple(
-        _ring(eq2_rhs(alpha, gamma, k) for k in range(length + 1))[0]))
+    """eq2_rhs(alpha, gamma, k) for k <= n_max, each piece built in the ring of ``_ring``."""
+    return _shared_prefix(("closed form", alpha - gamma), n_max, lambda start, stop: tuple(
+        _ring(eq2_rhs(alpha, gamma, k) for k in range(start, stop + 1))[0]))
 
 
 def _rows(a: RatLike, m: RatLike, z: RatLike, length: int, backward: bool = False) -> tuple:
@@ -288,8 +294,17 @@ def _family(alpha: RatLike, beta: RatLike, order: int) -> RiordanArray:
 
 
 def _gf(beta: RatLike, gamma: RatLike, order: int, catalan: CatalanFn) -> Series:
+    """riordan.catalan_gf(beta, gamma, order, catalan), its coefficients read
+    from the run's table of counts."""
     return _shared(("gf", catalan, beta, gamma, order),
-                   lambda: catalan_gf(beta, gamma, order, catalan))
+                   lambda: Series(_catalans(beta, gamma, order, catalan)))
+
+
+def _columns(alpha: RatLike, beta: RatLike, n_max: int) -> tuple[Series, ...]:
+    """riordan_columns of the family (alpha, beta) up to n_max, which reads
+    the family's series up to n_max only."""
+    return _shared(("columns", alpha, beta, n_max),
+                   lambda: riordan_columns(_family(alpha, beta, max(n_max, 1)), n_max))
 
 
 def _binpow(a: RatLike, order: int) -> Series:
@@ -304,7 +319,7 @@ def _family_pieces(alpha: RatLike, beta: RatLike, gamma: RatLike, order: int,
     (x/f)**n per beta and l/g per (alpha, gamma)."""
     r, a = _family(alpha, beta, order), _gf(beta, gamma, order, catalan)
     l = _binpow(alpha - gamma, order)
-    columns = _shared(("columns", alpha, beta, order), lambda: riordan_columns(r, order))
+    columns = _columns(alpha, beta, order)
     composed = _shared(("a(f)", catalan, beta, gamma, order), lambda: series_compose(a, r.f))
     powers = _shared(("powers", beta, order), lambda: inverse_powers(r.f, order))
     quotient = _shared(("l/g", alpha, gamma, order), lambda: series_div_unit(l, r.g))
@@ -316,18 +331,19 @@ def _family_pieces(alpha: RatLike, beta: RatLike, gamma: RatLike, order: int,
 # ---------------------------------------------------------------------------
 
 def _eq2_row_sums(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
-                  catalan: CatalanFn) -> Iterator[tuple[RatLike, RatLike]]:
-    """Forward rows 0..n_max against the counting sequence, summed forwards and reversed."""
+                  catalan: CatalanFn) -> tuple[list[RatLike], list[RatLike]]:
+    """Forward rows 0..n_max against the counting sequence: the sum of each
+    row, and the same sum taken in reversed index order."""
     cats = _catalans(beta, gamma, n_max, catalan)
-    for n, row in enumerate(_rows(beta - 1, alpha, -1, n_max + 1)):
-        yield _dot(row, cats), _dot(row[::-1], cats[n::-1])
+    rows = _rows(beta - 1, alpha, -1, n_max + 1)
+    return ([_dot(row, cats) for row in rows],
+            [_dot(row[::-1], cats[n::-1]) for n, row in enumerate(rows)])
 
 
 def eq2_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
             catalan: CatalanFn = catalan_gen) -> Rat:
     """sum_i (-1)**(n-i) * binom((beta-1)i + alpha, n-i) * C(i)."""
-    *_, (direct, _) = _eq2_row_sums(alpha, beta, gamma, n, catalan)
-    return Fraction(direct)
+    return Fraction(_eq2_row_sums(alpha, beta, gamma, n, catalan)[0][n])
 
 
 def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
@@ -343,12 +359,15 @@ def _eq2_failure(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
     """The counterexample of verify_eq2, or None where it passes; a passing
     point builds no text."""
     closed = _closed_forms(alpha, gamma, n_max)
-    for n, (lhs, reindexed) in enumerate(_eq2_row_sums(alpha, beta, gamma, n_max, catalan)):
+    direct, reindexed = _eq2_row_sums(alpha, beta, gamma, n_max, catalan)
+    if reindexed == direct and tuple(direct) == closed:
+        return None
+    for n, (lhs, back) in enumerate(zip(direct, reindexed)):
         if lhs != closed[n]:
             return Counterexample.at({**_point(alpha, beta, gamma)[0], "n": n}, lhs, closed[n],
                                      "direct sum")
-        if reindexed != lhs:
-            return Counterexample.at({**_point(alpha, beta, gamma)[0], "n": n}, reindexed, lhs,
+        if back != lhs:
+            return Counterexample.at({**_point(alpha, beta, gamma)[0], "n": n}, back, lhs,
                                      "reindexed sum differs")
     return None
 
@@ -358,7 +377,8 @@ def verify_eq4(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Ide
     produce identical values term for term (the identity itself is Eq2's)."""
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, n<={n_max}"
-    for n, (direct, reindexed) in enumerate(_eq2_row_sums(alpha, beta, gamma, n_max, catalan_gen)):
+    sums = _eq2_row_sums(alpha, beta, gamma, n_max, catalan_gen)
+    for n, (direct, reindexed) in enumerate(zip(*sums)):
         if reindexed != direct:
             return _report("Eq4", grid, Counterexample.at(
                 {**point, "n": n}, reindexed, direct, "reversed-index sum differs"))
@@ -439,24 +459,26 @@ def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int,
 # The vector form
 # ---------------------------------------------------------------------------
 
-def _eq3_terms(p: tuple[int, ...], n_vec: tuple[int, ...], gamma: int) -> tuple:
-    """census_terms of the census of (p, n_vec, gamma), the alpha-free part of Eq3."""
-    return _shared(("eq3 terms", p, n_vec, gamma), lambda: tuple(
-        census_terms(VecProfile(n_vec, p), gamma, _eq3_forests)))
+def _census_terms(p: tuple[int, ...], n_vec: tuple[int, ...], gamma: int) -> tuple:
+    """census_terms of the census of (p, n_vec, gamma), its alpha-free part,
+    which Eq3 and Eq2's cross route read at every alpha."""
+    return _shared(("census terms", p, n_vec, gamma), lambda: tuple(
+        census_terms(VecProfile(n_vec, p), gamma, _forest_counts)))
 
 
-def _eq3_forests(residual: VecProfile, gamma: int) -> Rat:
+def _forest_counts(residual: VecProfile, gamma: int) -> Rat:
     """catalan_vector(residual, gamma), counted once per run: the censuses of
     larger n share the residuals of smaller ones."""
-    return _shared(("eq3 forests", residual.p, residual.n, gamma),
+    return _shared(("forests", residual.p, residual.n, gamma),
                    lambda: catalan_vector(residual, gamma))
 
 
 def _cross_forests(residual: VecProfile, gamma: int) -> int:
     """count_mixed_forests(residual, gamma), counted once per run: the censuses
-    of Eq2's cross route share their residuals across n and alpha."""
+    of Eq2's cross route share their residuals across n and alpha.  Its
+    budget check reads the closed-form count of the run's table."""
     return _shared(("cross forests", residual.p, residual.n, gamma),
-                   lambda: count_mixed_forests(residual, gamma))
+                   lambda: count_mixed_forests(residual, gamma, _forest_counts(residual, gamma)))
 
 
 def _falling_blocks(x: int, q: int, parts: Sequence[int]) -> int:
@@ -511,7 +533,7 @@ def verify_eq3(p: Sequence[int], gamma: int, alpha: RatLike, n_max_total: int) -
     grid = f"p={list(p)}, gamma={gamma}, alpha={rat_str(alpha)}, sum(n)<={n_max_total}"
     for total in range(n_max_total + 1):
         for n_vec in compositions(total, len(p)):
-            lhs, rhs, scale = _eq3_sides(_eq3_terms(p, n_vec, gamma), n_vec, gamma, a, q)
+            lhs, rhs, scale = _eq3_sides(_census_terms(p, n_vec, gamma), n_vec, gamma, a, q)
             if lhs != rhs:
                 params = {"p": str(list(p)), "gamma": gamma,
                           "alpha": rat_str(alpha), "n": str(list(n_vec))}
@@ -601,11 +623,16 @@ def expand_interval(spec: Mapping) -> list[Rat]:
     return [lo + i * step for i in range((hi - lo) // step + 1)]
 
 
+def _narrow(value: Rat) -> RatLike:
+    """A parameter as the checks take it: an int where it is integral, so that
+    the run tables hash and multiply Python integers."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def _grid(cfg: Mapping, *names: str) -> tuple[list[list[RatLike]], str]:
     """The values of each named interval, an integral one as an int, and the
     report text "name in [min..max step s], ..." of their product."""
-    axes = [[v.numerator if v.denominator == 1 else v for v in expand_interval(cfg[name])]
-            for name in names]
+    axes = [list(map(_narrow, expand_interval(cfg[name]))) for name in names]
     text = ", ".join(f"{name} in [{cfg[name]['min']}..{cfg[name]['max']} step {cfg[name]['step']}]"
                      for name in names)
     return axes, text
@@ -667,7 +694,8 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
         family_order = _grid_nat(family, "order")
         if family_order < 1:
             raise ValueError("the family needs order >= 1")
-        family_points = [(texts, tuple(map(as_rat, texts))) for texts in itertools.product(*family_axes)]
+        family_points = [(texts, tuple(_narrow(as_rat(text)) for text in texts))
+                         for texts in itertools.product(*family_axes)]
 
     def outcomes() -> Iterator[Optional[Counterexample]]:
         for point in itertools.product(*axes):
@@ -676,10 +704,11 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
                 run.eq2_passed.add((*point, n_max))
             yield failure
         for alpha, beta, gamma in cross_points:
-            sums = row_sums(_family(alpha, beta, max(cross_order, 1)),
-                            _gf(beta, gamma, max(cross_order, 1), run.catalan), cross_order)
-            for n, (direct, _) in enumerate(_eq2_row_sums(alpha, beta, gamma, cross_order, run.catalan)):
-                census = signed_sum(beta, n, gamma, alpha, _cross_forests)
+            sums = row_sums_from(_columns(alpha, beta, cross_order),
+                                 _gf(beta, gamma, max(cross_order, 1), run.catalan)).coeffs
+            for n, direct in enumerate(_eq2_row_sums(alpha, beta, gamma, cross_order, run.catalan)[0]):
+                census = signed_sum(beta, n, gamma, alpha, _cross_forests,
+                                    _census_terms((beta,), (n,), gamma))
                 params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
                 if census != direct:
                     yield Counterexample.at(params, census, direct,
@@ -725,12 +754,15 @@ def _suite_eq4(cfg: Mapping, run: _Run) -> _Plan:
 
 
 def _suite_eq7(cfg: Mapping, run: _Run) -> _Plan:
+    """The generating function composed with f = x(1-x)**(beta-1): a(f) =
+    sum_k a[k] * f**k, the row sums of the array (1, f), whose columns every
+    gamma of a beta reads."""
     axes, text = _grid(cfg, "beta", "gamma")
     order = _grid_nat(cfg, "order")
     if order < 1:
         raise ValueError("need order >= 1")
     return f"{text}, order {order}", (
-        None if series_compose(_gf(beta, gamma, order, run.catalan), _f(beta, order))
+        None if row_sums_from(_columns(0, beta, order), _gf(beta, gamma, order, run.catalan))
         == _binpow(-gamma, order) else Counterexample.at(
             {"beta": rat_str(beta), "gamma": rat_str(gamma), "order": order},
             "gf composed with x(1-x)^(beta-1)", "(1-x)^(-gamma)")
@@ -740,7 +772,7 @@ def _suite_eq7(cfg: Mapping, run: _Run) -> _Plan:
 def _suite_eq8(cfg: Mapping, run: _Run) -> _Plan:
     (betas,), text = _grid(cfg, "beta")
     order = _grid_nat(cfg, "order")
-    pairs = [(as_rat(a1), as_rat(a2)) for a1, a2 in cfg["alpha_pairs"]]
+    pairs = [(_narrow(as_rat(a1)), _narrow(as_rat(a2))) for a1, a2 in cfg["alpha_pairs"]]
     if not pairs:
         raise ValueError("need at least one alpha pair")
     grid = f"{text}, alpha pairs {[[rat_str(a), rat_str(b)] for a, b in pairs]}, order {order}"

@@ -35,17 +35,18 @@ compares and hashes by its text.
 
 Validation happens where structures come from outside.  ``ColoredForest(...)``
 checks and sorts every coloring that users build or decode.  The
-enumerators check their arguments and the structure budget once:
-``enumerate_colored_vector`` and its one-class case ``enumerate_colored``
-for their slice, and the scalar census (``colored_census``, ``pair_lines``),
-which is the one-class vector census, for all its slices before the first.
-They then build each structure from fields that are canonical by
-construction (leaves in preorder, colors chosen in ascending order) and
-skip that check; so does the pairing, whose output is canonical whenever
-its input is.  A slice finds its colorings once, as leaf indices that
-serve every forest of the slice, and pairs each forest with each of them.
-``signed_sum_vector`` builds no structure: all of a slice has one weight,
-so the slice adds that weight times its forests and colorings.
+enumerators check their arguments and the structure budget of ``census``
+once: ``enumerate_colored_vector`` and its one-class case
+``enumerate_colored`` for their slice, and the scalar census
+(``colored_census``, ``pair_lines``), which is the one-class vector census,
+for all its slices before the first (``census.census_slices``).  They then
+build each structure from fields that are canonical by construction
+(leaves in preorder, colors chosen in ascending order) and skip that check;
+so does the pairing, whose output is canonical whenever its input is.  A
+slice finds its colorings once, as leaf indices that serve every forest of
+the slice, and pairs each forest with each of them.  The signed sums, which
+count the census without building it, are ``census.signed_sum`` and
+``census.signed_sum_vector``.
 
 The classes are read on text.  A forest's text is its preorder word, and
 one pass over it (``forest.layout``) places its leaves and its levels; the
@@ -65,21 +66,13 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .census import census_slices, check_alpha_gamma, check_arity, check_budget, scalar_profile
 from .counting import VecProfile, catalan_vector, check_outdegrees
-from .exact import Rat, RatLike, check_nat, multinomial
-from .forest import (
-    Forest,
-    Layout,
-    check_arity,
-    check_budget,
-    count_mixed_forests,
-    generate_mixed_forests,
-    layout,
-)
+from .exact import check_nat, multinomial
+from .forest import Forest, Layout, generate_mixed_forests, layout
 
 FIRST = "first"
 SECOND = "second"
@@ -281,15 +274,6 @@ def pairings(structures: Iterable[ColoredForest], p: Sequence[int],
 # Enumeration of colored structures
 # ---------------------------------------------------------------------------
 
-def check_alpha_gamma(alpha: int, gamma: int) -> int:
-    """Validate natural alpha >= gamma >= 1 and return alpha."""
-    check_nat(alpha, "alpha")
-    check_nat(gamma, "gamma")
-    if gamma < 1 or alpha < gamma:
-        raise ValueError(f"need alpha >= gamma >= 1, got alpha={alpha}, gamma={gamma}")
-    return alpha
-
-
 def _color_assignments(slots: tuple[int, ...], marks: tuple[int, ...]) -> Iterator[tuple]:
     """All ways to pick disjoint subsets of sizes marks[j] from ``slots``;
     yields one ascending tuple per color class."""
@@ -368,47 +352,6 @@ def enumerate_colored_vector(
 # Alternating censuses
 # ---------------------------------------------------------------------------
 
-def census_terms(profile: VecProfile, gamma: int,
-                 count: Optional[Callable[[VecProfile, int], Rat]] = None,
-                 ) -> list[tuple[VecProfile, tuple[int, ...], Rat, int]]:
-    """The alpha-free part of every census slice: each split of profile.n
-    into internal counts plus color marks, as (residual profile, marks,
-    forests, free_slots) with marks in lexicographic order, forests =
-    count(residual, gamma) and free_slots = residual.leaf_count(gamma) -
-    gamma.  The slice then holds forests * multinomial(free_slots + alpha,
-    marks) structures: its forests, each with free_slots + alpha slots (the
-    leaves and the alpha - gamma planted roots) to color.  ``count`` stands
-    in for catalan_vector, for a caller that keeps the counts it has seen."""
-    count = count or catalan_vector
-    out = []
-    for marks in itertools.product(*(range(nj + 1) for nj in profile.n)):
-        residual = VecProfile(tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p)
-        out.append((residual, marks, count(residual, gamma),
-                    residual.leaf_count(gamma) - gamma))
-    return out
-
-
-def census_sizes(profile: VecProfile, gamma: int,
-                 alpha: RatLike) -> list[tuple[VecProfile, tuple[int, ...], Rat]]:
-    """Every split of profile.n into internal counts plus color marks, as
-    (residual profile, marks, size) with marks in lexicographic order and
-    size the number of structures enumerate_colored_vector(residual, marks,
-    gamma, alpha) yields, built on census_terms.  Validates nothing and
-    checks no budget, so it also serves gamma = 0 and rational alpha, where
-    the sizes are formal."""
-    return [(residual, marks, forests * multinomial(free_slots + alpha, marks))
-            for residual, marks, forests, free_slots in census_terms(profile, gamma)]
-
-
-def _census_slices(profile: VecProfile, gamma: int,
-                   alpha: int) -> list[tuple[VecProfile, tuple[int, ...], Rat]]:
-    """census_sizes, once the whole census is known to fit the structure
-    budget."""
-    sizes = census_sizes(profile, gamma, alpha)
-    check_budget(sum(size for _, _, size in sizes))
-    return sizes
-
-
 def _census(profile: VecProfile, gamma: int, alpha: int) -> Iterator[tuple]:
     """The colored census of ``profile``, one slice at a time in census_sizes
     order, each built when it is asked for: its marks, its structures (as
@@ -416,67 +359,18 @@ def _census(profile: VecProfile, gamma: int, alpha: int) -> Iterator[tuple]:
     of _slice_colorings they were built from.  The whole census is checked
     against the structure budget before the first slice."""
     planted = alpha - gamma
-    for residual, marks, _ in _census_slices(profile, gamma, alpha):
+    for residual, marks, _ in census_slices(profile, gamma, alpha):
         forests = generate_mixed_forests(residual, gamma)
         colorings = _slice_colorings(residual.leaf_count(gamma), planted, marks)
         yield marks, _colorings(forests, planted, marks, *colorings), colorings
-
-
-def _scalar_profile(beta: int, n: int, gamma: int, alpha: int) -> VecProfile:
-    """The one-class profile ((n,), (beta,)) of a scalar census, once its
-    arguments are checked: alpha and gamma, then n, then beta."""
-    check_alpha_gamma(alpha, gamma)
-    check_nat(n)
-    return VecProfile((n,), (check_arity(beta),))
 
 
 def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[ColoredForest]]:
     """All colored structures with n_internal + colored = n, as one slice
     per number of colored objects i = 0..n, each in enumerate_colored order:
     the one-class vector census, built."""
-    profile = _scalar_profile(beta, n, gamma, alpha)
+    profile = scalar_profile(beta, n, gamma, alpha)
     return [structures for _, structures, _ in _census(profile, gamma, alpha)]
-
-
-def signed_sum(beta: int, n: int, gamma: int, alpha: int,
-               count: Optional[Callable[[VecProfile, int], int]] = None) -> Rat:
-    """Sum of weights over colored_census(beta, n, gamma, alpha), as the
-    one-class signed_sum_vector counts it, ``count`` as there.  Equals
-    (-1)**n * binom(alpha-gamma, n)."""
-    return signed_sum_vector(_scalar_profile(beta, n, gamma, alpha), gamma, alpha, count)
-
-
-def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int,
-                      count: Optional[Callable[[VecProfile, int], int]] = None) -> Rat:
-    """Sum of weights over all t-colored planted mixed forests with
-    class-wise internal + colored counts equal to profile.n, counted, not
-    built: the slice with ``marks`` adds (-1)**sum(marks) times its forests,
-    as count_mixed_forests counts them, times the colorings of their slots.
-    ``count`` stands in for count_mixed_forests, for a caller that keeps the
-    counts it has seen; the census is checked against the structure budget
-    before any count.  Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
-    check_alpha_gamma(alpha, gamma)
-    count = count or count_mixed_forests
-    total = 0
-    for residual, marks, _ in _census_slices(profile, gamma, alpha):
-        colorings = _count_colorings(residual.leaf_count(gamma) + alpha - gamma, marks)
-        total += (-1) ** sum(marks) * count(residual, gamma) * colorings
-    return Fraction(total)
-
-
-def _count_colorings(slots: int, marks: tuple[int, ...]) -> int:
-    """The number of colorings _color_assignments(range(slots), marks)
-    yields, each class's choices counted inside itertools: class j picks
-    marks[j] of the slots that the classes before it leave, whichever those
-    are, so the colorings are the product of the classes' choices.  A class
-    of no marks has the one empty choice, which compress, counting true
-    items, would drop."""
-    out = 1
-    for m in marks:
-        if m:
-            out *= sum(itertools.compress(repeat(1), itertools.combinations(range(slots), m)))
-        slots -= m
-    return out
 
 
 def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str]]:
@@ -486,7 +380,7 @@ def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str
     "exceptional c" for each exceptional one.  One slice is held at a time,
     and its structures are walked in step with the colorings that the
     census built them from."""
-    profile = _scalar_profile(beta, n, gamma, alpha)
+    profile = scalar_profile(beta, n, gamma, alpha)
     grown = "(" + "o" * beta + ")"
     total = 0
     lines: list[str] = []

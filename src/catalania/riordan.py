@@ -37,6 +37,11 @@ from .counting import CatalanFn, catalan_gen, catalan_sequence
 from .exact import Frozen, Rat, RatLike, as_rat, check_nat, cleared, rat_str
 
 
+# The coefficient types that Series takes as they are: ints and Fractions
+# have the numerator and denominator that ``cleared`` reads.
+_EXACT = (int, Fraction)
+
+
 class Series(Frozen):
     """Coefficient k is nums[k] / den, with den > 0 and gcd(den, *nums) = 1;
     order = len(nums) - 1 >= 0."""
@@ -44,7 +49,7 @@ class Series(Frozen):
     __slots__ = ("nums", "den")
 
     def __new__(cls, coeffs: Iterable[RatLike]) -> "Series":
-        (nums,), den = cleared([[c if type(c) is Fraction else Fraction(c) for c in coeffs]])
+        (nums,), den = cleared([[c if type(c) in _EXACT else Fraction(c) for c in coeffs]])
         if not nums:
             raise ValueError("a series needs at least the constant coefficient")
         return cls._make(tuple(nums), den)
@@ -244,9 +249,10 @@ def riordan_columns(r: RiordanArray, n_max: int) -> tuple[Series, ...]:
                             initial=r.g.truncate(n_max)))
 
 
-def _row_sums(columns: Sequence[Series], a: Series) -> Series:
-    """sum_k a[k] * x**k * columns[k] up to x**n_max, for riordan_columns(r, n_max): integer
-    numerators added over the lcm of the columns' denominators, reduced once."""
+def row_sums_from(columns: Sequence[Series], a: Series) -> Series:
+    """sum_k a[k] * x**k * columns[k] up to x**n_max, for riordan_columns(r, n_max): the
+    array's row sums as one Series, g * a(f), which for g = 1 is the composition a(f).
+    Integer numerators are added over the lcm of the columns' denominators, reduced once."""
     a = a.truncate(len(columns) - 1)
     terms = [(k, ak, column) for k, (ak, column) in enumerate(zip(a.nums, columns)) if ak]
     den = lcm(*(column.den for _, _, column in terms))
@@ -259,7 +265,7 @@ def _row_sums(columns: Sequence[Series], a: Series) -> Series:
 
 def row_sums(r: RiordanArray, a: Series, n_max: int) -> list[Rat]:
     """[sum_k entry(n,k) * a[k] for n <= n_max], one column pass."""
-    return list(_row_sums(riordan_columns(r, n_max), a).coeffs)
+    return list(row_sums_from(riordan_columns(r, n_max), a).coeffs)
 
 
 def inverse_powers(f: Series, n_max: int) -> tuple[Series, ...]:
@@ -272,7 +278,7 @@ def inverse_powers(f: Series, n_max: int) -> tuple[Series, ...]:
 def summation_check(columns: Sequence[Series], composed: Series, a: Series, l: Series) -> bool:
     """Whether sum_k a[k] * column k reproduces l, for ``columns`` = riordan_columns(r, n), both
     as row sums and as g * a(f) = l with ``composed`` = a(f), two routes that must agree."""
-    by_rows = _row_sums(columns, a) == l
+    by_rows = row_sums_from(columns, a) == l
     if by_rows != (series_mul(columns[0], composed) == l):  # columns[0] is g
         raise RuntimeError("row-sum and functional routes disagree; internal error")
     return by_rows

@@ -10,13 +10,9 @@ from fractions import Fraction as F
 
 from catalania.cli import main as cli_main
 from catalania.counting import VecProfile, catalan_gen, catalan_vector
+from catalania.census import compositions, signed_sum, signed_sum_vector
 from catalania.exact import binom, multinomial
-from catalania.forest import (
-    compositions,
-    encode,
-    generate_forests,
-    generate_mixed_forests,
-)
+from catalania.forest import encode, generate_forests, generate_mixed_forests
 from catalania.identities import eq2_lhs, reports_to_json, verify_eq2
 from catalania.involution import (
     EXCEPTIONAL,
@@ -24,8 +20,6 @@ from catalania.involution import (
     classify,
     enumerate_colored,
     involute,
-    signed_sum,
-    signed_sum_vector,
 )
 from catalania.riordan import (
     catalan_family,

@@ -496,7 +496,9 @@ sys.exit(code)
 BASE = ["catalania", "catalania.cli"]
 SEQ = BASE + ["catalania.counting", "catalania.exact"]
 SERIES = SEQ + ["catalania.riordan"]
-TREES = SEQ + ["catalania.forest"]
+# What counts without building: no forest and no colored structure.
+COUNTS = SEQ + ["catalania.census"]
+TREES = COUNTS + ["catalania.forest"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -504,12 +506,15 @@ TREES = SEQ + ["catalania.forest"]
     (["seq", "--beta", "2", "--n", "3"], SEQ),
     (["riordan", "entry", "--alpha", "1", "--beta", "2", "--n", "2", "--k", "1"], SERIES),
     (["riordan", "check", "--alpha", "2", "--beta", "3", "--gamma", "1", "--order", "4"], SERIES),
-    (["trees", "count", "--beta", "2", "--n", "3", "--check-formula"], TREES),
+    (["trees", "count", "--beta", "2", "--n", "3", "--check-formula"], COUNTS),
+    (["trees", "list", "--beta", "2", "--n", "3"], TREES),
+    (["involution", "--beta", "2", "--n", "2", "--alpha", "2"], COUNTS),
     (["involution", "--beta", "2", "--n", "2", "--alpha", "2", "--dump-pairs"],
      TREES + ["catalania.involution"]),
-    (["verify", "--config", "CONFIG"],
-     TREES + ["catalania.identities", "catalania.involution", "catalania.riordan"]),
-], ids=["help", "seq", "riordan-entry", "riordan-check", "trees-count", "involution", "verify"])
+    (["verify", "--config", "CONFIG"], COUNTS + ["catalania.identities", "catalania.riordan"]),
+    (["verify"], COUNTS + ["catalania.identities", "catalania.riordan"]),
+], ids=["help", "seq", "riordan-entry", "riordan-check", "trees-count", "trees-list",
+        "involution-count", "involution", "verify", "verify-default"])
 def test_subcommand_runs_only_its_layers(tmp_path, argv, loaded):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"eq1": {"n_max": 3}}))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catalania.census import compositions
 from catalania.counting import VecProfile, catalan_gen, catalan_sequence, catalan_vector, eq2_rhs
 from catalania.exact import binom, multinomial
-from catalania.forest import compositions, generate_forests, generate_mixed_forests
+from catalania.forest import generate_forests, generate_mixed_forests
 
 
 class TestCatalanGen:

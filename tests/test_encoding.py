@@ -362,9 +362,9 @@ class TestPools:
         # A fresh process: this one has built pools already.  Counts, the
         # signed census and the suite build none; a listing does.
         child = (
-            "from catalania import forest, identities, involution\n"
-            "forest.count_forests(3, 6, 2)\n"
-            "involution.signed_sum(2, 4, 2, 3)\n"
+            "from catalania import census, forest, identities\n"
+            "census.count_forests(3, 6, 2)\n"
+            "census.signed_sum(2, 4, 2, 3)\n"
             "identities.run_suite()\n"
             "print(len(forest._pools))\n"
             "forest.encode(forest.generate_forests(2, 2, 1)[0])\n"

@@ -3,16 +3,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalania import forest
+from catalania.census import (EnumerationBudgetError, compositions, count_forests,
+                              count_mixed_forests)
 from catalania.counting import VecProfile, catalan_gen, catalan_vector
 from catalania.forest import (
     LEAF,
-    EnumerationBudgetError,
     Forest,
     ForestSyntaxError,
     Tree,
-    compositions,
-    count_forests,
-    count_mixed_forests,
     decode,
     encode,
     generate_forests,

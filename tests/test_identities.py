@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from catalania.cli import main
 from catalania.counting import VecProfile, catalan_gen, catalan_sequence, catalan_vector
-from catalania import identities
-from catalania import involution
+from catalania import census, identities
+from catalania.census import (EnumerationBudgetError, census_sizes, census_terms, compositions,
+                              count_mixed_forests, signed_sum)
 from catalania.exact import binom, multinomial
-from catalania.forest import EnumerationBudgetError, compositions, count_mixed_forests
 from catalania.identities import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -40,8 +40,7 @@ from catalania.identities import (
     verify_eq4,
     verify_eq10,
 )
-from catalania.involution import (census_sizes, census_terms, encode_colored, enumerate_colored_vector,
-                                  signed_sum)
+from catalania.involution import encode_colored, enumerate_colored_vector
 from catalania.riordan import Series, catalan_family, catalan_gf, family_f, row_sums, series_binpow
 
 
@@ -94,7 +93,7 @@ def eq3_sides(p, n_vec, gamma, alpha):
     """Eq3's two sides at one point, as the integer kernel of verify_eq3 gives
     them, each divided by its scale."""
     n_vec, alpha = tuple(n_vec), F(alpha)
-    lhs, rhs, scale = identities._eq3_sides(identities._eq3_terms(tuple(p), n_vec, gamma), n_vec,
+    lhs, rhs, scale = identities._eq3_sides(identities._census_terms(tuple(p), n_vec, gamma), n_vec,
                                             gamma, alpha.numerator, alpha.denominator)
     return F(lhs, scale), F(rhs, scale)
 
@@ -314,6 +313,9 @@ class TestPairKernel:
 
     @given(a=st.integers(min_value=-2, max_value=3), m=small_params, z=small_params,
            seq=st.lists(small_params, min_size=0, max_size=9))
+    # Rational rows: z with a denominator above 1, and m non-integral.
+    @example(a=1, m=F(1, 3), z=F(2, 5), seq=[F(1), F(-1, 2), F(3)])
+    @example(a=-2, m=F(-5, 2), z=F(-3, 7), seq=[F(2), F(0), F(1, 4), F(-1)])
     @settings(max_examples=60, deadline=None)
     def test_transforms_match_the_textbook_sums(self, a, m, z, seq):
         pair = GouldPair(a, m, z)
@@ -403,8 +405,9 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("alpha,beta,gamma", [(2, 0, 1), (F(1, 2), 3, F(-1, 2))])
     def test_failing_eq10_row_shows_the_unscaled_sum(self, monkeypatch, alpha, beta, gamma):
-        def corrupted(beta, gamma, n_max, catalan=catalan_gen):
-            return [c + (n == 3) for n, c in enumerate(catalan_sequence(beta, gamma, n_max, catalan))]
+        def corrupted(beta, gamma, n_max, catalan=catalan_gen, start=0):
+            counts = catalan_sequence(beta, gamma, n_max, catalan)
+            return [c + (n == 3) for n, c in enumerate(counts)][start:]
 
         monkeypatch.setattr(identities, "catalan_sequence", corrupted)
         report = verify_eq10(alpha, beta, gamma, 6)
@@ -790,7 +793,8 @@ class TestRunScope:
             rows, identities._gould_rows, lambda a, m, z, length, backward=False:
             (a, m, z, length, backward)))
         monkeypatch.setattr(identities, "catalan_sequence", _recorded(
-            cats, catalan_sequence, lambda beta, gamma, n_max, catalan: (beta, gamma, n_max, catalan)))
+            cats, catalan_sequence, lambda beta, gamma, n_max, catalan, start:
+            (beta, gamma, start, n_max, catalan)))
         monkeypatch.setattr(identities, "eq2_rhs", _recorded(
             closed, eq2_rhs, lambda alpha, gamma, n: (F(alpha) - F(gamma), n)))
         for _ in range(2):  # the second run builds everything again
@@ -801,16 +805,16 @@ class TestRunScope:
             # 35 count sequences (beta, gamma), the cross route's 8 row sets, and
             # Eq10's 24 backward row sets; Eq4 takes every verdict from Eq2.
             assert len(rows) == len(set(rows)) == 1 + 45 + 8 + 24
-            # Eq1's (2, 1) up to n = 8 is rebuilt up to 12 by Eq2, whose
-            # sequences serve the cross route's 4 (up to 4) and Eq10's 20 (up to
-            # 10) as prefixes.
-            assert len(cats) == len(set(cats)) == 1 + 35
-            assert sorted(key[2] for key in cats) == [8] + [12] * 35
-            # The closed forms per alpha - gamma: Eq1's 0 up to n = 8, then
-            # Eq2's -7..7 up to 12, whose prefixes serve Eq10's -5..4.
-            tables = [(0, 8)] + [(x, 12) for x in range(-7, 8)]
-            assert sorted(closed) == sorted((x, n) for x, n_max in tables for n in range(n_max + 1))
-            assert len(closed) == 9 + 15 * 13
+            # Eq1's (2, 1) up to n = 8 is extended to 12 by Eq2, whose 35
+            # sequences serve the cross route's 4 (up to 4, for its sums and
+            # their generating functions) and Eq10's 20 (up to 10) as prefixes;
+            # the family route's 6 generating functions extend theirs to 15.
+            assert len(cats) == len(set(cats)) == 1 + 35 + 6
+            assert sorted(key[2:4] for key in cats) == sorted(
+                [(0, 8), (9, 12)] + [(0, 12)] * 34 + [(13, 15)] * 6)
+            # The closed forms per alpha - gamma, each n once: Eq1's 0 up to
+            # n = 8, extended to 12 by Eq2's -7..7, whose prefixes serve Eq10's -5..4.
+            assert sorted(closed) == sorted((x, n) for x in range(-7, 8) for n in range(13))
 
     def test_each_eq3_term_table_is_built_once_per_run(self, monkeypatch):
         terms, forests, unshared = [], [], []
@@ -818,7 +822,7 @@ class TestRunScope:
             terms, census_terms, lambda profile, gamma, count: (profile, gamma)))
         monkeypatch.setattr(identities, "catalan_vector", _recorded(
             forests, catalan_vector, lambda profile, gamma: (profile, gamma)))
-        monkeypatch.setattr(involution, "catalan_vector", _recorded(
+        monkeypatch.setattr(census, "catalan_vector", _recorded(
             unshared, catalan_vector, lambda profile, gamma: (profile, gamma)))
         for _ in range(2):  # the second run builds every table again
             terms.clear()
@@ -835,11 +839,27 @@ class TestRunScope:
         assert len(terms) == 30 + 3
         assert len(forests) == 30 + 5  # the 1 + 2 + 2 splits of n = (0, 0), (1, 0), (0, 1)
 
+    def test_each_closed_form_count_is_made_once_per_run(self, monkeypatch):
+        calls = []
+        recorder = _recorded(calls, catalan_vector,
+                             lambda profile, gamma: (profile.p, profile.n, gamma))
+        for name, module in list(sys.modules.items()):
+            held = vars(module).get("catalan_vector")
+            if name.partition(".")[0] == "catalania" and held is catalan_vector:
+                monkeypatch.setattr(module, "catalan_vector", recorder)
+        for _ in range(2):  # the second run counts everything again
+            calls.clear()
+            assert all(r.ok for r in run_suite())
+            # One per residual: Eq3's 10 n with sum(n) <= 3 at 3 gammas, and the
+            # cross route's n 0..4 per beta and gamma.  Each closed form sizes
+            # every census it is in, and the residual's count checks its budget on it.
+            assert len(calls) == len(set(calls)) == 10 * 3 + 5 * 2 * 2
+
     def test_each_cross_forest_count_is_made_once_per_run(self, monkeypatch):
         counts, unshared = [], []
         monkeypatch.setattr(identities, "count_mixed_forests", _recorded(
-            counts, count_mixed_forests, lambda profile, gamma: (profile, gamma)))
-        monkeypatch.setattr(involution, "count_mixed_forests", _recorded(
+            counts, count_mixed_forests, lambda profile, gamma, estimate: (profile, gamma)))
+        monkeypatch.setattr(census, "count_mixed_forests", _recorded(
             unshared, count_mixed_forests, lambda profile, gamma: (profile, gamma)))
         for _ in range(2):  # the second run counts everything again
             counts.clear()
@@ -899,7 +919,9 @@ class TestSeriesTables:
 
     def test_each_generating_function_and_power_is_built_once_per_run(self, monkeypatch):
         gfs, fs, powers = [], [], []
-        monkeypatch.setattr(identities, "catalan_gf", _recorded(gfs, catalan_gf, lambda *key: key))
+        # A generating function is the one Series the module builds itself; record its order.
+        monkeypatch.setattr(identities, "Series", _recorded(
+            gfs, Series, lambda coeffs: len(coeffs) - 1))
         monkeypatch.setattr(identities, "family_f", _recorded(fs, family_f, lambda *key: key))
         monkeypatch.setattr(identities, "series_binpow", _recorded(
             powers, series_binpow, lambda *key: key))
@@ -911,7 +933,7 @@ class TestSeriesTables:
             # (beta, gamma, order): the cross route's 2 x 2 at order 4, the family
             # route's 3 x 2 at 15, Eq7's 4 x 4 at 20 and Eq8's 3 betas times the 6
             # gammas {1, 2, 3, 5, 1/2, 3/2} at 15, 6 of which the family route holds.
-            assert len(gfs) == len(set(gfs)) == 4 + 6 + 16 + 18 - 6
+            assert sorted(gfs) == [4] * 4 + [15] * (6 + 18 - 6) + [20] * 16
             # x(1-x)^(beta-1) per (beta, order): 2 at order 4, 3 at 15, 4 at 20.
             assert len(fs) == len(set(fs)) == 2 + 3 + 4
             # (1-x)^a per (a, order): the cross route's alphas 1..4 at 4, the family
@@ -920,6 +942,21 @@ class TestSeriesTables:
             assert len(powers) == len(set(powers)) == 4 + 6 + 4
         assert identities._ACTIVE_RUN.get() is None
 
+    @pytest.mark.parametrize("beta,gamma,order", [(2, 1, 4), (3, F(1, 2), 15), (F(1, 2), F(-3, 2), 6),
+                                                  (1, 0, 3)])
+    def test_generating_functions_are_catalan_gf(self, beta, gamma, order):
+        # The run's series is read off its table of counts, here filled up to
+        # n = 12 first, at another gamma too.
+        run = identities._Run(catalan_gen)
+        token = identities._ACTIVE_RUN.set(run)
+        try:
+            for g in (gamma, gamma + 1):
+                identities._catalans(beta, g, 12, catalan_gen)
+            got = identities._gf(beta, gamma, order, catalan_gen)
+        finally:
+            identities._ACTIVE_RUN.reset(token)
+        assert got.coeffs == catalan_gf(beta, gamma, order).coeffs
+
 
 def _bumped(s, index: int = 1):
     """The series s with coefficient ``index`` plus 1."""
@@ -927,9 +964,11 @@ def _bumped(s, index: int = 1):
 
 
 def _gf_bumped_at(beta, gamma):
-    """identities.catalan_gf with coefficient 3 plus 1 at (beta, gamma) only."""
+    """identities._gf with coefficient 3 plus 1 at (beta, gamma) only."""
+    honest = identities._gf
+
     def gf(b, g, order, catalan):
-        s = catalan_gf(b, g, order, catalan)
+        s = honest(b, g, order, catalan)
         return _bumped(s, 3) if (b, g) == (beta, gamma) else s
     return gf
 
@@ -939,7 +978,7 @@ class TestSeriesFailures:
     that misses it."""
 
     def test_eq7_names_the_bumped_point(self, monkeypatch):
-        monkeypatch.setattr(identities, "catalan_gf", _gf_bumped_at(3, 2))
+        monkeypatch.setattr(identities, "_gf", _gf_bumped_at(3, 2))
         (report,) = run_suite({"eq7": DEFAULT_CONFIG["eq7"]})
         assert report.status == "fail"
         assert report.counterexample.to_json() == {
@@ -952,7 +991,7 @@ class TestSeriesFailures:
     # part of the pair (1/2, 3/2).
     @pytest.mark.parametrize("gamma,alpha1,alpha2", [(5, "2", "3"), (F(1, 2), "1/2", "3/2")])
     def test_eq8_names_the_bumped_point(self, monkeypatch, gamma, alpha1, alpha2):
-        monkeypatch.setattr(identities, "catalan_gf", _gf_bumped_at(2, gamma))
+        monkeypatch.setattr(identities, "_gf", _gf_bumped_at(2, gamma))
         (report,) = run_suite({"eq8": DEFAULT_CONFIG["eq8"]})
         assert report.status == "fail"
         assert report.counterexample.to_json() == {
@@ -1191,7 +1230,7 @@ class TestSuiteConfigErrors:
 EVALUATORS = [
     "verify_eq2", "verify_eq3", "verify_eq4", "verify_eq10", "closed_form_reduction_check",
     "series_mul", "gould_forward", "gould_backward", "signed_sum", "eq2_lhs",
-    "row_sums", "family_f", "catalan_gf", "series_binpow", "riordan_columns", "inverse_powers",
+    "row_sums_from", "family_f", "_gf", "series_binpow", "riordan_columns", "inverse_powers",
     "series_compose", "summation_check", "derivative_form_check", "_gould_rows", "census_terms",
     "_eq2_failure",
 ]
@@ -1315,6 +1354,19 @@ class TestEvaluationErrors:
         path.write_text(json.dumps(config))
         assert main(["verify", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: enumeration")
+
+    def test_the_cross_census_is_sized_before_it_counts(self, monkeypatch):
+        # The census n = 3 at beta 2, gamma 1, alpha 1 holds 12 structures, and
+        # its residual of 3 internal vertices 5 forests: the whole census is
+        # checked first, on closed-form counts, and that residual is not counted.
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "4")
+        counted = []
+        monkeypatch.setattr(identities, "count_mixed_forests", _recorded(
+            counted, count_mixed_forests, lambda profile, gamma, estimate: profile.n))
+        with pytest.raises(EnumerationBudgetError) as err:
+            run_suite({"eq2": {**_EQ2_POINT, "cross": {**_CROSS, "n_max": 3}}})
+        assert (err.value.estimate, err.value.budget) == (12, 4)
+        assert sorted(counted) == [(0,), (1,), (2,)]
 
 
 def _failing_at(checker, k: int, calls: list):

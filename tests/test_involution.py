@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from catalania.counting import VecProfile, catalan_vector
 from catalania.exact import binom, multinomial
-from catalania import involution
-from catalania.forest import (EnumerationBudgetError, decode, encode, generate_forests,
-                              generate_mixed_forests, layout)
+from catalania import census, involution
+from catalania.census import EnumerationBudgetError, census_sizes, signed_sum, signed_sum_vector
+from catalania.forest import decode, encode, generate_forests, generate_mixed_forests, layout
 from catalania.involution import (
     EXCEPTIONAL,
     FIRST,
@@ -18,7 +18,6 @@ from catalania.involution import (
     InvolutionDomainError,
     StructureError,
     check_signed_matching,
-    census_sizes,
     classify,
     colored_census,
     encode_colored,
@@ -28,8 +27,6 @@ from catalania.involution import (
     involute,
     pair_lines,
     pairings,
-    signed_sum,
-    signed_sum_vector,
 )
 from tuple_model import model_of, model_text
 
@@ -322,7 +319,7 @@ class TestSignedSums:
     def test_colorings_are_counted_as_assigned(self, marks):
         for slots in range(6):
             assigned = list(involution._color_assignments(tuple(range(slots)), marks))
-            assert involution._count_colorings(slots, marks) == len(assigned)
+            assert census._count_colorings(slots, marks) == len(assigned)
 
     @pytest.mark.parametrize("args, message", [
         ((0, -1, 2, 1), "need alpha >= gamma >= 1, got alpha=1, gamma=2"),
@@ -332,9 +329,9 @@ class TestSignedSums:
     ])
     def test_scalar_arguments_are_checked_in_order(self, args, message):
         # alpha and gamma first, then n, then beta, by every scalar census.
-        for census in (signed_sum, colored_census, pair_lines):
+        for scalar_census in (signed_sum, colored_census, pair_lines):
             with pytest.raises(ValueError) as err:
-                census(*args)
+                scalar_census(*args)
             assert str(err.value) == message
 
 
@@ -367,6 +364,19 @@ class TestCensusBudget:
             signed_sum_vector(profile, 1, 2)
         assert (err.value.estimate, err.value.budget) == (14, 5)
 
+    def test_counted_census_checks_before_any_count(self, monkeypatch):
+        # Sized on its closed-form terms: no count runs, the census's own or a
+        # caller's, unless the whole census fits.
+        def refuse(*args):
+            raise AssertionError("counted a slice before the census budget check")
+
+        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "5")
+        monkeypatch.setattr(census, "count_mixed_forests", refuse)
+        for count in (None, refuse):
+            with pytest.raises(EnumerationBudgetError) as err:
+                signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2, count)
+            assert (err.value.estimate, err.value.budget) == (14, 5)
+
     def test_census_at_the_budget_runs(self, monkeypatch):
         monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "14")
         assert signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2) == 0
@@ -394,15 +404,15 @@ class TestCensusWork:
         # A slice's size is its forest count times its color assignments.
         calls = {"catalan_vector": [], "multinomial": []}
         for name, record in calls.items():
-            original = getattr(involution, name)
+            original = getattr(census, name)
 
             def counted(*args, record=record, original=original):
                 record.append(args)
                 return original(*args)
 
-            monkeypatch.setattr(involution, name, counted)
-        census = colored_census(3, 6, 2, 3)
-        assert len(census) == 7
+            monkeypatch.setattr(census, name, counted)
+        built = colored_census(3, 6, 2, 3)
+        assert len(built) == 7
         assert [len(record) for record in calls.values()] == [7, 7]
         for record in calls.values():
             record.clear()

@@ -111,7 +111,7 @@ def test_only_exact_defines_the_write_once_rule():
         "__setattr__", "__delattr__"}
 
 
-LAYERS = ("exact", "counting", "forest", "involution", "riordan", "identities")
+LAYERS = ("exact", "counting", "census", "forest", "involution", "riordan", "identities")
 
 # A backtick span that is a name, dotted or called: `encode`, `exact.Frozen`, `binom(x, k)`.
 _NAMED = re.compile(r"`(?:\w+\.)*(\w+)(?:\([^`]*\))?`")

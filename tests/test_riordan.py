@@ -284,7 +284,7 @@ class TestTheoremChecks:
         assert not riordan_theorem_check(array, bad, l)
         assert not modified_riordan_check(array, bad, l)
 
-    @pytest.mark.parametrize("route", ["series_compose", "_row_sums"])
+    @pytest.mark.parametrize("route", ["series_compose", "row_sums_from"])
     def test_disagreeing_routes_are_an_internal_error(self, monkeypatch, route):
         array, a, l = self.instance(2, 3, 1, 8)
         honest = getattr(riordan, route)
@@ -574,11 +574,11 @@ class TestIntegerKernel:
     @example(columns=[[F(1, 3), F(1)], [F(1, 2)]], a=[F(1), F(1)])  # denominators 3 and 2
     @settings(max_examples=80)
     def test_row_sums_add_over_one_denominator(self, columns, a):
-        """_row_sums is the sum of the series a[k] * x**k * column k, each reduced on its own."""
+        """row_sums_from is the sum of the series a[k] * x**k * column k, each reduced on its own."""
         n_max = len(columns) - 1
         columns = [(column * (n_max + 1))[: n_max + 1 - k] for k, column in enumerate(columns)]
         a = (a * (n_max + 1))[: n_max + 1]
-        got = riordan._row_sums([Series(column) for column in columns], Series(a))
+        got = riordan.row_sums_from([Series(column) for column in columns], Series(a))
         want = [F(0)] * (n_max + 1)
         for k, column in enumerate(columns):
             term = Series([F(0)] * k + [a[k] * v for v in column])

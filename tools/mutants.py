@@ -38,13 +38,13 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("the size table drops each pool's first split",
-           "src/catalania/forest.py",
-           "total(_tree_plan(sub, p))",
-           "total(_tree_plan(sub, p)[1:])",
+           "src/catalania/census.py",
+           "total(tree_plan(sub, p))",
+           "total(tree_plan(sub, p)[1:])",
            ("tests/test_forest.py::TestCountForests::test_counts_at_any_cap",
             "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
     Mutant("a split's size product is off by one",
-           "src/catalania/forest.py",
+           "src/catalania/census.py",
            "sum(prod(map(sizes.__getitem__, split)) for split in splits)",
            "sum(prod(map(sizes.__getitem__, split)) + 1 for split in splits)",
            ("tests/test_forest.py::TestCountForests::test_counts_the_generated_forests",
@@ -70,18 +70,19 @@ MUTANTS = (
            ("tests/test_identities.py::TestReadBeforeEvaluate::test_each_mistake_is_found_by_the_read"
             "[closed_form-n_max]",)),
     Mutant("the signed census drops one slot from multi-class slices",
-           "src/catalania/involution.py",
-           "_count_colorings(residual.leaf_count(gamma) + alpha - gamma, marks)",
-           "_count_colorings(residual.leaf_count(gamma) + alpha - gamma - (len(marks) > 1), marks)",
+           "src/catalania/census.py",
+           "_count_colorings(free_slots + alpha, marks)",
+           "_count_colorings(free_slots + alpha - (len(marks) > 1), marks)",
            ("tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census",)),
     Mutant("the census builds its first slice before the budget check",
            "src/catalania/involution.py",
-           "    for residual, marks, _ in _census_slices(profile, gamma, alpha):\n"
+           "    for residual, marks, _ in census_slices(profile, gamma, alpha):\n"
            "        forests = generate_mixed_forests(residual, gamma)\n",
+           "    from .census import census_sizes\n"
            "    residual, marks, _ = census_sizes(profile, gamma, alpha)[0]\n"
            "    _colorings(generate_mixed_forests(residual, gamma), planted, marks,\n"
            "               *_slice_colorings(residual.leaf_count(gamma), planted, marks))\n"
-           "    for residual, marks, _ in _census_slices(profile, gamma, alpha):\n"
+           "    for residual, marks, _ in census_slices(profile, gamma, alpha):\n"
            "        forests = generate_mixed_forests(residual, gamma)\n",
            ("tests/test_involution.py::TestCensusBudget::test_scalar_census_sums_its_slices",)),
     Mutant("a regenerated pool's tree text drops its closing ')'",
@@ -132,7 +133,8 @@ MUTANTS = (
            "src/catalania/identities.py",
            "dens = [(q * z.denominator) ** j * factorial(j) for j in range(length)]",
            "dens = [q ** j * factorial(j) for j in range(length)]",
-           ("tests/test_identities.py::TestPairKernel::test_rows_match_binom_and_fraction_powers",)),
+           ("tests/test_identities.py::TestPairKernel::test_rows_match_binom_and_fraction_powers",
+            "tests/test_identities.py::TestPairKernel::test_transforms_match_the_textbook_sums")),
     Mutant("the run's cross-route forest counts are keyed without gamma",
            "src/catalania/identities.py",
            '_shared(("cross forests", residual.p, residual.n, gamma),',
@@ -145,6 +147,20 @@ MUTANTS = (
            "up = ak * (den // column.den if k != 1 else 1)",
            ("tests/test_riordan.py::TestIntegerKernel::test_row_sums_add_over_one_denominator",
             "tests/test_riordan.py::TestIntegerKernel::test_row_sums")),
+    Mutant("the counted census skips its budget check when it is given count=",
+           "src/catalania/census.py",
+           "    census_slices(profile, gamma, alpha, terms)\n",
+           "    if count is None:\n"
+           "        census_slices(profile, gamma, alpha, terms)\n",
+           ("tests/test_involution.py::TestCensusBudget::test_counted_census_checks_before_any_count",
+            "tests/test_identities.py::TestEvaluationErrors::"
+            "test_the_cross_census_is_sized_before_it_counts")),
+    Mutant("a generating function reads the run's counts at another gamma",
+           "src/catalania/identities.py",
+           "lambda: Series(_catalans(beta, gamma, order, catalan)))",
+           "lambda: Series(_catalans(beta, gamma + 1, order, catalan)))",
+           ("tests/test_identities.py::TestSeriesTables::test_generating_functions_are_catalan_gf",
+            "tests/test_identities.py::TestGoldenReports::test_report_bytes_are_pinned")),
 )
 
 
