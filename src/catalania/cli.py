@@ -3,14 +3,17 @@
 Subcommands: seq, trees (count|list), involution, riordan (entry|check),
 verify.  Numeric flags take exact rationals as "p/q" strings; there is no
 float parsing anywhere.  Exit codes: 0 success / all checks pass, 1 a
-mathematical mismatch, 2 usage or resource errors.  All output is UTF-8
-and newline-terminated, and identical invocations print identical bytes.
+mathematical mismatch, 2 usage or resource errors, 141 (128 + SIGPIPE) a
+reader that closed stdout early.  Listings are written as they are made,
+and the census sum is always counted.  All output is UTF-8 and
+newline-terminated, and identical invocations print identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -143,16 +146,12 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 def _cmd_involution(args: argparse.Namespace) -> int:
     if not args.alpha >= args.gamma >= 1:
         raise exact.ConfigError("need --alpha >= --gamma >= 1")
-    if args.dump_pairs:
-        # The lines print after the sum, so they are held.
-        total, lines = involution.pair_lines(args.beta, args.n, args.gamma, args.alpha)
-    else:
-        total = census.signed_sum(args.beta, args.n, args.gamma, args.alpha)
+    total = census.signed_sum(args.beta, args.n, args.gamma, args.alpha)
     rhs = counting.eq2_rhs(args.alpha, args.gamma, args.n)
     verdict = "OK" if total == rhs else "MISMATCH"
     print(f"sum={total} rhs={exact.rat_str(rhs)} {verdict}")
     if args.dump_pairs:
-        _write_lines(lines)
+        _write_lines(involution.pair_lines(args.beta, args.n, args.gamma, args.alpha))
     return 0 if total == rhs else 1
 
 
@@ -250,7 +249,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does.  Writes go to devnull
+        # from here on, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -36,24 +36,28 @@ compares and hashes by its text.
 Validation happens where structures come from outside.  ``ColoredForest(...)``
 checks and sorts every coloring that users build or decode.  The
 enumerators check their arguments and the structure budget of ``census``
-once: ``enumerate_colored_vector`` and its one-class case
+on the call: ``enumerate_colored_vector`` and its one-class case
 ``enumerate_colored`` for their slice, and the scalar census
 (``colored_census``, ``pair_lines``), which is the one-class vector census,
 for all its slices before the first (``census.census_slices``).  They then
 build each structure from fields that are canonical by construction
 (leaves in preorder, colors chosen in ascending order) and skip that check;
 so does the pairing, whose output is canonical whenever its input is.  A
-slice finds its colorings once, as leaf indices that serve every forest of
-the slice, and pairs each forest with each of them.  The signed sums, which
-count the census without building it, are ``census.signed_sum`` and
-``census.signed_sum_vector``.
+slice finds its colorings once, as sorted (leaf index, color) and (root
+index, color) pairs that serve every forest of the slice, and pairs each
+forest with each of them.  The signed sums, which count the census without
+building it, are ``census.signed_sum`` and ``census.signed_sum_vector``.
+``pair_lines`` checks its own walk against them: a slice that walks other
+than its counted number of structures raises RuntimeError.
 
 The classes are read on text.  A forest's text is its preorder word, and
 one pass over it (``forest.layout``) places its leaves and its levels; the
 rule reads the bottom two levels there.  ``pairings`` and ``pair_lines``
 (``--dump-pairs``) lay each forest out once for all of its colorings and
-classify each structure once.  ``pair_lines`` reads each coloring's leaf
-positions off the layout and writes its lines by splicing into the
+classify each structure once.  ``pair_lines`` yields its lines as they are
+asked for, and holds one forest and its slice's colorings at a time, so
+the dump's memory does not grow with the census.  It reads each coloring's
+leaf positions off the layout and writes its lines by splicing into the
 forest's text: a structure's colored leaves become "o*", and a first-class
 structure's partner is the same splice with the candidate's "o" grown to
 "(" + "o" * beta + ")", so no partner forest is built.  ``classify``,
@@ -72,7 +76,7 @@ from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional,
 from .census import census_slices, check_alpha_gamma, check_arity, check_budget, scalar_profile
 from .counting import VecProfile, catalan_vector, check_outdegrees
 from .exact import check_nat, multinomial
-from .forest import Forest, Layout, generate_mixed_forests, layout
+from .forest import Forest, Layout, generate_mixed_forests, iter_mixed_forests, layout
 
 FIRST = "first"
 SECOND = "second"
@@ -285,35 +289,26 @@ def _color_assignments(slots: tuple[int, ...], marks: tuple[int, ...]) -> Iterat
 
 
 def _slice_colorings(n_leaves: int, planted: int,
-                     marks: tuple[int, ...]) -> tuple[list[list[int]], list[tuple]]:
+                     marks: tuple[int, ...]) -> list[tuple[tuple, tuple]]:
     """Each coloring of marks[j] slots with color j+1, in census order, as
-    the lists of its leaves' keys and of its root colors: the same for every
-    forest of a slice (all with ``n_leaves`` leaves).  Slots are the leaves
-    in preorder, then the planted roots; slot i colored j+1 has key
-    i * t + j, so the leaf keys ascend and the root colors come sorted."""
-    t = len(marks)
-    leaf_end = n_leaves * t
-    roots = [(k, color) for k in range(planted) for color in range(1, t + 1)]
-    leaf_keys: list[list[int]] = []
-    root_colors: list[tuple] = []
+    its sorted (leaf index, color) and (root index, color) pairs: the same
+    for every forest of a slice (all with ``n_leaves`` leaves).  Slots are
+    the leaves in preorder, then the planted roots."""
+    out = []
     for classes in _color_assignments(tuple(range(n_leaves + planted)), marks):
-        keys = sorted(i * t + j for j, chosen in enumerate(classes) for i in chosen)
-        split = bisect_left(keys, leaf_end)
-        leaf_keys.append(keys[:split])
-        root_colors.append(tuple(roots[k - leaf_end] for k in keys[split:]))
-    return leaf_keys, root_colors
+        slots = sorted((i, j) for j, chosen in enumerate(classes, 1) for i in chosen)
+        split = bisect_left(slots, (n_leaves,))
+        out.append((tuple(slots[:split]), tuple((i - n_leaves, j) for i, j in slots[split:])))
+    return out
 
 
-def _colorings(forests: list[Forest], planted: int, marks: tuple[int, ...],
-               leaf_keys: list[list[int]], root_colors: list[tuple]) -> list[ColoredForest]:
-    """Each forest with each coloring of ``marks``, forest-major, given the
-    leaf keys and root colors that _slice_colorings finds for the forests'
-    leaf count.  Key k colors leaf k // t with color k % t + 1, the same for
-    every forest of the slice, so the slice is the product of its forests
-    and its colorings.  The structures are built unchecked, as by _built."""
-    t = len(marks)
-    leaf_colors = [tuple((k // t, k % t + 1) for k in keys) for keys in leaf_keys]
-    colorings = list(zip(leaf_colors, root_colors))
+def _colorings(profile: VecProfile, gamma: int, planted: int,
+               marks: tuple[int, ...]) -> list[ColoredForest]:
+    """The slice of ``profile`` and ``marks``: each of its forests with each
+    coloring that _slice_colorings finds for their leaf count, forest-major,
+    built unchecked as by _built.  It checks nothing."""
+    forests = generate_mixed_forests(profile, gamma)
+    colorings = _slice_colorings(profile.leaf_count(gamma), planted, marks)
     return [tuple.__new__(ColoredForest, (forest, planted, leaves, roots))
             for forest, (leaves, roots) in itertools.product(forests, colorings)]
 
@@ -342,68 +337,63 @@ def enumerate_colored_vector(
         raise ValueError("marks must give one count per outdegree class")
     for m in marks:
         check_nat(m, "marks[j]")
-    planted, n_leaves = alpha - gamma, profile.leaf_count(gamma)
-    check_budget(catalan_vector(profile, gamma) * multinomial(n_leaves + planted, marks))
-    return _colorings(generate_mixed_forests(profile, gamma), planted, marks,
-                      *_slice_colorings(n_leaves, planted, marks))
+    planted = alpha - gamma
+    check_budget(catalan_vector(profile, gamma)
+                 * multinomial(profile.leaf_count(gamma) + planted, marks))
+    return _colorings(profile, gamma, planted, marks)
 
 
 # ---------------------------------------------------------------------------
 # Alternating censuses
 # ---------------------------------------------------------------------------
 
-def _census(profile: VecProfile, gamma: int, alpha: int) -> Iterator[tuple]:
-    """The colored census of ``profile``, one slice at a time in census_sizes
-    order, each built when it is asked for: its marks, its structures (as
-    enumerate_colored_vector lists them) and the (leaf keys, root colors)
-    of _slice_colorings they were built from.  The whole census is checked
-    against the structure budget before the first slice."""
-    planted = alpha - gamma
-    for residual, marks, _ in census_slices(profile, gamma, alpha):
-        forests = generate_mixed_forests(residual, gamma)
-        colorings = _slice_colorings(residual.leaf_count(gamma), planted, marks)
-        yield marks, _colorings(forests, planted, marks, *colorings), colorings
-
-
 def colored_census(beta: int, n: int, gamma: int, alpha: int) -> list[list[ColoredForest]]:
     """All colored structures with n_internal + colored = n, as one slice
     per number of colored objects i = 0..n, each in enumerate_colored order:
-    the one-class vector census, built."""
+    the one-class vector census, built.  The whole census is checked
+    against the structure budget before the first slice."""
     profile = scalar_profile(beta, n, gamma, alpha)
-    return [structures for _, structures, _ in _census(profile, gamma, alpha)]
+    return [_colorings(residual, gamma, alpha - gamma, marks)
+            for residual, marks, _ in census_slices(profile, gamma, alpha)]
 
 
-def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> tuple[int, list[str]]:
-    """The sum of the weights over colored_census(beta, n, gamma, alpha) and
-    its ``--dump-pairs`` lines in census order, as encode_colored writes the
-    structures: "pair c <-> involute(c, [beta])" for each first-class c,
-    "exceptional c" for each exceptional one.  One slice is held at a time,
-    and its structures are walked in step with the colorings that the
-    census built them from."""
-    profile = scalar_profile(beta, n, gamma, alpha)
-    grown = "(" + "o" * beta + ")"
-    total = 0
-    lines: list[str] = []
-    for (i,), structures, (leaf_keys, root_colors) in _census(profile, gamma, alpha):
-        total += (-1) ** i * len(structures)
-        colorings = list(zip(leaf_keys, [_planted_text(alpha - gamma, roots, 1)
-                                         for roots in root_colors]))
-        forest = None
-        for c, (keys, prefix) in zip(structures, itertools.cycle(colorings)):
-            if c.forest is not forest:
-                forest = c.forest
+def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> Iterator[str]:
+    """The ``--dump-pairs`` lines of colored_census(beta, n, gamma, alpha)
+    in census order, as encode_colored writes the structures: "pair c <->
+    involute(c, [beta])" for each first-class c, "exceptional c" for each
+    exceptional one.  Arguments and the census budget are checked on the
+    call; the lines are then made as they are asked for, a forest at a
+    time.  A slice that walks other than its counted number of structures
+    raises RuntimeError once its walk ends."""
+    slices = census_slices(scalar_profile(beta, n, gamma, alpha), gamma, alpha)
+    planted, grown = alpha - gamma, "(" + "o" * beta + ")"
+
+    def lines() -> Iterator[str]:
+        for residual, marks, size in slices:
+            colorings = [(leaves, roots, [i for i, _ in leaves], _planted_text(planted, roots, 1))
+                         for leaves, roots in _slice_colorings(residual.leaf_count(gamma),
+                                                               planted, marks)]
+            walked = 0
+            for forest in iter_mixed_forests(residual, gamma):
                 shape = layout(forest.text)
-            colored = list(map(shape.leaves.__getitem__, keys))
-            cls = classify(c, shape, colored)
-            if cls.kind == SECOND:  # listed as the partner of a first-class one
-                continue
-            marked = prefix + _splice(shape.text, zip(colored, repeat("o*")))
-            if cls.kind == EXCEPTIONAL:
-                lines.append(f"exceptional {marked}")
-                continue
-            partner = _splice(shape.text, ((q, grown if q == cls.vertex else "o*") for q in colored))
-            lines.append(f"pair {marked} <-> {prefix}{partner}")
-    return total, lines
+                for leaves, roots, indices, prefix in colorings:
+                    walked += 1
+                    colored = list(map(shape.leaves.__getitem__, indices))
+                    cls = classify(_built(forest, planted, leaves, roots), shape, colored)
+                    if cls.kind == SECOND:  # listed as the partner of a first-class one
+                        continue
+                    marked = prefix + _splice(shape.text, zip(colored, repeat("o*")))
+                    if cls.kind == EXCEPTIONAL:
+                        yield f"exceptional {marked}"
+                        continue
+                    partner = _splice(shape.text,
+                                      ((q, grown if q == cls.vertex else "o*") for q in colored))
+                    yield f"pair {marked} <-> {prefix}{partner}"
+            if walked != size:
+                raise RuntimeError(f"the dump walked {walked} structures of the slice with "
+                                   f"marks {marks}, which counts {size}; internal error")
+
+    return lines()
 
 
 # ---------------------------------------------------------------------------

@@ -133,30 +133,43 @@ class TestTrees:
                        "of 1000 (set CATALANIA_MAX_STRUCTS to raise it)\n")
 
     def test_count_holds_no_forest(self):
-        # The child reports its own peak RSS: 45 MB when the count held all
-        # 120,175 forests, about 19 MB streamed (Python 3.11, Linux).  On
-        # Linux a process's ru_maxrss keeps the peak of the process that
-        # started it, so a bare interpreter starts the child, not pytest.
-        pytest.importorskip("resource")
-        child = (
-            "import resource, sys\n"
-            "from catalania.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-            "sys.exit(code)\n"
-        )
-        launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-        env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher, sys.executable, "-c", child,
-             "trees", "count", "--beta", "3", "--n", "8", "--gamma", "2", "--check-formula"],
-            env=env, capture_output=True, text=True, check=False,
-        )
-        assert (proc.returncode, proc.stdout) == (0, "120175 == 120175 OK\n")
-        # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
-        unit = 1 if sys.platform == "darwin" else 1024
-        peak_mb = int(proc.stderr.split()[-1]) * unit / 2**20
+        # 45 MB when the count held all 120,175 forests, about 19 MB streamed
+        # (Python 3.11, Linux).
+        code, out, peak_mb = child_peak_rss(
+            "trees", "count", "--beta", "3", "--n", "8", "--gamma", "2", "--check-formula")
+        assert (code, out) == (0, hashlib.sha1(b"120175 == 120175 OK\n").hexdigest())
         assert peak_mb < 30
+
+
+def child_peak_rss(*argv):
+    """Run the CLI on ``argv`` in a child; return its exit code, the sha1 of
+    its stdout and its own peak RSS in MB.  On Linux a process's ru_maxrss
+    keeps the peak of the process that started it, so a bare interpreter
+    starts the child, not pytest, and the output is hashed as it arrives, so
+    that nothing holds it."""
+    pytest.importorskip("resource")
+    child = (
+        "import resource, sys\n"
+        "from catalania.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
+    proc = subprocess.Popen([sys.executable, "-c", launcher, sys.executable, "-c", child, *argv],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    digest = hashlib.sha1()
+    while block := proc.stdout.read(1 << 16):
+        digest.update(block)
+    err = proc.stderr.read()
+    code = proc.wait()
+    proc.stdout.close()
+    proc.stderr.close()
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+    unit = 1 if sys.platform == "darwin" else 1024
+    return code, digest.hexdigest(), int(err.split()[-1]) * unit / 2**20
 
 
 class TestInvolution:
@@ -212,14 +225,65 @@ class TestInvolution:
         assert (code, out) == (0, f"sum=0 rhs=0 OK\npair P[0:]|{path} <-> P[0:]|({path.replace('o*', 'o')})\n")
 
     def test_budget_covers_the_whole_census(self, capsys, monkeypatch):
-        # The three slices hold 2, 3 and 1 structures; each fits the budget alone.
+        # The three slices hold 2, 3 and 1 structures; each fits the budget
+        # alone.  The dump checks the same census, so it prints nothing either.
         monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "4")
-        code, out, err = run_cli(
-            capsys, "involution", "--beta", "2", "--n", "2", "--gamma", "1", "--alpha", "2"
+        for dump in ((), ("--dump-pairs",)):
+            code, out, err = run_cli(
+                capsys, "involution", "--beta", "2", "--n", "2", "--gamma", "1", "--alpha", "2",
+                *dump)
+            assert (code, out) == (2, "")
+            assert err == ("error: enumeration would produce 6 structures, over the limit "
+                           "of 4 (set CATALANIA_MAX_STRUCTS to raise it)\n")
+
+    def test_dump_holds_one_forest_at_a_time(self):
+        # 32.6 MB when the dump held its lines until the sum printed, about
+        # 17 MB streamed (Python 3.11, Linux); 7 MB of output.
+        code, out, peak_mb = child_peak_rss(
+            "involution", "--beta", "3", "--n", "7", "--gamma", "2", "--alpha", "4", "--dump-pairs")
+        assert (code, out) == (0, "5697163dc4b0e485647e6c9da77b202cd45fedad")
+        assert peak_mb < 25
+
+    def test_a_dump_slice_that_walks_other_than_its_count_fails(self):
+        # The sum line prints first; the walk then stops at the slice that
+        # misses a coloring, with a traceback naming it.
+        child = (
+            "from catalania import cli, involution\n"
+            "original = involution._slice_colorings\n"
+            "involution._slice_colorings = lambda *args: original(*args)[:-1]\n"
+            "cli.entrypoint()\n"
         )
-        assert (code, out) == (2, "")
-        assert err == ("error: enumeration would produce 6 structures, over the limit "
-                       "of 4 (set CATALANIA_MAX_STRUCTS to raise it)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "involution", "--beta", "2", "--n", "3", "--alpha", "2",
+             "--dump-pairs"], env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode != 0
+        assert proc.stdout == "sum=0 rhs=0 OK\n"
+        assert proc.stderr.splitlines()[-1] == (
+            "RuntimeError: the dump walked 0 structures of the slice with marks (0,), which "
+            "counts 5; internal error")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("trees", "list", "--beta", "3", "--n", "8", "--gamma", "2"),
+    ("involution", "--beta", "3", "--n", "7", "--gamma", "2", "--alpha", "4", "--dump-pairs"),
+], ids=["trees-list", "dump"])
+def test_a_closed_pipe_ends_quietly(argv, unbuffered):
+    # A reader that closes after the first line of a multi-MB output, as
+    # `| head -1` does: the CLI stops with status 141 and writes no error.
+    env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "catalania.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+    assert first.endswith(b"\n") and len(first) > 1
 
 
 # sha1 of stdout, as the per-vertex encoders with one print per line wrote

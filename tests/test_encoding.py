@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import catalania
 from catalania import forest
+from catalania.census import signed_sum
 from catalania.counting import VecProfile
 from catalania.exact import binom
 from catalania.forest import (
@@ -95,7 +96,8 @@ def reference_classify(c):
 
 
 def reference_pair_lines(beta, n, gamma, alpha):
-    """The --dump-pairs census as the object route prints it."""
+    """The --dump-pairs census as the object route prints it: the sum of its
+    weights and its lines."""
     structures = [c for piece in colored_census(beta, n, gamma, alpha) for c in piece]
     lines = [f"pair {reference_encode_colored(c)} <-> {reference_encode_colored(partner)}"
              if cls.kind == FIRST else f"exceptional {reference_encode_colored(c)}"
@@ -329,8 +331,9 @@ class TestPairLines:
            extra=st.integers(0, 2))
     @settings(max_examples=30, deadline=None)
     def test_small_censuses(self, beta, n, gamma, extra):
-        assert pair_lines(beta, n, gamma, gamma + extra) == reference_pair_lines(
-            beta, n, gamma, gamma + extra)
+        alpha = gamma + extra
+        assert (signed_sum(beta, n, gamma, alpha), list(pair_lines(beta, n, gamma, alpha))) == (
+            reference_pair_lines(beta, n, gamma, alpha))
 
     @pytest.mark.parametrize("beta,n,gamma,alpha", [(2, 0, 1, 1), (2, 3, 2, 2), (1, 4, 1, 3),
                                                     (3, 2, 3, 5)])
@@ -338,7 +341,7 @@ class TestPairLines:
         # n = 0, alpha = gamma, unary paths, and colored planted roots: the
         # exceptional lines are the binom(alpha - gamma, n) structures that
         # carry the sum.
-        total, lines = pair_lines(beta, n, gamma, alpha)
+        total, lines = signed_sum(beta, n, gamma, alpha), list(pair_lines(beta, n, gamma, alpha))
         assert (total, lines) == reference_pair_lines(beta, n, gamma, alpha)
         exceptional = binom(alpha - gamma, n)
         assert sum(line.startswith("exceptional ") for line in lines) == exceptional

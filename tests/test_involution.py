@@ -430,7 +430,10 @@ class TestCensusWork:
                           for residual, marks, _ in slices]
         for i, structures in enumerate(census):
             assert enumerate_colored(beta, n - i, i, gamma, alpha) == structures
-        assert pair_lines(beta, n, gamma, alpha)[0] == signed_sum(beta, n, gamma, alpha)
+        # One line per pair and one per exceptional structure, of which there
+        # are binom(alpha - gamma, n).
+        lines = list(pair_lines(beta, n, gamma, alpha))
+        assert len(lines) == (sum(map(len, census)) + binom(alpha - gamma, n)) // 2
 
     def test_the_dump_finds_each_slices_colorings_once(self, monkeypatch):
         calls = []
@@ -441,7 +444,7 @@ class TestCensusWork:
             return original(*args)
 
         monkeypatch.setattr(involution, "_slice_colorings", counted)
-        pair_lines(3, 5, 3, 5)
+        list(pair_lines(3, 5, 3, 5))
         assert calls == [(VecProfile((5 - i,), (3,)).leaf_count(3), 2, (i,)) for i in range(6)]
 
     @pytest.mark.parametrize("name,run", [
@@ -495,21 +498,21 @@ class TestGeneratedStructures:
     @staticmethod
     def _per_forest(forests, planted, marks):
         """The slice of ``forests`` with each coloring of ``marks``, built with
-        the leaves counted per forest and the checked constructor."""
-        t = len(marks)
-        n_leaves = forests[0].text.count("o")
-        leaf_keys, root_colors = involution._slice_colorings(n_leaves, planted, marks)
+        the leaves counted per forest and the checked constructor, which
+        sorts the colorings: slot i < n_leaves is leaf i, and slot n_leaves + k
+        is planted root k."""
         out = []
         for f in forests:
-            entry = [(leaf, color) for leaf in range(f.text.count("o"))
-                     for color in range(1, t + 1)]
-            out += [ColoredForest(f, planted, [entry[k] for k in keys], roots)
-                    for keys, roots in zip(leaf_keys, root_colors)]
+            n_leaves = f.text.count("o")
+            for classes in involution._color_assignments(tuple(range(n_leaves + planted)), marks):
+                slots = [(i, j) for j, chosen in enumerate(classes, 1) for i in chosen]
+                out.append(ColoredForest(f, planted, [(i, j) for i, j in slots if i < n_leaves],
+                                         [(i - n_leaves, j) for i, j in slots if i >= n_leaves]))
         return out
 
     def test_slices_match_addresses_found_per_forest(self):
-        # A slice maps its leaf keys to leaf indices once, for all its
-        # forests; the reference finds each forest's leaf indices on its own.
+        # A slice finds its colorings once, for all its forests; the
+        # reference colors each forest's leaves and roots on its own.
         slices = [(generate_forests(3, 5 - i, 3), (i,), census)
                   for i, census in enumerate(colored_census(3, 5, 3, 5))]
         profile = VecProfile((2, 1), (2, 3))
@@ -571,11 +574,40 @@ class TestPairings:
                 return _original(*args)
 
             monkeypatch.setattr(involution, name, counted)
-        total, lines = pair_lines(2, 4, 2, 3)
-        forests = sum(len({id(c.forest) for c in piece}) for piece in census)
+        lines = list(pair_lines(2, 4, 2, 3))
+        # Every forest of every slice, the uncolorable o;o of slice 4 too.
+        forests = sum(len(generate_mixed_forests(residual, 2))
+                      for residual, _, _ in census_sizes(VecProfile((4,), (2,)), 2, 3))
         assert calls == {"classify": sum(map(len, census)), "layout": forests}
-        assert total == signed_sum(2, 4, 2, 3)
         assert len(lines) == sum(map(len, census)) // 2  # binom(1, 4) = 0 exceptional
+
+    def test_pair_lines_makes_its_lines_as_they_are_asked_for(self, monkeypatch):
+        # Slice 0 is all second class (no colored leaf), so the first line
+        # comes from a forest of slice 1, and no later forest is classified.
+        calls = []
+        original = involution.classify
+
+        def counted(c, *args):
+            calls.append(c.forest)
+            return original(c, *args)
+
+        monkeypatch.setattr(involution, "classify", counted)
+        lines = pair_lines(3, 7, 2, 4)
+        assert calls == []
+        first = next(lines)
+        assert first.startswith("pair ")
+        uncolored = generate_mixed_forests(VecProfile((7,), (3,)), 2)
+        assert calls[:len(uncolored)] == uncolored
+        assert len(set(calls[len(uncolored):])) == 1
+        assert len(calls) - len(uncolored) <= VecProfile((6,), (3,)).leaf_count(2) + 2
+
+    def test_a_slice_that_walks_other_than_its_count_raises(self, monkeypatch):
+        original = involution._slice_colorings
+        monkeypatch.setattr(involution, "_slice_colorings", lambda *args: original(*args)[:-1])
+        lines = pair_lines(2, 3, 1, 2)
+        with pytest.raises(RuntimeError, match=r"the dump walked 0 structures of the slice "
+                                               r"with marks \(0,\), which counts 5;"):
+            list(lines)
 
 
 def _weight(c):

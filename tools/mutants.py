@@ -49,10 +49,10 @@ MUTANTS = (
            "sum(prod(map(sizes.__getitem__, split)) + 1 for split in splits)",
            ("tests/test_forest.py::TestCountForests::test_counts_the_generated_forests",
             "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
-    Mutant("a census key of color j > 1 names a leaf j - 1 places to the right",
+    Mutant("a slice's coloring names its leaf of color j > 1 j - 1 places to the right",
            "src/catalania/involution.py",
-           "tuple((k // t, k % t + 1) for k in keys)",
-           "tuple((k // t + k % t, k % t + 1) for k in keys)",
+           "sorted((i, j) for j, chosen in enumerate(classes, 1) for i in chosen)",
+           "sorted((i + j - 1, j) for j, chosen in enumerate(classes, 1) for i in chosen)",
            ("tests/test_involution.py::TestGeneratedStructures::"
             "test_slices_match_addresses_found_per_forest",
             "tests/test_identities.py::TestGoldenEnumerations::test_two_class_census_order_is_pinned")),
@@ -76,15 +76,26 @@ MUTANTS = (
            ("tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census",)),
     Mutant("the census builds its first slice before the budget check",
            "src/catalania/involution.py",
-           "    for residual, marks, _ in census_slices(profile, gamma, alpha):\n"
-           "        forests = generate_mixed_forests(residual, gamma)\n",
+           "    return [_colorings(residual, gamma, alpha - gamma, marks)\n",
            "    from .census import census_sizes\n"
            "    residual, marks, _ = census_sizes(profile, gamma, alpha)[0]\n"
-           "    _colorings(generate_mixed_forests(residual, gamma), planted, marks,\n"
-           "               *_slice_colorings(residual.leaf_count(gamma), planted, marks))\n"
-           "    for residual, marks, _ in census_slices(profile, gamma, alpha):\n"
-           "        forests = generate_mixed_forests(residual, gamma)\n",
+           "    _colorings(residual, gamma, alpha - gamma, marks)\n"
+           "    return [_colorings(residual, gamma, alpha - gamma, marks)\n",
            ("tests/test_involution.py::TestCensusBudget::test_scalar_census_sums_its_slices",)),
+    Mutant("the dump walk skips each forest's last coloring",
+           "src/catalania/involution.py",
+           "                for leaves, roots, indices, prefix in colorings:\n",
+           "                for leaves, roots, indices, prefix in colorings[:-1]:\n",
+           ("tests/test_encoding.py::TestPairLines::test_edge_shapes",
+            "tests/test_cli.py::test_dump_pairs_output_golden")),
+    Mutant("the dump's slice check never fires",
+           "src/catalania/involution.py",
+           "            if walked != size:\n",
+           "        if False:\n",
+           ("tests/test_involution.py::TestPairings::"
+            "test_a_slice_that_walks_other_than_its_count_raises",
+            "tests/test_cli.py::TestInvolution::"
+            "test_a_dump_slice_that_walks_other_than_its_count_fails")),
     Mutant("a regenerated pool's tree text drops its closing ')'",
            "src/catalania/forest.py",
            "zip(*map(itertools.repeat, head), _trees(large, p), *tail)",
