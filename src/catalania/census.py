@@ -9,10 +9,10 @@ before it counts.
 
 ``count_mixed_forests`` (``count_forests``) counts the forests that
 ``forest.iter_mixed_forests`` yields, and builds no pool and no tree: it
-multiplies pool sizes, each pool's size being the sum over its splits
-(``tree_plan``) of its parts' sizes multiplied.  The sizes are built
-bottom-up and no function here recurses, so no depth of tree reaches the
-recursion limit.
+multiplies pool sizes from one table (``_size_table``), each pool's size
+being the sum over its splits (``tree_plan``) of its parts' sizes
+multiplied.  The table is built bottom-up, not by recursion, so no depth
+of tree reaches the recursion limit.
 
 A colored census of a profile splits profile.n into internal counts plus
 color marks.  ``census_terms`` lists each slice's alpha-free part,
@@ -20,7 +20,9 @@ color marks.  ``census_terms`` lists each slice's alpha-free part,
 whole census against the budget before the first slice.
 ``signed_sum_vector`` (``signed_sum``) builds no structure: all of a slice
 has one weight, so the slice adds that weight times its forests and its
-colorings.
+colorings.  After the budget check, the profile's size table counts every
+slice's forests, as each residual lies below the profile; ``involution``
+and Eq2's census route in ``verify`` make this same call.
 
 ``forest.py`` builds the forests counted here and ``involution.py`` the
 colored structures, so ``verify``, ``trees count`` and ``involution``
@@ -34,7 +36,7 @@ import os
 from fractions import Fraction
 from itertools import repeat
 from math import prod
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator
 
 from .counting import VecProfile, catalan_vector
 from .exact import Rat, RatLike, check_nat, multinomial
@@ -129,25 +131,28 @@ def tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> tuple[Split, ...]:
         tuple(c - (i == j) for i, c in enumerate(counts)), pj))
 
 
-def count_mixed_forests(profile: VecProfile, gamma: int,
-                        estimate: Optional[Rat] = None) -> int:
-    """The number of forests forest.iter_mixed_forests(profile, gamma)
-    yields, with the same checks first, from a table of pool sizes built
-    bottom-up that builds no pool: a pool's size sums the products of its
-    parts' sizes over its splits, and the forests sum them over the forest
-    splits.  ``estimate`` is catalan_vector(profile, gamma), the count that
-    the budget check reads, for a caller that keeps it."""
-    check_nat(gamma, "gamma")
-    check_budget(catalan_vector(profile, gamma) if estimate is None else estimate)
-    counts, p = profile.n, profile.p
+def _size_table(counts: tuple[int, ...], p: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The size of every pool of at most ``counts`` internal vertices by
+    class, built bottom-up and building no pool: a pool's size sums the
+    products of its parts' sizes over its splits."""
     sizes: dict[tuple[int, ...], int] = {}
-
-    def total(splits: Iterable[Split]) -> int:
-        return sum(prod(map(sizes.__getitem__, split)) for split in splits)
-
     for sub in itertools.product(*(range(c + 1) for c in counts)):
-        sizes[sub] = total(tree_plan(sub, p))
-    return total(vector_compositions(counts, gamma))
+        sizes[sub] = _total(sizes, tree_plan(sub, p))
+    return sizes
+
+
+def _total(sizes: dict[tuple[int, ...], int], splits: Iterable[Split]) -> int:
+    """The sum over ``splits`` of the products of their parts' sizes."""
+    return sum(prod(map(sizes.__getitem__, split)) for split in splits)
+
+
+def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
+    """The number of forests forest.iter_mixed_forests(profile, gamma)
+    yields, with the same checks first: the forest splits' products summed
+    over the profile's table of pool sizes."""
+    check_nat(gamma, "gamma")
+    check_budget(catalan_vector(profile, gamma))
+    return _total(_size_table(profile.n, profile.p), vector_compositions(profile.n, gamma))
 
 
 def count_forests(beta: int, n: int, gamma: int) -> int:
@@ -173,49 +178,42 @@ def check_alpha_gamma(alpha: int, gamma: int) -> int:
     return alpha
 
 
-def census_terms(profile: VecProfile, gamma: int,
-                 count: Optional[Callable[[VecProfile, int], Rat]] = None) -> list[Term]:
+def census_terms(profile: VecProfile, gamma: int) -> list[Term]:
     """The alpha-free part of every census slice: each split of profile.n
     into internal counts plus color marks, as (residual profile, marks,
     forests, free_slots) with marks in lexicographic order, forests =
-    count(residual, gamma) and free_slots = residual.leaf_count(gamma) -
-    gamma.  The slice then holds forests * multinomial(free_slots + alpha,
-    marks) structures: its forests, each with free_slots + alpha slots (the
-    leaves and the alpha - gamma planted roots) to color.  ``count`` stands
-    in for catalan_vector, for a caller that keeps the counts it has seen.
-    The residuals derive from the checked ``profile`` and are built
-    unchecked."""
-    count = count or catalan_vector
+    catalan_vector(residual, gamma) and free_slots =
+    residual.leaf_count(gamma) - gamma.  The slice then holds forests *
+    multinomial(free_slots + alpha, marks) structures: its forests, each
+    with free_slots + alpha slots (the leaves and the alpha - gamma planted
+    roots) to color.  The residuals derive from the checked ``profile`` and
+    are built unchecked."""
     out = []
     for marks in itertools.product(*(range(nj + 1) for nj in profile.n)):
         residual = VecProfile._make(tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p)
-        out.append((residual, marks, count(residual, gamma),
+        out.append((residual, marks, catalan_vector(residual, gamma),
                     residual.leaf_count(gamma) - gamma))
     return out
 
 
 def census_sizes(profile: VecProfile, gamma: int, alpha: RatLike,
-                 terms: Optional[Sequence[Term]] = None,
                  ) -> list[tuple[VecProfile, tuple[int, ...], Rat]]:
     """Every split of profile.n into internal counts plus color marks, as
     (residual profile, marks, size) with marks in lexicographic order and
     size the number of structures
     involution.enumerate_colored_vector(residual, marks, gamma, alpha)
-    yields, built on census_terms(profile, gamma), or on ``terms`` when a
-    caller keeps them.  Validates nothing and checks no budget, so it also
-    serves gamma = 0 and rational alpha, where the sizes are formal."""
-    if terms is None:
-        terms = census_terms(profile, gamma)
+    yields, built on census_terms(profile, gamma).  Validates nothing and
+    checks no budget, so it also serves gamma = 0 and rational alpha, where
+    the sizes are formal."""
     return [(residual, marks, forests * multinomial(free_slots + alpha, marks))
-            for residual, marks, forests, free_slots in terms]
+            for residual, marks, forests, free_slots in census_terms(profile, gamma)]
 
 
 def census_slices(profile: VecProfile, gamma: int, alpha: int,
-                  terms: Optional[Sequence[Term]] = None,
                   ) -> list[tuple[VecProfile, tuple[int, ...], Rat]]:
     """census_sizes, once the whole census is known to fit the structure
     budget."""
-    sizes = census_sizes(profile, gamma, alpha, terms)
+    sizes = census_sizes(profile, gamma, alpha)
     check_budget(sum(size for _, _, size in sizes))
     return sizes
 
@@ -228,36 +226,29 @@ def scalar_profile(beta: int, n: int, gamma: int, alpha: int) -> VecProfile:
     return VecProfile((n,), (check_arity(beta),))
 
 
-def signed_sum(beta: int, n: int, gamma: int, alpha: int,
-               count: Optional[Callable[[VecProfile, int], int]] = None,
-               terms: Optional[Sequence[Term]] = None) -> Rat:
+def signed_sum(beta: int, n: int, gamma: int, alpha: int) -> Rat:
     """Sum of weights over involution.colored_census(beta, n, gamma, alpha),
-    as the one-class signed_sum_vector counts it, ``count`` and ``terms`` as
-    there.  Equals (-1)**n * binom(alpha-gamma, n)."""
-    return signed_sum_vector(scalar_profile(beta, n, gamma, alpha), gamma, alpha, count, terms)
+    as the one-class signed_sum_vector counts it.  Equals (-1)**n *
+    binom(alpha-gamma, n)."""
+    return signed_sum_vector(scalar_profile(beta, n, gamma, alpha), gamma, alpha)
 
 
-def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int,
-                      count: Optional[Callable[[VecProfile, int], int]] = None,
-                      terms: Optional[Sequence[Term]] = None) -> Rat:
+def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
     """Sum of weights over all t-colored planted mixed forests with
     class-wise internal + colored counts equal to profile.n, counted, not
-    built: the slice with ``marks`` adds (-1)**sum(marks) times its forests,
-    as count_mixed_forests counts them, times the colorings of their slots.
-    ``count`` stands in for count_mixed_forests and ``terms`` for
-    census_terms(profile, gamma), for a caller that keeps the counts it has
-    seen; the census is checked against the structure budget before any
-    count.  Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
+    built: the slice with ``marks`` adds (-1)**sum(marks) times its forests
+    times the colorings of their slots.  The census is checked against the
+    structure budget first; then one table of pool sizes, the profile's,
+    counts every slice's forests, as count_mixed_forests counts them.
+    Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
     check_alpha_gamma(alpha, gamma)
-    terms = census_terms(profile, gamma) if terms is None else terms
-    census_slices(profile, gamma, alpha, terms)
+    slices = census_slices(profile, gamma, alpha)
+    sizes = _size_table(profile.n, profile.p)
     total = 0
-    for residual, marks, forests, free_slots in terms:
-        if count is None:
-            forests = count_mixed_forests(residual, gamma, forests)
-        else:
-            forests = count(residual, gamma)
-        total += (-1) ** sum(marks) * forests * _count_colorings(free_slots + alpha, marks)
+    for residual, marks, _ in slices:
+        forests = _total(sizes, vector_compositions(residual.n, gamma))
+        slots = residual.leaf_count(gamma) - gamma + alpha
+        total += (-1) ** sum(marks) * forests * _count_colorings(slots, marks)
     return Fraction(total)
 
 

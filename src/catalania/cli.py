@@ -3,10 +3,11 @@
 Subcommands: seq, trees (count|list), involution, riordan (entry|check),
 verify.  Numeric flags take exact rationals as "p/q" strings; there is no
 float parsing anywhere.  Exit codes: 0 success / all checks pass, 1 a
-mathematical mismatch, 2 usage or resource errors, 141 (128 + SIGPIPE) a
-reader that closed stdout early.  Listings are written as they are made,
-and the census sum is always counted.  All output is UTF-8 and
-newline-terminated, and identical invocations print identical bytes.
+mathematical mismatch, 2 usage or resource errors, 3 an internal error,
+141 (128 + SIGPIPE) a reader that closed stdout early.  Listings are
+written as they are made, and the census sum is always counted.  All
+output is UTF-8 and newline-terminated, and identical invocations print
+identical bytes.
 """
 
 from __future__ import annotations
@@ -98,13 +99,17 @@ def _print_json(value: object) -> None:
     print(json.dumps(value))
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write each of ``lines`` and a newline to stdout, 1,024 lines to a
-    write: with an unbuffered stdout, one write per line would cost a
-    system call each."""
+def _write_lines(lines: Iterable[str], sep: str = "\n", end: str = "\n") -> None:
+    """Write ``lines`` to stdout joined by ``sep``, and ``end`` after the
+    last, 1,024 lines to a write: with an unbuffered stdout, one write per
+    line would cost a system call each.  No line, no ``end``."""
     lines = iter(lines)
+    lead = ""
     while block := list(itertools.islice(lines, 1024)):
-        sys.stdout.write("\n".join(block) + "\n")
+        sys.stdout.write(lead + sep.join(block))
+        lead = sep
+    if lead:
+        sys.stdout.write(end)
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -119,11 +124,15 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 def _cmd_trees(args: argparse.Namespace) -> int:
     if args.action == "list":
-        forests = forest.iter_forests(args.beta, args.n, args.gamma)
-        if args.format == "json":
-            _print_json([forest.encode(f) for f in forests])
+        texts = map(forest.encode, forest.iter_forests(args.beta, args.n, args.gamma))
+        if args.format == "json":  # json.dumps of the list, written as it is made
+            import json
+
+            sys.stdout.write("[")
+            _write_lines(map(json.encoder.encode_basestring_ascii, texts), ", ", "")
+            sys.stdout.write("]\n")
             return 0
-        _write_lines(map(forest.encode, forests))
+        _write_lines(texts)
         return 0
     count = census.count_forests(args.beta, args.n, args.gamma)
     if args.check_formula:
@@ -246,6 +255,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:  # covers ConfigError, EnumerationBudgetError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # an internal consistency check failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

@@ -19,10 +19,8 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .census import (census_terms, check_alpha_gamma, check_arity, compositions, count_mixed_forests,
-                     signed_sum)
-from .counting import (CatalanFn, VecProfile, catalan_gen, catalan_sequence, catalan_vector,
-                       check_outdegrees, eq2_rhs)
+from .census import census_terms, check_alpha_gamma, check_arity, compositions, signed_sum
+from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
 from .exact import (ConfigError, Rat, RatLike, Record, as_rat, binom, check_nat, cleared, falling,
                     int_binom, rat_str)
 from .riordan import (RiordanArray, Series, derivative_form_check, family_f, inverse_powers,
@@ -215,12 +213,11 @@ class _Run:
     Eq2's array routes, Eq7 and Eq8 (generating functions per oracle, read
     off the Catalan counts, x(1-x)**(beta-1) and (1-x)**a); the array
     columns per (alpha, beta, n_max), which Eq7 reads at alpha = 0, and the
-    other pieces of the family route, see _family_pieces; the census terms
-    of Eq3 and of Eq2's cross route per (p, n_vec, gamma), which every alpha
-    of their grids reads; and their closed-form forest counts and the cross
-    route's counted ones per (p, residual, gamma), which the censuses of
-    every larger n read.  Every census checks its budget on the closed-form
-    counts before it counts.  An entry is built on its first use by the
+    other pieces of the family route, see _family_pieces; and the census
+    terms of Eq3 per (p, n_vec, gamma), which every alpha of its grid reads.
+    Eq2's cross route keeps no table of its own: each of its censuses is
+    the signed_sum call of ``catalania involution``, which checks its
+    budget and counts for itself.  An entry is built on its first use by the
     builder this module names at that moment, so a run sees a builder
     replaced before it started, and is immutable (tuples, Fractions, Series,
     RiordanArray).  Nothing outlives the run: a table kept across runs would
@@ -461,24 +458,9 @@ def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int,
 
 def _census_terms(p: tuple[int, ...], n_vec: tuple[int, ...], gamma: int) -> tuple:
     """census_terms of the census of (p, n_vec, gamma), its alpha-free part,
-    which Eq3 and Eq2's cross route read at every alpha."""
-    return _shared(("census terms", p, n_vec, gamma), lambda: tuple(
-        census_terms(VecProfile(n_vec, p), gamma, _forest_counts)))
-
-
-def _forest_counts(residual: VecProfile, gamma: int) -> Rat:
-    """catalan_vector(residual, gamma), counted once per run: the censuses of
-    larger n share the residuals of smaller ones."""
-    return _shared(("forests", residual.p, residual.n, gamma),
-                   lambda: catalan_vector(residual, gamma))
-
-
-def _cross_forests(residual: VecProfile, gamma: int) -> int:
-    """count_mixed_forests(residual, gamma), counted once per run: the censuses
-    of Eq2's cross route share their residuals across n and alpha.  Its
-    budget check reads the closed-form count of the run's table."""
-    return _shared(("cross forests", residual.p, residual.n, gamma),
-                   lambda: count_mixed_forests(residual, gamma, _forest_counts(residual, gamma)))
+    which Eq3 reads at every alpha."""
+    return _shared(("census terms", p, n_vec, gamma),
+                   lambda: tuple(census_terms(VecProfile(n_vec, p), gamma)))
 
 
 def _falling_blocks(x: int, q: int, parts: Sequence[int]) -> int:
@@ -707,8 +689,7 @@ def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
             sums = row_sums_from(_columns(alpha, beta, cross_order),
                                  _gf(beta, gamma, max(cross_order, 1), run.catalan)).coeffs
             for n, direct in enumerate(_eq2_row_sums(alpha, beta, gamma, cross_order, run.catalan)[0]):
-                census = signed_sum(beta, n, gamma, alpha, _cross_forests,
-                                    _census_terms((beta,), (n,), gamma))
+                census = signed_sum(beta, n, gamma, alpha)
                 params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
                 if census != direct:
                     yield Counterexample.at(params, census, direct,

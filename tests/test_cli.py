@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import catalania
+from catalania import riordan
 from catalania.cli import main
 from catalania.forest import encode, generate_forests
 from catalania.identities import DEFAULT_CONFIG
@@ -132,6 +133,14 @@ class TestTrees:
         assert err == ("error: enumeration would produce 690690 structures, over the limit "
                        "of 1000 (set CATALANIA_MAX_STRUCTS to raise it)\n")
 
+    def test_json_list_holds_no_forest_list(self):
+        # 38 MB when the list was built before it printed, about 16 MB
+        # written as it is made (Python 3.11, Linux); 4 MB of output.
+        code, out, peak_mb = child_peak_rss(
+            "trees", "list", "--beta", "3", "--n", "8", "--gamma", "2", "--format", "json")
+        assert (code, out) == (0, LIST_GOLDENS[3, 8, 2][1])
+        assert peak_mb < 25
+
     def test_count_holds_no_forest(self):
         # 45 MB when the count held all 120,175 forests, about 19 MB streamed
         # (Python 3.11, Linux).
@@ -246,7 +255,7 @@ class TestInvolution:
 
     def test_a_dump_slice_that_walks_other_than_its_count_fails(self):
         # The sum line prints first; the walk then stops at the slice that
-        # misses a coloring, with a traceback naming it.
+        # misses a coloring, an internal error (status 3) that names it.
         child = (
             "from catalania import cli, involution\n"
             "original = involution._slice_colorings\n"
@@ -257,33 +266,38 @@ class TestInvolution:
         proc = subprocess.run(
             [sys.executable, "-c", child, "involution", "--beta", "2", "--n", "3", "--alpha", "2",
              "--dump-pairs"], env=env, capture_output=True, text=True, check=False)
-        assert proc.returncode != 0
-        assert proc.stdout == "sum=0 rhs=0 OK\n"
-        assert proc.stderr.splitlines()[-1] == (
-            "RuntimeError: the dump walked 0 structures of the slice with marks (0,), which "
-            "counts 5; internal error")
+        assert (proc.returncode, proc.stdout) == (3, "sum=0 rhs=0 OK\n")
+        assert proc.stderr == (
+            "error: the dump walked 0 structures of the slice with marks (0,), which "
+            "counts 5; internal error\n")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ("trees", "list", "--beta", "3", "--n", "8", "--gamma", "2"),
+    ("trees", "list", "--beta", "3", "--n", "8", "--gamma", "2", "--format", "json"),
     ("involution", "--beta", "3", "--n", "7", "--gamma", "2", "--alpha", "4", "--dump-pairs"),
-], ids=["trees-list", "dump"])
+], ids=["trees-list", "trees-list-json", "dump"])
 def test_a_closed_pipe_ends_quietly(argv, unbuffered):
     # A reader that closes after the first line of a multi-MB output, as
     # `| head -1` does: the CLI stops with status 141 and writes no error.
+    # The JSON list is one line of 4 MB, so there the reader takes 4 KB.
     env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "catalania.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    first = proc.stdout.readline()
+    as_json = "json" in argv
+    first = proc.stdout.read(4096) if as_json else proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (141, b"")
-    assert first.endswith(b"\n") and len(first) > 1
+    if as_json:
+        assert len(first) == 4096 and first.startswith(b'["o;(') and b"\n" not in first
+    else:
+        assert first.endswith(b"\n") and len(first) > 1
 
 
 # sha1 of stdout, as the per-vertex encoders with one print per line wrote
@@ -382,6 +396,20 @@ class TestRiordan:
         )
         assert code == 0
         assert out == "Eq5 OK, Eq6 OK\n"
+
+    def test_routes_that_disagree_are_an_internal_error(self, capsys, monkeypatch):
+        # A wrong a(f) breaks only the functional route of the summation
+        # check, which then raises: status 3 and one error line, no traceback.
+        compose = riordan.series_compose
+
+        def wrong(a, f):
+            coeffs = compose(a, f).coeffs
+            return riordan.Series(coeffs[:2] + (coeffs[2] + 1,) + coeffs[3:])
+
+        monkeypatch.setattr(riordan, "series_compose", wrong)
+        assert run_cli(capsys, "riordan", "check", "--alpha", "2", "--beta", "3", "--gamma", "1",
+                       "--order", "12") == (
+            3, "", "error: row-sum and functional routes disagree; internal error\n")
 
     def test_check_detects_wrong_target(self, capsys, tmp_path):
         wrong = tmp_path / "l.json"

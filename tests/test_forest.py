@@ -367,9 +367,11 @@ class TestBudget:
         assert len(generate_forests(2, 6, 1)) == 132
 
     def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "many")
-        with pytest.raises(ValueError):
-            generate_forests(2, 1, 1)
+        for raw, message in (("many", "must be an integer, got 'many'"),
+                             ("0", "must be positive, got 0"), ("-3", "must be positive, got -3")):
+            monkeypatch.setenv("CATALANIA_MAX_STRUCTS", raw)
+            with pytest.raises(ValueError, match=f"^CATALANIA_MAX_STRUCTS {message}$"):
+                generate_forests(2, 1, 1)
 
 
 def test_compositions_lexicographic():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -14,8 +15,7 @@ from hypothesis import strategies as st
 from catalania.cli import main
 from catalania.counting import VecProfile, catalan_gen, catalan_sequence, catalan_vector
 from catalania import census, identities
-from catalania.census import (EnumerationBudgetError, census_sizes, census_terms, compositions,
-                              count_mixed_forests, signed_sum)
+from catalania.census import EnumerationBudgetError, census_sizes, census_terms, compositions, signed_sum
 from catalania.exact import binom, multinomial
 from catalania.identities import (
     DEFAULT_CONFIG,
@@ -154,9 +154,9 @@ class TestEq3:
             self, monkeypatch, gamma, alpha, residual, delta):
         p = (2, 3)
 
-        def perturbed(profile, g, count=None):
+        def perturbed(profile, g):
             return [(res, marks, forests + delta if res.n == residual else forests, free)
-                    for res, marks, forests, free in census_terms(profile, g, count)]
+                    for res, marks, forests, free in census_terms(profile, g)]
 
         expected = None
         for n_vec in (n for k in range(4) for n in compositions(k, 2)):
@@ -575,8 +575,8 @@ class TestEq3Failures:
                                   "three-class-rat-alpha"])
     def test_failure_report_bytes_are_pinned(self, monkeypatch, section, residual, gamma, delta,
                                              digest):
-        # Eq3's forest counts are built by the catalan_vector that identities names.
-        monkeypatch.setattr(identities, "catalan_vector",
+        # Eq3's forest counts are built by the catalan_vector that census names.
+        monkeypatch.setattr(census, "catalan_vector",
                             _perturbed_catalan_vector(residual, gamma, delta))
         reports = run_suite({"eq3": section})
         assert not reports[0].ok
@@ -595,6 +595,30 @@ class TestClosedFormReduction:
     def test_negative_and_rational_parameters(self):
         assert closed_form_reduction_check(F(-1), F(-2), 6).ok
         assert closed_form_reduction_check(F(5, 2), F(1, 3), 6).ok
+
+    def test_a_wrong_split_fails_link_i(self, monkeypatch):
+        # Each n takes three sums, n * s0, a1 and n * a2; the fourth is n * s0
+        # at n = 2, one too large.
+        calls = itertools.count()
+        monkeypatch.setattr(identities, "sum", lambda values: sum(values) + (next(calls) == 3),
+                            raising=False)
+        assert closed_form_reduction_check(2, 1, 4).counterexample.to_json() == {
+            "params": {"beta": "2", "gamma": "1", "n": "2"}, "lhs": "5/2", "rhs": "2",
+            "detail": "link (i): split"}
+
+    def test_a_wrong_vandermonde_evaluation_fails_link_ii(self, monkeypatch):
+        # At beta 2, gamma 1 and n = 2 the first evaluation is binom(-3, 2),
+        # which no other term of the chain reads.
+        ring = identities._ring
+
+        def skewed(values):
+            values, choose = ring(values)
+            return values, lambda x, k: choose(x, k) + ((x, k) == (-3, 2))
+
+        monkeypatch.setattr(identities, "_ring", skewed)
+        assert closed_form_reduction_check(2, 1, 4).counterexample.to_json() == {
+            "params": {"beta": "2", "gamma": "1", "n": "2"}, "lhs": "6,4", "rhs": "7,4",
+            "detail": "link (ii): Vandermonde evaluations"}
 
 
 class TestCrossMethodAgreement:
@@ -615,6 +639,58 @@ class TestCrossMethodAgreement:
     def test_direct_sum_and_array_rows_coincide_at_rational_points(self, alpha, beta, gamma, n):
         rows = row_sums(catalan_family(alpha, beta, n + 1), catalan_gf(beta, gamma, n + 1), n)
         assert [eq2_lhs(alpha, beta, gamma, m) for m in range(n + 1)] == rows
+
+
+class TestCrossRoute:
+    """Eq2's cross route compares the CLI's census sum and the array's row
+    sums with the direct sum at every n of its grid, and reports the first
+    that differs."""
+
+    CONFIG = {"eq2": {"alpha": _interval("1", "1"), "beta": _interval("2", "2"),
+                      "gamma": _interval("1", "1"), "n_max": 1,
+                      "cross": DEFAULT_CONFIG["eq2"]["cross"]}}
+
+    def _counterexample(self) -> dict:
+        (report,) = run_suite(self.CONFIG)
+        assert report.status == "fail"
+        return report.counterexample.to_json()
+
+    def test_a_wrong_census_is_the_counterexample(self, monkeypatch):
+        assert run_suite(self.CONFIG)[0].ok
+        monkeypatch.setattr(identities, "signed_sum", lambda beta, n, gamma, alpha: signed_sum(
+            beta, n, gamma, alpha) + ((beta, n, gamma, alpha) == (3, 2, 2, 3)))
+        assert self._counterexample() == {
+            "params": {"alpha": "3", "beta": "3", "gamma": "2", "n": "2"}, "lhs": "1", "rhs": "0",
+            "detail": "involution census vs direct sum"}
+
+    def test_a_wrong_row_sum_is_the_counterexample(self, monkeypatch):
+        row_sums_from = identities.row_sums_from
+        monkeypatch.setattr(identities, "row_sums_from",
+                            lambda columns, a: _bumped(row_sums_from(columns, a), 3))
+        assert self._counterexample() == {
+            "params": {"alpha": "1", "beta": "2", "gamma": "1", "n": "3"}, "lhs": "1", "rhs": "0",
+            "detail": "array row sum vs direct sum"}
+
+
+class TestSumOrderFailures:
+    """Eq2 and Eq4 name the first n whose reversed-index sum differs from the
+    direct one."""
+
+    @pytest.mark.parametrize("verify,detail", [(verify_eq2, "reindexed sum differs"),
+                                               (verify_eq4, "reversed-index sum differs")],
+                             ids=["Eq2", "Eq4"])
+    def test_a_wrong_reversed_sum_is_the_counterexample(self, monkeypatch, verify, detail):
+        row_sums = identities._eq2_row_sums
+
+        def reversed_off_at_two(*args):
+            direct, reindexed = row_sums(*args)
+            return direct, [v + (n == 2) for n, v in enumerate(reindexed)]
+
+        monkeypatch.setattr(identities, "_eq2_row_sums", reversed_off_at_two)
+        report = verify(1, 2, 1, 4)
+        assert report.counterexample.to_json() == {
+            "params": {"alpha": "1", "beta": "2", "gamma": "1", "n": "2"}, "lhs": "1", "rhs": "0",
+            "detail": detail}
 
 
 class TestSuite:
@@ -817,57 +893,37 @@ class TestRunScope:
             assert sorted(closed) == sorted((x, n) for x in range(-7, 8) for n in range(13))
 
     def test_each_eq3_term_table_is_built_once_per_run(self, monkeypatch):
-        terms, forests, unshared = [], [], []
+        terms = []
         monkeypatch.setattr(identities, "census_terms", _recorded(
-            terms, census_terms, lambda profile, gamma, count: (profile, gamma)))
-        monkeypatch.setattr(identities, "catalan_vector", _recorded(
-            forests, catalan_vector, lambda profile, gamma: (profile, gamma)))
-        monkeypatch.setattr(census, "catalan_vector", _recorded(
-            unshared, catalan_vector, lambda profile, gamma: (profile, gamma)))
+            terms, census_terms, lambda profile, gamma: (profile, gamma)))
         for _ in range(2):  # the second run builds every table again
             terms.clear()
-            forests.clear()
             assert run_suite({"eq3": DEFAULT_CONFIG["eq3"]})[0].ok
             assert identities._ACTIVE_RUN.get() is None
-            # One table per n (10 with sum(n) <= 3) and gamma (3), read by all
-            # 11 alphas; one forest count per residual, which is again one of
-            # the same 10 n, however many of the 35 splits share it.
+            # One table per n (10 with sum(n) <= 3) and gamma (3), read by all 11 alphas.
             assert len(terms) == len(set(terms)) == 10 * 3
-            assert len(forests) == len(set(forests)) == 10 * 3
-        assert unshared == []
         assert verify_eq3((2, 3), 1, 2, 1).ok  # outside a run, a check builds its own
         assert len(terms) == 30 + 3
-        assert len(forests) == 30 + 5  # the 1 + 2 + 2 splits of n = (0, 0), (1, 0), (0, 1)
 
-    def test_each_closed_form_count_is_made_once_per_run(self, monkeypatch):
-        calls = []
-        recorder = _recorded(calls, catalan_vector,
-                             lambda profile, gamma: (profile.p, profile.n, gamma))
-        for name, module in list(sys.modules.items()):
-            held = vars(module).get("catalan_vector")
-            if name.partition(".")[0] == "catalania" and held is catalan_vector:
-                monkeypatch.setattr(module, "catalan_vector", recorder)
-        for _ in range(2):  # the second run counts everything again
-            calls.clear()
-            assert all(r.ok for r in run_suite())
-            # One per residual: Eq3's 10 n with sum(n) <= 3 at 3 gammas, and the
-            # cross route's n 0..4 per beta and gamma.  Each closed form sizes
-            # every census it is in, and the residual's count checks its budget on it.
-            assert len(calls) == len(set(calls)) == 10 * 3 + 5 * 2 * 2
-
-    def test_each_cross_forest_count_is_made_once_per_run(self, monkeypatch):
-        counts, unshared = [], []
-        monkeypatch.setattr(identities, "count_mixed_forests", _recorded(
-            counts, count_mixed_forests, lambda profile, gamma, estimate: (profile, gamma)))
-        monkeypatch.setattr(census, "count_mixed_forests", _recorded(
-            unshared, count_mixed_forests, lambda profile, gamma: (profile, gamma)))
-        for _ in range(2):  # the second run counts everything again
-            counts.clear()
-            assert run_suite({"eq2": DEFAULT_CONFIG["eq2"]})[0].ok
-            # 2 betas x 2 gammas x 3 alphas x 5 n run 60 censuses, whose 180
-            # slices share 20 (residual, gamma) pairs: n 0..4 per beta and gamma.
-            assert len(counts) == len(set(counts)) == 2 * 2 * 5
-        assert unshared == []
+    def test_each_cross_census_is_the_cli_call_and_builds_one_size_table(self, monkeypatch):
+        # Eq2's cross route shares no count between its censuses: each is
+        # signed_sum(beta, n, gamma, alpha), as `catalania involution` calls
+        # it, which checks the whole census against the budget and then
+        # builds the one table of pool sizes of its profile.
+        calls, events = [], []
+        monkeypatch.setattr(identities, "signed_sum", _recorded(
+            calls, signed_sum, lambda *args: args))
+        monkeypatch.setattr(census, "check_budget", _recorded(
+            events, census.check_budget, lambda estimate: "budget"))
+        monkeypatch.setattr(census, "_size_table", _recorded(
+            events, census._size_table, lambda counts, p: (p, counts)))
+        cross = DEFAULT_CONFIG["eq2"]["cross"]
+        points = [(beta, n, gamma, gamma + offset) for beta, gamma, offset in itertools.product(
+            cross["betas"], cross["gammas"], cross["alpha_offsets"]) for n in range(cross["n_max"] + 1)]
+        assert run_suite({"eq2": DEFAULT_CONFIG["eq2"]})[0].ok
+        assert calls == points  # 2 betas x 2 gammas x 3 alphas x 5 n
+        assert [tuple(map(type, args)) for args in calls] == [(int,) * 4] * len(points)
+        assert events == [event for beta, n, _, _ in points for event in ("budget", ((beta,), (n,)))]
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_a_later_run_sees_a_patched_builder(self, monkeypatch, backward):
@@ -1356,17 +1412,17 @@ class TestEvaluationErrors:
         assert capsys.readouterr().err.startswith("error: enumeration")
 
     def test_the_cross_census_is_sized_before_it_counts(self, monkeypatch):
-        # The census n = 3 at beta 2, gamma 1, alpha 1 holds 12 structures, and
-        # its residual of 3 internal vertices 5 forests: the whole census is
-        # checked first, on closed-form counts, and that residual is not counted.
+        # The census n = 3 at beta 2, gamma 1, alpha 1 holds 12 structures:
+        # it is checked whole, on closed-form counts, and builds no size
+        # table; the censuses n = 0, 1 and 2 before it fit and count.
         monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "4")
-        counted = []
-        monkeypatch.setattr(identities, "count_mixed_forests", _recorded(
-            counted, count_mixed_forests, lambda profile, gamma, estimate: profile.n))
+        tables = []
+        monkeypatch.setattr(census, "_size_table", _recorded(
+            tables, census._size_table, lambda counts, p: counts))
         with pytest.raises(EnumerationBudgetError) as err:
             run_suite({"eq2": {**_EQ2_POINT, "cross": {**_CROSS, "n_max": 3}}})
         assert (err.value.estimate, err.value.budget) == (12, 4)
-        assert sorted(counted) == [(0,), (1,), (2,)]
+        assert tables == [(0,), (1,), (2,)]
 
 
 def _failing_at(checker, k: int, calls: list):

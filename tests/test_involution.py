@@ -137,8 +137,12 @@ class TestInvolute:
     def test_unknown_outdegree_rejected(self):
         # incumbent has 2 children but the class list says 3-ary only
         c = colored("(oo)", [])
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"incumbent outdegree 2 not among classes \(3,\)"):
             involute(c, [3])
+        # a candidate leaf of color 2 would grow a vertex of a second class
+        c = ColoredForest(decode("o"), 0, ((0, 2),), ())
+        with pytest.raises(StructureError, match=r"color 2 has no outdegree class in \(2,\)"):
+            involute(c, [2])
 
     def test_roundtrip_grid(self):
         for beta in (2, 3):
@@ -365,17 +369,20 @@ class TestCensusBudget:
         assert (err.value.estimate, err.value.budget) == (14, 5)
 
     def test_counted_census_checks_before_any_count(self, monkeypatch):
-        # Sized on its closed-form terms: no count runs, the census's own or a
-        # caller's, unless the whole census fits.
+        # Sized on its closed-form terms: no size table is built and no
+        # coloring counted unless the whole census fits.
         def refuse(*args):
             raise AssertionError("counted a slice before the census budget check")
 
         monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "5")
-        monkeypatch.setattr(census, "count_mixed_forests", refuse)
-        for count in (None, refuse):
-            with pytest.raises(EnumerationBudgetError) as err:
-                signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2, count)
-            assert (err.value.estimate, err.value.budget) == (14, 5)
+        for counter in ("_size_table", "_count_colorings"):
+            monkeypatch.setattr(census, counter, refuse)
+        with pytest.raises(EnumerationBudgetError) as err:
+            signed_sum(2, 2, 1, 4)
+        assert (err.value.estimate, err.value.budget) == (13, 5)
+        with pytest.raises(EnumerationBudgetError) as err:
+            signed_sum_vector(VecProfile((1, 1), (2, 3)), 1, 2)
+        assert (err.value.estimate, err.value.budget) == (14, 5)
 
     def test_census_at_the_budget_runs(self, monkeypatch):
         monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "14")
@@ -385,6 +392,11 @@ class TestCensusBudget:
 
 
 class TestCensusSizes:
+    def test_a_slice_needs_one_mark_count_per_class(self):
+        for marks in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError, match="marks must give one count per outdegree class"):
+                enumerate_colored_vector(VecProfile((1, 1), (2, 3)), marks, 1, 2)
+
     @pytest.mark.parametrize("n, p", [((3,), (1,)), ((2,), (2,)), ((3,), (3,)),
                                       ((1, 2), (1, 3)), ((2, 1), (2, 3))])
     def test_sizes_count_the_enumerated_slices(self, n, p):
@@ -637,11 +649,15 @@ class TestSignedMatching:
 
     def test_fixed_point_detected(self):
         assert not check_signed_matching([1, 2], lambda x: 1, lambda x: x)
+        # Weight 0 is its own opposite, so only the fixed point is at fault.
+        assert find_matching_violation([1, 2], lambda x: 0, lambda x: x) == ("fixed point", 1)
 
     def test_weight_violation_detected(self):
         # identity-like pairing that swaps two items but keeps weights
         pairing = {1: 2, 2: 1}
         assert not check_signed_matching([1, 2], lambda x: 1, lambda x: pairing[x])
+        assert find_matching_violation([1, 2], lambda x: 1, lambda x: pairing[x]) == (
+            "weight not reversed", 1)
 
 
 class TestColoredEncoding:

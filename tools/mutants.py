@@ -8,11 +8,11 @@ Each row is applied to a fresh temporary copy of ``src/`` and ``tests/``,
 never to the checkout, and only the row's tests run there, under the
 ``mutants`` Hypothesis profile of ``tests/conftest.py`` (no shrinking, no
 explaining, no example database).  A row is killed when every test it
-names fails (one failing parametrized case is enough).  The script prints
-killed or survived per row and exits 1 if any row survives, if its tests
-cannot run, or if a row's ``old`` text does not occur exactly once in its
-file.  It is opt-in: the test suite checks only that every ``old`` text
-still occurs exactly once.
+names fails (one failing parametrized case is enough).  JOBS rows run at a
+time, and the script prints killed or survived per row, in row order, and
+exits 1 if any row survives, if its tests cannot run, or if a row's ``old``
+text does not occur exactly once in its file.  It is opt-in: the test suite
+checks only that every ``old`` text still occurs exactly once.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+JOBS = 2  # rows at a time: each row's pytest process keeps about one core busy
 
 
 class Mutant(NamedTuple):
@@ -39,8 +41,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("the size table drops each pool's first split",
            "src/catalania/census.py",
-           "total(tree_plan(sub, p))",
-           "total(tree_plan(sub, p)[1:])",
+           "_total(sizes, tree_plan(sub, p))",
+           "_total(sizes, tree_plan(sub, p)[1:])",
            ("tests/test_forest.py::TestCountForests::test_counts_at_any_cap",
             "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
     Mutant("a split's size product is off by one",
@@ -71,8 +73,8 @@ MUTANTS = (
             "[closed_form-n_max]",)),
     Mutant("the signed census drops one slot from multi-class slices",
            "src/catalania/census.py",
-           "_count_colorings(free_slots + alpha, marks)",
-           "_count_colorings(free_slots + alpha - (len(marks) > 1), marks)",
+           "slots = residual.leaf_count(gamma) - gamma + alpha\n",
+           "slots = residual.leaf_count(gamma) - gamma + alpha - (len(marks) > 1)\n",
            ("tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census",)),
     Mutant("the census builds its first slice before the budget check",
            "src/catalania/involution.py",
@@ -146,23 +148,22 @@ MUTANTS = (
            "dens = [q ** j * factorial(j) for j in range(length)]",
            ("tests/test_identities.py::TestPairKernel::test_rows_match_binom_and_fraction_powers",
             "tests/test_identities.py::TestPairKernel::test_transforms_match_the_textbook_sums")),
-    Mutant("the run's cross-route forest counts are keyed without gamma",
-           "src/catalania/identities.py",
-           '_shared(("cross forests", residual.p, residual.n, gamma),',
-           '_shared(("cross forests", residual.p, residual.n),',
-           ("tests/test_identities.py::TestRunScope::test_each_cross_forest_count_is_made_once_per_run",
-            "tests/test_identities.py::TestGoldenReports::test_report_bytes_are_pinned")),
+    Mutant("the counted census reads every slice's forests at the whole profile",
+           "src/catalania/census.py",
+           "_total(sizes, vector_compositions(residual.n, gamma))",
+           "_total(sizes, vector_compositions(profile.n, gamma))",
+           ("tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census",
+            "tests/test_identities.py::TestCrossRoute::test_a_wrong_census_is_the_counterexample")),
     Mutant("a row sum leaves column 1 unscaled to the common denominator",
            "src/catalania/riordan.py",
            "up = ak * (den // column.den)",
            "up = ak * (den // column.den if k != 1 else 1)",
            ("tests/test_riordan.py::TestIntegerKernel::test_row_sums_add_over_one_denominator",
             "tests/test_riordan.py::TestIntegerKernel::test_row_sums")),
-    Mutant("the counted census skips its budget check when it is given count=",
+    Mutant("the counted census skips its budget check",
            "src/catalania/census.py",
-           "    census_slices(profile, gamma, alpha, terms)\n",
-           "    if count is None:\n"
-           "        census_slices(profile, gamma, alpha, terms)\n",
+           "    slices = census_slices(profile, gamma, alpha)\n",
+           "    slices = census_sizes(profile, gamma, alpha)\n",
            ("tests/test_involution.py::TestCensusBudget::test_counted_census_checks_before_any_count",
             "tests/test_identities.py::TestEvaluationErrors::"
             "test_the_cross_census_is_sized_before_it_counts")),
@@ -203,15 +204,19 @@ def run(mutant: Mutant) -> str:
     return "killed" if not survivors else "survived: " + ", ".join(survivors)
 
 
+def verdict(mutant: Mutant) -> str:
+    """run(mutant), once its old text is known to occur exactly once."""
+    found = occurrences(mutant)
+    return run(mutant) if found == 1 else f"old text occurs {found} times, not once"
+
+
 def main(argv: list[str]) -> int:
     rows = [int(arg) for arg in argv] if argv else range(len(MUTANTS))
     ok = True
-    for i in rows:
-        mutant = MUTANTS[i]
-        found = occurrences(mutant)
-        verdict = run(mutant) if found == 1 else f"old text occurs {found} times, not once"
-        ok = ok and verdict == "killed"
-        print(f"{i}: {verdict} -- {mutant.name} ({mutant.file})", flush=True)
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        for i, result in zip(rows, pool.map(verdict, (MUTANTS[i] for i in rows))):
+            ok = ok and result == "killed"
+            print(f"{i}: {result} -- {MUTANTS[i].name} ({MUTANTS[i].file})", flush=True)
     return 0 if ok else 1
 
 
