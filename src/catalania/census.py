@@ -36,6 +36,7 @@ import os
 from fractions import Fraction
 from itertools import repeat
 from math import prod
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from .counting import VecProfile, catalan_vector
@@ -97,18 +98,33 @@ def beta_profile(beta: int, n: int) -> VecProfile:
 
 
 def vector_compositions(vec: tuple[int, ...], parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Splits of ``vec`` into ``parts`` ordered vector summands, lexicographic."""
-    if parts == 0:
-        if not any(vec):
-            yield ()
+    """Splits of ``vec`` into ``parts`` ordered vector summands, lexicographic.
+
+    No step recurses.  The first parts - 2 parts, with what they leave,
+    step through their own splits in order: with ``t`` the last nonzero
+    part, the next adds one to the last coordinate of part t - 1 that part
+    t holds, zeroes what follows it, and leaves the rest to the last part.
+    Each of those splits then yields every head its rest allows, in
+    product order, with the head's remainder last."""
+    if parts < 2:
+        if parts or not any(vec):
+            yield (tuple(vec),) * parts
         return
-    if parts == 1:
-        yield (vec,)
-        return
-    for head in itertools.product(*(range(v + 1) for v in vec)):
-        rest_vec = tuple(v - h for v, h in zip(vec, head))
-        for rest in vector_compositions(rest_vec, parts - 1):
-            yield (head, *rest)
+    zero = (0,) * len(vec)
+    split = [zero] * (parts - 2) + [tuple(vec)]
+    t = parts - 2 if any(vec) else 0
+    while True:
+        prefix, rest = tuple(split[:-1]), split[-1]
+        for head in itertools.product(*(range(r + 1) for r in rest)):
+            yield prefix + (head, tuple(map(sub, rest, head)))
+        if t == 0:
+            return
+        mass, head = split[t], split[t - 1]
+        j = max(i for i, c in enumerate(mass) if c)
+        split[t - 1] = head[:j] + (head[j] + 1,) + zero[j + 1:]
+        split[t] = zero
+        split[-1] = mass[:j] + (mass[j] - 1,) + tuple(map(add, head[j + 1:], mass[j + 1:]))
+        t = parts - 2 if any(split[-1]) else t - 1
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -8,6 +8,11 @@ mathematical mismatch, 2 usage or resource errors, 3 an internal error,
 written as they are made, and the census sum is always counted.  All
 output is UTF-8 and newline-terminated, and identical invocations print
 identical bytes.
+
+A CLI process ends in ``entrypoint`` alone: once its output is flushed it
+calls ``os._exit``, so no interpreter teardown and no atexit hook runs.
+``main``, like the rest of the Python API, returns its status and never
+ends the process.
 """
 
 from __future__ import annotations
@@ -261,15 +266,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
+    """The console entry, and the one place where a CLI process ends.
+
+    Once ``main`` returns, or argparse raises ``SystemExit`` for ``--help``
+    or a usage error, it flushes stdout and then stderr and calls
+    ``os._exit`` with the status, as ``sys.exit`` would map it: the output
+    is complete, so the process skips interpreter teardown (module
+    clean-up, the final garbage collection and the atexit pass; the
+    package registers no atexit hook).  A reader that closed stdout gives
+    status 141; any other error of the stdout flush is raised, and an
+    uncaught exception ends through the interpreter with a traceback and
+    status 1."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout, as `| head` does.  Writes go to devnull
-        # from here on, so the flush at exit cannot fail again.
+        # The reader closed stdout, as `| head` does: nothing more reaches it.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
-    sys.exit(code)
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

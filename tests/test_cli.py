@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import catalania
-from catalania import riordan
+from catalania import involution, riordan
 from catalania.cli import main
 from catalania.forest import encode, generate_forests
 from catalania.identities import DEFAULT_CONFIG
@@ -282,11 +282,8 @@ def test_a_closed_pipe_ends_quietly(argv, unbuffered):
     # A reader that closes after the first line of a multi-MB output, as
     # `| head -1` does: the CLI stops with status 141 and writes no error.
     # The JSON list is one line of 4 MB, so there the reader takes 4 KB.
-    env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen([sys.executable, "-m", "catalania.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "catalania.cli", *argv],
+                            env=console_env(unbuffered),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     as_json = "json" in argv
     first = proc.stdout.read(4096) if as_json else proc.stdout.readline()
@@ -298,6 +295,133 @@ def test_a_closed_pipe_ends_quietly(argv, unbuffered):
         assert len(first) == 4096 and first.startswith(b'["o;(') and b"\n" not in first
     else:
         assert first.endswith(b"\n") and len(first) > 1
+
+
+# How a console process ends, case by case: its argv, its extra environment
+# and its status.  CONFIG names a config whose counts are corrupted.
+EXIT_CASES = {
+    "help": (("--help",), {}, 0),
+    "usage-error": (("seq", "--beta", "x", "--n", "3"), {}, 2),
+    "config-error": (("involution", "--beta", "2", "--n", "1", "--alpha", "1", "--gamma", "2"),
+                     {}, 2),
+    "budget-error": (("trees", "count", "--beta", "2", "--n", "3"),
+                     {"CATALANIA_MAX_STRUCTS": "4"}, 2),
+    "mismatch": (("verify", "--config", "CONFIG"), {}, 1),
+    "internal-error": (("involution", "--beta", "2", "--n", "3", "--alpha", "2", "--dump-pairs"),
+                       {}, 3),
+    "closed-pipe": (("trees", "list", "--beta", "2", "--n", "10"), {}, 141),
+}
+
+# The internal-error case runs the CLI module as `-m` does, with the dump's
+# slice colorings patched to miss one, in the child as in process.
+BROKEN_DUMP_CHILD = """\
+import runpy
+from catalania import involution
+original = involution._slice_colorings
+involution._slice_colorings = lambda *args: original(*args)[:-1]
+runpy.run_module("catalania.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def console_env(unbuffered, extra=()):
+    """The environment of a console child: the package on its path, a
+    fixed help width, and a stdout that is unbuffered or block-buffered."""
+    env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent),
+           "COLUMNS": "80", **dict(extra)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_the_console_ends_as_main_returns(capsys, monkeypatch, tmp_path, case, unbuffered):
+    # `python -m catalania.cli` ends through entrypoint's os._exit with the
+    # status, stdout and stderr of main() in process (argparse's SystemExit
+    # for --help and a usage error); a closed pipe ends it with 141 and no
+    # error after the lines the reader took.
+    argv, extra, status = EXIT_CASES[case]
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"eq1": {"n_max": 5}, "corrupt_catalan": True}))
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    child = ["-c", BROKEN_DUMP_CHILD] if case == "internal-error" else ["-m", "catalania.cli"]
+    proc = subprocess.Popen([sys.executable, *child, *argv], env=console_env(unbuffered, extra),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if case == "closed-pipe":
+        out = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+    else:
+        out, err = proc.communicate()
+    code = proc.wait()
+
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, value in extra.items():
+        monkeypatch.setenv(name, value)
+    if case == "internal-error":
+        original = involution._slice_colorings
+        monkeypatch.setattr(involution, "_slice_colorings", lambda *args: original(*args)[:-1])
+    try:
+        expected = main(argv)
+    except SystemExit as exc:
+        expected = exc.code
+    captured = capsys.readouterr()
+    if case == "closed-pipe":
+        assert (code, out, err) == (status, captured.out.splitlines(True)[0].encode(), b"")
+    else:
+        assert (code, out, err) == (expected, captured.out.encode(), captured.err.encode())
+        assert code == status
+
+
+def test_a_piped_listing_ends_flushed():
+    # Several MB through a block-buffered stdout: the final flush before
+    # os._exit writes the last, partly filled buffer.
+    proc = subprocess.run(
+        [sys.executable, "-m", "catalania.cli", "trees", "list", "--beta", "3", "--n", "8",
+         "--gamma", "2"], env=console_env(False), capture_output=True, check=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(proc.stdout) > 2**21
+    assert hashlib.sha1(proc.stdout).hexdigest() == LIST_GOLDENS[3, 8, 2][0]
+
+
+# Loads every layer through the public names, runs each subcommand through
+# main, and prints what was handed to atexit.register meanwhile: a console
+# process ends in os._exit, which runs no atexit hook.
+ATEXIT_CHILD = """\
+import atexit, contextlib, io, json, sys
+registered = []
+atexit.register = lambda func, *args, **kwargs: registered.append(repr(func))
+import catalania
+from catalania import cli
+for name in catalania.__all__:
+    getattr(catalania, name)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+print(json.dumps(registered))
+"""
+
+
+def test_the_package_registers_no_atexit_hook():
+    argvs = [
+        ["--help"],
+        ["seq", "--beta", "2", "--n", "3", "--format", "json"],
+        ["trees", "count", "--beta", "2", "--n", "3", "--check-formula"],
+        ["trees", "list", "--beta", "2", "--n", "3", "--format", "json"],
+        ["involution", "--beta", "2", "--n", "2", "--alpha", "2", "--dump-pairs"],
+        ["riordan", "entry", "--alpha", "1", "--beta", "2", "--n", "2", "--k", "1"],
+        ["riordan", "check", "--alpha", "2", "--beta", "3", "--gamma", "1", "--order", "4"],
+        ["verify"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_CHILD, json.dumps(argvs)],
+                          env=console_env(False), capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == []
 
 
 # sha1 of stdout, as the per-vertex encoders with one print per line wrote
@@ -351,6 +475,19 @@ def test_dump_pairs_output_golden(shape):
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha1(proc.stdout).hexdigest() == DUMP_GOLDENS[shape]
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("trees", "count", "--beta", "2", "--n", "0", "--gamma", "1000"), "1\n"),
+    (("trees", "count", "--beta", "1000", "--n", "1", "--gamma", "1"), "1\n"),
+    (("trees", "list", "--beta", "2", "--n", "0", "--gamma", "2000"), ";".join("o" * 2000) + "\n"),
+    (("involution", "--beta", "2", "--n", "1", "--gamma", "2000", "--alpha", "2000"),
+     "sum=0 rhs=0 OK\n"),
+], ids=["count-1000-trees", "count-1000-children", "list-2000-trees", "census-2000-trees"])
+def test_thousands_of_parts(capsys, argv, out):
+    # A split into thousands of parts, of a forest or of a root's children,
+    # takes no recursion per part.
+    assert run_cli(capsys, *argv) == (0, out, "")
 
 
 @pytest.mark.parametrize("argv", [

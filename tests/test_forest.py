@@ -1,10 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalania import forest
 from catalania.census import (EnumerationBudgetError, compositions, count_forests,
-                              count_mixed_forests)
+                              count_mixed_forests, vector_compositions)
 from catalania.counting import VecProfile, catalan_gen, catalan_vector
 from catalania.forest import (
     LEAF,
@@ -19,7 +21,7 @@ from catalania.forest import (
     iter_mixed_forests,
     layout,
 )
-from tuple_model import model_levels, model_of, model_vertices
+from tuple_model import model_levels, model_of, model_vector_compositions, model_vertices
 
 
 def leaf_count(f):
@@ -379,3 +381,32 @@ def test_compositions_lexicographic():
     assert list(compositions(0, 3)) == [(0, 0, 0)]
     assert list(compositions(2, 0)) == []
     assert list(compositions(0, 0)) == [()]
+
+
+@given(st.lists(st.integers(0, 3), max_size=3).map(tuple), st.integers(0, 4))
+@example((7,), 2)
+@example((9,), 3)
+@example((5,), 6)
+@example((4, 2), 3)
+def test_vector_compositions_match_the_recursive_model(vec, parts):
+    assert list(vector_compositions(vec, parts)) == model_vector_compositions(vec, parts)
+
+
+@pytest.mark.parametrize("vec, parts, splits", [((1,), 2000, 2000), ((0,), 2000, 1),
+                                                ((1, 1), 40, 40 * 40)])
+def test_vector_compositions_resume_once_per_split(vec, parts, splits):
+    # The generator is entered once per split and once to end, however
+    # many parts: a recursive walk enters one generator per part.
+    code = vector_compositions.__code__
+    entries = 0
+
+    def count(frame, event, arg):
+        nonlocal entries
+        entries += event == "call" and frame.f_code is code
+
+    sys.setprofile(count)
+    try:
+        made = sum(1 for _ in vector_compositions(vec, parts))
+    finally:
+        sys.setprofile(None)
+    assert (made, entries) == (splits, splits + 1)

@@ -594,6 +594,8 @@ class TestIntegerKernel:
         assert_canonical(got)
 
     @given(g=unit_lists, f=f_lists, a=coeff_lists)
+    # Column 0 has denominator 2 and column 1 denominator 1, below their lcm.
+    @example(g=[F(1, 2), F(0)], f=[F(0), F(2), F(0)], a=[F(1), F(1), F(0)])
     @settings(max_examples=50)
     def test_row_sums(self, g, f, a):
         array = RiordanArray(Series(tuple(g)), Series(tuple(f)))

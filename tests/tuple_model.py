@@ -6,9 +6,13 @@ The model is parsed from text (``model_of``) or drawn directly
 (``model_text``, which can also mark leaves by index).  ``model_vertices``
 lists each vertex with its depth, its text position and, for a leaf, its
 leaf index, so that the tests can name leaves and vertices as the package
-does without the package's own layout.  No walk here recurses, except
-``built`` on the shallow trees that the strategies draw.
+does without the package's own layout.  ``model_vector_compositions``
+lists the splits of a count vector by the recursion that the package's
+successor replaces.  No walk here recurses, except ``built`` on the
+shallow trees that the strategies draw, and the splits on small inputs.
 """
+
+import itertools
 
 from hypothesis import strategies as st
 
@@ -100,3 +104,17 @@ def model_levels(model):
             levels.append([])
         levels[vertex[0]].append(vertex)
     return levels
+
+
+def model_vector_compositions(vec, parts):
+    """Splits of ``vec`` into ``parts`` ordered vector summands,
+    lexicographic: the head of each split in product order, then the splits
+    of the rest into one part fewer, by recursion."""
+    if parts == 0:
+        return [()] if not any(vec) else []
+    if parts == 1:
+        return [(tuple(vec),)]
+    return [(head, *rest)
+            for head in itertools.product(*(range(v + 1) for v in vec))
+            for rest in model_vector_compositions(tuple(v - h for v, h in zip(vec, head)),
+                                                  parts - 1)]

@@ -173,6 +173,22 @@ MUTANTS = (
            "lambda: Series(_catalans(beta, gamma + 1, order, catalan)))",
            ("tests/test_identities.py::TestSeriesTables::test_generating_functions_are_catalan_gf",
             "tests/test_identities.py::TestGoldenReports::test_report_bytes_are_pinned")),
+    Mutant("the console entry ends without flushing stdout",
+           "src/catalania/cli.py",
+           "        sys.stdout.flush()\n",
+           "",
+           ("tests/test_cli.py::test_a_piped_listing_ends_flushed",)),
+    Mutant("the console entry ends argparse's usage errors with status 0",
+           "src/catalania/cli.py",
+           "            code = exc.code\n",
+           "            code = 0\n",
+           ("tests/test_cli.py::test_the_console_ends_as_main_returns[buffered-usage-error]",)),
+    Mutant("the split successor skips the last split, whose first part is the whole vector",
+           "src/catalania/census.py",
+           "            yield prefix + (head, tuple(map(sub, rest, head)))\n",
+           "            if t or head != rest:\n"
+           "                yield prefix + (head, tuple(map(sub, rest, head)))\n",
+           ("tests/test_identities.py::TestGoldenEnumerations::test_cli_output_is_pinned",)),
 )
 
 
