@@ -3,8 +3,10 @@
 Subcommands: seq, trees (count|list), involution, riordan (entry|check),
 verify.  Numeric flags take exact rationals as "p/q" strings; there is no
 float parsing anywhere.  Exit codes: 0 success / all checks pass, 1 a
-mathematical mismatch, 2 usage or resource errors, 3 an internal error,
-141 (128 + SIGPIPE) a reader that closed stdout early.  Listings are
+mathematical mismatch, 2 usage or resource errors, 3 an internal error (a
+failed consistency check, or a ValueError or ZeroDivisionError raised
+while ``verify`` evaluates a config it has read whole), 141 (128 +
+SIGPIPE) a reader that closed stdout early.  Listings are
 written as they are made, and the census sum is always counted.  All
 output is UTF-8 and newline-terminated, and identical invocations print
 identical bytes.
@@ -257,10 +259,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ZeroDivisionError) as exc:  # covers ConfigError, EnumerationBudgetError
+    except (ValueError, ZeroDivisionError) as exc:  # a usage, config or budget error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # an internal consistency check failed
+    except RuntimeError as exc:  # internal: a failed consistency check or evaluation error
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -17,9 +17,11 @@ import random
 from contextvars import ContextVar
 from fractions import Fraction
 from math import factorial, lcm, perm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .census import census_terms, check_alpha_gamma, check_arity, compositions, signed_sum
+from .census import (EnumerationBudgetError, census_terms, check_alpha_gamma, check_arity, compositions,
+                     signed_sum)
 from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
 from .exact import (ConfigError, Rat, RatLike, Record, as_rat, binom, check_nat, cleared, falling,
                     int_binom, rat_str)
@@ -525,7 +527,7 @@ def verify_eq3(p: Sequence[int], gamma: int, alpha: RatLike, n_max_total: int) -
 
 
 # ---------------------------------------------------------------------------
-# Grid configuration and the suite
+# The suite: one declared section per identity, read whole, then evaluated
 # ---------------------------------------------------------------------------
 
 DEFAULT_CONFIG: dict = {
@@ -592,132 +594,10 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def expand_interval(spec: Mapping) -> list[Rat]:
-    """Inclusive rational interval {"min","max","step"} -> list of values."""
-    try:
-        lo, hi, step = (as_rat(spec[key]) for key in ("min", "max", "step"))
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad interval {spec!r}: {exc}") from None
-    if step <= 0:
-        raise ConfigError(f"interval step must be positive, got {rat_str(step)}")
-    if lo > hi:
-        raise ConfigError(f"interval min {rat_str(lo)} exceeds max {rat_str(hi)}")
-    return [lo + i * step for i in range((hi - lo) // step + 1)]
-
-
 def _narrow(value: Rat) -> RatLike:
     """A parameter as the checks take it: an int where it is integral, so that
     the run tables hash and multiply Python integers."""
     return value.numerator if value.denominator == 1 else value
-
-
-def _grid(cfg: Mapping, *names: str) -> tuple[list[list[RatLike]], str]:
-    """The values of each named interval, an integral one as an int, and the
-    report text "name in [min..max step s], ..." of their product."""
-    axes = [list(map(_narrow, expand_interval(cfg[name]))) for name in names]
-    text = ", ".join(f"{name} in [{cfg[name]['min']}..{cfg[name]['max']} step {cfg[name]['step']}]"
-                     for name in names)
-    return axes, text
-
-
-def _grid_nat(cfg: Mapping, key: str) -> int:
-    value = cfg.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _section(value: object, name: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{name} must be a JSON object")
-    return value
-
-
-# A runner reads and checks its whole section, evaluating nothing, and returns the grid
-# text, the lazy per-point outcomes (None: pass) and the skipped items the stream may add to.
-_Plan = tuple[str, Iterable[Optional[Counterexample]], Sequence[str]]
-
-
-def _suite_eq1(cfg: Mapping, run: _Run) -> _Plan:
-    n_max = _grid_nat(cfg, "n_max")
-    return f"{_point(1, 2, 1)[1]}, n<={n_max}", (
-        verify_eq2(1, 2, 1, n, run.catalan).counterexample for n in [n_max]), ()
-
-
-def _eq2_block(cfg: Mapping, key: str, *axes: str) -> tuple[Mapping, list]:
-    """Eq2's ``cross`` or ``family`` block, a non-empty object, and the values of
-    its ``axes``, none empty: a block that is present must check something."""
-    block = _section(cfg[key], f"config section eq2 {key}")
-    if not block:
-        raise ValueError(f"eq2 {key} is empty")
-    values = [block[axis] for axis in axes]
-    for axis, value in zip(axes, values):
-        if not value:
-            raise ValueError(f"eq2 {key} has an empty {axis} axis")
-    return block, values
-
-
-def _suite_eq2(cfg: Mapping, run: _Run) -> _Plan:
-    """Direct grid sweep plus the enumerative and matrix routes: the signed
-    census and the array row sums must both reproduce the direct sum, and
-    the plain and derivative-form summation checks must both accept the
-    family instance."""
-    axes, text = _grid(cfg, "alpha", "beta", "gamma")
-    n_max = _grid_nat(cfg, "n_max")
-    cross_points, cross_order = [], 0
-    if "cross" in cfg:
-        cross, cross_axes = _eq2_block(cfg, "cross", "betas", "gammas", "alpha_offsets")
-        cross_order = _grid_nat(cross, "n_max")
-        cross_points = [(check_alpha_gamma(gamma + offset, gamma), check_arity(beta), gamma)
-                        for beta, gamma, offset in itertools.product(*cross_axes)]
-    family_points, family_order = [], 0
-    if "family" in cfg:
-        family, family_axes = _eq2_block(cfg, "family", "alphas", "betas", "gammas")
-        family_order = _grid_nat(family, "order")
-        if family_order < 1:
-            raise ValueError("the family needs order >= 1")
-        family_points = [(texts, tuple(_narrow(as_rat(text)) for text in texts))
-                         for texts in itertools.product(*family_axes)]
-
-    def outcomes() -> Iterator[Optional[Counterexample]]:
-        for point in itertools.product(*axes):
-            failure = _eq2_failure(*point, n_max, run.catalan)
-            if failure is None and run.catalan is catalan_gen:
-                run.eq2_passed.add((*point, n_max))
-            yield failure
-        for alpha, beta, gamma in cross_points:
-            sums = row_sums_from(_columns(alpha, beta, cross_order),
-                                 _gf(beta, gamma, max(cross_order, 1), run.catalan)).coeffs
-            for n, direct in enumerate(_eq2_row_sums(alpha, beta, gamma, cross_order, run.catalan)[0]):
-                census = signed_sum(beta, n, gamma, alpha)
-                params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
-                if census != direct:
-                    yield Counterexample.at(params, census, direct,
-                                            "involution census vs direct sum")
-                elif sums[n] != direct:
-                    yield Counterexample.at(params, sums[n], direct, "array row sum vs direct sum")
-        for (alpha_s, beta_s, gamma_s), (alpha, beta, gamma) in family_points:
-            plain, modified = _family_pieces(alpha, beta, gamma, family_order, run.catalan)
-            params = {"alpha": alpha_s, "beta": beta_s, "gamma": gamma_s, "order": family_order}
-            if not summation_check(*plain):
-                yield Counterexample.at(params, "row sums", "target coefficients",
-                                        "summation-matrix check")
-            elif not derivative_form_check(*modified):
-                yield Counterexample.at(params, "derivative form", "target coefficients",
-                                        "modified summation-matrix check")
-
-    routes = "; plus involution-census and array-row routes" if cross_points else ""
-    return f"{text}, n<={n_max}{routes}", outcomes(), ()
-
-
-def _suite_eq3(cfg: Mapping, run: _Run) -> _Plan:
-    p = check_outdegrees(cfg["p"])
-    (gammas, alphas), text = _grid(cfg, "gamma", "alpha")
-    gammas = [check_nat(_integral(g, "eq3 gamma grid must be integral"), "gamma") for g in gammas]
-    n_total_max = _grid_nat(cfg, "n_total_max")
-    return f"p={list(p)}, {text}, sum(n)<={n_total_max}", (
-        verify_eq3(p, gamma, alpha, n_total_max).counterexample
-        for gamma, alpha in itertools.product(gammas, alphas)), ()
 
 
 def _integral(value: Rat, message: str) -> int:
@@ -726,45 +606,168 @@ def _integral(value: Rat, message: str) -> int:
     return int(value)
 
 
-def _suite_eq4(cfg: Mapping, run: _Run) -> _Plan:
-    axes, text = _grid(cfg, "alpha", "beta", "gamma")
-    n_max = _grid_nat(cfg, "n_max")
-    return f"{text}, n<={n_max}", (
-        verify_eq4(*point, n_max).counterexample
-        for point in itertools.product(*axes) if (*point, n_max) not in run.eq2_passed), ()
+def _object(value: object, name: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be a JSON object")
+    return value
 
 
-def _suite_eq7(cfg: Mapping, run: _Run) -> _Plan:
+class _Interval:
+    """An inclusive rational interval {"min", "max", "step"} as read: its size
+    (max - min) // step + 1 is counted, and its values, an integral one as an
+    int, are made as it is iterated."""
+
+    __slots__ = ("text", "lo", "step", "size")
+
+    def __init__(self, name: str, spec: Mapping) -> None:
+        try:
+            lo, hi, step = (as_rat(spec[key]) for key in ("min", "max", "step"))
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad interval {spec!r}: {exc}") from None
+        if step <= 0:
+            raise ConfigError(f"interval step must be positive, got {rat_str(step)}")
+        if lo > hi:
+            raise ConfigError(f"interval min {rat_str(lo)} exceeds max {rat_str(hi)}")
+        self.text = f"{name} in [{spec['min']}..{spec['max']} step {spec['step']}]"
+        self.lo, self.step, self.size = lo, step, (hi - lo) // step + 1
+
+    def __iter__(self) -> Iterator[RatLike]:
+        return (_narrow(self.lo + i * self.step) for i in range(self.size))
+
+    def __str__(self) -> str:
+        return self.text
+
+
+class _Axis(NamedTuple):
+    """A key of a section's config object: a rational ``interval`` or a
+    ``list``, the axes whose product is the section's grid, or a natural
+    number ``nat``.  A nat below ``least``, or a list that is empty where
+    ``least`` is 1, raises ValueError(``error``); a list then passes ``parse``."""
+
+    name: str
+    kind: str
+    least: int = 0
+    error: str = ""
+    parse: Optional[Callable[[object], list]] = None
+
+    def read(self, cfg: Mapping) -> object:
+        if self.kind == "interval":
+            return _Interval(self.name, cfg[self.name])
+        if self.kind == "list":
+            value = cfg[self.name]
+            short = self.least > 0 and not value
+        else:
+            value = cfg.get(self.name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ConfigError(f"{self.name} must be a non-negative integer, got {value!r}")
+            short = value < self.least
+        if short:
+            raise ValueError(self.error)
+        return value if self.parse is None else self.parse(value)
+
+
+class _Section(NamedTuple):
+    """One identity of the suite.
+
+    Reading its config object sets each axis's value on a namespace ``v``,
+    then ``read(v, cfg)`` checks what the axes alone do not.  ``check(run, v,
+    *point)`` evaluates one point of the product of the interval and list
+    axes, in axis order, and returns its counterexample or None.  It reaches
+    its checker through this module's name for it when called, so that a
+    checker rebound after import, such as a timing wrapper, is the one that
+    runs.  ``grid(v)`` is the report's grid text.  ``routes`` are optional
+    blocks of the config object, each a section read and evaluated after it,
+    whose grid text is appended to its own."""
+
+    key: str
+    identity_id: str
+    axes: tuple[_Axis, ...]
+    check: Callable[..., Optional[Counterexample]]
+    grid: Callable[[SimpleNamespace], str]
+    read: Optional[Callable[[SimpleNamespace, Mapping], None]] = None
+    routes: tuple["_Section", ...] = ()
+
+
+def _check_eq2(run: _Run, v: SimpleNamespace, *point: RatLike) -> Optional[Counterexample]:
+    failure = _eq2_failure(*point, v.n_max, run.catalan)
+    if failure is None and run.catalan is catalan_gen:
+        run.eq2_passed.add((*point, v.n_max))
+    return failure
+
+
+def _read_cross(v: SimpleNamespace, cfg: Mapping) -> None:
+    for beta, gamma, offset in itertools.product(v.betas, v.gammas, v.alpha_offsets):
+        check_alpha_gamma(gamma + offset, gamma)
+        check_arity(beta)
+
+
+def _check_cross(run: _Run, v: SimpleNamespace, beta: int, gamma: int,
+                 offset: int) -> Optional[Counterexample]:
+    """The signed census and the array row sums must both reproduce the direct sum."""
+    alpha, n_max = gamma + offset, v.n_max
+    sums = row_sums_from(_columns(alpha, beta, n_max),
+                         _gf(beta, gamma, max(n_max, 1), run.catalan)).coeffs
+    for n, direct in enumerate(_eq2_row_sums(alpha, beta, gamma, n_max, run.catalan)[0]):
+        census = signed_sum(beta, n, gamma, alpha)
+        params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
+        if census != direct:
+            return Counterexample.at(params, census, direct, "involution census vs direct sum")
+        if sums[n] != direct:
+            return Counterexample.at(params, sums[n], direct, "array row sum vs direct sum")
+    return None
+
+
+def _rationals(texts: Iterable) -> list[tuple[object, RatLike]]:
+    """Each text as given and as the parameter it names."""
+    return [(text, _narrow(as_rat(text))) for text in texts]
+
+
+def _check_family(run: _Run, v: SimpleNamespace, *items: tuple) -> Optional[Counterexample]:
+    """The plain and derivative-form summation checks must both accept the family instance."""
+    texts, point = zip(*items)
+    plain, modified = _family_pieces(*point, v.order, run.catalan)
+    params = {**dict(zip(("alpha", "beta", "gamma"), texts)), "order": v.order}
+    if not summation_check(*plain):
+        return Counterexample.at(params, "row sums", "target coefficients", "summation-matrix check")
+    if not derivative_form_check(*modified):
+        return Counterexample.at(params, "derivative form", "target coefficients",
+                                 "modified summation-matrix check")
+    return None
+
+
+def _read_eq3(v: SimpleNamespace, cfg: Mapping) -> None:
+    for gamma in v.gamma:
+        check_nat(_integral(gamma, "eq3 gamma grid must be integral"), "gamma")
+
+
+def _check_eq7(run: _Run, v: SimpleNamespace, beta: RatLike, gamma: RatLike) -> Optional[Counterexample]:
     """The generating function composed with f = x(1-x)**(beta-1): a(f) =
     sum_k a[k] * f**k, the row sums of the array (1, f), whose columns every
     gamma of a beta reads."""
-    axes, text = _grid(cfg, "beta", "gamma")
-    order = _grid_nat(cfg, "order")
-    if order < 1:
-        raise ValueError("need order >= 1")
-    return f"{text}, order {order}", (
-        None if row_sums_from(_columns(0, beta, order), _gf(beta, gamma, order, run.catalan))
-        == _binpow(-gamma, order) else Counterexample.at(
-            {"beta": rat_str(beta), "gamma": rat_str(gamma), "order": order},
-            "gf composed with x(1-x)^(beta-1)", "(1-x)^(-gamma)")
-        for beta, gamma in itertools.product(*axes)), ()
+    order = v.order
+    composed = row_sums_from(_columns(0, beta, order), _gf(beta, gamma, order, run.catalan))
+    if composed == _binpow(-gamma, order):
+        return None
+    return Counterexample.at({"beta": rat_str(beta), "gamma": rat_str(gamma), "order": order},
+                             "gf composed with x(1-x)^(beta-1)", "(1-x)^(-gamma)")
 
 
-def _suite_eq8(cfg: Mapping, run: _Run) -> _Plan:
-    (betas,), text = _grid(cfg, "beta")
-    order = _grid_nat(cfg, "order")
-    pairs = [(_narrow(as_rat(a1)), _narrow(as_rat(a2))) for a1, a2 in cfg["alpha_pairs"]]
-    if not pairs:
+def _alpha_pairs(pairs: Iterable) -> list[tuple[RatLike, RatLike]]:
+    parsed = [(_narrow(as_rat(alpha1)), _narrow(as_rat(alpha2))) for alpha1, alpha2 in pairs]
+    if not parsed:
         raise ValueError("need at least one alpha pair")
-    grid = f"{text}, alpha pairs {[[rat_str(a), rat_str(b)] for a, b in pairs]}, order {order}"
-    return grid, (
-        None if series_mul(_gf(beta, alpha1, order, run.catalan),
-                           _gf(beta, alpha2, order, run.catalan))
-        == _gf(beta, alpha1 + alpha2, order, run.catalan) else Counterexample.at(
-            {"beta": rat_str(beta), "alpha1": rat_str(alpha1), "alpha2": rat_str(alpha2),
-             "order": order},
-            "gf(alpha1) * gf(alpha2)", "gf(alpha1 + alpha2)")
-        for beta, (alpha1, alpha2) in itertools.product(betas, pairs)), ()
+    return parsed
+
+
+def _check_eq8(run: _Run, v: SimpleNamespace, beta: RatLike,
+               pair: tuple[RatLike, RatLike]) -> Optional[Counterexample]:
+    (alpha1, alpha2), order = pair, v.order
+    if series_mul(_gf(beta, alpha1, order, run.catalan), _gf(beta, alpha2, order, run.catalan)) \
+            == _gf(beta, alpha1 + alpha2, order, run.catalan):
+        return None
+    return Counterexample.at({"beta": rat_str(beta), "alpha1": rat_str(alpha1),
+                              "alpha2": rat_str(alpha2), "order": order},
+                             "gf(alpha1) * gf(alpha2)", "gf(alpha1 + alpha2)")
 
 
 def random_rational_sequence(rng: random.Random, length: int) -> list[Rat]:
@@ -772,38 +775,52 @@ def random_rational_sequence(rng: random.Random, length: int) -> list[Rat]:
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
 
 
-def _suite_eq9(cfg: Mapping, run: _Run) -> _Plan:
-    length = _grid_nat(cfg, "length")
-    count = _grid_nat(cfg, "sequences")
-    seed = cfg.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+def _gould_pairs(pairs: Iterable) -> list[tuple[object, GouldPair]]:
+    """Each eq9 pair (a, m, z), as given and as its GouldPair."""
+    out = []
+    for given in pairs:
+        a, m, z = (as_rat(value) for value in given)
+        message = f"eq9 pair {given}: a must be an integer, got {rat_str(a)}"
+        out.append((given, GouldPair(_integral(a, message), m, z)))
+    return out
+
+
+def _pole(pair: GouldPair, length: int) -> Optional[int]:
+    """The least 1 <= n < length where the pair's backward transform is undefined."""
+    return next((n for n in range(1, length) if -pair.a * n - pair.m == 0), None)
+
+
+def _read_eq9(v: SimpleNamespace, cfg: Mapping) -> None:
+    v.seed = cfg.get("seed")
+    if not isinstance(v.seed, int) or isinstance(v.seed, bool):
         raise ConfigError("eq9 needs an integer seed")
-    pairs, skipped = [], []
-    for pair in cfg["pairs"]:
-        a, m, z = (as_rat(v) for v in pair)
-        message = f"eq9 pair {pair}: a must be an integer, got {rat_str(a)}"
-        gould = GouldPair(_integral(a, message), m, z)
-        pole = next((n for n in range(1, length) if -gould.a * n - gould.m == 0), None)
-        if pole is None:
-            pairs.append(gould)
-        else:
-            skipped.append(f"pair {pair}: {SingularGouldParameters(pole)}")
-    if length < 1 or count < 1 or not pairs:
+    poles = [(given, _pole(pair, v.length)) for given, pair in v.pairs]
+    v.skipped.extend(f"pair {given}: {SingularGouldParameters(pole)}"
+                     for given, pole in poles if pole is not None)
+    if v.length < 1 or v.sequences < 1 or all(pole is not None for _, pole in poles):
         raise ValueError("eq9 needs length >= 1, sequences >= 1 and at least one pair without a pole")
-    grid = f"{count} seeded sequences of length {length}, pairs {[str(p) for p in cfg['pairs']]}"
-    rng = random.Random(seed)
 
-    def outcomes() -> Iterator[Optional[Counterexample]]:
-        failing = [pair for pair in pairs if not _inverse_pair(pair, length)]
-        for index in range(count if failing else 0):
-            seq = random_rational_sequence(rng, length)
-            yield from (_gould_roundtrip(index, seq, pair) for pair in failing)
-        # No seeded sequence shows the failure: the identity itself is the counterexample.
-        yield from (Counterexample.at(_gould_params(pair), "B*F", "den*diag(B)",
-                                      "no seeded sequence shows the failing identity")
-                    for pair in failing)
 
-    return grid, outcomes(), skipped
+def _check_eq9(run: _Run, v: SimpleNamespace, item: tuple) -> Optional[Counterexample]:
+    """None where the pair has a pole (skipped) or its transforms invert each
+    other; else the first seeded sequence whose round trip through
+    gould_forward and gould_backward shows the failure, or, where none does,
+    the identity itself."""
+    pair = item[1]
+    if _pole(pair, v.length) is not None or _inverse_pair(pair, v.length):
+        return None
+    params = {"a": pair.a, "m": rat_str(pair.m), "z": rat_str(pair.z)}
+    rng = random.Random(v.seed)
+    for index in range(v.sequences):
+        seq = random_rational_sequence(rng, v.length)
+        for outer, inner, detail in ((gould_backward, gould_forward, "backward(forward) != id"),
+                                     (gould_forward, gould_backward, "forward(backward) != id")):
+            got = outer(inner(seq, pair), pair)
+            if got != seq:
+                return Counterexample.at({"sequence": index, **params}, [rat_str(x) for x in got],
+                                         [rat_str(x) for x in seq], detail)
+    return Counterexample.at(params, "B*F", "den*diag(B)",
+                             "no seeded sequence shows the failing identity")
 
 
 def _inverse_pair(pair: GouldPair, length: int) -> bool:
@@ -821,66 +838,119 @@ def _inverse_pair(pair: GouldPair, length: int) -> bool:
                for n, row in enumerate(backward) for k in range(n + 1))
 
 
-def _gould_params(pair: GouldPair) -> dict:
-    return {"a": pair.a, "m": rat_str(pair.m), "z": rat_str(pair.z)}
+def _check_eq10(run: _Run, v: SimpleNamespace, *point: RatLike) -> Optional[Counterexample]:
+    report = verify_eq10(*point, v.n_max, run.catalan)
+    v.skipped.extend(f"{_point(*point)[1]}, {item}" for item in report.skipped)
+    return report.counterexample
 
 
-def _gould_roundtrip(index: int, seq: list[Rat], pair: GouldPair) -> Optional[Counterexample]:
-    """Both round trips of seq through gould_forward and gould_backward."""
-    for outer, inner, detail in ((gould_backward, gould_forward, "backward(forward) != id"),
-                                 (gould_forward, gould_backward, "forward(backward) != id")):
-        got = outer(inner(seq, pair), pair)
-        if got != seq:
-            return Counterexample.at({"sequence": index, **_gould_params(pair)},
-                                     [rat_str(v) for v in got], [rat_str(v) for v in seq], detail)
-    return None
+def _intervals(*names: str) -> tuple[_Axis, ...]:
+    return tuple(_Axis(name, "interval") for name in names)
 
 
-def _suite_eq10(cfg: Mapping, run: _Run) -> _Plan:
-    axes, text = _grid(cfg, "alpha", "beta", "gamma")
-    n_max = _grid_nat(cfg, "n_max")
-    if n_max < 1:
-        raise ValueError("eq10 rows are 1 <= n <= n_max: need n_max >= 1")
-    skipped: list[str] = []
-
-    def check(point: tuple[Rat, ...]) -> Optional[Counterexample]:
-        rep = verify_eq10(*point, n_max, run.catalan)
-        skipped.extend(f"{_point(*point)[1]}, {item}" for item in rep.skipped)
-        return rep.counterexample
-
-    return f"{text}, n<={n_max}", map(check, itertools.product(*axes)), skipped
+def _n_max(least: int = 0, error: str = "") -> _Axis:
+    return _Axis("n_max", "nat", least, error)
 
 
-def _suite_closed_form(cfg: Mapping, run: _Run) -> _Plan:
-    axes, text = _grid(cfg, "beta", "gamma")
-    n_max = _grid_nat(cfg, "n_max")
-    if n_max < 1:
-        raise ValueError("closed_form rows are 1 <= n <= n_max: need n_max >= 1")
-    return f"{text}, n<={n_max}", (
-        closed_form_reduction_check(beta, gamma, n_max, run.catalan).counterexample
-        for beta, gamma in itertools.product(*axes)), ()
+def _block(key: str, *names: str, parse: Optional[Callable] = None) -> tuple[_Axis, ...]:
+    """The list axes of Eq2's ``key`` block: a present block must check something."""
+    return tuple(_Axis(name, "list", 1, f"eq2 {key} has an empty {name} axis", parse) for name in names)
 
 
-# The suite's sections in run order: (config key, report id, runner).
-_SECTIONS: tuple[tuple[str, str, Callable[[Mapping, _Run], _Plan]], ...] = (
-    ("eq1", "Eq1", _suite_eq1),
-    ("eq2", "Eq2", _suite_eq2),
-    ("eq3", "Eq3", _suite_eq3),
-    ("eq4", "Eq4", _suite_eq4),
-    ("eq7", "Eq7", _suite_eq7),
-    ("eq8", "Eq8", _suite_eq8),
-    ("eq9", "Eq9_roundtrip", _suite_eq9),
-    ("eq10", "Eq10", _suite_eq10),
-    ("closed_form", "ClosedForm", _suite_closed_form),
+def _scalar_grid(v: SimpleNamespace) -> str:
+    return f"{v.alpha}, {v.beta}, {v.gamma}, n<={v.n_max}"
+
+
+# The suite's sections in run order.
+_SECTIONS = (
+    _Section("eq1", "Eq1", (_n_max(),),
+             lambda run, v: verify_eq2(1, 2, 1, v.n_max, run.catalan).counterexample,
+             lambda v: f"{_point(1, 2, 1)[1]}, n<={v.n_max}"),
+    # The direct grid, then the census and array-row route and the summation checks.
+    _Section("eq2", "Eq2", (*_intervals("alpha", "beta", "gamma"), _n_max()), _check_eq2,
+             _scalar_grid, routes=(
+                 _Section("cross", "Eq2", (*_block("cross", "betas", "gammas", "alpha_offsets"),
+                                           _n_max()),
+                          _check_cross, lambda v: "; plus involution-census and array-row routes",
+                          read=_read_cross),
+                 _Section("family", "Eq2", (*_block("family", "alphas", "betas", "gammas",
+                                                    parse=_rationals),
+                                            _Axis("order", "nat", 1, "the family needs order >= 1")),
+                          _check_family, lambda v: ""))),
+    # p is an axis of one value, the outdegree vector.
+    _Section("eq3", "Eq3", (_Axis("p", "list", parse=lambda p: [check_outdegrees(p)]),
+                            *_intervals("gamma", "alpha"), _Axis("n_total_max", "nat")),
+             lambda run, v, *point: verify_eq3(*point, v.n_total_max).counterexample,
+             lambda v: f"p={list(v.p[0])}, {v.gamma}, {v.alpha}, sum(n)<={v.n_total_max}",
+             read=_read_eq3),
+    # Eq4 takes its verdict from Eq2 at every point Eq2 passed with the true counts.
+    _Section("eq4", "Eq4", (*_intervals("alpha", "beta", "gamma"), _n_max()),
+             lambda run, v, *point: None if (*point, v.n_max) in run.eq2_passed
+             else verify_eq4(*point, v.n_max).counterexample,
+             _scalar_grid),
+    _Section("eq7", "Eq7", (*_intervals("beta", "gamma"), _Axis("order", "nat", 1, "need order >= 1")),
+             _check_eq7, lambda v: f"{v.beta}, {v.gamma}, order {v.order}"),
+    _Section("eq8", "Eq8", (*_intervals("beta"), _Axis("order", "nat"),
+                            _Axis("alpha_pairs", "list", parse=_alpha_pairs)),
+             _check_eq8,
+             lambda v: (f"{v.beta}, alpha pairs {[[rat_str(a), rat_str(b)] for a, b in v.alpha_pairs]}"
+                        f", order {v.order}")),
+    _Section("eq9", "Eq9_roundtrip", (_Axis("length", "nat"), _Axis("sequences", "nat"),
+                                      _Axis("pairs", "list", parse=_gould_pairs)),
+             _check_eq9,
+             lambda v: (f"{v.sequences} seeded sequences of length {v.length}, "
+                        f"pairs {[str(given) for given, _ in v.pairs]}"),
+             read=_read_eq9),
+    _Section("eq10", "Eq10", (*_intervals("alpha", "beta", "gamma"),
+                              _n_max(1, "eq10 rows are 1 <= n <= n_max: need n_max >= 1")),
+             _check_eq10, _scalar_grid),
+    _Section("closed_form", "ClosedForm",
+             (*_intervals("beta", "gamma"),
+              _n_max(1, "closed_form rows are 1 <= n <= n_max: need n_max >= 1")),
+             lambda run, v, *point: closed_form_reduction_check(
+                 *point, v.n_max, run.catalan).counterexample,
+             lambda v: f"{v.beta}, {v.gamma}, n<={v.n_max}"),
 )
 
-IDENTITY_IDS = tuple(identity_id for _, identity_id, _ in _SECTIONS)
+IDENTITY_IDS = tuple(section.identity_id for section in _SECTIONS)
 
 
 def _corrupted_catalan(n: int, beta: RatLike, gamma: RatLike) -> Rat:
     """Test hook: the counting oracle, deliberately wrong at n = 2."""
     value = catalan_gen(n, beta, gamma)
     return value + 1 if n == 2 else value
+
+
+def _read(section: _Section, cfg: Mapping) -> SimpleNamespace:
+    """The checked values of a section's config object, its routes' and its
+    grid text; nothing is evaluated."""
+    values = SimpleNamespace(skipped=[], routes=[])
+    for axis in section.axes:
+        setattr(values, axis.name, axis.read(cfg))
+    if section.read is not None:
+        section.read(values, cfg)
+    for route in section.routes:
+        if route.key in cfg:
+            block = _object(cfg[route.key], f"config section {section.key} {route.key}")
+            if not block:
+                raise ValueError(f"{section.key} {route.key} is empty")
+            values.routes.append((route, _read(route, block)))
+    values.grid = section.grid(values) + "".join(route.grid(rv) for route, rv in values.routes)
+    return values
+
+
+def _first_failure(section: _Section, values: SimpleNamespace, run: _Run) -> Optional[Counterexample]:
+    """The first counterexample of the section's grid, then of each route's, or None."""
+    grid = [getattr(values, axis.name) for axis in section.axes if axis.kind != "nat"]
+    for point in itertools.product(*grid):
+        failure = section.check(run, values, *point)
+        if failure is not None:
+            return failure
+    for route, route_values in values.routes:
+        failure = _first_failure(route, route_values, run)
+        if failure is not None:
+            return failure
+    return None
 
 
 def run_suite(config: Optional[Mapping] = None) -> list[IdentityReport]:
@@ -890,27 +960,39 @@ def run_suite(config: Optional[Mapping] = None) -> list[IdentityReport]:
     "corrupt_catalan" (a test hook) swaps in a deliberately broken counting
     oracle so that failure reporting can be exercised end to end.
 
-    Every section is read and checked, which alone raises ConfigError, before
-    any is evaluated.  Each stream stops at its first counterexample.
+    Every section is read and checked before any is evaluated, and a mistake
+    found there is a ConfigError.  Each section stops at its first
+    counterexample.  A ValueError or ZeroDivisionError raised while evaluating,
+    other than a ConfigError or an EnumerationBudgetError, is an internal
+    error, raised as a RuntimeError.
     """
-    cfg = _section(DEFAULT_CONFIG if config is None else config, "config")
-    unknown = set(cfg) - {key for key, _, _ in _SECTIONS} - {"corrupt_catalan"}
+    cfg = _object(DEFAULT_CONFIG if config is None else config, "config")
+    unknown = set(cfg) - {section.key for section in _SECTIONS} - {"corrupt_catalan"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     run = _Run(_corrupted_catalan if cfg.get("corrupt_catalan") else catalan_gen)
     try:
-        plans = [(identity_id, runner(_section(cfg[key], f"config section {key}"), run))
-                 for key, identity_id, runner in _SECTIONS if key in cfg]
+        read = [(section, _read(section, _object(cfg[section.key], f"config section {section.key}")))
+                for section in _SECTIONS if section.key in cfg]
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"malformed config: {exc}") from exc
+    reports = []
     token = _ACTIVE_RUN.set(run)
     try:
-        return [_report(identity_id, grid, next((c for c in outcomes if c is not None), None), skipped)
-                for identity_id, (grid, outcomes, skipped) in plans]
+        for section, values in read:
+            try:
+                failure = _first_failure(section, values, run)
+            except (ValueError, ZeroDivisionError) as exc:
+                if isinstance(exc, (ConfigError, EnumerationBudgetError)):
+                    raise
+                raise RuntimeError(f"{section.identity_id} raised {type(exc).__name__}: {exc}; "
+                                   "internal error") from exc
+            reports.append(_report(section.identity_id, values.grid, failure, values.skipped))
     finally:
         _ACTIVE_RUN.reset(token)
+    return reports
 
 
 def load_config(text: str) -> dict:
@@ -919,7 +1001,7 @@ def load_config(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return _section(obj, "config")
+    return _object(obj, "config")
 
 
 def reports_to_json(reports: Sequence[IdentityReport]) -> str:

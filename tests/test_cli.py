@@ -631,6 +631,46 @@ class TestRiordan:
         assert code == 2
 
 
+def _interval(lo, hi):
+    return {"min": lo, "max": hi, "step": "1"}
+
+
+_POINT = {"alpha": _interval("1", "1"), "beta": _interval("2", "2"), "gamma": _interval("1", "1"),
+          "n_max": 1}
+_CROSS = {"betas": [2], "gammas": [1], "alpha_offsets": [0], "n_max": 2}
+_FAMILY = {"alphas": ["0"], "betas": ["1"], "gammas": ["1"], "order": 3}
+_EMPTY = "has an empty {} axis"
+
+# The config checks of verify that raise a plain ValueError: each config
+# and the text that follows "malformed config: ".
+VERIFY_CONFIG_CHECKS = {
+    "cross-empty": ({"eq2": {**_POINT, "cross": {}}}, "eq2 cross is empty"),
+    "family-empty": ({"eq2": {**_POINT, "family": {}}}, "eq2 family is empty"),
+    "cross-axis": ({"eq2": {**_POINT, "cross": {**_CROSS, "gammas": []}}},
+                   "eq2 cross " + _EMPTY.format("gammas")),
+    "family-axis": ({"eq2": {**_POINT, "family": {**_FAMILY, "alphas": []}}},
+                    "eq2 family " + _EMPTY.format("alphas")),
+    "family-order": ({"eq2": {**_POINT, "family": {**_FAMILY, "order": 0}}},
+                     "the family needs order >= 1"),
+    "eq7-order": ({"eq7": {"beta": _interval("1", "2"), "gamma": _interval("0", "1"), "order": 0}},
+                  "need order >= 1"),
+    "eq8-pairs": ({"eq8": {"beta": _interval("1", "2"), "alpha_pairs": [], "order": 3}},
+                  "need at least one alpha pair"),
+    "eq9-pairs": ({"eq9": {"length": 3, "sequences": 1, "seed": 1, "pairs": [["1", "-1", "1"]]}},
+                  "eq9 needs length >= 1, sequences >= 1 and at least one pair without a pole"),
+    "eq10-rows": ({"eq10": {**_POINT, "n_max": 0}},
+                  "eq10 rows are 1 <= n <= n_max: need n_max >= 1"),
+    "closed-form-rows": (
+        {"closed_form": {"beta": _interval("1", "2"), "gamma": _interval("0", "1"), "n_max": 0}},
+        "closed_form rows are 1 <= n <= n_max: need n_max >= 1"),
+    "cross-alpha-gamma": (
+        {"eq2": {**_POINT, "cross": {**_CROSS, "gammas": [2], "alpha_offsets": [1, -1]}}},
+        "need alpha >= gamma >= 1, got alpha=1, gamma=2"),
+    "cross-arity": ({"eq2": {**_POINT, "cross": {**_CROSS, "betas": [2, 0]}}},
+                    "beta must be an integer >= 1, got 0"),
+}
+
+
 class TestVerify:
     def test_fast_config_passes_and_is_byte_stable(self, capsys, tmp_path):
         config = {
@@ -702,6 +742,63 @@ class TestVerify:
         path.write_text(json.dumps({"eq1": 5}))
         code, out, err = run_cli(capsys, "verify", "--config", str(path))
         assert (code, out, err) == (2, "", "error: config section eq1 must be a JSON object\n")
+
+    @pytest.mark.parametrize("section,message", VERIFY_CONFIG_CHECKS.values(),
+                             ids=list(VERIFY_CONFIG_CHECKS))
+    def test_each_config_check_is_a_usage_error(self, capsys, tmp_path, section, message):
+        # Each check of the read phase that raises a plain ValueError: the
+        # message is the one verify has always printed, and the status is 2.
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(section))
+        assert run_cli(capsys, "verify", "--config", str(path)) == (
+            2, "", f"error: malformed config: {message}\n")
+
+
+# A console child whose identities checker argv[1] raises argv[2] (a
+# ValueError or ZeroDivisionError with argv[3] as its text); the rest of
+# argv is the CLI's.
+BROKEN_CHECKER_CHILD = """\
+import runpy, sys
+from catalania import identities
+name, error, text = sys.argv[1:4]
+del sys.argv[1:4]
+identities.run_suite  # load the module before its checker is replaced
+
+def broken(*args):
+    raise {"ValueError": ValueError, "ZeroDivisionError": ZeroDivisionError}[error](text)
+
+setattr(identities, name, broken)
+runpy.run_module("catalania.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("checker,error,section,identity_id", [
+    ("verify_eq2", "ValueError", {"eq1": {"n_max": 2}}, "Eq1"),
+    ("closed_form_reduction_check", "ZeroDivisionError",
+     {"closed_form": {"beta": _interval("1", "2"), "gamma": _interval("0", "1"), "n_max": 2}},
+     "ClosedForm"),
+], ids=["value-error", "zero-division"])
+def test_an_error_raised_while_verify_evaluates_is_internal(tmp_path, checker, error, section,
+                                                            identity_id):
+    # The config is read whole and holds no mistake, so an error raised by a
+    # checker is the program's: status 3 and one error line, not a usage error.
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(section))
+    proc = subprocess.run([sys.executable, "-c", BROKEN_CHECKER_CHILD, checker, error,
+                           "internal bug", "verify", "--config", str(path)],
+                          env=console_env(False), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"error: {identity_id} raised {error}: internal bug; internal error\n")
+
+
+def test_a_budget_error_raised_while_verify_evaluates_is_a_usage_error():
+    # Eq2's cross route counts a census of 12 structures at n = 3.
+    proc = subprocess.run([sys.executable, "-m", "catalania.cli", "verify"],
+                          env=console_env(False, {"CATALANIA_MAX_STRUCTS": "4"}),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: enumeration would produce 12 structures, over the limit of 4 "
+               "(set CATALANIA_MAX_STRUCTS to raise it)\n")
 
 
 # A subprocess runs one subcommand and prints the catalania modules whose

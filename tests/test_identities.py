@@ -28,7 +28,6 @@ from catalania.identities import (
     eq2_lhs,
     eq2_rhs,
     eq10_lhs,
-    expand_interval,
     gould_backward,
     gould_forward,
     load_config,
@@ -850,6 +849,36 @@ class TestGoldenReports:
         assert len(calls) == points
 
 
+class TestCheckersAreReadByName:
+    """Each section reaches its per-point checker through the module's name
+    for it at call time, where benchmarks/bench_trace.py binds its timing
+    wrapper: a record that held the function object would blind the trace."""
+
+    def test_each_checker_is_called_once_per_evaluated_point(self, monkeypatch):
+        calls = {}
+        for name in ("verify_eq3", "verify_eq4", "verify_eq10", "closed_form_reduction_check"):
+            calls[name] = []
+            monkeypatch.setattr(identities, name, _recorded(
+                calls[name], getattr(identities, name), lambda *args: args))
+        config = {
+            "eq2": _small_grid(ALPHA_0_2, 3),
+            # Eq2 passed every point but those of alpha = 3.
+            "eq4": _small_grid({"min": "1", "max": "3", "step": "1"}, 3),
+            "eq3": {"p": [2], "gamma": _interval("0", "1"), "alpha": _interval("0", "1", "1/2"),
+                    "n_total_max": 2},
+            "eq10": {**_small_grid(_interval("0", "1"), 3), "gamma": _interval("1", "1")},
+            "closed_form": {"beta": _interval("0", "1"), "gamma": _interval("1", "3"), "n_max": 3},
+        }
+        assert all(report.ok for report in run_suite(config))
+        assert calls == {
+            "verify_eq3": [((2,), gamma, alpha, 2) for gamma in (0, 1) for alpha in (0, F(1, 2), 1)],
+            "verify_eq4": [(3, beta, gamma, 3) for beta in (1, 2) for gamma in (1, 2)],
+            "verify_eq10": [(alpha, beta, 1, 3, catalan_gen) for alpha in (0, 1) for beta in (1, 2)],
+            "closed_form_reduction_check": [(beta, gamma, 3, catalan_gen) for beta in (0, 1)
+                                            for gamma in (1, 2, 3)],
+        }
+
+
 def _recorded(calls: list, fn, key):
     """``fn``, recording key(*args) of every call in ``calls``."""
     def recording(*args):
@@ -1132,12 +1161,9 @@ class TestFamilyPieces:
             run_suite({"eq2": FAMILY_ONLY})
 
 
-def _fraction_grid(cfg, *names):
-    """identities._grid as it was before its axes held ints: every value a Fraction."""
-    axes = [expand_interval(cfg[name]) for name in names]
-    text = ", ".join(f"{name} in [{cfg[name]['min']}..{cfg[name]['max']} step {cfg[name]['step']}]"
-                     for name in names)
-    return axes, text
+def _unnarrowed(value):
+    """identities._narrow as it was before the axes held ints: every value a Fraction."""
+    return value
 
 
 @st.composite
@@ -1190,13 +1216,14 @@ class TestIntegerAxes:
         patches = {"eq2_rhs": _closed_forms_off_at_two} if fault == "closed_forms" else {}
         # At n_max 0, Eq10 and ClosedForm have no row and both sides refuse the config.
         assert _reports_or_refusal(config, patches) == _reports_or_refusal(
-            config, {**patches, "_grid": _fraction_grid})
+            config, {**patches, "_narrow": _unnarrowed})
 
     def test_integral_values_are_ints(self):
-        (alphas, betas), _ = identities._grid(
-            {"alpha": _interval("-1", "1", "1/2"), "beta": _interval("0", "2")}, "alpha", "beta")
+        alphas = identities._Interval("alpha", _interval("-1", "1", "1/2"))
+        betas = identities._Interval("beta", _interval("0", "2"))
+        assert (alphas.size, str(alphas)) == (5, "alpha in [-1..1 step 1/2]")
         assert [type(v) for v in alphas] == [int, F, int, F, int]
-        assert alphas == [-1, F(-1, 2), 0, F(1, 2), 1]
+        assert list(alphas) == [-1, F(-1, 2), 0, F(1, 2), 1]
         assert [type(v) for v in betas] == [int] * 3
 
 
@@ -1393,13 +1420,19 @@ class TestReadBeforeEvaluate:
 class TestEvaluationErrors:
     @pytest.mark.parametrize("error", [KeyError("n"), TypeError("bug"), ValueError("bug")])
     def test_error_raised_while_evaluating_propagates(self, monkeypatch, error):
+        # No error raised while evaluating is a config error: a ValueError is
+        # an internal error, raised as a RuntimeError from it.
         def broken(*args):
             raise error
 
         monkeypatch.setattr(identities, "verify_eq2", broken)
-        with pytest.raises(type(error)) as err:
+        with pytest.raises(Exception) as err:
             run_suite({"eq1": {"n_max": 2}})
-        assert err.value is error
+        if isinstance(error, ValueError):
+            assert type(err.value) is RuntimeError and err.value.__cause__ is error
+            assert str(err.value) == "Eq1 raised ValueError: bug; internal error"
+        else:
+            assert err.value is error
 
     def test_census_budget_is_not_a_config_error(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "4")
@@ -1465,9 +1498,9 @@ class TestFirstFailure:
     @pytest.mark.parametrize("k", range(1, 25))
     def test_eq10_skipped_holds_items_reached(self, monkeypatch, k):
         reached = []
-        for alpha in expand_interval(EQ10_SMALL["alpha"]):
-            for beta in expand_interval(EQ10_SMALL["beta"]):
-                for gamma in expand_interval(EQ10_SMALL["gamma"]):
+        for alpha in _values(EQ10_SMALL["alpha"]):
+            for beta in _values(EQ10_SMALL["beta"]):
+                for gamma in _values(EQ10_SMALL["gamma"]):
                     prefix = f"alpha={alpha}, beta={beta}, gamma={gamma}"
                     reached.append([f"{prefix}, {item}" for item in
                                     verify_eq10(alpha, beta, gamma, EQ10_SMALL["n_max"]).skipped])
@@ -1478,16 +1511,24 @@ class TestFirstFailure:
         assert dict(report.counterexample.params) == {"call": str(k)}
 
 
+def _values(spec: dict) -> list:
+    """The values of an interval axis, each counted before any is made."""
+    axis = identities._Interval("x", spec)
+    values = list(axis)
+    assert axis.size == len(values)
+    return values
+
+
 class TestGridExpansion:
     def test_integer_interval(self):
-        assert expand_interval({"min": "-2", "max": "1", "step": "1"}) == [-2, -1, 0, 1]
+        assert _values({"min": "-2", "max": "1", "step": "1"}) == [-2, -1, 0, 1]
 
     def test_rational_step(self):
-        got = expand_interval({"min": "0", "max": "2", "step": "1/2"})
+        got = _values({"min": "0", "max": "2", "step": "1/2"})
         assert got == [0, F(1, 2), 1, F(3, 2), 2]
 
     def test_step_not_landing_on_max(self):
-        assert expand_interval({"min": "0", "max": "1", "step": "2/3"}) == [0, F(2, 3)]
+        assert _values({"min": "0", "max": "1", "step": "2/3"}) == [0, F(2, 3)]
 
     @pytest.mark.parametrize(
         "spec",
@@ -1501,7 +1542,7 @@ class TestGridExpansion:
     )
     def test_bad_intervals(self, spec):
         with pytest.raises(ConfigError):
-            expand_interval(spec)
+            _values(spec)
 
 
 class TestReportShape:

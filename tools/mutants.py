@@ -66,9 +66,8 @@ MUTANTS = (
             "tests/test_data_model.py::test_deep_trees_compare_and_hash")),
     Mutant("closed_form accepts n_max 0, whose grid checks nothing",
            "src/catalania/identities.py",
-           '    if n_max < 1:\n'
-           '        raise ValueError("closed_form rows are 1 <= n <= n_max: need n_max >= 1")\n',
-           "",
+           '_n_max(1, "closed_form rows',
+           '_n_max(0, "closed_form rows',
            ("tests/test_identities.py::TestReadBeforeEvaluate::test_each_mistake_is_found_by_the_read"
             "[closed_form-n_max]",)),
     Mutant("the signed census drops one slot from multi-class slices",
@@ -189,6 +188,35 @@ MUTANTS = (
            "            if t or head != rest:\n"
            "                yield prefix + (head, tuple(map(sub, rest, head)))\n",
            ("tests/test_identities.py::TestGoldenEnumerations::test_cli_output_is_pinned",)),
+    Mutant("the read phase lets a plain ValueError through, not as a ConfigError",
+           "src/catalania/identities.py",
+           "    except (KeyError, TypeError, ValueError) as exc:\n",
+           "    except (KeyError, TypeError) as exc:\n",
+           ("tests/test_identities.py::TestReadBeforeEvaluate::test_each_mistake_is_found_by_the_read",
+            "tests/test_cli.py::TestVerify::test_each_config_check_is_a_usage_error")),
+    Mutant("each section is evaluated as soon as it is read",
+           "src/catalania/identities.py",
+           "        read = [(section, _read(section, _object(cfg[section.key], f\"config section "
+           "{section.key}\")))\n"
+           "                for section in _SECTIONS if section.key in cfg]\n",
+           "        read = ((section, _read(section, _object(cfg[section.key], f\"config section "
+           "{section.key}\")))\n"
+           "                for section in _SECTIONS if section.key in cfg)\n",
+           ("tests/test_identities.py::TestReadBeforeEvaluate::"
+            "test_malformed_last_section_stops_the_run_before_any_work",)),
+    Mutant("an error raised while evaluating reads as a config error, exit 2",
+           "src/catalania/identities.py",
+           "                raise RuntimeError(f\"{section.identity_id} raised",
+           "                raise ConfigError(f\"{section.identity_id} raised",
+           ("tests/test_cli.py::test_an_error_raised_while_verify_evaluates_is_internal",
+            "tests/test_identities.py::TestEvaluationErrors::"
+            "test_error_raised_while_evaluating_propagates[error2]")),
+    Mutant("Eq4's record holds verify_eq4 as imported, which the trace cannot rebind",
+           "src/catalania/identities.py",
+           "lambda run, v, *point: None if (*point, v.n_max) in run.eq2_passed",
+           "lambda run, v, *point, verify_eq4=verify_eq4: None if (*point, v.n_max) in run.eq2_passed",
+           ("tests/test_identities.py::TestCheckersAreReadByName::"
+            "test_each_checker_is_called_once_per_evaluated_point",)),
 )
 
 
