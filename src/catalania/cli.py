@@ -4,7 +4,7 @@ Subcommands: seq, trees (count|list), involution, riordan (entry|check),
 verify.  Numeric flags take exact rationals as "p/q" strings; there is no
 float parsing anywhere.  Exit codes: 0 success / all checks pass, 1 a
 mathematical mismatch, 2 usage or resource errors, 3 an internal error (a
-failed consistency check, or a ValueError or ZeroDivisionError raised
+failed consistency check, a ZeroDivisionError, or a ValueError raised
 while ``verify`` evaluates a config it has read whole), 141 (128 +
 SIGPIPE) a reader that closed stdout early.  Listings are
 written as they are made, and the census sum is always counted.  All
@@ -23,7 +23,6 @@ import argparse
 import itertools
 import os
 import sys
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 # Layer modules load on first use (see the package docstring), so a
@@ -31,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 from . import census, counting, exact, forest, identities, involution, riordan
 
 
-def rat_flag(text: str) -> Fraction:
+def rat_flag(text: str) -> exact.Rat:
     try:
         return exact.as_rat(text)
     except ValueError as exc:
@@ -55,15 +54,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="catalania",
         description="Exact generalized-Catalan enumeration and identity checks.",
     )
+    # Each subcommand's handler is its parser's default; dest names it in a usage error.
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_seq = sub.add_parser("seq", help="print a generalized Catalan sequence")
+    p_seq.set_defaults(handler=_cmd_seq)
     p_seq.add_argument("--beta", type=rat_flag, required=True)
-    p_seq.add_argument("--gamma", type=rat_flag, default=Fraction(1))
+    p_seq.add_argument("--gamma", type=rat_flag, default="1")  # argparse passes it through rat_flag
     p_seq.add_argument("--n", type=nat_flag, required=True, help="largest index")
     p_seq.add_argument("--format", choices=("text", "json"), default="text")
 
     p_trees = sub.add_parser("trees", help="enumerate forests exhaustively")
+    p_trees.set_defaults(handler=_cmd_trees)
     p_trees.add_argument("action", choices=("count", "list"))
     p_trees.add_argument("--beta", type=nat_flag, required=True)
     p_trees.add_argument("--n", type=nat_flag, required=True, help="internal vertices")
@@ -74,6 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help='"paren" is the text parenthesis encoding')
 
     p_inv = sub.add_parser("involution", help="alternating census of colored forests")
+    p_inv.set_defaults(handler=_cmd_involution)
     p_inv.add_argument("--beta", type=nat_flag, required=True)
     p_inv.add_argument("--n", type=nat_flag, required=True, help="total index")
     p_inv.add_argument("--gamma", type=nat_flag, default=1)
@@ -82,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print matched pairs and exceptional structures")
 
     p_rio = sub.add_parser("riordan", help="array entries and summation checks")
+    p_rio.set_defaults(handler=_cmd_riordan)
     p_rio.add_argument("action", choices=("entry", "check"))
     p_rio.add_argument("--alpha", type=rat_flag)
     p_rio.add_argument("--beta", type=rat_flag)
@@ -95,15 +99,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rio.add_argument("--l-json", metavar="PATH", help="series file overriding L")
 
     p_verify = sub.add_parser("verify", help="run the identity suite, emit a JSON report")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--config", metavar="PATH", help="grid config JSON")
 
     return parser
 
 
-def _print_json(value: object) -> None:
-    import json  # loaded here: most commands print no JSON
+def _emit(args: argparse.Namespace, value: object, text: str) -> None:
+    """Print ``value`` as JSON under ``--format json``, else ``text``."""
+    if args.format == "json":
+        import json  # loaded here: most commands print no JSON
 
-    print(json.dumps(value))
+        text = json.dumps(value)
+    print(text)
 
 
 def _write_lines(lines: Iterable[str], sep: str = "\n", end: str = "\n") -> None:
@@ -120,12 +128,8 @@ def _write_lines(lines: Iterable[str], sep: str = "\n", end: str = "\n") -> None
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    values = counting.catalan_sequence(args.beta, args.gamma, args.n)
-    if args.format == "json":
-        _print_json([exact.rat_str(v) for v in values])
-    else:
-        for v in values:
-            print(exact.rat_str(v))
+    values = [exact.rat_str(v) for v in counting.catalan_sequence(args.beta, args.gamma, args.n)]
+    _emit(args, values, "\n".join(values))
     return 0
 
 
@@ -142,21 +146,15 @@ def _cmd_trees(args: argparse.Namespace) -> int:
         _write_lines(texts)
         return 0
     count = census.count_forests(args.beta, args.n, args.gamma)
-    if args.check_formula:
-        formula = counting.catalan_gen(args.n, args.beta, args.gamma)
-        match = formula == count
-        verdict = "OK" if match else "MISMATCH"
-        if args.format == "json":
-            _print_json({"count": str(count), "formula": exact.rat_str(formula), "match": match})
-        else:
-            relation = "==" if match else "!="
-            print(f"{count} {relation} {exact.rat_str(formula)} {verdict}")
-        return 0 if match else 1
-    if args.format == "json":
-        _print_json({"count": str(count)})
-    else:
-        print(count)
-    return 0
+    if not args.check_formula:
+        _emit(args, {"count": str(count)}, str(count))
+        return 0
+    formula = counting.catalan_gen(args.n, args.beta, args.gamma)
+    match = formula == count
+    shown = exact.rat_str(formula)
+    _emit(args, {"count": str(count), "formula": shown, "match": match},
+          f"{count} {'==' if match else '!='} {shown} {'OK' if match else 'MISMATCH'}")
+    return 0 if match else 1
 
 
 def _cmd_involution(args: argparse.Namespace) -> int:
@@ -248,23 +246,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "seq": _cmd_seq,
-        "trees": _cmd_trees,
-        "involution": _cmd_involution,
-        "riordan": _cmd_riordan,
-        "verify": _cmd_verify,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except (ValueError, ZeroDivisionError) as exc:  # a usage, config or budget error
+        return args.handler(args)
+    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
+        # A ValueError is a usage, config or budget error; the rest are internal.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:  # internal: a failed consistency check or evaluation error
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 def entrypoint() -> None:

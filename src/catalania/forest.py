@@ -24,8 +24,12 @@ pool is a tuple of tree texts, each "(" + its children's texts + ")" over
 its trees' texts once.  A pool of at most POOL_CACHE_MAX trees is built
 once and kept; a larger one is regenerated on each use, so memory stays
 bounded by the cap rather than by the output.  A pool's trees follow its
-``census.tree_plan``.  Pools are built bottom-up and no function here
-recurses, so no depth of tree reaches the recursion limit.
+``census.tree_plan``.  Pools are built bottom-up and no tree walk
+recurses, so no depth of tree reaches the recursion limit.  Regenerating a
+pool over the cap nests, and only that: ``_product`` calls itself once per
+over-cap pool of a split after the first, so at most as deep as the split
+has parts, and ``_trees`` calls ``_product`` on the children of each
+over-cap tree, each level a pool with fewer internal vertices.
 
 Text encoding, bit-exact::
 

@@ -612,6 +612,15 @@ def _object(value: object, name: str) -> Mapping:
     return value
 
 
+def _literal(value: object) -> Rat:
+    """A config list entry as a rational; a zero denominator is a ValueError,
+    as it is for a flag."""
+    try:
+        return as_rat(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {value!r}") from None
+
+
 class _Interval:
     """An inclusive rational interval {"min", "max", "step"} as read: its size
     (max - min) // step + 1 is counted, and its values, an integral one as an
@@ -719,7 +728,7 @@ def _check_cross(run: _Run, v: SimpleNamespace, beta: int, gamma: int,
 
 def _rationals(texts: Iterable) -> list[tuple[object, RatLike]]:
     """Each text as given and as the parameter it names."""
-    return [(text, _narrow(as_rat(text))) for text in texts]
+    return [(text, _narrow(_literal(text))) for text in texts]
 
 
 def _check_family(run: _Run, v: SimpleNamespace, *items: tuple) -> Optional[Counterexample]:
@@ -753,7 +762,7 @@ def _check_eq7(run: _Run, v: SimpleNamespace, beta: RatLike, gamma: RatLike) -> 
 
 
 def _alpha_pairs(pairs: Iterable) -> list[tuple[RatLike, RatLike]]:
-    parsed = [(_narrow(as_rat(alpha1)), _narrow(as_rat(alpha2))) for alpha1, alpha2 in pairs]
+    parsed = [(_narrow(_literal(alpha1)), _narrow(_literal(alpha2))) for alpha1, alpha2 in pairs]
     if not parsed:
         raise ValueError("need at least one alpha pair")
     return parsed
@@ -779,7 +788,7 @@ def _gould_pairs(pairs: Iterable) -> list[tuple[object, GouldPair]]:
     """Each eq9 pair (a, m, z), as given and as its GouldPair."""
     out = []
     for given in pairs:
-        a, m, z = (as_rat(value) for value in given)
+        a, m, z = map(_literal, given)
         message = f"eq9 pair {given}: a must be an integer, got {rat_str(a)}"
         out.append((given, GouldPair(_integral(a, message), m, z)))
     return out

@@ -280,7 +280,9 @@ def pairings(structures: Iterable[ColoredForest], p: Sequence[int],
 
 def _color_assignments(slots: tuple[int, ...], marks: tuple[int, ...]) -> Iterator[tuple]:
     """All ways to pick disjoint subsets of sizes marks[j] from ``slots``;
-    yields one ascending tuple per color class."""
+    yields one ascending tuple per color class.  It calls itself once per
+    color class after the first, so it nests as deep as ``marks`` has
+    entries, one per outdegree class."""
     head, *tail = marks
     if not tail:
         return ((chosen,) for chosen in itertools.combinations(slots, head))

@@ -668,6 +668,15 @@ VERIFY_CONFIG_CHECKS = {
         "need alpha >= gamma >= 1, got alpha=1, gamma=2"),
     "cross-arity": ({"eq2": {**_POINT, "cross": {**_CROSS, "betas": [2, 0]}}},
                     "beta must be an integer >= 1, got 0"),
+    # A zero denominator in each list of rationals, worded as for a flag.
+    "family-zero-denominator": ({"eq2": {**_POINT, "family": {**_FAMILY, "alphas": ["1/0"]}}},
+                                "zero denominator: '1/0'"),
+    "eq8-zero-denominator": (
+        {"eq8": {"beta": _interval("1", "2"), "alpha_pairs": [["1", "1/0"]], "order": 3}},
+        "zero denominator: '1/0'"),
+    "eq9-zero-denominator": (
+        {"eq9": {"length": 3, "sequences": 1, "seed": 1, "pairs": [["1", "1/0", "1"]]}},
+        "zero denominator: '1/0'"),
 }
 
 
@@ -791,6 +800,29 @@ def test_an_error_raised_while_verify_evaluates_is_internal(tmp_path, checker, e
         3, "", f"error: {identity_id} raised {error}: internal bug; internal error\n")
 
 
+# A console child whose counting.catalan_sequence raises ZeroDivisionError;
+# the rest of argv is the CLI's.
+BROKEN_SEQ_CHILD = """\
+import runpy
+from catalania import counting
+counting.catalan_sequence  # load the module before its function is replaced
+
+def broken(*args):
+    raise ZeroDivisionError("internal bug")
+
+counting.catalan_sequence = broken
+runpy.run_module("catalania.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_zero_division_in_a_layer_is_internal():
+    # Every flag and config value with a zero denominator is a usage error
+    # before any layer computes, so a ZeroDivisionError is the program's.
+    proc = subprocess.run([sys.executable, "-c", BROKEN_SEQ_CHILD, "seq", "--beta", "2",
+                           "--n", "3"], env=console_env(False), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: internal bug\n")
+
+
 def test_a_budget_error_raised_while_verify_evaluates_is_a_usage_error():
     # Eq2's cross route counts a census of 12 structures at n = 3.
     proc = subprocess.run([sys.executable, "-m", "catalania.cli", "verify"],
@@ -805,7 +837,8 @@ def test_a_budget_error_raised_while_verify_evaluates_is_a_usage_error():
 # code ran: a lazily registered layer is in sys.modules from the start, but
 # its type is ModuleType only once something has read from it.  It also
 # prints "dataclasses" when that stdlib module (with inspect, dis and
-# tokenize behind it) was imported.
+# tokenize behind it) was imported, and "fractions" (with decimal and
+# numbers) when that one was.
 LAYERS_CHILD = """\
 import json, sys, types
 from catalania import cli
@@ -816,11 +849,11 @@ except SystemExit as exc:
 print(json.dumps(sorted(name for name, module in sys.modules.items()
                         if name.partition(".")[0] == "catalania"
                         and type(module) is types.ModuleType
-                        or name == "dataclasses")), file=sys.stderr)
+                        or name in ("dataclasses", "fractions"))), file=sys.stderr)
 sys.exit(code)
 """
 BASE = ["catalania", "catalania.cli"]
-SEQ = BASE + ["catalania.counting", "catalania.exact"]
+SEQ = BASE + ["catalania.counting", "catalania.exact", "fractions"]
 SERIES = SEQ + ["catalania.riordan"]
 # What counts without building: no forest and no colored structure.
 COUNTS = SEQ + ["catalania.census"]
@@ -829,6 +862,7 @@ TREES = COUNTS + ["catalania.forest"]
 
 @pytest.mark.parametrize("argv, loaded", [
     (["--help"], BASE),
+    (["bogus"], BASE),
     (["seq", "--beta", "2", "--n", "3"], SEQ),
     (["riordan", "entry", "--alpha", "1", "--beta", "2", "--n", "2", "--k", "1"], SERIES),
     (["riordan", "check", "--alpha", "2", "--beta", "3", "--gamma", "1", "--order", "4"], SERIES),
@@ -839,8 +873,8 @@ TREES = COUNTS + ["catalania.forest"]
      TREES + ["catalania.involution"]),
     (["verify", "--config", "CONFIG"], COUNTS + ["catalania.identities", "catalania.riordan"]),
     (["verify"], COUNTS + ["catalania.identities", "catalania.riordan"]),
-], ids=["help", "seq", "riordan-entry", "riordan-check", "trees-count", "trees-list",
-        "involution-count", "involution", "verify", "verify-default"])
+], ids=["help", "usage-error", "seq", "riordan-entry", "riordan-check", "trees-count",
+        "trees-list", "involution-count", "involution", "verify", "verify-default"])
 def test_subcommand_runs_only_its_layers(tmp_path, argv, loaded):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"eq1": {"n_max": 3}}))
@@ -848,7 +882,7 @@ def test_subcommand_runs_only_its_layers(tmp_path, argv, loaded):
     env = {**os.environ, "PYTHONPATH": str(Path(catalania.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-c", LAYERS_CHILD, *argv],
                           env=env, capture_output=True, text=True, check=False)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == (2 if argv == ["bogus"] else 0), proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == sorted(loaded)
 
 

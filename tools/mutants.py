@@ -217,6 +217,24 @@ MUTANTS = (
            "lambda run, v, *point, verify_eq4=verify_eq4: None if (*point, v.n_max) in run.eq2_passed",
            ("tests/test_identities.py::TestCheckersAreReadByName::"
             "test_each_checker_is_called_once_per_evaluated_point",)),
+    Mutant("a zero denominator in a config list escapes the read as a ZeroDivisionError",
+           "src/catalania/identities.py",
+           "        return as_rat(value)\n    except ZeroDivisionError:\n",
+           "        return as_rat(value)\n    except ():\n",
+           tuple(f"tests/test_cli.py::TestVerify::test_each_config_check_is_a_usage_error[{case}]"
+                 for case in ("family-zero-denominator", "eq8-zero-denominator",
+                              "eq9-zero-denominator"))),
+    Mutant("a ZeroDivisionError reaching main reads as a usage error, exit 2",
+           "src/catalania/cli.py",
+           "return 2 if isinstance(exc, ValueError) else 3",
+           "return 2 if isinstance(exc, (ValueError, ZeroDivisionError)) else 3",
+           ("tests/test_cli.py::test_a_zero_division_in_a_layer_is_internal",)),
+    Mutant("the CLI imports fractions as it loads",
+           "src/catalania/cli.py",
+           "import sys\n",
+           "import sys\nfrom fractions import Fraction\n",
+           ("tests/test_cli.py::test_subcommand_runs_only_its_layers[help]",
+            "tests/test_cli.py::test_subcommand_runs_only_its_layers[usage-error]")),
 )
 
 
