@@ -1,19 +1,18 @@
 """Closed-form counts of ordered-forest families.
 
-``catalan_gen`` counts ordered forests of uniform-arity trees and
+``catalan_gen`` counts ordered forests of uniform-arity trees, the one
+counting oracle, which its callers read by module name when called;
 ``catalan_vector`` counts forests with prescribed outdegree classes.  Both
-are evaluated in a form that has no pole where the textbook quotient is
-indeterminate, so every parameter cell of the verification grids is total.
+have no pole where the textbook quotient is indeterminate, so every
+parameter cell of the verification grids is total.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exact import Rat, RatLike, Record, binom, check_nat, int_binom
-
-CatalanFn = Callable[[int, RatLike, RatLike], Rat]
 
 
 def check_outdegrees(p: Sequence[int]) -> tuple[int, ...]:
@@ -124,8 +123,8 @@ def catalan_vector(profile: VecProfile, gamma: int) -> Rat:
     return Fraction(count, total)
 
 
-def catalan_sequence(beta: RatLike, gamma: RatLike, n_max: int,
-                     catalan: CatalanFn = catalan_gen, start: int = 0) -> list[Rat]:
-    """[catalan(start), ..., catalan(n_max)] at fixed beta, gamma."""
+def catalan_sequence(beta: RatLike, gamma: RatLike, n_max: int) -> list[Rat]:
+    """[catalan_gen(0, beta, gamma), ..., catalan_gen(n_max, beta, gamma)],
+    each read through this module's name catalan_gen at call time."""
     check_nat(n_max, "n_max")
-    return [catalan(k, beta, gamma) for k in range(start, n_max + 1)]
+    return [catalan_gen(k, beta, gamma) for k in range(n_max + 1)]

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 from .census import (EnumerationBudgetError, census_terms, check_alpha_gamma, check_arity, compositions,
                      signed_sum)
-from .counting import CatalanFn, VecProfile, catalan_gen, catalan_sequence, check_outdegrees, eq2_rhs
+from .counting import VecProfile, catalan_gen, check_outdegrees, eq2_rhs
 from .exact import (ConfigError, Rat, RatLike, Record, as_rat, binom, check_nat, cleared, falling,
                     int_binom, rat_str)
 from .riordan import (RiordanArray, Series, derivative_form_check, family_f, inverse_powers,
@@ -195,25 +195,25 @@ def gould_backward(seq_b: Sequence[RatLike], pair: GouldPair) -> list[Rat]:
 class _Run:
     """What the sections of one run_suite call share, dropped with it.
 
-    ``catalan`` is the run's counting oracle.  Every section that reads the
-    Catalan counts reads this one, their generating functions included;
-    only Eq4, whose two sums read the same values, reads catalan_gen.
+    ``catalan`` is the run's counting oracle, and the only one: _catalans
+    builds the run's table of counts with it, which every section that reads
+    the Catalan counts reads, their generating functions included.
 
     ``eq2_passed`` holds the points (alpha, beta, gamma, n_max) where
-    verify_eq2 passed with the true catalan_gen.  That pass compared the
-    reversed-index sum with the direct sum on the same values for every
-    n <= n_max, which is all that verify_eq4 computes, so Eq4 takes its
-    verdict there from Eq2.  Any other point is evaluated by Eq4 itself.
+    verify_eq2 passed.  That pass compared the reversed-index sum with the
+    direct sum on the same counts for every n <= n_max, which is all that
+    verify_eq4 computes, so Eq4 takes its verdict there from Eq2.  Any
+    other point is evaluated by Eq4 itself.
 
     ``tables`` holds the values that many grid points of every section but
     Eq9 need, keyed by a table name and the exact parameters the value
     depends on (an int for an integral one, which hashes like its Fraction):
-    the Catalan counts per (catalan, beta, gamma) and the Eq2 closed forms
+    the Catalan counts per (beta, gamma) and the Eq2 closed forms
     per alpha - gamma, each the longest sequence asked for so far, whose
     prefixes serve the shorter requests and which a longer one extends; the
     forward and backward Gould rows per (a, m, z, length); the series of
-    Eq2's array routes, Eq7 and Eq8 (generating functions per oracle, read
-    off the Catalan counts, x(1-x)**(beta-1) and (1-x)**a); the array
+    Eq2's array routes, Eq7 and Eq8 (generating functions read off the
+    Catalan counts, x(1-x)**(beta-1) and (1-x)**a); the array
     columns per (alpha, beta, n_max), which Eq7 reads at alpha = 0, and the
     other pieces of the family route, see _family_pieces; and the census
     terms of Eq3 per (p, n_vec, gamma), which every alpha of its grid reads.
@@ -227,11 +227,11 @@ class _Run:
     """
 
     __slots__ = ("catalan", "eq2_passed", "tables")
-    catalan: CatalanFn
+    catalan: Callable[[int, RatLike, RatLike], Rat]
     eq2_passed: set[tuple[RatLike, RatLike, RatLike, int]]
     tables: dict[tuple, object]
 
-    def __init__(self, catalan: CatalanFn) -> None:
+    def __init__(self, catalan: Callable[[int, RatLike, RatLike], Rat]) -> None:
         self.catalan, self.eq2_passed, self.tables = catalan, set(), {}
 
 
@@ -266,10 +266,13 @@ def _shared_prefix(key: tuple, n_max: int, build: Callable[[int, int], tuple]) -
     return held[:n_max + 1]
 
 
-def _catalans(beta: RatLike, gamma: RatLike, n_max: int, catalan: CatalanFn) -> tuple:
-    """catalan(k, beta, gamma) for k <= n_max, each piece built in the ring of ``_ring``."""
-    return _shared_prefix(("catalan", catalan, beta, gamma), n_max, lambda start, stop: tuple(
-        _ring(catalan_sequence(beta, gamma, stop, catalan, start))[0]))
+def _catalans(beta: RatLike, gamma: RatLike, n_max: int) -> tuple:
+    """The run's oracle at (k, beta, gamma) for k <= n_max, catalan_gen's outside
+    a run, each piece built in the ring of ``_ring``."""
+    run = _ACTIVE_RUN.get()
+    catalan = catalan_gen if run is None else run.catalan
+    return _shared_prefix(("catalan", beta, gamma), n_max, lambda start, stop: tuple(
+        _ring(catalan(k, beta, gamma) for k in range(start, stop + 1))[0]))
 
 
 def _closed_forms(alpha: RatLike, gamma: RatLike, n_max: int) -> tuple:
@@ -292,11 +295,10 @@ def _family(alpha: RatLike, beta: RatLike, order: int) -> RiordanArray:
     return RiordanArray(_binpow(alpha, order), _f(beta, order))
 
 
-def _gf(beta: RatLike, gamma: RatLike, order: int, catalan: CatalanFn) -> Series:
-    """riordan.catalan_gf(beta, gamma, order, catalan), its coefficients read
-    from the run's table of counts."""
-    return _shared(("gf", catalan, beta, gamma, order),
-                   lambda: Series(_catalans(beta, gamma, order, catalan)))
+def _gf(beta: RatLike, gamma: RatLike, order: int) -> Series:
+    """riordan.catalan_gf(beta, gamma, order), its coefficients read from the
+    run's table of counts."""
+    return _shared(("gf", beta, gamma, order), lambda: Series(_catalans(beta, gamma, order)))
 
 
 def _columns(alpha: RatLike, beta: RatLike, n_max: int) -> tuple[Series, ...]:
@@ -310,16 +312,15 @@ def _binpow(a: RatLike, order: int) -> Series:
     return _shared(("binpow", a, order), lambda: series_binpow(a, order))
 
 
-def _family_pieces(alpha: RatLike, beta: RatLike, gamma: RatLike, order: int,
-                   catalan: CatalanFn) -> tuple[tuple, tuple]:
+def _family_pieces(alpha: RatLike, beta: RatLike, gamma: RatLike, order: int) -> tuple[tuple, tuple]:
     """The arguments of summation_check and derivative_form_check at one point of
     Eq2's family route, each piece from the table of the parameters it depends on:
-    the columns per (alpha, beta), a(f) per (catalan, beta, gamma), the powers
+    the columns per (alpha, beta), a(f) per (beta, gamma), the powers
     (x/f)**n per beta and l/g per (alpha, gamma)."""
-    r, a = _family(alpha, beta, order), _gf(beta, gamma, order, catalan)
+    r, a = _family(alpha, beta, order), _gf(beta, gamma, order)
     l = _binpow(alpha - gamma, order)
     columns = _columns(alpha, beta, order)
-    composed = _shared(("a(f)", catalan, beta, gamma, order), lambda: series_compose(a, r.f))
+    composed = _shared(("a(f)", beta, gamma, order), lambda: series_compose(a, r.f))
     powers = _shared(("powers", beta, order), lambda: inverse_powers(r.f, order))
     quotient = _shared(("l/g", alpha, gamma, order), lambda: series_div_unit(l, r.g))
     return (columns, composed, a, l), (powers, quotient, a)
@@ -329,36 +330,33 @@ def _family_pieces(alpha: RatLike, beta: RatLike, gamma: RatLike, order: int,
 # The alternating sum and its inverse expansion: the pair (beta - 1, alpha, -1)
 # ---------------------------------------------------------------------------
 
-def _eq2_row_sums(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
-                  catalan: CatalanFn) -> tuple[list[RatLike], list[RatLike]]:
+def _eq2_row_sums(alpha: RatLike, beta: RatLike, gamma: RatLike,
+                  n_max: int) -> tuple[list[RatLike], list[RatLike]]:
     """Forward rows 0..n_max against the counting sequence: the sum of each
     row, and the same sum taken in reversed index order."""
-    cats = _catalans(beta, gamma, n_max, catalan)
+    cats = _catalans(beta, gamma, n_max)
     rows = _rows(beta - 1, alpha, -1, n_max + 1)
     return ([_dot(row, cats) for row in rows],
             [_dot(row[::-1], cats[n::-1]) for n, row in enumerate(rows)])
 
 
-def eq2_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int,
-            catalan: CatalanFn = catalan_gen) -> Rat:
+def eq2_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int) -> Rat:
     """sum_i (-1)**(n-i) * binom((beta-1)i + alpha, n-i) * C(i)."""
-    return Fraction(_eq2_row_sums(alpha, beta, gamma, n, catalan)[0][n])
+    return Fraction(_eq2_row_sums(alpha, beta, gamma, n)[0][n])
 
 
-def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
-               catalan: CatalanFn = catalan_gen) -> IdentityReport:
+def verify_eq2(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
     """Check the alternating sum against its closed form for 0 <= n <= n_max,
     plus the reversed-index evaluation as an internal consistency check."""
     text = _point(alpha, beta, gamma)[1]
-    return _report("Eq2", f"{text}, n<={n_max}", _eq2_failure(alpha, beta, gamma, n_max, catalan))
+    return _report("Eq2", f"{text}, n<={n_max}", _eq2_failure(alpha, beta, gamma, n_max))
 
 
-def _eq2_failure(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
-                 catalan: CatalanFn) -> Optional[Counterexample]:
+def _eq2_failure(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Optional[Counterexample]:
     """The counterexample of verify_eq2, or None where it passes; a passing
     point builds no text."""
     closed = _closed_forms(alpha, gamma, n_max)
-    direct, reindexed = _eq2_row_sums(alpha, beta, gamma, n_max, catalan)
+    direct, reindexed = _eq2_row_sums(alpha, beta, gamma, n_max)
     if reindexed == direct and tuple(direct) == closed:
         return None
     for n, (lhs, back) in enumerate(zip(direct, reindexed)):
@@ -376,7 +374,7 @@ def verify_eq4(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> Ide
     produce identical values term for term (the identity itself is Eq2's)."""
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, n<={n_max}"
-    sums = _eq2_row_sums(alpha, beta, gamma, n_max, catalan_gen)
+    sums = _eq2_row_sums(alpha, beta, gamma, n_max)
     for n, (direct, reindexed) in enumerate(zip(*sums)):
         if reindexed != direct:
             return _report("Eq4", grid, Counterexample.at(
@@ -401,14 +399,13 @@ def eq10_lhs(alpha: RatLike, beta: RatLike, gamma: RatLike, n: int) -> Rat:
     return Fraction(scaled, denom)
 
 
-def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
-                catalan: CatalanFn = catalan_gen) -> IdentityReport:
-    """Check the expansion against ``catalan`` for 1 <= n <= n_max, skipping
+def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
+    """Check the expansion against the counts for 1 <= n <= n_max, skipping
     (and listing) rows where its denominator vanishes.  Rows are compared
     times their denominators, so integral points compare integers."""
     point, text = _point(alpha, beta, gamma)
     grid = f"{text}, 1<=n<={n_max}"
-    cats = _catalans(beta, gamma, n_max, catalan)  # checks n_max
+    cats = _catalans(beta, gamma, n_max)  # checks n_max
     skipped: list[str] = []
     for n, (scaled, denom) in enumerate(_eq10_row_sums(alpha, beta, gamma, n_max)):
         if n and denom == 0:
@@ -419,12 +416,11 @@ def verify_eq10(alpha: RatLike, beta: RatLike, gamma: RatLike, n_max: int,
     return _report("Eq10", grid, None, skipped)
 
 
-def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int,
-                                catalan: CatalanFn = catalan_gen) -> IdentityReport:
+def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int) -> IdentityReport:
     """Verify every link of the alpha = 0 reduction chain separately:
     (i) splitting the k/n weight into 1 - (n-k)/n, (ii) the two Vandermonde
-    evaluations, (iii) recombination to ``catalan``."""
-    check_nat(n_max, "n_max")
+    evaluations, (iii) recombination to the counts."""
+    cats = _catalans(beta, gamma, n_max)  # checks n_max
     beta, gamma = Fraction(beta), Fraction(gamma)
     grid = f"beta={rat_str(beta)}, gamma={rat_str(gamma)}, 1<=n<={n_max}"
 
@@ -448,9 +444,8 @@ def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int,
             return fail(n, f"{a1},{Fraction(a2_n, n)}", f"{v1},{v2}",
                         "link (ii): Vandermonde evaluations")
         recombined = v1 + sign * (b - 1) * choose(m_top - 1 - g, n - 1)
-        closed = catalan(n, beta, gamma)
-        if recombined != closed:
-            return fail(n, recombined, closed, "link (iii): recombination")
+        if recombined != cats[n]:
+            return fail(n, recombined, cats[n], "link (iii): recombination")
     return _report("ClosedForm", grid, None)
 
 
@@ -613,12 +608,20 @@ def _object(value: object, name: str) -> Mapping:
 
 
 def _literal(value: object) -> Rat:
-    """A config list entry as a rational; a zero denominator is a ValueError,
-    as it is for a flag."""
+    """A config list entry or interval bound as a rational; a zero denominator
+    is a ValueError, as it is for a flag."""
     try:
         return as_rat(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {value!r}") from None
+
+
+def _array(value: object, name: str, size: Optional[int] = None) -> Sequence:
+    """A config list as read: a list or tuple, of ``size`` entries where size is
+    given, never a string read as its characters."""
+    if isinstance(value, (list, tuple)) and size in (None, len(value)):
+        return value
+    raise ValueError(f"{name} must be an array{'' if size is None else f' of {size} entries'}, got {value!r}")
 
 
 class _Interval:
@@ -630,8 +633,8 @@ class _Interval:
 
     def __init__(self, name: str, spec: Mapping) -> None:
         try:
-            lo, hi, step = (as_rat(spec[key]) for key in ("min", "max", "step"))
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+            lo, hi, step = (_literal(spec[key]) for key in ("min", "max", "step"))
+        except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad interval {spec!r}: {exc}") from None
         if step <= 0:
             raise ConfigError(f"interval step must be positive, got {rat_str(step)}")
@@ -663,7 +666,7 @@ class _Axis(NamedTuple):
         if self.kind == "interval":
             return _Interval(self.name, cfg[self.name])
         if self.kind == "list":
-            value = cfg[self.name]
+            value = _array(cfg[self.name], self.name)
             short = self.least > 0 and not value
         else:
             value = cfg.get(self.name)
@@ -698,8 +701,8 @@ class _Section(NamedTuple):
 
 
 def _check_eq2(run: _Run, v: SimpleNamespace, *point: RatLike) -> Optional[Counterexample]:
-    failure = _eq2_failure(*point, v.n_max, run.catalan)
-    if failure is None and run.catalan is catalan_gen:
+    failure = _eq2_failure(*point, v.n_max)
+    if failure is None:
         run.eq2_passed.add((*point, v.n_max))
     return failure
 
@@ -714,9 +717,8 @@ def _check_cross(run: _Run, v: SimpleNamespace, beta: int, gamma: int,
                  offset: int) -> Optional[Counterexample]:
     """The signed census and the array row sums must both reproduce the direct sum."""
     alpha, n_max = gamma + offset, v.n_max
-    sums = row_sums_from(_columns(alpha, beta, n_max),
-                         _gf(beta, gamma, max(n_max, 1), run.catalan)).coeffs
-    for n, direct in enumerate(_eq2_row_sums(alpha, beta, gamma, n_max, run.catalan)[0]):
+    sums = row_sums_from(_columns(alpha, beta, n_max), _gf(beta, gamma, max(n_max, 1))).coeffs
+    for n, direct in enumerate(_eq2_row_sums(alpha, beta, gamma, n_max)[0]):
         census = signed_sum(beta, n, gamma, alpha)
         params = {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n}
         if census != direct:
@@ -734,7 +736,7 @@ def _rationals(texts: Iterable) -> list[tuple[object, RatLike]]:
 def _check_family(run: _Run, v: SimpleNamespace, *items: tuple) -> Optional[Counterexample]:
     """The plain and derivative-form summation checks must both accept the family instance."""
     texts, point = zip(*items)
-    plain, modified = _family_pieces(*point, v.order, run.catalan)
+    plain, modified = _family_pieces(*point, v.order)
     params = {**dict(zip(("alpha", "beta", "gamma"), texts)), "order": v.order}
     if not summation_check(*plain):
         return Counterexample.at(params, "row sums", "target coefficients", "summation-matrix check")
@@ -754,7 +756,7 @@ def _check_eq7(run: _Run, v: SimpleNamespace, beta: RatLike, gamma: RatLike) -> 
     sum_k a[k] * f**k, the row sums of the array (1, f), whose columns every
     gamma of a beta reads."""
     order = v.order
-    composed = row_sums_from(_columns(0, beta, order), _gf(beta, gamma, order, run.catalan))
+    composed = row_sums_from(_columns(0, beta, order), _gf(beta, gamma, order))
     if composed == _binpow(-gamma, order):
         return None
     return Counterexample.at({"beta": rat_str(beta), "gamma": rat_str(gamma), "order": order},
@@ -762,7 +764,8 @@ def _check_eq7(run: _Run, v: SimpleNamespace, beta: RatLike, gamma: RatLike) -> 
 
 
 def _alpha_pairs(pairs: Iterable) -> list[tuple[RatLike, RatLike]]:
-    parsed = [(_narrow(_literal(alpha1)), _narrow(_literal(alpha2))) for alpha1, alpha2 in pairs]
+    parsed = [tuple(_narrow(_literal(alpha)) for alpha in _array(pair, "eq8 alpha pair", 2))
+              for pair in pairs]
     if not parsed:
         raise ValueError("need at least one alpha pair")
     return parsed
@@ -771,8 +774,7 @@ def _alpha_pairs(pairs: Iterable) -> list[tuple[RatLike, RatLike]]:
 def _check_eq8(run: _Run, v: SimpleNamespace, beta: RatLike,
                pair: tuple[RatLike, RatLike]) -> Optional[Counterexample]:
     (alpha1, alpha2), order = pair, v.order
-    if series_mul(_gf(beta, alpha1, order, run.catalan), _gf(beta, alpha2, order, run.catalan)) \
-            == _gf(beta, alpha1 + alpha2, order, run.catalan):
+    if series_mul(_gf(beta, alpha1, order), _gf(beta, alpha2, order)) == _gf(beta, alpha1 + alpha2, order):
         return None
     return Counterexample.at({"beta": rat_str(beta), "alpha1": rat_str(alpha1),
                               "alpha2": rat_str(alpha2), "order": order},
@@ -788,7 +790,7 @@ def _gould_pairs(pairs: Iterable) -> list[tuple[object, GouldPair]]:
     """Each eq9 pair (a, m, z), as given and as its GouldPair."""
     out = []
     for given in pairs:
-        a, m, z = map(_literal, given)
+        a, m, z = map(_literal, _array(given, "eq9 pair", 3))
         message = f"eq9 pair {given}: a must be an integer, got {rat_str(a)}"
         out.append((given, GouldPair(_integral(a, message), m, z)))
     return out
@@ -848,7 +850,7 @@ def _inverse_pair(pair: GouldPair, length: int) -> bool:
 
 
 def _check_eq10(run: _Run, v: SimpleNamespace, *point: RatLike) -> Optional[Counterexample]:
-    report = verify_eq10(*point, v.n_max, run.catalan)
+    report = verify_eq10(*point, v.n_max)
     v.skipped.extend(f"{_point(*point)[1]}, {item}" for item in report.skipped)
     return report.counterexample
 
@@ -873,7 +875,7 @@ def _scalar_grid(v: SimpleNamespace) -> str:
 # The suite's sections in run order.
 _SECTIONS = (
     _Section("eq1", "Eq1", (_n_max(),),
-             lambda run, v: verify_eq2(1, 2, 1, v.n_max, run.catalan).counterexample,
+             lambda run, v: verify_eq2(1, 2, 1, v.n_max).counterexample,
              lambda v: f"{_point(1, 2, 1)[1]}, n<={v.n_max}"),
     # The direct grid, then the census and array-row route and the summation checks.
     _Section("eq2", "Eq2", (*_intervals("alpha", "beta", "gamma"), _n_max()), _check_eq2,
@@ -892,7 +894,7 @@ _SECTIONS = (
              lambda run, v, *point: verify_eq3(*point, v.n_total_max).counterexample,
              lambda v: f"p={list(v.p[0])}, {v.gamma}, {v.alpha}, sum(n)<={v.n_total_max}",
              read=_read_eq3),
-    # Eq4 takes its verdict from Eq2 at every point Eq2 passed with the true counts.
+    # Eq4 takes its verdict from Eq2 at every point Eq2 passed.
     _Section("eq4", "Eq4", (*_intervals("alpha", "beta", "gamma"), _n_max()),
              lambda run, v, *point: None if (*point, v.n_max) in run.eq2_passed
              else verify_eq4(*point, v.n_max).counterexample,
@@ -916,8 +918,7 @@ _SECTIONS = (
     _Section("closed_form", "ClosedForm",
              (*_intervals("beta", "gamma"),
               _n_max(1, "closed_form rows are 1 <= n <= n_max: need n_max >= 1")),
-             lambda run, v, *point: closed_form_reduction_check(
-                 *point, v.n_max, run.catalan).counterexample,
+             lambda run, v, *point: closed_form_reduction_check(*point, v.n_max).counterexample,
              lambda v: f"{v.beta}, {v.gamma}, n<={v.n_max}"),
 )
 

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .counting import CatalanFn, catalan_gen, catalan_sequence
+from .counting import catalan_sequence
 from .exact import Frozen, Rat, RatLike, as_rat, check_nat, cleared, rat_str
 
 
@@ -314,10 +314,10 @@ def modified_riordan_check(r: RiordanArray, a: Series, l: Series) -> bool:
 # The two-parameter family behind the Catalan identities
 # ---------------------------------------------------------------------------
 
-def catalan_gf(beta: RatLike, gamma: RatLike, order: int,
-               catalan: CatalanFn = catalan_gen) -> Series:
-    """Generating function of catalan(., beta, gamma) up to ``order``."""
-    return Series(catalan_sequence(beta, gamma, order, catalan))
+def catalan_gf(beta: RatLike, gamma: RatLike, order: int) -> Series:
+    """Generating function of catalan_gen(., beta, gamma) up to ``order``, its
+    coefficients those of counting.catalan_sequence."""
+    return Series(catalan_sequence(beta, gamma, order))
 
 
 def family_f(beta: RatLike, order: int) -> Series:

@@ -677,6 +677,22 @@ VERIFY_CONFIG_CHECKS = {
     "eq9-zero-denominator": (
         {"eq9": {"length": 3, "sequences": 1, "seed": 1, "pairs": [["1", "1/0", "1"]]}},
         "zero denominator: '1/0'"),
+    # A list is a JSON array, never a string read as its characters, and a
+    # pair has its own number of entries.
+    "family-axis-string": ({"eq2": {**_POINT, "family": {**_FAMILY, "alphas": "123"}}},
+                           "alphas must be an array, got '123'"),
+    "cross-axis-number": ({"eq2": {**_POINT, "cross": {**_CROSS, "betas": 2}}},
+                          "betas must be an array, got 2"),
+    "eq8-pair-string": (
+        {"eq8": {"beta": _interval("1", "2"), "alpha_pairs": ["12"], "order": 3}},
+        "eq8 alpha pair must be an array of 2 entries, got '12'"),
+    "eq8-pair-length": (
+        {"eq8": {"beta": _interval("1", "2"), "alpha_pairs": [["1", "2", "3"]], "order": 3}},
+        "eq8 alpha pair must be an array of 2 entries, got ['1', '2', '3']"),
+    "eq9-pair-string": ({"eq9": {"length": 3, "sequences": 1, "seed": 1, "pairs": ["123"]}},
+                        "eq9 pair must be an array of 3 entries, got '123'"),
+    "eq9-pair-length": ({"eq9": {"length": 3, "sequences": 1, "seed": 1, "pairs": [["1", "1"]]}},
+                        "eq9 pair must be an array of 3 entries, got ['1', '1']"),
 }
 
 
@@ -751,6 +767,13 @@ class TestVerify:
         path.write_text(json.dumps({"eq1": 5}))
         code, out, err = run_cli(capsys, "verify", "--config", str(path))
         assert (code, out, err) == (2, "", "error: config section eq1 must be a JSON object\n")
+
+    def test_zero_denominator_interval_names_the_literal(self, capsys, tmp_path):
+        interval = {"min": "1", "max": "2", "step": "1/0"}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"eq7": {"beta": interval, "gamma": _interval("0", "1"), "order": 3}}))
+        assert run_cli(capsys, "verify", "--config", str(path)) == (
+            2, "", f"error: bad interval {interval!r}: zero denominator: '1/0'\n")
 
     @pytest.mark.parametrize("section,message", VERIFY_CONFIG_CHECKS.values(),
                              ids=list(VERIFY_CONFIG_CHECKS))

@@ -74,18 +74,19 @@ class TestEq2:
     def test_rational_parameters(self):
         assert verify_eq2(F(7, 2), F(5, 3), F(-1, 2), 8).ok
 
-    def test_corrupted_oracle_fails_with_counterexample(self):
+    def test_corrupted_oracle_fails_with_counterexample(self, monkeypatch):
         def corrupted(n, beta, gamma):
             return catalan_gen(n, beta, gamma) + (1 if n == 3 else 0)
 
-        report = verify_eq2(1, 2, 1, 6, catalan=corrupted)
+        monkeypatch.setattr(identities, "catalan_gen", corrupted)
+        report = verify_eq2(1, 2, 1, 6)
         assert not report.ok
         assert report.counterexample is not None
         params = dict(report.counterexample.params)
         assert params["n"] == "3"
         # the counterexample is reproducible
         n = int(params["n"])
-        assert eq2_lhs(1, 2, 1, n, catalan=corrupted) != eq2_rhs(1, 1, n)
+        assert eq2_lhs(1, 2, 1, n) != eq2_rhs(1, 1, n)
 
 
 def eq3_sides(p, n_vec, gamma, alpha):
@@ -404,11 +405,10 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("alpha,beta,gamma", [(2, 0, 1), (F(1, 2), 3, F(-1, 2))])
     def test_failing_eq10_row_shows_the_unscaled_sum(self, monkeypatch, alpha, beta, gamma):
-        def corrupted(beta, gamma, n_max, catalan=catalan_gen, start=0):
-            counts = catalan_sequence(beta, gamma, n_max, catalan)
-            return [c + (n == 3) for n, c in enumerate(counts)][start:]
+        def corrupted(n, beta, gamma):
+            return catalan_gen(n, beta, gamma) + (n == 3)
 
-        monkeypatch.setattr(identities, "catalan_sequence", corrupted)
+        monkeypatch.setattr(identities, "catalan_gen", corrupted)
         report = verify_eq10(alpha, beta, gamma, 6)
         assert report.counterexample.to_json() == {
             "params": {"alpha": str(F(alpha)), "beta": str(beta), "gamma": str(F(gamma)), "n": "3"},
@@ -728,8 +728,9 @@ class TestSuite:
         assert reports[0].counterexample is not None
 
     # A run has one oracle: every section that reads the Catalan counts,
-    # through their generating functions too, fails under the hook; Eq3 (the
-    # vector counts), Eq4 (two sums of the same values) and Eq9 read none.
+    # through their generating functions too, fails under the hook, but Eq4,
+    # whose two sums read the same broken counts; Eq3 (the vector counts)
+    # and Eq9 read none.
     @pytest.mark.parametrize("key,ok", [
         ("eq1", False), ("eq2", False), ("eq3", True), ("eq4", True), ("eq7", False),
         ("eq8", False), ("eq9", True), ("eq10", False), ("closed_form", False)])
@@ -873,9 +874,8 @@ class TestCheckersAreReadByName:
         assert calls == {
             "verify_eq3": [((2,), gamma, alpha, 2) for gamma in (0, 1) for alpha in (0, F(1, 2), 1)],
             "verify_eq4": [(3, beta, gamma, 3) for beta in (1, 2) for gamma in (1, 2)],
-            "verify_eq10": [(alpha, beta, 1, 3, catalan_gen) for alpha in (0, 1) for beta in (1, 2)],
-            "closed_form_reduction_check": [(beta, gamma, 3, catalan_gen) for beta in (0, 1)
-                                            for gamma in (1, 2, 3)],
+            "verify_eq10": [(alpha, beta, 1, 3) for alpha in (0, 1) for beta in (1, 2)],
+            "closed_form_reduction_check": [(beta, gamma, 3) for beta in (0, 1) for gamma in (1, 2, 3)],
         }
 
 
@@ -890,16 +890,15 @@ def _recorded(calls: list, fn, key):
 class TestRunScope:
     """The tables of a run_suite call live only for that call."""
 
-    SECTIONS = {key: DEFAULT_CONFIG[key] for key in ("eq1", "eq2", "eq4", "eq10")}
+    SECTIONS = {key: DEFAULT_CONFIG[key] for key in ("eq1", "eq2", "eq4", "eq10", "closed_form")}
 
     def test_each_table_entry_is_built_once_per_run(self, monkeypatch):
         rows, cats, closed = [], [], []
         monkeypatch.setattr(identities, "_gould_rows", _recorded(
             rows, identities._gould_rows, lambda a, m, z, length, backward=False:
             (a, m, z, length, backward)))
-        monkeypatch.setattr(identities, "catalan_sequence", _recorded(
-            cats, catalan_sequence, lambda beta, gamma, n_max, catalan, start:
-            (beta, gamma, start, n_max, catalan)))
+        # The run's oracle is the recorder, which every section asks for its counts.
+        monkeypatch.setattr(identities, "catalan_gen", _recorded(cats, catalan_gen, lambda *key: key))
         monkeypatch.setattr(identities, "eq2_rhs", _recorded(
             closed, eq2_rhs, lambda alpha, gamma, n: (F(alpha) - F(gamma), n)))
         for _ in range(2):  # the second run builds everything again
@@ -910,13 +909,17 @@ class TestRunScope:
             # 35 count sequences (beta, gamma), the cross route's 8 row sets, and
             # Eq10's 24 backward row sets; Eq4 takes every verdict from Eq2.
             assert len(rows) == len(set(rows)) == 1 + 45 + 8 + 24
-            # Eq1's (2, 1) up to n = 8 is extended to 12 by Eq2, whose 35
-            # sequences serve the cross route's 4 (up to 4, for its sums and
-            # their generating functions) and Eq10's 20 (up to 10) as prefixes;
-            # the family route's 6 generating functions extend theirs to 15.
-            assert len(cats) == len(set(cats)) == 1 + 35 + 6
-            assert sorted(key[2:4] for key in cats) == sorted(
-                [(0, 8), (9, 12)] + [(0, 12)] * 34 + [(13, 15)] * 6)
+            # The oracle is asked for each (n, beta, gamma) once: Eq1's (2, 1)
+            # up to n = 8 is extended to 12 by Eq2, whose 35 sequences serve the
+            # cross route's 4 (up to 4, for its sums and their generating
+            # functions), Eq10's 20 (up to 10) and ClosedForm's 24 with beta >= 0
+            # (up to 10) as prefixes; the family route's 6 generating functions
+            # extend theirs to 15, and ClosedForm's 6 at beta = -1 are its own.
+            eq2 = {(n, beta, gamma) for beta in range(5) for gamma in range(-2, 5) for n in range(13)}
+            family = {(n, beta, gamma) for beta in (1, 2, 3) for gamma in (1, 2) for n in range(13, 16)}
+            closed_form = {(n, -1, gamma) for gamma in range(-2, 4) for n in range(11)}
+            assert len(cats) == len(set(cats)) == 35 * 13 + 6 * 3 + 6 * 11
+            assert set(cats) == eq2 | family | closed_form
             # The closed forms per alpha - gamma, each n once: Eq1's 0 up to
             # n = 8, extended to 12 by Eq2's -7..7, whose prefixes serve Eq10's -5..4.
             assert sorted(closed) == sorted((x, n) for x in range(-7, 8) for n in range(13))
@@ -993,7 +996,7 @@ class TestRunScope:
 
         run_suite({"eq1": {"n_max": 2}})
         assert identities._ACTIVE_RUN.get() is None
-        monkeypatch.setattr(identities, "catalan_sequence", broken)
+        monkeypatch.setattr(identities, "catalan_gen", broken)
         with pytest.raises(ArithmeticError):
             run_suite({"eq1": {"n_max": 2}})
         assert identities._ACTIVE_RUN.get() is None
@@ -1036,8 +1039,8 @@ class TestSeriesTables:
         token = identities._ACTIVE_RUN.set(run)
         try:
             for g in (gamma, gamma + 1):
-                identities._catalans(beta, g, 12, catalan_gen)
-            got = identities._gf(beta, gamma, order, catalan_gen)
+                identities._catalans(beta, g, 12)
+            got = identities._gf(beta, gamma, order)
         finally:
             identities._ACTIVE_RUN.reset(token)
         assert got.coeffs == catalan_gf(beta, gamma, order).coeffs
@@ -1052,8 +1055,8 @@ def _gf_bumped_at(beta, gamma):
     """identities._gf with coefficient 3 plus 1 at (beta, gamma) only."""
     honest = identities._gf
 
-    def gf(b, g, order, catalan):
-        s = honest(b, g, order, catalan)
+    def gf(b, g, order):
+        s = honest(b, g, order)
         return _bumped(s, 3) if (b, g) == (beta, gamma) else s
     return gf
 
@@ -1282,7 +1285,7 @@ MALFORMED_SECTIONS = [
     ("eq7", {"beta": _interval("1", "2"), "gamma": _interval("0", "1")},
      "order must be a non-negative integer, got None"),
     ("eq8", {"beta": _interval("1", "2"), "alpha_pairs": [["1"]], "order": 3},
-     "malformed config: not enough values to unpack"),
+     "malformed config: eq8 alpha pair must be an array of 2 entries, got ['1']"),
     ("eq9", {"length": 3, "sequences": 1, "seed": "x", "pairs": []},
      "eq9 needs an integer seed"),
     ("eq10", {"alpha": _interval("1", "1"), "beta": _interval("2", "2"),

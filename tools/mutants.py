@@ -168,8 +168,8 @@ MUTANTS = (
             "test_the_cross_census_is_sized_before_it_counts")),
     Mutant("a generating function reads the run's counts at another gamma",
            "src/catalania/identities.py",
-           "lambda: Series(_catalans(beta, gamma, order, catalan)))",
-           "lambda: Series(_catalans(beta, gamma + 1, order, catalan)))",
+           "lambda: Series(_catalans(beta, gamma, order)))",
+           "lambda: Series(_catalans(beta, gamma + 1, order)))",
            ("tests/test_identities.py::TestSeriesTables::test_generating_functions_are_catalan_gf",
             "tests/test_identities.py::TestGoldenReports::test_report_bytes_are_pinned")),
     Mutant("the console entry ends without flushing stdout",
@@ -235,6 +235,25 @@ MUTANTS = (
            "import sys\nfrom fractions import Fraction\n",
            ("tests/test_cli.py::test_subcommand_runs_only_its_layers[help]",
             "tests/test_cli.py::test_subcommand_runs_only_its_layers[usage-error]")),
+    Mutant("the table of counts ignores the run's oracle",
+           "src/catalania/identities.py",
+           "    catalan = catalan_gen if run is None else run.catalan\n",
+           "    catalan = catalan_gen\n",
+           ("tests/test_identities.py::TestSuite::"
+            "test_corrupt_catalan_reaches_every_section_that_reads_the_counts",)),
+    Mutant("ClosedForm's link (iii) asks the oracle again instead of reading the run's counts",
+           "src/catalania/identities.py",
+           "        if recombined != cats[n]:\n",
+           "        if recombined != catalan_gen(n, beta, gamma):\n",
+           ("tests/test_identities.py::TestSuite::"
+            "test_corrupt_catalan_reaches_every_section_that_reads_the_counts[closed_form-False]",
+            "tests/test_identities.py::TestRunScope::test_each_table_entry_is_built_once_per_run")),
+    Mutant("a config list accepts a string, read as its characters",
+           "src/catalania/identities.py",
+           "isinstance(value, (list, tuple)) and",
+           "isinstance(value, (list, tuple, str)) and",
+           tuple(f"tests/test_cli.py::TestVerify::test_each_config_check_is_a_usage_error[{case}]"
+                 for case in ("family-axis-string", "eq8-pair-string", "eq9-pair-string"))),
 )
 
 
