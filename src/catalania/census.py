@@ -8,11 +8,10 @@ estimate, to produce more than the CATALANIA_MAX_STRUCTS budget (default
 before it counts.
 
 ``count_mixed_forests`` (``count_forests``) counts the forests that
-``forest.iter_mixed_forests`` yields, and builds no pool and no tree: it
-multiplies pool sizes from one table (``_size_table``), each pool's size
-being the sum over its splits (``tree_plan``) of its parts' sizes
-multiplied.  The table is built bottom-up, not by recursion, so no depth
-of tree reaches the recursion limit.
+``forest.iter_mixed_forests`` yields with no pool, tree or split, from one
+table (``_forest_counts``) keyed on each forest's first vertex in preorder:
+box x (leaf_count(gamma) + 1) x t cells, built row by row, not by
+recursion, so no depth of tree reaches the recursion limit.
 
 A colored census of a profile splits profile.n into internal counts plus
 color marks.  ``census_terms`` lists each slice's alpha-free part,
@@ -20,7 +19,7 @@ color marks.  ``census_terms`` lists each slice's alpha-free part,
 whole census against the budget before the first slice.
 ``signed_sum_vector`` (``signed_sum``) builds no structure: all of a slice
 has one weight, so the slice adds that weight times its forests and its
-colorings.  After the budget check, the profile's size table counts every
+colorings.  After the budget check, the profile's table counts every
 slice's forests, as each residual lies below the profile; ``involution``
 and Eq2's census route in ``verify`` make this same call.
 
@@ -33,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import deque
 from fractions import Fraction
 from itertools import repeat
 from math import prod
-from operator import add, sub
-from typing import Iterable, Iterator
+from operator import add, mul, sub
+from typing import Iterator
 
 from .counting import VecProfile, catalan_vector
 from .exact import Rat, RatLike, check_nat, multinomial
@@ -133,47 +133,38 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     return (tuple(v for (v,) in split) for split in vector_compositions((total,), parts))
 
 
-# A split of a vertex's internal-vertex counts among its children, one
-# count vector per child.
-Split = tuple[tuple[int, ...], ...]
-
-
-def tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> tuple[Split, ...]:
-    """Each child split of a root, by root class, in canonical order.  A tree
-    without internal vertices is a leaf, the one tree of no children."""
-    if not any(counts):
-        return ((),)
-    return tuple(split for j, pj in enumerate(p) if counts[j] for split in vector_compositions(
-        tuple(c - (i == j) for i, c in enumerate(counts)), pj))
-
-
-def _size_table(counts: tuple[int, ...], p: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The size of every pool of at most ``counts`` internal vertices by
-    class, built bottom-up and building no pool: a pool's size sums the
-    products of its parts' sizes over its splits."""
-    sizes: dict[tuple[int, ...], int] = {}
-    for sub in itertools.product(*(range(c + 1) for c in counts)):
-        sizes[sub] = _total(sizes, tree_plan(sub, p))
-    return sizes
-
-
-def _total(sizes: dict[tuple[int, ...], int], splits: Iterable[Split]) -> int:
-    """The sum over ``splits`` of the products of their parts' sizes."""
-    return sum(prod(map(sizes.__getitem__, split)) for split in splits)
+def _forest_counts(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> list[int]:
+    """F(m, gamma), the gamma-component forests of count vector m, for each m
+    <= counts in product order.  A forest's first vertex in preorder leaves
+    k - 1 components if a leaf, k - 1 + p_j if of class j, so F(m, k) =
+    F(m, k - 1) + sum_j F(m - e_j, k - 1 + p_j), F(0, 0) = 1.  Row m runs k
+    to gamma + sum_j (counts_j - m_j)(p_j - 1), the most a later row reads;
+    row m - e_j is strides[j] rows back, so the window keeps strides[0]."""
+    strides = [prod(c + 1 for c in counts[j + 1:]) for j in range(len(counts))]
+    shifts = [pj - 1 for pj in p]
+    base = gamma + sum(map(mul, counts, shifts))
+    window: deque[list[int]] = deque(maxlen=strides[0])
+    out = []
+    for m in itertools.product(*(range(c + 1) for c in counts)):
+        top = base - sum(map(mul, m, shifts))
+        rests = [window[-stride][pj:pj + top] for mj, pj, stride in zip(m, p, strides) if mj]
+        inner = map(sum, zip(repeat(0, top), *rests))
+        row = list(itertools.accumulate(inner, initial=int(not any(m))))
+        window.append(row)
+        out.append(row[gamma])
+    return out
 
 
 def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
     """The number of forests forest.iter_mixed_forests(profile, gamma)
-    yields, with the same checks first: the forest splits' products summed
-    over the profile's table of pool sizes."""
+    yields, with the same checks first: the last entry of its table."""
     check_nat(gamma, "gamma")
     check_budget(catalan_vector(profile, gamma))
-    return _total(_size_table(profile.n, profile.p), vector_compositions(profile.n, gamma))
+    return _forest_counts(profile.n, profile.p, gamma)[-1]
 
 
 def count_forests(beta: int, n: int, gamma: int) -> int:
-    """The number of forests forest.iter_forests(beta, n, gamma) yields,
-    counted by count_mixed_forests."""
+    """The number of forests forest.iter_forests(beta, n, gamma) yields."""
     return count_mixed_forests(beta_profile(beta, n), gamma)
 
 
@@ -227,8 +218,7 @@ def census_sizes(profile: VecProfile, gamma: int, alpha: RatLike,
 
 def census_slices(profile: VecProfile, gamma: int, alpha: int,
                   ) -> list[tuple[VecProfile, tuple[int, ...], Rat]]:
-    """census_sizes, once the whole census is known to fit the structure
-    budget."""
+    """census_sizes, once the whole census is known to fit the budget."""
     sizes = census_sizes(profile, gamma, alpha)
     check_budget(sum(size for _, _, size in sizes))
     return sizes
@@ -253,16 +243,14 @@ def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
     """Sum of weights over all t-colored planted mixed forests with
     class-wise internal + colored counts equal to profile.n, counted, not
     built: the slice with ``marks`` adds (-1)**sum(marks) times its forests
-    times the colorings of their slots.  The census is checked against the
-    structure budget first; then one table of pool sizes, the profile's,
-    counts every slice's forests, as count_mixed_forests counts them.
-    Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
+    times the colorings of their slots.  After the budget check, the
+    profile's table, read backwards as the marks run forwards, counts every
+    slice's forests.  Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
     check_alpha_gamma(alpha, gamma)
     slices = census_slices(profile, gamma, alpha)
-    sizes = _size_table(profile.n, profile.p)
+    table = _forest_counts(profile.n, profile.p, gamma)
     total = 0
-    for residual, marks, _ in slices:
-        forests = _total(sizes, vector_compositions(residual.n, gamma))
+    for (residual, marks, _), forests in zip(slices, reversed(table)):
         slots = residual.leaf_count(gamma) - gamma + alpha
         total += (-1) ** sum(marks) * forests * _count_colorings(slots, marks)
     return Fraction(total)

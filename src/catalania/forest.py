@@ -24,7 +24,7 @@ pool is a tuple of tree texts, each "(" + its children's texts + ")" over
 its trees' texts once.  A pool of at most POOL_CACHE_MAX trees is built
 once and kept; a larger one is regenerated on each use, so memory stays
 bounded by the cap rather than by the output.  A pool's trees follow its
-``census.tree_plan``.  Pools are built bottom-up and no tree walk
+``tree_plan``.  Pools are built bottom-up and no tree walk
 recurses, so no depth of tree reaches the recursion limit.  Regenerating a
 pool over the cap nests, and only that: ``_product`` calls itself once per
 over-cap pool of a split after the first, so at most as deep as the split
@@ -49,7 +49,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .census import Split, beta_profile, check_budget, tree_plan, vector_compositions
+from .census import beta_profile, check_budget, vector_compositions
 from .counting import VecProfile, catalan_vector
 from .exact import Record, check_nat
 
@@ -131,6 +131,18 @@ def layout(text: str) -> Layout:
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
+
+Split = tuple[tuple[int, ...], ...]  # a root's children's counts, one vector each
+
+
+def tree_plan(counts: tuple[int, ...], p: tuple[int, ...]) -> tuple[Split, ...]:
+    """Each child split of a root, by root class, in canonical order.  A tree
+    without internal vertices is a leaf, the one tree of no children."""
+    if not any(counts):
+        return ((),)
+    return tuple(split for j, pj in enumerate(p) if counts[j] for split in vector_compositions(
+        tuple(c - (i == j) for i, c in enumerate(counts)), pj))
+
 
 # Subtree pools of at most this many trees are built once and kept; larger
 # ones are regenerated on each use.  For beta = 3 that keeps the pools of

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catalania import forest
+from catalania import census, forest
 from catalania.census import (EnumerationBudgetError, compositions, count_forests,
-                              count_mixed_forests, vector_compositions)
+                              count_mixed_forests, signed_sum, signed_sum_vector,
+                              vector_compositions)
 from catalania.counting import VecProfile, catalan_gen, catalan_vector
+from catalania.exact import binom, multinomial
 from catalania.forest import (
     LEAF,
     Forest,
@@ -193,12 +195,15 @@ class TestCountForests:
 
     # The empty forest is one item with no trees, with the leaf pool held or
     # not, and so are the gamma leaves of a forest without internal vertex
-    # when the leaf pool is over the cap.
+    # when the leaf pool is over the cap.  No forest of no trees has an
+    # internal vertex, and a unary class beside another adds no leaf.
     @given(profile=small_profiles, gamma=st.integers(0, 3),
            cap=st.sampled_from([0, 1, 2, 5, 30]))
     @example(profile=VecProfile((0,), (2,)), gamma=0, cap=30)
     @example(profile=VecProfile((0, 0), (1, 3)), gamma=0, cap=0)
     @example(profile=VecProfile((0,), (2,)), gamma=3, cap=0)
+    @example(profile=VecProfile((2, 1), (1, 3)), gamma=0, cap=30)
+    @example(profile=VecProfile((2, 2), (1, 2)), gamma=2, cap=5)
     @settings(max_examples=60, deadline=None)
     def test_mixed_count_is_the_stream_length(self, pool_cap, profile, gamma, cap):
         with pool_cap(cap):
@@ -214,6 +219,20 @@ class TestCountForests:
     def test_counts_near_the_budget(self, beta, n, gamma, want):
         assert count_forests(beta, n, gamma) == catalan_gen(n, beta, gamma) == want
 
+    def test_a_count_walks_no_split(self, monkeypatch):
+        # A count follows each forest's first vertex: it splits neither a
+        # residual among gamma trees nor a root's counts among its children.
+        def refuse(*args):
+            raise AssertionError("a count walked a split")
+
+        monkeypatch.setattr(census, "vector_compositions", refuse)
+        monkeypatch.setattr(forest, "tree_plan", refuse)
+        mixed = VecProfile((3, 2), (1, 3))
+        assert count_forests(2, 3, 100) == catalan_gen(3, 2, 100) == 182000
+        assert count_mixed_forests(mixed, 2) == catalan_vector(mixed, 2) == 840
+        assert signed_sum(2, 2, 300, 310) == binom(10, 2) == 45
+        assert signed_sum_vector(mixed, 2, 8) == -multinomial(6, (3, 2)) == -60
+
     def test_deep_count_recurses_nowhere(self, pool_cap):
         # At cap 0 every pool of the 3,000 unary pools is over the cap.
         with pool_cap(0):
@@ -221,7 +240,7 @@ class TestCountForests:
 
     def test_count_builds_no_pool(self, pool_cap, monkeypatch):
         # From empty pools, at any cap, the count builds no pool and no tree,
-        # held or regenerated: it reads pool sizes off the plans only.
+        # held or regenerated.
         def refuse(*args):
             raise AssertionError("a pool or a tree was built for the count")
 
@@ -236,8 +255,8 @@ class TestCountForests:
             assert count == (429, catalan_vector(profile, 2))
 
     def test_count_caches_no_plan(self, pool_cap):
-        # The size table reads plans made per count, so no plan outlives the
-        # count: a unary count would otherwise hold one per vertex count.
+        # The count reads no plan, so none outlives it: a unary count would
+        # otherwise hold one per vertex count.
         with pool_cap(forest.POOL_CACHE_MAX):
             assert count_forests(1, 500, 1) == 1
             assert count_mixed_forests(VecProfile((2, 1), (2, 3)), 2) == catalan_vector(

@@ -941,14 +941,14 @@ class TestRunScope:
         # Eq2's cross route shares no count between its censuses: each is
         # signed_sum(beta, n, gamma, alpha), as `catalania involution` calls
         # it, which checks the whole census against the budget and then
-        # builds the one table of pool sizes of its profile.
+        # builds the one table of forest counts of its profile.
         calls, events = [], []
         monkeypatch.setattr(identities, "signed_sum", _recorded(
             calls, signed_sum, lambda *args: args))
         monkeypatch.setattr(census, "check_budget", _recorded(
             events, census.check_budget, lambda estimate: "budget"))
-        monkeypatch.setattr(census, "_size_table", _recorded(
-            events, census._size_table, lambda counts, p: (p, counts)))
+        monkeypatch.setattr(census, "_forest_counts", _recorded(
+            events, census._forest_counts, lambda counts, p, gamma: (p, counts)))
         cross = DEFAULT_CONFIG["eq2"]["cross"]
         points = [(beta, n, gamma, gamma + offset) for beta, gamma, offset in itertools.product(
             cross["betas"], cross["gammas"], cross["alpha_offsets"]) for n in range(cross["n_max"] + 1)]
@@ -1449,12 +1449,12 @@ class TestEvaluationErrors:
 
     def test_the_cross_census_is_sized_before_it_counts(self, monkeypatch):
         # The census n = 3 at beta 2, gamma 1, alpha 1 holds 12 structures:
-        # it is checked whole, on closed-form counts, and builds no size
-        # table; the censuses n = 0, 1 and 2 before it fit and count.
+        # it is checked whole, on closed-form counts, and builds no table of
+        # forest counts; the censuses n = 0, 1 and 2 before it fit and count.
         monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "4")
         tables = []
-        monkeypatch.setattr(census, "_size_table", _recorded(
-            tables, census._size_table, lambda counts, p: counts))
+        monkeypatch.setattr(census, "_forest_counts", _recorded(
+            tables, census._forest_counts, lambda counts, p, gamma: counts))
         with pytest.raises(EnumerationBudgetError) as err:
             run_suite({"eq2": {**_EQ2_POINT, "cross": {**_CROSS, "n_max": 3}}})
         assert (err.value.estimate, err.value.budget) == (12, 4)

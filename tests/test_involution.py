@@ -369,13 +369,13 @@ class TestCensusBudget:
         assert (err.value.estimate, err.value.budget) == (14, 5)
 
     def test_counted_census_checks_before_any_count(self, monkeypatch):
-        # Sized on its closed-form terms: no size table is built and no
-        # coloring counted unless the whole census fits.
+        # Sized on its closed-form terms: no table of forest counts is built
+        # and no coloring counted unless the whole census fits.
         def refuse(*args):
             raise AssertionError("counted a slice before the census budget check")
 
         monkeypatch.setenv("CATALANIA_MAX_STRUCTS", "5")
-        for counter in ("_size_table", "_count_colorings"):
+        for counter in ("_forest_counts", "_count_colorings"):
             monkeypatch.setattr(census, counter, refuse)
         with pytest.raises(EnumerationBudgetError) as err:
             signed_sum(2, 2, 1, 4)

@@ -38,17 +38,22 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, each of which must fail
 
 
+# The tests that a fault in the table of forest counts must fail.
+COUNT_TESTS = ("tests/test_forest.py::TestCountForests::test_counts_the_generated_forests",
+               "tests/test_forest.py::TestCountForests::test_mixed_count_is_the_stream_length",
+               "tests/test_forest.py::TestCountForests::test_a_count_walks_no_split")
+
 MUTANTS = (
-    Mutant("the size table drops each pool's first split",
+    Mutant("the count table drops each row's first class of first vertex",
            "src/catalania/census.py",
-           "_total(sizes, tree_plan(sub, p))",
-           "_total(sizes, tree_plan(sub, p)[1:])",
+           "for mj, pj, stride in zip(m, p, strides) if mj]",
+           "for mj, pj, stride in zip(m, p, strides) if mj][1:]",
            ("tests/test_forest.py::TestCountForests::test_counts_at_any_cap",
             "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
-    Mutant("a split's size product is off by one",
+    Mutant("a count table cell's first-vertex sum is off by one",
            "src/catalania/census.py",
-           "sum(prod(map(sizes.__getitem__, split)) for split in splits)",
-           "sum(prod(map(sizes.__getitem__, split)) + 1 for split in splits)",
+           "zip(repeat(0, top), *rests)",
+           "zip(repeat(1, top), *rests)",
            ("tests/test_forest.py::TestCountForests::test_counts_the_generated_forests",
             "tests/test_forest.py::TestCountForests::test_counts_near_the_budget")),
     Mutant("a slice's coloring names its leaf of color j > 1 j - 1 places to the right",
@@ -149,8 +154,8 @@ MUTANTS = (
             "tests/test_identities.py::TestPairKernel::test_transforms_match_the_textbook_sums")),
     Mutant("the counted census reads every slice's forests at the whole profile",
            "src/catalania/census.py",
-           "_total(sizes, vector_compositions(residual.n, gamma))",
-           "_total(sizes, vector_compositions(profile.n, gamma))",
+           "zip(slices, reversed(table))",
+           "zip(slices, repeat(table[-1]))",
            ("tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census",
             "tests/test_identities.py::TestCrossRoute::test_a_wrong_census_is_the_counterexample")),
     Mutant("a row sum leaves column 1 unscaled to the common denominator",
@@ -254,6 +259,26 @@ MUTANTS = (
            "isinstance(value, (list, tuple, str)) and",
            tuple(f"tests/test_cli.py::TestVerify::test_each_config_check_is_a_usage_error[{case}]"
                  for case in ("family-axis-string", "eq8-pair-string", "eq9-pair-string"))),
+    Mutant("the count table drops the forests whose first vertex is a leaf",
+           "src/catalania/census.py",
+           "list(itertools.accumulate(inner, initial=int(not any(m))))",
+           "[int(not any(m)), *inner]",
+           COUNT_TESTS),
+    Mutant("a class-j first vertex leaves k + p_j components",
+           "src/catalania/census.py",
+           "window[-stride][pj:pj + top]",
+           "window[-stride][pj + 1:pj + 1 + top]",
+           COUNT_TESTS),
+    Mutant("a count is read at gamma - 1 components",
+           "src/catalania/census.py",
+           "out.append(row[gamma])",
+           "out.append(row[gamma - 1])",
+           COUNT_TESTS),
+    Mutant("the count table's window keeps one row too few",
+           "src/catalania/census.py",
+           "deque(maxlen=strides[0])",
+           "deque(maxlen=strides[0] - 1)",
+           COUNT_TESTS),
 )
 
 
