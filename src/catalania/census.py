@@ -14,14 +14,14 @@ box x (leaf_count(gamma) + 1) x t cells, built row by row, not by
 recursion, so no depth of tree reaches the recursion limit.
 
 A colored census of a profile splits profile.n into internal counts plus
-color marks.  ``census_terms`` lists each slice's alpha-free part,
-``census_sizes`` its number of structures, and ``census_slices`` checks the
-whole census against the budget before the first slice.
-``signed_sum_vector`` (``signed_sum``) builds no structure: all of a slice
-has one weight, so the slice adds that weight times its forests and its
-colorings.  After the budget check, the profile's table counts every
-slice's forests, as each residual lies below the profile; ``involution``
-and Eq2's census route in ``verify`` make this same call.
+color marks.  ``census_terms`` lists each slice's alpha-free part, and is
+the one reader of a census's forest counts, from the profile's table;
+``census_sizes`` gives each slice's size in closed form, and
+``census_slices`` checks the whole census against the budget before any
+slice or table.  ``signed_sum_vector`` (``signed_sum``) builds no
+structure: all of a slice has one weight, so the slice adds that weight
+times its forests and its colorings.  ``involution`` and Eq2's census route
+in ``verify`` make this same call; Eq3 in ``verify`` calls census_terms.
 
 ``forest.py`` builds the forests counted here and ``involution.py`` the
 colored structures, so ``verify``, ``trees count`` and ``involution``
@@ -133,26 +133,24 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     return (tuple(v for (v,) in split) for split in vector_compositions((total,), parts))
 
 
-def _forest_counts(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> list[int]:
-    """F(m, gamma), the gamma-component forests of count vector m, for each m
-    <= counts in product order.  A forest's first vertex in preorder leaves
-    k - 1 components if a leaf, k - 1 + p_j if of class j, so F(m, k) =
-    F(m, k - 1) + sum_j F(m - e_j, k - 1 + p_j), F(0, 0) = 1.  Row m runs k
+def _forest_counts(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> Iterator[int]:
+    """Yields F(m, gamma), the gamma-component forests of count vector m, for
+    each m <= counts in product order.  A forest's first vertex in preorder
+    leaves k - 1 components if a leaf, k - 1 + p_j if of class j, so F(m, k)
+    = F(m, k - 1) + sum_j F(m - e_j, k - 1 + p_j), F(0, 0) = 1.  Row m runs k
     to gamma + sum_j (counts_j - m_j)(p_j - 1), the most a later row reads;
     row m - e_j is strides[j] rows back, so the window keeps strides[0]."""
     strides = [prod(c + 1 for c in counts[j + 1:]) for j in range(len(counts))]
     shifts = [pj - 1 for pj in p]
     base = gamma + sum(map(mul, counts, shifts))
     window: deque[list[int]] = deque(maxlen=strides[0])
-    out = []
     for m in itertools.product(*(range(c + 1) for c in counts)):
         top = base - sum(map(mul, m, shifts))
         rests = [window[-stride][pj:pj + top] for mj, pj, stride in zip(m, p, strides) if mj]
         inner = map(sum, zip(repeat(0, top), *rests))
         row = list(itertools.accumulate(inner, initial=int(not any(m))))
         window.append(row)
-        out.append(row[gamma])
-    return out
+        yield row[gamma]
 
 
 def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
@@ -160,7 +158,7 @@ def count_mixed_forests(profile: VecProfile, gamma: int) -> int:
     yields, with the same checks first: the last entry of its table."""
     check_nat(gamma, "gamma")
     check_budget(catalan_vector(profile, gamma))
-    return _forest_counts(profile.n, profile.p, gamma)[-1]
+    return deque(_forest_counts(profile.n, profile.p, gamma), maxlen=1).pop()
 
 
 def count_forests(beta: int, n: int, gamma: int) -> int:
@@ -173,7 +171,7 @@ def count_forests(beta: int, n: int, gamma: int) -> int:
 # ---------------------------------------------------------------------------
 
 # One slice's alpha-free part: (residual profile, marks, forests, free_slots).
-Term = tuple[VecProfile, tuple[int, ...], Rat, int]
+Term = tuple[VecProfile, tuple[int, ...], int, int]
 
 
 def check_alpha_gamma(alpha: int, gamma: int) -> int:
@@ -185,35 +183,37 @@ def check_alpha_gamma(alpha: int, gamma: int) -> int:
     return alpha
 
 
+def _splits(profile: VecProfile, gamma: int) -> Iterator[tuple[VecProfile, tuple[int, ...], int]]:
+    """Each split of profile.n into internal counts plus color marks, as
+    (residual profile, marks, residual.leaf_count(gamma) - gamma) with marks
+    in lexicographic order; the residuals are built unchecked."""
+    for marks in itertools.product(*(range(nj + 1) for nj in profile.n)):
+        residual = VecProfile._make(tuple(map(sub, profile.n, marks)), profile.p)
+        yield residual, marks, residual.leaf_count(gamma) - gamma
+
+
 def census_terms(profile: VecProfile, gamma: int) -> list[Term]:
-    """The alpha-free part of every census slice: each split of profile.n
-    into internal counts plus color marks, as (residual profile, marks,
-    forests, free_slots) with marks in lexicographic order, forests =
-    catalan_vector(residual, gamma) and free_slots =
-    residual.leaf_count(gamma) - gamma.  The slice then holds forests *
+    """The alpha-free part of every census slice, as (residual profile,
+    marks, forests, free_slots) over _splits.  The slice holds forests *
     multinomial(free_slots + alpha, marks) structures: its forests, each
     with free_slots + alpha slots (the leaves and the alpha - gamma planted
-    roots) to color.  The residuals derive from the checked ``profile`` and
-    are built unchecked."""
-    out = []
-    for marks in itertools.product(*(range(nj + 1) for nj in profile.n)):
-        residual = VecProfile._make(tuple(nj - ij for nj, ij in zip(profile.n, marks)), profile.p)
-        out.append((residual, marks, catalan_vector(residual, gamma),
-                    residual.leaf_count(gamma) - gamma))
-    return out
+    roots) to color.  Every residual lies below the profile, so the
+    profile's table counts them all, read backwards as the marks run
+    forwards."""
+    table = list(_forest_counts(profile.n, profile.p, gamma))
+    return [(residual, marks, forests, free_slots)
+            for (residual, marks, free_slots), forests in zip(_splits(profile, gamma), reversed(table))]
 
 
 def census_sizes(profile: VecProfile, gamma: int, alpha: RatLike,
                  ) -> list[tuple[VecProfile, tuple[int, ...], Rat]]:
-    """Every split of profile.n into internal counts plus color marks, as
-    (residual profile, marks, size) with marks in lexicographic order and
-    size the number of structures
-    involution.enumerate_colored_vector(residual, marks, gamma, alpha)
-    yields, built on census_terms(profile, gamma).  Validates nothing and
-    checks no budget, so it also serves gamma = 0 and rational alpha, where
-    the sizes are formal."""
-    return [(residual, marks, forests * multinomial(free_slots + alpha, marks))
-            for residual, marks, forests, free_slots in census_terms(profile, gamma)]
+    """Each split of profile.n as (residual profile, marks, size), with size
+    the number of structures involution.enumerate_colored_vector(residual,
+    marks, gamma, alpha) yields, from catalan_vector, so that no table is
+    built.  Validates nothing and checks no budget, so it also serves gamma
+    = 0 and rational alpha, where the sizes are formal."""
+    return [(residual, marks, catalan_vector(residual, gamma) * multinomial(free_slots + alpha, marks))
+            for residual, marks, free_slots in _splits(profile, gamma)]
 
 
 def census_slices(profile: VecProfile, gamma: int, alpha: int,
@@ -243,16 +243,13 @@ def signed_sum_vector(profile: VecProfile, gamma: int, alpha: int) -> Rat:
     """Sum of weights over all t-colored planted mixed forests with
     class-wise internal + colored counts equal to profile.n, counted, not
     built: the slice with ``marks`` adds (-1)**sum(marks) times its forests
-    times the colorings of their slots.  After the budget check, the
-    profile's table, read backwards as the marks run forwards, counts every
-    slice's forests.  Equals (-1)**sum(n) * multinomial(alpha-gamma, n)."""
+    times the colorings of their slots.  After the budget check,
+    census_terms counts every slice's forests.  Equals (-1)**sum(n) *
+    multinomial(alpha-gamma, n)."""
     check_alpha_gamma(alpha, gamma)
-    slices = census_slices(profile, gamma, alpha)
-    table = _forest_counts(profile.n, profile.p, gamma)
-    total = 0
-    for (residual, marks, _), forests in zip(slices, reversed(table)):
-        slots = residual.leaf_count(gamma) - gamma + alpha
-        total += (-1) ** sum(marks) * forests * _count_colorings(slots, marks)
+    census_slices(profile, gamma, alpha)
+    total = sum((-1) ** sum(marks) * forests * _count_colorings(free_slots + alpha, marks)
+                for _, marks, forests, free_slots in census_terms(profile, gamma))
     return Fraction(total)
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 from .census import (EnumerationBudgetError, census_terms, check_alpha_gamma, check_arity, compositions,
                      signed_sum)
-from .counting import VecProfile, catalan_gen, check_outdegrees, eq2_rhs
+from .counting import VecProfile, catalan_gen, catalan_vector, check_outdegrees, eq2_rhs
 from .exact import (ConfigError, Rat, RatLike, Record, as_rat, binom, check_nat, cleared, falling,
                     int_binom, rat_str)
 from .riordan import (RiordanArray, Series, derivative_form_check, family_f, inverse_powers,
@@ -215,8 +215,8 @@ class _Run:
     Eq2's array routes, Eq7 and Eq8 (generating functions read off the
     Catalan counts, x(1-x)**(beta-1) and (1-x)**a); the array
     columns per (alpha, beta, n_max), which Eq7 reads at alpha = 0, and the
-    other pieces of the family route, see _family_pieces; and the census
-    terms of Eq3 per (p, n_vec, gamma), which every alpha of its grid reads.
+    other pieces of the family route, see _family_pieces; and Eq3's counted
+    census terms and catalan_vector per (p, n_vec, gamma), for all alphas.
     Eq2's cross route keeps no table of its own: each of its censuses is
     the signed_sum call of ``catalania involution``, which checks its
     budget and counts for itself.  An entry is built on its first use by the
@@ -454,8 +454,8 @@ def closed_form_reduction_check(beta: RatLike, gamma: RatLike, n_max: int) -> Id
 # ---------------------------------------------------------------------------
 
 def _census_terms(p: tuple[int, ...], n_vec: tuple[int, ...], gamma: int) -> tuple:
-    """census_terms of the census of (p, n_vec, gamma), its alpha-free part,
-    which Eq3 reads at every alpha."""
+    """census_terms of the census of (p, n_vec, gamma), its alpha-free part
+    with counted forests, which Eq3 reads at every alpha."""
     return _shared(("census terms", p, n_vec, gamma),
                    lambda: tuple(census_terms(VecProfile(n_vec, p), gamma)))
 
@@ -476,25 +476,22 @@ def _eq3_sides(terms: Sequence[tuple], n_vec: tuple[int, ...], gamma: int,
     """(D * lhs, D * rhs, D) of Eq3 at n_vec and alpha = a/q, for the census
     ``terms``; an empty ``terms`` gives lhs = 0.
 
-    With N = sum(n_vec), D = q**N * prod(n_j!) times the lcm of the
-    denominators of the terms' forest counts (1 for true counts).  The
-    census slice of marks i holds forests * multinomial(free_slots + alpha,
-    i) structures, which is forests * _falling_blocks(free_slots*q + a, q, i)
-    * q**(N - |i|) * prod(n_j!/i_j!) over D; the right side (-1)**N *
-    multinomial(alpha - gamma, n_vec) is _falling_blocks(a - gamma*q, q,
-    n_vec) over D.  Both scaled sides are integers at natural gamma, and the
-    identity holds exactly where they are equal."""
+    With N = sum(n_vec), D = q**N * prod(n_j!).  The census slice of marks
+    i holds forests * multinomial(free_slots + alpha, i) structures, which
+    is forests * _falling_blocks(free_slots*q + a, q, i) * q**(N - |i|) *
+    prod(n_j!/i_j!) over D; the right side (-1)**N * multinomial(alpha -
+    gamma, n_vec) is _falling_blocks(a - gamma*q, q, n_vec) over D.  Both
+    scaled sides are integers at natural gamma, and the identity holds
+    exactly where they are equal."""
     total = sum(n_vec)
-    clear = lcm(*(forests.denominator for _, _, forests, _ in terms))
     lhs = 0
     for _, marks, forests, free_slots in terms:
-        term = (forests.numerator * (clear // forests.denominator)
-                * _falling_blocks(free_slots * q + a, q, marks) * q ** (total - sum(marks)))
+        term = forests * _falling_blocks(free_slots * q + a, q, marks) * q ** (total - sum(marks))
         for nj, ij in zip(n_vec, marks):
             term *= perm(nj, nj - ij)
         lhs += -term if sum(marks) % 2 else term
-    rhs = clear * _falling_blocks(a - gamma * q, q, n_vec)
-    scale = clear * q**total
+    rhs = _falling_blocks(a - gamma * q, q, n_vec)
+    scale = q**total
     for nj in n_vec:
         scale *= factorial(nj)
     return lhs, -rhs if total % 2 else rhs, scale
@@ -503,7 +500,8 @@ def _eq3_sides(terms: Sequence[tuple], n_vec: tuple[int, ...], gamma: int,
 def verify_eq3(p: Sequence[int], gamma: int, alpha: RatLike, n_max_total: int) -> IdentityReport:
     """Check the vector identity for every n-vector with sum <= n_max_total,
     on the integers of _eq3_sides; a Fraction is built only to report a
-    failing point."""
+    failing point.  The link then compares each census's counted no-mark
+    forests with catalan_vector, once per (p, n, gamma) in a run."""
     p = check_outdegrees(p)
     check_nat(gamma, "gamma")
     check_nat(n_max_total, "n_max_total")
@@ -512,12 +510,16 @@ def verify_eq3(p: Sequence[int], gamma: int, alpha: RatLike, n_max_total: int) -
     grid = f"p={list(p)}, gamma={gamma}, alpha={rat_str(alpha)}, sum(n)<={n_max_total}"
     for total in range(n_max_total + 1):
         for n_vec in compositions(total, len(p)):
-            lhs, rhs, scale = _eq3_sides(_census_terms(p, n_vec, gamma), n_vec, gamma, a, q)
-            if lhs != rhs:
+            terms = _census_terms(p, n_vec, gamma)
+            lhs, rhs, scale = _eq3_sides(terms, n_vec, gamma, a, q)
+            closed = _shared(("vector catalan", p, n_vec, gamma),
+                             lambda: catalan_vector(VecProfile(n_vec, p), gamma))
+            if lhs != rhs or terms[0][2] != closed:
                 params = {"p": str(list(p)), "gamma": gamma,
                           "alpha": rat_str(alpha), "n": str(list(n_vec))}
-                return _report("Eq3", grid, Counterexample.at(
-                    params, Fraction(lhs, scale), Fraction(rhs, scale)))
+                sides = ((Fraction(lhs, scale), Fraction(rhs, scale)) if lhs != rhs
+                         else (terms[0][2], closed, "vector Catalan closed form vs count"))
+                return _report("Eq3", grid, Counterexample.at(params, *sides))
     return _report("Eq3", grid, None)
 
 

@@ -233,6 +233,19 @@ class TestCountForests:
         assert signed_sum(2, 2, 300, 310) == binom(10, 2) == 45
         assert signed_sum_vector(mixed, 2, 8) == -multinomial(6, (3, 2)) == -60
 
+    def test_census_terms_count_the_closed_form_forests(self):
+        # Each profile's one table counts the forests of every residual below
+        # it, and each count is an int equal to the paper's vector formula.
+        profiles = [(VecProfile(n_vec, p), gamma)
+                    for p in ((2,), (3,), (1, 2), (2, 3), (1, 2, 4), (2, 3, 5)) for gamma in range(4)
+                    for total in range(6) for n_vec in compositions(total, len(p))]
+        assert len(profiles) == 664
+        for profile, gamma in profiles:
+            terms = census.census_terms(profile, gamma)
+            counted = [(residual, forests) for residual, _, forests, _ in terms]
+            assert counted == [(residual, catalan_vector(residual, gamma)) for residual, _ in counted]
+            assert {type(forests) for _, forests in counted} == {int}
+
     def test_deep_count_recurses_nowhere(self, pool_cap):
         # At cap 0 every pool of the 3,000 unary pools is over the cap.
         with pool_cap(0):

@@ -153,11 +153,7 @@ class TestEq3:
     def test_a_wrong_forest_count_fails_with_the_fraction_counterexample(
             self, monkeypatch, gamma, alpha, residual, delta):
         p = (2, 3)
-
-        def perturbed(profile, g):
-            return [(res, marks, forests + delta if res.n == residual else forests, free)
-                    for res, marks, forests, free in census_terms(profile, g)]
-
+        perturbed = _perturbed_terms(residual, gamma, delta)
         expected = None
         for n_vec in (n for k in range(4) for n in compositions(k, 2)):
             lhs = sum((-1) ** sum(marks) * forests * multinomial(free + alpha, marks)
@@ -537,6 +533,17 @@ def _interval(lo: str, hi: str, step: str = "1") -> dict:
     return {"min": lo, "max": hi, "step": step}
 
 
+def _perturbed_terms(residual: tuple, gamma: int, delta):
+    """census_terms with ``delta`` added to the counted forests of every term
+    whose residual is ``residual``, at ``gamma``."""
+
+    def perturbed(profile, g):
+        return [(res, marks, forests + delta if (res.n, g) == (residual, gamma) else forests, free)
+                for res, marks, forests, free in census_terms(profile, g)]
+
+    return perturbed
+
+
 def _perturbed_catalan_vector(residual: tuple, gamma: int, delta):
     """catalan_vector plus ``delta`` at (residual, gamma)."""
 
@@ -574,13 +581,22 @@ class TestEq3Failures:
                                   "three-class-rat-alpha"])
     def test_failure_report_bytes_are_pinned(self, monkeypatch, section, residual, gamma, delta,
                                              digest):
-        # Eq3's forest counts are built by the catalan_vector that census names.
-        monkeypatch.setattr(census, "catalan_vector",
-                            _perturbed_catalan_vector(residual, gamma, delta))
+        # Eq3's forest counts are the census_terms that identities names.
+        monkeypatch.setattr(identities, "census_terms", _perturbed_terms(residual, gamma, delta))
         reports = run_suite({"eq3": section})
         assert not reports[0].ok
         text = reports_to_json(reports)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_a_wrong_closed_form_fails_the_link(self, monkeypatch):
+        # The counts stay true, so every point's sides agree; at gamma 2 the
+        # first alpha meets the census n = (1, 1), whose 12 counted forests
+        # the perturbed closed form puts at 13.
+        monkeypatch.setattr(identities, "catalan_vector", _perturbed_catalan_vector((1, 1), 2, 1))
+        (report,) = run_suite({"eq3": DEFAULT_CONFIG["eq3"]})
+        assert report.counterexample.to_json() == {
+            "params": {"p": "[2, 3]", "gamma": "2", "alpha": "-1", "n": "[1, 1]"},
+            "lhs": "12", "rhs": "13", "detail": "vector Catalan closed form vs count"}
 
 
 class TestClosedFormReduction:

@@ -77,8 +77,8 @@ MUTANTS = (
             "[closed_form-n_max]",)),
     Mutant("the signed census drops one slot from multi-class slices",
            "src/catalania/census.py",
-           "slots = residual.leaf_count(gamma) - gamma + alpha\n",
-           "slots = residual.leaf_count(gamma) - gamma + alpha - (len(marks) > 1)\n",
+           "_count_colorings(free_slots + alpha, marks)",
+           "_count_colorings(free_slots + alpha - (len(marks) > 1), marks)",
            ("tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census",)),
     Mutant("the census builds its first slice before the budget check",
            "src/catalania/involution.py",
@@ -154,8 +154,8 @@ MUTANTS = (
             "tests/test_identities.py::TestPairKernel::test_transforms_match_the_textbook_sums")),
     Mutant("the counted census reads every slice's forests at the whole profile",
            "src/catalania/census.py",
-           "zip(slices, reversed(table))",
-           "zip(slices, repeat(table[-1]))",
+           "zip(_splits(profile, gamma), reversed(table))",
+           "zip(_splits(profile, gamma), repeat(table[-1]))",
            ("tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census",
             "tests/test_identities.py::TestCrossRoute::test_a_wrong_census_is_the_counterexample")),
     Mutant("a row sum leaves column 1 unscaled to the common denominator",
@@ -166,8 +166,8 @@ MUTANTS = (
             "tests/test_riordan.py::TestIntegerKernel::test_row_sums")),
     Mutant("the counted census skips its budget check",
            "src/catalania/census.py",
-           "    slices = census_slices(profile, gamma, alpha)\n",
-           "    slices = census_sizes(profile, gamma, alpha)\n",
+           "    census_slices(profile, gamma, alpha)\n",
+           "    census_sizes(profile, gamma, alpha)\n",
            ("tests/test_involution.py::TestCensusBudget::test_counted_census_checks_before_any_count",
             "tests/test_identities.py::TestEvaluationErrors::"
             "test_the_cross_census_is_sized_before_it_counts")),
@@ -271,14 +271,38 @@ MUTANTS = (
            COUNT_TESTS),
     Mutant("a count is read at gamma - 1 components",
            "src/catalania/census.py",
-           "out.append(row[gamma])",
-           "out.append(row[gamma - 1])",
+           "yield row[gamma]",
+           "yield row[gamma - 1]",
            COUNT_TESTS),
     Mutant("the count table's window keeps one row too few",
            "src/catalania/census.py",
            "deque(maxlen=strides[0])",
            "deque(maxlen=strides[0] - 1)",
            COUNT_TESTS),
+    Mutant("a count reads the entry before the last",
+           "src/catalania/census.py",
+           "maxlen=1).pop()",
+           "maxlen=2).popleft()",
+           COUNT_TESTS),
+    Mutant("the vector Catalan closed form is one too large at the residual (1, 1)",
+           "src/catalania/counting.py",
+           "    return Fraction(count, total)\n",
+           "    return Fraction(count, total) + (profile.n == (1, 1))\n",
+           ("tests/test_identities.py::TestEq3::test_rational_alpha_grid",
+            "tests/test_identities.py::TestGoldenReports::test_report_bytes_are_pinned")),
+    Mutant("Eq3's census terms read the table forwards",
+           "src/catalania/census.py",
+           "reversed(table)",
+           "table",
+           ("tests/test_identities.py::TestEq3::test_point_values",
+            "tests/test_identities.py::TestEq3::test_rational_alpha_grid",
+            "tests/test_identities.py::TestGoldenReports::test_report_bytes_are_pinned")),
+    Mutant("the counted census terms drop the no-mark slice",
+           "src/catalania/census.py",
+           "zip(_splits(profile, gamma), reversed(table))]",
+           "zip(_splits(profile, gamma), reversed(table))][1:]",
+           ("tests/test_identities.py::TestEq3::test_point_values",
+            "tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census")),
 )
 
 

@@ -15,7 +15,9 @@ structure budget and once under CATALANIA_MAX_STRUCTS=4.  The grid:
 It prints one line per call, the sha256 of its exit code, stdout and stderr
 followed by its budget and arguments, then the sha256 of all those lines.
 Two checkouts whose totals agree behave byte for byte alike on every call.
-It is opt-in: the test suite does not run it.
+It is opt-in: ``tests/test_sweep.py`` runs the same calls through the
+console entry in one process and checks the same total, and this script
+checks that they also hold as separate processes.
 """
 
 from __future__ import annotations
@@ -51,28 +53,43 @@ def calls() -> list[list[str]]:
     return out
 
 
-def digest(argv: list[str], budget: str | None) -> str:
+def digest(code: int, stdout: bytes, stderr: bytes) -> str:
     """The sha256 of one call's exit code, stdout and stderr, each of the
     outputs prefixed by its length."""
+    head = b"%d %d %d\n" % (code, len(stdout), len(stderr))
+    return hashlib.sha256(head + stdout + stderr).hexdigest()
+
+
+def line(call_digest: str, argv: list[str], budget: str | None) -> str:
+    """One call's line: its digest, then its budget and arguments."""
+    return f"{call_digest}  budget={budget or 'default'} {' '.join(argv)}\n"
+
+
+def summary(lines: list[str]) -> str:
+    """The last line: the sha256 of all the call lines, and their number."""
+    return f"total {hashlib.sha256(''.join(lines).encode()).hexdigest()} over {len(lines)} calls"
+
+
+def run(argv: list[str], budget: str | None) -> str:
+    """The digest of one call, run as ``python -m catalania.cli`` in a fresh
+    process."""
     env = {key: value for key, value in os.environ.items() if key != "CATALANIA_MAX_STRUCTS"}
     env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     if budget is not None:
         env["CATALANIA_MAX_STRUCTS"] = budget
     proc = subprocess.run([sys.executable, "-m", "catalania.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, check=False)
-    head = b"%d %d %d\n" % (proc.returncode, len(proc.stdout), len(proc.stderr))
-    return hashlib.sha256(head + proc.stdout + proc.stderr).hexdigest()
+    return digest(proc.returncode, proc.stdout, proc.stderr)
 
 
 def main() -> int:
     grid = [(args, budget) for budget in BUDGETS for args in calls()]
-    total = hashlib.sha256()
+    lines = []
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        for (args, budget), call_digest in zip(grid, pool.map(lambda call: digest(*call), grid)):
-            line = f"{call_digest}  budget={budget or 'default'} {' '.join(args)}\n"
-            total.update(line.encode())
-            sys.stdout.write(line)
-    print(f"total {total.hexdigest()} over {len(grid)} calls")
+        for (args, budget), call_digest in zip(grid, pool.map(lambda call: run(*call), grid)):
+            lines.append(line(call_digest, args, budget))
+            sys.stdout.write(lines[-1])
+    print(summary(lines))
     return 0
 
 
