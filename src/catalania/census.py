@@ -144,13 +144,15 @@ def _forest_counts(counts: tuple[int, ...], p: tuple[int, ...], gamma: int) -> I
     shifts = [pj - 1 for pj in p]
     base = gamma + sum(map(mul, counts, shifts))
     window: deque[list[int]] = deque(maxlen=strides[0])
-    for m in itertools.product(*(range(c + 1) for c in counts)):
-        top = base - sum(map(mul, m, shifts))
-        rests = [window[-stride][pj:pj + top] for mj, pj, stride in zip(m, p, strides) if mj]
-        inner = map(sum, zip(repeat(0, top), *rests))
-        row = list(itertools.accumulate(inner, initial=int(not any(m))))
-        window.append(row)
-        yield row[gamma]
+    for head in itertools.product(*(range(c + 1) for c in counts[:-1])):
+        for last in range(counts[-1] + 1):  # product would hold this range whole
+            m = (*head, last)
+            top = base - sum(map(mul, m, shifts))
+            rests = [window[-stride][pj:pj + top] for mj, pj, stride in zip(m, p, strides) if mj]
+            inner = map(sum, zip(repeat(0, top), *rests))
+            row = list(itertools.accumulate(inner, initial=int(not any(m))))
+            window.append(row)
+            yield row[gamma]
 
 
 def count_mixed_forests(profile: VecProfile, gamma: int) -> int:

@@ -8,9 +8,10 @@ validated at the boundary.  ``ConfigError`` lives here, below every layer
 that raises it, so that raising one loads nothing else.
 
 ``Frozen`` and ``Record`` live here for the same reason: they are the one
-definition of a write-once ``__slots__`` value (trees and forests, series,
-Riordan arrays, outdegree profiles and the identity reports), and every
-layer loads this one.
+definition of a write-once ``__slots__`` value (trees and forests, colored
+forests, series, Riordan arrays, outdegree profiles and the identity
+reports), and every layer loads this one.  A Record holds only immutable
+fields, so it is its own copy; a plain Frozen value is rebuilt.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def multinomial(x: RatLike, parts: Sequence[int]) -> Rat:
 class Frozen:
     """A value whose ``__slots__`` are written once, by ``_make``, and never again.
     A subclass validates its arguments in ``__new__`` and returns
-    ``cls._make(...)``; copy and pickle rebuild through ``_make`` at every protocol."""
+    ``cls._make(...)``; pickle, and copy but for a Record, rebuild through ``_make``."""
 
     __slots__ = ()
 
@@ -151,9 +152,16 @@ class Frozen:
 
 class Record(Frozen):
     """A Frozen value equal to (and hashed like) a record of its own class with
-    equal slots, and shown as ``Name(slot=value, ...)``."""
+    equal slots, and shown as ``Name(slot=value, ...)``.  Its fields are
+    immutable, so a copy or a deep copy is the value itself."""
 
     __slots__ = ()
+
+    def __copy__(self) -> "Record":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Record":
+        return self
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -58,20 +58,7 @@ from .exact import Record, check_nat
 # Data model
 # ---------------------------------------------------------------------------
 
-class _Text(Record):
-    """The base of Tree and Forest: a value holding its text.  Immutable,
-    so a copy or a deep copy is the value itself."""
-
-    __slots__ = ()
-
-    def __copy__(self) -> _Text:
-        return self
-
-    def __deepcopy__(self, memo: dict) -> _Text:
-        return self
-
-
-class Tree(_Text):
+class Tree(Record):
     """Ordered rooted tree, held as its text: "o" for a leaf, else "(" + its
     children's texts + ")".  ``Tree(children)`` joins the children's texts."""
 
@@ -85,7 +72,7 @@ class Tree(_Text):
 LEAF = Tree()
 
 
-class Forest(_Text):
+class Forest(Record):
     """Ordered sequence of trees, held as its text: the trees' texts joined
     by ";", one per component (there may be none).  ``Forest(trees)`` joins
     the trees' texts.

@@ -63,14 +63,14 @@ class IdentityReport(Record):
 
     def __new__(cls, identity_id: str, grid: str, status: str,
                 counterexample: Optional[Counterexample] = None,
-                skipped: tuple[str, ...] = ()) -> "IdentityReport":
+                skipped: Sequence[str] = ()) -> "IdentityReport":
         if identity_id not in IDENTITY_IDS:
             raise ValueError(f"unknown identity id {identity_id!r}")
         if status == "fail" and counterexample is None:
             raise ValueError("a failing report must carry a counterexample")
         if status not in ("pass", "fail"):
             raise ValueError(f"bad status {status!r}")
-        return cls._make(identity_id, grid, status, counterexample, skipped)
+        return cls._make(identity_id, grid, status, counterexample, tuple(skipped))
 
     @property
     def ok(self) -> bool:
@@ -90,7 +90,7 @@ def _report(identity_id: str, grid: str,
             counterexample: Optional[Counterexample],
             skipped: Sequence[str] = ()) -> IdentityReport:
     status = "pass" if counterexample is None else "fail"
-    return IdentityReport(identity_id, grid, status, counterexample, tuple(skipped))
+    return IdentityReport(identity_id, grid, status, counterexample, skipped)
 
 
 def _point(alpha: RatLike, beta: RatLike, gamma: RatLike) -> tuple[dict[str, object], str]:

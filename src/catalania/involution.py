@@ -27,11 +27,11 @@ alternating census is carried entirely by the *exceptional* structures:
 those with no colored leaf and no internal vertex (only planted roots
 colored).
 
-A ``ColoredForest`` is the tuple (forest, planted, leaf_colors, root_colors)
-and a ``Classification`` the named pair (kind, vertex), the vertex being
-the acting vertex's position in the forest's text.  Both are immutable and
-hashable, and compare structurally at any depth of forest, since a forest
-compares and hashes by its text.
+A ``ColoredForest`` is an ``exact.Record`` with the fields forest, planted,
+leaf_colors and root_colors, and a ``Classification`` the named pair (kind,
+vertex), the vertex being the acting vertex's position in the forest's
+text.  Both are immutable and hashable, and compare structurally at any
+depth of forest, since a forest compares and hashes by its text.
 
 Validation happens where structures come from outside.  ``ColoredForest(...)``
 checks and sorts every coloring that users build or decode.  The
@@ -60,22 +60,23 @@ the dump's memory does not grow with the census.  It reads each coloring's
 leaf positions off the layout and writes its lines by splicing into the
 forest's text: a structure's colored leaves become "o*", and a first-class
 structure's partner is the same splice with the candidate's "o" grown to
-"(" + "o" * beta + ")", so no partner forest is built.  ``classify``,
-``encode_colored`` and ``involute`` find their vertices on the layout, in
-time linear in the text, and ``involute`` splices the forest's text there.
+"(" + "o" * beta + ")".  It hands ``classify`` the layout and the colored
+positions alone, so the dump builds no structure and no partner.
+``classify``, ``encode_colored`` and ``involute`` find their vertices on
+the layout, in time linear in the text, and ``involute`` splices the
+forest's text there.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from bisect import bisect_left
 from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .census import census_slices, check_alpha_gamma, check_arity, check_budget, scalar_profile
 from .counting import VecProfile, catalan_vector, check_outdegrees
-from .exact import check_nat, multinomial
+from .exact import Record, check_nat, multinomial
 from .forest import Forest, Layout, generate_mixed_forests, iter_mixed_forests, layout
 
 FIRST = "first"
@@ -91,74 +92,29 @@ class StructureError(ValueError):
     """A structure is inconsistent with the declared outdegree classes."""
 
 
-class ColoredForest(tuple):
-    """Forest + planted roots + coloring of leaves and planted roots, as the
-    tuple (forest, planted, leaf_colors, root_colors).
+class ColoredForest(Record):
+    """Forest + planted roots + coloring of leaves and planted roots.
 
     ``leaf_colors`` maps leaf indices to colors >= 1 and is stored as a
     tuple of pairs sorted by index, leaf i being the i-th "o" of the
     forest's text (its i-th leaf in preorder); ``root_colors`` maps
-    planted-root indices (0 .. planted-1) to colors, sorted by index.
-    Structures are immutable (a copy is the value itself), hashable and
-    compare structurally at any depth of forest, never equal to a plain
-    tuple.
+    planted-root indices (0 .. planted-1) to colors, sorted by index.  A
+    structure is an ``exact.Record``: immutable, its own copy, hashable,
+    and equal only to a structure with equal fields, at any depth of forest.
+    It is not a sequence, so it has no indexing, unpacking or ``len``.
+    ``ColoredForest._make`` builds one unchecked, from fields that already
+    hold what the constructor checks.
     """
 
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is ColoredForest:
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    __ne__ = object.__ne__
-    __hash__ = tuple.__hash__
-
-    def __copy__(self) -> ColoredForest:
-        return self
-
-    def __deepcopy__(self, memo: dict) -> ColoredForest:
-        return self
-
-    forest = property(operator.itemgetter(0))
-    planted = property(operator.itemgetter(1))
-    leaf_colors = property(operator.itemgetter(2))
-    root_colors = property(operator.itemgetter(3))
+    __slots__ = ("forest", "planted", "leaf_colors", "root_colors")
 
     def __new__(cls, forest: Forest, planted: int = 0,
                 leaf_colors: Iterable[tuple[int, int]] = (),
                 root_colors: Iterable[tuple[int, int]] = ()) -> ColoredForest:
         check_nat(planted, "planted")
-        leaf_colors = tuple(leaf_colors)
-        n_leaves = forest.text.count("o")
-        seen_leaves = set()
-        for leaf, color in leaf_colors:
-            if leaf.__class__ is not int or not 0 <= leaf < n_leaves:
-                raise StructureError(f"leaf index {leaf!r} is not an int in range({n_leaves})")
-            if color.__class__ is not int or color < 1:
-                raise StructureError(f"colors must be ints >= 1, got {color!r}")
-            if leaf in seen_leaves:
-                raise StructureError(f"duplicate color entry for leaf {leaf}")
-            seen_leaves.add(leaf)
-        leaf_colors = tuple(sorted(leaf_colors))
-        root_colors = tuple(sorted(root_colors))
-        seen_roots = set()
-        for idx, color in root_colors:
-            if idx.__class__ is not int or not 0 <= idx < planted:
-                raise StructureError(f"planted-root index {idx!r} is not an int in range({planted})")
-            if color.__class__ is not int or color < 1:
-                raise StructureError(f"colors must be ints >= 1, got {color!r}")
-            if idx in seen_roots:
-                raise StructureError(f"duplicate color entry for root {idx}")
-            seen_roots.add(idx)
-        return tuple.__new__(cls, (forest, planted, leaf_colors, root_colors))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return ("ColoredForest(forest={!r}, planted={!r}, leaf_colors={!r}, "
-                "root_colors={!r})".format(*self))
+        return cls._make(forest, planted,
+                         _checked(leaf_colors, forest.text.count("o"), "leaf index", "leaf"),
+                         _checked(root_colors, planted, "planted-root index", "root"))
 
     @property
     def colored_count(self) -> int:
@@ -168,12 +124,22 @@ class ColoredForest(tuple):
         return -1 if self.colored_count % 2 else 1
 
 
-def _built(forest: Forest, planted: int, leaf_colors: tuple, root_colors: tuple) -> ColoredForest:
-    """ColoredForest(forest, planted, leaf_colors, root_colors) from fields
-    that already hold: every leaf index is below the leaf count, every root
-    index is below ``planted``, every color is >= 1, and both tuples are
-    sorted without duplicates.  It skips the check."""
-    return tuple.__new__(ColoredForest, (forest, planted, leaf_colors, root_colors))
+def _checked(pairs: Iterable[tuple[int, int]], size: int, index: str,
+             kind: str) -> tuple[tuple[int, int], ...]:
+    """The (index, color) ``pairs`` sorted by index, each checked first, in
+    input order: an int index in range(size) not seen before, and an int
+    color >= 1."""
+    pairs = tuple(pairs)
+    seen = set()
+    for idx, color in pairs:
+        if idx.__class__ is not int or not 0 <= idx < size:
+            raise StructureError(f"{index} {idx!r} is not an int in range({size})")
+        if color.__class__ is not int or color < 1:
+            raise StructureError(f"colors must be ints >= 1, got {color!r}")
+        if idx in seen:
+            raise StructureError(f"duplicate color entry for {kind} {idx}")
+        seen.add(idx)
+    return tuple(sorted(pairs))
 
 
 class Classification(NamedTuple):
@@ -184,7 +150,7 @@ class Classification(NamedTuple):
     vertex: Optional[int] = None
 
 
-def classify(c: ColoredForest, shape: Optional[Layout] = None,
+def classify(c: Optional[ColoredForest], shape: Optional[Layout] = None,
              colored: Optional[list[int]] = None) -> Classification:
     """Assign a colored forest to its class (planted roots play no part), by
     the one classification rule on the layout of its forest's text.  The
@@ -196,7 +162,9 @@ def classify(c: ColoredForest, shape: Optional[Layout] = None,
     ``shape`` and ``colored`` are trusted hand-offs for the census walks,
     which lay each forest out once: the layout of c.forest's text and the
     text positions of the leaves of c.leaf_colors, in order.  They are used
-    unchecked, so other values misclassify c.  Other callers leave them out."""
+    unchecked, so other values misclassify c.  With both given, ``c`` is
+    not read and may be None: ``pair_lines`` builds no structure to pass.
+    Other callers leave them out."""
     if shape is None:
         shape = layout(c.forest.text)
     if colored is None:
@@ -241,8 +209,8 @@ def _partner(c: ColoredForest, cls: Classification, p: tuple[int, ...],
         degree = p[color - 1]
         grown = text[:pos] + "(" + "o" * degree + ")" + text[pos + 1:]
         moved = [(i + degree - 1, j) for i, j in c.leaf_colors[k + 1:]]
-        return _built(Forest._make(grown), c.planted, (*c.leaf_colors[:k], *moved),
-                      c.root_colors)
+        return ColoredForest._make(Forest._make(grown), c.planted,
+                                   (*c.leaf_colors[:k], *moved), c.root_colors)
     # The incumbent sits one level above the bottom, which holds leaves only
     # and none of them colored: its text is "(" + "o" * degree + ")".
     degree = text.index(")", pos) - pos - 1
@@ -251,7 +219,7 @@ def _partner(c: ColoredForest, cls: Classification, p: tuple[int, ...],
     pruned = text[:pos] + "o" + text[pos + degree + 2:]
     moved = [(i - degree + 1, j) for i, j in c.leaf_colors[k:]]
     recolored = (*c.leaf_colors[:k], (leaf, p.index(degree) + 1), *moved)
-    return _built(Forest._make(pruned), c.planted, recolored, c.root_colors)
+    return ColoredForest._make(Forest._make(pruned), c.planted, recolored, c.root_colors)
 
 
 def pairings(structures: Iterable[ColoredForest], p: Sequence[int],
@@ -308,10 +276,10 @@ def _colorings(profile: VecProfile, gamma: int, planted: int,
                marks: tuple[int, ...]) -> list[ColoredForest]:
     """The slice of ``profile`` and ``marks``: each of its forests with each
     coloring that _slice_colorings finds for their leaf count, forest-major,
-    built unchecked as by _built.  It checks nothing."""
+    built unchecked by ColoredForest._make.  It checks nothing."""
     forests = generate_mixed_forests(profile, gamma)
     colorings = _slice_colorings(profile.leaf_count(gamma), planted, marks)
-    return [tuple.__new__(ColoredForest, (forest, planted, leaves, roots))
+    return [ColoredForest._make(forest, planted, leaves, roots)
             for forest, (leaves, roots) in itertools.product(forests, colorings)]
 
 
@@ -372,16 +340,16 @@ def pair_lines(beta: int, n: int, gamma: int, alpha: int) -> Iterator[str]:
 
     def lines() -> Iterator[str]:
         for residual, marks, size in slices:
-            colorings = [(leaves, roots, [i for i, _ in leaves], _planted_text(planted, roots, 1))
+            colorings = [([i for i, _ in leaves], _planted_text(planted, roots, 1))
                          for leaves, roots in _slice_colorings(residual.leaf_count(gamma),
                                                                planted, marks)]
             walked = 0
             for forest in iter_mixed_forests(residual, gamma):
                 shape = layout(forest.text)
-                for leaves, roots, indices, prefix in colorings:
+                for indices, prefix in colorings:
                     walked += 1
                     colored = list(map(shape.leaves.__getitem__, indices))
-                    cls = classify(_built(forest, planted, leaves, roots), shape, colored)
+                    cls = classify(None, shape, colored)
                     if cls.kind == SECOND:  # listed as the partner of a first-class one
                         continue
                     marked = prefix + _splice(shape.text, zip(colored, repeat("o*")))

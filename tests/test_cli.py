@@ -152,13 +152,14 @@ class TestTrees:
     def test_unary_count_keeps_a_window_of_rows(self):
         # 80 MB when each of the 400,001 pools' sizes was kept with its count
         # vector, about 46 MB when the table kept one count per row, about 30
-        # MB now that the count keeps only the last (Python 3.11, Linux), of
-        # which about 15 MB is the tuple that itertools.product makes of the
-        # range of counts; about 1 s.
+        # MB when the count kept only the last but itertools.product held the
+        # range of counts as a tuple of 400,001 ints, and about 15 MB, a bare
+        # interpreter's, now that the last class runs in a plain range
+        # (Python 3.11, Linux); about 1 s.
         code, out, peak_mb = child_peak_rss("trees", "count", "--beta", "1", "--n", "400000",
                                             "--gamma", "2")
         assert (code, out) == (0, hashlib.sha1(b"400001\n").hexdigest())
-        assert peak_mb < 40
+        assert peak_mb < 20
 
 
 def child_peak_rss(*argv):

@@ -1,8 +1,9 @@
-"""The hashable immutable value types: the trees and forests of forest.py,
-which hold their text, and the tuples of involution.py, all deep-safe, and
-the ``exact.Record`` values of counting.py and identities.py.  Each is
-equal only to its own kind and round-trips through copy and pickle at
-every protocol.
+"""The hashable immutable value types: the ``exact.Record`` values (the
+trees and forests of forest.py, which hold their text, the colored forests
+of involution.py, all deep-safe, and the records of counting.py and
+identities.py) and the named tuple ``Classification``.  Each is equal only
+to its own kind and round-trips through copy and pickle at every protocol,
+and a Record is its own copy.
 (``Series`` and ``RiordanArray`` are tested in test_riordan.py: one is
 unhashable, the other compared by identity.)"""
 
@@ -91,6 +92,20 @@ def test_pickle_and_copy_round_trip(name):
     for clone in (*pickled, copy.copy(value), copy.deepcopy(value)):
         assert clone == value and type(clone) is type(value)
         assert hash(clone) == hash(value)
+
+
+@pytest.mark.parametrize("name", sorted(set(NAMES) - {"Classification"}))
+def test_a_record_is_its_own_copy(name):
+    value, _, _ = _values()[name]
+    assert copy.copy(value) is value and copy.deepcopy(value) is value
+
+
+def test_colored_forest_is_not_a_sequence():
+    c = ColoredForest(decode("(oo)"), 1, ((1, 1),), ((0, 2),))
+    with pytest.raises(TypeError):
+        len(c)
+    assert c != (c.forest, c.planted, c.leaf_colors, c.root_colors)
+    assert (c.forest, c.planted, c.leaf_colors, c.root_colors) != c
 
 
 def test_tree_is_never_a_plain_tuple():

@@ -234,7 +234,8 @@ class TestRenumbering:
             assert image.weight() == -c.weight()
             n_leaves = image.forest.text.count("o")
             assert all(0 <= leaf < n_leaves for leaf, _ in image.leaf_colors)
-            assert image == ColoredForest(*image)
+            assert image == ColoredForest(image.forest, image.planted, image.leaf_colors,
+                                          image.root_colors)
             assert list(image.leaf_colors) == sorted(image.leaf_colors)
             first, second = (c, image) if cls.kind == FIRST else (image, c)
             assert encode_colored(second, 2) == grown_text(first, profile.p)
@@ -599,9 +600,9 @@ class TestPairings:
         calls = []
         original = involution.classify
 
-        def counted(c, *args):
-            calls.append(c.forest)
-            return original(c, *args)
+        def counted(c, shape, *args):
+            calls.append(shape.text)
+            return original(c, shape, *args)
 
         monkeypatch.setattr(involution, "classify", counted)
         lines = pair_lines(3, 7, 2, 4)
@@ -609,7 +610,7 @@ class TestPairings:
         first = next(lines)
         assert first.startswith("pair ")
         uncolored = generate_mixed_forests(VecProfile((7,), (3,)), 2)
-        assert calls[:len(uncolored)] == uncolored
+        assert calls[:len(uncolored)] == [forest.text for forest in uncolored]
         assert len(set(calls[len(uncolored):])) == 1
         assert len(calls) - len(uncolored) <= VecProfile((6,), (3,)).leaf_count(2) + 2
 
@@ -689,9 +690,10 @@ class TestColoredForestChecks:
         (1, (), ((0, 0),), "colors must be ints >= 1, got 0"),
         (2, (), ((0, 1.5),), r"colors must be ints >= 1, got 1\.5"),
         (2, (), ((0, 1), (0, 2)), "duplicate color entry for root 0"),
+        (1, (), [("a", 1), (0, 1)], r"planted-root index 'a' is not an int in range\(1\)"),
     ], ids=["leaf-out-of-range", "leaf-negative", "leaf-bool", "leaf-float", "leaf-str",
             "leaf-color-0", "leaf-color-float", "duplicate-leaf", "root-out-of-range", "root-bool",
-            "bool-and-float", "root-color-0", "root-color-float", "duplicate-root"])
+            "bool-and-float", "root-color-0", "root-color-float", "duplicate-root", "root-str"])
     def test_inconsistent_coloring_rejected(self, planted, leaf_colors, root_colors, message):
         with pytest.raises(StructureError, match=message):
             ColoredForest(decode("(oo)"), planted, leaf_colors, root_colors)

@@ -1,11 +1,12 @@
 """The byte contract of tools/sweep.py, in one process.
 
 Every call of the sweep's grid runs through ``cli.entrypoint`` under both
-budgets, with its stdout and stderr captured as UTF-8 bytes and
-``os._exit`` raising its status, so that a status is mapped as the console
-maps it.  The lines and their total are the tool's own, so a total pinned
-here is the one ``python tools/sweep.py`` prints; the tool stays the
-opt-in run in fresh processes."""
+budgets, and every one of its extra calls under the default budget, with
+COLUMNS set as the tool sets it, its stdout and stderr captured as UTF-8
+bytes and ``os._exit`` raising its status, so that a status is mapped as
+the console maps it.  The lines and their totals are the tool's own, so a
+total pinned here is one that ``python tools/sweep.py`` prints; the tool
+stays the opt-in run in fresh processes."""
 
 import importlib.util
 import io
@@ -21,6 +22,7 @@ sweep = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(sweep)
 
 TOTAL = "total 80c9e10ce683592b159115808d8e7c328838776c9316eba9ca136cbd1c638d0f over 2634 calls"
+EXTRA_TOTAL = "total 6a9cf34f0600cc7297b93915aeaa6cc4783da7bc857b730f7a8175393e17054f over 36 calls"
 
 
 class _Exited(Exception):
@@ -33,6 +35,7 @@ def _exit(code):
 
 def _call(monkeypatch, argv, budget):
     """sweep.digest of one call through cli.entrypoint, in this process."""
+    monkeypatch.setenv("COLUMNS", sweep.COLUMNS)
     if budget is None:
         monkeypatch.delenv("CATALANIA_MAX_STRUCTS", raising=False)
     else:
@@ -53,3 +56,9 @@ def test_every_call_keeps_its_bytes(monkeypatch):
     lines = [sweep.line(_call(monkeypatch, args, budget), args, budget)
              for budget in sweep.BUDGETS for args in sweep.calls()]
     assert sweep.summary(lines) == TOTAL
+
+
+def test_every_extra_call_keeps_its_bytes(monkeypatch):
+    monkeypatch.setattr(os, "_exit", _exit)
+    lines = [sweep.line(_call(monkeypatch, args, None), args, None) for args in sweep.extra_calls()]
+    assert sweep.summary(lines) == EXTRA_TOTAL

@@ -90,8 +90,8 @@ MUTANTS = (
            ("tests/test_involution.py::TestCensusBudget::test_scalar_census_sums_its_slices",)),
     Mutant("the dump walk skips each forest's last coloring",
            "src/catalania/involution.py",
-           "                for leaves, roots, indices, prefix in colorings:\n",
-           "                for leaves, roots, indices, prefix in colorings[:-1]:\n",
+           "                for indices, prefix in colorings:\n",
+           "                for indices, prefix in colorings[:-1]:\n",
            ("tests/test_encoding.py::TestPairLines::test_edge_shapes",
             "tests/test_cli.py::test_dump_pairs_output_golden")),
     Mutant("the dump's slice check never fires",
@@ -303,6 +303,27 @@ MUTANTS = (
            "zip(_splits(profile, gamma), reversed(table))][1:]",
            ("tests/test_identities.py::TestEq3::test_point_values",
             "tests/test_involution.py::TestSignedSums::test_counted_sums_match_the_built_census")),
+    Mutant("the coloring check lets a repeated index through",
+           "src/catalania/involution.py",
+           "        if idx in seen:\n",
+           "        if idx in seen and idx < 0:\n",
+           ("tests/test_involution.py::TestColoredForestChecks::test_inconsistent_coloring_rejected",)),
+    Mutant("the coloring check returns the pairs unsorted",
+           "src/catalania/involution.py",
+           "    return tuple(sorted(pairs))\n",
+           "    return pairs\n",
+           ("tests/test_involution.py::TestGeneratedStructures::test_user_input_is_still_checked",)),
+    Mutant("the dump classifies with the colored positions of its slice's first coloring",
+           "src/catalania/involution.py",
+           "cls = classify(None, shape, colored)",
+           "cls = classify(None, shape, [shape.leaves[i] for i in colorings[0][0]])",
+           ("tests/test_encoding.py::TestPairLines::test_small_censuses",
+            "tests/test_cli.py::test_dump_pairs_output_golden")),
+    Mutant("the count table's inner loop stops one count short",
+           "src/catalania/census.py",
+           "for last in range(counts[-1] + 1):",
+           "for last in range(counts[-1]):",
+           COUNT_TESTS),
 )
 
 

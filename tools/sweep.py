@@ -3,8 +3,9 @@
     python tools/sweep.py
 
 Each call runs ``python -m catalania.cli`` in a fresh process, JOBS at a
-time, against the ``src/`` beside this script, once with the default
-structure budget and once under CATALANIA_MAX_STRUCTS=4.  The grid:
+time, against the ``src/`` beside this script, with COLUMNS=80, as argparse
+wraps its usage and help to the terminal's width.  The grid runs once with
+the default structure budget and once under CATALANIA_MAX_STRUCTS=4:
 
 * ``trees count`` as text, as json and with ``--check-formula``, and
   ``trees list`` as text and as json, over beta 0-4, n 0-7 and gamma 0-3;
@@ -12,9 +13,15 @@ structure budget and once under CATALANIA_MAX_STRUCTS=4.  The grid:
   and with ``--dump-pairs`` for beta <= 3 and n <= 4;
 * ``verify`` on the default config.
 
-It prints one line per call, the sha256 of its exit code, stdout and stderr
-followed by its budget and arguments, then the sha256 of all those lines.
-Two checkouts whose totals agree behave byte for byte alike on every call.
+Then the calls that the grid lacks (``extra_calls``) run under the default
+budget: ``seq``, ``riordan entry`` and ``riordan check`` with integral and
+rational flags, usage errors, and ``--help`` for the program and for each
+subcommand.
+
+For each of the two lists it prints one line per call, the sha256 of its
+exit code, stdout and stderr followed by its budget and arguments, then the
+sha256 of all those lines.  Two checkouts whose totals agree behave byte
+for byte alike on every call.
 It is opt-in: ``tests/test_sweep.py`` runs the same calls through the
 console entry in one process and checks the same total, and this script
 checks that they also hold as separate processes.
@@ -32,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUDGETS = (None, "4")  # None: the default budget
+COLUMNS = "80"
 JOBS = 4
 
 
@@ -50,6 +58,29 @@ def calls() -> list[list[str]]:
         if beta <= 3 and n <= 4:
             out.append([*census, "--dump-pairs"])
     out.append(["verify"])
+    return out
+
+
+def extra_calls() -> list[list[str]]:
+    """The CLI arguments of every call that the grid lacks, in a fixed order,
+    each run under the default budget alone."""
+    out = []
+    for beta, gamma in (("2", "1"), ("3", "2"), ("1/2", "3"), ("-3/2", "1/3")):
+        seq = ["seq", f"--beta={beta}", f"--gamma={gamma}", "--n=7"]
+        out += [seq, [*seq, "--format=json"]]
+    for alpha, beta, gamma in (("1", "2", "1"), ("3", "3", "2"), ("1/2", "3/2", "1/3"),
+                               ("5/2", "-2/3", "3/4")):
+        family = [f"--alpha={alpha}", f"--beta={beta}"]
+        out += [["riordan", "entry", *family, "--n=6", "--k=2"],
+                ["riordan", "check", *family, f"--gamma={gamma}", "--order=8"],
+                ["riordan", "check", *family, f"--gamma={gamma}"]]
+    out += [[], ["frobnicate"], ["seq", "--n=3"], ["seq", "--beta=x", "--n=3"],
+            ["seq", "--beta=1/0", "--n=3"], ["trees", "count", "--beta=2", "--n", "-1"],
+            ["trees", "sort", "--beta=2", "--n=1"], ["riordan", "entry", "--alpha=1", "--beta=2"],
+            ["riordan", "check", "--alpha=1", "--beta=2"],
+            ["involution", "--beta=2", "--n=3", "--gamma=2", "--alpha=1"]]
+    out += [["--help"], *([command, "--help"] for command in
+                          ("seq", "trees", "involution", "riordan", "verify"))]
     return out
 
 
@@ -74,7 +105,7 @@ def run(argv: list[str], budget: str | None) -> str:
     """The digest of one call, run as ``python -m catalania.cli`` in a fresh
     process."""
     env = {key: value for key, value in os.environ.items() if key != "CATALANIA_MAX_STRUCTS"}
-    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", COLUMNS=COLUMNS)
     if budget is not None:
         env["CATALANIA_MAX_STRUCTS"] = budget
     proc = subprocess.run([sys.executable, "-m", "catalania.cli", *argv], cwd=ROOT, env=env,
@@ -83,13 +114,15 @@ def run(argv: list[str], budget: str | None) -> str:
 
 
 def main() -> int:
-    grid = [(args, budget) for budget in BUDGETS for args in calls()]
-    lines = []
+    grids = ([(args, budget) for budget in BUDGETS for args in calls()],
+             [(args, None) for args in extra_calls()])
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        for (args, budget), call_digest in zip(grid, pool.map(lambda call: run(*call), grid)):
-            lines.append(line(call_digest, args, budget))
-            sys.stdout.write(lines[-1])
-    print(summary(lines))
+        for grid in grids:
+            lines = []
+            for (args, budget), call_digest in zip(grid, pool.map(lambda call: run(*call), grid)):
+                lines.append(line(call_digest, args, budget))
+                sys.stdout.write(lines[-1])
+            print(summary(lines))
     return 0
 
 
